@@ -14,11 +14,10 @@ __version__ = "0.1.0"
 
 from .errors import (AlcovesError, BudgetExceededError, DegenerateBasisError,
                      FitVerificationError, FormulaConsistencyError,
-                     InterpolationError, RadicalClassError, SingularSystemError,
-                     WallPointError)
+                     RadicalClassError, SingularSystemError, WallPointError)
 from .linalg import QMatrix, QVector, gram_det, gram_matrix, solve_linear
-from .radicals import RadScalar, add_same_class, sqrt_decompose
-from .mpoly import MPoly, mpoly_interpolate
+from .radicals import RadScalar, sqrt_decompose
+from .mpoly import MPoly
 from .rootdata import (RootSystemData, RootSystemId, build_root_system,
                        dominant_representative, weyl_order)
 from .affine import (AffineElement, descents, element_from_point,
@@ -37,18 +36,16 @@ from .coefficients import (GeometricCoefficients, eulerian, evaluate_formula,
 __all__ = [
     "AffineElement", "AlcovesError", "BudgetExceededError", "DegenerateBasisError",
     "DominantCoweight", "FaceDescriptor", "FitVerificationError",
-    "FormulaConsistencyError", "GeometricCoefficients", "InterpolationError",
-    "MPoly", "QMatrix", "QVector", "RadScalar", "RadicalClassError",
-    "RootSystemData", "RootSystemId", "SingularSystemError", "VolumePolynomial",
-    "WallPointError", "add_same_class", "build_root_system", "contains",
-    "descents", "dominant_representative", "element_from_point",
-    "enumerate_weyl_group", "enumerate_X", "eulerian", "euclidean_volume",
-    "evaluate_formula", "face", "fit_mu", "gram_det", "gram_matrix",
-    "hypersimplex_dilation_count", "hypersimplex_ehrhart",
+    "FormulaConsistencyError", "GeometricCoefficients", "MPoly", "QMatrix",
+    "QVector", "RadScalar", "RadicalClassError", "RootSystemData", "RootSystemId",
+    "SingularSystemError", "VolumePolynomial", "WallPointError",
+    "build_root_system", "contains", "descents", "dominant_representative",
+    "element_from_point", "enumerate_weyl_group", "enumerate_X", "eulerian",
+    "euclidean_volume", "evaluate_formula", "face", "fit_mu", "gram_det",
+    "gram_matrix", "hypersimplex_dilation_count", "hypersimplex_ehrhart",
     "interval_size_lattice", "lattice_count", "lattice_count_by_membership",
     "length", "longest_finite_element", "lower_interval", "mixed_basis_nu",
-    "mpoly_interpolate", "mu_empty", "mu_full", "sigma_reflection",
-    "simple_reflection", "solve_linear", "sqrt_decompose",
-    "squarefree_coefficient", "stirling1", "theta", "type_a_connected_mu",
-    "volume_polynomial", "weyl_order",
+    "mu_empty", "mu_full", "sigma_reflection", "simple_reflection", "solve_linear",
+    "sqrt_decompose", "squarefree_coefficient", "stirling1", "theta",
+    "type_a_connected_mu", "volume_polynomial", "weyl_order",
 ]

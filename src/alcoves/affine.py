@@ -82,9 +82,6 @@ class AffineElement:
         return self.tr == (0,) * n and all(
             self.lin[i][j] == (1 if i == j else 0) for i in range(n) for j in range(n))
 
-    def key(self):
-        return (self.lin, self.tr)
-
     def __eq__(self, other):
         return isinstance(other, AffineElement) and self.lin == other.lin and self.tr == other.tr
 
@@ -93,9 +90,6 @@ class AffineElement:
 
     def __repr__(self):
         return "AffineElement(lin=%r, tr=%r)" % (self.lin, self.tr)
-
-    def translation_coweight_coords(self) -> Vec:
-        return self.tr
 
     def in_affine_weyl_group(self, data: RootSystemData) -> bool:
         """True iff the translation part lies in the coroot lattice Z Phi^v."""
@@ -340,7 +334,7 @@ def enumerate_weyl_group(data: RootSystemData, cap: int = DEFAULT_GROUP_CAP) -> 
         frontier = new
     if len(seen) != data.wf_order:
         raise AlcovesError("enumerated order %d != %d" % (len(seen), data.wf_order))
-    return sorted(seen, key=lambda e: e.key())
+    return sorted(seen, key=lambda e: (e.lin, e.tr))
 
 
 def ambient_affine(data: RootSystemData, w: AffineElement) -> tuple[QMatrix, QVector]:

@@ -10,10 +10,12 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
 from dataclasses import dataclass
+from itertools import product
 from pathlib import Path
 
 from . import __version__
@@ -63,6 +65,8 @@ class RunConfig:
             raise UsageError("budgets must be positive")
         if self.lam is not None and any(c < 0 for c in self.lam):
             raise UsageError("lambda coordinates must be non-negative integers")
+        if self.max_coord < 0:
+            raise UsageError("--max-coord must be non-negative")
 
 
 def _emit(payload) -> None:
@@ -165,34 +169,26 @@ def cmd_verify(cfg: RunConfig) -> int:
     data = build_root_system(cfg.family, cfg.rank)
     coeffs = _load_or_fit_coefficients(cfg, data)
     n = data.rank
-    lambdas = []
-
-    def fill(prefix):
-        if len(prefix) == n:
-            lambdas.append(tuple(prefix))
-            return
-        for c in range(cfg.max_coord + 1):
-            fill(prefix + [c])
-    fill([])
-
     rows = []
     mismatches = []
-    for lam in lambdas:
-        bruhat = None
+
+    def mismatch(lam):
+        if list(lam) not in mismatches:
+            mismatches.append(list(lam))
+
+    for lam in product(range(cfg.max_coord + 1), repeat=n):
         w, word = theta(data, lam)
         bruhat = len(lower_interval(data, w, word, cap=cfg.interval_cap))
         lattice = interval_size_lattice(data, lam, box_cap=cfg.box_cap)
         geometric = evaluate_formula(data, coeffs, lam)
         ok = bruhat == lattice == geometric
-        if not ok:
-            mismatches.append(list(lam))
         # descent structure of theta(lambda)
         left, right = descents(data, w)
         sigma = sigma_reflection(data, lam)
         expected_right = set(range(n + 1)) - {sigma}
         descent_ok = set(range(1, n + 1)) <= left and expected_right <= right
-        if not descent_ok:
-            mismatches.append(list(lam))
+        if not (ok and descent_ok):
+            mismatch(lam)
         rows.append({
             "lambda": list(lam),
             "bruhat": bruhat,
@@ -204,7 +200,6 @@ def cmd_verify(cfg: RunConfig) -> int:
 
     hypersimplex_ok = True
     if data.family == "A":
-        import math
         for k in range(1, n + 1):
             poly = hypersimplex_ehrhart(k, n + 1)
             for m in range(cfg.max_coord + 1):
@@ -212,7 +207,7 @@ def cmd_verify(cfg: RunConfig) -> int:
                 expected = math.factorial(n + 1) * poly.eval((m,))
                 if interval_size_lattice(data, lam, box_cap=cfg.box_cap) != expected:
                     hypersimplex_ok = False
-                    mismatches.append(list(lam))
+                    mismatch(lam)
 
     _emit({
         "schema": 1,

@@ -9,8 +9,8 @@ Closed forms pin the extremes (mu'_empty = |W_f|, mu_{I_n} = 1/vol(A_id));
 connected type-A coefficients come from lower-triangular systems fed by
 hypersimplex Ehrhart polynomials (coefficients per Ferroni's formula) and
 Eulerian-number volume coefficients; everything else is fitted from exact
-lattice counts, which uniqueness makes sound.  Fits are verified on a
-disjoint validation set (including degenerate coweights) and never
+lattice counts at 0/1 coweights, which uniqueness makes sound.  Fits are
+verified on further coweights (degenerate ones included) and never
 returned silently.
 """
 
@@ -20,16 +20,15 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations, product
+from itertools import combinations
 
-from .errors import (BudgetExceededError, FitVerificationError,
-                     FormulaConsistencyError, SingularSystemError)
-from .linalg import QMatrix, QVector, rational_from_str, rational_to_str, solve_linear
-from .mpoly import MPoly, mpoly_interpolate
+from .errors import BudgetExceededError, FitVerificationError, FormulaConsistencyError
+from .linalg import rational_to_str
+from .mpoly import MPoly
 from .radicals import RadScalar
 from .rootdata import RootSystemData, RootSystemId, build_root_system
 from .orbits import DEFAULT_BOX_CAP, interval_size_lattice_cached
-from .volumes import volume_polynomial
+from .volumes import squarefree_coefficient, volume_polynomial
 
 DEFAULT_SUBSET_CAP = 4096
 
@@ -242,13 +241,22 @@ class GeometricCoefficients:
         prov = {}
         for key, val in obj["mu_prime"].items():
             J = tuple(int(x) for x in key.split(",")) if key else ()
-            mu[J] = rational_from_str(val)
+            mu[J] = Fraction(val)
             prov[J] = obj.get("provenance", {}).get(key, "unknown")
         return GeometricCoefficients(system, mu, prov)
 
 
 def evaluate_formula(data: RootSystemData, coeffs: GeometricCoefficients, lam) -> int:
-    """sum_J mu'_J r_J(lambda); must land on a non-negative integer."""
+    """sum_J mu'_J r_J(lambda); must land on a non-negative integer.
+
+    The coefficients must belong to data's system and hold one value for
+    each of the 2^n subsets J; anything else raises ValueError.
+    """
+    if coeffs.system != data.id:
+        raise ValueError("coefficients are for %s, not %s" % (coeffs.system, data.id))
+    if coeffs.mu_prime.keys() != set(_all_subsets(data.rank)):
+        raise ValueError("coefficients for %s must cover exactly the %d subsets of 1..%d"
+                         % (data.id, 2 ** data.rank, data.rank))
     lam = tuple(int(c) for c in lam)
     total = Fraction(0)
     for J, mu in coeffs.mu_prime.items():
@@ -260,25 +268,32 @@ def evaluate_formula(data: RootSystemData, coeffs: GeometricCoefficients, lam) -
 
 # -- fitting -------------------------------------------------------------------------
 
-def _all_subsets(n: int) -> list[tuple[int, ...]]:
-    out = []
-    for size in range(n + 1):
-        out.extend(combinations(range(1, n + 1), size))
-    return out
+@lru_cache(maxsize=None)
+def _all_subsets(n: int) -> tuple[tuple[int, ...], ...]:
+    """Every J in {1..n}, by size and then lexicographically."""
+    return tuple(J for size in range(n + 1) for J in combinations(range(1, n + 1), size))
 
 
 def fit_mu(data: RootSystemData,
            max_subsets: int = DEFAULT_SUBSET_CAP,
            box_cap: int = DEFAULT_BOX_CAP) -> GeometricCoefficients:
-    """Determine every mu'_J from exact interval counts.
+    """Determine every mu'_J from exact interval counts at 0/1 coweights.
 
-    Default route: one sample per subset K (coordinates 2 on K, 1 off K,
-    all generic) and one exact linear solve.  If that matrix were singular,
-    falls back to interpolating the full counting polynomial on the grid
-    {1..n+1}^n and extracting mu' by squarefree-monomial triangularity.
-    Either way the result must reproduce the lattice counts on a disjoint
-    validation set that includes degenerate coweights, and must match the
-    closed forms for the empty and full subsets.
+    Write 1_S for the coweight with coordinate 1 on S and 0 elsewhere.  The
+    finite difference Delta_J f = sum over S in J of (-1)^{|J-S|} f(1_S)
+    keeps exactly the monomials of f whose support is J.  Since r_K only
+    involves the variables in K, applying it to the counting formula gives
+
+        Delta_J count = sum over K containing J of mu'_K a_{K,J},
+
+    where a_{K,J} sums the coefficients of r_K over the monomials with
+    support exactly J.  The system is triangular in subset inclusion, and
+    its diagonal a_{J,J} is the squarefree coefficient of r_J, which is
+    positive; so mu' is solved from the largest J down.  Every count runs
+    through the lattice route under `box_cap`.  The result must match the
+    closed forms for the empty and full subsets and reproduce the lattice
+    counts on a validation set: (2 on K, 1 off K) and (3 on K, 0 off K) for
+    every K, and 2 w_i^v for every i.
     """
     n = data.rank
     if 2 ** n > max_subsets:
@@ -288,16 +303,23 @@ def fit_mu(data: RootSystemData,
     polys = {J: volume_polynomial(data, J) for J in subsets}
 
     def count(lam) -> int:
-        return interval_size_lattice_cached(data, lam)
+        return interval_size_lattice_cached(data, lam, box_cap)
 
-    sample_points = [tuple(2 if i + 1 in K else 1 for i in range(n)) for K in subsets]
-    rows = [[polys[J].rel_poly.eval(pt) for J in subsets] for pt in sample_points]
-    rhs = QVector([count(pt) for pt in sample_points])
-    try:
-        sol = solve_linear(QMatrix(rows), rhs)
-        mu = dict(zip(subsets, sol))
-    except SingularSystemError:
-        mu = _fit_by_grid_interpolation(data, subsets, polys, count)
+    at_indicator = {S: count(tuple(int(i + 1 in S) for i in range(n))) for S in subsets}
+    diff = {J: sum((-1) ** (len(J) - k) * at_indicator[S]
+                   for k in range(len(J) + 1) for S in combinations(J, k))
+            for J in subsets}
+    mu = {}
+    for K in reversed(subsets):
+        squarefree_coefficient(data, K)  # raises unless a_{K,K} > 0
+        a: dict[tuple[int, ...], Fraction] = {}
+        for expo, c in polys[K].rel_poly.terms.items():
+            J = tuple(i + 1 for i, e in enumerate(expo) if e)
+            a[J] = a.get(J, 0) + c
+        mu[K] = diff[K] / a[K]
+        for J, c in a.items():
+            if J != K:
+                diff[J] -= mu[K] * c
 
     coeffs = GeometricCoefficients(
         data.id, mu,
@@ -312,23 +334,11 @@ def fit_mu(data: RootSystemData,
     if not expected_top.is_rational() or expected_top.coeff != mu[top]:
         raise FitVerificationError("fit failed verification: mu'_top != 1/vol(A_id)")
 
-    # held-out validation, degenerate coweights included
-    validation = {tuple(3 if i + 1 in K else 0 for i in range(n)) for K in subsets}
+    # validation, degenerate coweights included
+    validation = {tuple(2 if i + 1 in K else 1 for i in range(n)) for K in subsets}
+    validation |= {tuple(3 if i + 1 in K else 0 for i in range(n)) for K in subsets}
     validation |= {tuple(2 if j == i else 0 for j in range(n)) for i in range(n)}
     for lam in sorted(validation):
         if evaluate_formula(data, coeffs, lam) != count(lam):
             raise FitVerificationError("fit failed verification at lambda=%r" % (lam,))
     return coeffs
-
-
-def _fit_by_grid_interpolation(data, subsets, polys, count):
-    n = data.rank
-    support = [e for e in product(range(n + 1), repeat=n)]
-    grid = [pt for pt in product(range(1, n + 2), repeat=n)]
-    poly = mpoly_interpolate(support, [(pt, count(pt)) for pt in grid])
-    mu = {}
-    for J in subsets:
-        expo = tuple(1 if i + 1 in J else 0 for i in range(n))
-        denom = polys[J].rel_poly.coeff(expo)
-        mu[J] = poly.coeff(expo) / denom
-    return mu

@@ -17,10 +17,6 @@ class SingularSystemError(AlcovesError, ValueError):
     """Square linear system with no unique solution."""
 
 
-class InterpolationError(AlcovesError, ValueError):
-    """Sample points do not determine a polynomial on the given support."""
-
-
 class RadicalClassError(AlcovesError, ValueError):
     """Arithmetic attempted across incompatible radical square classes."""
 

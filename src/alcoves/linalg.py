@@ -12,8 +12,6 @@ from typing import Iterable, Sequence
 
 from .errors import DegenerateBasisError, SingularSystemError
 
-Rat = Fraction
-
 
 def _frac(x) -> Fraction:
     return x if isinstance(x, Fraction) else Fraction(x)
@@ -105,12 +103,6 @@ class QMatrix:
     def __hash__(self):
         return hash(self.rows)
 
-    def row(self, i) -> QVector:
-        return QVector(self.rows[i])
-
-    def col(self, j) -> QVector:
-        return QVector(r[j] for r in self.rows)
-
     def transpose(self) -> "QMatrix":
         return QMatrix(zip(*self.rows)) if self.rows else QMatrix([])
 
@@ -132,79 +124,54 @@ class QMatrix:
     def det(self) -> Fraction:
         if self.nrows != self.ncols:
             raise ValueError("determinant of a non-square matrix")
-        return _eliminate([list(r) for r in self.rows])[0]
+        return _gauss_jordan(self)[2]
 
     def rank(self) -> int:
-        rows = [list(r) for r in self.rows]
-        return _row_reduce(rows)
+        return len(_gauss_jordan(self)[1])
 
     def inverse(self) -> "QMatrix":
         n = self.nrows
         if n != self.ncols:
             raise ValueError("inverse of a non-square matrix")
-        cols = [solve_linear(self, QVector([1 if i == j else 0 for i in range(n)]))
-                for j in range(n)]
-        return QMatrix([[cols[j][i] for j in range(n)] for i in range(n)])
+        rows, pivots, _ = _gauss_jordan(self, QMatrix.identity(n).rows)
+        if len(pivots) < n:
+            raise SingularSystemError("singular system")
+        return QMatrix(row[n:] for row in rows)
 
     def __repr__(self):
         return "QMatrix(%d x %d)" % (self.nrows, self.ncols)
 
 
-def _eliminate(rows):
-    """In-place forward elimination; returns (det, echelon rows).
+def _gauss_jordan(m: QMatrix, extra=()):
+    """Reduce [M | extra] to reduced row echelon form, pivoting in M only.
 
+    `extra` holds rows appended to the rows of M (right-hand sides).
+    Returns (rows, pivot columns, det), where det is det(M) for square M.
     Pivot selection is deterministic: the first row with a nonzero entry in
-    the pivot column.
+    the pivot column.  Each pivot row is scaled to a leading 1 and the
+    pivot column is cleared in every other row.
     """
-    n = len(rows)
+    rows = [list(r) + list(e) for r, e in zip(m.rows, extra or [()] * m.nrows, strict=True)]
+    pivots: list[int] = []
     det = Fraction(1)
-    for c in range(n):
-        piv = None
-        for r in range(c, n):
-            if rows[r][c] != 0:
-                piv = r
-                break
+    for c in range(m.ncols):
+        top = len(pivots)
+        piv = next((r for r in range(top, len(rows)) if rows[r][c] != 0), None)
         if piv is None:
-            return Fraction(0), rows
-        if piv != c:
-            rows[c], rows[piv] = rows[piv], rows[c]
-            det = -det
-        det *= rows[c][c]
-        inv = 1 / rows[c][c]
-        for r in range(c + 1, n):
-            f = rows[r][c] * inv
-            if f == 0:
-                continue
-            for k in range(c, len(rows[r])):
-                rows[r][k] -= f * rows[c][k]
-    return det, rows
-
-
-def _row_reduce(rows) -> int:
-    """Reduce arbitrary rows to echelon form in place; returns the rank."""
-    if not rows:
-        return 0
-    nr, nc = len(rows), len(rows[0])
-    rank = 0
-    for c in range(nc):
-        piv = None
-        for r in range(rank, nr):
-            if rows[r][c] != 0:
-                piv = r
-                break
-        if piv is None:
+            det = Fraction(0)
             continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        inv = 1 / rows[rank][c]
-        for r in range(rank + 1, nr):
-            f = rows[r][c] * inv
-            if f != 0:
-                for k in range(c, nc):
-                    rows[r][k] -= f * rows[rank][k]
-        rank += 1
-        if rank == nr:
-            break
-    return rank
+        if piv != top:
+            rows[top], rows[piv] = rows[piv], rows[top]
+            det = -det
+        p = rows[top][c]
+        det *= p
+        prow = rows[top] = [x / p for x in rows[top]]
+        for r, row in enumerate(rows):
+            f = row[c]
+            if f != 0 and r != top:
+                rows[r] = [x - f * y for x, y in zip(row, prow)]
+        pivots.append(c)
+    return rows, pivots, det
 
 
 def solve_linear(m: QMatrix, b: QVector) -> QVector:
@@ -216,61 +183,21 @@ def solve_linear(m: QMatrix, b: QVector) -> QVector:
     n = m.nrows
     if n != m.ncols or len(b) != n:
         raise ValueError("solve_linear needs a square system")
-    rows = [list(m.rows[r]) + [b[r]] for r in range(n)]
-    for c in range(n):
-        piv = None
-        for r in range(c, n):
-            if rows[r][c] != 0:
-                piv = r
-                break
-        if piv is None:
-            raise SingularSystemError("singular system")
-        if piv != c:
-            rows[c], rows[piv] = rows[piv], rows[c]
-        inv = 1 / rows[c][c]
-        for r in range(c + 1, n):
-            f = rows[r][c] * inv
-            if f == 0:
-                continue
-            for k in range(c, n + 1):
-                rows[r][k] -= f * rows[c][k]
-    x = [Fraction(0)] * n
-    for r in range(n - 1, -1, -1):
-        s = rows[r][n] - sum((rows[r][k] * x[k] for k in range(r + 1, n)), Fraction(0))
-        x[r] = s / rows[r][r]
-    return QVector(x)
+    rows, pivots, _ = _gauss_jordan(m, [(x,) for x in b])
+    if len(pivots) < n:
+        raise SingularSystemError("singular system")
+    return QVector(row[n] for row in rows)
 
 
 def nullspace_basis(m: QMatrix) -> list[QVector]:
-    """Exact basis of {x : Mx = 0} (possibly empty)."""
-    rows = [list(r) for r in m.rows]
-    nr, nc = len(rows), m.ncols
-    pivots = []
-    rank = 0
-    for c in range(nc):
-        piv = None
-        for r in range(rank, nr):
-            if rows[r][c] != 0:
-                piv = r
-                break
-        if piv is None:
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        inv = 1 / rows[rank][c]
-        for r in range(nr):
-            if r != rank and rows[r][c] != 0:
-                f = rows[r][c] * inv
-                for k in range(nc):
-                    rows[r][k] -= f * rows[rank][k]
-        pivots.append(c)
-        rank += 1
-    free = [c for c in range(nc) if c not in pivots]
+    """Exact basis of {x : Mx = 0} (possibly empty), one vector per free column."""
+    rows, pivots, _ = _gauss_jordan(m)
     basis = []
-    for fc in free:
-        x = [Fraction(0)] * nc
+    for fc in (c for c in range(m.ncols) if c not in pivots):
+        x = [Fraction(0)] * m.ncols
         x[fc] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            x[pc] = -rows[r][fc] / rows[r][pc]
+        for row, pc in zip(rows, pivots):
+            x[pc] = -row[fc]
         basis.append(QVector(x))
     return basis
 
@@ -298,6 +225,3 @@ def rational_to_str(q: Fraction) -> str:
     q = _frac(q)
     return str(q.numerator) if q.denominator == 1 else "%d/%d" % (q.numerator, q.denominator)
 
-
-def rational_from_str(s: str) -> Fraction:
-    return Fraction(s)

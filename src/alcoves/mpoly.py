@@ -8,11 +8,9 @@ polynomials always produce identical JSON.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Sequence
 
-from .errors import InterpolationError
-from .linalg import QMatrix, QVector, rational_from_str, rational_to_str, solve_linear
-from .errors import SingularSystemError
+from .linalg import rational_to_str
 
 
 class MPoly:
@@ -49,18 +47,11 @@ class MPoly:
         expo = tuple(1 if j == i else 0 for j in range(nvars))
         return MPoly(nvars, {expo: Fraction(1)})
 
-    @staticmethod
-    def monomial(nvars: int, expo: Sequence[int], c=1) -> "MPoly":
-        return MPoly(nvars, {tuple(expo): Fraction(c)})
-
     def is_zero(self) -> bool:
         return not self.terms
 
     def coeff(self, expo: Sequence[int]) -> Fraction:
         return self.terms.get(tuple(expo), Fraction(0))
-
-    def degree(self) -> int:
-        return max((sum(e) for e in self.terms), default=0)
 
     def __eq__(self, other):
         return isinstance(other, MPoly) and self.nvars == other.nvars and self.terms == other.terms
@@ -127,7 +118,7 @@ class MPoly:
         terms = {}
         for key, val in obj.items():
             expo = tuple(int(x) for x in key.split(",")) if key else ()
-            terms[expo] = rational_from_str(val)
+            terms[expo] = Fraction(val)
         return MPoly(nvars, terms)
 
     def __repr__(self):
@@ -139,36 +130,3 @@ class MPoly:
             bits.append("%s%s" % (c, "*" + mono if mono else ""))
         return "MPoly(%s)" % " + ".join(bits)
 
-
-def _monomial_value(point, expo) -> Fraction:
-    v = Fraction(1)
-    for x, e in zip(point, expo):
-        if e:
-            v *= Fraction(x) ** e
-    return v
-
-
-def mpoly_interpolate(support: Iterable[Sequence[int]],
-                      samples: Sequence[tuple[Sequence, object]]) -> MPoly:
-    """Unique polynomial on `support` matching all (point, value) samples.
-
-    The first len(support) samples must give a nonsingular evaluation
-    matrix; any extra samples are checked for consistency.
-    """
-    support = [tuple(int(x) for x in e) for e in support]
-    if not support:
-        raise ValueError("empty support")
-    nvars = len(support[0])
-    if len(samples) < len(support):
-        raise InterpolationError("need at least %d samples" % len(support))
-    rows = [[_monomial_value(pt, e) for e in support] for pt, _ in samples[: len(support)]]
-    rhs = QVector([Fraction(v) for _, v in samples[: len(support)]])
-    try:
-        coeffs = solve_linear(QMatrix(rows), rhs)
-    except SingularSystemError:
-        raise InterpolationError("insufficient sample geometry") from None
-    poly = MPoly(nvars, dict(zip(support, coeffs)))
-    for pt, val in samples[len(support):]:
-        if poly.eval(pt) != Fraction(val):
-            raise InterpolationError("inconsistent samples beyond the support")
-    return poly

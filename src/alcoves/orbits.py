@@ -12,6 +12,7 @@ and |<= theta(lambda)| is |W_f| times that.  A geometric membership test
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -58,8 +59,12 @@ def _antidominant(data: RootSystemData, lam: tuple[int, ...]) -> tuple[int, ...]
     return tuple(-int(c) for c in plus)
 
 
-def _box_bounds(data: RootSystemData, lam: tuple[int, ...]) -> tuple[int, ...]:
-    """(lambda - w0 lambda, omega_j): exponent bound for each simple coroot."""
+def _box_bounds(data: RootSystemData, lam: tuple[int, ...], box_cap: int,
+               what: str) -> tuple[int, ...]:
+    """(lambda - w0 lambda, omega_j): exponent bound for each simple coroot.
+
+    Refuses before any scan when the box has more than box_cap cells.
+    """
     low = _antidominant(data, lam)
     diff = tuple(a - b for a, b in zip(lam, low))
     bounds = data.coroot_coords_from_coweight(diff)
@@ -68,6 +73,9 @@ def _box_bounds(data: RootSystemData, lam: tuple[int, ...]) -> tuple[int, ...]:
         if b.denominator != 1 or b < 0:
             raise ValueError("non-integral box bound; lambda is not a coweight")
         out.append(int(b))
+    size = math.prod(b + 1 for b in out)
+    if size > box_cap:
+        raise BudgetExceededError("%s has %d cells, exceeding cap %d" % (what, size, box_cap))
     return tuple(out)
 
 
@@ -75,13 +83,7 @@ def enumerate_X(data: RootSystemData, lam, box_cap: int = DEFAULT_BOX_CAP) -> li
     """All dominant mu <= lam in dominance order (exponent-box scan)."""
     lam = _coords(lam)
     n = data.rank
-    bounds = _box_bounds(data, lam)
-    size = 1
-    for b in bounds:
-        size *= b + 1
-    if size > box_cap:
-        raise BudgetExceededError(
-            "dominance box has %d cells, exceeding cap %d" % (size, box_cap))
+    bounds = _box_bounds(data, lam, box_cap, "dominance box")
     coroot_rows = [tuple(int(x) for x in row) for row in data.cartan.rows]
     out = []
     rng = range(n)
@@ -117,13 +119,13 @@ def interval_size_lattice(data: RootSystemData, lam, box_cap: int = DEFAULT_BOX_
 
 
 @lru_cache(maxsize=None)
-def _cached_interval_size(family: str, rank: int, lam: tuple[int, ...]) -> int:
+def _cached_interval_size(family: str, rank: int, lam: tuple[int, ...], box_cap: int) -> int:
     from .rootdata import build_root_system
-    return interval_size_lattice(build_root_system(family, rank), lam)
+    return interval_size_lattice(build_root_system(family, rank), lam, box_cap=box_cap)
 
 
-def interval_size_lattice_cached(data: RootSystemData, lam) -> int:
-    return _cached_interval_size(data.family, data.rank, _coords(lam))
+def interval_size_lattice_cached(data: RootSystemData, lam, box_cap: int = DEFAULT_BOX_CAP) -> int:
+    return _cached_interval_size(data.family, data.rank, _coords(lam), box_cap)
 
 
 def contains(data: RootSystemData, lam, p: QVector) -> bool:
@@ -149,15 +151,8 @@ def lattice_count_by_membership(data: RootSystemData, lam,
     """
     lam = _coords(lam)
     n = data.rank
-    low = _antidominant(data, lam)
     # every coset point lies in lambda - cone(alpha^v) and above w0.lambda
-    bounds = _box_bounds(data, lam)
-    size = 1
-    for b in bounds:
-        size *= b + 1
-    if size > box_cap:
-        raise BudgetExceededError(
-            "membership box has %d cells, exceeding cap %d" % (size, box_cap))
+    bounds = _box_bounds(data, lam, box_cap, "membership box")
     count = 0
     for exps in product(*(range(b + 1) for b in bounds)):
         coords = list(Fraction(c) for c in lam)

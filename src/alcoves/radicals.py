@@ -142,7 +142,3 @@ class RadScalar:
         from .linalg import rational_to_str
         return {"coeff": rational_to_str(self.coeff), "radicand": str(self.radicand)}
 
-
-def add_same_class(a: RadScalar, b: RadScalar) -> RadScalar:
-    """Sum of two RadScalars in the same square class (errors otherwise)."""
-    return a + b

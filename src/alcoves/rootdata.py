@@ -24,7 +24,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .errors import AlcovesError
-from .linalg import QMatrix, QVector, gram_det, rational_to_str, solve_linear
+from .linalg import QMatrix, QVector, gram_det, rational_to_str
 from .radicals import RadScalar
 
 _RANK_RULES = {
@@ -108,27 +108,24 @@ class RootSystemData:
         # cartan[i][j] = (alpha_j, alpha_i^v); integer, diag 2, offdiag <= 0
         self.cartan = QMatrix([[self.simple_roots[j].dot(self.simple_coroots[i])
                                 for j in range(n)] for i in range(n)])
+        # one inverse serves root coordinates, (co)weights and coroot coordinates
+        self._cartan_inv = inv = self.cartan.inverse()
 
-        self.positive_roots = self._generate_positive_roots()
+        pos = self._generate_positive_roots()
+        self.positive_roots = [r for _, r in pos]
         # simple-root coordinates for each positive root (all non-negative ints)
-        self._pos_coords = [self._simple_coords(r) for r in self.positive_roots]
+        self._pos_coords = [c for c, _ in pos]
 
         hi = max(range(len(self.positive_roots)), key=lambda k: sum(self._pos_coords[k]))
         self.highest_root = self.positive_roots[hi]
         self.marks = tuple(int(c) for c in self._pos_coords[hi])
 
-        # fundamental coweights/weights from exact Cartan solves
-        ct = self.cartan.transpose()
-        self.fundamental_coweights = []
-        self.fundamental_weights = []
-        for i in range(n):
-            ei = QVector([1 if j == i else 0 for j in range(n)])
-            cw = solve_linear(ct, ei)
-            self.fundamental_coweights.append(
-                sum((cw[k] * self.simple_coroots[k] for k in range(n)), QVector.zero(self.ambient_dim)))
-            wt = solve_linear(self.cartan, ei)
-            self.fundamental_weights.append(
-                sum((wt[k] * self.simple_roots[k] for k in range(n)), QVector.zero(self.ambient_dim)))
+        # w_i^v = sum_k (C^-1)_ik alpha_k^v and w_i = sum_k (C^-1)_ki alpha_k
+        zero = QVector.zero(self.ambient_dim)
+        self.fundamental_coweights = [
+            sum((inv[i][k] * self.simple_coroots[k] for k in range(n)), zero) for i in range(n)]
+        self.fundamental_weights = [
+            sum((inv[k][i] * self.simple_roots[k] for k in range(n)), zero) for i in range(n)]
 
         self.minuscule_set = frozenset(i + 1 for i in range(n) if self.marks[i] == 1)
         det_cartan = self.cartan.det()
@@ -140,17 +137,11 @@ class RootSystemData:
         self.det_coweight_lattice = RadScalar.sqrt(gram_det(self.fundamental_coweights))
         self.alcove_volume = self.det_coweight_lattice / (math.factorial(n) * marks_product)
 
-        # basis-change tables used throughout
-        # coweight coords of v in span(Phi): c_i = (v, alpha_i)
-        # coroot_matrix rows = coweight coords of each simple coroot (== cartan rows)
-        self.coroot_matrix = self.cartan
-        self._coroot_matrix_inv = self.cartan.inverse()
-        # coweight coords c -> simple-ROOT-basis pairing uses self._pos_coords
         self._check_invariants()
 
     # -- construction helpers -------------------------------------------------
 
-    def _generate_positive_roots(self) -> list[QVector]:
+    def _generate_positive_roots(self) -> list[tuple[tuple[int, ...], QVector]]:
         roots = set(self.simple_roots) | {-a for a in self.simple_roots}
         frontier = set(roots)
         while frontier:
@@ -166,14 +157,14 @@ class RootSystemData:
         for r in roots:
             coords = self._simple_coords(r)
             if all(c >= 0 for c in coords):
-                pos.append((tuple(coords), r))
+                pos.append((coords, r))
         pos.sort(key=lambda t: (sum(t[0]), t[0]))
-        return [r for _, r in pos]
+        return pos
 
     def _simple_coords(self, root: QVector) -> tuple[int, ...]:
         # (root, alpha_i^v) = sum_j c_j (alpha_j, alpha_i^v) = (cartan c)_i
         rhs = QVector([root.dot(av) for av in self.simple_coroots])
-        sol = solve_linear(self.cartan, rhs)
+        sol = self._cartan_inv.matvec(rhs)
         out = []
         for c in sol:
             if c.denominator != 1:
@@ -222,8 +213,10 @@ class RootSystemData:
 
     def coroot_coords_from_coweight(self, coords) -> tuple[Fraction, ...]:
         """Rewrite coweight-basis coordinates on the simple-coroot basis."""
-        v = QVector([Fraction(c) for c in coords])
-        return tuple(self._coroot_matrix_inv.transpose().matvec(v))
+        # coords_i = sum_k c_k cartan[k][i], so c = (C^-1)^T coords
+        inv = self._cartan_inv
+        return tuple(sum((inv[i][k] * Fraction(x) for i, x in enumerate(coords)), Fraction(0))
+                     for k in range(self.rank))
 
     def in_coroot_lattice(self, coords) -> bool:
         return all(c.denominator == 1 for c in self.coroot_coords_from_coweight(coords))

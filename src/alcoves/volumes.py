@@ -24,7 +24,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .errors import FormulaConsistencyError
-from .linalg import QMatrix, QVector, gram_det, rational_to_str, solve_linear
+from .linalg import QMatrix, QVector, gram_det, rational_to_str
 from .mpoly import MPoly
 from .radicals import RadScalar, sqrt_decompose
 from .rootdata import RootSystemData, weyl_order
@@ -40,14 +40,13 @@ def mixed_basis_nu(data: RootSystemData, J) -> dict[int, tuple[QVector, Fraction
     if not J:
         return {}
     # write nu_j = sum_k u_k alpha_k; (nu_j, alpha_i^v) = sum_k cartan[i][k] u_k
-    m = QMatrix([[data.cartan[i - 1][k - 1] for k in J] for i in J])
+    # so u is column j of the inverse of the J x J Cartan block
+    inv = QMatrix([[data.cartan[i - 1][k - 1] for k in J] for i in J]).inverse()
     out = {}
     for pos, j in enumerate(J):
-        e = QVector([1 if t == pos else 0 for t in range(len(J))])
-        u = solve_linear(m, e)
         nu = QVector.zero(data.ambient_dim)
-        for c, k in zip(u, J):
-            nu = nu + c * data.simple_roots[k - 1]
+        for row, k in zip(inv.rows, J):
+            nu = nu + row[pos] * data.simple_roots[k - 1]
         out[j] = (nu, nu.dot(nu))
     return out
 

@@ -1,17 +1,57 @@
-"""Brute-force geometric oracles used only by the tests.
+"""Brute-force oracles used only by the tests.
 
 The hull-volume routine computes the exact Euclidean volume of the convex
 hull of rational points in dimension <= 3 by explicit facet enumeration and
 simplicial decomposition, with no shared code path with the library's
-pyramid recursion.
+pyramid recursion.  Polynomial interpolation recovers a counting polynomial
+from its values by one dense solve, independently of the triangular fit.
 """
 
 from fractions import Fraction
 from itertools import combinations
 from math import gcd
 
+from alcoves.errors import SingularSystemError
 from alcoves.linalg import QMatrix, QVector, gram_det, solve_linear
+from alcoves.mpoly import MPoly
 from alcoves.radicals import RadScalar
+
+
+class InterpolationError(ValueError):
+    """Sample points do not determine a polynomial on the given support."""
+
+
+def _monomial_value(point, expo) -> Fraction:
+    v = Fraction(1)
+    for x, e in zip(point, expo):
+        if e:
+            v *= Fraction(x) ** e
+    return v
+
+
+def mpoly_interpolate(support, samples) -> MPoly:
+    """Unique polynomial on `support` matching all (point, value) samples.
+
+    The first len(support) samples must give a nonsingular evaluation
+    matrix; any extra samples are checked for consistency.
+    """
+    support = [tuple(int(x) for x in e) for e in support]
+    if not support:
+        raise ValueError("empty support")
+    nvars = len(support[0])
+    if len(samples) < len(support):
+        raise InterpolationError("need at least %d samples" % len(support))
+    rows = [[_monomial_value(pt, e) for e in support] for pt, _ in samples[: len(support)]]
+    rhs = QVector([Fraction(v) for _, v in samples[: len(support)]])
+    try:
+        coeffs = solve_linear(QMatrix(rows), rhs)
+    except SingularSystemError:
+        raise InterpolationError("insufficient sample geometry") from None
+    poly = MPoly(nvars, dict(zip(support, coeffs)))
+    for pt, val in samples[len(support):]:
+        if poly.eval(pt) != Fraction(val):
+            raise InterpolationError("inconsistent samples beyond the support")
+    return poly
 
 
 def _dedupe(points):

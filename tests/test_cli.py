@@ -196,3 +196,54 @@ def test_console_script_entry_point():
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["count"] == 8
+
+
+def test_box_cap_bounds_the_fit(capsys, tmp_path):
+    out = tmp_path / "a2.json"
+    code, payload = run_cli(capsys, "fit", "--type", "A", "--rank", "2",
+                            "--out", str(out), "--box-cap", "1")
+    assert code == 2 and payload["error"]["type"] == "budget"
+    assert not out.exists()
+    for method in ["lattice", "geometric"]:
+        code, payload = run_cli(capsys, "count", "--type", "A", "--rank", "2",
+                                "--lambda", "1,1", "--method", method, "--box-cap", "1",
+                                "--cache-dir", str(tmp_path / "cache"))
+        assert code == 2 and payload["error"]["type"] == "budget"
+
+
+def test_geometric_rejects_coefficients_of_another_system(capsys, tmp_path):
+    g2 = tmp_path / "g2.json"
+    code, _ = run_cli(capsys, "fit", "--type", "G", "--rank", "2", "--out", str(g2))
+    assert code == 0
+    code, payload = run_cli(capsys, "count", "--type", "A", "--rank", "2",
+                            "--lambda", "1,1", "--method", "geometric", "--coeffs", str(g2))
+    assert code == 1 and "G2" in payload["error"]["message"]
+
+
+def test_geometric_rejects_incomplete_cache(capsys, tmp_path):
+    from alcoves import __version__
+    cache = tmp_path / "cache"
+    cache.mkdir()
+    (cache / ("coeffs-A2-v%s.json" % __version__)).write_text(json.dumps(
+        {"schema": 1, "version": __version__, "system": "A2", "mu_prime": {"": "6"}}))
+    code, payload = run_cli(capsys, "count", "--type", "A", "--rank", "2",
+                            "--lambda", "3,3", "--method", "geometric",
+                            "--cache-dir", str(cache))
+    assert code == 1 and "subsets" in payload["error"]["message"]
+
+
+def test_verify_rejects_negative_max_coord(capsys, tmp_path):
+    code, payload = run_cli(capsys, "verify", "--type", "A", "--rank", "2",
+                            "--max-coord", "-1", "--cache-dir", str(tmp_path))
+    assert code == 1 and payload["error"]["type"] == "usage"
+
+
+def test_verify_lists_a_lambda_once(capsys, tmp_path, monkeypatch):
+    # both checks of every row fail: each lambda is still listed once
+    import alcoves.cli as climod
+    monkeypatch.setattr(climod, "evaluate_formula", lambda data, coeffs, lam: -1)
+    monkeypatch.setattr(climod, "descents", lambda data, w: (set(), set()))
+    code, payload = run_cli(capsys, "verify", "--type", "A", "--rank", "1",
+                            "--max-coord", "2", "--cache-dir", str(tmp_path))
+    assert code == 4
+    assert payload["mismatches"] == [[0], [1], [2]]

@@ -10,11 +10,11 @@ from alcoves.coefficients import (GeometricCoefficients, eulerian, evaluate_form
                                   stirling1, type_a_connected_mu)
 from alcoves.errors import (BudgetExceededError, FitVerificationError,
                             FormulaConsistencyError)
-from alcoves.mpoly import mpoly_interpolate
 from alcoves.orbits import interval_size_lattice
 from alcoves.radicals import RadScalar
 from alcoves.rootdata import build_root_system
 from alcoves.volumes import volume_polynomial
+from oracles import mpoly_interpolate
 
 
 def test_stirling_numbers():
@@ -212,15 +212,20 @@ def test_fit_budget_refusal():
 
 
 def test_fit_verification_failure_surfaces(monkeypatch):
-    # corrupt one held-out count: the fit must fail loudly, never silently
+    # corrupt one count, held out ((0, 3), (2, 1)) or used by the fit
+    # (1, 0): the fit must fail loudly, never silently
     import alcoves.coefficients as coefmod
     d = build_root_system("A2")
     real = coefmod.interval_size_lattice_cached
+    for bad in [(0, 3), (1, 0), (2, 1)]:
+        seen = []
 
-    def corrupted(data, lam):
-        value = real(data, lam)
-        return value + 1 if tuple(lam) == (0, 3) else value
+        def corrupted(data, lam, box_cap):
+            seen.append(tuple(lam))
+            value = real(data, lam, box_cap)
+            return value + 1 if tuple(lam) == bad else value
 
-    monkeypatch.setattr(coefmod, "interval_size_lattice_cached", corrupted)
-    with pytest.raises(FitVerificationError):
-        fit_mu(d)
+        monkeypatch.setattr(coefmod, "interval_size_lattice_cached", corrupted)
+        with pytest.raises(FitVerificationError):
+            fit_mu(d)
+        assert bad in seen

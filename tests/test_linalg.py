@@ -1,12 +1,13 @@
 from fractions import Fraction
+from itertools import permutations
+from math import prod
 
 import pytest
 from hypothesis import given, strategies as st
 
 from alcoves.errors import DegenerateBasisError, SingularSystemError
 from alcoves.linalg import (QMatrix, QVector, gram_det, gram_matrix,
-                            nullspace_basis, rational_from_str, rational_to_str,
-                            solve_linear)
+                            nullspace_basis, rational_to_str, solve_linear)
 
 rationals = st.fractions(min_value=-10**6, max_value=10**6, max_denominator=10**4)
 
@@ -81,4 +82,50 @@ def test_gram_det_nonnegative(u, v):
 
 def test_rational_string_roundtrip():
     for q in [Fraction(3), Fraction(-2, 7), Fraction(0)]:
-        assert rational_from_str(rational_to_str(q)) == q
+        assert Fraction(rational_to_str(q)) == q
+
+
+@st.composite
+def small_matrices(draw, square=False):
+    nr = draw(st.integers(1, 4))
+    nc = nr if square else draw(st.integers(1, 4))
+    entries = st.integers(-3, 3)
+    return QMatrix(draw(st.lists(st.lists(entries, min_size=nc, max_size=nc),
+                                 min_size=nr, max_size=nr)))
+
+
+def _leibniz_det(m: QMatrix) -> Fraction:
+    n = m.nrows
+    total = Fraction(0)
+    for perm in permutations(range(n)):
+        inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        total += (-1) ** inversions * prod(m[i][perm[i]] for i in range(n))
+    return total
+
+
+@given(small_matrices(square=True), st.lists(st.integers(-5, 5), min_size=4, max_size=4))
+def test_square_elimination_properties(m, rhs):
+    n = m.nrows
+    det = m.det()
+    assert det == _leibniz_det(m)
+    assert (det == 0) == (m.rank() < n)
+    b = QVector(rhs[:n])
+    if det == 0:
+        with pytest.raises(SingularSystemError):
+            m.inverse()
+        with pytest.raises(SingularSystemError):
+            solve_linear(m, b)
+    else:
+        assert m.matmul(m.inverse()) == QMatrix.identity(n)
+        assert m.matvec(solve_linear(m, b)) == b
+
+
+@given(small_matrices())
+def test_nullspace_and_rank(m):
+    basis = nullspace_basis(m)
+    assert len(basis) == m.ncols - m.rank()
+    assert m.rank() == m.transpose().rank()
+    for v in basis:
+        assert m.matvec(v).is_zero()
+    if basis:
+        assert QMatrix([list(v) for v in basis]).rank() == len(basis)

