@@ -14,18 +14,16 @@ import math
 import os
 import sys
 import time
-from dataclasses import dataclass
 from itertools import product
 from pathlib import Path
 
 from . import __version__
 from .errors import AlcovesError, BudgetExceededError, FitVerificationError
 from .affine import DEFAULT_INTERVAL_CAP, descents, lower_interval, sigma_reflection, theta
-from .coefficients import (DEFAULT_SUBSET_CAP, GeometricCoefficients, evaluate_formula,
-                           fit_mu, hypersimplex_ehrhart)
-from .linalg import rational_to_str
+from .coefficients import (DEFAULT_SUBSET_CAP, GeometricCoefficients, check_coefficients,
+                           check_subset_cap, evaluate_formula, fit_mu, hypersimplex_ehrhart)
 from .orbits import DEFAULT_BOX_CAP, face_to_json, interval_size_lattice
-from .rootdata import build_root_system
+from .rootdata import RootSystemId, build_root_system
 from .volumes import volume_polynomial
 
 EXIT_OK = 0
@@ -33,6 +31,10 @@ EXIT_USAGE = 1
 EXIT_BUDGET = 2
 EXIT_FIT = 3
 EXIT_MISMATCH = 4
+
+
+# hypersimplex_ehrhart(k, d) takes about k*d^2 big-integer steps: seconds at this cap
+EHRHART_BUDGET = 2_000_000
 
 
 class _Parser(argparse.ArgumentParser):
@@ -44,29 +46,13 @@ class UsageError(Exception):
     pass
 
 
-@dataclass
-class RunConfig:
-    command: str
-    family: str | None = None
-    rank: int | None = None
-    lam: tuple[int, ...] | None = None
-    method: str | None = None
-    interval_cap: int = DEFAULT_INTERVAL_CAP
-    box_cap: int = DEFAULT_BOX_CAP
-    subset_cap: int = DEFAULT_SUBSET_CAP
-    out: str | None = None
-    coeffs: str | None = None
-    cache_dir: str | None = None
-    force: bool = False
-    max_coord: int = 2
-
-    def __post_init__(self):
-        if min(self.interval_cap, self.box_cap, self.subset_cap) <= 0:
-            raise UsageError("budgets must be positive")
-        if self.lam is not None and any(c < 0 for c in self.lam):
-            raise UsageError("lambda coordinates must be non-negative integers")
-        if self.max_coord < 0:
-            raise UsageError("--max-coord must be non-negative")
+def budget(text: str) -> int:
+    """argparse type of the caps.  It raises UsageError, which argparse does not
+    catch, so the message reaches the JSON error without an argparse prefix."""
+    value = int(text)
+    if value <= 0:
+        raise UsageError("budgets must be positive")
+    return value
 
 
 def _emit(payload) -> None:
@@ -85,89 +71,115 @@ def _parse_lambda(text: str, rank: int) -> tuple[int, ...]:
         raise UsageError("lambda must be a comma-separated integer list") from None
     if len(coords) != rank:
         raise UsageError("lambda needs exactly %d coordinates" % rank)
+    if any(c < 0 for c in coords):
+        raise UsageError("lambda coordinates must be non-negative integers")
     return coords
 
 
-def _cache_dir(cfg: RunConfig) -> Path:
-    if cfg.cache_dir:
-        return Path(cfg.cache_dir)
-    env = os.environ.get("ALCOVES_CACHE_DIR")
-    if env:
-        return Path(env)
-    return Path.home() / ".cache" / "alcoves"
+def _parse_J(text: str, rank: int) -> tuple[int, ...]:
+    if text in ("empty", ""):
+        return ()
+    try:
+        J = tuple(sorted(set(int(x) for x in text.split(","))))
+    except ValueError:
+        raise UsageError("J must be a comma-separated integer list or 'empty'") from None
+    if any(j < 1 or j > rank for j in J):
+        raise UsageError("J must be a subset of 1..%d" % rank)
+    return J
 
 
-def _cache_path(cfg: RunConfig, system: str) -> Path:
-    return _cache_dir(cfg) / ("coeffs-%s-v%s.json" % (system, __version__))
+def _cache_path(ns, system) -> Path:
+    root = ns.cache_dir or os.environ.get("ALCOVES_CACHE_DIR")
+    root = Path(root) if root else Path.home() / ".cache" / "alcoves"
+    return root / ("coeffs-%s-v%s.json" % (system, __version__))
 
 
-def _load_or_fit_coefficients(cfg: RunConfig, data) -> GeometricCoefficients:
-    if cfg.coeffs:
-        with open(cfg.coeffs, "r", encoding="utf-8") as fh:
-            return GeometricCoefficients.from_json(json.load(fh))
-    path = _cache_path(cfg, str(data.id))
-    if path.exists():
-        with open(path, "r", encoding="utf-8") as fh:
-            obj = json.load(fh)
-        if obj.get("version") == __version__:
-            return GeometricCoefficients.from_json(obj)
-    coeffs = fit_mu(data, max_subsets=cfg.subset_cap, box_cap=cfg.box_cap)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(coeffs.to_json(), fh, sort_keys=True)
-        fh.write("\n")
+def _read_coefficients(path: Path, data) -> GeometricCoefficients:
+    """Load a coefficient file; ValueError unless it is of this version and passes
+    check_coefficients for data's system."""
+    with open(path, "r", encoding="utf-8") as fh:
+        obj = json.load(fh)
+    coeffs = GeometricCoefficients.from_json(obj)
+    if obj.get("version") != __version__:
+        raise ValueError("%s holds coefficients of version %r, not %s"
+                         % (path, obj.get("version"), __version__))
+    check_coefficients(data, coeffs)
     return coeffs
 
 
-def _count_one(cfg: RunConfig, data, lam, method: str,
-               coeffs: GeometricCoefficients | None = None) -> int:
-    if method == "bruhat":
-        w, word = theta(data, lam)
-        return len(lower_interval(data, w, word, cap=cfg.interval_cap))
-    if method == "lattice":
-        return interval_size_lattice(data, lam, box_cap=cfg.box_cap)
-    if method == "geometric":
-        if coeffs is None:
-            coeffs = _load_or_fit_coefficients(cfg, data)
-        return evaluate_formula(data, coeffs, lam)
-    raise UsageError("unknown method %r" % method)
+def _write_coefficients(path: Path, coeffs: GeometricCoefficients) -> dict:
+    """Write coeffs to path atomically: a temp file beside it, then os.replace."""
+    payload = coeffs.to_json()
+    path.parent.mkdir(parents=True, exist_ok=True)
+    tmp = path.with_name(".%s.%d.tmp" % (path.name, os.getpid()))
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            json.dump(payload, fh, sort_keys=True)
+            fh.write("\n")
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+    return payload
 
 
-def cmd_count(cfg: RunConfig) -> int:
-    data = build_root_system(cfg.family, cfg.rank)
+def _cached_coefficients(ns, data) -> GeometricCoefficients:
+    """The cached coefficients of data's system; a missing or defective cache is refitted."""
+    path = _cache_path(ns, data.id)
+    try:
+        return _read_coefficients(path, data)
+    except (FileNotFoundError, ValueError):
+        pass
+    coeffs = fit_mu(data, max_subsets=ns.subset_cap, box_cap=ns.box_cap)
+    _write_coefficients(path, coeffs)
+    return coeffs
+
+
+def cmd_count(ns) -> int:
+    lam = _parse_lambda(ns.lam, ns.rank)
+    if ns.method == "geometric" and not ns.coeffs:
+        check_subset_cap(ns.system, ns.subset_cap)
+    data = build_root_system(ns.system)
     start = time.perf_counter()
-    count = _count_one(cfg, data, cfg.lam, cfg.method)
+    if ns.method == "bruhat":
+        w, word = theta(data, lam)
+        count = len(lower_interval(data, w, word, cap=ns.interval_cap))
+    elif ns.method == "lattice":
+        count = interval_size_lattice(data, lam, box_cap=ns.box_cap)
+    else:
+        coeffs = (_read_coefficients(Path(ns.coeffs), data) if ns.coeffs
+                  else _cached_coefficients(ns, data))
+        count = evaluate_formula(data, coeffs, lam)
     elapsed = int((time.perf_counter() - start) * 1000)
     _emit({
         "schema": 1,
         "system": str(data.id),
-        "lambda": list(cfg.lam),
-        "method": cfg.method,
+        "lambda": list(lam),
+        "method": ns.method,
         "count": count,
         "elapsed_ms": elapsed,
     })
     return EXIT_OK
 
 
-def cmd_fit(cfg: RunConfig) -> int:
-    data = build_root_system(cfg.family, cfg.rank)
-    out = Path(cfg.out)
-    if out.exists() and not cfg.force:
+def cmd_fit(ns) -> int:
+    out = Path(ns.out)
+    if out.exists() and not ns.force:
         raise UsageError("refusing to overwrite %s (use --force)" % out)
-    coeffs = fit_mu(data, max_subsets=cfg.subset_cap, box_cap=cfg.box_cap)
-    payload = coeffs.to_json()
-    out.parent.mkdir(parents=True, exist_ok=True)
-    with open(out, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, sort_keys=True)
-        fh.write("\n")
+    check_subset_cap(ns.system, ns.subset_cap)
+    data = build_root_system(ns.system)
+    coeffs = fit_mu(data, max_subsets=ns.subset_cap, box_cap=ns.box_cap)
+    payload = _write_coefficients(out, coeffs)
     _emit({"schema": 1, "system": str(data.id), "written": str(out),
            "mu_prime": payload["mu_prime"]})
     return EXIT_OK
 
 
-def cmd_verify(cfg: RunConfig) -> int:
-    data = build_root_system(cfg.family, cfg.rank)
-    coeffs = _load_or_fit_coefficients(cfg, data)
+def cmd_verify(ns) -> int:
+    if ns.max_coord < 0:
+        raise UsageError("--max-coord must be non-negative")
+    check_subset_cap(ns.system, ns.subset_cap)
+    data = build_root_system(ns.system)
+    coeffs = _cached_coefficients(ns, data)
     n = data.rank
     rows = []
     mismatches = []
@@ -176,10 +188,10 @@ def cmd_verify(cfg: RunConfig) -> int:
         if list(lam) not in mismatches:
             mismatches.append(list(lam))
 
-    for lam in product(range(cfg.max_coord + 1), repeat=n):
+    for lam in product(range(ns.max_coord + 1), repeat=n):
         w, word = theta(data, lam)
-        bruhat = len(lower_interval(data, w, word, cap=cfg.interval_cap))
-        lattice = interval_size_lattice(data, lam, box_cap=cfg.box_cap)
+        bruhat = len(lower_interval(data, w, word, cap=ns.interval_cap))
+        lattice = interval_size_lattice(data, lam, box_cap=ns.box_cap)
         geometric = evaluate_formula(data, coeffs, lam)
         ok = bruhat == lattice == geometric
         # descent structure of theta(lambda)
@@ -202,17 +214,17 @@ def cmd_verify(cfg: RunConfig) -> int:
     if data.family == "A":
         for k in range(1, n + 1):
             poly = hypersimplex_ehrhart(k, n + 1)
-            for m in range(cfg.max_coord + 1):
+            for m in range(ns.max_coord + 1):
                 lam = tuple(m if i + 1 == k else 0 for i in range(n))
                 expected = math.factorial(n + 1) * poly.eval((m,))
-                if interval_size_lattice(data, lam, box_cap=cfg.box_cap) != expected:
+                if interval_size_lattice(data, lam, box_cap=ns.box_cap) != expected:
                     hypersimplex_ok = False
                     mismatch(lam)
 
     _emit({
         "schema": 1,
         "system": str(data.id),
-        "max_coord": cfg.max_coord,
+        "max_coord": ns.max_coord,
         "rows": rows,
         "hypersimplex_ok": hypersimplex_ok,
         "mismatches": mismatches,
@@ -221,23 +233,26 @@ def cmd_verify(cfg: RunConfig) -> int:
     return EXIT_OK if not mismatches else EXIT_MISMATCH
 
 
-def cmd_ehrhart(cfg: RunConfig, k: int, d: int) -> int:
+def cmd_ehrhart(ns) -> int:
+    k, d = ns.k, ns.d
     if not 1 <= k <= d:
         raise UsageError("need 1 <= k <= d")
+    if k * d * d > EHRHART_BUDGET:
+        raise BudgetExceededError("ehrhart k=%d d=%d needs k*d^2 = %d steps, exceeding %d"
+                                  % (k, d, k * d * d, EHRHART_BUDGET))
     poly = hypersimplex_ehrhart(k, d)
     _emit({
         "schema": 1,
         "k": k,
         "d": d,
-        "coefficients": {key: val for key, val in poly.to_json().items()},
+        "coefficients": poly.to_json(),
     })
     return EXIT_OK
 
 
-def cmd_volumes(cfg: RunConfig, J: tuple[int, ...]) -> int:
-    data = build_root_system(cfg.family, cfg.rank)
-    if any(j < 1 or j > data.rank for j in J):
-        raise UsageError("J must be a subset of 1..%d" % data.rank)
+def cmd_volumes(ns) -> int:
+    J = _parse_J(ns.J, ns.rank)
+    data = build_root_system(ns.system)
     vp = volume_polynomial(data, J)
     payload = vp.to_json()
     payload.update({"schema": 1, "system": str(data.id)})
@@ -245,16 +260,16 @@ def cmd_volumes(cfg: RunConfig, J: tuple[int, ...]) -> int:
     return EXIT_OK
 
 
-def cmd_faces(cfg: RunConfig, J: tuple[int, ...]) -> int:
-    data = build_root_system(cfg.family, cfg.rank)
-    if any(j < 1 or j > data.rank for j in J):
-        raise UsageError("J must be a subset of 1..%d" % data.rank)
-    _emit(face_to_json(data, cfg.lam, J))
+def cmd_faces(ns) -> int:
+    lam = _parse_lambda(ns.lam, ns.rank)
+    J = _parse_J(ns.J, ns.rank)
+    data = build_root_system(ns.system)
+    _emit(face_to_json(data, lam, J))
     return EXIT_OK
 
 
-def cmd_rootdata(cfg: RunConfig) -> int:
-    data = build_root_system(cfg.family, cfg.rank)
+def cmd_rootdata(ns) -> int:
+    data = build_root_system(ns.system)
     _emit(data.to_json())
     return EXIT_OK
 
@@ -271,90 +286,55 @@ def _build_parser() -> _Parser:
         if need_lambda:
             p.add_argument("--lambda", required=True, dest="lam",
                            help="comma-separated coweight coordinates")
-        p.add_argument("--interval-cap", type=int, default=DEFAULT_INTERVAL_CAP)
-        p.add_argument("--box-cap", type=int, default=DEFAULT_BOX_CAP)
-        p.add_argument("--subset-cap", type=int, default=DEFAULT_SUBSET_CAP)
+        p.add_argument("--interval-cap", type=budget, default=DEFAULT_INTERVAL_CAP)
+        p.add_argument("--box-cap", type=budget, default=DEFAULT_BOX_CAP)
+        p.add_argument("--subset-cap", type=budget, default=DEFAULT_SUBSET_CAP)
         p.add_argument("--cache-dir", default=None)
 
     p = sub.add_parser("count", help="count |<= theta(lambda)| one way")
     add_system_args(p, need_lambda=True)
     p.add_argument("--method", required=True, choices=["bruhat", "lattice", "geometric"])
     p.add_argument("--coeffs", help="coefficient JSON for --method geometric")
+    p.set_defaults(func=cmd_count)
 
     p = sub.add_parser("fit", help="fit geometric coefficients and write them to a file")
     add_system_args(p)
     p.add_argument("--out", required=True)
     p.add_argument("--force", action="store_true")
+    p.set_defaults(func=cmd_fit)
 
     p = sub.add_parser("verify", help="cross-check all three counting methods")
     add_system_args(p)
     p.add_argument("--max-coord", type=int, default=2)
+    p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("ehrhart", help="hypersimplex Ehrhart polynomial")
     p.add_argument("--k", required=True, type=int)
     p.add_argument("--d", required=True, type=int)
+    p.set_defaults(func=cmd_ehrhart)
 
     p = sub.add_parser("volumes", help="face volume polynomial")
     add_system_args(p)
     p.add_argument("--J", required=True, help="comma-separated indices, or 'empty'")
+    p.set_defaults(func=cmd_volumes)
 
     p = sub.add_parser("faces", help="vertex data of one face (JSON for external tools)")
     add_system_args(p, need_lambda=True)
     p.add_argument("--J", required=True, help="comma-separated indices, or 'empty'")
+    p.set_defaults(func=cmd_faces)
 
     p = sub.add_parser("rootdata", help="dump derived root system data")
     add_system_args(p)
+    p.set_defaults(func=cmd_rootdata)
     return parser
 
 
-def _parse_J(text: str) -> tuple[int, ...]:
-    if text in ("empty", ""):
-        return ()
-    try:
-        return tuple(sorted(set(int(x) for x in text.split(","))))
-    except ValueError:
-        raise UsageError("J must be a comma-separated integer list or 'empty'") from None
-
-
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        ns = parser.parse_args(argv)
-        cfg = RunConfig(
-            command=ns.command,
-            family=getattr(ns, "family", None),
-            rank=getattr(ns, "rank", None),
-            method=getattr(ns, "method", None),
-            interval_cap=getattr(ns, "interval_cap", DEFAULT_INTERVAL_CAP),
-            box_cap=getattr(ns, "box_cap", DEFAULT_BOX_CAP),
-            subset_cap=getattr(ns, "subset_cap", DEFAULT_SUBSET_CAP),
-            out=getattr(ns, "out", None),
-            coeffs=getattr(ns, "coeffs", None),
-            cache_dir=getattr(ns, "cache_dir", None),
-            force=getattr(ns, "force", False),
-            max_coord=getattr(ns, "max_coord", 2),
-        )
-        if cfg.family is not None:
-            # validates family/rank eagerly for a clean usage error
-            build_root_system(cfg.family, cfg.rank)
-        if getattr(ns, "lam", None) is not None:
-            cfg.lam = _parse_lambda(ns.lam, cfg.rank)
-            cfg.__post_init__()
-        if ns.command == "count":
-            return cmd_count(cfg)
-        if ns.command == "fit":
-            return cmd_fit(cfg)
-        if ns.command == "verify":
-            return cmd_verify(cfg)
-        if ns.command == "ehrhart":
-            return cmd_ehrhart(cfg, ns.k, ns.d)
-        if ns.command == "volumes":
-            return cmd_volumes(cfg, _parse_J(ns.J))
-        if ns.command == "faces":
-            return cmd_faces(cfg, _parse_J(ns.J))
-        if ns.command == "rootdata":
-            return cmd_rootdata(cfg)
-        raise UsageError("unknown command %r" % ns.command)
+        ns = _build_parser().parse_args(argv)
+        if "family" in ns:
+            ns.system = RootSystemId(ns.family, ns.rank)  # refuses a bad family or rank
+        return ns.func(ns)
     except UsageError as exc:
         return _fail(EXIT_USAGE, "usage", str(exc))
     except (ValueError,) as exc:
@@ -365,6 +345,8 @@ def main(argv=None) -> int:
         return _fail(EXIT_FIT, "fit", str(exc))
     except AlcovesError as exc:
         return _fail(EXIT_USAGE, "error", str(exc))
+    except OSError as exc:
+        return _fail(EXIT_USAGE, "io", str(exc))
 
 
 if __name__ == "__main__":

@@ -37,14 +37,11 @@ DEFAULT_SUBSET_CAP = 4096
 
 @lru_cache(maxsize=None)
 def _stirling1_row(a: int) -> tuple[int, ...]:
-    if a == 0:
-        return (1,)
-    prev = _stirling1_row(a - 1)
-    row = []
-    for b in range(a + 1):
-        val = (prev[b - 1] if b >= 1 else 0) + (a - 1) * (prev[b] if b <= a - 1 else 0)
-        row.append(val)
-    return tuple(row)
+    row = (1,)
+    for r in range(1, a + 1):
+        row = tuple((row[b - 1] if b >= 1 else 0) + (r - 1) * (row[b] if b < r else 0)
+                    for b in range(r + 1))
+    return row
 
 
 def stirling1(a: int, b: int) -> int:
@@ -62,13 +59,11 @@ def _stirling1_or_zero(a: int, b: int) -> int:
 
 @lru_cache(maxsize=None)
 def _eulerian_row(r: int) -> tuple[int, ...]:
-    if r == 1:
-        return (1,)
-    prev = _eulerian_row(r - 1)
-
-    def get(s):
-        return prev[s - 1] if 1 <= s <= r - 1 else 0
-    return tuple((r - s + 1) * get(s - 1) + s * get(s) for s in range(1, r + 1))
+    row = (1,)
+    for q in range(2, r + 1):
+        row = tuple((q - s + 1) * (row[s - 2] if s >= 2 else 0)
+                    + s * (row[s - 1] if s < q else 0) for s in range(1, q + 1))
+    return row
 
 
 def eulerian(r: int, s: int) -> int:
@@ -235,28 +230,55 @@ class GeometricCoefficients:
 
     @staticmethod
     def from_json(obj: dict) -> "GeometricCoefficients":
-        name = obj["system"]
-        system = RootSystemId(name[0], int(name[1:]))
-        mu = {}
-        prov = {}
-        for key, val in obj["mu_prime"].items():
-            J = tuple(int(x) for x in key.split(",")) if key else ()
-            mu[J] = Fraction(val)
-            prov[J] = obj.get("provenance", {}).get(key, "unknown")
+        """Parse the output of to_json; a malformed object raises ValueError."""
+        try:
+            name = obj["system"]
+            system = RootSystemId(name[0], int(name[1:]))
+            mu = {}
+            prov = {}
+            for key, val in obj["mu_prime"].items():
+                J = tuple(int(x) for x in key.split(",")) if key else ()
+                mu[J] = Fraction(val)
+                prov[J] = obj.get("provenance", {}).get(key, "unknown")
+        except (KeyError, IndexError, TypeError, AttributeError, OverflowError) as exc:
+            raise ValueError("malformed coefficient object: %s %s"
+                             % (type(exc).__name__, exc)) from None
         return GeometricCoefficients(system, mu, prov)
 
 
-def evaluate_formula(data: RootSystemData, coeffs: GeometricCoefficients, lam) -> int:
-    """sum_J mu'_J r_J(lambda); must land on a non-negative integer.
+def check_coefficients(data: RootSystemData, coeffs: GeometricCoefficients) -> None:
+    """Raise ValueError unless coeffs can be the coefficients of data's system.
 
-    The coefficients must belong to data's system and hold one value for
-    each of the 2^n subsets J; anything else raises ValueError.
+    They must name the system, hold one value for each of the 2^n subsets J,
+    and meet the closed forms mu'_empty = |W_f| and mu'_top = 1/vol(A_id)
+    (lattice-normalized).
     """
     if coeffs.system != data.id:
         raise ValueError("coefficients are for %s, not %s" % (coeffs.system, data.id))
     if coeffs.mu_prime.keys() != set(_all_subsets(data.rank)):
         raise ValueError("coefficients for %s must cover exactly the %d subsets of 1..%d"
                          % (data.id, 2 ** data.rank, data.rank))
+    if coeffs.mu_prime[()] != data.wf_order:
+        raise ValueError("mu'_empty != |W_f|")
+    top = tuple(range(1, data.rank + 1))
+    expected_top = mu_full(data) * RadScalar.sqrt(volume_polynomial(data, top).gram)
+    if not expected_top.is_rational() or expected_top.coeff != coeffs.mu_prime[top]:
+        raise ValueError("mu'_top != 1/vol(A_id)")
+
+
+def check_subset_cap(system: RootSystemId, cap: int) -> None:
+    """Refuse, before any work, a fit of more than `cap` subsets."""
+    if 2 ** system.rank > cap:
+        raise BudgetExceededError("fitting %s needs %d subsets, exceeding cap %d"
+                                  % (system, 2 ** system.rank, cap))
+
+
+def evaluate_formula(data: RootSystemData, coeffs: GeometricCoefficients, lam) -> int:
+    """sum_J mu'_J r_J(lambda); must land on a non-negative integer.
+
+    Coefficients that fail check_coefficients raise ValueError.
+    """
+    check_coefficients(data, coeffs)
     lam = tuple(int(c) for c in lam)
     total = Fraction(0)
     for J, mu in coeffs.mu_prime.items():
@@ -296,9 +318,7 @@ def fit_mu(data: RootSystemData,
     every K, and 2 w_i^v for every i.
     """
     n = data.rank
-    if 2 ** n > max_subsets:
-        raise BudgetExceededError(
-            "fitting %s needs %d subsets, exceeding cap %d" % (data.id, 2 ** n, max_subsets))
+    check_subset_cap(data.id, max_subsets)
     subsets = _all_subsets(n)
     polys = {J: volume_polynomial(data, J) for J in subsets}
 
@@ -326,13 +346,10 @@ def fit_mu(data: RootSystemData,
         {J: ("closed-form" if J in ((), tuple(range(1, n + 1))) else "fitted")
          for J in subsets})
 
-    # closed-form pins
-    if mu[()] != data.wf_order:
-        raise FitVerificationError("fit failed verification: mu'_empty != |W_f|")
-    top = tuple(range(1, n + 1))
-    expected_top = mu_full(data) * RadScalar.sqrt(polys[top].gram)
-    if not expected_top.is_rational() or expected_top.coeff != mu[top]:
-        raise FitVerificationError("fit failed verification: mu'_top != 1/vol(A_id)")
+    try:
+        check_coefficients(data, coeffs)  # the closed-form pins
+    except ValueError as exc:
+        raise FitVerificationError("fit failed verification: %s" % exc) from None
 
     # validation, degenerate coweights included
     validation = {tuple(2 if i + 1 in K else 1 for i in range(n)) for K in subsets}

@@ -1,10 +1,14 @@
 import json
+import math
 import subprocess
 import sys
 
 import pytest
 
+from alcoves import __version__
 from alcoves.cli import main
+
+A2_MU_PRIME = {"": "6", "1": "9", "2": "9", "1,2": "6"}
 
 
 def run_cli(capsys, *argv):
@@ -167,6 +171,18 @@ def test_usage_errors(capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["--interval-cap", "0"], "budgets must be positive"),
+    (["--box-cap", "-1"], "budgets must be positive"),
+    (["--subset-cap", "0"], "budgets must be positive"),
+    (["--lambda", "1,-1"], "lambda coordinates must be non-negative integers"),
+])
+def test_negative_inputs_are_usage_errors(capsys, argv, message):
+    code, payload = run_cli(capsys, "count", "--type", "A", "--rank", "2", "--lambda", "1,1",
+                            "--method", "lattice", *argv)
+    assert code == 1 and payload["error"] == {"type": "usage", "message": message}
+
+
 def test_budget_exit_code(capsys):
     code, payload = run_cli(capsys, "count", "--type", "A", "--rank", "2",
                             "--lambda", "1,1", "--method", "bruhat",
@@ -221,15 +237,151 @@ def test_geometric_rejects_coefficients_of_another_system(capsys, tmp_path):
 
 
 def test_geometric_rejects_incomplete_cache(capsys, tmp_path):
-    from alcoves import __version__
+    # a defective cache is refitted and rewritten, not summed or refused
     cache = tmp_path / "cache"
     cache.mkdir()
-    (cache / ("coeffs-A2-v%s.json" % __version__)).write_text(json.dumps(
+    path = cache / ("coeffs-A2-v%s.json" % __version__)
+    path.write_text(json.dumps(
         {"schema": 1, "version": __version__, "system": "A2", "mu_prime": {"": "6"}}))
     code, payload = run_cli(capsys, "count", "--type", "A", "--rank", "2",
                             "--lambda", "3,3", "--method", "geometric",
                             "--cache-dir", str(cache))
+    assert code == 0 and payload["count"] == 222
+    assert json.loads(path.read_text())["mu_prime"] == A2_MU_PRIME
+
+
+def test_geometric_rejects_incomplete_coeffs_file(capsys, tmp_path):
+    coeffs = tmp_path / "a2.json"
+    coeffs.write_text(json.dumps(
+        {"schema": 1, "version": __version__, "system": "A2", "mu_prime": {"": "6"}}))
+    code, payload = run_cli(capsys, "count", "--type", "A", "--rank", "2",
+                            "--lambda", "3,3", "--method", "geometric",
+                            "--coeffs", str(coeffs))
     assert code == 1 and "subsets" in payload["error"]["message"]
+
+
+def _with(**changes):
+    """An edit of a coefficient file's text that sets the given top-level fields."""
+    return lambda text: json.dumps(dict(json.loads(text), **changes))
+
+
+@pytest.mark.parametrize("defect", [
+    _with(mu_prime=dict(A2_MU_PRIME, **{"": "7"})),      # mu'_empty != |W_f|
+    _with(mu_prime=dict(A2_MU_PRIME, **{"1,2": "5"})),   # mu'_top != 1/vol(A_id)
+    _with(mu_prime={"": "6", "1": "9", "1,2": "6"}),     # a subset missing
+    _with(version="0.0.0"),
+    _with(system="G2"),
+    lambda text: text[:40],                              # truncated JSON
+], ids=["mu-empty", "mu-top", "subset-missing", "version", "system", "truncated"])
+def test_defective_cache_is_refitted_and_defective_coeffs_file_refused(
+        capsys, tmp_path, defect):
+    fresh = tmp_path / "fresh.json"
+    code, _ = run_cli(capsys, "fit", "--type", "A", "--rank", "2", "--out", str(fresh))
+    assert code == 0
+    text = defect(fresh.read_text())
+    cache = tmp_path / "cache"
+    cache.mkdir()
+    path = cache / ("coeffs-A2-v%s.json" % __version__)
+    path.write_text(text)
+    code, payload = run_cli(capsys, "count", "--type", "A", "--rank", "2",
+                            "--lambda", "0,0", "--method", "geometric",
+                            "--cache-dir", str(cache))
+    assert code == 0 and payload["count"] == 6
+    assert path.read_bytes() == fresh.read_bytes()
+    assert [p.name for p in cache.iterdir()] == [path.name]  # no temp file left
+    bad = tmp_path / "bad.json"
+    bad.write_text(text)
+    code, payload = run_cli(capsys, "count", "--type", "A", "--rank", "2",
+                            "--lambda", "0,0", "--method", "geometric", "--coeffs", str(bad))
+    assert code == 1 and payload["error"]["type"] == "invalid-input"
+
+
+@pytest.mark.parametrize("case", ["coeffs-missing", "coeffs-no-system", "coeffs-list",
+                                  "cache-dir-is-file", "out-is-directory"])
+def test_file_errors_exit_1_with_json(capsys, tmp_path, case):
+    count = ["count", "--type", "A", "--rank", "2", "--lambda", "1,1",
+             "--method", "geometric", "--cache-dir", str(tmp_path / "cache")]
+    bad = tmp_path / "bad.json"
+    if case == "coeffs-missing":
+        argv = count + ["--coeffs", str(bad)]
+    elif case == "coeffs-no-system":
+        bad.write_text(json.dumps({"schema": 1, "version": __version__,
+                                   "mu_prime": A2_MU_PRIME}))
+        argv = count + ["--coeffs", str(bad)]
+    elif case == "coeffs-list":
+        bad.write_text("[1]")
+        argv = count + ["--coeffs", str(bad)]
+    elif case == "cache-dir-is-file":
+        bad.write_text("{}")
+        argv = count[:-1] + [str(bad)]
+    else:
+        (tmp_path / "out").mkdir()
+        argv = ["fit", "--type", "A", "--rank", "2", "--out", str(tmp_path / "out"), "--force"]
+    code, payload = run_cli(capsys, *argv)
+    assert code == 1 and payload["error"]["message"]
+    assert not list(tmp_path.rglob("*.tmp"))
+
+
+def test_failed_write_keeps_the_old_file(capsys, tmp_path, monkeypatch):
+    import alcoves.cli as climod
+    out = tmp_path / "a2.json"
+    out.write_text("old\n")
+
+    def broken_replace(src, dst):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(climod.os, "replace", broken_replace)
+    code, payload = run_cli(capsys, "fit", "--type", "A", "--rank", "2",
+                            "--out", str(out), "--force")
+    assert code == 1 and payload["error"] == {"type": "io", "message": "disk full"}
+    assert out.read_text() == "old\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["a2.json"]
+
+
+def test_ehrhart_budget(capsys):
+    code, payload = run_cli(capsys, "ehrhart", "--k", "1", "--d", "1200")
+    assert code == 0 and payload["coefficients"]["1199"] == "1/%d" % math.factorial(1199)
+    code, payload = run_cli(capsys, "ehrhart", "--k", "200", "--d", "400")
+    assert code == 2 and payload["error"]["type"] == "budget"
+
+
+@pytest.mark.parametrize("argv", [
+    ["fit", "--out", "never-written.json"],
+    ["verify"],
+    ["count", "--method", "geometric", "--lambda", ",".join(["0"] * 24)],
+])
+def test_subset_cap_refuses_before_building_the_system(capsys, tmp_path, monkeypatch, argv):
+    import alcoves.cli as climod
+
+    def no_build(*args, **kwargs):
+        raise AssertionError("build_root_system called before the subset cap")
+
+    monkeypatch.setattr(climod, "build_root_system", no_build)
+    monkeypatch.chdir(tmp_path)
+    code, payload = run_cli(capsys, *argv, "--type", "A", "--rank", "24",
+                            "--cache-dir", str(tmp_path))
+    assert code == 2 and payload["error"]["type"] == "budget"
+    assert "16777216 subsets" in payload["error"]["message"]
+
+
+def test_no_new_options():
+    import argparse
+    from alcoves.cli import _build_parser
+    sub = next(a for a in _build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    options = {name: sorted(o for a in p._actions for o in a.option_strings)
+               for name, p in sub.choices.items()}
+    system = ["--box-cap", "--cache-dir", "--interval-cap", "--rank", "--subset-cap",
+              "--type", "-h", "--help"]
+    assert options == {
+        "count": sorted(system + ["--lambda", "--method", "--coeffs"]),
+        "fit": sorted(system + ["--out", "--force"]),
+        "verify": sorted(system + ["--max-coord"]),
+        "ehrhart": sorted(["-h", "--help", "--k", "--d"]),
+        "volumes": sorted(system + ["--J"]),
+        "faces": sorted(system + ["--lambda", "--J"]),
+        "rootdata": sorted(system),
+    }
 
 
 def test_verify_rejects_negative_max_coord(capsys, tmp_path):

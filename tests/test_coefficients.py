@@ -4,8 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from alcoves.coefficients import (GeometricCoefficients, eulerian, evaluate_formula,
-                                  fit_mu, hypersimplex_dilation_count,
+from alcoves.coefficients import (GeometricCoefficients, check_coefficients, eulerian,
+                                  evaluate_formula, fit_mu, hypersimplex_dilation_count,
                                   hypersimplex_ehrhart, mu_empty, mu_full,
                                   stirling1, type_a_connected_mu)
 from alcoves.errors import (BudgetExceededError, FitVerificationError,
@@ -36,6 +36,12 @@ def test_eulerian_numbers():
         assert sum(eulerian(r, s) for s in range(1, r + 1)) == math.factorial(r)
     with pytest.raises(ValueError):
         eulerian(2, 3)
+
+
+def test_rows_beyond_the_recursion_limit():
+    # both rows are built iteratively, so a row past the recursion limit is fine
+    assert stirling1(1100, 1) == math.factorial(1099)
+    assert eulerian(1100, 2) == 2 ** 1100 - 1101
 
 
 def test_ehrhart_e13():
@@ -151,6 +157,30 @@ def test_coefficients_json_roundtrip():
     assert obj["mu_prime"][""] == "8"
     back = GeometricCoefficients.from_json(obj)
     assert back.mu_prime == coeffs.mu_prime
+
+
+@pytest.mark.parametrize("obj", [
+    [1], "A2", None, {}, {"mu_prime": {"": "6"}}, {"system": "", "mu_prime": {}},
+    {"system": "Z2", "mu_prime": {}}, {"system": "A2"}, {"system": "A2", "mu_prime": [1]},
+    {"system": "A2", "mu_prime": {"": "six"}}, {"system": "A2", "mu_prime": {"": None}},
+    {"system": "A2", "mu_prime": {"x": "6"}}, {"system": "A2", "mu_prime": {"": float("inf")}},
+    {"system": "A2", "mu_prime": {"": "6"}, "provenance": []},
+])
+def test_from_json_rejects_malformed_objects(obj):
+    with pytest.raises(ValueError):
+        GeometricCoefficients.from_json(obj)
+
+
+def test_check_coefficients_pins():
+    d = build_root_system("A2")
+    fitted = fit_mu(d).mu_prime
+    check_coefficients(d, GeometricCoefficients(d.id, fitted))
+    for J in [(), (1, 2)]:  # mu'_empty and mu'_top
+        coeffs = GeometricCoefficients(d.id, {K: v + (K == J) for K, v in fitted.items()})
+        with pytest.raises(ValueError, match="mu'_"):
+            check_coefficients(d, coeffs)
+        with pytest.raises(ValueError, match="mu'_"):
+            evaluate_formula(d, coeffs, (0, 0))
 
 
 def test_simplex_identity_rank2():
