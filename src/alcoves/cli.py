@@ -98,7 +98,10 @@ def _read_coefficients(path: Path, data) -> GeometricCoefficients:
     """Load a coefficient file; ValueError unless it is of this version and passes
     check_coefficients for data's system."""
     with open(path, "r", encoding="utf-8") as fh:
-        obj = json.load(fh)
+        try:
+            obj = json.load(fh)
+        except RecursionError:
+            raise ValueError("%s is nested too deeply to be a coefficient file" % path) from None
     coeffs = GeometricCoefficients.from_json(obj)
     if obj.get("version") != __version__:
         raise ValueError("%s holds coefficients of version %r, not %s"

@@ -27,7 +27,7 @@ from .linalg import rational_to_str
 from .mpoly import MPoly
 from .radicals import RadScalar
 from .rootdata import RootSystemData, RootSystemId, build_root_system
-from .orbits import DEFAULT_BOX_CAP, interval_size_lattice_cached
+from .orbits import DEFAULT_BOX_CAP, interval_size_lattice
 from .volumes import squarefree_coefficient, volume_polynomial
 
 DEFAULT_SUBSET_CAP = 4096
@@ -323,7 +323,7 @@ def fit_mu(data: RootSystemData,
     polys = {J: volume_polynomial(data, J) for J in subsets}
 
     def count(lam) -> int:
-        return interval_size_lattice_cached(data, lam, box_cap)
+        return interval_size_lattice(data, lam, box_cap)
 
     at_indicator = {S: count(tuple(int(i + 1 in S) for i in range(n))) for S in subsets}
     diff = {J: sum((-1) ** (len(J) - k) * at_indicator[S]

@@ -7,7 +7,7 @@ coweights below lambda in dominance order, so
     |P(lambda) ^ (lambda + Z Phi^v)| = sum over mu in X_lambda of |W_f|/|W_Z(mu)|
 
 and |<= theta(lambda)| is |W_f| times that.  A geometric membership test
-(`contains`) gives an independent second route to the same count.
+(`contains`) over an exponent box gives an independent second route.
 """
 
 from __future__ import annotations
@@ -15,8 +15,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from itertools import product
+from operator import sub
 
 from .errors import BudgetExceededError
 from .linalg import QMatrix, QVector, rational_to_str
@@ -53,21 +53,14 @@ def _coords(lam) -> tuple[int, ...]:
     return out
 
 
-def _antidominant(data: RootSystemData, lam: tuple[int, ...]) -> tuple[int, ...]:
-    """w0 . lambda, via the dominant representative of -lambda."""
-    plus, _ = dominant_coords(data, [-c for c in lam])
-    return tuple(-int(c) for c in plus)
-
-
-def _box_bounds(data: RootSystemData, lam: tuple[int, ...], box_cap: int,
-               what: str) -> tuple[int, ...]:
+def _box_bounds(data: RootSystemData, lam: tuple[int, ...], box_cap: int) -> tuple[int, ...]:
     """(lambda - w0 lambda, omega_j): exponent bound for each simple coroot.
 
     Refuses before any scan when the box has more than box_cap cells.
     """
-    low = _antidominant(data, lam)
-    diff = tuple(a - b for a, b in zip(lam, low))
-    bounds = data.coroot_coords_from_coweight(diff)
+    # w0 lambda is minus the dominant representative of -lambda
+    plus, _ = dominant_coords(data, [-c for c in lam])
+    bounds = data.coroot_coords_from_coweight([a + b for a, b in zip(lam, plus)])
     out = []
     for b in bounds:
         if b.denominator != 1 or b < 0:
@@ -75,30 +68,34 @@ def _box_bounds(data: RootSystemData, lam: tuple[int, ...], box_cap: int,
         out.append(int(b))
     size = math.prod(b + 1 for b in out)
     if size > box_cap:
-        raise BudgetExceededError("%s has %d cells, exceeding cap %d" % (what, size, box_cap))
+        raise BudgetExceededError("exponent box has %d cells, exceeding cap %d" % (size, box_cap))
     return tuple(out)
 
 
 def enumerate_X(data: RootSystemData, lam, box_cap: int = DEFAULT_BOX_CAP) -> list[DominantCoweight]:
-    """All dominant mu <= lam in dominance order (exponent-box scan)."""
+    """All dominant mu <= lam in dominance order, sorted by coordinates.
+
+    A walk from lam that subtracts positive coroots and keeps the dominant
+    results reaches all of X_lambda: dominant mu < nu are joined by a chain
+    of dominant coweights, each a positive coroot below the last
+    (Stembridge, The partial order of dominant weights, 1998).  It first
+    refuses when U = prod_j (floor(h / eta_j) + 1) > box_cap, h = sum_i
+    eta_i lam_i, which bounds |X|: each mu in it has sum_i eta_i mu_i <= h.
+    """
     lam = _coords(lam)
-    n = data.rank
-    bounds = _box_bounds(data, lam, box_cap, "dominance box")
-    coroot_rows = [tuple(int(x) for x in row) for row in data.cartan.rows]
-    out = []
-    rng = range(n)
-    for exps in product(*(range(b + 1) for b in bounds)):
-        mu = list(lam)
-        for j in rng:
-            xj = exps[j]
-            if xj:
-                row = coroot_rows[j]
-                for i in rng:
-                    mu[i] -= xj * row[i]
-        if all(c >= 0 for c in mu):
-            out.append(DominantCoweight(tuple(mu)))
-    out.sort(key=lambda m: m.coords)
-    return out
+    h = sum(e * c for e, c in zip(data.marks, lam))
+    cells = math.prod(h // e + 1 for e in data.marks)
+    if cells > box_cap:
+        raise BudgetExceededError("level simplex has %d cells, exceeding cap %d" % (cells, box_cap))
+    seen, todo = {lam}, [lam]
+    while todo:
+        mu = todo.pop()
+        for c in data.positive_coroot_coords:
+            nu = tuple(map(sub, mu, c))
+            if min(nu) >= 0 and nu not in seen:
+                seen.add(nu)
+                todo.append(nu)
+    return [DominantCoweight(mu) for mu in sorted(seen)]
 
 
 def lattice_count(data: RootSystemData, lam, box_cap: int = DEFAULT_BOX_CAP) -> int:
@@ -116,16 +113,6 @@ def lattice_count(data: RootSystemData, lam, box_cap: int = DEFAULT_BOX_CAP) -> 
 def interval_size_lattice(data: RootSystemData, lam, box_cap: int = DEFAULT_BOX_CAP) -> int:
     """|<= theta(lambda)| via the lattice route: |W_f| * lattice_count."""
     return data.wf_order * lattice_count(data, lam, box_cap=box_cap)
-
-
-@lru_cache(maxsize=None)
-def _cached_interval_size(family: str, rank: int, lam: tuple[int, ...], box_cap: int) -> int:
-    from .rootdata import build_root_system
-    return interval_size_lattice(build_root_system(family, rank), lam, box_cap=box_cap)
-
-
-def interval_size_lattice_cached(data: RootSystemData, lam, box_cap: int = DEFAULT_BOX_CAP) -> int:
-    return _cached_interval_size(data.family, data.rank, _coords(lam), box_cap)
 
 
 def contains(data: RootSystemData, lam, p: QVector) -> bool:
@@ -152,7 +139,7 @@ def lattice_count_by_membership(data: RootSystemData, lam,
     lam = _coords(lam)
     n = data.rank
     # every coset point lies in lambda - cone(alpha^v) and above w0.lambda
-    bounds = _box_bounds(data, lam, box_cap, "membership box")
+    bounds = _box_bounds(data, lam, box_cap)
     count = 0
     for exps in product(*(range(b + 1) for b in bounds)):
         coords = list(Fraction(c) for c in lam)

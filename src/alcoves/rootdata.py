@@ -116,6 +116,14 @@ class RootSystemData:
         # simple-root coordinates for each positive root (all non-negative ints)
         self._pos_coords = [c for c, _ in pos]
 
+        # (alpha^v, alpha_i) = 2 t_i / (c . t) for alpha = sum_k c_k alpha_k, t_i = (cartan c)_i |alpha_i|^2
+        sq = [(a.dot(a), [int(x) for x in row]) for a, row in zip(self.simple_roots, self.cartan.rows)]
+        self.positive_coroot_coords = []
+        for c in self._pos_coords:
+            t = [l * sum(x * y for x, y in zip(row, c)) for l, row in sq]
+            norm = sum(x * y for x, y in zip(c, t))
+            self.positive_coroot_coords.append(tuple(int(2 * x / norm) for x in t))
+
         hi = max(range(len(self.positive_roots)), key=lambda k: sum(self._pos_coords[k]))
         self.highest_root = self.positive_roots[hi]
         self.marks = tuple(int(c) for c in self._pos_coords[hi])

@@ -5,15 +5,18 @@ hull of rational points in dimension <= 3 by explicit facet enumeration and
 simplicial decomposition, with no shared code path with the library's
 pyramid recursion.  Polynomial interpolation recovers a counting polynomial
 from its values by one dense solve, independently of the triangular fit.
+The exponent-box scan finds X_lambda by testing every cell of a box that
+contains it, independently of the library's coroot walk.
 """
 
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 from math import gcd
 
 from alcoves.errors import SingularSystemError
 from alcoves.linalg import QMatrix, QVector, gram_det, solve_linear
 from alcoves.mpoly import MPoly
+from alcoves.orbits import DEFAULT_BOX_CAP, DominantCoweight, _box_bounds
 from alcoves.radicals import RadScalar
 
 
@@ -52,6 +55,29 @@ def mpoly_interpolate(support, samples) -> MPoly:
         if poly.eval(pt) != Fraction(val):
             raise InterpolationError("inconsistent samples beyond the support")
     return poly
+
+
+def enumerate_X_by_box(data, lam, box_cap=DEFAULT_BOX_CAP):
+    """All dominant mu <= lam, sorted: every lam - sum_j x_j alpha_j^v with
+    0 <= x_j <= (lam - w0 lam, omega_j) that is dominant."""
+    lam = tuple(int(c) for c in lam)
+    n = data.rank
+    bounds = _box_bounds(data, lam, box_cap)
+    coroot_rows = [tuple(int(x) for x in row) for row in data.cartan.rows]
+    out = []
+    rng = range(n)
+    for exps in product(*(range(b + 1) for b in bounds)):
+        mu = list(lam)
+        for j in rng:
+            xj = exps[j]
+            if xj:
+                row = coroot_rows[j]
+                for i in rng:
+                    mu[i] -= xj * row[i]
+        if all(c >= 0 for c in mu):
+            out.append(DominantCoweight(tuple(mu)))
+    out.sort(key=lambda m: m.coords)
+    return out
 
 
 def _dedupe(points):

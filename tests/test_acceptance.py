@@ -19,7 +19,7 @@ from alcoves.coefficients import (fit_mu, hypersimplex_dilation_count,
                                   type_a_connected_mu)
 from alcoves.errors import BudgetExceededError
 from alcoves.mpoly import MPoly
-from alcoves.orbits import interval_size_lattice_cached, lattice_count
+from alcoves.orbits import interval_size_lattice, lattice_count
 from alcoves.radicals import RadScalar
 from alcoves.rootdata import build_root_system
 from alcoves.volumes import squarefree_coefficient, volume_polynomial
@@ -112,7 +112,7 @@ def test_criterion_5_hypersimplex_identities():
             poly = hypersimplex_ehrhart(k, n + 1)
             for m in range(5):
                 lam = tuple(m if i + 1 == k else 0 for i in range(n))
-                assert interval_size_lattice_cached(data, lam) == \
+                assert interval_size_lattice(data, lam) == \
                     math.factorial(n + 1) * poly.eval((m,)), (n, k, m)
     for d in range(2, 7):
         for k in range(1, d):
@@ -134,7 +134,7 @@ def test_criterion_6_formula_beyond_generic():
             if 0 not in lam:
                 continue
             assert evaluate_formula(data, coeffs, lam) == \
-                interval_size_lattice_cached(data, lam), (name, lam)
+                interval_size_lattice(data, lam), (name, lam)
             checked += 1
     print(OK % (6, "fitted coefficients exact on %d degenerate coweights "
                 "(>=1 zero coordinate, coords <= 3, rank <= 3)" % checked))

@@ -2,10 +2,11 @@ import json
 import math
 import subprocess
 import sys
+import time
 
 import pytest
 
-from alcoves import __version__
+from alcoves import __version__, build_root_system
 from alcoves.cli import main
 
 A2_MU_PRIME = {"": "6", "1": "9", "2": "9", "1,2": "6"}
@@ -227,6 +228,23 @@ def test_box_cap_bounds_the_fit(capsys, tmp_path):
         assert code == 2 and payload["error"]["type"] == "budget"
 
 
+def test_count_lattice_e6(capsys):
+    # also the size of a coset closure of theta(1,...,1) on the Bruhat side
+    code, payload = run_cli(capsys, "count", "--type", "E", "--rank", "6",
+                            "--lambda", "1,1,1,1,1,1", "--method", "lattice")
+    assert code == 0 and payload["count"] == 64641006720
+
+
+@pytest.mark.parametrize("system,lam", [("A2", "100000,100000"), ("E8", "3,3,3,3,3,3,3,3")])
+def test_lattice_refusal_is_cheap(capsys, system, lam):
+    build_root_system(system)  # time the refusal, not the root-system build
+    start = time.perf_counter()
+    code, payload = run_cli(capsys, "count", "--type", system[0], "--rank", system[1:],
+                            "--lambda", lam, "--method", "lattice")
+    assert time.perf_counter() - start < 1
+    assert code == 2 and payload["error"]["type"] == "budget"
+
+
 def test_geometric_rejects_coefficients_of_another_system(capsys, tmp_path):
     g2 = tmp_path / "g2.json"
     code, _ = run_cli(capsys, "fit", "--type", "G", "--rank", "2", "--out", str(g2))
@@ -272,7 +290,8 @@ def _with(**changes):
     _with(version="0.0.0"),
     _with(system="G2"),
     lambda text: text[:40],                              # truncated JSON
-], ids=["mu-empty", "mu-top", "subset-missing", "version", "system", "truncated"])
+    lambda text: "[" * 200_000,                          # deeper than the recursion limit
+], ids=["mu-empty", "mu-top", "subset-missing", "version", "system", "truncated", "deep"])
 def test_defective_cache_is_refitted_and_defective_coeffs_file_refused(
         capsys, tmp_path, defect):
     fresh = tmp_path / "fresh.json"

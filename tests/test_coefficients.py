@@ -218,12 +218,11 @@ def test_degree_structure(name):
 def test_formula_agrees_on_full_coordinate_box(name):
     # fitted coefficients reproduce the lattice count on every dominant
     # coweight with coordinates <= 4, generic or not
-    from alcoves.orbits import interval_size_lattice_cached
     d = build_root_system(name)
     coeffs = fit_mu(d)
     for lam in itertools.product(range(5), repeat=d.rank):
         assert evaluate_formula(d, coeffs, lam) == \
-            interval_size_lattice_cached(d, lam), (name, lam)
+            interval_size_lattice(d, lam), (name, lam)
 
 
 def test_evaluate_formula_rejects_inconsistent():
@@ -246,7 +245,7 @@ def test_fit_verification_failure_surfaces(monkeypatch):
     # (1, 0): the fit must fail loudly, never silently
     import alcoves.coefficients as coefmod
     d = build_root_system("A2")
-    real = coefmod.interval_size_lattice_cached
+    real = coefmod.interval_size_lattice
     for bad in [(0, 3), (1, 0), (2, 1)]:
         seen = []
 
@@ -255,7 +254,7 @@ def test_fit_verification_failure_surfaces(monkeypatch):
             value = real(data, lam, box_cap)
             return value + 1 if tuple(lam) == bad else value
 
-        monkeypatch.setattr(coefmod, "interval_size_lattice_cached", corrupted)
+        monkeypatch.setattr(coefmod, "interval_size_lattice", corrupted)
         with pytest.raises(FitVerificationError):
             fit_mu(d)
         assert bad in seen

@@ -1,14 +1,25 @@
 import itertools
+import json
+import math
+import random
+from pathlib import Path
 
 import pytest
 
 from alcoves.affine import enumerate_weyl_group
 from alcoves.errors import BudgetExceededError
 from alcoves.linalg import QVector
-from alcoves.orbits import (DominantCoweight, contains, enumerate_X, face,
+from alcoves.orbits import (DominantCoweight, _box_bounds, contains, enumerate_X, face,
                             face_to_json, interval_size_lattice, lattice_count,
                             lattice_count_by_membership)
 from alcoves.rootdata import build_root_system, weyl_order
+from oracles import enumerate_X_by_box
+
+# The box scan costs about 1.5 us a cell, and F4 (3,3,3,3) alone has 3.8e7
+# cells, so the oracle runs where the box has at most this many.
+ORACLE_CELLS = 10 ** 4
+REFERENCES = json.loads((Path(__file__).resolve().parents[1] / "benchmarks"
+                         / "references.json").read_text(encoding="utf-8"))
 
 
 def test_vanishing_set():
@@ -59,6 +70,8 @@ def test_orbit_sum_structure():
     ("B2", [(1, 1), (2, 1)]),
     ("G2", [(1, 1), (1, 0)]),
     ("A3", [(1, 1, 1), (2, 1, 0)]),
+    ("F4", [(1, 0, 0, 0)]),                  # membership box of 525 cells
+    ("E6", [(1, 0, 0, 0, 0, 0)]),            # 2160 cells
 ])
 def test_membership_count_agrees(name, lams):
     d = build_root_system(name)
@@ -132,6 +145,47 @@ def test_box_budget():
     a2 = build_root_system("A2")
     with pytest.raises(BudgetExceededError):
         enumerate_X(a2, (5, 5), box_cap=10)
+
+
+def _check_walk(d, lam) -> None:
+    """|X| <= U <= box, with U = prod_j (floor(h / eta_j) + 1) exactly the walk's
+    budget, and X equal to the box-scan oracle's list wherever the box is small."""
+    h = sum(e * c for e, c in zip(d.marks, lam))
+    U = math.prod(h // e + 1 for e in d.marks)
+    box = math.prod(b + 1 for b in _box_bounds(d, lam, math.inf))
+    with pytest.raises(BudgetExceededError):
+        enumerate_X(d, lam, box_cap=U - 1)
+    X = enumerate_X(d, lam, box_cap=U)
+    assert len(X) <= U <= box, (d, lam)
+    if box <= ORACLE_CELLS:
+        assert X == enumerate_X_by_box(d, lam), (d, lam)
+
+
+@pytest.mark.parametrize("name", ["A1", "A2", "A3", "A4", "B2", "B3", "B4", "C2", "C3",
+                                  "C4", "D3", "D4", "F4", "G2"])
+def test_walk_matches_box_scan_on_small_ranks(name):
+    d = build_root_system(name)
+    for lam in itertools.product(range(4), repeat=d.rank):
+        _check_walk(d, lam)
+
+
+@pytest.mark.parametrize("name", ["A5", "B5", "D5", "E6"])
+def test_walk_matches_box_scan_on_sampled_coweights(name):
+    d = build_root_system(name)
+    rng = random.Random(name)
+    lams = set(itertools.product(range(2), repeat=d.rank))
+    lams |= {tuple(rng.randrange(4) for _ in range(d.rank)) for _ in range(12)}
+    for lam in sorted(lams):
+        _check_walk(d, lam)
+
+
+@pytest.mark.parametrize("workload,entry", [(w, e) for w, rows in REFERENCES.items() for e in rows],
+                         ids=lambda x: x if isinstance(x, str) else
+                         "%s-%s" % (x["system"], ",".join(map(str, x["lambda"]))))
+def test_benchmark_reference_counts(workload, entry):
+    # each count in the file was confirmed by a second, independent route
+    d = build_root_system(entry["system"])
+    assert interval_size_lattice(d, entry["lambda"]) == entry["count"]
 
 
 def test_face_json():

@@ -89,6 +89,15 @@ def test_positive_root_count_equals_longest_length(name):
     assert len(d.positive_roots) == length(d, w0)
 
 
+@pytest.mark.parametrize("name", ALL_SMALL + ["C2", "C4", "E7", "E8"])
+def test_positive_coroot_coords(name):
+    # ((alpha^v, alpha_i))_i computed in the ambient space, alpha^v = 2 alpha / (alpha, alpha)
+    d = build_root_system(name)
+    ambient = [tuple(2 * r.dot(a) / r.dot(r) for a in d.simple_roots) for r in d.positive_roots]
+    assert d.positive_coroot_coords == ambient
+    assert set(map(tuple, d.cartan.rows)) <= set(d.positive_coroot_coords)
+
+
 @pytest.mark.parametrize("name", ALL_SMALL + ["E7", "E8"])
 def test_cartan_shape(name):
     d = build_root_system(name)

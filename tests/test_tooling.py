@@ -1,0 +1,32 @@
+"""The benchmark harness calls the library by name; these tests fail when a
+library name it uses is gone."""
+
+import importlib.util
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def test_traced_probe_runs_against_the_library(tmp_path):
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "benchmarks" / "traced_query.py"), "q", "probe", "A2", "1,1",
+         str(tmp_path)],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path), timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert result["count"] == 42
+    assert any(span["name"] == "orbits.enumerate_X" and "X_size" in span["counts"]
+               for span in result["spans"])
+
+
+def test_pin_references_imports():
+    spec = importlib.util.spec_from_file_location("pin_references",
+                                                  ROOT / "benchmarks" / "pin_references.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    assert callable(module.main)
