@@ -21,8 +21,9 @@ from .mpoly import MPoly
 from .rootdata import (RootSystemData, RootSystemId, build_root_system,
                        dominant_representative, weyl_order)
 from .affine import (AffineElement, descents, element_from_point,
-                     enumerate_weyl_group, length, longest_finite_element,
-                     lower_interval, sigma_reflection, simple_reflection, theta)
+                     enumerate_weyl_group, interval_size_bruhat, length,
+                     longest_finite_element, lower_interval, sigma_reflection,
+                     simple_reflection, theta)
 from .orbits import (DominantCoweight, FaceDescriptor, contains, enumerate_X,
                      face, interval_size_lattice, lattice_count,
                      lattice_count_by_membership)
@@ -43,8 +44,9 @@ __all__ = [
     "element_from_point", "enumerate_weyl_group", "enumerate_X", "eulerian",
     "euclidean_volume", "evaluate_formula", "face", "fit_mu", "gram_det",
     "gram_matrix", "hypersimplex_dilation_count", "hypersimplex_ehrhart",
-    "interval_size_lattice", "lattice_count", "lattice_count_by_membership",
-    "length", "longest_finite_element", "lower_interval", "mixed_basis_nu",
+    "interval_size_bruhat", "interval_size_lattice", "lattice_count",
+    "lattice_count_by_membership", "length", "longest_finite_element",
+    "lower_interval", "mixed_basis_nu",
     "mu_empty", "mu_full", "sigma_reflection", "simple_reflection", "solve_linear",
     "sqrt_decompose", "squarefree_coefficient", "stirling1", "theta",
     "type_a_connected_mu", "volume_polynomial", "weyl_order",

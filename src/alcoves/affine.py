@@ -3,8 +3,7 @@
 Elements are exact affine maps.  Internally they act on *coweight-basis
 coordinates*: every element of W_e maps the coweight lattice to itself, so
 the linear part is an integer n x n matrix and the translation an integer
-n-vector.  That keeps the enumeration cores in pure integer arithmetic;
-the orthogonal ambient matrix used for serialization is derived on demand.
+n-vector.  That keeps the enumeration cores in pure integer arithmetic.
 
 The fundamental alcove is A_id = {x : -1 < (x, alpha) < 0 for all positive
 alpha}, with walls H_{alpha_i, 0} (i = 1..n) and H_{highest, -1} (the
@@ -19,9 +18,10 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
+from operator import mul
 
 from .errors import AlcovesError, BudgetExceededError, WallPointError
-from .linalg import QMatrix, QVector, nullspace_basis, rational_to_str
+from .linalg import QVector
 from .rootdata import RootSystemData, dominant_coords
 
 DEFAULT_INTERVAL_CAP = 10 ** 6
@@ -62,21 +62,6 @@ class AffineElement:
         return tuple(sum(r[k] * Fraction(coords[k]) for k in range(len(r))) + t
                      for r, t in zip(self.lin, self.tr))
 
-    def inverse(self) -> "AffineElement":
-        n = len(self.lin)
-        m = QMatrix(self.lin).inverse()
-        lin = []
-        for row in m.rows:
-            ints = []
-            for x in row:
-                if x.denominator != 1:
-                    raise AlcovesError("non-integral inverse; element not lattice-preserving")
-                ints.append(int(x))
-            lin.append(tuple(ints))
-        lin = tuple(lin)
-        tr = tuple(-sum(lin[r][k] * self.tr[k] for k in range(n)) for r in range(n))
-        return AffineElement(lin, tr)
-
     def is_identity(self) -> bool:
         n = len(self.lin)
         return self.tr == (0,) * n and all(
@@ -103,25 +88,22 @@ class _Context:
         self.data = data
         n = data.rank
         self.n = n
-        cart = [[int(x) for x in row] for row in data.cartan.rows]
         # pairing vectors: (x, alpha) = <coords(x), k(alpha)> for positive alpha
         self.pairings = [tuple(k) for k in data.root_pairing_vectors()]
         self.marks = tuple(int(m) for m in data.marks)
         atilde_cov = data.highest_root * Fraction(2, data.highest_root.dot(data.highest_root))
-        self.atilde_coroot = tuple(int(atilde_cov.dot(a)) for a in data.simple_roots)
+        atilde_coroot = tuple(int(atilde_cov.dot(a)) for a in data.simple_roots)
 
-        refs = []
-        # s_0: x -> x - ((x, highest) + 1) * highest^v
-        av = self.atilde_coroot
-        lin0 = tuple(tuple((1 if r == j else 0) - self.marks[j] * av[r] for j in range(n))
-                     for r in range(n))
-        refs.append(AffineElement(lin0, tuple(-a for a in av)))
-        for i in range(n):
-            col = cart[i]  # coweight coords of alpha_i^v
-            lin = tuple(tuple((1 if r == j else 0) - (col[r] if j == i else 0) for j in range(n))
-                        for r in range(n))
-            refs.append(AffineElement(lin, (0,) * n))
-        self.reflections = refs
+        # s_i(x) = x - (<k, x> + c) * v: s_0 has k = marks, c = 1, v = highest^v;
+        # s_i has k = e_i, c = 0 and v = alpha_i^v (row i of the Cartan matrix)
+        self.walls = [(self.marks, 1, atilde_coroot)]
+        for i, row in enumerate(data.cartan.rows):
+            unit = tuple(int(j == i) for j in range(n))
+            self.walls.append((unit, 0, tuple(int(x) for x in row)))
+        self.reflections = refs = [
+            AffineElement(tuple(tuple(int(r == j) - v[r] * k[j] for j in range(n))
+                                for r in range(n)), tuple(-c * x for x in v))
+            for k, c, v in self.walls]
 
         # barycenter of A_id: average of {0, -w_i^v / eta_i}
         self.scale = (n + 1) * math.lcm(*self.marks)
@@ -135,14 +117,6 @@ class _Context:
         self.w0_word = w0word
         if _length(self, w0) != len(data.positive_roots):
             raise AlcovesError("longest element has wrong length")
-
-        # ambient conversion: columns = coweights then a basis of span(Phi)^perp
-        cols = [list(v) for v in data.fundamental_coweights]
-        perp = nullspace_basis(QMatrix([list(a) for a in data.simple_roots]))
-        cols += [list(v) for v in perp]
-        self.basis = QMatrix(cols).transpose()
-        self.basis_inv = self.basis.inverse()
-        self.perp_count = len(perp)
 
 
 @lru_cache(maxsize=None)
@@ -284,6 +258,37 @@ def lower_interval(data: RootSystemData, w: AffineElement, word,
     return {AffineElement(lin, tr) for lin, tr in elements}
 
 
+def interval_size_bruhat(data: RootSystemData, lam, cap: int = DEFAULT_INTERVAL_CAP) -> int:
+    """|<= theta(lambda)| by subword closure on the left W_f-cosets it is made of.
+
+    Every finite s_i is a left descent of theta(lambda), so by the lifting
+    property (Bjorner-Brenti, Combinatorics of Coxeter Groups, Prop. 2.2.7)
+    u <= theta(lambda) implies s_i u <= theta(lambda): the interval is a union
+    of left W_f-cosets.  The stabiliser of 0 in W_a is W_f, so the integer
+    point u^{-1}(0) names the coset W_f u.  Since (u s)^{-1}(0) = s(u^{-1}(0)),
+    the closure of `lower_interval` (S_k = S_{k-1} united with S_{k-1} s_{i_k})
+    maps onto P_0 = {0}, P_k = P_{k-1} united with s_{i_k}(P_{k-1}), and the
+    count is |W_f| |P|.
+
+    The cap counts elements, as in `lower_interval`: |S_k| <= |W_f| |P_k| <=
+    |S|, so this refuses exactly when `lower_interval` does, with its message.
+    """
+    if data.wf_order > cap:  # |W_f| |P_0| already exceeds it; refuse before theta
+        raise BudgetExceededError("lower interval exceeds cap of %d elements" % cap)
+    _, word = theta(data, lam)
+    walls = _context(data).walls
+    points = {(0,) * data.rank}
+    for i in word:
+        k, c, v = walls[i]
+        for p in list(points):
+            m = sum(map(mul, k, p)) + c
+            if m:
+                points.add(tuple(a - m * b for a, b in zip(p, v)))
+        if data.wf_order * len(points) > cap:
+            raise BudgetExceededError("lower interval exceeds cap of %d elements" % cap)
+    return data.wf_order * len(points)
+
+
 def descents(data: RootSystemData, w: AffineElement) -> tuple[set[int], set[int]]:
     """Left and right descent sets within {0..n}."""
     ctx = _context(data)
@@ -336,22 +341,3 @@ def enumerate_weyl_group(data: RootSystemData, cap: int = DEFAULT_GROUP_CAP) -> 
         raise AlcovesError("enumerated order %d != %d" % (len(seen), data.wf_order))
     return sorted(seen, key=lambda e: (e.lin, e.tr))
 
-
-def ambient_affine(data: RootSystemData, w: AffineElement) -> tuple[QMatrix, QVector]:
-    """Ambient (m x m orthogonal matrix, translation vector) view of w."""
-    ctx = _context(data)
-    n, m = ctx.n, data.ambient_dim
-    block = [[Fraction(w.lin[i][j]) if i < n and j < n else
-              Fraction(1 if i == j else 0) for j in range(m)] for i in range(m)]
-    mat = ctx.basis.matmul(QMatrix(block)).matmul(ctx.basis_inv)
-    tr = data.ambient_from_coweight(w.tr)
-    return mat, tr
-
-
-def element_to_json(data: RootSystemData, w: AffineElement, word=None) -> dict:
-    mat, tr = ambient_affine(data, w)
-    return {
-        "linear": [[rational_to_str(x) for x in row] for row in mat.rows],
-        "translation": [rational_to_str(x) for x in tr],
-        "word": list(word) if word is not None else None,
-    }

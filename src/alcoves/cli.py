@@ -19,7 +19,8 @@ from pathlib import Path
 
 from . import __version__
 from .errors import AlcovesError, BudgetExceededError, FitVerificationError
-from .affine import DEFAULT_INTERVAL_CAP, descents, lower_interval, sigma_reflection, theta
+from .affine import (DEFAULT_INTERVAL_CAP, descents, interval_size_bruhat, sigma_reflection,
+                     theta)
 from .coefficients import (DEFAULT_SUBSET_CAP, GeometricCoefficients, check_coefficients,
                            check_subset_cap, evaluate_formula, fit_mu, hypersimplex_ehrhart)
 from .orbits import DEFAULT_BOX_CAP, face_to_json, interval_size_lattice
@@ -144,8 +145,7 @@ def cmd_count(ns) -> int:
     data = build_root_system(ns.system)
     start = time.perf_counter()
     if ns.method == "bruhat":
-        w, word = theta(data, lam)
-        count = len(lower_interval(data, w, word, cap=ns.interval_cap))
+        count = interval_size_bruhat(data, lam, cap=ns.interval_cap)
     elif ns.method == "lattice":
         count = interval_size_lattice(data, lam, box_cap=ns.box_cap)
     else:
@@ -192,13 +192,12 @@ def cmd_verify(ns) -> int:
             mismatches.append(list(lam))
 
     for lam in product(range(ns.max_coord + 1), repeat=n):
-        w, word = theta(data, lam)
-        bruhat = len(lower_interval(data, w, word, cap=ns.interval_cap))
+        bruhat = interval_size_bruhat(data, lam, cap=ns.interval_cap)
         lattice = interval_size_lattice(data, lam, box_cap=ns.box_cap)
         geometric = evaluate_formula(data, coeffs, lam)
         ok = bruhat == lattice == geometric
         # descent structure of theta(lambda)
-        left, right = descents(data, w)
+        left, right = descents(data, theta(data, lam)[0])
         sigma = sigma_reflection(data, lam)
         expected_right = set(range(n + 1)) - {sigma}
         descent_ok = set(range(1, n + 1)) <= left and expected_right <= right

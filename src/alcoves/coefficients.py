@@ -27,7 +27,7 @@ from .linalg import rational_to_str
 from .mpoly import MPoly
 from .radicals import RadScalar
 from .rootdata import RootSystemData, RootSystemId, build_root_system
-from .orbits import DEFAULT_BOX_CAP, interval_size_lattice
+from .orbits import DEFAULT_BOX_CAP, check_level_budget, interval_size_lattice
 from .volumes import squarefree_coefficient, volume_polynomial
 
 DEFAULT_SUBSET_CAP = 4096
@@ -315,10 +315,13 @@ def fit_mu(data: RootSystemData,
     through the lattice route under `box_cap`.  The result must match the
     closed forms for the empty and full subsets and reproduce the lattice
     counts on a validation set: (2 on K, 1 off K) and (3 on K, 0 off K) for
-    every K, and 2 w_i^v for every i.
+    every K, and 2 w_i^v for every i.  (3, ..., 3) is above every coweight
+    counted, so its budget check refuses before the first count whenever
+    any count would.
     """
     n = data.rank
     check_subset_cap(data.id, max_subsets)
+    check_level_budget(data, (3,) * n, box_cap)
     subsets = _all_subsets(n)
     polys = {J: volume_polynomial(data, J) for J in subsets}
 

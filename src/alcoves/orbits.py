@@ -72,6 +72,19 @@ def _box_bounds(data: RootSystemData, lam: tuple[int, ...], box_cap: int) -> tup
     return tuple(out)
 
 
+def check_level_budget(data: RootSystemData, lam, box_cap: int) -> None:
+    """Refuse when U = prod_j (floor(h / eta_j) + 1) > box_cap, h = sum_i eta_i lam_i.
+
+    U bounds |X_lambda|: each mu in it has sum_i eta_i mu_i <= h.  U grows
+    with h, so a coweight at least as large in every coordinate as each one
+    of a batch bounds the whole batch.
+    """
+    h = sum(e * c for e, c in zip(data.marks, lam))
+    cells = math.prod(h // e + 1 for e in data.marks)
+    if cells > box_cap:
+        raise BudgetExceededError("level simplex has %d cells, exceeding cap %d" % (cells, box_cap))
+
+
 def enumerate_X(data: RootSystemData, lam, box_cap: int = DEFAULT_BOX_CAP) -> list[DominantCoweight]:
     """All dominant mu <= lam in dominance order, sorted by coordinates.
 
@@ -79,14 +92,10 @@ def enumerate_X(data: RootSystemData, lam, box_cap: int = DEFAULT_BOX_CAP) -> li
     results reaches all of X_lambda: dominant mu < nu are joined by a chain
     of dominant coweights, each a positive coroot below the last
     (Stembridge, The partial order of dominant weights, 1998).  It first
-    refuses when U = prod_j (floor(h / eta_j) + 1) > box_cap, h = sum_i
-    eta_i lam_i, which bounds |X|: each mu in it has sum_i eta_i mu_i <= h.
+    refuses by `check_level_budget`.
     """
     lam = _coords(lam)
-    h = sum(e * c for e, c in zip(data.marks, lam))
-    cells = math.prod(h // e + 1 for e in data.marks)
-    if cells > box_cap:
-        raise BudgetExceededError("level simplex has %d cells, exceeding cap %d" % (cells, box_cap))
+    check_level_budget(data, lam, box_cap)
     seen, todo = {lam}, [lam]
     while todo:
         mu = todo.pop()

@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 from alcoves.affine import (descents, element_from_point, enumerate_weyl_group,
-                            lower_interval, sigma_reflection, theta)
+                            interval_size_bruhat, lower_interval, sigma_reflection, theta)
 from alcoves.coefficients import (fit_mu, hypersimplex_dilation_count,
                                   hypersimplex_ehrhart, mu_full, stirling1,
                                   type_a_connected_mu)
@@ -43,11 +43,20 @@ def test_criterion_1_lattice_formula_oracle_equivalence():
     for fam, rank, max_coord in sweeps:
         data = build_root_system(fam, rank)
         for lam in _dominant_box(rank, max_coord):
-            assert _bruhat_size(data, lam) == data.wf_order * lattice_count(data, lam), \
-                (fam, rank, lam)
+            size = _bruhat_size(data, lam)
+            assert size == data.wf_order * lattice_count(data, lam), (fam, rank, lam)
+            assert interval_size_bruhat(data, lam) == size, (fam, rank, lam)
             checked += 1
-    print(OK % (1, "Bruhat oracle == |W_f| * lattice count on %d coweights "
-                "across A1,A2,A3,B2,B3,C3,G2" % checked))
+    cosets = 0
+    for name in ["A4", "B4", "C4", "D4", "F4"]:
+        data = build_root_system(name)
+        for lam in _dominant_box(4, 1):
+            assert (interval_size_bruhat(data, lam, cap=10 ** 8)
+                    == interval_size_lattice(data, lam)), (name, lam)
+            cosets += 1
+    print(OK % (1, "Bruhat oracle == coset closure == |W_f| * lattice count on %d "
+                "coweights across A1,A2,A3,B2,B3,C3,G2; coset closure == lattice "
+                "count on %d more across A4,B4,C4,D4,F4" % (checked, cosets)))
 
 
 def test_criterion_2_worked_a2_numbers():

@@ -9,13 +9,11 @@ from fractions import Fraction
 
 import pytest
 
-from alcoves.affine import (AffineElement, ambient_affine, descents,
-                            element_from_point, element_to_json,
-                            enumerate_weyl_group, length, longest_finite_element,
-                            lower_interval, sigma_reflection, simple_reflection,
-                            theta)
+from alcoves.affine import (AffineElement, descents, element_from_point,
+                            enumerate_weyl_group, interval_size_bruhat, length,
+                            longest_finite_element, lower_interval, sigma_reflection,
+                            simple_reflection, theta)
 from alcoves.errors import BudgetExceededError, WallPointError
-from alcoves.linalg import QMatrix
 from alcoves.orbits import interval_size_lattice
 from alcoves.rootdata import build_root_system
 
@@ -153,6 +151,22 @@ def test_lower_interval_budget():
         lower_interval(d, w, word, cap=10)
 
 
+def test_bruhat_routes_refuse_exactly_above_the_interval_size():
+    # interval_size_bruhat caps |W_f| |P_k|, which lies between |S_k| and |S|
+    for name in ["A2", "B2", "G2"]:
+        d = build_root_system(name)
+        for lam in itertools.product(range(3), repeat=2):
+            w, word = theta(d, lam)
+            size = len(lower_interval(d, w, word))
+            assert interval_size_bruhat(d, lam, cap=size) == size, (name, lam)
+            with pytest.raises(BudgetExceededError,
+                               match="lower interval exceeds cap of %d elements" % (size - 1)):
+                interval_size_bruhat(d, lam, cap=size - 1)
+            with pytest.raises(BudgetExceededError,
+                               match="lower interval exceeds cap of %d elements" % (size - 1)):
+                lower_interval(d, w, word, cap=size - 1)
+
+
 def test_descents():
     d = build_root_system("A2")
     left, right = descents(d, AffineElement.identity(2))
@@ -195,11 +209,13 @@ def test_length_changes_by_one_and_inverse_invariance():
     words = [[], [1], [0, 1], [1, 2, 0], [2, 1, 0, 1], [0, 1, 2, 1, 0],
              [1, 2, 1, 0, 1, 2], [0, 2, 1, 2, 0, 1, 2, 1]]
     for letters in words:
-        w = AffineElement.identity(2)
+        w = inv = AffineElement.identity(2)
         for i in letters:
             w = w @ simple_reflection(d, i)
+            inv = simple_reflection(d, i) @ inv
+        assert (w @ inv).is_identity()
         lw = length(d, w)
-        assert length(d, w.inverse()) == lw
+        assert length(d, inv) == lw
         for i in range(3):
             assert abs(length(d, w @ simple_reflection(d, i)) - lw) == 1
 
@@ -274,22 +290,16 @@ def test_enumerate_weyl_group():
 
 
 def test_ambient_view_is_orthogonal_and_permutes_roots():
+    # (Lx, alpha) = (x, L^T k(alpha)) for the pairing vector k(alpha), so an
+    # orthogonal L that permutes the roots is an L^T that permutes the +-k(alpha)
     d = build_root_system("B2")
-    roots = set()
-    for r in d.positive_roots:
-        roots.add(r)
-        roots.add(-1 * r)
+    pairings = set()
+    for k in d.root_pairing_vectors():
+        pairings.add(tuple(int(x) for x in k))
+        pairings.add(tuple(-int(x) for x in k))
     w, _ = theta(d, (1, 1))
     for el in [w, simple_reflection(d, 1) @ w, w @ simple_reflection(d, 0)]:
-        mat, _tr = ambient_affine(d, el)
-        assert mat.matmul(mat.transpose()) == QMatrix.identity(d.ambient_dim)
-        assert {mat.matvec(r) for r in roots} == roots
-
-
-def test_element_json():
-    d = build_root_system("A2")
-    w, word = theta(d, (1, 0))
-    obj = element_to_json(d, w, word)
-    assert obj["word"] == word
-    assert len(obj["linear"]) == 3
-    assert len(obj["translation"]) == 3
+        images = {tuple(sum(el.lin[r][j] * k[r] for r in range(d.rank)) for j in range(d.rank))
+                  for k in pairings}
+        assert images == pairings
+        assert d.in_coroot_lattice(el.tr)

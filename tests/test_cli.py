@@ -3,6 +3,7 @@ import math
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -10,6 +11,8 @@ from alcoves import __version__, build_root_system
 from alcoves.cli import main
 
 A2_MU_PRIME = {"": "6", "1": "9", "2": "9", "1,2": "6"}
+REFERENCES = json.loads(
+    (Path(__file__).resolve().parents[1] / "benchmarks" / "references.json").read_text())
 
 
 def run_cli(capsys, *argv):
@@ -243,6 +246,37 @@ def test_lattice_refusal_is_cheap(capsys, system, lam):
                             "--lambda", lam, "--method", "lattice")
     assert time.perf_counter() - start < 1
     assert code == 2 and payload["error"]["type"] == "budget"
+
+
+@pytest.mark.parametrize("system,lam", [("F4", [1, 1, 1, 1]), ("E6", [0, 1, 0, 0, 0, 1])])
+def test_count_bruhat_beyond_the_element_closure(capsys, system, lam):
+    expected = {r["count"] for rows in REFERENCES.values() for r in rows
+                if r["system"] == system and r["lambda"] == lam}
+    argv = ["count", "--type", system[0], "--rank", system[1:],
+            "--lambda", ",".join(map(str, lam)), "--method", "bruhat"]
+    code, payload = run_cli(capsys, *argv, "--interval-cap", "100000000")
+    assert code == 0 and {payload["count"]} == expected
+    code, payload = run_cli(capsys, *argv)
+    assert code == 2 and payload["error"] == {
+        "type": "budget", "message": "lower interval exceeds cap of 1000000 elements"}
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["count", "--type", "E", "--rank", "8", "--lambda", "1,1,1,1,1,1,1,1",
+      "--method", "bruhat"], "lower interval exceeds cap of 1000000 elements"),
+    (["count", "--type", "E", "--rank", "7", "--lambda", "1,1,1,1,1,1,1",
+      "--method", "geometric"], "level simplex has 3849565824 cells, exceeding cap 100000000"),
+    (["fit", "--type", "E", "--rank", "7", "--out", "e7.json"],
+     "level simplex has 3849565824 cells, exceeding cap 100000000"),
+], ids=["E8-bruhat", "E7-geometric", "E7-fit"])
+def test_refusal_before_the_first_count_is_cheap(capsys, tmp_path, monkeypatch, argv, message):
+    monkeypatch.chdir(tmp_path)
+    build_root_system("%s%s" % (argv[2], argv[4]))  # time the refusal, not the build
+    start = time.perf_counter()
+    code, payload = run_cli(capsys, *argv, "--cache-dir", str(tmp_path / "cache"))
+    assert time.perf_counter() - start < 1
+    assert code == 2 and payload["error"] == {"type": "budget", "message": message}
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_geometric_rejects_coefficients_of_another_system(capsys, tmp_path):
