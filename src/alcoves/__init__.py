@@ -27,7 +27,7 @@ from .affine import (AffineElement, descents, element_from_point,
 from .orbits import (DominantCoweight, FaceDescriptor, contains, enumerate_X,
                      face, interval_size_lattice, lattice_count,
                      lattice_count_by_membership)
-from .volumes import (VolumePolynomial, euclidean_volume, mixed_basis_nu,
+from .volumes import (VolumePolynomial, euclidean_volume, relative_volumes,
                       squarefree_coefficient, volume_polynomial)
 from .coefficients import (GeometricCoefficients, eulerian, evaluate_formula,
                            fit_mu, hypersimplex_dilation_count,
@@ -46,8 +46,8 @@ __all__ = [
     "gram_matrix", "hypersimplex_dilation_count", "hypersimplex_ehrhart",
     "interval_size_bruhat", "interval_size_lattice", "lattice_count",
     "lattice_count_by_membership", "length", "longest_finite_element",
-    "lower_interval", "mixed_basis_nu",
-    "mu_empty", "mu_full", "sigma_reflection", "simple_reflection", "solve_linear",
+    "lower_interval", "mu_empty", "mu_full", "relative_volumes", "sigma_reflection",
+    "simple_reflection", "solve_linear",
     "sqrt_decompose", "squarefree_coefficient", "stirling1", "theta",
     "type_a_connected_mu", "volume_polynomial", "weyl_order",
 ]

@@ -91,8 +91,7 @@ class _Context:
         # pairing vectors: (x, alpha) = <coords(x), k(alpha)> for positive alpha
         self.pairings = [tuple(k) for k in data.root_pairing_vectors()]
         self.marks = tuple(int(m) for m in data.marks)
-        atilde_cov = data.highest_root * Fraction(2, data.highest_root.dot(data.highest_root))
-        atilde_coroot = tuple(int(atilde_cov.dot(a)) for a in data.simple_roots)
+        atilde_coroot = data.positive_coroot_coords[-1]  # of the highest root
 
         # s_i(x) = x - (<k, x> + c) * v: s_0 has k = marks, c = 1, v = highest^v;
         # s_i has k = e_i, c = 0 and v = alpha_i^v (row i of the Cartan matrix)
@@ -115,7 +114,7 @@ class _Context:
             w0 = refs[i] @ w0
         self.w0 = w0
         self.w0_word = w0word
-        if _length(self, w0) != len(data.positive_roots):
+        if _length(self, w0) != len(self.pairings):
             raise AlcovesError("longest element has wrong length")
 
 

@@ -24,7 +24,7 @@ from .affine import (DEFAULT_INTERVAL_CAP, descents, interval_size_bruhat, sigma
 from .coefficients import (DEFAULT_SUBSET_CAP, GeometricCoefficients, check_coefficients,
                            check_subset_cap, evaluate_formula, fit_mu, hypersimplex_ehrhart)
 from .orbits import DEFAULT_BOX_CAP, face_to_json, interval_size_lattice
-from .rootdata import RootSystemId, build_root_system
+from .rootdata import RootSystemId, build_root_system, check_rank
 from .volumes import volume_polynomial
 
 EXIT_OK = 0
@@ -336,6 +336,7 @@ def main(argv=None) -> int:
         ns = _build_parser().parse_args(argv)
         if "family" in ns:
             ns.system = RootSystemId(ns.family, ns.rank)  # refuses a bad family or rank
+            check_rank(ns.system)  # before any argument is read against the rank
         return ns.func(ns)
     except UsageError as exc:
         return _fail(EXIT_USAGE, "usage", str(exc))

@@ -28,7 +28,7 @@ from .mpoly import MPoly
 from .radicals import RadScalar
 from .rootdata import RootSystemData, RootSystemId, build_root_system
 from .orbits import DEFAULT_BOX_CAP, check_level_budget, interval_size_lattice
-from .volumes import squarefree_coefficient, volume_polynomial
+from .volumes import face_gram, indicator, relative_volumes, support_difference
 
 DEFAULT_SUBSET_CAP = 4096
 
@@ -133,8 +133,7 @@ def mu_empty(data: RootSystemData) -> Fraction:
 
 def mu_full(data: RootSystemData) -> RadScalar:
     """mu of the full polytope: 1 / vol(A_id), exact."""
-    marks_product = math.prod(data.marks)
-    return (math.factorial(data.rank) * marks_product) * data.det_coweight_lattice.reciprocal()
+    return data.alcove_volume.reciprocal()
 
 
 # -- type A connected coefficients ------------------------------------------------
@@ -195,10 +194,6 @@ def type_a_connected_mu(n: int) -> dict[tuple[int, ...], Fraction]:
 
 # -- coefficient containers --------------------------------------------------------
 
-def _subset_key(J) -> tuple[int, ...]:
-    return tuple(sorted(set(int(j) for j in J)))
-
-
 @dataclass
 class GeometricCoefficients:
     """The map J -> mu'_J (lattice-normalized, rational) for one system."""
@@ -209,9 +204,8 @@ class GeometricCoefficients:
 
     def mu_euclidean(self, data: RootSystemData, J) -> RadScalar:
         """The Euclidean coefficient mu_J = mu'_J / sqrt(gram_J)."""
-        J = _subset_key(J)
-        vp = volume_polynomial(data, J)
-        return RadScalar(self.mu_prime[J]) * RadScalar.sqrt(vp.gram).reciprocal()
+        mu = self.mu_prime[tuple(sorted(set(int(j) for j in J)))]
+        return RadScalar(mu) * RadScalar.sqrt(face_gram(data, J)).reciprocal()
 
     def to_json(self) -> dict:
         from . import __version__
@@ -224,7 +218,7 @@ class GeometricCoefficients:
             "mu_prime": {key(J): rational_to_str(v) for J, v in sorted(self.mu_prime.items())},
             "provenance": {key(J): self.provenance.get(J, "fitted")
                            for J in sorted(self.mu_prime)},
-            "gram": {key(J): rational_to_str(volume_polynomial(data, J).gram)
+            "gram": {key(J): rational_to_str(face_gram(data, J))
                      for J in sorted(self.mu_prime)},
         }
 
@@ -261,7 +255,7 @@ def check_coefficients(data: RootSystemData, coeffs: GeometricCoefficients) -> N
     if coeffs.mu_prime[()] != data.wf_order:
         raise ValueError("mu'_empty != |W_f|")
     top = tuple(range(1, data.rank + 1))
-    expected_top = mu_full(data) * RadScalar.sqrt(volume_polynomial(data, top).gram)
+    expected_top = mu_full(data) * RadScalar.sqrt(face_gram(data, top))
     if not expected_top.is_rational() or expected_top.coeff != coeffs.mu_prime[top]:
         raise ValueError("mu'_top != 1/vol(A_id)")
 
@@ -280,9 +274,8 @@ def evaluate_formula(data: RootSystemData, coeffs: GeometricCoefficients, lam) -
     """
     check_coefficients(data, coeffs)
     lam = tuple(int(c) for c in lam)
-    total = Fraction(0)
-    for J, mu in coeffs.mu_prime.items():
-        total += mu * volume_polynomial(data, J).rel_poly.eval(lam)
+    r = relative_volumes(data, lam)
+    total = sum((mu * r[J] for J, mu in coeffs.mu_prime.items()), Fraction(0))
     if total.denominator != 1 or total < 0:
         raise FormulaConsistencyError("formula evaluation inconsistent at %r" % (lam,))
     return int(total)
@@ -301,44 +294,37 @@ def fit_mu(data: RootSystemData,
            box_cap: int = DEFAULT_BOX_CAP) -> GeometricCoefficients:
     """Determine every mu'_J from exact interval counts at 0/1 coweights.
 
-    Write 1_S for the coweight with coordinate 1 on S and 0 elsewhere.  The
-    finite difference Delta_J f = sum over S in J of (-1)^{|J-S|} f(1_S)
-    keeps exactly the monomials of f whose support is J.  Since r_K only
-    involves the variables in K, applying it to the counting formula gives
+    Delta_J (`support_difference`) of the values at the points 1_S keeps the
+    monomials with support J, and r_K only involves the variables in K, so
 
-        Delta_J count = sum over K containing J of mu'_K a_{K,J},
+        Delta_J count = sum over K containing J of mu'_K a_{K,J},  a_{K,J} = Delta_J r_K.
 
-    where a_{K,J} sums the coefficients of r_K over the monomials with
-    support exactly J.  The system is triangular in subset inclusion, and
-    its diagonal a_{J,J} is the squarefree coefficient of r_J, which is
-    positive; so mu' is solved from the largest J down.  Every count runs
-    through the lattice route under `box_cap`.  The result must match the
-    closed forms for the empty and full subsets and reproduce the lattice
-    counts on a validation set: (2 on K, 1 off K) and (3 on K, 0 off K) for
-    every K, and 2 w_i^v for every i.  (3, ..., 3) is above every coweight
-    counted, so its budget check refuses before the first count whenever
-    any count would.
+    The system is triangular in subset inclusion, and its diagonal a_{J,J} is
+    the squarefree coefficient of r_J, which is positive; so mu' is solved
+    from the largest J down.  Every count runs through the lattice route
+    under `box_cap`.  The result must match the closed forms for the empty
+    and full subsets and reproduce the lattice counts on a validation set:
+    (2 on K, 1 off K) and (3 on K, 0 off K) for every K, and 2 w_i^v for
+    every i.  (3, ..., 3) is above every coweight counted, so its budget
+    check refuses before the first count whenever any count would.
     """
     n = data.rank
     check_subset_cap(data.id, max_subsets)
     check_level_budget(data, (3,) * n, box_cap)
     subsets = _all_subsets(n)
-    polys = {J: volume_polynomial(data, J) for J in subsets}
 
     def count(lam) -> int:
         return interval_size_lattice(data, lam, box_cap)
 
-    at_indicator = {S: count(tuple(int(i + 1 in S) for i in range(n))) for S in subsets}
-    diff = {J: sum((-1) ** (len(J) - k) * at_indicator[S]
-                   for k in range(len(J) + 1) for S in combinations(J, k))
-            for J in subsets}
+    at_indicator = {S: count(indicator(n, S)) for S in subsets}
+    diff = {J: support_difference(at_indicator.__getitem__, J) for J in subsets}
+    volumes = {S: relative_volumes(data, indicator(n, S)) for S in subsets}
     mu = {}
     for K in reversed(subsets):
-        squarefree_coefficient(data, K)  # raises unless a_{K,K} > 0
-        a: dict[tuple[int, ...], Fraction] = {}
-        for expo, c in polys[K].rel_poly.terms.items():
-            J = tuple(i + 1 for i, e in enumerate(expo) if e)
-            a[J] = a.get(J, 0) + c
+        a = {J: support_difference(lambda S: volumes[S][K], J)
+             for J in subsets if set(J) <= set(K)}
+        if a[K] <= 0:
+            raise FormulaConsistencyError("squarefree volume coefficient must be positive")
         mu[K] = diff[K] / a[K]
         for J, c in a.items():
             if J != K:

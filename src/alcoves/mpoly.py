@@ -83,10 +83,6 @@ class MPoly:
 
     __rmul__ = __mul__
 
-    def __truediv__(self, scalar) -> "MPoly":
-        s = Fraction(scalar)
-        return MPoly(self.nvars, {e: c / s for e, c in self.terms.items()})
-
     def eval(self, point: Sequence) -> Fraction:
         pt = [Fraction(x) for x in point]
         if len(pt) != self.nvars:

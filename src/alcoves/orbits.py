@@ -111,8 +111,10 @@ def lattice_count(data: RootSystemData, lam, box_cap: int = DEFAULT_BOX_CAP) -> 
     """|P(lambda) ^ (lambda + Z Phi^v)| by orbit-size summation over X_lambda."""
     total = 0
     order = data.wf_order
+    stabs: dict[frozenset, int] = {}  # |W_Z(mu)| by vanishing set: at most 2^n keys
     for mu in enumerate_X(data, lam, box_cap=box_cap):
-        stab = weyl_order(data, mu.vanishing_set)
+        z = mu.vanishing_set
+        stab = stabs[z] if z in stabs else stabs.setdefault(z, weyl_order(data, z))
         if order % stab:
             raise AssertionError("stabilizer order must divide |W_f|")
         total += order // stab

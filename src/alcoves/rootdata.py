@@ -3,10 +3,10 @@
 Each family is realized in an explicit ambient R^m (type A_n in the
 sum-zero hyperplane of R^{n+1}, B/C/D in R^n, E-series in R^8, F4 in R^4,
 G2 in the sum-zero plane of R^3).  Only the simple roots are transcribed
-from the plates; everything else (positive roots, coroots, fundamental
-weights and coweights, marks, group orders, lattice determinants) is
-derived from them and invariant-checked at build time, which keeps
-transcription errors out of the downstream volume and coefficient work.
+from the plates; everything else is derived from them and invariant-checked
+at build time, which keeps transcription errors out of the downstream
+volume and coefficient work.  The positive roots come from the integer Cartan
+matrix; ambient vectors are kept for what `rootdata`, `faces` and `contains` read.
 
 Conventions:
   * coroot       alpha^v = 2*alpha/(alpha,alpha)
@@ -22,9 +22,10 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from operator import mul
 
-from .errors import AlcovesError
-from .linalg import QMatrix, QVector, gram_det, rational_to_str
+from .errors import AlcovesError, BudgetExceededError
+from .linalg import QMatrix, QVector, rational_to_str
 from .radicals import RadScalar
 
 _RANK_RULES = {
@@ -91,6 +92,33 @@ def _simple_root_vectors(family: str, n: int) -> list[QVector]:
     raise AssertionError(family)
 
 
+def _positive_root_coords(cart: list[list[int]]) -> list[tuple[int, ...]]:
+    """Positive roots in simple-root coordinates, by height and then coordinates.
+
+    The alpha_i-string through a root b runs from b - p alpha_i to b + q alpha_i
+    with p - q = <b, alpha_i^v> = (cart b)_i, so b + alpha_i is a root iff
+    p - <b, alpha_i^v> > 0.  Height by height, the string below b is known.
+    """
+    n = len(cart)
+    layer = {tuple(int(j == i) for j in range(n)) for i in range(n)}
+    roots = set(layer)
+    while layer:
+        above = set()
+        for b in layer:
+            for i, row in enumerate(cart):
+                down, p = list(b), 0
+                while True:
+                    down[i] -= 1
+                    if tuple(down) not in roots:
+                        break
+                    p += 1
+                if p - sum(map(mul, row, b)) > 0:
+                    above.add(b[:i] + (b[i] + 1,) + b[i + 1:])
+        roots |= above
+        layer = above
+    return sorted(roots, key=lambda c: (sum(c), c))
+
+
 class RootSystemData:
     """Fully derived, immutable data for one irreducible root system."""
 
@@ -100,36 +128,31 @@ class RootSystemData:
         self.rank = n = id.rank
         self.simple_roots = _simple_root_vectors(id.family, n)
         self.ambient_dim = len(self.simple_roots[0])
-
-        def coroot(a: QVector) -> QVector:
-            return a * Fraction(2, a.dot(a))
-
-        self.simple_coroots = [coroot(a) for a in self.simple_roots]
+        norms = self.simple_root_norms = tuple(a.dot(a) for a in self.simple_roots)
+        self.simple_coroots = [a * (2 / l) for a, l in zip(self.simple_roots, norms)]
         # cartan[i][j] = (alpha_j, alpha_i^v); integer, diag 2, offdiag <= 0
         self.cartan = QMatrix([[self.simple_roots[j].dot(self.simple_coroots[i])
                                 for j in range(n)] for i in range(n)])
-        # one inverse serves root coordinates, (co)weights and coroot coordinates
+        for i, row in enumerate(self.cartan.rows):
+            if any(c.denominator != 1 or (c != 2 if i == j else c > 0) for j, c in enumerate(row)):
+                raise AlcovesError("bad Cartan matrix")
+        cart = [[int(c) for c in row] for row in self.cartan.rows]
+        self._pos_coords = _positive_root_coords(cart)
+        # one inverse serves (co)weights and coroot coordinates
         self._cartan_inv = inv = self.cartan.inverse()
 
-        pos = self._generate_positive_roots()
-        self.positive_roots = [r for _, r in pos]
-        # simple-root coordinates for each positive root (all non-negative ints)
-        self._pos_coords = [c for c, _ in pos]
+        # (alpha^v, alpha_i) = 2 t_i / (c . t) for alpha = sum_k c_k alpha_k,
+        # t_i = (cartan c)_i |alpha_i|^2 = 2 (alpha, alpha_i)
+        ts = [[l * sum(map(mul, row, c)) for l, row in zip(norms, cart)] for c in self._pos_coords]
+        self.positive_coroot_coords = [tuple(int(2 * x / sum(map(mul, c, t))) for x in t)
+                                       for c, t in zip(self._pos_coords, ts)]
 
-        # (alpha^v, alpha_i) = 2 t_i / (c . t) for alpha = sum_k c_k alpha_k, t_i = (cartan c)_i |alpha_i|^2
-        sq = [(a.dot(a), [int(x) for x in row]) for a, row in zip(self.simple_roots, self.cartan.rows)]
-        self.positive_coroot_coords = []
-        for c in self._pos_coords:
-            t = [l * sum(x * y for x, y in zip(row, c)) for l, row in sq]
-            norm = sum(x * y for x, y in zip(c, t))
-            self.positive_coroot_coords.append(tuple(int(2 * x / norm) for x in t))
-
-        hi = max(range(len(self.positive_roots)), key=lambda k: sum(self._pos_coords[k]))
-        self.highest_root = self.positive_roots[hi]
-        self.marks = tuple(int(c) for c in self._pos_coords[hi])
+        # the highest root is the unique root of greatest height, sorted last
+        self.marks = self._pos_coords[-1]
+        zero = QVector.zero(self.ambient_dim)
+        self.highest_root = sum((m * a for m, a in zip(self.marks, self.simple_roots)), zero)
 
         # w_i^v = sum_k (C^-1)_ik alpha_k^v and w_i = sum_k (C^-1)_ki alpha_k
-        zero = QVector.zero(self.ambient_dim)
         self.fundamental_coweights = [
             sum((inv[i][k] * self.simple_coroots[k] for k in range(n)), zero) for i in range(n)]
         self.fundamental_weights = [
@@ -142,62 +165,33 @@ class RootSystemData:
         self.index_of_connection = int(det_cartan)
         marks_product = math.prod(self.marks)
         self.wf_order = math.factorial(n) * marks_product * self.index_of_connection
-        self.det_coweight_lattice = RadScalar.sqrt(gram_det(self.fundamental_coweights))
+        # the coweights are C^-1 times the coroots, whose Gram matrix is
+        # diag(2/|alpha_i|^2) C^T: det Gram(w^v) = prod_i (2/|alpha_i|^2) / det C
+        self.det_coweight_lattice = RadScalar.sqrt(
+            math.prod(2 / l for l in self.simple_root_norms) / det_cartan)
         self.alcove_volume = self.det_coweight_lattice / (math.factorial(n) * marks_product)
 
         self._check_invariants()
-
-    # -- construction helpers -------------------------------------------------
-
-    def _generate_positive_roots(self) -> list[tuple[tuple[int, ...], QVector]]:
-        roots = set(self.simple_roots) | {-a for a in self.simple_roots}
-        frontier = set(roots)
-        while frontier:
-            new = set()
-            for r in frontier:
-                for a, av in zip(self.simple_roots, self.simple_coroots):
-                    img = r - r.dot(av) * a
-                    if img not in roots:
-                        new.add(img)
-            roots |= new
-            frontier = new
-        pos = []
-        for r in roots:
-            coords = self._simple_coords(r)
-            if all(c >= 0 for c in coords):
-                pos.append((coords, r))
-        pos.sort(key=lambda t: (sum(t[0]), t[0]))
-        return pos
-
-    def _simple_coords(self, root: QVector) -> tuple[int, ...]:
-        # (root, alpha_i^v) = sum_j c_j (alpha_j, alpha_i^v) = (cartan c)_i
-        rhs = QVector([root.dot(av) for av in self.simple_coroots])
-        sol = self._cartan_inv.matvec(rhs)
-        out = []
-        for c in sol:
-            if c.denominator != 1:
-                raise AlcovesError("non-integral root coordinate")
-            out.append(int(c))
-        return tuple(out)
 
     def _check_invariants(self):
         n = self.rank
         for i in range(n):
             for j in range(n):
-                cij = self.cartan[i][j]
-                if cij.denominator != 1 or (i == j and cij != 2) or (i != j and cij > 0):
-                    raise AlcovesError("bad Cartan matrix")
                 if self.fundamental_coweights[i].dot(self.simple_roots[j]) != (1 if i == j else 0):
                     raise AlcovesError("coweight duality failed")
                 if self.fundamental_weights[i].dot(self.simple_coroots[j]) != (1 if i == j else 0):
                     raise AlcovesError("weight duality failed")
         if any(m < 1 for m in self.marks):
             raise AlcovesError("marks must be positive")
-        # each simple reflection permutes the other positive roots
-        pos = set(self.positive_roots)
-        for a, av in zip(self.simple_roots, self.simple_coroots):
-            image = {r - r.dot(av) * a for r in pos if r != a}
-            if image != pos - {a}:
+        # each simple reflection s_i(b) = b - <b, alpha_i^v> e_i permutes the
+        # other positive roots
+        pos = set(self._pos_coords)
+        for i, row in enumerate(self.cartan.rows):
+            row = [int(c) for c in row]
+            simple = tuple(int(j == i) for j in range(n))
+            image = {b[:i] + (b[i] - sum(map(mul, row, b)),) + b[i + 1:]
+                     for b in pos if b != simple}
+            if image != pos - {simple}:
                 raise AlcovesError("simple reflection does not permute positive roots")
         # |W_f| from the classification must match eq-of-orders data
         if self.wf_order != weyl_order(self, range(1, n + 1)):
@@ -246,7 +240,7 @@ class RootSystemData:
             "ambient_dim": self.ambient_dim,
             "simple_roots": [vec(v) for v in self.simple_roots],
             "simple_coroots": [vec(v) for v in self.simple_coroots],
-            "positive_root_count": len(self.positive_roots),
+            "positive_root_count": len(self._pos_coords),
             "fundamental_coweights": [vec(v) for v in self.fundamental_coweights],
             "fundamental_weights": [vec(v) for v in self.fundamental_weights],
             "cartan": [[rational_to_str(x) for x in row] for row in self.cartan.rows],
@@ -263,22 +257,27 @@ class RootSystemData:
         return "RootSystemData(%s)" % self.id
 
 
-@lru_cache(maxsize=None)
-def _build_cached(family: str, rank: int) -> RootSystemData:
-    return RootSystemData(RootSystemId(family, rank))
+_build_cached = lru_cache(maxsize=None)(RootSystemData)
+MAX_RANK = 24  # A24 builds in under a second; every count above it is out of reach
+
+
+def check_rank(system: RootSystemId) -> None:
+    """Refuse, before any work, a system of rank above MAX_RANK."""
+    if system.rank > MAX_RANK:
+        raise BudgetExceededError("%s has rank %d, exceeding cap %d"
+                                  % (system, system.rank, MAX_RANK))
 
 
 def build_root_system(id: RootSystemId | str, rank: int | None = None) -> RootSystemData:
     """Build (and cache) the full data for one root system.
 
     Accepts build_root_system(RootSystemId("A", 2)), ("A", 2) or "A2".
+    Refuses a rank above MAX_RANK with BudgetExceededError.
     """
-    if isinstance(id, RootSystemId):
-        return _build_cached(id.family, id.rank)
-    if rank is None:
-        fam, num = id[0], id[1:]
-        return _build_cached(RootSystemId(fam, int(num)).family, int(num))
-    return _build_cached(RootSystemId(id, rank).family, int(rank))
+    if not isinstance(id, RootSystemId):
+        id = RootSystemId(id[0], int(id[1:])) if rank is None else RootSystemId(id, int(rank))
+    check_rank(id)
+    return _build_cached(id)
 
 
 # -- parabolic subgroup orders -------------------------------------------------

@@ -1,54 +1,37 @@
 """Volume polynomials of orbit-polytope faces.
 
-V_J(lambda) is the |J|-dimensional Euclidean volume of Conv(W_J . lambda),
-a homogeneous degree-|J| polynomial in the coweight coordinates m_1..m_n
-that only involves {m_j : j in J}.  It is computed by the recursive pyramid
-decomposition: split the face into [W_J : W_{J\\{j}}] congruent pyramids
-over each facet type, with apex heights read off the J-mixed dual basis
-vectors nu_j.
+V_J(lambda), the |J|-dimensional Euclidean volume of Conv(W_J . lambda), is
+homogeneous of degree |J| in the coweight coordinates m_j, j in J.  It is
+r_J(lambda) sqrt(gram_J): gram_J = det Gram(alpha_j^v : j in J) = det C_J
+prod_{j in J} 2/|alpha_j|^2 holds the square class, and the polynomial r_J,
+the volume relative to the lattice the coroots in J generate, is rational.
+The face splits into [W_J : W_{J-j}] congruent pyramids over each facet
+type, of height (lambda, nu_j)/|nu_j| for the J-mixed dual basis nu_j =
+sum_k (C_J^-1)_kj alpha_k, so (w_i^v, nu_j) = (C_J^-1)_ij, |nu_j|^2 =
+(C_J^-1)_jj |alpha_j|^2 / 2, and
 
-All irrationality is confined to a single square class per J: we store
+    r_J(x) = sum_j c_{J,j} (sum_{i in J} x_i (C_J^-1)_ij) r_{J-j}(x),
+    c_{J,j} = [W_J : W_{J-j}] t_j / (|J| s_J),
 
-    V_J = r_J * sqrt(gram_J),       gram_J = det Gram(alpha_j^v : j in J),
-
-with r_J an exact rational polynomial (the relative volume with respect to
-the lattice Z Phi^v ^ L_J, which the simple coroots in J generate).  The
-recursion asserts at runtime that every summand lands in gram_J's square
-class; a mismatch would mean a bug, not bad input.
+with sqrt(gram_J) = s_J sqrt(d_J) and sqrt(gram_{J-j}/|nu_j|^2) = t_j
+sqrt(d_J); the table of constants refuses a summand outside the class d_J.
+The recursion runs on numbers (values) or on MPoly variables (polynomials).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
+from itertools import combinations
+from operator import add
 
 from .errors import FormulaConsistencyError
-from .linalg import QMatrix, QVector, gram_det, rational_to_str
+from .linalg import QMatrix, rational_to_str
 from .mpoly import MPoly
 from .radicals import RadScalar, sqrt_decompose
 from .rootdata import RootSystemData, weyl_order
-
-
-def mixed_basis_nu(data: RootSystemData, J) -> dict[int, tuple[QVector, Fraction]]:
-    """Dual vectors of the J-mixed basis: nu_j in span{alpha_k : k in J}
-    with (nu_j, alpha_i^v) = delta_ij for i in J.  Returns j -> (nu_j, |nu_j|^2).
-    """
-    J = tuple(sorted(set(int(j) for j in J)))
-    if any(j < 1 or j > data.rank for j in J):
-        raise ValueError("J must be a subset of 1..%d" % data.rank)
-    if not J:
-        return {}
-    # write nu_j = sum_k u_k alpha_k; (nu_j, alpha_i^v) = sum_k cartan[i][k] u_k
-    # so u is column j of the inverse of the J x J Cartan block
-    inv = QMatrix([[data.cartan[i - 1][k - 1] for k in J] for i in J]).inverse()
-    out = {}
-    for pos, j in enumerate(J):
-        nu = QVector.zero(data.ambient_dim)
-        for row, k in zip(inv.rows, J):
-            nu = nu + row[pos] * data.simple_roots[k - 1]
-        out[j] = (nu, nu.dot(nu))
-    return out
 
 
 @dataclass(frozen=True)
@@ -59,9 +42,6 @@ class VolumePolynomial:
     rel_poly: MPoly
     gram: Fraction
 
-    def euclidean_at(self, point) -> RadScalar:
-        return RadScalar(self.rel_poly.eval(point), self.gram)
-
     def to_json(self) -> dict:
         return {
             "J": list(self.J),
@@ -71,51 +51,88 @@ class VolumePolynomial:
 
 
 @lru_cache(maxsize=None)
-def _volume_cached(data: RootSystemData, J: tuple[int, ...]) -> VolumePolynomial:
+def _pyramid_table(data: RootSystemData) -> dict:
+    """J -> (gram_J, ((J-j, c_{J,j}, ((i, (C_J^-1)_ij) for i in J)) for j in J)), by |J|."""
     n = data.rank
-    if not J:
-        return VolumePolynomial((), MPoly.constant(n, 1), Fraction(1))
-    gram_j = gram_det([data.simple_coroots[j - 1] for j in J])
-    s_j, class_j = sqrt_decompose(gram_j)
-    nu = mixed_basis_nu(data, J)
-    order_j = weyl_order(data, J)
-    acc = MPoly.zero(n)
-    for j in J:
-        rest = tuple(k for k in J if k != j)
-        sub = _volume_cached(data, rest)
-        index = order_j // weyl_order(data, rest)
-        nu_j, normsq = nu[j]
-        # (lambda, nu_j) as a linear polynomial; nonzero only on J-coordinates
-        lin = MPoly(n, {tuple(1 if t == i - 1 else 0 for t in range(n)):
-                        data.fundamental_coweights[i - 1].dot(nu_j)
-                        for i in J})
-        t_j, cls = sqrt_decompose(sub.gram / normsq)
-        if cls != class_j:
-            raise FormulaConsistencyError("radical inconsistency in pyramid recursion")
-        acc = acc + (Fraction(index) * t_j) * (lin * sub.rel_poly)
-    rel = acc / (len(J) * s_j)
-    return VolumePolynomial(J, rel, gram_j)
+    half = [l / 2 for l in data.simple_root_norms]  # |alpha_j|^2 / 2
+    subsets = [J for size in range(n + 1) for J in combinations(range(1, n + 1), size)]
+    order = {J: weyl_order(data, J) for J in subsets}
+    table = {(): (Fraction(1), ())}
+    for J in subsets[1:]:
+        block = QMatrix([[data.cartan[i - 1][k - 1] for k in J] for i in J])
+        inv = block.inverse()
+        gram = block.det() / math.prod(half[j - 1] for j in J)
+        s_j, class_j = sqrt_decompose(gram)
+        steps = []
+        for p, j in enumerate(J):
+            rest = J[:p] + J[p + 1:]
+            t_j, cls = sqrt_decompose(table[rest][0] / (inv[p][p] * half[j - 1]))
+            if cls != class_j:
+                raise FormulaConsistencyError("radical inconsistency in pyramid recursion")
+            c = order[J] // order[rest] * t_j / (len(J) * s_j)
+            steps.append((rest, c, tuple((i, row[p]) for i, row in zip(J, inv.rows))))
+        table[J] = (gram, tuple(steps))
+    return table
+
+
+def relative_volumes(data: RootSystemData, x, top=None, r=None) -> dict:
+    """r_K(x) for every K inside `top` (default: all of 1..n), in O(n^2 2^n) steps.
+    x holds numbers or MPoly variables; r holds r_K already known and gains the rest."""
+    r = {(): 1} if r is None else r
+    for K, (_, steps) in _pyramid_table(data).items():
+        if K not in r and (top is None or top.issuperset(K)):
+            r[K] = reduce(add, (c * reduce(add, (x[i - 1] * u for i, u in col)) * r[rest]
+                                for rest, c, col in steps))
+    return r
+
+
+def _subset(data: RootSystemData, J) -> tuple[int, ...]:
+    J = tuple(sorted(set(int(j) for j in J)))
+    if any(j < 1 or j > data.rank for j in J):
+        raise ValueError("J must be a subset of 1..%d" % data.rank)
+    return J
+
+
+def face_gram(data: RootSystemData, J) -> Fraction:
+    """gram_J = det Gram(alpha_j^v : j in J)."""
+    return _pyramid_table(data)[_subset(data, J)][0]
+
+
+@lru_cache(maxsize=None)
+def _variables(data: RootSystemData) -> tuple[list[MPoly], dict]:
+    return [MPoly.variable(data.rank, i) for i in range(data.rank)], {(): 1}
 
 
 def volume_polynomial(data: RootSystemData, J) -> VolumePolynomial:
     """Lattice-normalized volume polynomial of the face Conv(W_J . lambda)."""
-    J = tuple(sorted(set(int(j) for j in J)))
-    if any(j < 1 or j > data.rank for j in J):
-        raise ValueError("J must be a subset of 1..%d" % data.rank)
-    return _volume_cached(data, J)
+    J = _subset(data, J)
+    x, polys = _variables(data)
+    poly = relative_volumes(data, x, set(J), polys)[J] if J else MPoly.constant(data.rank, 1)
+    return VolumePolynomial(J, poly, face_gram(data, J))
 
 
 def euclidean_volume(data: RootSystemData, J, lam) -> RadScalar:
     """Exact Euclidean |J|-volume of Conv(W_J . lambda) as a RadScalar."""
-    vp = volume_polynomial(data, J)
-    return vp.euclidean_at([int(c) for c in lam])
+    J = _subset(data, J)
+    return RadScalar(relative_volumes(data, [int(c) for c in lam], set(J))[J], face_gram(data, J))
+
+
+def indicator(n: int, S) -> tuple[int, ...]:
+    """The point 1_S of Z^n: 1 on the (1-based) indices in S, 0 elsewhere."""
+    return tuple(int(i + 1 in S) for i in range(n))
+
+
+def support_difference(f, J) -> Fraction:
+    """Delta_J f = sum over S in J of (-1)^{|J-S|} f(S).  For f(S) = p(1_S), this
+    sums the coefficients of the polynomial p over the monomials with support J."""
+    return sum((-1) ** (len(J) - k) * f(S) for k in range(len(J) + 1) for S in combinations(J, k))
 
 
 def squarefree_coefficient(data: RootSystemData, J) -> RadScalar:
-    """Coefficient of prod_{j in J} m_j in the Euclidean V_J (positive)."""
-    vp = volume_polynomial(data, J)
-    expo = tuple(1 if i + 1 in vp.J else 0 for i in range(data.rank))
-    c = RadScalar(vp.rel_poly.coeff(expo), vp.gram)
-    if c.coeff <= 0:
+    """Coefficient of prod_{j in J} m_j in the Euclidean V_J (positive).  r_J is
+    homogeneous of degree |J| in the m_j, j in J, so that is Delta_J of r_J(1_S)."""
+    J = _subset(data, J)
+    c = support_difference(lambda S: relative_volumes(data, indicator(data.rank, S), set(J))[J], J)
+    if c <= 0:
         raise FormulaConsistencyError("squarefree volume coefficient must be positive")
-    return c
+    return RadScalar(c, face_gram(data, J))

@@ -6,18 +6,78 @@ simplicial decomposition, with no shared code path with the library's
 pyramid recursion.  Polynomial interpolation recovers a counting polynomial
 from its values by one dense solve, independently of the triangular fit.
 The exponent-box scan finds X_lambda by testing every cell of a box that
-contains it, independently of the library's coroot walk.
+contains it, independently of the library's coroot walk.  The positive roots
+by reflection closure of the ambient simple roots, and the J-mixed dual
+basis nu_j as ambient vectors, check the library's integer root strings and
+Cartan-matrix volume constants.
 """
 
 from fractions import Fraction
 from itertools import combinations, product
 from math import gcd
 
-from alcoves.errors import SingularSystemError
+from alcoves.errors import AlcovesError, SingularSystemError
 from alcoves.linalg import QMatrix, QVector, gram_det, solve_linear
 from alcoves.mpoly import MPoly
 from alcoves.orbits import DEFAULT_BOX_CAP, DominantCoweight, _box_bounds
 from alcoves.radicals import RadScalar
+from alcoves.rootdata import RootSystemData
+
+
+def generate_positive_roots(data) -> list[tuple[tuple[int, ...], QVector]]:
+    """(simple-root coordinates, ambient root) of every positive root, by the
+    closure of the simple roots under the simple reflections."""
+    roots = set(data.simple_roots) | {-a for a in data.simple_roots}
+    frontier = set(roots)
+    while frontier:
+        new = set()
+        for r in frontier:
+            for a, av in zip(data.simple_roots, data.simple_coroots):
+                img = r - r.dot(av) * a
+                if img not in roots:
+                    new.add(img)
+        roots |= new
+        frontier = new
+    pos = []
+    for r in roots:
+        coords = _simple_coords(data, r)
+        if all(c >= 0 for c in coords):
+            pos.append((coords, r))
+    pos.sort(key=lambda t: (sum(t[0]), t[0]))
+    return pos
+
+
+def _simple_coords(data, root: QVector) -> tuple[int, ...]:
+    # (root, alpha_i^v) = sum_j c_j (alpha_j, alpha_i^v) = (cartan c)_i
+    rhs = QVector([root.dot(av) for av in data.simple_coroots])
+    sol = data._cartan_inv.matvec(rhs)
+    out = []
+    for c in sol:
+        if c.denominator != 1:
+            raise AlcovesError("non-integral root coordinate")
+        out.append(int(c))
+    return tuple(out)
+
+
+def mixed_basis_nu(data: RootSystemData, J) -> dict[int, tuple[QVector, Fraction]]:
+    """Dual vectors of the J-mixed basis: nu_j in span{alpha_k : k in J}
+    with (nu_j, alpha_i^v) = delta_ij for i in J.  Returns j -> (nu_j, |nu_j|^2).
+    """
+    J = tuple(sorted(set(int(j) for j in J)))
+    if any(j < 1 or j > data.rank for j in J):
+        raise ValueError("J must be a subset of 1..%d" % data.rank)
+    if not J:
+        return {}
+    # write nu_j = sum_k u_k alpha_k; (nu_j, alpha_i^v) = sum_k cartan[i][k] u_k
+    # so u is column j of the inverse of the J x J Cartan block
+    inv = QMatrix([[data.cartan[i - 1][k - 1] for k in J] for i in J]).inverse()
+    out = {}
+    for pos, j in enumerate(J):
+        nu = QVector.zero(data.ambient_dim)
+        for row, k in zip(inv.rows, J):
+            nu = nu + row[pos] * data.simple_roots[k - 1]
+        out[j] = (nu, nu.dot(nu))
+    return out
 
 
 class InterpolationError(ValueError):

@@ -279,6 +279,29 @@ def test_refusal_before_the_first_count_is_cheap(capsys, tmp_path, monkeypatch, 
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("argv", [
+    ["rootdata"],
+    ["faces", "--lambda", "1", "--J", "1"],
+    ["volumes", "--J", "1"],
+    ["count", "--lambda", "1", "--method", "lattice"],
+])
+def test_rank_refusal_is_cheap(capsys, argv):
+    # refused on the rank before any argument is read against it or any build
+    start = time.perf_counter()
+    code, payload = run_cli(capsys, argv[0], "--type", "A", "--rank", "100000", *argv[1:])
+    assert time.perf_counter() - start < 1
+    assert code == 2 and payload["error"] == {
+        "type": "budget", "message": "A100000 has rank 100000, exceeding cap 24"}
+
+
+def test_fit_at_the_rank_cap_refuses_on_subsets_first(capsys, tmp_path):
+    code, payload = run_cli(capsys, "fit", "--type", "A", "--rank", "24",
+                            "--out", str(tmp_path / "a24.json"))
+    assert code == 2 and payload["error"] == {
+        "type": "budget", "message": "fitting A24 needs 16777216 subsets, exceeding cap 4096"}
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_geometric_rejects_coefficients_of_another_system(capsys, tmp_path):
     g2 = tmp_path / "g2.json"
     code, _ = run_cli(capsys, "fit", "--type", "G", "--rank", "2", "--out", str(g2))

@@ -1,0 +1,86 @@
+"""Byte-identity guard for the CLI's deterministic outputs.
+
+`golden_digests.json` holds the sha256 of
+  * the stdout of `alcoves rootdata` on every supported system of rank <= 8,
+  * the stdout of `alcoves volumes` for every J on a set of small systems,
+  * the file `alcoves fit --out` writes, on a set of small systems.
+The digests were taken from the ambient reflection-closure root data and the
+`MPoly` pyramid recursion.  The tests regenerate every output and compare, so
+any later change to these bytes has to be deliberate.  To print the digests
+of the code on the path:
+
+    PYTHONPATH=src python3 tests/test_golden.py
+"""
+
+import contextlib
+import hashlib
+import io
+import json
+import sys
+import tempfile
+from itertools import combinations
+from pathlib import Path
+
+import pytest
+
+from alcoves.cli import main
+
+FIXTURE = Path(__file__).resolve().parent / "golden_digests.json"
+
+ROOTDATA = (["A%d" % n for n in range(1, 9)] + ["B%d" % n for n in range(2, 9)]
+            + ["C%d" % n for n in range(2, 9)] + ["D%d" % n for n in range(3, 9)]
+            + ["E6", "E7", "E8", "F4", "G2"])
+VOLUMES = ["A2", "A3", "A4", "B2", "B3", "B4", "C3", "D4", "G2", "F4"]
+FITS = ["A1", "A2", "A3", "A4", "B2", "B3", "B4", "C3", "D4", "G2"]
+
+
+def _stdout(*argv) -> bytes:
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = main(list(argv))
+    assert code == 0, buf.getvalue()
+    return buf.getvalue().encode()
+
+
+def _system(name):
+    return ("--type", name[0], "--rank", name[1:])
+
+
+def _sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def digests(kind: str) -> dict[str, str]:
+    out = {}
+    if kind == "rootdata":
+        for name in ROOTDATA:
+            out[name] = _sha(_stdout("rootdata", *_system(name)))
+    elif kind == "volumes":
+        for name in VOLUMES:
+            n = int(name[1:])
+            for size in range(n + 1):
+                for J in combinations(range(1, n + 1), size):
+                    key = ",".join(map(str, J)) or "empty"
+                    out["%s J=%s" % (name, key)] = _sha(
+                        _stdout("volumes", *_system(name), "--J", key))
+    else:
+        with tempfile.TemporaryDirectory() as tmp:
+            for name in FITS:
+                path = Path(tmp) / ("%s.json" % name)
+                _stdout("fit", *_system(name), "--out", str(path))
+                out[name] = _sha(path.read_bytes())
+    return out
+
+
+@pytest.mark.parametrize("kind", ["rootdata", "volumes", "fit"])
+def test_outputs_match_golden_digests(kind):
+    expected = json.loads(FIXTURE.read_text())[kind]
+    got = digests(kind)
+    assert got.keys() == expected.keys()
+    assert [k for k in got if got[k] != expected[k]] == []
+
+
+if __name__ == "__main__":
+    json.dump({kind: digests(kind) for kind in ("rootdata", "volumes", "fit")},
+              sys.stdout, indent=1, sort_keys=True)
+    sys.stdout.write("\n")

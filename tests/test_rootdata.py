@@ -4,12 +4,18 @@ from fractions import Fraction
 import pytest
 
 from alcoves.affine import length, longest_finite_element, simple_reflection
-from alcoves.linalg import QVector
+from alcoves.errors import AlcovesError, BudgetExceededError
+from alcoves.linalg import QVector, gram_det
 from alcoves.radicals import RadScalar
-from alcoves.rootdata import (RootSystemId, build_root_system,
+from alcoves.rootdata import (MAX_RANK, RootSystemData, RootSystemId, build_root_system,
                               dominant_representative, weyl_order)
 
+from oracles import generate_positive_roots
+
 ALL_SMALL = ["A1", "A2", "A3", "A4", "B2", "B3", "B4", "C3", "D3", "D4", "G2", "F4", "E6"]
+UP_TO_RANK_8 = (["A%d" % n for n in range(1, 9)] + ["B%d" % n for n in range(2, 9)]
+                + ["C%d" % n for n in range(2, 9)] + ["D%d" % n for n in range(3, 9)]
+                + ["E6", "E7", "E8", "F4", "G2"])
 
 
 def test_id_validation():
@@ -86,16 +92,51 @@ def test_weyl_order_mixed_subdiagrams():
 def test_positive_root_count_equals_longest_length(name):
     d = build_root_system(name)
     w0, _ = longest_finite_element(d)
-    assert len(d.positive_roots) == length(d, w0)
+    assert len(generate_positive_roots(d)) == length(d, w0)
 
 
 @pytest.mark.parametrize("name", ALL_SMALL + ["C2", "C4", "E7", "E8"])
 def test_positive_coroot_coords(name):
     # ((alpha^v, alpha_i))_i computed in the ambient space, alpha^v = 2 alpha / (alpha, alpha)
     d = build_root_system(name)
-    ambient = [tuple(2 * r.dot(a) / r.dot(r) for a in d.simple_roots) for r in d.positive_roots]
+    positive_roots = [r for _, r in generate_positive_roots(d)]
+    ambient = [tuple(2 * r.dot(a) / r.dot(r) for a in d.simple_roots) for r in positive_roots]
     assert d.positive_coroot_coords == ambient
     assert set(map(tuple, d.cartan.rows)) <= set(d.positive_coroot_coords)
+
+
+@pytest.mark.parametrize("name", UP_TO_RANK_8 + ["A10", "B10"])
+def test_root_strings_equal_the_reflection_closure(name):
+    # the integer root strings give the ambient closure's roots, in its order,
+    # and the highest of them is the ambient highest root
+    d = build_root_system(name)
+    oracle = generate_positive_roots(d)
+    assert d.root_pairing_vectors() == [c for c, _ in oracle]
+    assert d.highest_root == oracle[-1][1]
+    assert d.to_json()["positive_root_count"] == len(oracle)
+
+
+@pytest.mark.parametrize("name", UP_TO_RANK_8)
+def test_det_coweight_lattice_equals_ambient_gram(name):
+    d = build_root_system(name)
+    assert d.det_coweight_lattice == RadScalar.sqrt(gram_det(d.fundamental_coweights))
+
+
+def test_reflection_check_refuses_a_root_set_that_is_not_closed():
+    for drop in (1, -1):  # a simple root, and the highest root
+        d = RootSystemData(RootSystemId("B", 3))  # fresh, so the cached one is left alone
+        d._check_invariants()
+        del d._pos_coords[drop]
+        with pytest.raises(AlcovesError, match="does not permute positive roots"):
+            d._check_invariants()
+
+
+def test_rank_cap_refuses_before_any_build():
+    build_root_system("A", MAX_RANK)
+    for args in [("A", MAX_RANK + 1), ("A", 100000), ("B%d" % (MAX_RANK + 1),),
+                 (RootSystemId("D", 10 ** 9),)]:
+        with pytest.raises(BudgetExceededError, match="exceeding cap %d" % MAX_RANK):
+            build_root_system(*args)
 
 
 @pytest.mark.parametrize("name", ALL_SMALL + ["E7", "E8"])

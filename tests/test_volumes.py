@@ -1,17 +1,21 @@
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
 
+from alcoves import volumes
 from alcoves.coefficients import eulerian
-from alcoves.linalg import QMatrix
+from alcoves.errors import FormulaConsistencyError
+from alcoves.linalg import QMatrix, gram_det
 from alcoves.mpoly import MPoly
-from alcoves.radicals import RadScalar
-from alcoves.rootdata import build_root_system
-from alcoves.volumes import (euclidean_volume, mixed_basis_nu,
-                             squarefree_coefficient, volume_polynomial)
+from alcoves.radicals import RadScalar, sqrt_decompose
+from alcoves.rootdata import RootSystemData, RootSystemId, build_root_system, weyl_order
+from alcoves.volumes import (_pyramid_table, euclidean_volume, face_gram, indicator,
+                             relative_volumes, squarefree_coefficient, support_difference,
+                             volume_polynomial)
 
-from oracles import orbit_face_euclidean_volume
+from oracles import mixed_basis_nu, orbit_face_euclidean_volume
 
 RANK4 = ["A4", "B4", "D4", "F4"]
 SMALL = ["A1", "A2", "A3", "B2", "B3", "C3", "G2"]
@@ -180,3 +184,75 @@ def test_volume_json():
     obj = volume_polynomial(a2, (1, 2)).to_json()
     assert obj["gram"] == "3"
     assert obj["rel_poly"] == {"0,2": "1/2", "1,1": "2", "2,0": "1/2"}
+
+
+RANK_AT_MOST_4 = ["A1", "A2", "A3", "A4", "B2", "B3", "B4", "C2", "C3", "C4", "D3", "D4",
+                  "F4", "G2"]
+
+
+def _e6_sample():
+    rng = random.Random(6)
+    return [tuple(rng.randrange(4) for _ in range(6)) for _ in range(12)]
+
+
+@pytest.mark.parametrize("name,lams", [
+    (name, list(itertools.product(range(4), repeat=int(name[1:])))) for name in RANK_AT_MOST_4
+] + [("E6", _e6_sample())])
+def test_numeric_recursion_equals_the_polynomials(name, lams):
+    d = build_root_system(name)
+    polys = {J: volume_polynomial(d, J).rel_poly for J in _subsets(d.rank)}
+    for lam in lams:
+        values = relative_volumes(d, lam)
+        assert values.keys() == polys.keys()
+        for J, poly in polys.items():
+            assert values[J] == poly.eval(lam), (lam, J)
+
+
+@pytest.mark.parametrize("name", RANK_AT_MOST_4 + ["E6"])
+def test_cartan_constants_equal_the_ambient_derivation(name):
+    # gram_J and c_{J,j} as the ambient recursion derived them from the
+    # coroots and the mixed dual basis nu_j
+    d = build_root_system(name)
+    table = _pyramid_table(d)
+    for J in _subsets(d.rank):
+        gram = gram_det([d.simple_coroots[j - 1] for j in J])
+        assert face_gram(d, J) == gram == volume_polynomial(d, J).gram
+        s_J, _ = sqrt_decompose(gram)
+        nu = mixed_basis_nu(d, J)
+        for j, (rest, c, col) in zip(J, table[J][1]):
+            vec, normsq = nu[j]
+            assert dict(col) == {i: d.fundamental_coweights[i - 1].dot(vec) for i in J}
+            t_j, _ = sqrt_decompose(gram_det([d.simple_coroots[k - 1] for k in rest]) / normsq)
+            index = weyl_order(d, J) // weyl_order(d, rest)
+            assert c == index * t_j / (len(J) * s_J)
+
+
+@pytest.mark.parametrize("name", ["A3", "B3", "C3", "G2", "A4", "D4", "F4"])
+def test_support_differences_equal_the_coefficient_sums(name):
+    # a_{K,J} from values at 0/1 points, against the MPoly terms of r_K
+    d = build_root_system(name)
+    n = d.rank
+    values = {S: relative_volumes(d, indicator(n, S)) for S in _subsets(n)}
+    for K in _subsets(n):
+        sums = {}
+        for expo, c in volume_polynomial(d, K).rel_poly.terms.items():
+            J = tuple(i + 1 for i, e in enumerate(expo) if e)
+            sums[J] = sums.get(J, 0) + c
+        for J in _subsets(n):
+            assert support_difference(lambda S: values[S][K], J) == sums.get(J, 0), (K, J)
+        assert squarefree_coefficient(d, K) == RadScalar(sums[K], face_gram(d, K))
+
+
+def test_square_class_check_refuses_a_summand_of_another_class(monkeypatch):
+    real = volumes.sqrt_decompose
+    calls = []
+
+    def skewed(q):  # the second call is the first summand of J = (1,)
+        calls.append(q)
+        s, cls = real(q)
+        return (s, cls * 2) if len(calls) == 2 else (s, cls)
+
+    monkeypatch.setattr(volumes, "sqrt_decompose", skewed)
+    d = RootSystemData(RootSystemId("A", 2))  # fresh, so no table is cached for it
+    with pytest.raises(FormulaConsistencyError, match="radical inconsistency"):
+        volume_polynomial(d, (1,))
