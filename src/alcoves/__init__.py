@@ -20,10 +20,8 @@ from .radicals import RadScalar, sqrt_decompose
 from .mpoly import MPoly
 from .rootdata import (RootSystemData, RootSystemId, build_root_system,
                        dominant_representative, weyl_order)
-from .affine import (AffineElement, descents, element_from_point,
-                     enumerate_weyl_group, interval_size_bruhat, length,
-                     longest_finite_element, lower_interval, sigma_reflection,
-                     simple_reflection, theta)
+from .affine import (descents, element_from_point, interval_size_bruhat,
+                     lower_interval, sigma_reflection, theta)
 from .orbits import (DominantCoweight, FaceDescriptor, contains, enumerate_X,
                      face, interval_size_lattice, lattice_count,
                      lattice_count_by_membership)
@@ -35,19 +33,18 @@ from .coefficients import (GeometricCoefficients, eulerian, evaluate_formula,
                            type_a_connected_mu)
 
 __all__ = [
-    "AffineElement", "AlcovesError", "BudgetExceededError", "DegenerateBasisError",
+    "AlcovesError", "BudgetExceededError", "DegenerateBasisError",
     "DominantCoweight", "FaceDescriptor", "FitVerificationError",
     "FormulaConsistencyError", "GeometricCoefficients", "MPoly", "QMatrix",
     "QVector", "RadScalar", "RadicalClassError", "RootSystemData", "RootSystemId",
     "SingularSystemError", "VolumePolynomial", "WallPointError",
     "build_root_system", "contains", "descents", "dominant_representative",
-    "element_from_point", "enumerate_weyl_group", "enumerate_X", "eulerian",
+    "element_from_point", "enumerate_X", "eulerian",
     "euclidean_volume", "evaluate_formula", "face", "fit_mu", "gram_det",
     "gram_matrix", "hypersimplex_dilation_count", "hypersimplex_ehrhart",
     "interval_size_bruhat", "interval_size_lattice", "lattice_count",
-    "lattice_count_by_membership", "length", "longest_finite_element",
-    "lower_interval", "mu_empty", "mu_full", "relative_volumes", "sigma_reflection",
-    "simple_reflection", "solve_linear",
+    "lattice_count_by_membership", "lower_interval", "mu_empty", "mu_full",
+    "relative_volumes", "sigma_reflection", "solve_linear",
     "sqrt_decompose", "squarefree_coefficient", "stirling1", "theta",
     "type_a_connected_mu", "volume_polynomial", "weyl_order",
 ]

@@ -11,16 +11,16 @@ sum_k (C_J^-1)_kj alpha_k, so (w_i^v, nu_j) = (C_J^-1)_ij, |nu_j|^2 =
 (C_J^-1)_jj |alpha_j|^2 / 2, and
 
     r_J(x) = sum_j c_{J,j} (sum_{i in J} x_i (C_J^-1)_ij) r_{J-j}(x),
-    c_{J,j} = [W_J : W_{J-j}] t_j / (|J| s_J),
+    c_{J,j} = [W_J : W_{J-j}] / |J|.
 
-with sqrt(gram_J) = s_J sqrt(d_J) and sqrt(gram_{J-j}/|nu_j|^2) = t_j
-sqrt(d_J); the table of constants refuses a summand outside the class d_J.
+The pyramid's Euclidean factor sqrt(gram_{J-j}) / |nu_j| cancels against
+sqrt(gram_J): by Cramer's rule (C_J^-1)_jj = det C_{J-j} / det C_J, so
+gram_J = gram_{J-j} / |nu_j|^2, and gram_J follows from any one j in J.
 The recursion runs on numbers (values) or on MPoly variables (polynomials).
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, reduce
@@ -30,7 +30,7 @@ from operator import add
 from .errors import FormulaConsistencyError
 from .linalg import QMatrix, rational_to_str
 from .mpoly import MPoly
-from .radicals import RadScalar, sqrt_decompose
+from .radicals import RadScalar
 from .rootdata import RootSystemData, weyl_order
 
 
@@ -59,19 +59,14 @@ def _pyramid_table(data: RootSystemData) -> dict:
     order = {J: weyl_order(data, J) for J in subsets}
     table = {(): (Fraction(1), ())}
     for J in subsets[1:]:
-        block = QMatrix([[data.cartan[i - 1][k - 1] for k in J] for i in J])
-        inv = block.inverse()
-        gram = block.det() / math.prod(half[j - 1] for j in J)
-        s_j, class_j = sqrt_decompose(gram)
+        inv = QMatrix([[data.cartan[i - 1][k - 1] for k in J] for i in J]).inverse()
         steps = []
-        for p, j in enumerate(J):
+        for p in range(len(J)):
             rest = J[:p] + J[p + 1:]
-            t_j, cls = sqrt_decompose(table[rest][0] / (inv[p][p] * half[j - 1]))
-            if cls != class_j:
-                raise FormulaConsistencyError("radical inconsistency in pyramid recursion")
-            c = order[J] // order[rest] * t_j / (len(J) * s_j)
-            steps.append((rest, c, tuple((i, row[p]) for i, row in zip(J, inv.rows))))
-        table[J] = (gram, tuple(steps))
+            steps.append((rest, Fraction(order[J] // order[rest], len(J)),
+                          tuple((i, row[p]) for i, row in zip(J, inv.rows))))
+        # gram_J = gram_{J-j} / |nu_j|^2 at j = max J: |nu_j|^2 = (C_J^-1)_jj |alpha_j|^2 / 2
+        table[J] = (table[J[:-1]][0] / (inv[-1][-1] * half[J[-1] - 1]), tuple(steps))
     return table
 
 

@@ -9,19 +9,24 @@ The exponent-box scan finds X_lambda by testing every cell of a box that
 contains it, independently of the library's coroot walk.  The positive roots
 by reflection closure of the ambient simple roots, and the J-mixed dual
 basis nu_j as ambient vectors, check the library's integer root strings and
-Cartan-matrix volume constants.
+Cartan-matrix volume constants.  The element oracle keeps W_a as n x n
+integer matrices with translations, multiplies them out, and finds lengths,
+descents and lower intervals from them, against the library's alcove points.
 """
 
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations, product
-from math import gcd
+from math import gcd, lcm
+from operator import mul
 
-from alcoves.errors import AlcovesError, SingularSystemError
+from alcoves.affine import DEFAULT_INTERVAL_CAP
+from alcoves.errors import AlcovesError, BudgetExceededError, SingularSystemError
 from alcoves.linalg import QMatrix, QVector, gram_det, solve_linear
 from alcoves.mpoly import MPoly
 from alcoves.orbits import DEFAULT_BOX_CAP, DominantCoweight, _box_bounds
 from alcoves.radicals import RadScalar
-from alcoves.rootdata import RootSystemData
+from alcoves.rootdata import RootSystemData, dominant_coords
 
 
 def generate_positive_roots(data) -> list[tuple[tuple[int, ...], QVector]]:
@@ -329,3 +334,240 @@ def orbit_face_euclidean_volume(data, J, lam) -> RadScalar:
     if rel == 0:
         return RadScalar.zero()
     return RadScalar(rel, gram_det(roots))
+
+
+# The element oracle: W_a as n x n integer matrices on coweight coordinates.
+
+DEFAULT_GROUP_CAP = 10 ** 6
+
+Mat = tuple[tuple[int, ...], ...]
+Vec = tuple[int, ...]
+
+
+class AffineElement:
+    """Affine map x -> Lx + t on coweight coordinates, L and t integral."""
+
+    __slots__ = ("lin", "tr")
+
+    def __init__(self, lin: Mat, tr: Vec):
+        object.__setattr__(self, "lin", lin)
+        object.__setattr__(self, "tr", tr)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("AffineElement is immutable")
+
+    @staticmethod
+    def identity(n: int) -> "AffineElement":
+        return AffineElement(tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)),
+                             (0,) * n)
+
+    def __matmul__(self, other: "AffineElement") -> "AffineElement":
+        """Composition self o other (apply `other` first)."""
+        a, b = self.lin, other.lin
+        n = len(a)
+        cols = tuple(zip(*b))
+        lin = tuple(tuple(sum(ar[k] * bc[k] for k in range(n)) for bc in cols) for ar in a)
+        tr = tuple(sum(ar[k] * other.tr[k] for k in range(n)) + t for ar, t in zip(a, self.tr))
+        return AffineElement(lin, tr)
+
+    def apply(self, coords):
+        """Apply to a point given in coweight coordinates (exact)."""
+        return tuple(sum(r[k] * Fraction(coords[k]) for k in range(len(r))) + t
+                     for r, t in zip(self.lin, self.tr))
+
+    def is_identity(self) -> bool:
+        n = len(self.lin)
+        return self.tr == (0,) * n and all(
+            self.lin[i][j] == (1 if i == j else 0) for i in range(n) for j in range(n))
+
+    def __eq__(self, other):
+        return isinstance(other, AffineElement) and self.lin == other.lin and self.tr == other.tr
+
+    def __hash__(self):
+        return hash((self.lin, self.tr))
+
+    def __repr__(self):
+        return "AffineElement(lin=%r, tr=%r)" % (self.lin, self.tr)
+
+    def in_affine_weyl_group(self, data: RootSystemData) -> bool:
+        """True iff the translation part lies in the coroot lattice Z Phi^v."""
+        return data.in_coroot_lattice(self.tr)
+
+
+class _Context:
+    """Precomputed integer tables for one root system."""
+
+    def __init__(self, data: RootSystemData):
+        self.data = data
+        n = data.rank
+        self.n = n
+        # pairing vectors: (x, alpha) = <coords(x), k(alpha)> for positive alpha
+        self.pairings = [tuple(k) for k in data.root_pairing_vectors()]
+        self.marks = tuple(int(m) for m in data.marks)
+        atilde_coroot = data.positive_coroot_coords[-1]  # of the highest root
+
+        # s_i(x) = x - (<k, x> + c) * v: s_0 has k = marks, c = 1, v = highest^v;
+        # s_i has k = e_i, c = 0 and v = alpha_i^v (row i of the Cartan matrix)
+        self.walls = [(self.marks, 1, atilde_coroot)]
+        for i, row in enumerate(data.cartan.rows):
+            unit = tuple(int(j == i) for j in range(n))
+            self.walls.append((unit, 0, tuple(int(x) for x in row)))
+        self.reflections = refs = [
+            AffineElement(tuple(tuple(int(r == j) - v[r] * k[j] for j in range(n))
+                                for r in range(n)), tuple(-c * x for x in v))
+            for k, c, v in self.walls]
+
+        # barycenter of A_id: average of {0, -w_i^v / eta_i}
+        self.scale = (n + 1) * lcm(*self.marks)
+        self.bary = tuple(-self.scale // ((n + 1) * self.marks[i]) for i in range(n))
+
+        w0coords, w0word = dominant_coords(data, [Fraction(b, self.scale) for b in self.bary])
+        w0 = AffineElement.identity(n)
+        for i in w0word:
+            w0 = refs[i] @ w0
+        self.w0 = w0
+        self.w0_word = w0word
+        if _length(self, w0) != len(self.pairings):
+            raise AlcovesError("longest element has wrong length")
+
+
+@lru_cache(maxsize=None)
+def _context(data: RootSystemData) -> _Context:
+    return _Context(data)
+
+
+def simple_reflection(data: RootSystemData, i: int) -> AffineElement:
+    """s_i for i in 1..n; s_0 is the affine reflection through H_{highest,-1}."""
+    ctx = _context(data)
+    if not 0 <= i <= ctx.n:
+        raise ValueError("reflection index out of range")
+    return ctx.reflections[i]
+
+
+def _length(ctx: _Context, w: AffineElement) -> int:
+    bary = ctx.bary
+    N = ctx.scale
+    img = tuple(sum(r[k] * bary[k] for k in range(ctx.n)) + N * t
+                for r, t in zip(w.lin, w.tr))
+    total = 0
+    for k in ctx.pairings:
+        a = sum(bary[j] * k[j] for j in range(ctx.n))
+        b = sum(img[j] * k[j] for j in range(ctx.n))
+        total += abs(b // N - a // N)
+    return total
+
+
+def length(data: RootSystemData, w: AffineElement) -> int:
+    """Separating-hyperplane count between A_id and A_w (works for all of W_e)."""
+    return _length(_context(data), w)
+
+
+def longest_finite_element(data: RootSystemData) -> tuple[AffineElement, list[int]]:
+    ctx = _context(data)
+    return ctx.w0, list(ctx.w0_word)
+
+
+def element(data: RootSystemData, word) -> AffineElement:
+    """The product s_{i_1} s_{i_2} ... of a word."""
+    w = AffineElement.identity(data.rank)
+    for i in word:
+        w = w @ simple_reflection(data, i)
+    return w
+
+
+def alcove_point(data: RootSystemData, w: AffineElement) -> tuple[int, ...]:
+    """N w(b): the image of the barycenter of A_id, at the scale that makes it integral."""
+    ctx = _context(data)
+    return tuple(sum(map(mul, row, ctx.bary)) + ctx.scale * t for row, t in zip(w.lin, w.tr))
+
+
+@lru_cache(maxsize=None)
+def _linear_inverse(lin: Mat) -> AffineElement:
+    """L^{-1} as the last power of L before the identity (W_f is finite)."""
+    el = AffineElement(lin, (0,) * len(lin))
+    power = el
+    while not (power @ el).is_identity():
+        power = power @ el
+    return power
+
+
+def inverse(w: AffineElement) -> AffineElement:
+    """x -> L^{-1} x - L^{-1} t."""
+    inv = _linear_inverse(w.lin)
+    return AffineElement(inv.lin, tuple(-sum(map(mul, row, w.tr)) for row in inv.lin))
+
+
+def descents(data: RootSystemData, w: AffineElement) -> tuple[set[int], set[int]]:
+    """Left and right descent sets within {0..n}."""
+    ctx = _context(data)
+    lw = length(data, w)
+    left = {i for i in range(ctx.n + 1) if length(data, ctx.reflections[i] @ w) < lw}
+    right = {i for i in range(ctx.n + 1) if length(data, w @ ctx.reflections[i]) < lw}
+    return left, right
+
+
+def lower_interval_elements(data: RootSystemData, w: AffineElement, word,
+                            cap: int = DEFAULT_INTERVAL_CAP) -> set[AffineElement]:
+    """{u : u <= w} by subword closure along one reduced word for w.
+
+    S_0 = {id}; S_k = S_{k-1} united with S_{k-1} * s_{i_k}.  The result does
+    not depend on which reduced word is supplied (tested property).
+    """
+    ctx = _context(data)
+    word = list(word)
+    if length(data, w) != len(word):
+        raise ValueError("word is not reduced for this element")
+    check = AffineElement.identity(ctx.n)
+    for i in word:
+        check = check @ ctx.reflections[i]
+    if check != w:
+        raise ValueError("word does not multiply to the element")
+
+    n = ctx.n
+    rng = range(n)
+    ident = AffineElement.identity(n)
+    elements: set = {(ident.lin, ident.tr)}
+    gens = [(ctx.reflections[i].lin, ctx.reflections[i].tr) for i in range(n + 1)]
+    for i in word:
+        glin, gtr = gens[i]
+        gcols = tuple(zip(*glin))
+        new = []
+        for lin, tr in elements:
+            nlin = tuple(tuple(sum(lr[k] * gc[k] for k in rng) for gc in gcols) for lr in lin)
+            ntr = tuple(sum(lr[k] * gtr[k] for k in rng) + t for lr, t in zip(lin, tr))
+            key = (nlin, ntr)
+            if key not in elements:
+                new.append(key)
+        elements.update(new)
+        if len(elements) > cap:
+            raise BudgetExceededError(
+                "lower interval exceeds cap of %d elements" % cap)
+    return {AffineElement(lin, tr) for lin, tr in elements}
+
+
+def enumerate_weyl_group(data: RootSystemData, cap: int = DEFAULT_GROUP_CAP) -> list[AffineElement]:
+    """All of W_f by closure over the simple reflections.
+
+    Refuses (with the order in the message) when |W_f| exceeds the cap;
+    E7 and E8 are far beyond the default.
+    """
+    if data.wf_order > cap:
+        raise BudgetExceededError(
+            "refusing to enumerate W_f(%s): order %d exceeds cap %d"
+            % (data.id, data.wf_order, cap))
+    ctx = _context(data)
+    gens = [ctx.reflections[i] for i in range(1, ctx.n + 1)]
+    seen = {AffineElement.identity(ctx.n)}
+    frontier = list(seen)
+    while frontier:
+        new = []
+        for u in frontier:
+            for s in gens:
+                v = u @ s
+                if v not in seen:
+                    seen.add(v)
+                    new.append(v)
+        frontier = new
+    if len(seen) != data.wf_order:
+        raise AlcovesError("enumerated order %d != %d" % (len(seen), data.wf_order))
+    return sorted(seen, key=lambda e: (e.lin, e.tr))

@@ -1,7 +1,8 @@
 """Alcove-model checks: lengths, folding, theta, intervals, descents.
 
-Sampling is deterministic (fixed word lists / fixed interior points) so
-failures reproduce.
+The library names an element by its alcove point N w(b); the element oracle
+in `oracles` multiplies integer matrices.  Sampling is deterministic (fixed
+word lists / fixed interior points) so failures reproduce.
 """
 
 import itertools
@@ -9,13 +10,16 @@ from fractions import Fraction
 
 import pytest
 
-from alcoves.affine import (AffineElement, descents, element_from_point,
-                            enumerate_weyl_group, interval_size_bruhat, length,
-                            longest_finite_element, lower_interval, sigma_reflection,
-                            simple_reflection, theta)
+from alcoves.affine import (descents, element_from_point, interval_size_bruhat,
+                            lower_interval, sigma_reflection, theta)
 from alcoves.errors import BudgetExceededError, WallPointError
 from alcoves.orbits import interval_size_lattice
-from alcoves.rootdata import build_root_system
+from alcoves.rootdata import _RANK_RULES, build_root_system
+
+from oracles import (AffineElement, alcove_point, element, enumerate_weyl_group, inverse,
+                     length, longest_finite_element, lower_interval_elements,
+                     simple_reflection)
+from oracles import descents as oracle_descents
 
 
 def _interior_point(data, weights=None):
@@ -60,24 +64,24 @@ def test_lengths():
 def test_a1_theta_lengths():
     d = build_root_system("A1")
     for m in range(5):
-        w, word = theta(d, (m,))
-        assert length(d, w) == m + 1 == len(word)
+        _, word = theta(d, (m,))
+        assert length(d, element(d, word)) == m + 1 == len(word)
 
 
 def test_element_from_point_identity_and_s1():
     d = build_root_system("A2")
     bary = _interior_point(d, [1, 1, 1])
     w, word = element_from_point(d, bary)
-    assert w.is_identity() and word == []
+    assert w == alcove_point(d, AffineElement.identity(2)) and word == []
     s1 = simple_reflection(d, 1)
     w, word = element_from_point(d, s1.apply(bary))
-    assert w == s1 and word == [1]
+    assert w == alcove_point(d, s1) and word == [1]
 
 
 def test_element_from_point_accepts_ambient_vector():
     d = build_root_system("A2")
-    w, _ = theta(d, (1, 1))
-    ambient = d.ambient_from_coweight(w.apply(_interior_point(d)))
+    w, word = theta(d, (1, 1))
+    ambient = d.ambient_from_coweight(element(d, word).apply(_interior_point(d)))
     w2, word2 = element_from_point(d, ambient)
     assert w2 == w and len(word2) == 7
 
@@ -94,19 +98,21 @@ def test_theta_examples():
     d = build_root_system("A2")
     w0, _ = longest_finite_element(d)
     t0, word0 = theta(d, (0, 0))
-    assert t0 == w0
+    assert t0 == alcove_point(d, w0) and element(d, word0) == w0
     t, word = theta(d, (1, 1))
-    assert length(d, t) == 7 == len(word)
+    assert length(d, element(d, word)) == 7 == len(word)
     for lam in [(1, 0), (1, 1)]:
-        tl, _ = theta(d, lam)
-        assert tl.in_affine_weyl_group(d)
+        _, wordl = theta(d, lam)
+        assert element(d, wordl).in_affine_weyl_group(d)
     with pytest.raises(ValueError):
         theta(d, (-1, 0))
 
 
 def test_lower_interval_identity():
     d = build_root_system("A2")
-    assert lower_interval(d, AffineElement.identity(2), []) == {AffineElement.identity(2)}
+    ident = AffineElement.identity(2)
+    assert lower_interval(d, alcove_point(d, ident), []) == {alcove_point(d, ident)}
+    assert lower_interval_elements(d, ident, []) == {ident}
 
 
 def test_lower_interval_a1_dihedral():
@@ -129,7 +135,7 @@ def test_lower_interval_word_independence():
     for lam in [(1, 1), (2, 1), (0, 2)]:
         w, word = theta(d, lam)
         # fold a different interior point of the same alcove
-        q = w.apply(_interior_point(d, [2, 5, 3]))
+        q = element(d, word).apply(_interior_point(d, [2, 5, 3]))
         w2, word2 = element_from_point(d, q)
         assert w2 == w and len(word2) == len(word)
         assert lower_interval(d, w, word) == lower_interval(d, w, word2)
@@ -169,10 +175,10 @@ def test_bruhat_routes_refuse_exactly_above_the_interval_size():
 
 def test_descents():
     d = build_root_system("A2")
-    left, right = descents(d, AffineElement.identity(2))
+    left, right = descents(d, alcove_point(d, AffineElement.identity(2)))
     assert left == set() and right == set()
     w0, _ = longest_finite_element(d)
-    left, right = descents(d, w0)
+    left, right = descents(d, alcove_point(d, w0))
     assert left == {1, 2} and right == {1, 2}
     t, _ = theta(d, (1, 1))
     left, right = descents(d, t)
@@ -224,8 +230,8 @@ def test_interval_closed_under_coset_actions():
     # {u <= theta(lam)} is W_f-stable on the left, W_{S minus s_sigma}-stable on the right
     d = build_root_system("A2")
     for lam in [(1, 1), (1, 0)]:
-        w, word = theta(d, lam)
-        interval = lower_interval(d, w, word)
+        _, word = theta(d, lam)
+        interval = lower_interval_elements(d, element(d, word), word)
         sigma = sigma_reflection(d, lam)
         right_gens = [simple_reflection(d, i) for i in range(3) if i != sigma]
         left_gens = [simple_reflection(d, i) for i in (1, 2)]
@@ -297,9 +303,62 @@ def test_ambient_view_is_orthogonal_and_permutes_roots():
     for k in d.root_pairing_vectors():
         pairings.add(tuple(int(x) for x in k))
         pairings.add(tuple(-int(x) for x in k))
-    w, _ = theta(d, (1, 1))
+    w = element(d, theta(d, (1, 1))[1])
     for el in [w, simple_reflection(d, 1) @ w, w @ simple_reflection(d, 0)]:
         images = {tuple(sum(el.lin[r][j] * k[r] for r in range(d.rank)) for j in range(d.rank))
                   for k in pairings}
         assert images == pairings
         assert d.in_coroot_lattice(el.tr)
+
+
+def _oracle_grid():
+    """Criterion 1's grid without the B3/C3 coweights that have a coordinate 2."""
+    for name, maxc in [("A1", 2), ("A2", 3), ("B2", 3), ("G2", 3), ("A3", 2), ("B3", 1),
+                       ("C3", 1)]:
+        d = build_root_system(name)
+        for lam in itertools.product(range(maxc + 1), repeat=d.rank):
+            yield d, lam
+
+
+def test_theta_and_folded_points_are_oracle_images_of_b():
+    # theta's alcove is w0(A_id) + lambda, so its point is N (w0(b) + lambda)
+    for d, lam in _oracle_grid():
+        point, word = theta(d, lam)
+        w0, _ = longest_finite_element(d)
+        shifted = AffineElement(w0.lin, tuple(t + m for t, m in zip(w0.tr, lam)))
+        w = element(d, word)
+        assert point == alcove_point(d, w) == alcove_point(d, shifted), (d.id, lam)
+        assert length(d, w) == len(word), (d.id, lam)
+        off_center = _interior_point(d, [3, 1, 4, 1][:d.rank + 1])
+        folded, word2 = element_from_point(d, w.apply(off_center))
+        assert folded == point and len(word2) == len(word), (d.id, lam)
+
+
+def test_lower_interval_is_the_oracle_interval_as_points():
+    # {N u^{-1}(b) : u <= w}, and along the reversed word {N u(b) : u <= w}
+    for d, lam in _oracle_grid():
+        point, word = theta(d, lam)
+        w = element(d, word)
+        elements = lower_interval_elements(d, w, word)
+        assert lower_interval(d, point, word) == {alcove_point(d, inverse(u)) for u in elements}
+        assert (lower_interval(d, alcove_point(d, inverse(w)), word[::-1])
+                == {alcove_point(d, u) for u in elements}), (d.id, lam)
+
+
+def test_descents_match_the_element_oracle():
+    # on every prefix of theta's word, so that left and right descents differ
+    for d, lam in _oracle_grid():
+        _, word = theta(d, lam)
+        for k in range(len(word) + 1):
+            u = element(d, word[:k])
+            assert descents(d, alcove_point(d, u)) == oracle_descents(d, u), (d.id, lam, k)
+
+
+@pytest.mark.parametrize("name", [f + str(n) for f, rule in _RANK_RULES.items()
+                                  for n in range(1, 9) if rule(n)])
+def test_longest_element_maps_b_to_minus_b(name):
+    # w0(A_id) = -A_id; theta's point N lambda - N b rests on it
+    d = build_root_system(name)
+    w0, _ = longest_finite_element(d)
+    b = alcove_point(d, AffineElement.identity(d.rank))
+    assert alcove_point(d, w0) == tuple(-x for x in b)

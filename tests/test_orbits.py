@@ -6,14 +6,13 @@ from pathlib import Path
 
 import pytest
 
-from alcoves.affine import enumerate_weyl_group
 from alcoves.errors import BudgetExceededError
 from alcoves.linalg import QVector
 from alcoves.orbits import (DominantCoweight, _box_bounds, contains, enumerate_X, face,
                             face_to_json, interval_size_lattice, lattice_count,
                             lattice_count_by_membership)
 from alcoves.rootdata import build_root_system, weyl_order
-from oracles import enumerate_X_by_box
+from oracles import enumerate_X_by_box, enumerate_weyl_group
 
 # The box scan costs about 1.5 us a cell, and F4 (3,3,3,3) alone has 3.8e7
 # cells, so the oracle runs where the box has at most this many.

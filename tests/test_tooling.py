@@ -24,9 +24,22 @@ def test_traced_probe_runs_against_the_library(tmp_path):
                for span in result["spans"])
 
 
-def test_pin_references_imports():
+def _pin_references():
     spec = importlib.util.spec_from_file_location("pin_references",
                                                   ROOT / "benchmarks" / "pin_references.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    assert callable(module.main)
+    return module
+
+
+def test_pin_references_imports():
+    assert callable(_pin_references().main)
+
+
+def test_bruhat_route_reproduces_every_pinned_sweep_count():
+    # the harness's bruhat route is theta plus lower_interval, as the library names them
+    pins = _pin_references()
+    refs = json.loads((ROOT / "benchmarks" / "references.json").read_text())["bruhat-sweep"]
+    assert len(refs) == 7
+    for ref in refs:
+        assert pins.count("bruhat", ref["system"], tuple(ref["lambda"])) == ref["count"], ref
