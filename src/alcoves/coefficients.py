@@ -17,6 +17,7 @@ returned silently.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -31,6 +32,8 @@ from .orbits import DEFAULT_BOX_CAP, check_level_budget, interval_size_lattice
 from .volumes import face_gram, indicator, relative_volumes, support_difference
 
 DEFAULT_SUBSET_CAP = 4096
+# what linalg.rational_to_str writes, and all that from_json reads: "p" or "p/q", q != 0
+_RATIONAL = re.compile(r"-?[0-9]+(/0*[1-9][0-9]*)?")
 
 
 # -- combinatorial number sequences ---------------------------------------------
@@ -232,9 +235,11 @@ class GeometricCoefficients:
             prov = {}
             for key, val in obj["mu_prime"].items():
                 J = tuple(int(x) for x in key.split(",")) if key else ()
-                mu[J] = Fraction(val)
+                if key != ",".join(map(str, J)) or not _RATIONAL.fullmatch(val):
+                    raise ValueError("mu_prime %r: %r is not as to_json writes it" % (key, val))
+                mu[J] = Fraction(*map(int, val.split("/")))
                 prov[J] = obj.get("provenance", {}).get(key, "unknown")
-        except (KeyError, IndexError, TypeError, AttributeError, OverflowError) as exc:
+        except (KeyError, IndexError, TypeError, AttributeError) as exc:
             raise ValueError("malformed coefficient object: %s %s"
                              % (type(exc).__name__, exc)) from None
         return GeometricCoefficients(system, mu, prov)

@@ -7,6 +7,7 @@ from the plates; everything else is derived from them and invariant-checked
 at build time, which keeps transcription errors out of the downstream
 volume and coefficient work.  The positive roots come from the integer Cartan
 matrix; ambient vectors are kept for what `rootdata`, `faces` and `contains` read.
+Parabolic orders |W_J| come by a product over root heights.
 
 Conventions:
   * coroot       alpha^v = 2*alpha/(alpha,alpha)
@@ -138,6 +139,8 @@ class RootSystemData:
                 raise AlcovesError("bad Cartan matrix")
         cart = [[int(c) for c in row] for row in self.cartan.rows]
         self._pos_coords = _positive_root_coords(cart)
+        self._root_heights = [(sum(1 << i for i, c in enumerate(b) if c), sum(b))
+                              for b in self._pos_coords]  # (support bitmask, height)
         # one inverse serves (co)weights and coroot coordinates
         self._cartan_inv = inv = self.cartan.inverse()
 
@@ -193,9 +196,9 @@ class RootSystemData:
                      for b in pos if b != simple}
             if image != pos - {simple}:
                 raise AlcovesError("simple reflection does not permute positive roots")
-        # |W_f| from the classification must match eq-of-orders data
+        # |W_f| by two theorems: n! prod(marks) det C (Bourbaki), root heights (Macdonald)
         if self.wf_order != weyl_order(self, range(1, n + 1)):
-            raise AlcovesError("group order mismatch between formula and classification")
+            raise AlcovesError("|W_f| = n! prod(marks) det C disagrees with the root heights")
 
     # -- coordinates -----------------------------------------------------------
 
@@ -282,80 +285,21 @@ def build_root_system(id: RootSystemId | str, rank: int | None = None) -> RootSy
 
 # -- parabolic subgroup orders -------------------------------------------------
 
-_E_ORDERS = {6: 51840, 7: 2903040, 8: 696729600}
-
-
-def _component_order(data: RootSystemData, comp: list[int]) -> int:
-    """Order of the Weyl group of one connected sub-diagram (1-based indices)."""
-    k = len(comp)
-    if k == 1:
-        return 2
-    cart = data.cartan
-    prod = {}
-    adj = {i: [] for i in comp}
-    for x, i in enumerate(comp):
-        for j in comp[x + 1:]:
-            p = cart[i - 1][j - 1] * cart[j - 1][i - 1]
-            if p:
-                adj[i].append(j)
-                adj[j].append(i)
-                prod[(i, j)] = int(p)
-    if any(p == 3 for p in prod.values()):
-        return 12  # G2
-    doubles = [pair for pair, p in prod.items() if p == 2]
-    if doubles:
-        if k == 4:
-            i, j = doubles[0]
-            if len(adj[i]) == 2 and len(adj[j]) == 2:
-                return 1152  # F4: the double edge is interior
-        return (2 ** k) * math.factorial(k)  # B_k / C_k
-    branch = [i for i in comp if len(adj[i]) == 3]
-    if not branch:
-        return math.factorial(k + 1)  # A_k
-    # arms of the unique trivalent node distinguish D from E
-    b = branch[0]
-    arms = []
-    for start in adj[b]:
-        length, prev, cur = 1, b, start
-        while True:
-            nxt = [x for x in adj[cur] if x != prev]
-            if not nxt:
-                break
-            prev, cur = cur, nxt[0]
-            length += 1
-        arms.append(length)
-    arms.sort()
-    if arms[0] == 1 and arms[1] == 1:
-        return (2 ** (k - 1)) * math.factorial(k)  # D_k
-    if arms == [1, 2, 2] or arms == [1, 2, 3] or arms == [1, 2, 4]:
-        return _E_ORDERS[k]
-    raise AlcovesError("unclassifiable sub-diagram %r" % (comp,))
-
-
 def weyl_order(data: RootSystemData, subset) -> int:
-    """|W_J| for J a subset of {1..n}: product over diagram components.
+    """|W_J| = prod (ht(alpha) + 1) / ht(alpha) over positive roots alpha supported in J.
 
-    Uses the classification table, never enumeration.
+    This is the Poincare series of W_J at t = 1 (Macdonald, *The Poincare series
+    of a Coxeter group*, 1972).  J need not be connected; nothing is enumerated.
     """
-    J = sorted(set(int(j) for j in subset))
+    J = {int(j) for j in subset}
     if any(j < 1 or j > data.rank for j in J):
         raise ValueError("index outside 1..%d" % data.rank)
-    seen: set[int] = set()
-    order = 1
-    for j in J:
-        if j in seen:
-            continue
-        comp, stack = [], [j]
-        seen.add(j)
-        while stack:
-            i = stack.pop()
-            comp.append(i)
-            for other in J:
-                if other not in seen and data.cartan[i - 1][other - 1] != 0:
-                    seen.add(other)
-                    stack.append(other)
-        order *= _component_order(data, sorted(comp))
-    return order
+    outside = ~sum(1 << (j - 1) for j in J)
+    num = den = 1
+    for support, height in data._root_heights:
+        if not support & outside:
+            num, den = num * (height + 1), den * height
+    return num // den
 
 
 # -- chamber representatives ----------------------------------------------------

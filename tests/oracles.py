@@ -64,6 +64,21 @@ def _simple_coords(data, root: QVector) -> tuple[int, ...]:
     return tuple(out)
 
 
+def diagram_components(data, J) -> list[tuple[int, ...]]:
+    """The connected components of the Dynkin sub-diagram on J, each sorted."""
+    J = set(J)
+    comps = []
+    while J:
+        comp, stack = set(), [min(J)]
+        while stack:
+            i = stack.pop()
+            comp.add(i)
+            stack.extend(k for k in J - comp if data.cartan[i - 1][k - 1] != 0)
+        comps.append(tuple(sorted(comp)))
+        J -= comp
+    return comps
+
+
 def mixed_basis_nu(data: RootSystemData, J) -> dict[int, tuple[QVector, Fraction]]:
     """Dual vectors of the J-mixed basis: nu_j in span{alpha_k : k in J}
     with (nu_j, alpha_i^v) = delta_ij for i in J.  Returns j -> (nu_j, |nu_j|^2).
@@ -207,12 +222,18 @@ def _primitive(normal, offset):
 
 
 def _hull_volume_3d(points):
-    """Exact volume of the convex hull of rational points in R^3."""
+    """Exact volume of the convex hull of rational points in R^3.
+
+    The points are scaled by L, the lcm of their denominators, so that the
+    plane test runs on integers; the hull's volume scales by L^3.
+    """
     pts = [tuple(Fraction(x) for x in p) for p in _dedupe(points)]
+    L = lcm(*(x.denominator for p in pts for x in p))
+    pts = [tuple(int(x * L) for x in p) for p in pts]
     if QMatrix([[a - b for a, b in zip(p, pts[0])] for p in pts]).rank() < 3:
         return Fraction(0)
     m = len(pts)
-    centroid = tuple(sum(p[i] for p in pts) / m for i in range(3))
+    centroid = tuple(Fraction(sum(p[i] for p in pts), m) for i in range(3))
     planes = {}
     for a, b, c in combinations(range(m), 3):
         u = tuple(pts[b][i] - pts[a][i] for i in range(3))
@@ -263,7 +284,7 @@ def _hull_volume_3d(points):
                    - u[1] * (v[0] * w[2] - v[2] * w[0])
                    + u[2] * (v[0] * w[1] - v[1] * w[0]))
             volume += abs(det)
-    return volume / 6
+    return volume / (6 * L ** 3)
 
 
 def _hull_cycle_2d(points):

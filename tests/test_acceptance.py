@@ -24,7 +24,7 @@ from alcoves.radicals import RadScalar
 from alcoves.rootdata import build_root_system
 from alcoves.volumes import squarefree_coefficient, volume_polynomial
 
-from oracles import element, enumerate_weyl_group
+from oracles import diagram_components, element, enumerate_weyl_group
 
 OK = "ACCEPTANCE %s PASS: %s"
 
@@ -165,7 +165,7 @@ def test_criterion_7_property_suites():
                 if J:
                     assert squarefree_coefficient(data, J).coeff > 0
                 # component factorization
-                comps = _diagram_components(data, J)
+                comps = diagram_components(data, J)
                 if len(comps) > 1:
                     prod = MPoly.constant(n, 1)
                     for K in comps:
@@ -207,23 +207,6 @@ def test_criterion_8_documented_refusals():
     assert "A24" in readme or "rank 24" in readme
     print(OK % (8, "E7/E8 W_f enumeration (the element oracle) and rank-24 fits refuse "
                 "loudly; E7, E8 and rank 24 are documented in the README"))
-
-
-def _diagram_components(data, J):
-    J = set(J)
-    comps = []
-    while J:
-        j = min(J)
-        comp, stack = set(), [j]
-        while stack:
-            i = stack.pop()
-            comp.add(i)
-            for k in list(J):
-                if k not in comp and data.cartan[i - 1][k - 1] != 0:
-                    stack.append(k)
-        comps.append(tuple(sorted(comp)))
-        J -= comp
-    return comps
 
 
 def _off_center_interior_point(data):

@@ -348,7 +348,11 @@ def _with(**changes):
     _with(system="G2"),
     lambda text: text[:40],                              # truncated JSON
     lambda text: "[" * 200_000,                          # deeper than the recursion limit
-], ids=["mu-empty", "mu-top", "subset-missing", "version", "system", "truncated", "deep"])
+    _with(mu_prime=dict(A2_MU_PRIME, **{"1": "1/0"})),   # a zero denominator
+    _with(mu_prime=dict(A2_MU_PRIME, **{"1": "1e100000000"})),  # an exponent
+    _with(mu_prime=dict(A2_MU_PRIME, **{" 1": "100"})),  # subset 1 named twice
+], ids=["mu-empty", "mu-top", "subset-missing", "version", "system", "truncated", "deep",
+        "zero-denominator", "exponent", "key-twice"])
 def test_defective_cache_is_refitted_and_defective_coeffs_file_refused(
         capsys, tmp_path, defect):
     fresh = tmp_path / "fresh.json"

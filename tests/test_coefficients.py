@@ -165,6 +165,8 @@ def test_coefficients_json_roundtrip():
     {"system": "A2", "mu_prime": {"": "six"}}, {"system": "A2", "mu_prime": {"": None}},
     {"system": "A2", "mu_prime": {"x": "6"}}, {"system": "A2", "mu_prime": {"": float("inf")}},
     {"system": "A2", "mu_prime": {"": "6"}, "provenance": []},
+    {"system": "A2", "mu_prime": {"": "1/0"}}, {"system": "A2", "mu_prime": {"": "1e100000000"}},
+    {"system": "A2", "mu_prime": {" 1": "9"}},
 ])
 def test_from_json_rejects_malformed_objects(obj):
     with pytest.raises(ValueError):

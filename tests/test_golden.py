@@ -3,11 +3,12 @@
 `golden_digests.json` holds the sha256 of
   * the stdout of `alcoves rootdata` on every supported system of rank <= 8,
   * the stdout of `alcoves volumes` for every J on a set of small systems,
-  * the file `alcoves fit --out` writes, on a set of small systems.
-The digests were taken from the ambient reflection-closure root data and the
-`MPoly` pyramid recursion.  The tests regenerate every output and compare, so
-any later change to these bytes has to be deliberate.  To print the digests
-of the code on the path:
+  * the file `alcoves fit --out` writes, on a set of small systems,
+  * `weyl_order(data, J)` for every J on every system of `rootdata`.
+The digests were taken from the ambient reflection-closure root data, the
+`MPoly` pyramid recursion and the Dynkin-classification table of `|W_J|`.
+The tests regenerate every output and compare, so any later change to these
+bytes has to be deliberate.  To print the digests of the code on the path:
 
     PYTHONPATH=src python3 tests/test_golden.py
 """
@@ -24,6 +25,7 @@ from pathlib import Path
 import pytest
 
 from alcoves.cli import main
+from alcoves.rootdata import build_root_system, weyl_order
 
 FIXTURE = Path(__file__).resolve().parent / "golden_digests.json"
 
@@ -55,6 +57,12 @@ def digests(kind: str) -> dict[str, str]:
     if kind == "rootdata":
         for name in ROOTDATA:
             out[name] = _sha(_stdout("rootdata", *_system(name)))
+    elif kind == "weyl_order":
+        for name in ROOTDATA:
+            d = build_root_system(name)
+            orders = [weyl_order(d, J) for size in range(d.rank + 1)
+                      for J in combinations(range(1, d.rank + 1), size)]
+            out[name] = _sha(" ".join(map(str, orders)).encode())
     elif kind == "volumes":
         for name in VOLUMES:
             n = int(name[1:])
@@ -72,7 +80,7 @@ def digests(kind: str) -> dict[str, str]:
     return out
 
 
-@pytest.mark.parametrize("kind", ["rootdata", "volumes", "fit"])
+@pytest.mark.parametrize("kind", ["rootdata", "weyl_order", "volumes", "fit"])
 def test_outputs_match_golden_digests(kind):
     expected = json.loads(FIXTURE.read_text())[kind]
     got = digests(kind)
@@ -81,6 +89,6 @@ def test_outputs_match_golden_digests(kind):
 
 
 if __name__ == "__main__":
-    json.dump({kind: digests(kind) for kind in ("rootdata", "volumes", "fit")},
+    json.dump({kind: digests(kind) for kind in ("rootdata", "weyl_order", "volumes", "fit")},
               sys.stdout, indent=1, sort_keys=True)
     sys.stdout.write("\n")

@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction
 
@@ -57,22 +58,24 @@ def test_weyl_order_examples():
 
 
 def test_weyl_order_against_closure():
-    # independent oracle: generate W_J explicitly and count
-    a4 = build_root_system("A4")
-    for J in [(1, 2, 4), (1, 3), (2, 3, 4)]:
-        gens = [simple_reflection(a4, j) for j in J]
-        seen = {AffineElement.identity(4)}
-        frontier = list(seen)
-        while frontier:
-            new = []
-            for u in frontier:
-                for s in gens:
-                    v = u @ s
-                    if v not in seen:
-                        seen.add(v)
-                        new.append(v)
-            frontier = new
-        assert len(seen) == weyl_order(a4, J)
+    # independent oracle: generate W_J explicitly and count, for every J
+    for name in ["A4", "B3", "C3", "D4", "G2", "F4"]:
+        d = build_root_system(name)
+        for size in range(d.rank + 1):
+            for J in itertools.combinations(range(1, d.rank + 1), size):
+                gens = [simple_reflection(d, j) for j in J]
+                seen = {AffineElement.identity(d.rank)}
+                frontier = list(seen)
+                while frontier:
+                    new = []
+                    for u in frontier:
+                        for s in gens:
+                            v = u @ s
+                            if v not in seen:
+                                seen.add(v)
+                                new.append(v)
+                    frontier = new
+                assert len(seen) == weyl_order(d, J), (name, J)
 
 
 def test_weyl_order_mixed_subdiagrams():
@@ -85,6 +88,15 @@ def test_weyl_order_mixed_subdiagrams():
     e6 = build_root_system("E6")
     assert weyl_order(e6, [1, 2, 3, 4, 5, 6]) == 51840
     assert weyl_order(e6, [2, 3, 4, 5]) == 192  # D4 inside E6
+    e7 = build_root_system("E7")
+    assert weyl_order(e7, range(1, 8)) == 2903040
+    assert weyl_order(e7, range(1, 7)) == 51840        # E6
+    assert weyl_order(e7, range(2, 8)) == 23040        # D6
+    e8 = build_root_system("E8")
+    assert weyl_order(e8, range(1, 9)) == 696729600
+    assert weyl_order(e8, range(1, 8)) == 2903040      # E7
+    assert weyl_order(e8, range(2, 9)) == 322560       # D7
+    assert weyl_order(e8, [1, 3, 4, 5, 6, 7, 8]) == 40320  # A7
 
 
 @pytest.mark.parametrize("name", ALL_SMALL)

@@ -13,7 +13,7 @@ from alcoves.volumes import (_pyramid_table, euclidean_volume, face_gram, indica
                              relative_volumes, squarefree_coefficient, support_difference,
                              volume_polynomial)
 
-from oracles import mixed_basis_nu, orbit_face_euclidean_volume
+from oracles import diagram_components, mixed_basis_nu, orbit_face_euclidean_volume
 
 RANK4 = ["A4", "B4", "D4", "F4"]
 SMALL = ["A1", "A2", "A3", "B2", "B3", "C3", "G2"]
@@ -103,28 +103,11 @@ def test_homogeneity_and_locality(name):
 def test_component_factorization(name):
     d = build_root_system(name)
     n = d.rank
-
-    def components(J):
-        J = set(J)
-        comps = []
-        while J:
-            j = min(J)
-            comp, stack = set(), [j]
-            while stack:
-                i = stack.pop()
-                comp.add(i)
-                for k in list(J):
-                    if k not in comp and d.cartan[i - 1][k - 1] != 0:
-                        stack.append(k)
-            comps.append(tuple(sorted(comp)))
-            J -= comp
-        return comps
-
     for J in _subsets(n):
         vp = volume_polynomial(d, J)
         prod = MPoly.constant(n, 1)
         gram = Fraction(1)
-        for K in components(J):
+        for K in diagram_components(d, J):
             vk = volume_polynomial(d, K)
             prod = prod * vk.rel_poly
             gram *= vk.gram
