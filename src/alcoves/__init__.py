@@ -6,16 +6,18 @@ Three independent routes to |<= theta(lambda)|:
   * |W_f| times a lattice-point count of the orbit polytope,
   * a face-volume formula with system-dependent geometric coefficients,
 
-plus the exact machinery each route needs (rational linear algebra,
-radical scalars, volume polynomials, hypersimplex Ehrhart polynomials).
+plus the exact machinery the routes call, and no more: rational linear
+algebra (Gram determinants, solve, inverse, rank), radical scalars that are
+multiplied, divided and compared, volume polynomials, and hypersimplex
+Ehrhart polynomials.
 """
 
 __version__ = "0.1.0"
 
 from .errors import (AlcovesError, BudgetExceededError, DegenerateBasisError,
                      FitVerificationError, FormulaConsistencyError,
-                     RadicalClassError, SingularSystemError, WallPointError)
-from .linalg import QMatrix, QVector, gram_det, gram_matrix, solve_linear
+                     SingularSystemError, WallPointError)
+from .linalg import QMatrix, QVector, gram_det, solve_linear
 from .radicals import RadScalar, sqrt_decompose
 from .mpoly import MPoly
 from .rootdata import (RootSystemData, RootSystemId, build_root_system,
@@ -29,21 +31,21 @@ from .volumes import (VolumePolynomial, euclidean_volume, relative_volumes,
                       squarefree_coefficient, volume_polynomial)
 from .coefficients import (GeometricCoefficients, eulerian, evaluate_formula,
                            fit_mu, hypersimplex_dilation_count,
-                           hypersimplex_ehrhart, mu_empty, mu_full, stirling1,
+                           hypersimplex_ehrhart, mu_full, stirling1,
                            type_a_connected_mu)
 
 __all__ = [
     "AlcovesError", "BudgetExceededError", "DegenerateBasisError",
     "DominantCoweight", "FaceDescriptor", "FitVerificationError",
     "FormulaConsistencyError", "GeometricCoefficients", "MPoly", "QMatrix",
-    "QVector", "RadScalar", "RadicalClassError", "RootSystemData", "RootSystemId",
+    "QVector", "RadScalar", "RootSystemData", "RootSystemId",
     "SingularSystemError", "VolumePolynomial", "WallPointError",
     "build_root_system", "contains", "descents", "dominant_representative",
     "element_from_point", "enumerate_X", "eulerian",
     "euclidean_volume", "evaluate_formula", "face", "fit_mu", "gram_det",
-    "gram_matrix", "hypersimplex_dilation_count", "hypersimplex_ehrhart",
+    "hypersimplex_dilation_count", "hypersimplex_ehrhart",
     "interval_size_bruhat", "interval_size_lattice", "lattice_count",
-    "lattice_count_by_membership", "lower_interval", "mu_empty", "mu_full",
+    "lattice_count_by_membership", "lower_interval", "mu_full",
     "relative_volumes", "sigma_reflection", "solve_linear",
     "sqrt_decompose", "squarefree_coefficient", "stirling1", "theta",
     "type_a_connected_mu", "volume_polynomial", "weyl_order",

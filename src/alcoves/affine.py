@@ -37,7 +37,7 @@ class _Context:
     def __init__(self, data: RootSystemData):
         n = data.rank
         # pairing vectors: (x, alpha) = <coords(x), k(alpha)> for positive alpha
-        self.pairings = [tuple(k) for k in data.root_pairing_vectors()]
+        self.pairings = data.positive_root_coords
         self.marks = tuple(int(m) for m in data.marks)
         # s_0: k = marks, c = 1, v = highest^v; s_i: k = e_i, c = 0, v = alpha_i^v (Cartan row i)
         self.walls = [(self.marks, 1, data.positive_coroot_coords[-1])] + [

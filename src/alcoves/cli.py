@@ -21,8 +21,8 @@ from . import __version__
 from .errors import AlcovesError, BudgetExceededError, FitVerificationError
 from .affine import (DEFAULT_INTERVAL_CAP, descents, interval_size_bruhat, sigma_reflection,
                      theta)
-from .coefficients import (DEFAULT_SUBSET_CAP, GeometricCoefficients, check_coefficients,
-                           check_subset_cap, evaluate_formula, fit_mu, hypersimplex_ehrhart)
+from .coefficients import (GeometricCoefficients, check_coefficients, check_subset_cap,
+                           evaluate_formula, fit_mu, hypersimplex_ehrhart)
 from .orbits import DEFAULT_BOX_CAP, face_to_json, interval_size_lattice
 from .rootdata import RootSystemId, build_root_system, check_rank
 from .volumes import volume_polynomial
@@ -133,7 +133,7 @@ def _cached_coefficients(ns, data) -> GeometricCoefficients:
         return _read_coefficients(path, data)
     except (FileNotFoundError, ValueError):
         pass
-    coeffs = fit_mu(data, max_subsets=ns.subset_cap, box_cap=ns.box_cap)
+    coeffs = fit_mu(data, box_cap=ns.box_cap)
     _write_coefficients(path, coeffs)
     return coeffs
 
@@ -141,7 +141,7 @@ def _cached_coefficients(ns, data) -> GeometricCoefficients:
 def cmd_count(ns) -> int:
     lam = _parse_lambda(ns.lam, ns.rank)
     if ns.method == "geometric" and not ns.coeffs:
-        check_subset_cap(ns.system, ns.subset_cap)
+        check_subset_cap(ns.system)
     data = build_root_system(ns.system)
     start = time.perf_counter()
     if ns.method == "bruhat":
@@ -168,9 +168,9 @@ def cmd_fit(ns) -> int:
     out = Path(ns.out)
     if out.exists() and not ns.force:
         raise UsageError("refusing to overwrite %s (use --force)" % out)
-    check_subset_cap(ns.system, ns.subset_cap)
+    check_subset_cap(ns.system)
     data = build_root_system(ns.system)
-    coeffs = fit_mu(data, max_subsets=ns.subset_cap, box_cap=ns.box_cap)
+    coeffs = fit_mu(data, box_cap=ns.box_cap)
     payload = _write_coefficients(out, coeffs)
     _emit({"schema": 1, "system": str(data.id), "written": str(out),
            "mu_prime": payload["mu_prime"]})
@@ -180,7 +180,7 @@ def cmd_fit(ns) -> int:
 def cmd_verify(ns) -> int:
     if ns.max_coord < 0:
         raise UsageError("--max-coord must be non-negative")
-    check_subset_cap(ns.system, ns.subset_cap)
+    check_subset_cap(ns.system)
     data = build_root_system(ns.system)
     coeffs = _cached_coefficients(ns, data)
     n = data.rank
@@ -288,25 +288,29 @@ def _build_parser() -> _Parser:
         if need_lambda:
             p.add_argument("--lambda", required=True, dest="lam",
                            help="comma-separated coweight coordinates")
+
+    def add_caps(p):  # count and verify; fit reads --box-cap alone, the rest no cap
         p.add_argument("--interval-cap", type=budget, default=DEFAULT_INTERVAL_CAP)
         p.add_argument("--box-cap", type=budget, default=DEFAULT_BOX_CAP)
-        p.add_argument("--subset-cap", type=budget, default=DEFAULT_SUBSET_CAP)
         p.add_argument("--cache-dir", default=None)
 
     p = sub.add_parser("count", help="count |<= theta(lambda)| one way")
     add_system_args(p, need_lambda=True)
+    add_caps(p)
     p.add_argument("--method", required=True, choices=["bruhat", "lattice", "geometric"])
     p.add_argument("--coeffs", help="coefficient JSON for --method geometric")
     p.set_defaults(func=cmd_count)
 
     p = sub.add_parser("fit", help="fit geometric coefficients and write them to a file")
     add_system_args(p)
+    p.add_argument("--box-cap", type=budget, default=DEFAULT_BOX_CAP)
     p.add_argument("--out", required=True)
     p.add_argument("--force", action="store_true")
     p.set_defaults(func=cmd_fit)
 
     p = sub.add_parser("verify", help="cross-check all three counting methods")
     add_system_args(p)
+    add_caps(p)
     p.add_argument("--max-coord", type=int, default=2)
     p.set_defaults(func=cmd_verify)
 

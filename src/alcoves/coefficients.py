@@ -31,7 +31,7 @@ from .rootdata import RootSystemData, RootSystemId, build_root_system
 from .orbits import DEFAULT_BOX_CAP, check_level_budget, interval_size_lattice
 from .volumes import face_gram, indicator, relative_volumes, support_difference
 
-DEFAULT_SUBSET_CAP = 4096
+MAX_SUBSETS = 4096  # 2^n <= 4096 exactly when the rank is at most 12
 # what linalg.rational_to_str writes, and all that from_json reads: "p" or "p/q", q != 0
 _RATIONAL = re.compile(r"-?[0-9]+(/0*[1-9][0-9]*)?")
 
@@ -128,11 +128,6 @@ def hypersimplex_ehrhart(k: int, d: int) -> MPoly:
 
 
 # -- closed forms ----------------------------------------------------------------
-
-def mu_empty(data: RootSystemData) -> Fraction:
-    """mu of the vertex face class: the order of the finite Weyl group."""
-    return Fraction(data.wf_order)
-
 
 def mu_full(data: RootSystemData) -> RadScalar:
     """mu of the full polytope: 1 / vol(A_id), exact."""
@@ -259,17 +254,16 @@ def check_coefficients(data: RootSystemData, coeffs: GeometricCoefficients) -> N
                          % (data.id, 2 ** data.rank, data.rank))
     if coeffs.mu_prime[()] != data.wf_order:
         raise ValueError("mu'_empty != |W_f|")
-    top = tuple(range(1, data.rank + 1))
-    expected_top = mu_full(data) * RadScalar.sqrt(face_gram(data, top))
-    if not expected_top.is_rational() or expected_top.coeff != coeffs.mu_prime[top]:
+    # sqrt(gram_top) = covol(Q^v) = |W_f| vol(A_id), so mu'_top = |W_f| too
+    if coeffs.mu_prime[tuple(range(1, data.rank + 1))] != data.wf_order:
         raise ValueError("mu'_top != 1/vol(A_id)")
 
 
-def check_subset_cap(system: RootSystemId, cap: int) -> None:
-    """Refuse, before any work, a fit of more than `cap` subsets."""
-    if 2 ** system.rank > cap:
+def check_subset_cap(system: RootSystemId) -> None:
+    """Refuse, before any work, a fit of more than MAX_SUBSETS subsets."""
+    if 2 ** system.rank > MAX_SUBSETS:
         raise BudgetExceededError("fitting %s needs %d subsets, exceeding cap %d"
-                                  % (system, 2 ** system.rank, cap))
+                                  % (system, 2 ** system.rank, MAX_SUBSETS))
 
 
 def evaluate_formula(data: RootSystemData, coeffs: GeometricCoefficients, lam) -> int:
@@ -294,9 +288,7 @@ def _all_subsets(n: int) -> tuple[tuple[int, ...], ...]:
     return tuple(J for size in range(n + 1) for J in combinations(range(1, n + 1), size))
 
 
-def fit_mu(data: RootSystemData,
-           max_subsets: int = DEFAULT_SUBSET_CAP,
-           box_cap: int = DEFAULT_BOX_CAP) -> GeometricCoefficients:
+def fit_mu(data: RootSystemData, box_cap: int = DEFAULT_BOX_CAP) -> GeometricCoefficients:
     """Determine every mu'_J from exact interval counts at 0/1 coweights.
 
     Delta_J (`support_difference`) of the values at the points 1_S keeps the
@@ -314,7 +306,7 @@ def fit_mu(data: RootSystemData,
     check refuses before the first count whenever any count would.
     """
     n = data.rank
-    check_subset_cap(data.id, max_subsets)
+    check_subset_cap(data.id)
     check_level_budget(data, (3,) * n, box_cap)
     subsets = _all_subsets(n)
 

@@ -17,10 +17,6 @@ class SingularSystemError(AlcovesError, ValueError):
     """Square linear system with no unique solution."""
 
 
-class RadicalClassError(AlcovesError, ValueError):
-    """Arithmetic attempted across incompatible radical square classes."""
-
-
 class WallPointError(AlcovesError, ValueError):
     """Point lies on a reflection hyperplane, so it selects no alcove."""
 

@@ -61,9 +61,6 @@ class QVector:
     def dot(self, other: "QVector") -> Fraction:
         return sum((a * b for a, b in zip(self.entries, other.entries, strict=True)), Fraction(0))
 
-    def is_zero(self) -> bool:
-        return all(a == 0 for a in self.entries)
-
     @staticmethod
     def zero(n: int) -> "QVector":
         return QVector([0] * n)
@@ -103,19 +100,9 @@ class QMatrix:
     def __hash__(self):
         return hash(self.rows)
 
-    def transpose(self) -> "QMatrix":
-        return QMatrix(zip(*self.rows)) if self.rows else QMatrix([])
-
     def matvec(self, v: Sequence) -> QVector:
         return QVector(sum((a * _frac(x) for a, x in zip(row, v, strict=True)), Fraction(0))
                        for row in self.rows)
-
-    def matmul(self, other: "QMatrix") -> "QMatrix":
-        cols = other.transpose().rows
-        return QMatrix(
-            [sum((a * b for a, b in zip(row, col, strict=True)), Fraction(0)) for col in cols]
-            for row in self.rows
-        )
 
     @staticmethod
     def identity(n: int) -> "QMatrix":
@@ -189,23 +176,6 @@ def solve_linear(m: QMatrix, b: QVector) -> QVector:
     return QVector(row[n] for row in rows)
 
 
-def nullspace_basis(m: QMatrix) -> list[QVector]:
-    """Exact basis of {x : Mx = 0} (possibly empty), one vector per free column."""
-    rows, pivots, _ = _gauss_jordan(m)
-    basis = []
-    for fc in (c for c in range(m.ncols) if c not in pivots):
-        x = [Fraction(0)] * m.ncols
-        x[fc] = Fraction(1)
-        for row, pc in zip(rows, pivots):
-            x[pc] = -row[fc]
-        basis.append(QVector(x))
-    return basis
-
-
-def gram_matrix(vectors: Sequence[QVector]) -> QMatrix:
-    return QMatrix([[u.dot(v) for v in vectors] for u in vectors])
-
-
 def gram_det(vectors: Sequence[QVector]) -> Fraction:
     """Determinant of the Gram matrix of `vectors` (1 for the empty list).
 
@@ -214,7 +184,7 @@ def gram_det(vectors: Sequence[QVector]) -> Fraction:
     """
     if not vectors:
         return Fraction(1)
-    d = gram_matrix(vectors).det()
+    d = QMatrix([[u.dot(v) for v in vectors] for u in vectors]).det()
     if d == 0:
         raise DegenerateBasisError("degenerate basis")
     return d

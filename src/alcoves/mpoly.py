@@ -47,9 +47,6 @@ class MPoly:
         expo = tuple(1 if j == i else 0 for j in range(nvars))
         return MPoly(nvars, {expo: Fraction(1)})
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def coeff(self, expo: Sequence[int]) -> Fraction:
         return self.terms.get(tuple(expo), Fraction(0))
 
@@ -108,14 +105,6 @@ class MPoly:
     def to_json(self) -> dict:
         return {",".join(map(str, e)): rational_to_str(c)
                 for e, c in sorted(self.terms.items())}
-
-    @staticmethod
-    def from_json(nvars: int, obj: dict) -> "MPoly":
-        terms = {}
-        for key, val in obj.items():
-            expo = tuple(int(x) for x in key.split(",")) if key else ()
-            terms[expo] = Fraction(val)
-        return MPoly(nvars, terms)
 
     def __repr__(self):
         if not self.terms:

@@ -7,16 +7,13 @@ canonical radicand.
 
 Canonical form: the radicand is a positive squarefree integer (all square
 factors, including the denominator, are absorbed into the coefficient), and
-the value 0 is stored as (0, 1).  Two RadScalars can be added only when
-their canonical radicands agree; comparisons across classes go through
-``square()``.
+the value 0 is stored as (0, 1).  RadScalars are only multiplied, divided
+and compared; comparisons across classes go through ``square()``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-
-from .errors import RadicalClassError
 
 
 def squarefree_decompose(n: int) -> tuple[int, int]:
@@ -73,13 +70,6 @@ class RadScalar:
         """Exact square root of a positive rational."""
         return RadScalar(1, Fraction(q))
 
-    @staticmethod
-    def zero() -> "RadScalar":
-        return RadScalar(0)
-
-    def is_zero(self) -> bool:
-        return self.coeff == 0
-
     def is_rational(self) -> bool:
         return self.radicand == 1
 
@@ -101,23 +91,6 @@ class RadScalar:
         # 1/(c*sqrt(d)) = (1/(c*d)) * sqrt(d)
         return RadScalar(1 / (self.coeff * self.radicand), self.radicand)
 
-    def __add__(self, other: "RadScalar") -> "RadScalar":
-        if not isinstance(other, RadScalar):
-            other = RadScalar(other)
-        if self.coeff == 0:
-            return other
-        if other.coeff == 0:
-            return self
-        if self.radicand != other.radicand:
-            raise RadicalClassError("incompatible radical classes")
-        return RadScalar(self.coeff + other.coeff, self.radicand)
-
-    def __neg__(self) -> "RadScalar":
-        return RadScalar(-self.coeff, self.radicand)
-
-    def __sub__(self, other: "RadScalar") -> "RadScalar":
-        return self + (-other)
-
     def square(self) -> Fraction:
         return self.coeff * self.coeff * self.radicand
 
@@ -128,10 +101,6 @@ class RadScalar:
 
     def __hash__(self):
         return hash((self.coeff, self.radicand))
-
-    def __float__(self):
-        # display only; never used in computation
-        return float(self.coeff) * float(self.radicand) ** 0.5
 
     def __repr__(self):
         if self.radicand == 1:

@@ -120,6 +120,13 @@ def _positive_root_coords(cart: list[list[int]]) -> list[tuple[int, ...]]:
     return sorted(roots, key=lambda c: (sum(c), c))
 
 
+def _exact_quotient(a, b) -> int:
+    q, r = divmod(a, b)
+    if r:
+        raise AlcovesError("%s / %s is not an integer" % (a, b))
+    return q
+
+
 class RootSystemData:
     """Fully derived, immutable data for one irreducible root system."""
 
@@ -138,20 +145,26 @@ class RootSystemData:
             if any(c.denominator != 1 or (c != 2 if i == j else c > 0) for j, c in enumerate(row)):
                 raise AlcovesError("bad Cartan matrix")
         cart = [[int(c) for c in row] for row in self.cartan.rows]
-        self._pos_coords = _positive_root_coords(cart)
+        # positive roots by simple-root coordinates c, which are also the pairings
+        # ((w_i^v, alpha))_i: pairing a point in coweight coordinates with alpha is <c, x>
+        self.positive_root_coords = _positive_root_coords(cart)
         self._root_heights = [(sum(1 << i for i, c in enumerate(b) if c), sum(b))
-                              for b in self._pos_coords]  # (support bitmask, height)
+                              for b in self.positive_root_coords]  # (support bitmask, height)
         # one inverse serves (co)weights and coroot coordinates
         self._cartan_inv = inv = self.cartan.inverse()
 
-        # (alpha^v, alpha_i) = 2 t_i / (c . t) for alpha = sum_k c_k alpha_k,
-        # t_i = (cartan c)_i |alpha_i|^2 = 2 (alpha, alpha_i)
-        ts = [[l * sum(map(mul, row, c)) for l, row in zip(norms, cart)] for c in self._pos_coords]
-        self.positive_coroot_coords = [tuple(int(2 * x / sum(map(mul, c, t))) for x in t)
-                                       for c, t in zip(self._pos_coords, ts)]
+        # (alpha^v, alpha_i) = 2 t_i / (c . t) for alpha = sum_k c_k alpha_k, where
+        # t_i = (cartan c)_i l_i is 2 (alpha, alpha_i) / min |alpha_j|^2 and the
+        # relative norm l_i = |alpha_i|^2 / min |alpha_j|^2 is 1, 2 or 3
+        rel = [_exact_quotient(l, min(norms)) for l in norms]
+        self.positive_coroot_coords = []
+        for c in self.positive_root_coords:
+            t = [l * sum(map(mul, row, c)) for l, row in zip(rel, cart)]
+            ct = sum(map(mul, c, t))
+            self.positive_coroot_coords.append(tuple(_exact_quotient(2 * x, ct) for x in t))
 
         # the highest root is the unique root of greatest height, sorted last
-        self.marks = self._pos_coords[-1]
+        self.marks = self.positive_root_coords[-1]
         zero = QVector.zero(self.ambient_dim)
         self.highest_root = sum((m * a for m, a in zip(self.marks, self.simple_roots)), zero)
 
@@ -188,7 +201,7 @@ class RootSystemData:
             raise AlcovesError("marks must be positive")
         # each simple reflection s_i(b) = b - <b, alpha_i^v> e_i permutes the
         # other positive roots
-        pos = set(self._pos_coords)
+        pos = set(self.positive_root_coords)
         for i, row in enumerate(self.cartan.rows):
             row = [int(c) for c in row]
             simple = tuple(int(j == i) for j in range(n))
@@ -226,14 +239,6 @@ class RootSystemData:
     def in_coroot_lattice(self, coords) -> bool:
         return all(c.denominator == 1 for c in self.coroot_coords_from_coweight(coords))
 
-    def root_pairing_vectors(self) -> list[tuple[int, ...]]:
-        """For each positive root alpha, ((w_i^v, alpha))_i = simple-root coords.
-
-        Pairing a point given in coweight coordinates with alpha is the
-        integer dot product against this vector.
-        """
-        return list(self._pos_coords)
-
     def to_json(self) -> dict:
         def vec(v):
             return [rational_to_str(x) for x in v]
@@ -243,7 +248,7 @@ class RootSystemData:
             "ambient_dim": self.ambient_dim,
             "simple_roots": [vec(v) for v in self.simple_roots],
             "simple_coroots": [vec(v) for v in self.simple_coroots],
-            "positive_root_count": len(self._pos_coords),
+            "positive_root_count": len(self.positive_root_coords),
             "fundamental_coweights": [vec(v) for v in self.fundamental_coweights],
             "fundamental_weights": [vec(v) for v in self.fundamental_weights],
             "cartan": [[rational_to_str(x) for x in row] for row in self.cartan.rows],

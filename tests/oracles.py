@@ -353,7 +353,7 @@ def orbit_face_euclidean_volume(data, J, lam) -> RadScalar:
     else:
         raise NotImplementedError("hull oracle only supports |J| <= 3")
     if rel == 0:
-        return RadScalar.zero()
+        return RadScalar(0)
     return RadScalar(rel, gram_det(roots))
 
 
@@ -423,7 +423,7 @@ class _Context:
         n = data.rank
         self.n = n
         # pairing vectors: (x, alpha) = <coords(x), k(alpha)> for positive alpha
-        self.pairings = [tuple(k) for k in data.root_pairing_vectors()]
+        self.pairings = data.positive_root_coords
         self.marks = tuple(int(m) for m in data.marks)
         atilde_coroot = data.positive_coroot_coords[-1]  # of the highest root
 

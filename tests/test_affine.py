@@ -257,6 +257,17 @@ def test_theta_size_matches_lattice_formula_spot():
         assert len(lower_interval(d, w, word)) == interval_size_lattice(d, lam)
 
 
+@pytest.mark.parametrize("name,i,points", [
+    ("E7", 1, 127), ("E7", 2, 632), ("E7", 3, 2899), ("E7", 4, 24753), ("E7", 5, 6176),
+    ("E7", 6, 883), ("E7", 7, 56), ("E8", 1, 2401), ("E8", 2, 26401), ("E8", 8, 241)])
+def test_bruhat_equals_lattice_on_e7_e8_fundamental_coweights(name, i, points):
+    # the coset closure with a raised cap against the coroot walk; |P| pins the closure
+    d = build_root_system(name)
+    lam = tuple(int(j == i) for j in range(1, d.rank + 1))
+    count = interval_size_bruhat(d, lam, cap=10 ** 20)
+    assert count == interval_size_lattice(d, lam) == d.wf_order * points
+
+
 def test_parabolic_alcoves_are_translated_group_alcoves():
     # the maximal parabolic generated by S minus {s_i} tiles the alcoves
     # around the vertex -w_i^v exactly as W_f translated by it (minuscule i)
@@ -300,7 +311,7 @@ def test_ambient_view_is_orthogonal_and_permutes_roots():
     # orthogonal L that permutes the roots is an L^T that permutes the +-k(alpha)
     d = build_root_system("B2")
     pairings = set()
-    for k in d.root_pairing_vectors():
+    for k in d.positive_root_coords:
         pairings.add(tuple(int(x) for x in k))
         pairings.add(tuple(-int(x) for x in k))
     w = element(d, theta(d, (1, 1))[1])

@@ -1,5 +1,6 @@
 import json
 import math
+import os
 import subprocess
 import sys
 import time
@@ -178,7 +179,7 @@ def test_usage_errors(capsys):
 @pytest.mark.parametrize("argv,message", [
     (["--interval-cap", "0"], "budgets must be positive"),
     (["--box-cap", "-1"], "budgets must be positive"),
-    (["--subset-cap", "0"], "budgets must be positive"),
+    (["--interval-cap", "-1"], "budgets must be positive"),
     (["--lambda", "1,-1"], "lambda coordinates must be non-negative integers"),
 ])
 def test_negative_inputs_are_usage_errors(capsys, argv, message):
@@ -210,10 +211,13 @@ def test_cache_roundtrip(capsys, tmp_path):
 
 
 def test_console_script_entry_point():
+    # a subprocess does not inherit pytest's pythonpath, so src goes on PYTHONPATH
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "alcoves.cli", "count", "--type", "A", "--rank", "1",
          "--lambda", "3", "--method", "bruhat"],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path))
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["count"] == 8
 
@@ -263,17 +267,19 @@ def test_count_bruhat_beyond_the_element_closure(capsys, system, lam):
 
 @pytest.mark.parametrize("argv,message", [
     (["count", "--type", "E", "--rank", "8", "--lambda", "1,1,1,1,1,1,1,1",
-      "--method", "bruhat"], "lower interval exceeds cap of 1000000 elements"),
+      "--method", "bruhat", "--cache-dir", "cache"],
+     "lower interval exceeds cap of 1000000 elements"),
     (["count", "--type", "E", "--rank", "7", "--lambda", "1,1,1,1,1,1,1",
-      "--method", "geometric"], "level simplex has 3849565824 cells, exceeding cap 100000000"),
+      "--method", "geometric", "--cache-dir", "cache"],
+     "level simplex has 3849565824 cells, exceeding cap 100000000"),
     (["fit", "--type", "E", "--rank", "7", "--out", "e7.json"],
      "level simplex has 3849565824 cells, exceeding cap 100000000"),
 ], ids=["E8-bruhat", "E7-geometric", "E7-fit"])
 def test_refusal_before_the_first_count_is_cheap(capsys, tmp_path, monkeypatch, argv, message):
-    monkeypatch.chdir(tmp_path)
+    monkeypatch.chdir(tmp_path)  # the relative cache and out paths land here
     build_root_system("%s%s" % (argv[2], argv[4]))  # time the refusal, not the build
     start = time.perf_counter()
-    code, payload = run_cli(capsys, *argv, "--cache-dir", str(tmp_path / "cache"))
+    code, payload = run_cli(capsys, *argv)
     assert time.perf_counter() - start < 1
     assert code == 2 and payload["error"] == {"type": "budget", "message": message}
     assert list(tmp_path.iterdir()) == []
@@ -427,8 +433,8 @@ def test_ehrhart_budget(capsys):
 
 @pytest.mark.parametrize("argv", [
     ["fit", "--out", "never-written.json"],
-    ["verify"],
-    ["count", "--method", "geometric", "--lambda", ",".join(["0"] * 24)],
+    ["verify", "--cache-dir", "."],
+    ["count", "--method", "geometric", "--lambda", ",".join(["0"] * 24), "--cache-dir", "."],
 ])
 def test_subset_cap_refuses_before_building_the_system(capsys, tmp_path, monkeypatch, argv):
     import alcoves.cli as climod
@@ -438,8 +444,7 @@ def test_subset_cap_refuses_before_building_the_system(capsys, tmp_path, monkeyp
 
     monkeypatch.setattr(climod, "build_root_system", no_build)
     monkeypatch.chdir(tmp_path)
-    code, payload = run_cli(capsys, *argv, "--type", "A", "--rank", "24",
-                            "--cache-dir", str(tmp_path))
+    code, payload = run_cli(capsys, *argv, "--type", "A", "--rank", "24")
     assert code == 2 and payload["error"]["type"] == "budget"
     assert "16777216 subsets" in payload["error"]["message"]
 
@@ -451,17 +456,35 @@ def test_no_new_options():
                if isinstance(a, argparse._SubParsersAction))
     options = {name: sorted(o for a in p._actions for o in a.option_strings)
                for name, p in sub.choices.items()}
-    system = ["--box-cap", "--cache-dir", "--interval-cap", "--rank", "--subset-cap",
-              "--type", "-h", "--help"]
+    system = ["--rank", "--type", "-h", "--help"]
+    caps = ["--box-cap", "--cache-dir", "--interval-cap"]
     assert options == {
-        "count": sorted(system + ["--lambda", "--method", "--coeffs"]),
-        "fit": sorted(system + ["--out", "--force"]),
-        "verify": sorted(system + ["--max-coord"]),
+        "count": sorted(system + caps + ["--lambda", "--method", "--coeffs"]),
+        "fit": sorted(system + ["--box-cap", "--out", "--force"]),
+        "verify": sorted(system + caps + ["--max-coord"]),
         "ehrhart": sorted(["-h", "--help", "--k", "--d"]),
         "volumes": sorted(system + ["--J"]),
         "faces": sorted(system + ["--lambda", "--J"]),
         "rootdata": sorted(system),
     }
+
+
+REMOVED_FLAGS = [(command, flag) for command in ("rootdata", "volumes", "faces")
+                 for flag in ("--interval-cap", "--box-cap", "--subset-cap", "--cache-dir")]
+REMOVED_FLAGS += [("fit", "--interval-cap"), ("fit", "--subset-cap"), ("fit", "--cache-dir"),
+                  ("count", "--subset-cap"), ("verify", "--subset-cap")]
+
+
+@pytest.mark.parametrize("command,flag", REMOVED_FLAGS, ids=["%s%s" % c for c in REMOVED_FLAGS])
+def test_flags_a_command_does_not_read_are_usage_errors(capsys, tmp_path, monkeypatch,
+                                                        command, flag):
+    monkeypatch.chdir(tmp_path)
+    rest = {"count": ["--lambda", "1,1", "--method", "lattice"], "fit": ["--out", "a2.json"],
+            "volumes": ["--J", "1"], "faces": ["--lambda", "1,1", "--J", "1"]}.get(command, [])
+    code, payload = run_cli(capsys, command, "--type", "A", "--rank", "2", *rest, flag, "4096")
+    assert code == 1 and payload["error"] == {
+        "type": "usage", "message": "unrecognized arguments: %s 4096" % flag}
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_verify_rejects_negative_max_coord(capsys, tmp_path):

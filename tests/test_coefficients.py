@@ -6,14 +6,14 @@ import pytest
 
 from alcoves.coefficients import (GeometricCoefficients, check_coefficients, eulerian,
                                   evaluate_formula, fit_mu, hypersimplex_dilation_count,
-                                  hypersimplex_ehrhart, mu_empty, mu_full,
+                                  hypersimplex_ehrhart, mu_full,
                                   stirling1, type_a_connected_mu)
 from alcoves.errors import (BudgetExceededError, FitVerificationError,
                             FormulaConsistencyError)
 from alcoves.orbits import interval_size_lattice
 from alcoves.radicals import RadScalar
-from alcoves.rootdata import build_root_system
-from alcoves.volumes import volume_polynomial
+from alcoves.rootdata import _RANK_RULES, build_root_system
+from alcoves.volumes import face_gram, volume_polynomial
 from oracles import mpoly_interpolate
 
 
@@ -81,9 +81,19 @@ def test_ehrhart_matches_dilation_counts():
 
 
 def test_mu_empty():
-    assert mu_empty(build_root_system("A2")) == 6
-    assert mu_empty(build_root_system("G2")) == 12
-    assert mu_empty(build_root_system("F4")) == 1152
+    # mu of the vertex face class is the order of the finite Weyl group
+    assert build_root_system("A2").wf_order == 6
+    assert build_root_system("G2").wf_order == 12
+    assert build_root_system("F4").wf_order == 1152
+
+
+@pytest.mark.parametrize("name", [f + str(n) for f, rule in _RANK_RULES.items()
+                                  for n in range(1, 9) if rule(n)])
+def test_top_pin_is_the_weyl_group_order(name):
+    # check_coefficients pins mu'_top = 1/vol(A_id) as |W_f|: sqrt(gram_top) is the
+    # covolume of the coroot lattice, which is |W_f| vol(A_id)
+    d = build_root_system(name)
+    assert mu_full(d) * RadScalar.sqrt(face_gram(d, range(1, d.rank + 1))) == d.wf_order
 
 
 def test_mu_full_closed_values():

@@ -43,3 +43,26 @@ def test_bruhat_route_reproduces_every_pinned_sweep_count():
     assert len(refs) == 7
     for ref in refs:
         assert pins.count("bruhat", ref["system"], tuple(ref["lambda"])) == ref["count"], ref
+
+
+def test_public_names():
+    # the library's public surface: a name leaves it only on purpose
+    import alcoves
+    assert alcoves.__all__ == [
+        "AlcovesError", "BudgetExceededError", "DegenerateBasisError",
+        "DominantCoweight", "FaceDescriptor", "FitVerificationError",
+        "FormulaConsistencyError", "GeometricCoefficients", "MPoly", "QMatrix",
+        "QVector", "RadScalar", "RootSystemData", "RootSystemId",
+        "SingularSystemError", "VolumePolynomial", "WallPointError",
+        "build_root_system", "contains", "descents", "dominant_representative",
+        "element_from_point", "enumerate_X", "eulerian",
+        "euclidean_volume", "evaluate_formula", "face", "fit_mu", "gram_det",
+        "hypersimplex_dilation_count", "hypersimplex_ehrhart",
+        "interval_size_bruhat", "interval_size_lattice", "lattice_count",
+        "lattice_count_by_membership", "lower_interval", "mu_full",
+        "relative_volumes", "sigma_reflection", "solve_linear",
+        "sqrt_decompose", "squarefree_coefficient", "stirling1", "theta",
+        "type_a_connected_mu", "volume_polynomial", "weyl_order",
+    ]
+    for name in alcoves.__all__:
+        assert getattr(alcoves, name) is not None, name
