@@ -12,6 +12,7 @@ import argparse
 import json
 import math
 import os
+import re
 import sys
 import time
 from itertools import product
@@ -47,10 +48,21 @@ class UsageError(Exception):
     pass
 
 
+_INTEGER = re.compile(r"-?[0-9]+")
+
+
+def integer(text: str) -> int:
+    """The CLI's one integer grammar, ASCII -?[0-9]+: int() alone also reads
+    '1_0', ' 1', '+1' and digits of other scripts such as '\u0661'."""
+    if not _INTEGER.fullmatch(text):
+        raise ValueError("not an integer: %r" % text)
+    return int(text)
+
+
 def budget(text: str) -> int:
     """argparse type of the caps.  It raises UsageError, which argparse does not
     catch, so the message reaches the JSON error without an argparse prefix."""
-    value = int(text)
+    value = integer(text)
     if value <= 0:
         raise UsageError("budgets must be positive")
     return value
@@ -67,7 +79,7 @@ def _fail(code: int, kind: str, message: str) -> int:
 
 def _parse_lambda(text: str, rank: int) -> tuple[int, ...]:
     try:
-        coords = tuple(int(x) for x in text.split(","))
+        coords = tuple(integer(x) for x in text.split(","))
     except ValueError:
         raise UsageError("lambda must be a comma-separated integer list") from None
     if len(coords) != rank:
@@ -81,7 +93,7 @@ def _parse_J(text: str, rank: int) -> tuple[int, ...]:
     if text in ("empty", ""):
         return ()
     try:
-        J = tuple(sorted(set(int(x) for x in text.split(","))))
+        J = tuple(sorted(set(integer(x) for x in text.split(","))))
     except ValueError:
         raise UsageError("J must be a comma-separated integer list or 'empty'") from None
     if any(j < 1 or j > rank for j in J):
@@ -284,7 +296,7 @@ def _build_parser() -> _Parser:
     def add_system_args(p, need_lambda=False):
         p.add_argument("--type", required=True, dest="family",
                        help="root system family letter (A/B/C/D/E/F/G)")
-        p.add_argument("--rank", required=True, type=int)
+        p.add_argument("--rank", required=True, type=integer)
         if need_lambda:
             p.add_argument("--lambda", required=True, dest="lam",
                            help="comma-separated coweight coordinates")
@@ -311,12 +323,12 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("verify", help="cross-check all three counting methods")
     add_system_args(p)
     add_caps(p)
-    p.add_argument("--max-coord", type=int, default=2)
+    p.add_argument("--max-coord", type=integer, default=2)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("ehrhart", help="hypersimplex Ehrhart polynomial")
-    p.add_argument("--k", required=True, type=int)
-    p.add_argument("--d", required=True, type=int)
+    p.add_argument("--k", required=True, type=integer)
+    p.add_argument("--d", required=True, type=integer)
     p.set_defaults(func=cmd_ehrhart)
 
     p = sub.add_parser("volumes", help="face volume polynomial")

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
@@ -192,13 +191,22 @@ def type_a_connected_mu(n: int) -> dict[tuple[int, ...], Fraction]:
 
 # -- coefficient containers --------------------------------------------------------
 
-@dataclass
 class GeometricCoefficients:
     """The map J -> mu'_J (lattice-normalized, rational) for one system."""
 
-    system: RootSystemId
-    mu_prime: dict[tuple[int, ...], Fraction]
-    provenance: dict[tuple[int, ...], str] = field(default_factory=dict)
+    __hash__ = None  # equal by value, and its maps may change
+
+    def __init__(self, system: RootSystemId, mu_prime: dict[tuple[int, ...], Fraction],
+                 provenance: dict[tuple[int, ...], str] | None = None):
+        self.system = system
+        self.mu_prime = mu_prime
+        self.provenance = {} if provenance is None else provenance
+
+    def __eq__(self, other):
+        if not isinstance(other, GeometricCoefficients):
+            return NotImplemented
+        return ((self.system, self.mu_prime, self.provenance)
+                == (other.system, other.mu_prime, other.provenance))
 
     def mu_euclidean(self, data: RootSystemData, J) -> RadScalar:
         """The Euclidean coefficient mu_J = mu'_J / sqrt(gram_J)."""
@@ -226,6 +234,8 @@ class GeometricCoefficients:
         try:
             name = obj["system"]
             system = RootSystemId(name[0], int(name[1:]))
+            if str(system) != name:
+                raise ValueError("system %r is not as to_json writes it" % (name,))
             mu = {}
             prov = {}
             for key, val in obj["mu_prime"].items():

@@ -13,7 +13,7 @@ and |<= theta(lambda)| is |W_f| times that.  A geometric membership test
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from itertools import product
 from operator import sub
@@ -25,16 +25,35 @@ from .rootdata import RootSystemData, dominant_coords, weyl_order
 DEFAULT_BOX_CAP = 10 ** 8
 
 
-@dataclass(frozen=True)
 class DominantCoweight:
-    """A dominant coweight by its coweight-basis coordinates."""
+    """A dominant coweight by its coweight-basis coordinates; immutable and hashable."""
 
-    coords: tuple[int, ...]
+    __slots__ = ("coords",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "coords", tuple(int(c) for c in self.coords))
-        if any(c < 0 for c in self.coords):
+    def __init__(self, coords):
+        coords = tuple(int(c) for c in coords)
+        if any(c < 0 for c in coords):
             raise ValueError("coordinates must be non-negative")
+        object.__setattr__(self, "coords", coords)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError("DominantCoweight is immutable")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):
+        return DominantCoweight, (self.coords,)
+
+    def __eq__(self, other):
+        if not isinstance(other, DominantCoweight):
+            return NotImplemented
+        return self.coords == other.coords
+
+    def __hash__(self):
+        return hash((self.coords,))
+
+    def __repr__(self):
+        return "DominantCoweight(coords=%r)" % (self.coords,)
 
     @property
     def vanishing_set(self) -> frozenset[int]:
@@ -165,14 +184,13 @@ def lattice_count_by_membership(data: RootSystemData, lam,
     return count
 
 
-@dataclass(frozen=True)
-class FaceDescriptor:
-    """The face Conv(W_J . lambda) of the orbit polytope containing lambda."""
+class FaceDescriptor(namedtuple("FaceDescriptor", "J vertex_set dim orbit_face_count")):
+    """The face Conv(W_J . lambda) of the orbit polytope containing lambda.
 
-    J: tuple[int, ...]
-    vertex_set: tuple[QVector, ...]
-    dim: int
-    orbit_face_count: int  # [W_f : W_J]; counts the W_f-orbit for generic lambda
+    orbit_face_count is [W_f : W_J]; it counts the W_f-orbit for generic lambda.
+    """
+
+    __slots__ = ()
 
 
 def face(data: RootSystemData, lam, J) -> FaceDescriptor:

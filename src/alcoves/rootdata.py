@@ -20,7 +20,6 @@ Conventions:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from operator import mul
@@ -40,19 +39,37 @@ _RANK_RULES = {
 }
 
 
-@dataclass(frozen=True)
 class RootSystemId:
-    """A validated family/rank pair such as A3 or G2."""
+    """A validated family/rank pair such as A3 or G2; immutable and hashable."""
 
-    family: str
-    rank: int
+    __slots__ = ("family", "rank")
 
-    def __post_init__(self):
-        fam = self.family.upper()
-        object.__setattr__(self, "family", fam)
+    def __init__(self, family: str, rank: int):
+        fam = family.upper()
         rule = _RANK_RULES.get(fam)
-        if rule is None or not rule(self.rank):
-            raise ValueError("invalid root system %s%d" % (self.family, self.rank))
+        if rule is None or not rule(rank):
+            raise ValueError("invalid root system %s%d" % (fam, rank))
+        object.__setattr__(self, "family", fam)
+        object.__setattr__(self, "rank", rank)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError("RootSystemId is immutable")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):
+        return RootSystemId, (self.family, self.rank)
+
+    def __eq__(self, other):
+        if not isinstance(other, RootSystemId):
+            return NotImplemented
+        return self.family == other.family and self.rank == other.rank
+
+    def __hash__(self):
+        return hash((self.family, self.rank))
+
+    def __repr__(self):
+        return "RootSystemId(family=%r, rank=%r)" % (self.family, self.rank)
 
     def __str__(self):
         return "%s%d" % (self.family, self.rank)

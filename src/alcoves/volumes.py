@@ -21,7 +21,7 @@ The recursion runs on numbers (values) or on MPoly variables (polynomials).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache, reduce
 from itertools import combinations
@@ -34,13 +34,10 @@ from .radicals import RadScalar
 from .rootdata import RootSystemData, weyl_order
 
 
-@dataclass(frozen=True)
-class VolumePolynomial:
+class VolumePolynomial(namedtuple("VolumePolynomial", "J rel_poly gram")):
     """V_J in lattice-normalized form: Euclidean V_J = rel_poly * sqrt(gram)."""
 
-    J: tuple[int, ...]
-    rel_poly: MPoly
-    gram: Fraction
+    __slots__ = ()
 
     def to_json(self) -> dict:
         return {

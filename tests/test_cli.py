@@ -188,6 +188,42 @@ def test_negative_inputs_are_usage_errors(capsys, argv, message):
     assert code == 1 and payload["error"] == {"type": "usage", "message": message}
 
 
+COUNT_A2 = ["count", "--type", "A", "--rank", "2", "--lambda", "1,1", "--method", "lattice"]
+INTEGER_ARGS = [  # X marks the integer under test; %r in the message is its repr
+    pytest.param(["count", "--type", "A", "--rank", "X", "--lambda", "1,1", "--method", "lattice"],
+                 "argument --rank: invalid integer value: %r", id="count--rank"),
+    pytest.param(["count", "--type", "A", "--rank", "2", "--lambda", "1,X", "--method", "lattice"],
+                 "lambda must be a comma-separated integer list", id="count--lambda"),
+    pytest.param(["faces", "--type", "A", "--rank", "2", "--lambda", "X,1", "--J", "1"],
+                 "lambda must be a comma-separated integer list", id="faces--lambda"),
+    pytest.param(["volumes", "--type", "A", "--rank", "2", "--J", "X"],
+                 "J must be a comma-separated integer list or 'empty'", id="volumes--J"),
+    pytest.param(COUNT_A2 + ["--interval-cap", "X"],
+                 "argument --interval-cap: invalid budget value: %r", id="count--interval-cap"),
+    pytest.param(COUNT_A2 + ["--box-cap", "X"],
+                 "argument --box-cap: invalid budget value: %r", id="count--box-cap"),
+    pytest.param(["fit", "--type", "A", "--rank", "2", "--out", "a2.json", "--box-cap", "X"],
+                 "argument --box-cap: invalid budget value: %r", id="fit--box-cap"),
+    pytest.param(["verify", "--type", "A", "--rank", "1", "--cache-dir", "c", "--max-coord", "X"],
+                 "argument --max-coord: invalid integer value: %r", id="verify--max-coord"),
+    pytest.param(["ehrhart", "--k", "X", "--d", "3"],
+                 "argument --k: invalid integer value: %r", id="ehrhart--k"),
+    pytest.param(["ehrhart", "--k", "1", "--d", "X"],
+                 "argument --d: invalid integer value: %r", id="ehrhart--d"),
+]
+
+
+@pytest.mark.parametrize("text", ["1_0", " 1", "+1", "\u0661", "1.0"])
+@pytest.mark.parametrize("argv,message", INTEGER_ARGS)
+def test_integers_are_ascii_digits_only(capsys, tmp_path, monkeypatch, argv, message, text):
+    # int() alone reads each text but "1.0" as the integer 1 or 10
+    monkeypatch.chdir(tmp_path)
+    code, payload = run_cli(capsys, *[arg.replace("X", text) for arg in argv])
+    assert code == 1 and payload["error"] == {
+        "type": "usage", "message": message % text if "%r" in message else message}
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_budget_exit_code(capsys):
     code, payload = run_cli(capsys, "count", "--type", "A", "--rank", "2",
                             "--lambda", "1,1", "--method", "bruhat",

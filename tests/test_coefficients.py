@@ -169,6 +169,22 @@ def test_coefficients_json_roundtrip():
     assert back.mu_prime == coeffs.mu_prime
 
 
+def test_coefficients_are_equal_by_value_and_unhashable():
+    d = build_root_system("A2")
+    mu = {(): Fraction(6), (1,): Fraction(9), (2,): Fraction(9), (1, 2): Fraction(6)}
+    coeffs = GeometricCoefficients(d.id, mu)
+    assert coeffs.provenance == {}
+    assert coeffs.provenance is not GeometricCoefficients(d.id, mu).provenance
+    assert coeffs == GeometricCoefficients(build_root_system("A2").id, dict(mu), {})
+    assert coeffs != GeometricCoefficients(d.id, {**mu, (): Fraction(7)})
+    assert coeffs != GeometricCoefficients(d.id, mu, {(): "fitted"})
+    assert coeffs != mu
+    with pytest.raises(TypeError, match="unhashable"):
+        hash(coeffs)
+    back = GeometricCoefficients.from_json(coeffs.to_json())
+    assert back == GeometricCoefficients(d.id, mu, {J: "fitted" for J in mu})
+
+
 @pytest.mark.parametrize("obj", [
     [1], "A2", None, {}, {"mu_prime": {"": "6"}}, {"system": "", "mu_prime": {}},
     {"system": "Z2", "mu_prime": {}}, {"system": "A2"}, {"system": "A2", "mu_prime": [1]},
@@ -177,6 +193,9 @@ def test_coefficients_json_roundtrip():
     {"system": "A2", "mu_prime": {"": "6"}, "provenance": []},
     {"system": "A2", "mu_prime": {"": "1/0"}}, {"system": "A2", "mu_prime": {"": "1e100000000"}},
     {"system": "A2", "mu_prime": {" 1": "9"}},
+    # a system name only as to_json writes it: int() alone would read each of these as A2
+    *({"system": name, "mu_prime": {"": "6", "1": "9", "2": "9", "1,2": "6"}}
+      for name in ["a2", "A\u0662", "A 2", "A+2", "A02", "A2 "]),
 ])
 def test_from_json_rejects_malformed_objects(obj):
     with pytest.raises(ValueError):

@@ -1,3 +1,4 @@
+import copy
 import itertools
 import json
 import math
@@ -26,6 +27,31 @@ def test_vanishing_set():
     assert mu.vanishing_set == frozenset({2})
     with pytest.raises(ValueError):
         DominantCoweight((-1, 0))
+
+
+def test_dominant_coweight_is_an_immutable_value():
+    mu = DominantCoweight([2, 0, 1])
+    assert mu.coords == (2, 0, 1) and list(mu) == [2, 0, 1] and tuple(mu) == mu.coords
+    assert mu == DominantCoweight((2, 0, 1)) and mu != DominantCoweight((2, 0, 0))
+    assert mu != (2, 0, 1)
+    assert len({mu, DominantCoweight((2, 0, 1))}) == 1
+    assert repr(mu) == "DominantCoweight(coords=(2, 0, 1))"
+    for coords in [(0, -1), (-3,)]:
+        with pytest.raises(ValueError, match="non-negative"):
+            DominantCoweight(coords)
+    with pytest.raises(AttributeError):
+        mu.coords = (0, 0, 0)
+    assert copy.deepcopy(mu) == mu
+
+
+def test_face_descriptor_fields():
+    # the fields face_to_json reads
+    a2 = build_root_system("A2")
+    f = face(a2, (1, 1), (1,))
+    assert (f.J, f.dim, f.orbit_face_count) == ((1,), 1, 3)
+    assert len(f.vertex_set) == 2 and all(isinstance(v, QVector) for v in f.vertex_set)
+    with pytest.raises(AttributeError):
+        f.dim = 2
 
 
 def test_enumerate_X_examples():

@@ -1,6 +1,9 @@
+import copy
 import itertools
 import math
+import pickle
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 
@@ -25,6 +28,31 @@ def test_id_validation():
     for fam, rank in [("A", 0), ("B", 1), ("D", 2), ("E", 5), ("F", 3), ("G", 3), ("H", 2)]:
         with pytest.raises(ValueError):
             RootSystemId(fam, rank)
+
+
+def test_id_is_an_immutable_value():
+    a3 = RootSystemId("A", 3)
+    assert a3 == RootSystemId("a", 3) and a3.family == "A" and a3.rank == 3
+    assert a3 != RootSystemId("A", 2) and a3 != "A3" and a3 != ("A", 3)
+    assert str(a3) == "A3" and "%s" % a3 == "A3" and "traced-%s.json" % a3 == "traced-A3.json"
+    assert repr(a3) == "RootSystemId(family='A', rank=3)"
+    assert len({a3, RootSystemId("A", 3), RootSystemId("B", 3)}) == 2
+    calls = []
+
+    @lru_cache(maxsize=None)
+    def build(system):
+        calls.append(system)
+        return str(system)
+
+    assert build(a3) == build(RootSystemId("a", 3)) == "A3" and calls == [a3]
+    for attempt in [lambda: setattr(a3, "rank", 4), lambda: setattr(a3, "other", 1),
+                    lambda: delattr(a3, "family")]:
+        with pytest.raises(AttributeError):
+            attempt()
+    assert (a3.family, a3.rank) == ("A", 3)
+    assert copy.copy(a3) == pickle.loads(pickle.dumps(a3)) == a3
+    with pytest.raises(ValueError, match="invalid root system Z2"):
+        RootSystemId("z", 2)
 
 
 def test_a2_constants():

@@ -1,5 +1,5 @@
 """The benchmark harness calls the library by name; these tests fail when a
-library name it uses is gone."""
+library name it uses is gone, or when a query process imports more than it needs."""
 
 import importlib.util
 import json
@@ -7,6 +7,8 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -22,6 +24,31 @@ def test_traced_probe_runs_against_the_library(tmp_path):
     assert result["count"] == 42
     assert any(span["name"] == "orbits.enumerate_X" and "X_size" in span["counts"]
                for span in result["spans"])
+
+
+# stdlib modules whose import costs a query process milliseconds and that no route needs;
+# `dataclasses` alone pulls in the other four
+HEAVY_MODULES = {"dataclasses", "inspect", "ast", "dis", "tokenize"}
+
+
+def _modules_imported(*argv):
+    """The names of the modules a fresh interpreter imports, by -X importtime's report."""
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-X", "importtime", *argv], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=path), timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    return {line.rsplit("|", 1)[1].strip() for line in proc.stderr.splitlines()
+            if line.startswith("import time:")}
+
+
+@pytest.mark.parametrize("argv", [["-c", "import alcoves.cli"],
+                                  ["-m", "alcoves.cli", "--version"]])
+def test_a_query_process_imports_no_heavy_stdlib_module(argv):
+    # against a bare interpreter, so a module that site hooks load counts for neither
+    baseline = _modules_imported("-c", "pass")
+    imported = _modules_imported(*argv)
+    assert {"alcoves.rootdata", "argparse"} <= imported - baseline
+    assert (imported - baseline) & HEAVY_MODULES == set()
 
 
 def _pin_references():

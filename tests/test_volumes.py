@@ -162,7 +162,13 @@ def test_type_a_top_coefficients_are_eulerian(n):
 
 def test_volume_json():
     a2 = build_root_system("A2")
-    obj = volume_polynomial(a2, (1, 2)).to_json()
+    vp = volume_polynomial(a2, (1, 2))
+    # the fields to_json reads
+    assert vp.J == (1, 2) and vp.gram == 3 and isinstance(vp.rel_poly, MPoly)
+    with pytest.raises(AttributeError):
+        vp.gram = 1
+    obj = vp.to_json()
+    assert obj["J"] == [1, 2] and obj["rel_poly"] == vp.rel_poly.to_json()
     assert obj["gram"] == "3"
     assert obj["rel_poly"] == {"0,2": "1/2", "1,1": "2", "2,0": "1/2"}
 
