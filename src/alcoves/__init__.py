@@ -6,47 +6,40 @@ Three independent routes to |<= theta(lambda)|:
   * |W_f| times a lattice-point count of the orbit polytope,
   * a face-volume formula with system-dependent geometric coefficients,
 
-plus the exact machinery the routes call, and no more: rational linear
-algebra (Gram determinants, solve, inverse, rank), radical scalars that are
-multiplied, divided and compared, volume polynomials, and hypersimplex
-Ehrhart polynomials.
+plus the exact machinery the routes call, and no more: integer root data
+with an ambient Euclidean view built on first read, rational linear algebra
+(det, rank, inverse), radical scalars for the lattice volumes that
+`rootdata` reports, volume polynomials, and hypersimplex Ehrhart
+polynomials.  The oracles that check these live with the tests.
 """
 
 __version__ = "0.1.0"
 
-from .errors import (AlcovesError, BudgetExceededError, DegenerateBasisError,
-                     FitVerificationError, FormulaConsistencyError,
-                     SingularSystemError, WallPointError)
-from .linalg import QMatrix, QVector, gram_det, solve_linear
-from .radicals import RadScalar, sqrt_decompose
+from .errors import (AlcovesError, BudgetExceededError, FitVerificationError,
+                     FormulaConsistencyError, SingularSystemError, WallPointError)
+from .linalg import QMatrix, QVector
+from .radicals import RadScalar
 from .mpoly import MPoly
 from .rootdata import (RootSystemData, RootSystemId, build_root_system,
                        dominant_representative, weyl_order)
-from .affine import (descents, element_from_point, interval_size_bruhat,
-                     lower_interval, sigma_reflection, theta)
+from .affine import (descents, interval_size_bruhat, lower_interval, sigma_reflection,
+                     theta)
 from .orbits import (DominantCoweight, FaceDescriptor, contains, enumerate_X,
                      face, interval_size_lattice, lattice_count,
                      lattice_count_by_membership)
-from .volumes import (VolumePolynomial, euclidean_volume, relative_volumes,
-                      squarefree_coefficient, volume_polynomial)
-from .coefficients import (GeometricCoefficients, eulerian, evaluate_formula,
-                           fit_mu, hypersimplex_dilation_count,
-                           hypersimplex_ehrhart, mu_full, stirling1,
-                           type_a_connected_mu)
+from .volumes import VolumePolynomial, relative_volumes, volume_polynomial
+from .coefficients import (GeometricCoefficients, evaluate_formula, fit_mu,
+                           hypersimplex_dilation_count, hypersimplex_ehrhart)
 
 __all__ = [
-    "AlcovesError", "BudgetExceededError", "DegenerateBasisError",
-    "DominantCoweight", "FaceDescriptor", "FitVerificationError",
-    "FormulaConsistencyError", "GeometricCoefficients", "MPoly", "QMatrix",
-    "QVector", "RadScalar", "RootSystemData", "RootSystemId",
+    "AlcovesError", "BudgetExceededError", "DominantCoweight", "FaceDescriptor",
+    "FitVerificationError", "FormulaConsistencyError", "GeometricCoefficients",
+    "MPoly", "QMatrix", "QVector", "RadScalar", "RootSystemData", "RootSystemId",
     "SingularSystemError", "VolumePolynomial", "WallPointError",
     "build_root_system", "contains", "descents", "dominant_representative",
-    "element_from_point", "enumerate_X", "eulerian",
-    "euclidean_volume", "evaluate_formula", "face", "fit_mu", "gram_det",
+    "enumerate_X", "evaluate_formula", "face", "fit_mu",
     "hypersimplex_dilation_count", "hypersimplex_ehrhart",
     "interval_size_bruhat", "interval_size_lattice", "lattice_count",
-    "lattice_count_by_membership", "lower_interval", "mu_full",
-    "relative_volumes", "sigma_reflection", "solve_linear",
-    "sqrt_decompose", "squarefree_coefficient", "stirling1", "theta",
-    "type_a_connected_mu", "volume_polynomial", "weyl_order",
+    "lattice_count_by_membership", "lower_interval", "relative_volumes",
+    "sigma_reflection", "theta", "volume_polynomial", "weyl_order",
 ]

@@ -18,12 +18,10 @@ both interval counts.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from functools import lru_cache
 from operator import mul
 
 from .errors import AlcovesError, BudgetExceededError, WallPointError
-from .linalg import QVector
 from .rootdata import RootSystemData
 
 DEFAULT_INTERVAL_CAP = 10 ** 6
@@ -38,11 +36,10 @@ class _Context:
         n = data.rank
         # pairing vectors: (x, alpha) = <coords(x), k(alpha)> for positive alpha
         self.pairings = data.positive_root_coords
-        self.marks = tuple(int(m) for m in data.marks)
+        self.marks = data.marks
         # s_0: k = marks, c = 1, v = highest^v; s_i: k = e_i, c = 0, v = alpha_i^v (Cartan row i)
         self.walls = [(self.marks, 1, data.positive_coroot_coords[-1])] + [
-            (tuple(int(j == i) for j in range(n)), 0, tuple(int(x) for x in row))
-            for i, row in enumerate(data.cartan.rows)]
+            (tuple(int(j == i) for j in range(n)), 0, row) for i, row in enumerate(data.cartan)]
         # barycenter of A_id: average of {0, -w_i^v / eta_i}
         self.scale = (n + 1) * math.lcm(*self.marks)
         self.bary = tuple(-self.scale // ((n + 1) * m) for m in self.marks)
@@ -96,21 +93,6 @@ def _fold(ctx: _Context, x, scale: int) -> tuple[Point, list[int]]:
     if len(word) != steps:
         raise AlcovesError("fold did not cross one separating hyperplane per step")
     return _act(ctx, reversed(word), ctx.bary, ctx.scale), word
-
-
-def element_from_point(data: RootSystemData, point) -> tuple[Point, list[int]]:
-    """The unique w in W_a whose alcove contains the point, as (N w(b), reduced word).
-
-    `point` is an alcove-interior point: a QVector in ambient coordinates,
-    or any other sequence taken as coweight coordinates.
-    """
-    if isinstance(point, QVector):
-        point = data.coweight_coords(point)
-    p = [Fraction(c) for c in point]
-    if len(p) != data.rank:
-        raise ValueError("expected %d coweight coordinates" % data.rank)
-    scale = math.lcm(*(c.denominator for c in p))
-    return _fold(_context(data), tuple(int(c * scale) for c in p), scale)
 
 
 def theta(data: RootSystemData, lam) -> tuple[Point, list[int]]:

@@ -40,6 +40,13 @@ EHRHART_BUDGET = 2_000_000
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # argparse reads '-1,1' as an option flag, as it matches only '-1' or '-1.5' as a
+        # negative number; no option here starts '-<digit>', so such an argument is a
+        # value, and --lambda -1,1 or --J -1,2 reaches this CLI's own check
+        self._negative_number_matcher = re.compile(r"-[0-9]")
+
     def error(self, message):
         raise UsageError(message)
 
@@ -152,7 +159,7 @@ def _cached_coefficients(ns, data) -> GeometricCoefficients:
 
 def cmd_count(ns) -> int:
     lam = _parse_lambda(ns.lam, ns.rank)
-    if ns.method == "geometric" and not ns.coeffs:
+    if ns.method == "geometric":  # a --coeffs file too needs the 2^n-subset pyramid table
         check_subset_cap(ns.system)
     data = build_root_system(ns.system)
     start = time.perf_counter()
@@ -194,6 +201,13 @@ def cmd_verify(ns) -> int:
         raise UsageError("--max-coord must be non-negative")
     check_subset_cap(ns.system)
     data = build_root_system(ns.system)
+    # interval sizes grow with lambda in each coordinate, and each cap refuses exactly
+    # when the size it bounds exceeds it: the last row decides every refusal up front.
+    # |W_f|, the size at 0, refuses E7 and E8 before any count
+    top = (ns.max_coord,) * data.rank
+    if (data.wf_order > ns.interval_cap
+            or interval_size_lattice(data, top, box_cap=ns.box_cap) > ns.interval_cap):
+        raise BudgetExceededError("lower interval exceeds cap of %d elements" % ns.interval_cap)
     coeffs = _cached_coefficients(ns, data)
     n = data.rank
     rows = []

@@ -5,13 +5,12 @@ rational, and the master identity becomes the exact rational statement
 
     |<= theta(lambda)| = sum over J of mu'_J * r_J(lambda).
 
-Closed forms pin the extremes (mu'_empty = |W_f|, mu_{I_n} = 1/vol(A_id));
-connected type-A coefficients come from lower-triangular systems fed by
-hypersimplex Ehrhart polynomials (coefficients per Ferroni's formula) and
-Eulerian-number volume coefficients; everything else is fitted from exact
-lattice counts at 0/1 coweights, which uniqueness makes sound.  Fits are
-verified on further coweights (degenerate ones included) and never
-returned silently.
+Every mu'_J is fitted from exact lattice counts at 0/1 coweights, which
+uniqueness makes sound; closed forms pin the extremes (mu'_empty = |W_f|,
+mu_{I_n} = 1/vol(A_id)), and fits are verified on further coweights
+(degenerate ones included) and never returned silently.  Hypersimplex
+Ehrhart polynomials (coefficients per Ferroni's formula) give the type-A
+identity |<= theta(m w_k^v)| = (n+1)! E_{k,n+1}(m) that `verify` checks.
 """
 
 from __future__ import annotations
@@ -25,7 +24,6 @@ from itertools import combinations
 from .errors import BudgetExceededError, FitVerificationError, FormulaConsistencyError
 from .linalg import rational_to_str
 from .mpoly import MPoly
-from .radicals import RadScalar
 from .rootdata import RootSystemData, RootSystemId, build_root_system
 from .orbits import DEFAULT_BOX_CAP, check_level_budget, interval_size_lattice
 from .volumes import face_gram, indicator, relative_volumes, support_difference
@@ -46,33 +44,10 @@ def _stirling1_row(a: int) -> tuple[int, ...]:
     return row
 
 
-def stirling1(a: int, b: int) -> int:
-    """Unsigned Stirling number of the first kind [a, b]."""
-    if a < 0 or b < 0 or b > a:
-        raise ValueError("stirling1 needs 0 <= b <= a")
-    return _stirling1_row(a)[b]
-
-
 def _stirling1_or_zero(a: int, b: int) -> int:
     if a < 0 or b < 0 or b > a:
         return 0
     return _stirling1_row(a)[b]
-
-
-@lru_cache(maxsize=None)
-def _eulerian_row(r: int) -> tuple[int, ...]:
-    row = (1,)
-    for q in range(2, r + 1):
-        row = tuple((q - s + 1) * (row[s - 2] if s >= 2 else 0)
-                    + s * (row[s - 1] if s < q else 0) for s in range(1, q + 1))
-    return row
-
-
-def eulerian(r: int, s: int) -> int:
-    """Eulerian number A(r, s), 1-indexed: A(1,1) = 1, A(3,2) = 4."""
-    if r < 1 or not 1 <= s <= r:
-        raise ValueError("eulerian needs 1 <= s <= r")
-    return _eulerian_row(r)[s - 1]
 
 
 # -- hypersimplex Ehrhart polynomials -------------------------------------------
@@ -126,69 +101,6 @@ def hypersimplex_ehrhart(k: int, d: int) -> MPoly:
     return poly
 
 
-# -- closed forms ----------------------------------------------------------------
-
-def mu_full(data: RootSystemData) -> RadScalar:
-    """mu of the full polytope: 1 / vol(A_id), exact."""
-    return data.alcove_volume.reciprocal()
-
-
-# -- type A connected coefficients ------------------------------------------------
-
-def type_a_connected_mu(n: int) -> dict[tuple[int, ...], Fraction]:
-    """Lattice-normalized mu' for every connected interval J = {u+1..u+l} in A_n.
-
-    For each length l the coefficients solve a lower-triangular system whose
-    matrix holds the m_i^l coefficients of V_J (Eulerian numbers over l!)
-    and whose right side holds the t^l coefficients of (n+1)! E_{i,n+1}(t).
-    The remaining rows of the overdetermined system and the closed forms for
-    J = {1..l} are checked before returning.
-    """
-    if n < 1:
-        raise ValueError("rank must be positive")
-    e = {}
-    for i in range(1, n + 1):
-        poly = hypersimplex_ehrhart(i, n + 1)
-        for l in range(0, n + 1):
-            e[(i, l)] = math.factorial(n + 1) * poly.coeff((l,))
-
-    def c_prime(i: int, l: int, u: int) -> Fraction:
-        # m_i^l coefficient of the relative volume of I(l, u) = {u+1..u+l}
-        return Fraction(eulerian(l, i - u), math.factorial(l))
-
-    out: dict[tuple[int, ...], Fraction] = {}
-    for l in range(1, n + 1):
-        windows = list(range(0, n - l + 1))  # J = I(l, u)
-        mu = {}
-        for row, i in enumerate(range(1, n - l + 2)):
-            acc = e[(i, l)]
-            for u in windows:
-                if u + 1 <= i <= u + l and u != i - 1:
-                    acc -= c_prime(i, l, u) * mu[u]
-            mu[i - 1] = acc / c_prime(i, l, i - 1)
-        # remaining equations of the overdetermined system must also hold
-        for i in range(n - l + 2, n + 1):
-            acc = Fraction(0)
-            for u in windows:
-                if u + 1 <= i <= u + l:
-                    acc += c_prime(i, l, u) * mu[u]
-            if acc != e[(i, l)]:
-                raise FormulaConsistencyError(
-                    "type-A system row %d is inconsistent for l=%d" % (i, l))
-        for u in windows:
-            out[tuple(range(u + 1, u + l + 1))] = mu[u]
-        # closed form for the leading window J = {1..l}
-        closed = math.factorial(l) * (n + 1) * stirling1(n + 1, l + 1)
-        if out[tuple(range(1, l + 1))] != closed:
-            raise FormulaConsistencyError("leading type-A coefficient mismatch at l=%d" % l)
-    # l = n window must agree with the alcove-volume closed form
-    data = build_root_system("A", n)
-    full = mu_full(data) * RadScalar.sqrt(Fraction(n + 1))
-    if not full.is_rational() or full.coeff != out[tuple(range(1, n + 1))]:
-        raise FormulaConsistencyError("type-A top coefficient disagrees with 1/vol(A_id)")
-    return out
-
-
 # -- coefficient containers --------------------------------------------------------
 
 class GeometricCoefficients:
@@ -207,11 +119,6 @@ class GeometricCoefficients:
             return NotImplemented
         return ((self.system, self.mu_prime, self.provenance)
                 == (other.system, other.mu_prime, other.provenance))
-
-    def mu_euclidean(self, data: RootSystemData, J) -> RadScalar:
-        """The Euclidean coefficient mu_J = mu'_J / sqrt(gram_J)."""
-        mu = self.mu_prime[tuple(sorted(set(int(j) for j in J)))]
-        return RadScalar(mu) * RadScalar.sqrt(face_gram(data, J)).reciprocal()
 
     def to_json(self) -> dict:
         from . import __version__
@@ -259,7 +166,9 @@ def check_coefficients(data: RootSystemData, coeffs: GeometricCoefficients) -> N
     """
     if coeffs.system != data.id:
         raise ValueError("coefficients are for %s, not %s" % (coeffs.system, data.id))
-    if coeffs.mu_prime.keys() != set(_all_subsets(data.rank)):
+    # the count first, so a file naming a large system is refused before 2^n subsets are built
+    if (len(coeffs.mu_prime) != 2 ** data.rank
+            or coeffs.mu_prime.keys() != set(_all_subsets(data.rank))):
         raise ValueError("coefficients for %s must cover exactly the %d subsets of 1..%d"
                          % (data.id, 2 ** data.rank, data.rank))
     if coeffs.mu_prime[()] != data.wf_order:

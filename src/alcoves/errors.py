@@ -9,10 +9,6 @@ class AlcovesError(Exception):
     """Base class for all library errors."""
 
 
-class DegenerateBasisError(AlcovesError, ValueError):
-    """Linearly dependent vectors where a basis was required."""
-
-
 class SingularSystemError(AlcovesError, ValueError):
     """Square linear system with no unique solution."""
 

@@ -1,4 +1,4 @@
-"""Exact rational vectors, matrices, Gram determinants and linear solving.
+"""Exact rational vectors and matrices, and one Gauss-Jordan elimination.
 
 Everything is built on ``fractions.Fraction``; no floating point enters any
 computation.  Vectors and matrices are immutable (tuple-backed) so they can
@@ -8,9 +8,9 @@ be shared freely and used as dictionary keys.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable
 
-from .errors import DegenerateBasisError, SingularSystemError
+from .errors import SingularSystemError
 
 
 def _frac(x) -> Fraction:
@@ -100,10 +100,6 @@ class QMatrix:
     def __hash__(self):
         return hash(self.rows)
 
-    def matvec(self, v: Sequence) -> QVector:
-        return QVector(sum((a * _frac(x) for a, x in zip(row, v, strict=True)), Fraction(0))
-                       for row in self.rows)
-
     @staticmethod
     def identity(n: int) -> "QMatrix":
         return QMatrix([[1 if i == j else 0 for j in range(n)] for i in range(n)])
@@ -159,35 +155,6 @@ def _gauss_jordan(m: QMatrix, extra=()):
                 rows[r] = [x - f * y for x, y in zip(row, prow)]
         pivots.append(c)
     return rows, pivots, det
-
-
-def solve_linear(m: QMatrix, b: QVector) -> QVector:
-    """Solve Mx = b exactly for square nonsingular M.
-
-    Raises SingularSystemError("singular system") otherwise; the caller
-    decides what to do with singular input.
-    """
-    n = m.nrows
-    if n != m.ncols or len(b) != n:
-        raise ValueError("solve_linear needs a square system")
-    rows, pivots, _ = _gauss_jordan(m, [(x,) for x in b])
-    if len(pivots) < n:
-        raise SingularSystemError("singular system")
-    return QVector(row[n] for row in rows)
-
-
-def gram_det(vectors: Sequence[QVector]) -> Fraction:
-    """Determinant of the Gram matrix of `vectors` (1 for the empty list).
-
-    For a lattice basis this equals the squared lattice determinant.
-    Linearly dependent input is rejected.
-    """
-    if not vectors:
-        return Fraction(1)
-    d = QMatrix([[u.dot(v) for v in vectors] for u in vectors]).det()
-    if d == 0:
-        raise DegenerateBasisError("degenerate basis")
-    return d
 
 
 def rational_to_str(q: Fraction) -> str:

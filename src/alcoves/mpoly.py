@@ -35,10 +35,6 @@ class MPoly:
         raise AttributeError("MPoly is immutable")
 
     @staticmethod
-    def zero(nvars: int) -> "MPoly":
-        return MPoly(nvars)
-
-    @staticmethod
     def constant(nvars: int, c) -> "MPoly":
         return MPoly(nvars, {(0,) * nvars: Fraction(c)})
 
@@ -46,9 +42,6 @@ class MPoly:
     def variable(nvars: int, i: int) -> "MPoly":
         expo = tuple(1 if j == i else 0 for j in range(nvars))
         return MPoly(nvars, {expo: Fraction(1)})
-
-    def coeff(self, expo: Sequence[int]) -> Fraction:
-        return self.terms.get(tuple(expo), Fraction(0))
 
     def __eq__(self, other):
         return isinstance(other, MPoly) and self.nvars == other.nvars and self.terms == other.terms
@@ -92,15 +85,6 @@ class MPoly:
                     v *= x ** e
             total += v
         return total
-
-    def homogeneous_part(self, d: int) -> "MPoly":
-        return MPoly(self.nvars, {e: c for e, c in self.terms.items() if sum(e) == d})
-
-    def is_homogeneous(self, d: int) -> bool:
-        return all(sum(e) == d for e in self.terms)
-
-    def variables_used(self) -> frozenset:
-        return frozenset(i for e in self.terms for i, x in enumerate(e) if x)
 
     def to_json(self) -> dict:
         return {",".join(map(str, e)): rational_to_str(c)

@@ -7,7 +7,9 @@ coweights below lambda in dominance order, so
     |P(lambda) ^ (lambda + Z Phi^v)| = sum over mu in X_lambda of |W_f|/|W_Z(mu)|
 
 and |<= theta(lambda)| is |W_f| times that.  A geometric membership test
-(`contains`) over an exponent box gives an independent second route.
+(`contains`) over an exponent box gives an independent second route, which
+the benchmark's reference pins run; it reads the ambient view, the coroot
+walk does not.
 """
 
 from __future__ import annotations
@@ -175,7 +177,7 @@ def lattice_count_by_membership(data: RootSystemData, lam,
         coords = list(Fraction(c) for c in lam)
         for j in range(n):
             if exps[j]:
-                row = data.cartan.rows[j]
+                row = data.cartan[j]
                 for i in range(n):
                     coords[i] -= exps[j] * row[i]
         point = data.ambient_from_coweight(coords)
@@ -199,7 +201,6 @@ def face(data: RootSystemData, lam, J) -> FaceDescriptor:
     J = tuple(sorted(set(int(j) for j in J)))
     if any(j < 1 or j > data.rank for j in J):
         raise ValueError("J must be a subset of 1..%d" % data.rank)
-    cart = data.cartan.rows
     n = data.rank
     seen = {lam}
     frontier = [lam]
@@ -210,8 +211,8 @@ def face(data: RootSystemData, lam, J) -> FaceDescriptor:
                 cj = c[j - 1]
                 if cj == 0:
                     continue
-                row = cart[j - 1]
-                img = tuple(c[i] - cj * int(row[i]) for i in range(n))
+                row = data.cartan[j - 1]
+                img = tuple(c[i] - cj * row[i] for i in range(n))
                 if img not in seen:
                     seen.add(img)
                     new.append(img)

@@ -7,8 +7,9 @@ canonical radicand.
 
 Canonical form: the radicand is a positive squarefree integer (all square
 factors, including the denominator, are absorbed into the coefficient), and
-the value 0 is stored as (0, 1).  RadScalars are only multiplied, divided
-and compared; comparisons across classes go through ``square()``.
+the value 0 is stored as (0, 1), so two RadScalars are equal exactly when
+their pairs are.  RadScalars are multiplied, divided by rationals and
+compared.
 """
 
 from __future__ import annotations
@@ -34,16 +35,6 @@ def squarefree_decompose(n: int) -> tuple[int, int]:
     return s, d * n
 
 
-def sqrt_decompose(q: Fraction) -> tuple[Fraction, int]:
-    """Exact sqrt(q) = s * sqrt(d) with d a squarefree positive integer."""
-    q = Fraction(q)
-    if q <= 0:
-        raise ValueError("positive rational required")
-    # sqrt(p/q) = sqrt(p*q)/q
-    s, d = squarefree_decompose(q.numerator * q.denominator)
-    return Fraction(s, q.denominator), d
-
-
 class RadScalar:
     """Exact value coeff * sqrt(radicand), kept in canonical form."""
 
@@ -56,9 +47,9 @@ class RadScalar:
             raise ValueError("radicand must be positive")
         if coeff == 0:
             rad = 1
-        else:
-            s, rad = sqrt_decompose(radicand)
-            coeff *= s
+        else:  # sqrt(p/q) = sqrt(p q) / q
+            s, rad = squarefree_decompose(radicand.numerator * radicand.denominator)
+            coeff *= Fraction(s, radicand.denominator)
         object.__setattr__(self, "coeff", coeff)
         object.__setattr__(self, "radicand", rad)
 
@@ -70,9 +61,6 @@ class RadScalar:
         """Exact square root of a positive rational."""
         return RadScalar(1, Fraction(q))
 
-    def is_rational(self) -> bool:
-        return self.radicand == 1
-
     def __mul__(self, other) -> "RadScalar":
         if isinstance(other, RadScalar):
             return RadScalar(self.coeff * other.coeff, self.radicand * other.radicand)
@@ -81,18 +69,7 @@ class RadScalar:
     __rmul__ = __mul__
 
     def __truediv__(self, other) -> "RadScalar":
-        if isinstance(other, RadScalar):
-            return self * other.reciprocal()
         return RadScalar(self.coeff / Fraction(other), self.radicand)
-
-    def reciprocal(self) -> "RadScalar":
-        if self.coeff == 0:
-            raise ZeroDivisionError("reciprocal of zero")
-        # 1/(c*sqrt(d)) = (1/(c*d)) * sqrt(d)
-        return RadScalar(1 / (self.coeff * self.radicand), self.radicand)
-
-    def square(self) -> Fraction:
-        return self.coeff * self.coeff * self.radicand
 
     def __eq__(self, other):
         if isinstance(other, RadScalar):

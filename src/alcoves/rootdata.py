@@ -3,10 +3,12 @@
 Each family is realized in an explicit ambient R^m (type A_n in the
 sum-zero hyperplane of R^{n+1}, B/C/D in R^n, E-series in R^8, F4 in R^4,
 G2 in the sum-zero plane of R^3).  Only the simple roots are transcribed
-from the plates; everything else is derived from them and invariant-checked
-at build time, which keeps transcription errors out of the downstream
-volume and coefficient work.  The positive roots come from the integer Cartan
-matrix; ambient vectors are kept for what `rootdata`, `faces` and `contains` read.
+from the plates, doubled so that they are integer vectors; everything else is
+derived from them and invariant-checked at build time, which keeps
+transcription errors out of the downstream volume and coefficient work.  The
+count paths read integers only: the Cartan matrix, norms, positive roots and
+coroots (by root strings), marks and |W_f|.  The ambient vectors and lattice
+volumes that `rootdata`, `faces` and `verify` read are built on first read.
 Parabolic orders |W_J| come by a product over root heights.
 
 Conventions:
@@ -75,38 +77,34 @@ class RootSystemId:
         return "%s%d" % (self.family, self.rank)
 
 
-def _unit(m, i):
-    return QVector([1 if j == i else 0 for j in range(m)])
+def _twice_simple_roots(family: str, n: int) -> list[tuple[int, ...]]:
+    """2 alpha_i in the plates' ambient coordinates: doubling clears the only
+    halves, in E's alpha_1 and F4's alpha_4, so every entry is an integer."""
+    def vec(m, *entries):  # the vector of R^m with the given (index, value) entries
+        x = [0] * m
+        for i, c in entries:
+            x[i] += c
+        return tuple(x)
 
+    def diff(m, i, j):  # 2 (e_i - e_j)
+        return vec(m, (i, 2), (j, -2))
 
-def _simple_root_vectors(family: str, n: int) -> list[QVector]:
-    e = _unit
     if family == "A":
-        m = n + 1
-        return [e(m, i) - e(m, i + 1) for i in range(n)]
+        return [diff(n + 1, i, i + 1) for i in range(n)]
+    chain = [diff(n, i, i + 1) for i in range(n - 1)]
     if family == "B":
-        return [e(n, i) - e(n, i + 1) for i in range(n - 1)] + [e(n, n - 1)]
+        return chain + [vec(n, (n - 1, 2))]
     if family == "C":
-        return [e(n, i) - e(n, i + 1) for i in range(n - 1)] + [2 * e(n, n - 1)]
+        return chain + [vec(n, (n - 1, 4))]
     if family == "D":
-        return ([e(n, i) - e(n, i + 1) for i in range(n - 1)]
-                + [e(n, n - 2) + e(n, n - 1)])
-    if family == "E":
-        m = 8
-        half = Fraction(1, 2)
-        a1 = QVector([half, -half, -half, -half, -half, -half, -half, half])
-        a2 = e(m, 0) + e(m, 1)
-        rest = [e(m, i) - e(m, i - 1) for i in range(1, 7)]  # alpha_{i+2} = e_i - e_{i-1}
-        return ([a1, a2] + rest)[:n]
+        return chain + [vec(n, (n - 2, 2), (n - 1, 2))]
+    if family == "E":  # alpha_1 = (e_1 - e_2 - ... - e_7 + e_8) / 2, alpha_2 = e_1 + e_2
+        return ([(1, -1, -1, -1, -1, -1, -1, 1), vec(8, (0, 2), (1, 2))]
+                + [diff(8, i, i - 1) for i in range(1, 7)])[:n]  # alpha_{i+2} = e_i - e_{i-1}
     if family == "F":
-        return [
-            e(4, 1) - e(4, 2),
-            e(4, 2) - e(4, 3),
-            e(4, 3),
-            QVector([Fraction(1, 2), Fraction(-1, 2), Fraction(-1, 2), Fraction(-1, 2)]),
-        ]
+        return [diff(4, 1, 2), diff(4, 2, 3), vec(4, (3, 2)), (1, -1, -1, -1)]
     if family == "G":
-        return [e(3, 0) - e(3, 1), QVector([-2, 1, 1])]
+        return [diff(3, 0, 1), (-4, 2, 2)]
     raise AssertionError(family)
 
 
@@ -144,83 +142,66 @@ def _exact_quotient(a, b) -> int:
     return q
 
 
+# the ambient view: read by `rootdata`, `faces`, `verify`'s sigma lookup and the
+# oracles, and built on the first read of any of these names
+_AMBIENT = frozenset({"simple_roots", "simple_coroots", "ambient_dim", "highest_root",
+                      "fundamental_coweights", "fundamental_weights",
+                      "det_coweight_lattice", "alcove_volume", "_cartan_inv"})
+
+
 class RootSystemData:
-    """Fully derived, immutable data for one irreducible root system."""
+    """Derived data for one irreducible root system.
+
+    The constructor computes only integer data, from the doubled simple roots:
+    the Cartan matrix, the norms |alpha_i|^2, the positive roots and coroots in
+    simple coordinates, the marks, det C and |W_f|.  The ambient view (the
+    names in _AMBIENT) is built once, on its first read.
+    """
 
     def __init__(self, id: RootSystemId):  # noqa: A002 - matches call sites
         self.id = id
         self.family = id.family
         self.rank = n = id.rank
-        self.simple_roots = _simple_root_vectors(id.family, n)
-        self.ambient_dim = len(self.simple_roots[0])
-        norms = self.simple_root_norms = tuple(a.dot(a) for a in self.simple_roots)
-        self.simple_coroots = [a * (2 / l) for a, l in zip(self.simple_roots, norms)]
-        # cartan[i][j] = (alpha_j, alpha_i^v); integer, diag 2, offdiag <= 0
-        self.cartan = QMatrix([[self.simple_roots[j].dot(self.simple_coroots[i])
-                                for j in range(n)] for i in range(n)])
-        for i, row in enumerate(self.cartan.rows):
-            if any(c.denominator != 1 or (c != 2 if i == j else c > 0) for j, c in enumerate(row)):
-                raise AlcovesError("bad Cartan matrix")
-        cart = [[int(c) for c in row] for row in self.cartan.rows]
+        self._twice_roots = roots = _twice_simple_roots(id.family, n)
+        gram = [[sum(map(mul, a, b)) for b in roots] for a in roots]  # 4 (alpha_i, alpha_j)
+        self.simple_root_norms = tuple(_exact_quotient(row[i], 4) for i, row in enumerate(gram))
+        # cartan[i][j] = (alpha_j, alpha_i^v) = 2 g_ij / g_ii; diag 2, offdiag <= 0
+        self.cartan = tuple(tuple(_exact_quotient(2 * g, row[i]) for g in row)
+                            for i, row in enumerate(gram))
+        if any(c > 0 for i, row in enumerate(self.cartan) for j, c in enumerate(row) if i != j):
+            raise AlcovesError("bad Cartan matrix")
         # positive roots by simple-root coordinates c, which are also the pairings
         # ((w_i^v, alpha))_i: pairing a point in coweight coordinates with alpha is <c, x>
-        self.positive_root_coords = _positive_root_coords(cart)
+        self.positive_root_coords = _positive_root_coords(self.cartan)
         self._root_heights = [(sum(1 << i for i, c in enumerate(b) if c), sum(b))
                               for b in self.positive_root_coords]  # (support bitmask, height)
-        # one inverse serves (co)weights and coroot coordinates
-        self._cartan_inv = inv = self.cartan.inverse()
 
-        # (alpha^v, alpha_i) = 2 t_i / (c . t) for alpha = sum_k c_k alpha_k, where
-        # t_i = (cartan c)_i l_i is 2 (alpha, alpha_i) / min |alpha_j|^2 and the
-        # relative norm l_i = |alpha_i|^2 / min |alpha_j|^2 is 1, 2 or 3
-        rel = [_exact_quotient(l, min(norms)) for l in norms]
+        # (alpha^v, alpha_i) = 2 (alpha, alpha_i) / (alpha, alpha) = 2 t_i / <c, t>
+        # for alpha = sum_k c_k alpha_k and t = g c, t_i = 4 (alpha, alpha_i)
         self.positive_coroot_coords = []
         for c in self.positive_root_coords:
-            t = [l * sum(map(mul, row, c)) for l, row in zip(rel, cart)]
+            t = [sum(map(mul, row, c)) for row in gram]
             ct = sum(map(mul, c, t))
             self.positive_coroot_coords.append(tuple(_exact_quotient(2 * x, ct) for x in t))
 
         # the highest root is the unique root of greatest height, sorted last
         self.marks = self.positive_root_coords[-1]
-        zero = QVector.zero(self.ambient_dim)
-        self.highest_root = sum((m * a for m, a in zip(self.marks, self.simple_roots)), zero)
-
-        # w_i^v = sum_k (C^-1)_ik alpha_k^v and w_i = sum_k (C^-1)_ki alpha_k
-        self.fundamental_coweights = [
-            sum((inv[i][k] * self.simple_coroots[k] for k in range(n)), zero) for i in range(n)]
-        self.fundamental_weights = [
-            sum((inv[k][i] * self.simple_roots[k] for k in range(n)), zero) for i in range(n)]
-
         self.minuscule_set = frozenset(i + 1 for i in range(n) if self.marks[i] == 1)
-        det_cartan = self.cartan.det()
+        det_cartan = QMatrix(self.cartan).det()
         if det_cartan.denominator != 1 or det_cartan <= 0:
             raise AlcovesError("Cartan determinant should be a positive integer")
         self.index_of_connection = int(det_cartan)
-        marks_product = math.prod(self.marks)
-        self.wf_order = math.factorial(n) * marks_product * self.index_of_connection
-        # the coweights are C^-1 times the coroots, whose Gram matrix is
-        # diag(2/|alpha_i|^2) C^T: det Gram(w^v) = prod_i (2/|alpha_i|^2) / det C
-        self.det_coweight_lattice = RadScalar.sqrt(
-            math.prod(2 / l for l in self.simple_root_norms) / det_cartan)
-        self.alcove_volume = self.det_coweight_lattice / (math.factorial(n) * marks_product)
-
+        self.wf_order = math.factorial(n) * math.prod(self.marks) * self.index_of_connection
         self._check_invariants()
 
     def _check_invariants(self):
         n = self.rank
-        for i in range(n):
-            for j in range(n):
-                if self.fundamental_coweights[i].dot(self.simple_roots[j]) != (1 if i == j else 0):
-                    raise AlcovesError("coweight duality failed")
-                if self.fundamental_weights[i].dot(self.simple_coroots[j]) != (1 if i == j else 0):
-                    raise AlcovesError("weight duality failed")
         if any(m < 1 for m in self.marks):
             raise AlcovesError("marks must be positive")
         # each simple reflection s_i(b) = b - <b, alpha_i^v> e_i permutes the
         # other positive roots
         pos = set(self.positive_root_coords)
-        for i, row in enumerate(self.cartan.rows):
-            row = [int(c) for c in row]
+        for i, row in enumerate(self.cartan):
             simple = tuple(int(j == i) for j in range(n))
             image = {b[:i] + (b[i] - sum(map(mul, row, b)),) + b[i + 1:]
                      for b in pos if b != simple}
@@ -229,6 +210,45 @@ class RootSystemData:
         # |W_f| by two theorems: n! prod(marks) det C (Bourbaki), root heights (Macdonald)
         if self.wf_order != weyl_order(self, range(1, n + 1)):
             raise AlcovesError("|W_f| = n! prod(marks) det C disagrees with the root heights")
+
+    # -- the ambient view --------------------------------------------------------
+
+    def __getattr__(self, name):
+        # reached only for a name the instance lacks
+        if name not in _AMBIENT:
+            raise AttributeError("%r object has no attribute %r" % (type(self).__name__, name))
+        self._build_ambient()
+        return self.__dict__[name]
+
+    def _build_ambient(self) -> None:
+        """Set every name in _AMBIENT, after checking it against the integer core."""
+        n = self.rank
+        roots = [QVector(Fraction(x, 2) for x in a) for a in self._twice_roots]
+        coroots = [a * Fraction(2, l) for a, l in zip(roots, self.simple_root_norms)]
+        if [[a.dot(av) for a in roots] for av in coroots] != [list(r) for r in self.cartan]:
+            raise AlcovesError("ambient Cartan matrix differs from the integer one")
+        inv = QMatrix(self.cartan).inverse()
+        zero = QVector.zero(len(roots[0]))
+        # w_i^v = sum_k (C^-1)_ik alpha_k^v and w_i = sum_k (C^-1)_ki alpha_k
+        coweights = [sum((inv[i][k] * coroots[k] for k in range(n)), zero) for i in range(n)]
+        weights = [sum((inv[k][i] * roots[k] for k in range(n)), zero) for i in range(n)]
+        for i in range(n):
+            for j in range(n):
+                if coweights[i].dot(roots[j]) != (1 if i == j else 0):
+                    raise AlcovesError("coweight duality failed")
+                if weights[i].dot(coroots[j]) != (1 if i == j else 0):
+                    raise AlcovesError("weight duality failed")
+        # the coweights are C^-1 times the coroots, whose Gram matrix is
+        # diag(2/|alpha_i|^2) C^T: det Gram(w^v) = prod_i (2/|alpha_i|^2) / det C
+        det = RadScalar.sqrt(math.prod(Fraction(2, l) for l in self.simple_root_norms)
+                             / self.index_of_connection)
+        vars(self).update(
+            simple_roots=roots, simple_coroots=coroots, ambient_dim=len(zero),
+            highest_root=sum((m * a for m, a in zip(self.marks, roots)), zero),
+            fundamental_coweights=coweights, fundamental_weights=weights,
+            det_coweight_lattice=det,
+            alcove_volume=det / (math.factorial(n) * math.prod(self.marks)),
+            _cartan_inv=inv)
 
     # -- coordinates -----------------------------------------------------------
 
@@ -268,7 +288,7 @@ class RootSystemData:
             "positive_root_count": len(self.positive_root_coords),
             "fundamental_coweights": [vec(v) for v in self.fundamental_coweights],
             "fundamental_weights": [vec(v) for v in self.fundamental_weights],
-            "cartan": [[rational_to_str(x) for x in row] for row in self.cartan.rows],
+            "cartan": [[str(x) for x in row] for row in self.cartan],
             "highest_root": vec(self.highest_root),
             "marks": list(self.marks),
             "minuscule": sorted(self.minuscule_set),
@@ -335,13 +355,12 @@ def dominant_coords(data: RootSystemData, coords) -> tuple[tuple[Fraction, ...],
     """
     c = [Fraction(x) for x in coords]
     n = data.rank
-    cart = data.cartan
     word: list[int] = []
     while True:
         for i in range(n):
             if c[i] < 0:
                 ci = c[i]
-                row = cart.rows[i]  # coweight coords of alpha_i^v
+                row = data.cartan[i]  # coweight coords of alpha_i^v
                 for r in range(n):
                     c[r] -= ci * row[r]
                 word.append(i + 1)

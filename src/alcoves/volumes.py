@@ -27,10 +27,8 @@ from functools import lru_cache, reduce
 from itertools import combinations
 from operator import add
 
-from .errors import FormulaConsistencyError
 from .linalg import QMatrix, rational_to_str
 from .mpoly import MPoly
-from .radicals import RadScalar
 from .rootdata import RootSystemData, weyl_order
 
 
@@ -51,7 +49,7 @@ class VolumePolynomial(namedtuple("VolumePolynomial", "J rel_poly gram")):
 def _pyramid_table(data: RootSystemData) -> dict:
     """J -> (gram_J, ((J-j, c_{J,j}, ((i, (C_J^-1)_ij) for i in J)) for j in J)), by |J|."""
     n = data.rank
-    half = [l / 2 for l in data.simple_root_norms]  # |alpha_j|^2 / 2
+    half = [Fraction(l, 2) for l in data.simple_root_norms]  # |alpha_j|^2 / 2
     subsets = [J for size in range(n + 1) for J in combinations(range(1, n + 1), size)]
     order = {J: weyl_order(data, J) for J in subsets}
     table = {(): (Fraction(1), ())}
@@ -103,12 +101,6 @@ def volume_polynomial(data: RootSystemData, J) -> VolumePolynomial:
     return VolumePolynomial(J, poly, face_gram(data, J))
 
 
-def euclidean_volume(data: RootSystemData, J, lam) -> RadScalar:
-    """Exact Euclidean |J|-volume of Conv(W_J . lambda) as a RadScalar."""
-    J = _subset(data, J)
-    return RadScalar(relative_volumes(data, [int(c) for c in lam], set(J))[J], face_gram(data, J))
-
-
 def indicator(n: int, S) -> tuple[int, ...]:
     """The point 1_S of Z^n: 1 on the (1-based) indices in S, 0 elsewhere."""
     return tuple(int(i + 1 in S) for i in range(n))
@@ -118,13 +110,3 @@ def support_difference(f, J) -> Fraction:
     """Delta_J f = sum over S in J of (-1)^{|J-S|} f(S).  For f(S) = p(1_S), this
     sums the coefficients of the polynomial p over the monomials with support J."""
     return sum((-1) ** (len(J) - k) * f(S) for k in range(len(J) + 1) for S in combinations(J, k))
-
-
-def squarefree_coefficient(data: RootSystemData, J) -> RadScalar:
-    """Coefficient of prod_{j in J} m_j in the Euclidean V_J (positive).  r_J is
-    homogeneous of degree |J| in the m_j, j in J, so that is Delta_J of r_J(1_S)."""
-    J = _subset(data, J)
-    c = support_difference(lambda S: relative_volumes(data, indicator(data.rank, S), set(J))[J], J)
-    if c <= 0:
-        raise FormulaConsistencyError("squarefree volume coefficient must be positive")
-    return RadScalar(c, face_gram(data, J))

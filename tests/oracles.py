@@ -12,56 +12,165 @@ basis nu_j as ambient vectors, check the library's integer root strings and
 Cartan-matrix volume constants.  The element oracle keeps W_a as n x n
 integer matrices with translations, multiplies them out, and finds lengths,
 descents and lower intervals from them, against the library's alcove points.
+
+The rest are reference routes and values that no command reads: exact
+linear solving and Gram determinants, radical reciprocals and squares,
+polynomial degree tests, Euclidean face volumes and coefficients, the type-A
+coefficient pipeline from hypersimplex Ehrhart polynomials, and the root data
+derived from the ambient vectors, against which the integer core is checked.
 """
 
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, product
-from math import gcd, lcm
+from math import factorial, gcd, lcm, prod
 from operator import mul
 
-from alcoves.affine import DEFAULT_INTERVAL_CAP
-from alcoves.errors import AlcovesError, BudgetExceededError, SingularSystemError
-from alcoves.linalg import QMatrix, QVector, gram_det, solve_linear
+from alcoves.affine import DEFAULT_INTERVAL_CAP, _context as _alcove_context, _fold
+from alcoves.coefficients import GeometricCoefficients, _stirling1_row, hypersimplex_ehrhart
+from alcoves.errors import (AlcovesError, BudgetExceededError, FormulaConsistencyError,
+                            SingularSystemError)
+from alcoves.linalg import QMatrix, QVector, _gauss_jordan
 from alcoves.mpoly import MPoly
 from alcoves.orbits import DEFAULT_BOX_CAP, DominantCoweight, _box_bounds
-from alcoves.radicals import RadScalar
-from alcoves.rootdata import RootSystemData, dominant_coords
+from alcoves.radicals import RadScalar, squarefree_decompose
+from alcoves.rootdata import RootSystemData, _exact_quotient, build_root_system, dominant_coords
+from alcoves.volumes import (_subset, face_gram, indicator, relative_volumes,
+                             support_difference)
+
+
+# -- exact linear algebra and radicals ----------------------------------------
+
+class DegenerateBasisError(AlcovesError, ValueError):
+    """Linearly dependent vectors where a basis was required."""
+
+
+def matvec(m: QMatrix, v) -> QVector:
+    return QVector(sum((a * Fraction(x) for a, x in zip(row, v, strict=True)), Fraction(0))
+                   for row in m.rows)
+
+
+def solve_linear(m: QMatrix, b: QVector) -> QVector:
+    """Solve Mx = b exactly for square nonsingular M; SingularSystemError otherwise."""
+    n = m.nrows
+    if n != m.ncols or len(b) != n:
+        raise ValueError("solve_linear needs a square system")
+    rows, pivots, _ = _gauss_jordan(m, [(x,) for x in b])
+    if len(pivots) < n:
+        raise SingularSystemError("singular system")
+    return QVector(row[n] for row in rows)
+
+
+def gram_det(vectors) -> Fraction:
+    """Determinant of the Gram matrix of `vectors` (1 for the empty list): the
+    squared lattice determinant of a basis.  Linearly dependent input is rejected."""
+    if not vectors:
+        return Fraction(1)
+    d = QMatrix([[u.dot(v) for v in vectors] for u in vectors]).det()
+    if d == 0:
+        raise DegenerateBasisError("degenerate basis")
+    return d
+
+
+def sqrt_decompose(q) -> tuple[Fraction, int]:
+    """Exact sqrt(q) = s * sqrt(d) with d a squarefree positive integer."""
+    q = Fraction(q)
+    if q <= 0:
+        raise ValueError("positive rational required")
+    s, d = squarefree_decompose(q.numerator * q.denominator)  # sqrt(p/q) = sqrt(p q) / q
+    return Fraction(s, q.denominator), d
+
+
+def reciprocal(r: RadScalar) -> RadScalar:
+    if r.coeff == 0:
+        raise ZeroDivisionError("reciprocal of zero")
+    return RadScalar(1 / (r.coeff * r.radicand), r.radicand)  # 1/(c sqrt d) = sqrt(d)/(c d)
+
+
+def is_rational(r: RadScalar) -> bool:
+    return r.radicand == 1
+
+
+def square(r: RadScalar) -> Fraction:
+    return r.coeff * r.coeff * r.radicand
+
+
+# -- polynomial degree tests ---------------------------------------------------
+
+def homogeneous_part(p: MPoly, d: int) -> MPoly:
+    return MPoly(p.nvars, {e: c for e, c in p.terms.items() if sum(e) == d})
+
+
+def is_homogeneous(p: MPoly, d: int) -> bool:
+    return all(sum(e) == d for e in p.terms)
+
+
+def variables_used(p: MPoly) -> frozenset:
+    return frozenset(i for e in p.terms for i, x in enumerate(e) if x)
+
+
+# -- the core root data, derived from the ambient vectors -----------------------
+
+def ambient_core(data) -> dict:
+    """The integer core as the ambient model derives it: Fraction dot products of
+    the simple roots and coroots, and the positive roots by reflection closure."""
+    roots, coroots = data.simple_roots, data.simple_coroots
+    cartan = QMatrix([[a.dot(av) for a in roots] for av in coroots])
+    closure = generate_positive_roots(data)
+    marks = closure[-1][0]
+    det = cartan.det()
+    # (alpha^v, alpha_i) = 2 (alpha, alpha_i) / (alpha, alpha), on the doubled vectors
+    twice = [tuple(int(2 * x) for x in a) for a in roots]
+    coroot_coords = []
+    for _, r in closure:
+        r = tuple(int(2 * x) for x in r)
+        rr = sum(map(mul, r, r))
+        coroot_coords.append(tuple(Fraction(2 * sum(map(mul, r, a)), rr) for a in twice))
+    return {
+        "cartan": cartan.rows,
+        "norms": tuple(a.dot(a) for a in roots),
+        "positive_coroot_coords": coroot_coords,
+        "marks": marks,
+        "det": det,
+        "wf_order": factorial(data.rank) * prod(marks) * det,
+    }
 
 
 def generate_positive_roots(data) -> list[tuple[tuple[int, ...], QVector]]:
     """(simple-root coordinates, ambient root) of every positive root, by the
-    closure of the simple roots under the simple reflections."""
-    roots = set(data.simple_roots) | {-a for a in data.simple_roots}
+    closure of the simple roots under the simple reflections.
+
+    The closure runs on the doubled ambient vectors R = 2 r, where
+    s_a(R) = R - (2 (R, A) / (A, A)) A stays integral, and the coordinates are
+    the pairings c_i = (r, w_i^v) with the ambient fundamental coweights.
+    """
+    simple = []
+    for a in data.simple_roots:
+        if any((2 * x).denominator != 1 for x in a):
+            raise AlcovesError("a doubled simple root is not integral")
+        simple.append(tuple(int(2 * x) for x in a))
+    norms = [sum(map(mul, a, a)) for a in simple]
+    roots = set(simple) | {tuple(-x for x in a) for a in simple}
     frontier = set(roots)
     while frontier:
         new = set()
         for r in frontier:
-            for a, av in zip(data.simple_roots, data.simple_coroots):
-                img = r - r.dot(av) * a
+            for a, aa in zip(simple, norms):
+                m = _exact_quotient(2 * sum(map(mul, r, a)), aa)
+                img = tuple(x - m * y for x, y in zip(r, a))
                 if img not in roots:
                     new.add(img)
         roots |= new
         frontier = new
+    scale = lcm(*(x.denominator for w in data.fundamental_coweights for x in w))
+    coweights = [tuple(int(x * scale) for x in w) for w in data.fundamental_coweights]
     pos = []
     for r in roots:
-        coords = _simple_coords(data, r)
+        coords = tuple(_exact_quotient(sum(map(mul, r, w)), 2 * scale) for w in coweights)
         if all(c >= 0 for c in coords):
-            pos.append((coords, r))
+            pos.append((coords, QVector(Fraction(x, 2) for x in r)))
     pos.sort(key=lambda t: (sum(t[0]), t[0]))
     return pos
-
-
-def _simple_coords(data, root: QVector) -> tuple[int, ...]:
-    # (root, alpha_i^v) = sum_j c_j (alpha_j, alpha_i^v) = (cartan c)_i
-    rhs = QVector([root.dot(av) for av in data.simple_coroots])
-    sol = data._cartan_inv.matvec(rhs)
-    out = []
-    for c in sol:
-        if c.denominator != 1:
-            raise AlcovesError("non-integral root coordinate")
-        out.append(int(c))
-    return tuple(out)
 
 
 def diagram_components(data, J) -> list[tuple[int, ...]]:
@@ -143,7 +252,6 @@ def enumerate_X_by_box(data, lam, box_cap=DEFAULT_BOX_CAP):
     lam = tuple(int(c) for c in lam)
     n = data.rank
     bounds = _box_bounds(data, lam, box_cap)
-    coroot_rows = [tuple(int(x) for x in row) for row in data.cartan.rows]
     out = []
     rng = range(n)
     for exps in product(*(range(b + 1) for b in bounds)):
@@ -151,7 +259,7 @@ def enumerate_X_by_box(data, lam, box_cap=DEFAULT_BOX_CAP):
         for j in rng:
             xj = exps[j]
             if xj:
-                row = coroot_rows[j]
+                row = data.cartan[j]
                 for i in rng:
                     mu[i] -= xj * row[i]
         if all(c >= 0 for c in mu):
@@ -318,7 +426,7 @@ def orbit_face_euclidean_volume(data, J, lam) -> RadScalar:
     if k == 0:
         return RadScalar(1)
     # W_J-orbit of lambda in coweight coordinates
-    cart = data.cartan.rows
+    cart = data.cartan
     n = data.rank
     lam = tuple(int(c) for c in lam)
     seen = {lam}
@@ -430,9 +538,9 @@ class _Context:
         # s_i(x) = x - (<k, x> + c) * v: s_0 has k = marks, c = 1, v = highest^v;
         # s_i has k = e_i, c = 0 and v = alpha_i^v (row i of the Cartan matrix)
         self.walls = [(self.marks, 1, atilde_coroot)]
-        for i, row in enumerate(data.cartan.rows):
+        for i, row in enumerate(data.cartan):
             unit = tuple(int(j == i) for j in range(n))
-            self.walls.append((unit, 0, tuple(int(x) for x in row)))
+            self.walls.append((unit, 0, row))
         self.reflections = refs = [
             AffineElement(tuple(tuple(int(r == j) - v[r] * k[j] for j in range(n))
                                 for r in range(n)), tuple(-c * x for x in v))
@@ -592,3 +700,123 @@ def enumerate_weyl_group(data: RootSystemData, cap: int = DEFAULT_GROUP_CAP) -> 
     if len(seen) != data.wf_order:
         raise AlcovesError("enumerated order %d != %d" % (len(seen), data.wf_order))
     return sorted(seen, key=lambda e: (e.lin, e.tr))
+
+
+# -- reference routes that no command reads ------------------------------------
+
+def element_from_point(data: RootSystemData, point):
+    """The unique w in W_a whose alcove contains the point, as (N w(b), reduced word).
+
+    `point` is an alcove-interior point: a QVector in ambient coordinates,
+    or any other sequence taken as coweight coordinates.
+    """
+    if isinstance(point, QVector):
+        point = data.coweight_coords(point)
+    p = [Fraction(c) for c in point]
+    if len(p) != data.rank:
+        raise ValueError("expected %d coweight coordinates" % data.rank)
+    scale = lcm(*(c.denominator for c in p))
+    return _fold(_alcove_context(data), tuple(int(c * scale) for c in p), scale)
+
+
+def euclidean_volume(data: RootSystemData, J, lam) -> RadScalar:
+    """Exact Euclidean |J|-volume of Conv(W_J . lambda) as a RadScalar."""
+    J = _subset(data, J)
+    return RadScalar(relative_volumes(data, [int(c) for c in lam], set(J))[J], face_gram(data, J))
+
+
+def squarefree_coefficient(data: RootSystemData, J) -> RadScalar:
+    """Coefficient of prod_{j in J} m_j in the Euclidean V_J (positive).  r_J is
+    homogeneous of degree |J| in the m_j, j in J, so that is Delta_J of r_J(1_S)."""
+    J = _subset(data, J)
+    c = support_difference(lambda S: relative_volumes(data, indicator(data.rank, S), set(J))[J], J)
+    if c <= 0:
+        raise FormulaConsistencyError("squarefree volume coefficient must be positive")
+    return RadScalar(c, face_gram(data, J))
+
+
+def mu_full(data: RootSystemData) -> RadScalar:
+    """mu of the full polytope: 1 / vol(A_id), exact."""
+    return reciprocal(data.alcove_volume)
+
+
+def mu_euclidean(coeffs: GeometricCoefficients, data: RootSystemData, J) -> RadScalar:
+    """The Euclidean coefficient mu_J = mu'_J / sqrt(gram_J)."""
+    mu = coeffs.mu_prime[tuple(sorted(set(int(j) for j in J)))]
+    return RadScalar(mu) * reciprocal(RadScalar.sqrt(face_gram(data, J)))
+
+
+def stirling1(a: int, b: int) -> int:
+    """Unsigned Stirling number of the first kind [a, b], from the library's row."""
+    if a < 0 or b < 0 or b > a:
+        raise ValueError("stirling1 needs 0 <= b <= a")
+    return _stirling1_row(a)[b]
+
+
+@lru_cache(maxsize=None)
+def _eulerian_row(r: int) -> tuple[int, ...]:
+    row = (1,)
+    for q in range(2, r + 1):
+        row = tuple((q - s + 1) * (row[s - 2] if s >= 2 else 0)
+                    + s * (row[s - 1] if s < q else 0) for s in range(1, q + 1))
+    return row
+
+
+def eulerian(r: int, s: int) -> int:
+    """Eulerian number A(r, s), 1-indexed: A(1,1) = 1, A(3,2) = 4."""
+    if r < 1 or not 1 <= s <= r:
+        raise ValueError("eulerian needs 1 <= s <= r")
+    return _eulerian_row(r)[s - 1]
+
+
+def type_a_connected_mu(n: int) -> dict[tuple[int, ...], Fraction]:
+    """Lattice-normalized mu' for every connected interval J = {u+1..u+l} in A_n.
+
+    For each length l the coefficients solve a lower-triangular system whose
+    matrix holds the m_i^l coefficients of V_J (Eulerian numbers over l!)
+    and whose right side holds the t^l coefficients of (n+1)! E_{i,n+1}(t).
+    The remaining rows of the overdetermined system and the closed forms for
+    J = {1..l} are checked before returning.
+    """
+    if n < 1:
+        raise ValueError("rank must be positive")
+    e = {}
+    for i in range(1, n + 1):
+        poly = hypersimplex_ehrhart(i, n + 1)
+        for l in range(0, n + 1):
+            e[(i, l)] = factorial(n + 1) * poly.terms.get((l,), 0)
+
+    def c_prime(i: int, l: int, u: int) -> Fraction:
+        # m_i^l coefficient of the relative volume of I(l, u) = {u+1..u+l}
+        return Fraction(eulerian(l, i - u), factorial(l))
+
+    out: dict[tuple[int, ...], Fraction] = {}
+    for l in range(1, n + 1):
+        windows = list(range(0, n - l + 1))  # J = I(l, u)
+        mu = {}
+        for row, i in enumerate(range(1, n - l + 2)):
+            acc = e[(i, l)]
+            for u in windows:
+                if u + 1 <= i <= u + l and u != i - 1:
+                    acc -= c_prime(i, l, u) * mu[u]
+            mu[i - 1] = acc / c_prime(i, l, i - 1)
+        # remaining equations of the overdetermined system must also hold
+        for i in range(n - l + 2, n + 1):
+            acc = Fraction(0)
+            for u in windows:
+                if u + 1 <= i <= u + l:
+                    acc += c_prime(i, l, u) * mu[u]
+            if acc != e[(i, l)]:
+                raise FormulaConsistencyError(
+                    "type-A system row %d is inconsistent for l=%d" % (i, l))
+        for u in windows:
+            out[tuple(range(u + 1, u + l + 1))] = mu[u]
+        # closed form for the leading window J = {1..l}
+        closed = factorial(l) * (n + 1) * stirling1(n + 1, l + 1)
+        if out[tuple(range(1, l + 1))] != closed:
+            raise FormulaConsistencyError("leading type-A coefficient mismatch at l=%d" % l)
+    # l = n window must agree with the alcove-volume closed form
+    full = mu_full(build_root_system("A", n)) * RadScalar.sqrt(Fraction(n + 1))
+    if not is_rational(full) or full.coeff != out[tuple(range(1, n + 1))]:
+        raise FormulaConsistencyError("type-A top coefficient disagrees with 1/vol(A_id)")
+    return out

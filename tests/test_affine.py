@@ -10,15 +10,15 @@ from fractions import Fraction
 
 import pytest
 
-from alcoves.affine import (descents, element_from_point, interval_size_bruhat,
-                            lower_interval, sigma_reflection, theta)
+from alcoves.affine import (descents, interval_size_bruhat, lower_interval, sigma_reflection,
+                            theta)
 from alcoves.errors import BudgetExceededError, WallPointError
 from alcoves.orbits import interval_size_lattice
 from alcoves.rootdata import _RANK_RULES, build_root_system
 
-from oracles import (AffineElement, alcove_point, element, enumerate_weyl_group, inverse,
-                     length, longest_finite_element, lower_interval_elements,
-                     simple_reflection)
+from oracles import (AffineElement, alcove_point, element, element_from_point,
+                     enumerate_weyl_group, inverse, length, longest_finite_element,
+                     lower_interval_elements, simple_reflection)
 from oracles import descents as oracle_descents
 
 

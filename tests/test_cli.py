@@ -84,9 +84,10 @@ def test_fit_g2_values(capsys, tmp_path):
     # mu_{1,2} = mu' / sqrt(gram) = 12 / sqrt(1/3) = 12*sqrt(3); square check 432
     from fractions import Fraction
     from alcoves.radicals import RadScalar
+    from oracles import reciprocal, square
     mu = RadScalar(Fraction(obj["mu_prime"]["1,2"])) * \
-        RadScalar.sqrt(Fraction(obj["gram"]["1,2"])).reciprocal()
-    assert mu.square() == 432
+        reciprocal(RadScalar.sqrt(Fraction(obj["gram"]["1,2"])))
+    assert square(mu) == 432
 
 
 def test_fit_b2_mu_empty(capsys, tmp_path):
@@ -310,7 +311,9 @@ def test_count_bruhat_beyond_the_element_closure(capsys, system, lam):
      "level simplex has 3849565824 cells, exceeding cap 100000000"),
     (["fit", "--type", "E", "--rank", "7", "--out", "e7.json"],
      "level simplex has 3849565824 cells, exceeding cap 100000000"),
-], ids=["E8-bruhat", "E7-geometric", "E7-fit"])
+    (["verify", "--type", "E", "--rank", "7", "--cache-dir", "cache"],
+     "lower interval exceeds cap of 1000000 elements"),
+], ids=["E8-bruhat", "E7-geometric", "E7-fit", "E7-verify"])
 def test_refusal_before_the_first_count_is_cheap(capsys, tmp_path, monkeypatch, argv, message):
     monkeypatch.chdir(tmp_path)  # the relative cache and out paths land here
     build_root_system("%s%s" % (argv[2], argv[4]))  # time the refusal, not the build
@@ -483,6 +486,102 @@ def test_subset_cap_refuses_before_building_the_system(capsys, tmp_path, monkeyp
     code, payload = run_cli(capsys, *argv, "--type", "A", "--rank", "24")
     assert code == 2 and payload["error"]["type"] == "budget"
     assert "16777216 subsets" in payload["error"]["message"]
+
+
+def test_geometric_count_with_a_coeffs_file_refuses_on_subsets_first(capsys, tmp_path,
+                                                                    monkeypatch):
+    # the file is neither read nor checked: A13's 8192 subsets refuse before the build
+    import alcoves.cli as climod
+
+    def never(*args, **kwargs):
+        raise AssertionError("called before the subset cap")
+
+    monkeypatch.setattr(climod, "build_root_system", never)
+    monkeypatch.setattr(climod, "_read_coefficients", never)
+    coeffs = tmp_path / "a13.json"
+    coeffs.write_text('{"system": "A13", "mu_prime": {"": "1"}}')
+    code, payload = run_cli(capsys, "count", "--type", "A", "--rank", "13", "--lambda",
+                            ",".join(["1"] * 13), "--method", "geometric", "--coeffs", str(coeffs))
+    assert code == 2 and payload["error"] == {
+        "type": "budget", "message": "fitting A13 needs 8192 subsets, exceeding cap 4096"}
+
+
+def test_verify_refuses_before_the_fit_and_the_first_row(capsys, tmp_path, monkeypatch):
+    # interval sizes grow with lambda, so the row (40, 40, 40), whose interval has
+    # 25 157 784 elements, refuses the whole run before any row is counted
+    import alcoves.cli as climod
+
+    def never(*args, **kwargs):
+        raise AssertionError("called before the interval cap was checked")
+
+    monkeypatch.setattr(climod, "interval_size_bruhat", never)
+    monkeypatch.setattr(climod, "fit_mu", never)
+    code, payload = run_cli(capsys, "verify", "--type", "A", "--rank", "3", "--max-coord", "40",
+                            "--cache-dir", str(tmp_path))
+    assert code == 2 and payload["error"] == {
+        "type": "budget", "message": "lower interval exceeds cap of 1000000 elements"}
+    assert list(tmp_path.iterdir()) == []
+    code, payload = run_cli(capsys, "verify", "--type", "A", "--rank", "3", "--max-coord", "40",
+                            "--interval-cap", "25157783", "--box-cap", "10", "--cache-dir",
+                            str(tmp_path))
+    assert code == 2 and payload["error"] == {
+        "type": "budget", "message": "level simplex has 1771561 cells, exceeding cap 10"}
+
+
+def test_verify_interval_cap_is_exact(capsys, tmp_path):
+    # |<= theta(2, 2)| = 114 in A2, the largest row of --max-coord 2: a cap of 114 runs
+    # every row, and 113 refuses before the first
+    argv = ["verify", "--type", "A", "--rank", "2", "--cache-dir", str(tmp_path)]
+    code, payload = run_cli(capsys, *argv, "--interval-cap", "114")
+    assert code == 0 and payload["rows"][-1]["bruhat"] == 114 and payload["ok"]
+    code, payload = run_cli(capsys, *argv, "--interval-cap", "113")
+    assert code == 2 and payload["error"] == {
+        "type": "budget", "message": "lower interval exceeds cap of 113 elements"}
+
+
+@pytest.mark.parametrize("argv,value,message", [
+    (["count", "--type", "A", "--rank", "2", "--method", "lattice"], ["--lambda", "-1,1"],
+     "lambda coordinates must be non-negative integers"),
+    (["faces", "--type", "A", "--rank", "2", "--J", "1"], ["--lambda", "-1,1"],
+     "lambda coordinates must be non-negative integers"),
+    (["faces", "--type", "A", "--rank", "2", "--lambda", "1,1"], ["--J", "-1,2"],
+     "J must be a subset of 1..2"),
+    (["volumes", "--type", "A", "--rank", "2"], ["--J", "-1,2"], "J must be a subset of 1..2"),
+    (["volumes", "--type", "A", "--rank", "2"], ["--J", "-1"], "J must be a subset of 1..2"),
+], ids=["count--lambda", "faces--lambda", "faces--J", "volumes--J", "volumes--J-one"])
+def test_a_negative_first_coordinate_reaches_the_cli_check(capsys, argv, value, message):
+    # as a separate argument and after "=", the value gets the CLI's own message
+    for form in (value, ["%s=%s" % tuple(value)]):
+        code, payload = run_cli(capsys, *argv, *form)
+        assert code == 1 and payload["error"] == {"type": "usage", "message": message}, form
+
+
+def test_the_count_path_builds_no_ambient_view(capsys, tmp_path, monkeypatch):
+    # count by each method, fit, and a count from a coefficient file, on fresh root data
+    from functools import lru_cache
+    from alcoves import rootdata
+    real = rootdata.RootSystemData._build_ambient
+    built = []
+
+    def record(data):
+        built.append(str(data.id))
+        real(data)
+
+    monkeypatch.setattr(rootdata.RootSystemData, "_build_ambient", record)
+    monkeypatch.setattr(rootdata, "_build_cached", lru_cache(maxsize=None)(rootdata.RootSystemData))
+    count = ["count", "--type", "B", "--rank", "3", "--lambda", "1,0,2", "--cache-dir",
+             str(tmp_path / "cache"), "--method"]
+    for method in ["bruhat", "lattice", "geometric", "geometric"]:  # fit and store, then load
+        code, payload = run_cli(capsys, *count, method)
+        assert code == 0 and payload["count"] == 6720, method
+    out = tmp_path / "b3.json"
+    assert run_cli(capsys, "fit", "--type", "B", "--rank", "3", "--out", str(out))[0] == 0
+    code, payload = run_cli(capsys, *count, "geometric", "--coeffs", str(out))
+    assert code == 0 and payload["count"] == 6720
+    assert built == []
+    # rootdata reads the view, and builds it once
+    assert run_cli(capsys, "rootdata", "--type", "B", "--rank", "3")[0] == 0
+    assert built == ["B3"]
 
 
 def test_no_new_options():

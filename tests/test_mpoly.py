@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from alcoves.mpoly import MPoly
-from oracles import InterpolationError, mpoly_interpolate
+from oracles import (InterpolationError, homogeneous_part, is_homogeneous, mpoly_interpolate,
+                     variables_used)
 
 
 def test_affine_interpolation():
@@ -39,9 +40,9 @@ def test_arithmetic_and_eval():
     p = (x + y) * (x - y)
     assert p == x * x - y * y
     assert p.eval((3, 2)) == 5
-    assert p.is_homogeneous(2)
-    assert (x * x + y).homogeneous_part(2) == x * x
-    assert p.variables_used() == frozenset({0, 1})
+    assert is_homogeneous(p, 2)
+    assert homogeneous_part(x * x + y, 2) == x * x
+    assert variables_used(p) == frozenset({0, 1})
 
 
 def test_zero_coefficients_dropped():

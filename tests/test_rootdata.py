@@ -8,13 +8,13 @@ from functools import lru_cache
 import pytest
 
 from alcoves.errors import AlcovesError, BudgetExceededError
-from alcoves.linalg import QVector, gram_det
+from alcoves.linalg import QVector
 from alcoves.radicals import RadScalar
 from alcoves.rootdata import (MAX_RANK, RootSystemData, RootSystemId, build_root_system,
                               dominant_representative, weyl_order)
 
-from oracles import (AffineElement, generate_positive_roots, length, longest_finite_element,
-                     simple_reflection)
+from oracles import (AffineElement, ambient_core, generate_positive_roots, gram_det, length,
+                     longest_finite_element, simple_reflection)
 
 ALL_SMALL = ["A1", "A2", "A3", "A4", "B2", "B3", "B4", "C3", "D3", "D4", "G2", "F4", "E6"]
 UP_TO_RANK_8 = (["A%d" % n for n in range(1, 9)] + ["B%d" % n for n in range(2, 9)]
@@ -141,7 +141,7 @@ def test_positive_coroot_coords(name):
     positive_roots = [r for _, r in generate_positive_roots(d)]
     ambient = [tuple(2 * r.dot(a) / r.dot(r) for a in d.simple_roots) for r in positive_roots]
     assert d.positive_coroot_coords == ambient
-    assert set(map(tuple, d.cartan.rows)) <= set(d.positive_coroot_coords)
+    assert set(d.cartan) <= set(d.positive_coroot_coords)
 
 
 @pytest.mark.parametrize("name", UP_TO_RANK_8 + ["A10", "B10"])
@@ -159,6 +159,39 @@ def test_root_strings_equal_the_reflection_closure(name):
 def test_det_coweight_lattice_equals_ambient_gram(name):
     d = build_root_system(name)
     assert d.det_coweight_lattice == RadScalar.sqrt(gram_det(d.fundamental_coweights))
+
+
+@pytest.mark.parametrize("name", UP_TO_RANK_8 + ["A24", "B24", "D24"])
+def test_integer_core_equals_the_ambient_derivation(name):
+    # the integer core from the doubled simple roots, against Fraction dot products of
+    # the ambient vectors and the reflection closure of the roots
+    d = build_root_system(name)
+    ambient = ambient_core(d)
+    assert d.cartan == ambient["cartan"]
+    assert d.simple_root_norms == ambient["norms"]
+    assert d.positive_coroot_coords == ambient["positive_coroot_coords"]
+    assert d.marks == ambient["marks"]
+    assert d.index_of_connection == ambient["det"]
+    assert d.wf_order == ambient["wf_order"]
+    assert all(type(x) is int for x in d.simple_root_norms + d.marks)
+
+
+def test_the_ambient_view_is_built_once_on_first_read(monkeypatch):
+    d = RootSystemData(RootSystemId("G", 2))  # fresh, so the cached one is left alone
+    real = RootSystemData._build_ambient
+    calls = []
+
+    def record(data):
+        calls.append(data)
+        real(data)
+
+    monkeypatch.setattr(RootSystemData, "_build_ambient", record)
+    assert d.wf_order == 12 and calls == []
+    assert d.to_json()["ambient_dim"] == 3 and d.simple_roots and d._cartan_inv
+    assert calls == [d]
+    with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+        d.no_such_name
+    assert calls == [d]
 
 
 def test_reflection_check_refuses_a_root_set_that_is_not_closed():
@@ -184,7 +217,7 @@ def test_cartan_shape(name):
     for i in range(d.rank):
         for j in range(d.rank):
             c = d.cartan[i][j]
-            assert c.denominator == 1
+            assert type(c) is int
             assert (c == 2) if i == j else (c <= 0)
 
 
