@@ -22,11 +22,11 @@ from . import __version__
 from .errors import AlcovesError, BudgetExceededError, FitVerificationError
 from .affine import (DEFAULT_INTERVAL_CAP, descents, interval_size_bruhat, sigma_reflection,
                      theta)
-from .coefficients import (GeometricCoefficients, check_coefficients, check_subset_cap,
-                           evaluate_formula, fit_mu, hypersimplex_ehrhart)
+from .coefficients import (GeometricCoefficients, check_coefficients, evaluate_formula, fit_mu,
+                           hypersimplex_ehrhart)
 from .orbits import DEFAULT_BOX_CAP, face_to_json, interval_size_lattice
 from .rootdata import RootSystemId, build_root_system, check_rank
-from .volumes import volume_polynomial
+from .volumes import check_subset_cap, volume_polynomial
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -160,7 +160,7 @@ def _cached_coefficients(ns, data) -> GeometricCoefficients:
 def cmd_count(ns) -> int:
     lam = _parse_lambda(ns.lam, ns.rank)
     if ns.method == "geometric":  # a --coeffs file too needs the 2^n-subset pyramid table
-        check_subset_cap(ns.system)
+        check_subset_cap(ns.system, ns.rank)
     data = build_root_system(ns.system)
     start = time.perf_counter()
     if ns.method == "bruhat":
@@ -187,7 +187,7 @@ def cmd_fit(ns) -> int:
     out = Path(ns.out)
     if out.exists() and not ns.force:
         raise UsageError("refusing to overwrite %s (use --force)" % out)
-    check_subset_cap(ns.system)
+    check_subset_cap(ns.system, ns.rank)
     data = build_root_system(ns.system)
     coeffs = fit_mu(data, box_cap=ns.box_cap)
     payload = _write_coefficients(out, coeffs)
@@ -199,7 +199,7 @@ def cmd_fit(ns) -> int:
 def cmd_verify(ns) -> int:
     if ns.max_coord < 0:
         raise UsageError("--max-coord must be non-negative")
-    check_subset_cap(ns.system)
+    check_subset_cap(ns.system, ns.rank)
     data = build_root_system(ns.system)
     # interval sizes grow with lambda in each coordinate, and each cap refuses exactly
     # when the size it bounds exceeds it: the last row decides every refusal up front.
@@ -280,6 +280,7 @@ def cmd_ehrhart(ns) -> int:
 
 def cmd_volumes(ns) -> int:
     J = _parse_J(ns.J, ns.rank)
+    check_subset_cap(ns.system, len(J))
     data = build_root_system(ns.system)
     vp = volume_polynomial(data, J)
     payload = vp.to_json()

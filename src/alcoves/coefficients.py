@@ -19,16 +19,15 @@ import math
 import re
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
 
-from .errors import BudgetExceededError, FitVerificationError, FormulaConsistencyError
+from .errors import FitVerificationError, FormulaConsistencyError
 from .linalg import rational_to_str
 from .mpoly import MPoly
 from .rootdata import RootSystemData, RootSystemId, build_root_system
 from .orbits import DEFAULT_BOX_CAP, check_level_budget, interval_size_lattice
-from .volumes import face_gram, indicator, relative_volumes, support_difference
+from .volumes import (check_subset_cap, face_gram, indicator, relative_volumes, subsets,
+                      support_difference)
 
-MAX_SUBSETS = 4096  # 2^n <= 4096 exactly when the rank is at most 12
 # what linalg.rational_to_str writes, and all that from_json reads: "p" or "p/q", q != 0
 _RATIONAL = re.compile(r"-?[0-9]+(/0*[1-9][0-9]*)?")
 
@@ -168,7 +167,7 @@ def check_coefficients(data: RootSystemData, coeffs: GeometricCoefficients) -> N
         raise ValueError("coefficients are for %s, not %s" % (coeffs.system, data.id))
     # the count first, so a file naming a large system is refused before 2^n subsets are built
     if (len(coeffs.mu_prime) != 2 ** data.rank
-            or coeffs.mu_prime.keys() != set(_all_subsets(data.rank))):
+            or coeffs.mu_prime.keys() != set(subsets(tuple(range(1, data.rank + 1))))):
         raise ValueError("coefficients for %s must cover exactly the %d subsets of 1..%d"
                          % (data.id, 2 ** data.rank, data.rank))
     if coeffs.mu_prime[()] != data.wf_order:
@@ -176,13 +175,6 @@ def check_coefficients(data: RootSystemData, coeffs: GeometricCoefficients) -> N
     # sqrt(gram_top) = covol(Q^v) = |W_f| vol(A_id), so mu'_top = |W_f| too
     if coeffs.mu_prime[tuple(range(1, data.rank + 1))] != data.wf_order:
         raise ValueError("mu'_top != 1/vol(A_id)")
-
-
-def check_subset_cap(system: RootSystemId) -> None:
-    """Refuse, before any work, a fit of more than MAX_SUBSETS subsets."""
-    if 2 ** system.rank > MAX_SUBSETS:
-        raise BudgetExceededError("fitting %s needs %d subsets, exceeding cap %d"
-                                  % (system, 2 ** system.rank, MAX_SUBSETS))
 
 
 def evaluate_formula(data: RootSystemData, coeffs: GeometricCoefficients, lam) -> int:
@@ -200,12 +192,6 @@ def evaluate_formula(data: RootSystemData, coeffs: GeometricCoefficients, lam) -
 
 
 # -- fitting -------------------------------------------------------------------------
-
-@lru_cache(maxsize=None)
-def _all_subsets(n: int) -> tuple[tuple[int, ...], ...]:
-    """Every J in {1..n}, by size and then lexicographically."""
-    return tuple(J for size in range(n + 1) for J in combinations(range(1, n + 1), size))
-
 
 def fit_mu(data: RootSystemData, box_cap: int = DEFAULT_BOX_CAP) -> GeometricCoefficients:
     """Determine every mu'_J from exact interval counts at 0/1 coweights.
@@ -225,20 +211,20 @@ def fit_mu(data: RootSystemData, box_cap: int = DEFAULT_BOX_CAP) -> GeometricCoe
     check refuses before the first count whenever any count would.
     """
     n = data.rank
-    check_subset_cap(data.id)
+    check_subset_cap(data.id, data.rank)
     check_level_budget(data, (3,) * n, box_cap)
-    subsets = _all_subsets(n)
+    every = subsets(tuple(range(1, n + 1)))
 
     def count(lam) -> int:
         return interval_size_lattice(data, lam, box_cap)
 
-    at_indicator = {S: count(indicator(n, S)) for S in subsets}
-    diff = {J: support_difference(at_indicator.__getitem__, J) for J in subsets}
-    volumes = {S: relative_volumes(data, indicator(n, S)) for S in subsets}
+    at_indicator = {S: count(indicator(n, S)) for S in every}
+    diff = {J: support_difference(at_indicator.__getitem__, J) for J in every}
+    volumes = {S: relative_volumes(data, indicator(n, S)) for S in every}
     mu = {}
-    for K in reversed(subsets):
+    for K in reversed(every):
         a = {J: support_difference(lambda S: volumes[S][K], J)
-             for J in subsets if set(J) <= set(K)}
+             for J in every if set(J) <= set(K)}
         if a[K] <= 0:
             raise FormulaConsistencyError("squarefree volume coefficient must be positive")
         mu[K] = diff[K] / a[K]
@@ -249,7 +235,7 @@ def fit_mu(data: RootSystemData, box_cap: int = DEFAULT_BOX_CAP) -> GeometricCoe
     coeffs = GeometricCoefficients(
         data.id, mu,
         {J: ("closed-form" if J in ((), tuple(range(1, n + 1))) else "fitted")
-         for J in subsets})
+         for J in every})
 
     try:
         check_coefficients(data, coeffs)  # the closed-form pins
@@ -257,8 +243,8 @@ def fit_mu(data: RootSystemData, box_cap: int = DEFAULT_BOX_CAP) -> GeometricCoe
         raise FitVerificationError("fit failed verification: %s" % exc) from None
 
     # validation, degenerate coweights included
-    validation = {tuple(2 if i + 1 in K else 1 for i in range(n)) for K in subsets}
-    validation |= {tuple(3 if i + 1 in K else 0 for i in range(n)) for K in subsets}
+    validation = {tuple(2 if i + 1 in K else 1 for i in range(n)) for K in every}
+    validation |= {tuple(3 if i + 1 in K else 0 for i in range(n)) for K in every}
     validation |= {tuple(2 if j == i else 0 for j in range(n)) for i in range(n)}
     for lam in sorted(validation):
         if evaluate_formula(data, coeffs, lam) != count(lam):

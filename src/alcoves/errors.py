@@ -9,10 +9,6 @@ class AlcovesError(Exception):
     """Base class for all library errors."""
 
 
-class SingularSystemError(AlcovesError, ValueError):
-    """Square linear system with no unique solution."""
-
-
 class WallPointError(AlcovesError, ValueError):
     """Point lies on a reflection hyperplane, so it selects no alcove."""
 

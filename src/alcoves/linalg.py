@@ -1,16 +1,19 @@
-"""Exact rational vectors and matrices, and one Gauss-Jordan elimination.
+"""Exact rational vectors and the one matrix routine, a bordering step.
 
 Everything is built on ``fractions.Fraction``; no floating point enters any
-computation.  Vectors and matrices are immutable (tuple-backed) so they can
-be shared freely and used as dictionary keys.
+computation.  Vectors are immutable (tuple-backed) so they can be shared
+freely and used as dictionary keys.  The library inverts only Cartan blocks
+of finite type, which are positive definite up to a diagonal scaling, so
+bordering one index at a time needs no pivoting.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import mul
 from typing import Iterable
 
-from .errors import SingularSystemError
+from .errors import AlcovesError
 
 
 def _frac(x) -> Fraction:
@@ -69,92 +72,27 @@ class QVector:
         return "QVector(%s)" % (", ".join(str(a) for a in self.entries))
 
 
-class QMatrix:
-    """Immutable matrix with exact rational entries, stored by rows."""
+def border(m, J, inv) -> tuple[list[list[Fraction]], Fraction]:
+    """One bordering (Schur-complement) step: from inv, the inverse of the principal
+    block m_{J'} of m on J' = J[:-1], the inverse of m_J and s = det m_J / det m_{J'}.
+    With j = J[-1], u the new column and v the new row, s = m_jj - v inv u and
 
-    __slots__ = ("rows",)
+        m_J^-1 = [[inv + (inv u)(v inv) / s, -(inv u) / s], [-(v inv) / s, 1 / s]].
 
-    def __init__(self, rows: Iterable[Iterable]):
-        rs = tuple(tuple(_frac(x) for x in row) for row in rows)
-        if rs and any(len(r) != len(rs[0]) for r in rs):
-            raise ValueError("ragged rows")
-        object.__setattr__(self, "rows", rs)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("QMatrix is immutable")
-
-    @property
-    def nrows(self) -> int:
-        return len(self.rows)
-
-    @property
-    def ncols(self) -> int:
-        return len(self.rows[0]) if self.rows else 0
-
-    def __getitem__(self, i):
-        return self.rows[i]
-
-    def __eq__(self, other):
-        return isinstance(other, QMatrix) and self.rows == other.rows
-
-    def __hash__(self):
-        return hash(self.rows)
-
-    @staticmethod
-    def identity(n: int) -> "QMatrix":
-        return QMatrix([[1 if i == j else 0 for j in range(n)] for i in range(n)])
-
-    def det(self) -> Fraction:
-        if self.nrows != self.ncols:
-            raise ValueError("determinant of a non-square matrix")
-        return _gauss_jordan(self)[2]
-
-    def rank(self) -> int:
-        return len(_gauss_jordan(self)[1])
-
-    def inverse(self) -> "QMatrix":
-        n = self.nrows
-        if n != self.ncols:
-            raise ValueError("inverse of a non-square matrix")
-        rows, pivots, _ = _gauss_jordan(self, QMatrix.identity(n).rows)
-        if len(pivots) < n:
-            raise SingularSystemError("singular system")
-        return QMatrix(row[n:] for row in rows)
-
-    def __repr__(self):
-        return "QMatrix(%d x %d)" % (self.nrows, self.ncols)
-
-
-def _gauss_jordan(m: QMatrix, extra=()):
-    """Reduce [M | extra] to reduced row echelon form, pivoting in M only.
-
-    `extra` holds rows appended to the rows of M (right-hand sides).
-    Returns (rows, pivot columns, det), where det is det(M) for square M.
-    Pivot selection is deterministic: the first row with a nonzero entry in
-    the pivot column.  Each pivot row is scaled to a leading 1 and the
-    pivot column is cleared in every other row.
+    Refuses unless s > 0, which holds when the principal minors of m are positive,
+    as those of a Cartan matrix of finite type are.
     """
-    rows = [list(r) + list(e) for r, e in zip(m.rows, extra or [()] * m.nrows, strict=True)]
-    pivots: list[int] = []
-    det = Fraction(1)
-    for c in range(m.ncols):
-        top = len(pivots)
-        piv = next((r for r in range(top, len(rows)) if rows[r][c] != 0), None)
-        if piv is None:
-            det = Fraction(0)
-            continue
-        if piv != top:
-            rows[top], rows[piv] = rows[piv], rows[top]
-            det = -det
-        p = rows[top][c]
-        det *= p
-        prow = rows[top] = [x / p for x in rows[top]]
-        for r, row in enumerate(rows):
-            f = row[c]
-            if f != 0 and r != top:
-                rows[r] = [x - f * y for x, y in zip(row, prow)]
-        pivots.append(c)
-    return rows, pivots, det
+    *rest, j = J
+    u = [m[i][j] for i in rest]
+    v = [m[j][k] for k in rest]
+    iu = [sum(map(mul, row, u)) for row in inv]
+    s = Fraction(m[j][j] - sum(map(mul, v, iu)))
+    if s <= 0:
+        raise AlcovesError("a leading minor is not positive: not a Cartan matrix of finite type")
+    vi = [sum(map(mul, v, col)) / s for col in zip(*inv)]  # (v inv) / s
+    out = [[x + p * q for x, q in zip(row, vi)] + [-p / s] for row, p in zip(inv, iu)]
+    out.append([-q for q in vi] + [1 / s])
+    return out, s
 
 
 def rational_to_str(q: Fraction) -> str:

@@ -9,7 +9,8 @@ coweights below lambda in dominance order, so
 and |<= theta(lambda)| is |W_f| times that.  A geometric membership test
 (`contains`) over an exponent box gives an independent second route, which
 the benchmark's reference pins run; it reads the ambient view, the coroot
-walk does not.
+walk does not.  A face Conv(W_J . lambda) has |W_J| / |W_{J ^ Z(lambda)}|
+vertices, known before its walk, and dimension #{j in J the walk steps along}.
 """
 
 from __future__ import annotations
@@ -21,10 +22,11 @@ from itertools import product
 from operator import sub
 
 from .errors import BudgetExceededError
-from .linalg import QMatrix, QVector, rational_to_str
+from .linalg import QVector, rational_to_str
 from .rootdata import RootSystemData, dominant_coords, weyl_order
 
 DEFAULT_BOX_CAP = 10 ** 8
+MAX_FACE_VERTICES = 100_000  # the full E6 face, 51 840 vertices, takes about 19 s and 82 MB
 
 
 class DominantCoweight:
@@ -195,12 +197,25 @@ class FaceDescriptor(namedtuple("FaceDescriptor", "J vertex_set dim orbit_face_c
     __slots__ = ()
 
 
+def face_vertex_count(data: RootSystemData, lam: tuple[int, ...], J) -> int:
+    """|W_J . lambda| = |W_J| / |W_{J ^ Z(lambda)}|, Z(lambda) the zero coordinates:
+    in W_J, a dominant lambda is fixed by exactly the parabolic subgroup on J ^ Z(lambda)."""
+    return weyl_order(data, J) // weyl_order(data, [j for j in J if lam[j - 1] == 0])
+
+
 def face(data: RootSystemData, lam, J) -> FaceDescriptor:
-    """Vertex set {w . lambda : w in W_J} and affine-span dimension."""
+    """Vertex set {w . lambda : w in W_J} and affine-span dimension.
+
+    Refuses, before the walk, a face of more than MAX_FACE_VERTICES vertices.
+    """
     lam = _coords(lam)
     J = tuple(sorted(set(int(j) for j in J)))
     if any(j < 1 or j > data.rank for j in J):
         raise ValueError("J must be a subset of 1..%d" % data.rank)
+    count = face_vertex_count(data, lam, J)
+    if count > MAX_FACE_VERTICES:
+        raise BudgetExceededError("the face has %d vertices, exceeding cap %d"
+                                  % (count, MAX_FACE_VERTICES))
     n = data.rank
     seen = {lam}
     frontier = [lam]
@@ -218,8 +233,8 @@ def face(data: RootSystemData, lam, J) -> FaceDescriptor:
                     new.append(img)
         frontier = new
     vertices = tuple(data.ambient_from_coweight(c) for c in sorted(seen))
-    base = vertices[0]
-    dim = QMatrix([list(v - base) for v in vertices]).rank() if len(vertices) > 1 else 0
+    # the vertex differences span the alpha_j^v stepped along, and those are independent
+    dim = sum(any(c[j - 1] for c in seen) for j in J)
     index = data.wf_order // weyl_order(data, J)
     return FaceDescriptor(J, vertices, dim, index)
 

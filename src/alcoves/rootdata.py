@@ -7,9 +7,10 @@ from the plates, doubled so that they are integer vectors; everything else is
 derived from them and invariant-checked at build time, which keeps
 transcription errors out of the downstream volume and coefficient work.  The
 count paths read integers only: the Cartan matrix, norms, positive roots and
-coroots (by root strings), marks and |W_f|.  The ambient vectors and lattice
-volumes that `rootdata`, `faces` and `verify` read are built on first read.
-Parabolic orders |W_J| come by a product over root heights.
+coroots (by root strings), marks, det C and |W_f|.  The ambient vectors,
+the inverse Cartan matrix and the lattice volumes that `rootdata`, `faces`
+and `verify` read are built on first read.  Parabolic orders |W_J| come by a
+product over root heights.
 
 Conventions:
   * coroot       alpha^v = 2*alpha/(alpha,alpha)
@@ -27,7 +28,7 @@ from functools import lru_cache
 from operator import mul
 
 from .errors import AlcovesError, BudgetExceededError
-from .linalg import QMatrix, QVector, rational_to_str
+from .linalg import QVector, border, rational_to_str
 from .radicals import RadScalar
 
 _RANK_RULES = {
@@ -154,8 +155,10 @@ class RootSystemData:
 
     The constructor computes only integer data, from the doubled simple roots:
     the Cartan matrix, the norms |alpha_i|^2, the positive roots and coroots in
-    simple coordinates, the marks, det C and |W_f|.  The ambient view (the
-    names in _AMBIENT) is built once, on its first read.
+    simple coordinates, the marks, det C and |W_f|.  det C = |P^v/Q^v| is the
+    number of special nodes of the extended diagram: node 0 and the nodes of
+    mark 1.  The ambient view (the names in _AMBIENT) is built once, on its
+    first read.
     """
 
     def __init__(self, id: RootSystemId):  # noqa: A002 - matches call sites
@@ -187,10 +190,7 @@ class RootSystemData:
         # the highest root is the unique root of greatest height, sorted last
         self.marks = self.positive_root_coords[-1]
         self.minuscule_set = frozenset(i + 1 for i in range(n) if self.marks[i] == 1)
-        det_cartan = QMatrix(self.cartan).det()
-        if det_cartan.denominator != 1 or det_cartan <= 0:
-            raise AlcovesError("Cartan determinant should be a positive integer")
-        self.index_of_connection = int(det_cartan)
+        self.index_of_connection = 1 + len(self.minuscule_set)  # det C, by the special nodes
         self.wf_order = math.factorial(n) * math.prod(self.marks) * self.index_of_connection
         self._check_invariants()
 
@@ -227,7 +227,12 @@ class RootSystemData:
         coroots = [a * Fraction(2, l) for a, l in zip(roots, self.simple_root_norms)]
         if [[a.dot(av) for a in roots] for av in coroots] != [list(r) for r in self.cartan]:
             raise AlcovesError("ambient Cartan matrix differs from the integer one")
-        inv = QMatrix(self.cartan).inverse()
+        inv, det_c = [], 1
+        for j in range(1, n + 1):  # C^-1 bordered along 1..n; det C is the product of the s
+            inv, s = border(self.cartan, range(j), inv)
+            det_c *= s
+        if det_c != self.index_of_connection:
+            raise AlcovesError("det C differs from the number of special nodes")
         zero = QVector.zero(len(roots[0]))
         # w_i^v = sum_k (C^-1)_ik alpha_k^v and w_i = sum_k (C^-1)_ki alpha_k
         coweights = [sum((inv[i][k] * coroots[k] for k in range(n)), zero) for i in range(n)]

@@ -16,7 +16,10 @@ sum_k (C_J^-1)_kj alpha_k, so (w_i^v, nu_j) = (C_J^-1)_ij, |nu_j|^2 =
 The pyramid's Euclidean factor sqrt(gram_{J-j}) / |nu_j| cancels against
 sqrt(gram_J): by Cramer's rule (C_J^-1)_jj = det C_{J-j} / det C_J, so
 gram_J = gram_{J-j} / |nu_j|^2, and gram_J follows from any one j in J.
-The recursion runs on numbers (values) or on MPoly variables (polynomials).
+At j = max J, one bordering step from C_{J-j}^-1 gives both C_J^-1 and
+s = det C_J / det C_{J-j}, so gram_J = gram_{J-j} s / (|alpha_j|^2 / 2).
+The table holds only the subsets of the J asked for; the recursion runs on
+numbers (values) or on MPoly variables (polynomials).
 """
 
 from __future__ import annotations
@@ -27,9 +30,10 @@ from functools import lru_cache, reduce
 from itertools import combinations
 from operator import add
 
-from .linalg import QMatrix, rational_to_str
+from .errors import BudgetExceededError
+from .linalg import border, rational_to_str
 from .mpoly import MPoly
-from .rootdata import RootSystemData, weyl_order
+from .rootdata import RootSystemData, RootSystemId, weyl_order
 
 
 class VolumePolynomial(namedtuple("VolumePolynomial", "J rel_poly gram")):
@@ -45,34 +49,58 @@ class VolumePolynomial(namedtuple("VolumePolynomial", "J rel_poly gram")):
         }
 
 
+MAX_SUBSETS = 4096  # 2^n <= 4096 exactly when the rank is at most 12
+
+
+def check_subset_cap(system: RootSystemId, size: int) -> None:
+    """Refuse, before any work, a pyramid table over `size` indices of more than
+    MAX_SUBSETS subsets."""
+    if 2 ** size > MAX_SUBSETS:
+        raise BudgetExceededError("the pyramid table of %s over %d indices needs %d subsets, "
+                                  "exceeding cap %d" % (system, size, 2 ** size, MAX_SUBSETS))
+
+
 @lru_cache(maxsize=None)
-def _pyramid_table(data: RootSystemData) -> dict:
-    """J -> (gram_J, ((J-j, c_{J,j}, ((i, (C_J^-1)_ij) for i in J)) for j in J)), by |J|."""
-    n = data.rank
+def subsets(top: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    """Every subset of top, by size and then lexicographically."""
+    return tuple(J for size in range(len(top) + 1) for J in combinations(top, size))
+
+
+@lru_cache(maxsize=None)
+def _table(data: RootSystemData) -> dict:
+    return {(): (1, Fraction(1), [], ())}
+
+
+def _pyramid_table(data: RootSystemData, top: tuple[int, ...]) -> dict:
+    """J -> (|W_J|, gram_J, C_J^-1, ((J-j, c_{J,j}) for j in J)), one dict per system,
+    holding every J inside each `top` asked for so far, and each J with its subsets."""
+    table = _table(data)
+    if top in table:
+        return table
     half = [Fraction(l, 2) for l in data.simple_root_norms]  # |alpha_j|^2 / 2
-    subsets = [J for size in range(n + 1) for J in combinations(range(1, n + 1), size)]
-    order = {J: weyl_order(data, J) for J in subsets}
-    table = {(): (Fraction(1), ())}
-    for J in subsets[1:]:
-        inv = QMatrix([[data.cartan[i - 1][k - 1] for k in J] for i in J]).inverse()
-        steps = []
-        for p in range(len(J)):
-            rest = J[:p] + J[p + 1:]
-            steps.append((rest, Fraction(order[J] // order[rest], len(J)),
-                          tuple((i, row[p]) for i, row in zip(J, inv.rows))))
-        # gram_J = gram_{J-j} / |nu_j|^2 at j = max J: |nu_j|^2 = (C_J^-1)_jj |alpha_j|^2 / 2
-        table[J] = (table[J[:-1]][0] / (inv[-1][-1] * half[J[-1] - 1]), tuple(steps))
+    for J in subsets(top):
+        if J not in table:
+            order = weyl_order(data, J)
+            _, gram, inv, _ = table[J[:-1]]
+            inv, s = border(data.cartan, [j - 1 for j in J], inv)
+            steps = tuple((rest, Fraction(order // table[rest][0], len(J)))
+                          for rest in (J[:p] + J[p + 1:] for p in range(len(J))))
+            # gram_J = gram_{J-j} / |nu_j|^2 at j = max J, and 1 / |nu_j|^2 = s / (|alpha_j|^2 / 2)
+            table[J] = (order, gram * s / half[J[-1] - 1], inv, steps)
     return table
 
 
 def relative_volumes(data: RootSystemData, x, top=None, r=None) -> dict:
     """r_K(x) for every K inside `top` (default: all of 1..n), in O(n^2 2^n) steps.
     x holds numbers or MPoly variables; r holds r_K already known and gains the rest."""
+    top = tuple(range(1, data.rank + 1)) if top is None else tuple(sorted(top))
     r = {(): 1} if r is None else r
-    for K, (_, steps) in _pyramid_table(data).items():
-        if K not in r and (top is None or top.issuperset(K)):
-            r[K] = reduce(add, (c * reduce(add, (x[i - 1] * u for i, u in col)) * r[rest]
-                                for rest, c, col in steps))
+    table = _pyramid_table(data, top)
+    for K in subsets(top):
+        if K not in r:
+            inv, steps = table[K][2:]
+            r[K] = reduce(add, (c * reduce(add, (x[i - 1] * row[p] for i, row in zip(K, inv)))
+                                * r[rest] for p, (rest, c) in enumerate(steps)))
     return r
 
 
@@ -85,7 +113,8 @@ def _subset(data: RootSystemData, J) -> tuple[int, ...]:
 
 def face_gram(data: RootSystemData, J) -> Fraction:
     """gram_J = det Gram(alpha_j^v : j in J)."""
-    return _pyramid_table(data)[_subset(data, J)][0]
+    J = _subset(data, J)
+    return _pyramid_table(data, J)[J][1]
 
 
 @lru_cache(maxsize=None)
@@ -97,7 +126,7 @@ def volume_polynomial(data: RootSystemData, J) -> VolumePolynomial:
     """Lattice-normalized volume polynomial of the face Conv(W_J . lambda)."""
     J = _subset(data, J)
     x, polys = _variables(data)
-    poly = relative_volumes(data, x, set(J), polys)[J] if J else MPoly.constant(data.rank, 1)
+    poly = relative_volumes(data, x, J, polys)[J] if J else MPoly.constant(data.rank, 1)
     return VolumePolynomial(J, poly, face_gram(data, J))
 
 

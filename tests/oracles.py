@@ -13,8 +13,10 @@ Cartan-matrix volume constants.  The element oracle keeps W_a as n x n
 integer matrices with translations, multiplies them out, and finds lengths,
 descents and lower intervals from them, against the library's alcove points.
 
-The rest are reference routes and values that no command reads: exact
-linear solving and Gram determinants, radical reciprocals and squares,
+The rest are reference routes and values that no command reads: a general
+pivoting Gauss-Jordan elimination (det, rank, inverse and solve over row
+lists), against which the library's bordering step and face dimensions are
+checked, Gram determinants, radical reciprocals and squares,
 polynomial degree tests, Euclidean face volumes and coefficients, the type-A
 coefficient pipeline from hypersimplex Ehrhart polynomials, and the root data
 derived from the ambient vectors, against which the integer core is checked.
@@ -28,11 +30,10 @@ from operator import mul
 
 from alcoves.affine import DEFAULT_INTERVAL_CAP, _context as _alcove_context, _fold
 from alcoves.coefficients import GeometricCoefficients, _stirling1_row, hypersimplex_ehrhart
-from alcoves.errors import (AlcovesError, BudgetExceededError, FormulaConsistencyError,
-                            SingularSystemError)
-from alcoves.linalg import QMatrix, QVector, _gauss_jordan
+from alcoves.errors import AlcovesError, BudgetExceededError, FormulaConsistencyError
+from alcoves.linalg import QVector
 from alcoves.mpoly import MPoly
-from alcoves.orbits import DEFAULT_BOX_CAP, DominantCoweight, _box_bounds
+from alcoves.orbits import DEFAULT_BOX_CAP, DominantCoweight, _box_bounds, face
 from alcoves.radicals import RadScalar, squarefree_decompose
 from alcoves.rootdata import RootSystemData, _exact_quotient, build_root_system, dominant_coords
 from alcoves.volumes import (_subset, face_gram, indicator, relative_volumes,
@@ -45,20 +46,72 @@ class DegenerateBasisError(AlcovesError, ValueError):
     """Linearly dependent vectors where a basis was required."""
 
 
-def matvec(m: QMatrix, v) -> QVector:
-    return QVector(sum((a * Fraction(x) for a, x in zip(row, v, strict=True)), Fraction(0))
-                   for row in m.rows)
+class SingularSystemError(AlcovesError, ValueError):
+    """Square linear system with no unique solution."""
 
 
-def solve_linear(m: QMatrix, b: QVector) -> QVector:
-    """Solve Mx = b exactly for square nonsingular M; SingularSystemError otherwise."""
-    n = m.nrows
-    if n != m.ncols or len(b) != n:
-        raise ValueError("solve_linear needs a square system")
-    rows, pivots, _ = _gauss_jordan(m, [(x,) for x in b])
+def _gauss_jordan(m, extra=()):
+    """Reduce [M | extra] (row lists; extra holds right-hand sides) to reduced row echelon
+    form, pivoting in M only on the first row with a nonzero entry in the pivot column.
+    Returns (rows, pivot columns, det M)."""
+    ncols = len(m[0]) if m else 0
+    if any(len(r) != ncols for r in m):
+        raise ValueError("ragged rows")
+    rows = [[Fraction(x) for x in list(r) + list(e)]
+            for r, e in zip(m, extra or [()] * len(m), strict=True)]
+    pivots: list[int] = []
+    det = Fraction(1)
+    for c in range(ncols):
+        top = len(pivots)
+        piv = next((r for r in range(top, len(rows)) if rows[r][c] != 0), None)
+        if piv is None:
+            det = Fraction(0)
+            continue
+        if piv != top:
+            rows[top], rows[piv] = rows[piv], rows[top]
+            det = -det
+        p = rows[top][c]
+        det *= p
+        prow = rows[top] = [x / p for x in rows[top]]
+        for r, row in enumerate(rows):
+            f = row[c]
+            if f != 0 and r != top:
+                rows[r] = [x - f * y for x, y in zip(row, prow)]
+        pivots.append(c)
+    return rows, pivots, det
+
+
+def matrix_det(m) -> Fraction:
+    if any(len(row) != len(m) for row in m):
+        raise ValueError("determinant of a non-square matrix")
+    return _gauss_jordan(m)[2]
+
+
+def matrix_rank(m) -> int:
+    return len(_gauss_jordan(m)[1])
+
+
+def matrix_inverse(m) -> list[list[Fraction]]:
+    """M^-1 of a square nonsingular M; SingularSystemError otherwise."""
+    n = len(m)
+    if any(len(row) != n for row in m):
+        raise ValueError("inverse of a non-square matrix")
+    rows, pivots, _ = _gauss_jordan(m, [[int(i == j) for j in range(n)] for i in range(n)])
     if len(pivots) < n:
         raise SingularSystemError("singular system")
-    return QVector(row[n] for row in rows)
+    return [row[n:] for row in rows]
+
+
+def matvec(m, v) -> QVector:
+    return QVector(sum((a * Fraction(x) for a, x in zip(row, v, strict=True)), Fraction(0))
+                   for row in m)
+
+
+def solve_linear(m, b) -> QVector:
+    """Solve Mx = b exactly for square nonsingular M; SingularSystemError otherwise."""
+    if len(b) != len(m):
+        raise ValueError("solve_linear needs a square system")
+    return matvec(matrix_inverse(m), b)
 
 
 def gram_det(vectors) -> Fraction:
@@ -66,7 +119,7 @@ def gram_det(vectors) -> Fraction:
     squared lattice determinant of a basis.  Linearly dependent input is rejected."""
     if not vectors:
         return Fraction(1)
-    d = QMatrix([[u.dot(v) for v in vectors] for u in vectors]).det()
+    d = matrix_det([[u.dot(v) for v in vectors] for u in vectors])
     if d == 0:
         raise DegenerateBasisError("degenerate basis")
     return d
@@ -115,10 +168,10 @@ def ambient_core(data) -> dict:
     """The integer core as the ambient model derives it: Fraction dot products of
     the simple roots and coroots, and the positive roots by reflection closure."""
     roots, coroots = data.simple_roots, data.simple_coroots
-    cartan = QMatrix([[a.dot(av) for a in roots] for av in coroots])
+    cartan = tuple(tuple(a.dot(av) for a in roots) for av in coroots)
     closure = generate_positive_roots(data)
     marks = closure[-1][0]
-    det = cartan.det()
+    det = matrix_det(cartan)
     # (alpha^v, alpha_i) = 2 (alpha, alpha_i) / (alpha, alpha), on the doubled vectors
     twice = [tuple(int(2 * x) for x in a) for a in roots]
     coroot_coords = []
@@ -127,7 +180,7 @@ def ambient_core(data) -> dict:
         rr = sum(map(mul, r, r))
         coroot_coords.append(tuple(Fraction(2 * sum(map(mul, r, a)), rr) for a in twice))
     return {
-        "cartan": cartan.rows,
+        "cartan": cartan,
         "norms": tuple(a.dot(a) for a in roots),
         "positive_coroot_coords": coroot_coords,
         "marks": marks,
@@ -192,18 +245,14 @@ def mixed_basis_nu(data: RootSystemData, J) -> dict[int, tuple[QVector, Fraction
     """Dual vectors of the J-mixed basis: nu_j in span{alpha_k : k in J}
     with (nu_j, alpha_i^v) = delta_ij for i in J.  Returns j -> (nu_j, |nu_j|^2).
     """
-    J = tuple(sorted(set(int(j) for j in J)))
-    if any(j < 1 or j > data.rank for j in J):
-        raise ValueError("J must be a subset of 1..%d" % data.rank)
-    if not J:
-        return {}
+    J = _subset(data, J)
     # write nu_j = sum_k u_k alpha_k; (nu_j, alpha_i^v) = sum_k cartan[i][k] u_k
     # so u is column j of the inverse of the J x J Cartan block
-    inv = QMatrix([[data.cartan[i - 1][k - 1] for k in J] for i in J]).inverse()
+    inv = matrix_inverse([[data.cartan[i - 1][k - 1] for k in J] for i in J])
     out = {}
     for pos, j in enumerate(J):
         nu = QVector.zero(data.ambient_dim)
-        for row, k in zip(inv.rows, J):
+        for row, k in zip(inv, J):
             nu = nu + row[pos] * data.simple_roots[k - 1]
         out[j] = (nu, nu.dot(nu))
     return out
@@ -236,7 +285,7 @@ def mpoly_interpolate(support, samples) -> MPoly:
     rows = [[_monomial_value(pt, e) for e in support] for pt, _ in samples[: len(support)]]
     rhs = QVector([Fraction(v) for _, v in samples[: len(support)]])
     try:
-        coeffs = solve_linear(QMatrix(rows), rhs)
+        coeffs = solve_linear(rows, rhs)
     except SingularSystemError:
         raise InterpolationError("insufficient sample geometry") from None
     poly = MPoly(nvars, dict(zip(support, coeffs)))
@@ -338,7 +387,7 @@ def _hull_volume_3d(points):
     pts = [tuple(Fraction(x) for x in p) for p in _dedupe(points)]
     L = lcm(*(x.denominator for p in pts for x in p))
     pts = [tuple(int(x * L) for x in p) for p in pts]
-    if QMatrix([[a - b for a, b in zip(p, pts[0])] for p in pts]).rank() < 3:
+    if matrix_rank([[a - b for a, b in zip(p, pts[0])] for p in pts]) < 3:
         return Fraction(0)
     m = len(pts)
     centroid = tuple(Fraction(sum(p[i] for p in pts), m) for i in range(3))
@@ -366,12 +415,12 @@ def _hull_volume_3d(points):
             if not basis:
                 if any(d):
                     basis.append(d)
-            elif QMatrix([basis[0], d]).rank() == 2:
+            elif matrix_rank([basis[0], d]) == 2:
                 basis.append(d)
                 break
         if len(basis) < 2:
             continue  # degenerate face contributes nothing
-        g = QMatrix([[sum(a * b for a, b in zip(u, v)) for v in basis] for u in basis])
+        g = [[sum(a * b for a, b in zip(u, v)) for v in basis] for u in basis]
         plane_coords = []
         for p in face_pts:
             d = tuple(p[i] - base[i] for i in range(3))
@@ -417,40 +466,19 @@ def _hull_cycle_2d(points):
 def orbit_face_euclidean_volume(data, J, lam) -> RadScalar:
     """Exact Euclidean |J|-volume of Conv(W_J . lambda) from first principles.
 
-    Orbit points are expressed in the basis {alpha_j : j in J} of the face's
-    linear span; the hull volume in those coordinates is rescaled by the
-    root-basis lattice determinant sqrt(det Gram(alpha_j)).
+    The orbit points that `face` walks are expressed in the basis
+    {alpha_j : j in J} of the face's linear span; the hull volume in those
+    coordinates is rescaled by the root-basis lattice determinant
+    sqrt(det Gram(alpha_j)).
     """
     J = tuple(sorted(J))
     k = len(J)
     if k == 0:
         return RadScalar(1)
-    # W_J-orbit of lambda in coweight coordinates
-    cart = data.cartan
-    n = data.rank
-    lam = tuple(int(c) for c in lam)
-    seen = {lam}
-    frontier = [lam]
-    while frontier:
-        new = []
-        for c in frontier:
-            for j in J:
-                cj = c[j - 1]
-                if cj == 0:
-                    continue
-                img = tuple(c[i] - cj * cart[j - 1][i] for i in range(n))
-                if img not in seen:
-                    seen.add(img)
-                    new.append(img)
-        frontier = new
+    vertices = face(data, lam, J).vertex_set  # the W_J-orbit of lambda
     roots = [data.simple_roots[j - 1] for j in J]
-    g = QMatrix([[u.dot(v) for v in roots] for u in roots])
-    base = data.ambient_from_coweight(lam)
-    coords = []
-    for c in sorted(seen):
-        d = data.ambient_from_coweight(c) - base
-        rhs = QVector([d.dot(u) for u in roots])
-        coords.append(tuple(solve_linear(g, rhs)))
+    g = [[u.dot(v) for v in roots] for u in roots]
+    coords = [tuple(solve_linear(g, [(v - vertices[0]).dot(u) for u in roots])) for v in vertices]
     if k == 1:
         xs = [c[0] for c in coords]
         rel = max(xs) - min(xs)
@@ -722,14 +750,14 @@ def element_from_point(data: RootSystemData, point):
 def euclidean_volume(data: RootSystemData, J, lam) -> RadScalar:
     """Exact Euclidean |J|-volume of Conv(W_J . lambda) as a RadScalar."""
     J = _subset(data, J)
-    return RadScalar(relative_volumes(data, [int(c) for c in lam], set(J))[J], face_gram(data, J))
+    return RadScalar(relative_volumes(data, [int(c) for c in lam], J)[J], face_gram(data, J))
 
 
 def squarefree_coefficient(data: RootSystemData, J) -> RadScalar:
     """Coefficient of prod_{j in J} m_j in the Euclidean V_J (positive).  r_J is
     homogeneous of degree |J| in the m_j, j in J, so that is Delta_J of r_J(1_S)."""
     J = _subset(data, J)
-    c = support_difference(lambda S: relative_volumes(data, indicator(data.rank, S), set(J))[J], J)
+    c = support_difference(lambda S: relative_volumes(data, indicator(data.rank, S), J)[J], J)
     if c <= 0:
         raise FormulaConsistencyError("squarefree volume coefficient must be positive")
     return RadScalar(c, face_gram(data, J))

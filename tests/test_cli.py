@@ -10,6 +10,7 @@ import pytest
 
 from alcoves import __version__, build_root_system
 from alcoves.cli import main
+from alcoves.volumes import _table
 
 A2_MU_PRIME = {"": "6", "1": "9", "2": "9", "1,2": "6"}
 REFERENCES = json.loads(
@@ -313,7 +314,12 @@ def test_count_bruhat_beyond_the_element_closure(capsys, system, lam):
      "level simplex has 3849565824 cells, exceeding cap 100000000"),
     (["verify", "--type", "E", "--rank", "7", "--cache-dir", "cache"],
      "lower interval exceeds cap of 1000000 elements"),
-], ids=["E8-bruhat", "E7-geometric", "E7-fit", "E7-verify"])
+    (["volumes", "--type", "A", "--rank", "13", "--J", ",".join(map(str, range(1, 14)))],
+     "the pyramid table of A13 over 13 indices needs 8192 subsets, exceeding cap 4096"),
+    (["faces", "--type", "E", "--rank", "7", "--lambda", "1,1,1,1,1,1,1",
+      "--J", "1,2,3,4,5,6,7"],
+     "the face has 2903040 vertices, exceeding cap 100000"),
+], ids=["E8-bruhat", "E7-geometric", "E7-fit", "E7-verify", "A13-volumes", "E7-faces"])
 def test_refusal_before_the_first_count_is_cheap(capsys, tmp_path, monkeypatch, argv, message):
     monkeypatch.chdir(tmp_path)  # the relative cache and out paths land here
     build_root_system("%s%s" % (argv[2], argv[4]))  # time the refusal, not the build
@@ -343,7 +349,8 @@ def test_fit_at_the_rank_cap_refuses_on_subsets_first(capsys, tmp_path):
     code, payload = run_cli(capsys, "fit", "--type", "A", "--rank", "24",
                             "--out", str(tmp_path / "a24.json"))
     assert code == 2 and payload["error"] == {
-        "type": "budget", "message": "fitting A24 needs 16777216 subsets, exceeding cap 4096"}
+        "type": "budget", "message": "the pyramid table of A24 over 24 indices needs 16777216 "
+                                     "subsets, exceeding cap 4096"}
     assert list(tmp_path.iterdir()) == []
 
 
@@ -474,6 +481,7 @@ def test_ehrhart_budget(capsys):
     ["fit", "--out", "never-written.json"],
     ["verify", "--cache-dir", "."],
     ["count", "--method", "geometric", "--lambda", ",".join(["0"] * 24), "--cache-dir", "."],
+    ["volumes", "--J", ",".join(map(str, range(1, 25)))],
 ])
 def test_subset_cap_refuses_before_building_the_system(capsys, tmp_path, monkeypatch, argv):
     import alcoves.cli as climod
@@ -486,6 +494,14 @@ def test_subset_cap_refuses_before_building_the_system(capsys, tmp_path, monkeyp
     code, payload = run_cli(capsys, *argv, "--type", "A", "--rank", "24")
     assert code == 2 and payload["error"]["type"] == "budget"
     assert "16777216 subsets" in payload["error"]["message"]
+
+
+def test_volumes_builds_only_the_subsets_of_J(capsys):
+    start = time.perf_counter()
+    code, payload = run_cli(capsys, "volumes", "--type", "A", "--rank", "24", "--J", "1")
+    assert time.perf_counter() - start < 2
+    assert code == 0 and (payload["J"], payload["gram"]) == ([1], "2")
+    assert set(_table(build_root_system("A24"))) <= {(), (1,)}
 
 
 def test_geometric_count_with_a_coeffs_file_refuses_on_subsets_first(capsys, tmp_path,
@@ -503,7 +519,8 @@ def test_geometric_count_with_a_coeffs_file_refuses_on_subsets_first(capsys, tmp
     code, payload = run_cli(capsys, "count", "--type", "A", "--rank", "13", "--lambda",
                             ",".join(["1"] * 13), "--method", "geometric", "--coeffs", str(coeffs))
     assert code == 2 and payload["error"] == {
-        "type": "budget", "message": "fitting A13 needs 8192 subsets, exceeding cap 4096"}
+        "type": "budget", "message": "the pyramid table of A13 over 13 indices needs 8192 "
+                                     "subsets, exceeding cap 4096"}
 
 
 def test_verify_refuses_before_the_fit_and_the_first_row(capsys, tmp_path, monkeypatch):

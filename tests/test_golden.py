@@ -4,9 +4,12 @@
   * the stdout of `alcoves rootdata` on every supported system of rank <= 8,
   * the stdout of `alcoves volumes` for every J on a set of small systems,
   * the file `alcoves fit --out` writes, on a set of small systems,
-  * `weyl_order(data, J)` for every J on every system of `rootdata`.
+  * `weyl_order(data, J)` for every J on every system of `rootdata`,
+  * the stdout of `alcoves faces` for every J and four lambda, some with zero
+    coordinates, on a set of small systems.
 The digests were taken from the ambient reflection-closure root data, the
-`MPoly` pyramid recursion and the Dynkin-classification table of `|W_J|`.
+`MPoly` pyramid recursion, the Dynkin-classification table of `|W_J|` and,
+for `faces`, dimensions by a Gauss-Jordan rank.
 The tests regenerate every output and compare, so any later change to these
 bytes has to be deliberate.  To print the digests of the code on the path:
 
@@ -34,6 +37,8 @@ ROOTDATA = (["A%d" % n for n in range(1, 9)] + ["B%d" % n for n in range(2, 9)]
             + ["E6", "E7", "E8", "F4", "G2"])
 VOLUMES = ["A2", "A3", "A4", "B2", "B3", "B4", "C3", "D4", "G2", "F4"]
 FITS = ["A1", "A2", "A3", "A4", "B2", "B3", "B4", "C3", "D4", "G2"]
+FACES = ["A2", "A3", "B2", "B3", "C3", "D4", "F4", "G2"]
+KINDS = ("rootdata", "weyl_order", "volumes", "fit", "faces")
 
 
 def _stdout(*argv) -> bytes:
@@ -71,6 +76,18 @@ def digests(kind: str) -> dict[str, str]:
                     key = ",".join(map(str, J)) or "empty"
                     out["%s J=%s" % (name, key)] = _sha(
                         _stdout("volumes", *_system(name), "--J", key))
+    elif kind == "faces":
+        for name in FACES:
+            n = int(name[1:])
+            # (1,...,1), w_1^v, 2 w_n^v and (0,1,0,1,...)
+            for lam in [(1,) * n, (1,) + (0,) * (n - 1), (0,) * (n - 1) + (2,),
+                        tuple(i % 2 for i in range(n))]:
+                text = ",".join(map(str, lam))
+                for size in range(n + 1):
+                    for J in combinations(range(1, n + 1), size):
+                        key = ",".join(map(str, J)) or "empty"
+                        out["%s lambda=%s J=%s" % (name, text, key)] = _sha(
+                            _stdout("faces", *_system(name), "--lambda", text, "--J", key))
     else:
         with tempfile.TemporaryDirectory() as tmp:
             for name in FITS:
@@ -80,7 +97,7 @@ def digests(kind: str) -> dict[str, str]:
     return out
 
 
-@pytest.mark.parametrize("kind", ["rootdata", "weyl_order", "volumes", "fit"])
+@pytest.mark.parametrize("kind", KINDS)
 def test_outputs_match_golden_digests(kind):
     expected = json.loads(FIXTURE.read_text())[kind]
     got = digests(kind)
@@ -89,6 +106,6 @@ def test_outputs_match_golden_digests(kind):
 
 
 if __name__ == "__main__":
-    json.dump({kind: digests(kind) for kind in ("rootdata", "weyl_order", "volumes", "fit")},
+    json.dump({kind: digests(kind) for kind in KINDS},
               sys.stdout, indent=1, sort_keys=True)
     sys.stdout.write("\n")

@@ -6,16 +6,21 @@ from operator import mul
 import pytest
 from hypothesis import given, strategies as st
 
-from alcoves.errors import SingularSystemError
-from alcoves.linalg import QMatrix, QVector, rational_to_str
+from alcoves.errors import AlcovesError
+from alcoves.linalg import QVector, border, rational_to_str
 
-from oracles import DegenerateBasisError, gram_det, matvec, solve_linear
+from oracles import (DegenerateBasisError, SingularSystemError, gram_det, matrix_det,
+                     matrix_inverse, matrix_rank, matvec, solve_linear)
 
 rationals = st.fractions(min_value=-10**6, max_value=10**6, max_denominator=10**4)
 
 
-def _product(a: QMatrix, b: QMatrix) -> QMatrix:
-    return QMatrix([[sum(map(mul, row, col)) for col in zip(*b.rows)] for row in a.rows])
+def _product(a, b):
+    return [[sum(map(mul, row, col)) for col in zip(*b)] for row in a]
+
+
+def _identity(n):
+    return [[int(i == j) for j in range(n)] for i in range(n)]
 
 
 def test_gram_det_single_coroot():
@@ -27,7 +32,7 @@ def test_gram_det_a2_pair():
     # Gram matrix [[2,-1],[-1,2]] worked by hand: det = 3
     a1 = QVector([1, -1, 0])
     a2 = QVector([0, 1, -1])
-    assert gram_det([a1, a2]) == QMatrix([[2, -1], [-1, 2]]).det() == 3
+    assert gram_det([a1, a2]) == matrix_det([[2, -1], [-1, 2]]) == 3
 
 
 def test_gram_det_empty_is_one():
@@ -40,13 +45,13 @@ def test_gram_det_rejects_dependent():
 
 
 def test_solve_identity():
-    m = QMatrix.identity(3)
+    m = _identity(3)
     b = QVector([5, Fraction(-7, 3), 0])
     assert solve_linear(m, b) == b
 
 
 def test_solve_cartan_system():
-    m = QMatrix([[2, -1], [-1, 2]])
+    m = [[2, -1], [-1, 2]]
     x = solve_linear(m, QVector([1, 0]))
     assert x == QVector([Fraction(2, 3), Fraction(1, 3)])
     assert matvec(m, x) == QVector([1, 0])  # verified by substitution
@@ -54,15 +59,22 @@ def test_solve_cartan_system():
 
 def test_solve_singular_raises():
     with pytest.raises(SingularSystemError):
-        solve_linear(QMatrix([[1, 1], [1, 1]]), QVector([1, 0]))
+        solve_linear([[1, 1], [1, 1]], QVector([1, 0]))
 
 
 def test_matrix_inverse_and_rank():
-    m = QMatrix([[2, -1], [-1, 2]])
-    inv = m.inverse()
-    assert _product(m, inv) == QMatrix.identity(2)
-    assert m.rank() == 2
-    assert QMatrix([[1, 2], [2, 4]]).rank() == 1
+    m = [[2, -1], [-1, 2]]
+    assert _product(m, matrix_inverse(m)) == _identity(2)
+    assert matrix_rank(m) == 2
+    assert matrix_rank([[1, 2], [2, 4]]) == 1
+
+
+def test_border_refuses_a_matrix_not_of_finite_type():
+    affine_a1 = [[2, -2], [-2, 2]]  # positive semidefinite, det 0
+    inv, s = border(affine_a1, [0], [])
+    assert (inv, s) == ([[Fraction(1, 2)]], 2)
+    with pytest.raises(AlcovesError):
+        border(affine_a1, [0, 1], inv)
 
 
 @given(rationals, rationals)
@@ -74,7 +86,7 @@ def test_rational_arithmetic_exact(a, b):
        st.lists(st.integers(-5, 5), min_size=3, max_size=3))
 def test_gram_det_nonnegative(u, v):
     # positive for independent vectors; dependent ones, where it is zero, are refused
-    if QMatrix([u, v]).rank() < 2:
+    if matrix_rank([u, v]) < 2:
         with pytest.raises(DegenerateBasisError):
             gram_det([QVector(u), QVector(v)])
     else:
@@ -91,12 +103,11 @@ def small_matrices(draw, square=False):
     nr = draw(st.integers(1, 4))
     nc = nr if square else draw(st.integers(1, 4))
     entries = st.integers(-3, 3)
-    return QMatrix(draw(st.lists(st.lists(entries, min_size=nc, max_size=nc),
-                                 min_size=nr, max_size=nr)))
+    return draw(st.lists(st.lists(entries, min_size=nc, max_size=nc), min_size=nr, max_size=nr))
 
 
-def _leibniz_det(m: QMatrix) -> Fraction:
-    n = m.nrows
+def _leibniz_det(m) -> Fraction:
+    n = len(m)
     total = Fraction(0)
     for perm in permutations(range(n)):
         inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
@@ -106,21 +117,21 @@ def _leibniz_det(m: QMatrix) -> Fraction:
 
 @given(small_matrices(square=True), st.lists(st.integers(-5, 5), min_size=4, max_size=4))
 def test_square_elimination_properties(m, rhs):
-    n = m.nrows
-    det = m.det()
+    n = len(m)
+    det = matrix_det(m)
     assert det == _leibniz_det(m)
-    assert (det == 0) == (m.rank() < n)
+    assert (det == 0) == (matrix_rank(m) < n)
     b = QVector(rhs[:n])
     if det == 0:
         with pytest.raises(SingularSystemError):
-            m.inverse()
+            matrix_inverse(m)
         with pytest.raises(SingularSystemError):
             solve_linear(m, b)
     else:
-        assert _product(m, m.inverse()) == QMatrix.identity(n)
+        assert _product(m, matrix_inverse(m)) == _identity(n)
         assert matvec(m, solve_linear(m, b)) == b
 
 
 @given(small_matrices())
 def test_row_rank_equals_column_rank(m):
-    assert m.rank() == QMatrix(zip(*m.rows)).rank() <= min(m.nrows, m.ncols)
+    assert matrix_rank(m) == matrix_rank(list(zip(*m))) <= min(len(m), len(m[0]))

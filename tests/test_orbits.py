@@ -9,11 +9,11 @@ import pytest
 
 from alcoves.errors import BudgetExceededError
 from alcoves.linalg import QVector
-from alcoves.orbits import (DominantCoweight, _box_bounds, contains, enumerate_X, face,
-                            face_to_json, interval_size_lattice, lattice_count,
-                            lattice_count_by_membership)
+from alcoves.orbits import (MAX_FACE_VERTICES, DominantCoweight, _box_bounds, contains,
+                            enumerate_X, face, face_to_json, face_vertex_count,
+                            interval_size_lattice, lattice_count, lattice_count_by_membership)
 from alcoves.rootdata import build_root_system, weyl_order
-from oracles import enumerate_X_by_box, enumerate_weyl_group
+from oracles import enumerate_X_by_box, enumerate_weyl_group, matrix_rank
 
 # The box scan costs about 1.5 us a cell, and F4 (3,3,3,3) alone has 3.8e7
 # cells, so the oracle runs where the box has at most this many.
@@ -219,3 +219,27 @@ def test_face_json():
     assert obj["J"] == [1]
     assert len(obj["vertices"]) == 2
     assert obj["dim"] == 1
+
+
+@pytest.mark.parametrize("name", ["A1", "A2", "A3", "A4", "B2", "B3", "B4", "C2", "C3", "C4",
+                                  "D3", "D4", "F4", "G2"])
+def test_face_dim_and_vertex_count_equal_the_oracles(name):
+    # dim from the steps of the orbit walk against the rank of the vertex differences, and
+    # the vertex count |W_J| / |W_{J ^ Z(lambda)}| against the walk, on lambda in {0,1,2}^n
+    # up to rank 3 and {0,1}^4 at rank 4
+    d = build_root_system(name)
+    n = d.rank
+    for lam in itertools.product(range(3 if n <= 3 else 2), repeat=n):
+        for size in range(n + 1):
+            for J in itertools.combinations(range(1, n + 1), size):
+                f = face(d, lam, J)
+                base = f.vertex_set[0]
+                assert f.dim == matrix_rank([list(v - base) for v in f.vertex_set]), (lam, J)
+                assert face_vertex_count(d, lam, J) == len(f.vertex_set), (lam, J)
+
+
+def test_face_cap_admits_the_full_e6_face_and_refuses_e7():
+    e6, e7 = build_root_system("E6"), build_root_system("E7")
+    assert face_vertex_count(e6, (1,) * 6, range(1, 7)) == 51840 <= MAX_FACE_VERTICES
+    with pytest.raises(BudgetExceededError, match="the face has 2903040 vertices"):
+        face(e7, (1,) * 7, range(1, 8))

@@ -12,9 +12,10 @@ from alcoves.linalg import QVector
 from alcoves.radicals import RadScalar
 from alcoves.rootdata import (MAX_RANK, RootSystemData, RootSystemId, build_root_system,
                               dominant_representative, weyl_order)
+from alcoves.volumes import _pyramid_table
 
 from oracles import (AffineElement, ambient_core, generate_positive_roots, gram_det, length,
-                     longest_finite_element, simple_reflection)
+                     longest_finite_element, matrix_inverse, simple_reflection)
 
 ALL_SMALL = ["A1", "A2", "A3", "A4", "B2", "B3", "B4", "C3", "D3", "D4", "G2", "F4", "E6"]
 UP_TO_RANK_8 = (["A%d" % n for n in range(1, 9)] + ["B%d" % n for n in range(2, 9)]
@@ -174,6 +175,17 @@ def test_integer_core_equals_the_ambient_derivation(name):
     assert d.index_of_connection == ambient["det"]
     assert d.wf_order == ambient["wf_order"]
     assert all(type(x) is int for x in d.simple_root_norms + d.marks)
+
+
+@pytest.mark.parametrize("name", UP_TO_RANK_8)
+def test_bordered_inverses_equal_the_oracle(name):
+    # C_J^-1 of the pyramid table for every J, and the ambient C^-1, against Gauss-Jordan
+    d = build_root_system(name)
+    table = _pyramid_table(d, tuple(range(1, d.rank + 1)))
+    assert len(table) == 2 ** d.rank
+    for J, (_, _, inv, _) in table.items():
+        assert inv == matrix_inverse([[d.cartan[i - 1][k - 1] for k in J] for i in J]), J
+    assert d._cartan_inv == matrix_inverse(d.cartan)
 
 
 def test_the_ambient_view_is_built_once_on_first_read(monkeypatch):

@@ -79,8 +79,8 @@ def test_public_names():
     assert alcoves.__all__ == [
         "AlcovesError", "BudgetExceededError", "DominantCoweight", "FaceDescriptor",
         "FitVerificationError", "FormulaConsistencyError", "GeometricCoefficients",
-        "MPoly", "QMatrix", "QVector", "RadScalar", "RootSystemData", "RootSystemId",
-        "SingularSystemError", "VolumePolynomial", "WallPointError",
+        "MPoly", "QVector", "RadScalar", "RootSystemData", "RootSystemId",
+        "VolumePolynomial", "WallPointError",
         "build_root_system", "contains", "descents", "dominant_representative",
         "enumerate_X", "evaluate_formula", "face", "fit_mu",
         "hypersimplex_dilation_count", "hypersimplex_ehrhart",
