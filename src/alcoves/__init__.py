@@ -25,15 +25,14 @@ from .rootdata import (RootSystemData, RootSystemId, build_root_system,
                        dominant_representative, weyl_order)
 from .affine import (descents, interval_size_bruhat, lower_interval, sigma_reflection,
                      theta)
-from .orbits import (DominantCoweight, FaceDescriptor, contains, enumerate_X,
-                     face, interval_size_lattice, lattice_count,
-                     lattice_count_by_membership)
+from .orbits import (FaceDescriptor, contains, enumerate_X, face, interval_size_lattice,
+                     lattice_count, lattice_count_by_membership)
 from .volumes import VolumePolynomial, relative_volumes, volume_polynomial
 from .coefficients import (GeometricCoefficients, evaluate_formula, fit_mu,
                            hypersimplex_dilation_count, hypersimplex_ehrhart)
 
 __all__ = [
-    "AlcovesError", "BudgetExceededError", "DominantCoweight", "FaceDescriptor",
+    "AlcovesError", "BudgetExceededError", "FaceDescriptor",
     "FitVerificationError", "FormulaConsistencyError", "GeometricCoefficients",
     "MPoly", "QVector", "RadScalar", "RootSystemData", "RootSystemId",
     "VolumePolynomial", "WallPointError",

@@ -22,7 +22,7 @@ from functools import lru_cache
 from operator import mul
 
 from .errors import AlcovesError, BudgetExceededError, WallPointError
-from .rootdata import RootSystemData
+from .rootdata import RootSystemData, dominant_coweight
 
 DEFAULT_INTERVAL_CAP = 10 ** 6
 
@@ -102,10 +102,8 @@ def theta(data: RootSystemData, lam) -> tuple[Point, list[int]]:
     coordinates.  w0 maps A_id to -A_id, so w0(b) = -b and that alcove holds
     lambda - b.
     """
+    lam = dominant_coweight(data.rank, lam)
     ctx = _context(data)
-    lam = tuple(int(c) for c in lam)
-    if len(lam) != data.rank or any(c < 0 for c in lam):
-        raise ValueError("dominant coweight required")
     return _fold(ctx, tuple(ctx.scale * m - b for m, b in zip(lam, ctx.bary)), ctx.scale)
 
 
@@ -182,7 +180,7 @@ def sigma_reflection(data: RootSystemData, lam) -> int:
     0 when lam is in the coroot lattice; otherwise the unique minuscule i
     with lam + w_i^v in the coroot lattice.
     """
-    lam = tuple(int(c) for c in lam)
+    lam = dominant_coweight(data.rank, lam)
     if data.in_coroot_lattice(lam):
         return 0
     for i in sorted(data.minuscule_set):

@@ -23,7 +23,7 @@ from functools import lru_cache
 from .errors import FitVerificationError, FormulaConsistencyError
 from .linalg import rational_to_str
 from .mpoly import MPoly
-from .rootdata import RootSystemData, RootSystemId, build_root_system
+from .rootdata import RootSystemData, RootSystemId, build_root_system, dominant_coweight
 from .orbits import DEFAULT_BOX_CAP, check_level_budget, interval_size_lattice
 from .volumes import (check_subset_cap, face_gram, indicator, relative_volumes, subsets,
                       support_difference)
@@ -182,8 +182,8 @@ def evaluate_formula(data: RootSystemData, coeffs: GeometricCoefficients, lam) -
 
     Coefficients that fail check_coefficients raise ValueError.
     """
+    lam = dominant_coweight(data.rank, lam)
     check_coefficients(data, coeffs)
-    lam = tuple(int(c) for c in lam)
     r = relative_volumes(data, lam)
     total = sum((mu * r[J] for J, mu in coeffs.mu_prime.items()), Fraction(0))
     if total.denominator != 1 or total < 0:

@@ -11,6 +11,8 @@ and |<= theta(lambda)| is |W_f| times that.  A geometric membership test
 the benchmark's reference pins run; it reads the ambient view, the coroot
 walk does not.  A face Conv(W_J . lambda) has |W_J| / |W_{J ^ Z(lambda)}|
 vertices, known before its walk, and dimension #{j in J the walk steps along}.
+Every entry point reads lambda by `rootdata.dominant_coweight` and J by
+`rootdata.simple_subset`, and works on plain coordinate tuples.
 """
 
 from __future__ import annotations
@@ -23,57 +25,11 @@ from operator import sub
 
 from .errors import BudgetExceededError
 from .linalg import QVector, rational_to_str
-from .rootdata import RootSystemData, dominant_coords, weyl_order
+from .rootdata import (RootSystemData, dominant_coords, dominant_coweight, simple_subset,
+                       weyl_order)
 
 DEFAULT_BOX_CAP = 10 ** 8
-MAX_FACE_VERTICES = 100_000  # the full E6 face, 51 840 vertices, takes about 19 s and 82 MB
-
-
-class DominantCoweight:
-    """A dominant coweight by its coweight-basis coordinates; immutable and hashable."""
-
-    __slots__ = ("coords",)
-
-    def __init__(self, coords):
-        coords = tuple(int(c) for c in coords)
-        if any(c < 0 for c in coords):
-            raise ValueError("coordinates must be non-negative")
-        object.__setattr__(self, "coords", coords)
-
-    def __setattr__(self, name, value=None):
-        raise AttributeError("DominantCoweight is immutable")
-
-    __delattr__ = __setattr__
-
-    def __reduce__(self):
-        return DominantCoweight, (self.coords,)
-
-    def __eq__(self, other):
-        if not isinstance(other, DominantCoweight):
-            return NotImplemented
-        return self.coords == other.coords
-
-    def __hash__(self):
-        return hash((self.coords,))
-
-    def __repr__(self):
-        return "DominantCoweight(coords=%r)" % (self.coords,)
-
-    @property
-    def vanishing_set(self) -> frozenset[int]:
-        return frozenset(j + 1 for j, c in enumerate(self.coords) if c == 0)
-
-    def __iter__(self):
-        return iter(self.coords)
-
-
-def _coords(lam) -> tuple[int, ...]:
-    if isinstance(lam, DominantCoweight):
-        return lam.coords
-    out = tuple(int(c) for c in lam)
-    if any(c < 0 for c in out):
-        raise ValueError("dominant coweight required")
-    return out
+MAX_FACE_VERTICES = 100_000  # the full E6 face, 51 840 vertices, takes about 2 s and 82 MB
 
 
 def _box_bounds(data: RootSystemData, lam: tuple[int, ...], box_cap: int) -> tuple[int, ...]:
@@ -88,7 +44,7 @@ def _box_bounds(data: RootSystemData, lam: tuple[int, ...], box_cap: int) -> tup
     for b in bounds:
         if b.denominator != 1 or b < 0:
             raise ValueError("non-integral box bound; lambda is not a coweight")
-        out.append(int(b))
+        out.append(b.numerator)
     size = math.prod(b + 1 for b in out)
     if size > box_cap:
         raise BudgetExceededError("exponent box has %d cells, exceeding cap %d" % (size, box_cap))
@@ -108,8 +64,9 @@ def check_level_budget(data: RootSystemData, lam, box_cap: int) -> None:
         raise BudgetExceededError("level simplex has %d cells, exceeding cap %d" % (cells, box_cap))
 
 
-def enumerate_X(data: RootSystemData, lam, box_cap: int = DEFAULT_BOX_CAP) -> list[DominantCoweight]:
-    """All dominant mu <= lam in dominance order, sorted by coordinates.
+def enumerate_X(data: RootSystemData, lam,
+                box_cap: int = DEFAULT_BOX_CAP) -> list[tuple[int, ...]]:
+    """All dominant mu <= lam in dominance order, as sorted coordinate tuples.
 
     A walk from lam that subtracts positive coroots and keeps the dominant
     results reaches all of X_lambda: dominant mu < nu are joined by a chain
@@ -117,7 +74,7 @@ def enumerate_X(data: RootSystemData, lam, box_cap: int = DEFAULT_BOX_CAP) -> li
     (Stembridge, The partial order of dominant weights, 1998).  It first
     refuses by `check_level_budget`.
     """
-    lam = _coords(lam)
+    lam = dominant_coweight(data.rank, lam)
     check_level_budget(data, lam, box_cap)
     seen, todo = {lam}, [lam]
     while todo:
@@ -127,16 +84,16 @@ def enumerate_X(data: RootSystemData, lam, box_cap: int = DEFAULT_BOX_CAP) -> li
             if min(nu) >= 0 and nu not in seen:
                 seen.add(nu)
                 todo.append(nu)
-    return [DominantCoweight(mu) for mu in sorted(seen)]
+    return sorted(seen)
 
 
 def lattice_count(data: RootSystemData, lam, box_cap: int = DEFAULT_BOX_CAP) -> int:
     """|P(lambda) ^ (lambda + Z Phi^v)| by orbit-size summation over X_lambda."""
     total = 0
     order = data.wf_order
-    stabs: dict[frozenset, int] = {}  # |W_Z(mu)| by vanishing set: at most 2^n keys
+    stabs: dict[tuple, int] = {}  # |W_Z(mu)| by the zero set Z(mu): at most 2^n keys
     for mu in enumerate_X(data, lam, box_cap=box_cap):
-        z = mu.vanishing_set
+        z = tuple(j + 1 for j, c in enumerate(mu) if c == 0)
         stab = stabs[z] if z in stabs else stabs.setdefault(z, weyl_order(data, z))
         if order % stab:
             raise AssertionError("stabilizer order must divide |W_f|")
@@ -156,7 +113,7 @@ def contains(data: RootSystemData, lam, p: QVector) -> bool:
     satisfies lambda - p+ in the non-negative rational cone on the simple
     coroots.
     """
-    lam = _coords(lam)
+    lam = dominant_coweight(data.rank, lam)
     coords = data.coweight_coords(p)
     plus, _ = dominant_coords(data, coords)
     diff = tuple(Fraction(a) - b for a, b in zip(lam, plus))
@@ -170,7 +127,7 @@ def lattice_count_by_membership(data: RootSystemData, lam,
     Scans lambda - sum x_j alpha_j^v over the full bounding box without any
     dominance shortcut; infrastructure for cross-checking lattice_count.
     """
-    lam = _coords(lam)
+    lam = dominant_coweight(data.rank, lam)
     n = data.rank
     # every coset point lies in lambda - cone(alpha^v) and above w0.lambda
     bounds = _box_bounds(data, lam, box_cap)
@@ -208,10 +165,7 @@ def face(data: RootSystemData, lam, J) -> FaceDescriptor:
 
     Refuses, before the walk, a face of more than MAX_FACE_VERTICES vertices.
     """
-    lam = _coords(lam)
-    J = tuple(sorted(set(int(j) for j in J)))
-    if any(j < 1 or j > data.rank for j in J):
-        raise ValueError("J must be a subset of 1..%d" % data.rank)
+    lam, J = dominant_coweight(data.rank, lam), simple_subset(data.rank, J)
     count = face_vertex_count(data, lam, J)
     if count > MAX_FACE_VERTICES:
         raise BudgetExceededError("the face has %d vertices, exceeding cap %d"
@@ -240,11 +194,12 @@ def face(data: RootSystemData, lam, J) -> FaceDescriptor:
 
 
 def face_to_json(data: RootSystemData, lam, J) -> dict:
+    lam = dominant_coweight(data.rank, lam)
     f = face(data, lam, J)
     return {
         "schema": 1,
         "system": str(data.id),
-        "lambda": list(_coords(lam)),
+        "lambda": list(lam),
         "J": list(f.J),
         "dim": f.dim,
         "orbit_face_count": f.orbit_face_count,

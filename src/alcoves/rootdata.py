@@ -9,8 +9,12 @@ transcription errors out of the downstream volume and coefficient work.  The
 count paths read integers only: the Cartan matrix, norms, positive roots and
 coroots (by root strings), marks, det C and |W_f|.  The ambient vectors,
 the inverse Cartan matrix and the lattice volumes that `rootdata`, `faces`
-and `verify` read are built on first read.  Parabolic orders |W_J| come by a
-product over root heights.
+and `verify` read are built on first read; the fundamental coweights are also
+kept as one integer matrix over a common denominator, so a point in coweight
+coordinates reaches the ambient space by one integer product.  Parabolic
+orders |W_J| come by a product over root heights.  The two validators,
+`dominant_coweight` and `simple_subset`, decide for every module what a
+valid lambda and a valid J are.
 
 Conventions:
   * coroot       alpha^v = 2*alpha/(alpha,alpha)
@@ -25,7 +29,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
-from operator import mul
+from operator import index, mul
 
 from .errors import AlcovesError, BudgetExceededError
 from .linalg import QVector, border, rational_to_str
@@ -136,6 +140,25 @@ def _positive_root_coords(cart: list[list[int]]) -> list[tuple[int, ...]]:
     return sorted(roots, key=lambda c: (sum(c), c))
 
 
+def dominant_coweight(rank: int, lam) -> tuple[int, ...]:
+    """lam as exactly `rank` non-negative integer coweight coordinates.  Each is
+    read by operator.index, so a float or a string is refused, never truncated."""
+    lam = tuple(map(index, lam))
+    if len(lam) != rank:
+        raise ValueError("lambda needs exactly %d coordinates" % rank)
+    if any(c < 0 for c in lam):
+        raise ValueError("lambda coordinates must be non-negative integers")
+    return lam
+
+
+def simple_subset(rank: int, J) -> tuple[int, ...]:
+    """J as a sorted tuple of distinct simple nodes in 1..rank, read by operator.index."""
+    J = tuple(sorted(set(map(index, J))))
+    if J and (J[0] < 1 or J[-1] > rank):
+        raise ValueError("J must be a subset of 1..%d" % rank)
+    return J
+
+
 def _exact_quotient(a, b) -> int:
     q, r = divmod(a, b)
     if r:
@@ -147,7 +170,8 @@ def _exact_quotient(a, b) -> int:
 # oracles, and built on the first read of any of these names
 _AMBIENT = frozenset({"simple_roots", "simple_coroots", "ambient_dim", "highest_root",
                       "fundamental_coweights", "fundamental_weights",
-                      "det_coweight_lattice", "alcove_volume", "_cartan_inv"})
+                      "det_coweight_lattice", "alcove_volume", "_cartan_inv",
+                      "_coweight_matrix"})
 
 
 class RootSystemData:
@@ -243,6 +267,9 @@ class RootSystemData:
                     raise AlcovesError("coweight duality failed")
                 if weights[i].dot(coroots[j]) != (1 if i == j else 0):
                     raise AlcovesError("weight duality failed")
+        # den and the integer matrix den * (w_i^v)_a, one row per ambient coordinate a
+        den = math.lcm(*(x.denominator for w in coweights for x in w))
+        matrix = [[x.numerator * (den // x.denominator) for x in row] for row in zip(*coweights)]
         # the coweights are C^-1 times the coroots, whose Gram matrix is
         # diag(2/|alpha_i|^2) C^T: det Gram(w^v) = prod_i (2/|alpha_i|^2) / det C
         det = RadScalar.sqrt(math.prod(Fraction(2, l) for l in self.simple_root_norms)
@@ -253,7 +280,7 @@ class RootSystemData:
             fundamental_coweights=coweights, fundamental_weights=weights,
             det_coweight_lattice=det,
             alcove_volume=det / (math.factorial(n) * math.prod(self.marks)),
-            _cartan_inv=inv)
+            _cartan_inv=inv, _coweight_matrix=(den, matrix))
 
     # -- coordinates -----------------------------------------------------------
 
@@ -265,11 +292,12 @@ class RootSystemData:
         return coords
 
     def ambient_from_coweight(self, coords) -> QVector:
-        acc = QVector.zero(self.ambient_dim)
-        for c, w in zip(coords, self.fundamental_coweights, strict=True):
-            if c:
-                acc = acc + Fraction(c) * w
-        return acc
+        """sum_i coords_i w_i^v: one integer (or, for Fraction coords, rational)
+        product with the coweight matrix, then one division per entry."""
+        den, matrix = self._coweight_matrix
+        if len(coords) != self.rank:
+            raise ValueError("expected %d coweight coordinates" % self.rank)
+        return QVector(Fraction(sum(map(mul, coords, row)), den) for row in matrix)
 
     def coroot_coords_from_coweight(self, coords) -> tuple[Fraction, ...]:
         """Rewrite coweight-basis coordinates on the simple-coroot basis."""
@@ -338,10 +366,7 @@ def weyl_order(data: RootSystemData, subset) -> int:
     This is the Poincare series of W_J at t = 1 (Macdonald, *The Poincare series
     of a Coxeter group*, 1972).  J need not be connected; nothing is enumerated.
     """
-    J = {int(j) for j in subset}
-    if any(j < 1 or j > data.rank for j in J):
-        raise ValueError("index outside 1..%d" % data.rank)
-    outside = ~sum(1 << (j - 1) for j in J)
+    outside = ~sum(1 << (j - 1) for j in simple_subset(data.rank, subset))
     num = den = 1
     for support, height in data._root_heights:
         if not support & outside:

@@ -33,7 +33,7 @@ from operator import add
 from .errors import BudgetExceededError
 from .linalg import border, rational_to_str
 from .mpoly import MPoly
-from .rootdata import RootSystemData, RootSystemId, weyl_order
+from .rootdata import RootSystemData, RootSystemId, simple_subset, weyl_order
 
 
 class VolumePolynomial(namedtuple("VolumePolynomial", "J rel_poly gram")):
@@ -93,7 +93,7 @@ def _pyramid_table(data: RootSystemData, top: tuple[int, ...]) -> dict:
 def relative_volumes(data: RootSystemData, x, top=None, r=None) -> dict:
     """r_K(x) for every K inside `top` (default: all of 1..n), in O(n^2 2^n) steps.
     x holds numbers or MPoly variables; r holds r_K already known and gains the rest."""
-    top = tuple(range(1, data.rank + 1)) if top is None else tuple(sorted(top))
+    top = tuple(range(1, data.rank + 1)) if top is None else simple_subset(data.rank, top)
     r = {(): 1} if r is None else r
     table = _pyramid_table(data, top)
     for K in subsets(top):
@@ -104,16 +104,9 @@ def relative_volumes(data: RootSystemData, x, top=None, r=None) -> dict:
     return r
 
 
-def _subset(data: RootSystemData, J) -> tuple[int, ...]:
-    J = tuple(sorted(set(int(j) for j in J)))
-    if any(j < 1 or j > data.rank for j in J):
-        raise ValueError("J must be a subset of 1..%d" % data.rank)
-    return J
-
-
 def face_gram(data: RootSystemData, J) -> Fraction:
     """gram_J = det Gram(alpha_j^v : j in J)."""
-    J = _subset(data, J)
+    J = simple_subset(data.rank, J)
     return _pyramid_table(data, J)[J][1]
 
 
@@ -124,7 +117,7 @@ def _variables(data: RootSystemData) -> tuple[list[MPoly], dict]:
 
 def volume_polynomial(data: RootSystemData, J) -> VolumePolynomial:
     """Lattice-normalized volume polynomial of the face Conv(W_J . lambda)."""
-    J = _subset(data, J)
+    J = simple_subset(data.rank, J)
     x, polys = _variables(data)
     poly = relative_volumes(data, x, J, polys)[J] if J else MPoly.constant(data.rank, 1)
     return VolumePolynomial(J, poly, face_gram(data, J))

@@ -33,11 +33,11 @@ from alcoves.coefficients import GeometricCoefficients, _stirling1_row, hypersim
 from alcoves.errors import AlcovesError, BudgetExceededError, FormulaConsistencyError
 from alcoves.linalg import QVector
 from alcoves.mpoly import MPoly
-from alcoves.orbits import DEFAULT_BOX_CAP, DominantCoweight, _box_bounds, face
+from alcoves.orbits import DEFAULT_BOX_CAP, _box_bounds, face
 from alcoves.radicals import RadScalar, squarefree_decompose
-from alcoves.rootdata import RootSystemData, _exact_quotient, build_root_system, dominant_coords
-from alcoves.volumes import (_subset, face_gram, indicator, relative_volumes,
-                             support_difference)
+from alcoves.rootdata import (RootSystemData, _exact_quotient, build_root_system,
+                              dominant_coords, dominant_coweight, simple_subset)
+from alcoves.volumes import face_gram, indicator, relative_volumes, support_difference
 
 
 # -- exact linear algebra and radicals ----------------------------------------
@@ -245,7 +245,7 @@ def mixed_basis_nu(data: RootSystemData, J) -> dict[int, tuple[QVector, Fraction
     """Dual vectors of the J-mixed basis: nu_j in span{alpha_k : k in J}
     with (nu_j, alpha_i^v) = delta_ij for i in J.  Returns j -> (nu_j, |nu_j|^2).
     """
-    J = _subset(data, J)
+    J = simple_subset(data.rank, J)
     # write nu_j = sum_k u_k alpha_k; (nu_j, alpha_i^v) = sum_k cartan[i][k] u_k
     # so u is column j of the inverse of the J x J Cartan block
     inv = matrix_inverse([[data.cartan[i - 1][k - 1] for k in J] for i in J])
@@ -298,7 +298,7 @@ def mpoly_interpolate(support, samples) -> MPoly:
 def enumerate_X_by_box(data, lam, box_cap=DEFAULT_BOX_CAP):
     """All dominant mu <= lam, sorted: every lam - sum_j x_j alpha_j^v with
     0 <= x_j <= (lam - w0 lam, omega_j) that is dominant."""
-    lam = tuple(int(c) for c in lam)
+    lam = dominant_coweight(data.rank, lam)
     n = data.rank
     bounds = _box_bounds(data, lam, box_cap)
     out = []
@@ -312,9 +312,8 @@ def enumerate_X_by_box(data, lam, box_cap=DEFAULT_BOX_CAP):
                 for i in rng:
                     mu[i] -= xj * row[i]
         if all(c >= 0 for c in mu):
-            out.append(DominantCoweight(tuple(mu)))
-    out.sort(key=lambda m: m.coords)
-    return out
+            out.append(tuple(mu))
+    return sorted(out)
 
 
 def _dedupe(points):
@@ -749,14 +748,14 @@ def element_from_point(data: RootSystemData, point):
 
 def euclidean_volume(data: RootSystemData, J, lam) -> RadScalar:
     """Exact Euclidean |J|-volume of Conv(W_J . lambda) as a RadScalar."""
-    J = _subset(data, J)
-    return RadScalar(relative_volumes(data, [int(c) for c in lam], J)[J], face_gram(data, J))
+    J = simple_subset(data.rank, J)
+    return RadScalar(relative_volumes(data, dominant_coweight(data.rank, lam), J)[J], face_gram(data, J))
 
 
 def squarefree_coefficient(data: RootSystemData, J) -> RadScalar:
     """Coefficient of prod_{j in J} m_j in the Euclidean V_J (positive).  r_J is
     homogeneous of degree |J| in the m_j, j in J, so that is Delta_J of r_J(1_S)."""
-    J = _subset(data, J)
+    J = simple_subset(data.rank, J)
     c = support_difference(lambda S: relative_volumes(data, indicator(data.rank, S), J)[J], J)
     if c <= 0:
         raise FormulaConsistencyError("squarefree volume coefficient must be positive")

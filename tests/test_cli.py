@@ -504,6 +504,22 @@ def test_volumes_builds_only_the_subsets_of_J(capsys):
     assert set(_table(build_root_system("A24"))) <= {(), (1,)}
 
 
+@pytest.mark.parametrize("rank", [11, 12])
+def test_volumes_refuses_a_full_J_above_ten_indices_before_building(capsys, monkeypatch, rank):
+    import alcoves.cli as climod
+
+    def no_build(*args, **kwargs):
+        raise AssertionError("build_root_system called before the volume cap")
+
+    monkeypatch.setattr(climod, "build_root_system", no_build)
+    start = time.perf_counter()
+    code, payload = run_cli(capsys, "volumes", "--type", "A", "--rank", str(rank),
+                            "--J", ",".join(map(str, range(1, rank + 1))))
+    assert time.perf_counter() - start < 1
+    assert code == 2 and payload["error"]["type"] == "budget"
+    assert payload["error"]["message"].startswith("J has %d indices, exceeding cap 10" % rank)
+
+
 def test_geometric_count_with_a_coeffs_file_refuses_on_subsets_first(capsys, tmp_path,
                                                                     monkeypatch):
     # the file is neither read nor checked: A13's 8192 subsets refuse before the build

@@ -1,18 +1,27 @@
 import copy
 import itertools
 import math
+import os
 import pickle
+import subprocess
+import sys
 from fractions import Fraction
 from functools import lru_cache
+from pathlib import Path
 
 import pytest
 
+from alcoves import (contains, enumerate_X, evaluate_formula, face, fit_mu,
+                     interval_size_bruhat, interval_size_lattice, lattice_count,
+                     lattice_count_by_membership, relative_volumes, sigma_reflection, theta,
+                     volume_polynomial)
 from alcoves.errors import AlcovesError, BudgetExceededError
 from alcoves.linalg import QVector
+from alcoves.orbits import face_to_json
 from alcoves.radicals import RadScalar
 from alcoves.rootdata import (MAX_RANK, RootSystemData, RootSystemId, build_root_system,
                               dominant_representative, weyl_order)
-from alcoves.volumes import _pyramid_table
+from alcoves.volumes import _pyramid_table, face_gram
 
 from oracles import (AffineElement, ambient_core, generate_positive_roots, gram_det, length,
                      longest_finite_element, matrix_inverse, simple_reflection)
@@ -289,3 +298,83 @@ def test_rootdata_json():
     assert obj["marks"] == [1, 2]
     assert obj["index_of_connection"] == 2
     assert len(obj["simple_roots"]) == 2
+
+
+@lru_cache(maxsize=None)
+def _a2_coefficients():
+    return fit_mu(build_root_system("A2"))
+
+
+# every public entry point that reads a dominant coweight lambda, or a subset J of 1..n
+LAMBDA_ROUTES = {
+    "theta": theta,
+    "interval_size_bruhat": interval_size_bruhat,
+    "enumerate_X": enumerate_X,
+    "lattice_count": lattice_count,
+    "interval_size_lattice": interval_size_lattice,
+    "contains": lambda d, lam: contains(d, lam, QVector([0, 0, 0])),
+    "lattice_count_by_membership": lattice_count_by_membership,
+    "evaluate_formula": lambda d, lam: evaluate_formula(d, _a2_coefficients(), lam),
+    "sigma_reflection": sigma_reflection,
+    "face": lambda d, lam: face(d, lam, (1,)),
+    "face_to_json": lambda d, lam: face_to_json(d, lam, (1,)),
+}
+J_ROUTES = {
+    "weyl_order": weyl_order,
+    "face": lambda d, J: face(d, (1, 1), J),
+    "face_to_json": lambda d, J: face_to_json(d, (1, 1), J),
+    "face_gram": face_gram,
+    "volume_polynomial": volume_polynomial,
+    "relative_volumes": lambda d, J: relative_volumes(d, (1, 1), J),
+}
+# the coroot walk climbs without end from a coweight of the wrong length, so a regression
+# there would hang the suite: those cases run in a subprocess below, under a timeout
+WALKS = ("enumerate_X", "lattice_count", "interval_size_lattice")
+
+
+@pytest.mark.parametrize("route,lam,error", [
+    (route, lam, error) for route in LAMBDA_ROUTES
+    for lam, error in [((1,), ValueError), ((1, 1, 5), ValueError), ((-1, 0), ValueError),
+                       ((1.9, 1), TypeError)]
+    if not (route in WALKS and len(lam) < 2)])
+def test_every_lambda_route_refuses_an_invalid_coweight(route, lam, error):
+    # 1.9 used to be truncated to 1, and (1, 1, 5) to its first two coordinates
+    with pytest.raises(error):
+        LAMBDA_ROUTES[route](build_root_system("A2"), lam)
+
+
+@pytest.mark.parametrize("route,J,error", [
+    (route, J, error) for route in J_ROUTES
+    for J, error in [((0,), ValueError), ((3,), ValueError), ((2.5,), TypeError)]])
+def test_every_J_route_refuses_an_invalid_subset(route, J, error):
+    with pytest.raises(error):
+        J_ROUTES[route](build_root_system("A2"), J)
+
+
+def test_the_walks_refuse_a_coweight_of_the_wrong_length_at_once():
+    code = ("from alcoves import build_root_system, enumerate_X, interval_size_lattice, "
+            "lattice_count\n"
+            "d = build_root_system('A2')\n"
+            "for route in (enumerate_X, lattice_count, interval_size_lattice):\n"
+            "    try:\n"
+            "        route(d, (1,))\n"
+            "    except ValueError as exc:\n"
+            "        print(exc)\n")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=path), timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["lambda needs exactly 2 coordinates"] * len(WALKS)
+
+
+@pytest.mark.parametrize("name", ["A2", "G2", "E6"])
+def test_ambient_from_coweight_equals_the_sum_of_coweights(name):
+    d = build_root_system(name)
+    for coords in [(1,) * d.rank, tuple(range(d.rank)), tuple(Fraction(i, 3) for i in range(d.rank))]:
+        expected = QVector.zero(d.ambient_dim)
+        for c, w in zip(coords, d.fundamental_coweights):
+            expected = expected + c * w
+        assert d.ambient_from_coweight(coords) == expected
+    with pytest.raises(ValueError):
+        d.ambient_from_coweight((1,) * (d.rank + 1))

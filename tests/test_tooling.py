@@ -77,7 +77,7 @@ def test_public_names():
     # the library's public surface: a name leaves it only on purpose
     import alcoves
     assert alcoves.__all__ == [
-        "AlcovesError", "BudgetExceededError", "DominantCoweight", "FaceDescriptor",
+        "AlcovesError", "BudgetExceededError", "FaceDescriptor",
         "FitVerificationError", "FormulaConsistencyError", "GeometricCoefficients",
         "MPoly", "QVector", "RadScalar", "RootSystemData", "RootSystemId",
         "VolumePolynomial", "WallPointError",
