@@ -9,8 +9,11 @@ coweights below lambda in dominance order, so
 and |<= theta(lambda)| is |W_f| times that.  A geometric membership test
 (`contains`) over an exponent box gives an independent second route, which
 the benchmark's reference pins run; it reads the ambient view, the coroot
-walk does not.  A face Conv(W_J . lambda) has |W_J| / |W_{J ^ Z(lambda)}|
-vertices, known before its walk, and dimension #{j in J the walk steps along}.
+walk does not.  Every walk of a system follows one shared graph of dominant
+coweights and their children, so a coweight that many walks reach (`fit`
+counts 52 coweights on a rank-4 system) is expanded once per process.  A
+face Conv(W_J . lambda) has |W_J| / |W_{J ^ Z(lambda)}| vertices, known
+before its walk, and dimension #{j in J the walk steps along}.
 Every entry point reads lambda by `rootdata.dominant_coweight` and J by
 `rootdata.simple_subset`, and works on plain coordinate tuples.
 """
@@ -20,6 +23,7 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from fractions import Fraction
+from functools import lru_cache
 from itertools import product
 from operator import sub
 
@@ -64,6 +68,22 @@ def check_level_budget(data: RootSystemData, lam, box_cap: int) -> None:
         raise BudgetExceededError("level simplex has %d cells, exceeding cap %d" % (cells, box_cap))
 
 
+@lru_cache(maxsize=None)
+def _steps(data: RootSystemData) -> tuple:
+    """Each positive coroot with the coordinates where it is positive: mu - c is
+    dominant iff mu_i >= c_i at those, since mu_i - c_i >= mu_i >= 0 elsewhere."""
+    return tuple((c, tuple((i, x) for i, x in enumerate(c) if x > 0))
+                 for c in data.positive_coroot_coords)
+
+
+@lru_cache(maxsize=None)
+def _graph(data: RootSystemData) -> tuple[dict, list, list]:
+    """The dominance graph walked so far, one per system: each coweight tuple once in
+    `nodes`, its index in `index`, and in `children` at that index the indices of its
+    dominant children mu - alpha^v, or None until it is expanded."""
+    return {}, [], []
+
+
 def enumerate_X(data: RootSystemData, lam,
                 box_cap: int = DEFAULT_BOX_CAP) -> list[tuple[int, ...]]:
     """All dominant mu <= lam in dominance order, as sorted coordinate tuples.
@@ -72,32 +92,58 @@ def enumerate_X(data: RootSystemData, lam,
     results reaches all of X_lambda: dominant mu < nu are joined by a chain
     of dominant coweights, each a positive coroot below the last
     (Stembridge, The partial order of dominant weights, 1998).  It first
-    refuses by `check_level_budget`.
+    refuses by `check_level_budget`.  Every walk of a system shares `_graph`,
+    so each coweight is tested against the coroots once per process, however
+    many walks reach it.
     """
     lam = dominant_coweight(data.rank, lam)
     check_level_budget(data, lam, box_cap)
-    seen, todo = {lam}, [lam]
+    index, nodes, children = _graph(data)
+    steps = _steps(data)
+
+    start = index.setdefault(lam, len(nodes))
+    if start == len(nodes):
+        nodes.append(lam)
+        children.append(None)
+    seen, todo = {start}, [start]
     while todo:
-        mu = todo.pop()
-        for c in data.positive_coroot_coords:
-            nu = tuple(map(sub, mu, c))
-            if min(nu) >= 0 and nu not in seen:
-                seen.add(nu)
-                todo.append(nu)
-    return sorted(seen)
+        k = todo.pop()
+        kids = children[k]
+        if kids is None:
+            mu = nodes[k]
+            kids = children[k] = []
+            for c, mask in steps:
+                for i, x in mask:
+                    if mu[i] < x:
+                        break
+                else:
+                    nu = tuple(map(sub, mu, c))
+                    j = index.setdefault(nu, len(nodes))
+                    if j == len(nodes):
+                        nodes.append(nu)
+                        children.append(None)
+                    kids.append(j)
+        for j in kids:
+            if j not in seen:
+                seen.add(j)
+                todo.append(j)
+    return sorted(map(nodes.__getitem__, seen))
 
 
 def lattice_count(data: RootSystemData, lam, box_cap: int = DEFAULT_BOX_CAP) -> int:
     """|P(lambda) ^ (lambda + Z Phi^v)| by orbit-size summation over X_lambda."""
     total = 0
     order = data.wf_order
-    stabs: dict[tuple, int] = {}  # |W_Z(mu)| by the zero set Z(mu): at most 2^n keys
+    sizes: dict[tuple, int] = {}  # |W_f| / |W_Z(mu)| by the support of mu: at most 2^n keys
     for mu in enumerate_X(data, lam, box_cap=box_cap):
-        z = tuple(j + 1 for j, c in enumerate(mu) if c == 0)
-        stab = stabs[z] if z in stabs else stabs.setdefault(z, weyl_order(data, z))
-        if order % stab:
-            raise AssertionError("stabilizer order must divide |W_f|")
-        total += order // stab
+        key = tuple(map(bool, mu))
+        size = sizes.get(key)
+        if size is None:
+            stab = weyl_order(data, [j + 1 for j, b in enumerate(key) if not b])
+            if order % stab:
+                raise AssertionError("stabilizer order must divide |W_f|")
+            size = sizes[key] = order // stab
+        total += size
     return total
 
 

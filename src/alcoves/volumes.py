@@ -18,8 +18,20 @@ sqrt(gram_J): by Cramer's rule (C_J^-1)_jj = det C_{J-j} / det C_J, so
 gram_J = gram_{J-j} / |nu_j|^2, and gram_J follows from any one j in J.
 At j = max J, one bordering step from C_{J-j}^-1 gives both C_J^-1 and
 s = det C_J / det C_{J-j}, so gram_J = gram_{J-j} s / (|alpha_j|^2 / 2).
-The table holds only the subsets of the J asked for; the recursion runs on
-numbers (values) or on MPoly variables (polynomials).
+
+The recursion runs on integers.  Write C_J^-1 = A_J / e_J, e_J the least
+common denominator of its entries, and keep with each J the integer
+
+    M_J = e_J lcm_j(M_{J-j} den c_{J,j}),  M_empty = 1,
+
+so that R_J = M_J r_J satisfies
+
+    R_J(x) = sum_j w_{J,j} (sum_{i in J} x_i (A_J)_ij) R_{J-j}(x),
+    w_{J,j} = M_J c_{J,j} / (e_J M_{J-j}), an integer,
+
+and r_J = R_J / M_J is one division at the end.  The table holds only the
+subsets of the J asked for; the recursion runs on integer points (values) or
+on MPoly variables (polynomials).
 """
 
 from __future__ import annotations
@@ -28,6 +40,7 @@ from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache, reduce
 from itertools import combinations
+from math import lcm
 from operator import add
 
 from .errors import BudgetExceededError
@@ -68,12 +81,14 @@ def subsets(top: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
 
 @lru_cache(maxsize=None)
 def _table(data: RootSystemData) -> dict:
-    return {(): (1, Fraction(1), [], ())}
+    return {(): (1, Fraction(1), [], (), 1)}
 
 
 def _pyramid_table(data: RootSystemData, top: tuple[int, ...]) -> dict:
-    """J -> (|W_J|, gram_J, C_J^-1, ((J-j, c_{J,j}) for j in J)), one dict per system,
-    holding every J inside each `top` asked for so far, and each J with its subsets."""
+    """J -> (|W_J|, gram_J, C_J^-1, steps, M_J), one dict per system, holding every J
+    inside each `top` asked for so far, and each J with its subsets.  steps holds
+    (J-j, c_{J,j}, w_{J,j}, A_J[:, j]) for j in J, the column as (i - 1, entry) pairs
+    over its nonzero entries."""
     table = _table(data)
     if top in table:
         return table
@@ -81,27 +96,40 @@ def _pyramid_table(data: RootSystemData, top: tuple[int, ...]) -> dict:
     for J in subsets(top):
         if J not in table:
             order = weyl_order(data, J)
-            _, gram, inv, _ = table[J[:-1]]
+            _, gram, inv, _, _ = table[J[:-1]]
             inv, s = border(data.cartan, [j - 1 for j in J], inv)
-            steps = tuple((rest, Fraction(order // table[rest][0], len(J)))
-                          for rest in (J[:p] + J[p + 1:] for p in range(len(J))))
+            e = lcm(*(q.denominator for row in inv for q in row))
+            rests = [J[:p] + J[p + 1:] for p in range(len(J))]
+            cs = [Fraction(order // table[rest][0], len(J)) for rest in rests]
+            m = e * lcm(*(table[rest][4] * c.denominator for rest, c in zip(rests, cs)))
+            steps = tuple(
+                (rest, c, m // (e * table[rest][4] * c.denominator) * c.numerator,
+                 tuple((i - 1, row[p].numerator * (e // row[p].denominator))
+                       for i, row in zip(J, inv) if row[p]))
+                for p, (rest, c) in enumerate(zip(rests, cs)))
             # gram_J = gram_{J-j} / |nu_j|^2 at j = max J, and 1 / |nu_j|^2 = s / (|alpha_j|^2 / 2)
-            table[J] = (order, gram * s / half[J[-1] - 1], inv, steps)
+            table[J] = (order, gram * s / half[J[-1] - 1], inv, steps, m)
     return table
 
 
-def relative_volumes(data: RootSystemData, x, top=None, r=None) -> dict:
-    """r_K(x) for every K inside `top` (default: all of 1..n), in O(n^2 2^n) steps.
-    x holds numbers or MPoly variables; r holds r_K already known and gains the rest."""
-    top = tuple(range(1, data.rank + 1)) if top is None else simple_subset(data.rank, top)
-    r = {(): 1} if r is None else r
+def _scaled_volumes(data: RootSystemData, x, top: tuple[int, ...], R: dict) -> dict:
+    """R_K = M_K r_K(x) for every K inside top, added to R, which holds R_K already
+    known (R_empty among them); returns the pyramid table."""
     table = _pyramid_table(data, top)
     for K in subsets(top):
-        if K not in r:
-            inv, steps = table[K][2:]
-            r[K] = reduce(add, (c * reduce(add, (x[i - 1] * row[p] for i, row in zip(K, inv)))
-                                * r[rest] for p, (rest, c) in enumerate(steps)))
-    return r
+        if K not in R:
+            R[K] = reduce(add, (w * reduce(add, (x[i] * a for i, a in col)) * R[rest]
+                                for rest, _, w, col in table[K][3]))
+    return table
+
+
+def relative_volumes(data: RootSystemData, x, top=None) -> dict:
+    """r_K(x) for every K inside `top` (default: all of 1..n), in O(n^2 2^n) integer
+    steps at an integer point x, and one division for each K."""
+    top = tuple(range(1, data.rank + 1)) if top is None else simple_subset(data.rank, top)
+    R = {(): 1}
+    table = _scaled_volumes(data, x, top, R)
+    return {K: Fraction(v, table[K][4]) for K, v in R.items()}
 
 
 def face_gram(data: RootSystemData, J) -> Fraction:
@@ -112,15 +140,16 @@ def face_gram(data: RootSystemData, J) -> Fraction:
 
 @lru_cache(maxsize=None)
 def _variables(data: RootSystemData) -> tuple[list[MPoly], dict]:
-    return [MPoly.variable(data.rank, i) for i in range(data.rank)], {(): 1}
+    n = data.rank
+    return [MPoly.variable(n, i) for i in range(n)], {(): MPoly.constant(n, 1)}
 
 
 def volume_polynomial(data: RootSystemData, J) -> VolumePolynomial:
     """Lattice-normalized volume polynomial of the face Conv(W_J . lambda)."""
     J = simple_subset(data.rank, J)
-    x, polys = _variables(data)
-    poly = relative_volumes(data, x, J, polys)[J] if J else MPoly.constant(data.rank, 1)
-    return VolumePolynomial(J, poly, face_gram(data, J))
+    x, scaled = _variables(data)
+    _, gram, _, _, m = _scaled_volumes(data, x, J, scaled)[J]
+    return VolumePolynomial(J, scaled[J] * Fraction(1, m), gram)
 
 
 def indicator(n: int, S) -> tuple[int, ...]:

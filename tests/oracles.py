@@ -6,7 +6,9 @@ simplicial decomposition, with no shared code path with the library's
 pyramid recursion.  Polynomial interpolation recovers a counting polynomial
 from its values by one dense solve, independently of the triangular fit.
 The exponent-box scan finds X_lambda by testing every cell of a box that
-contains it, independently of the library's coroot walk.  The positive roots
+contains it, independently of the library's coroot walk.  The volume
+recursion with a Fraction at every step, each C_K^-1 by Gauss-Jordan, checks
+the library's integer-scaled one.  The positive roots
 by reflection closure of the ambient simple roots, and the J-mixed dual
 basis nu_j as ambient vectors, check the library's integer root strings and
 Cartan-matrix volume constants.  The element oracle keeps W_a as n x n
@@ -36,8 +38,8 @@ from alcoves.mpoly import MPoly
 from alcoves.orbits import DEFAULT_BOX_CAP, _box_bounds, face
 from alcoves.radicals import RadScalar, squarefree_decompose
 from alcoves.rootdata import (RootSystemData, _exact_quotient, build_root_system,
-                              dominant_coords, dominant_coweight, simple_subset)
-from alcoves.volumes import face_gram, indicator, relative_volumes, support_difference
+                              dominant_coords, dominant_coweight, simple_subset, weyl_order)
+from alcoves.volumes import face_gram, indicator, relative_volumes, subsets, support_difference
 
 
 # -- exact linear algebra and radicals ----------------------------------------
@@ -256,6 +258,40 @@ def mixed_basis_nu(data: RootSystemData, J) -> dict[int, tuple[QVector, Fraction
             nu = nu + row[pos] * data.simple_roots[k - 1]
         out[j] = (nu, nu.dot(nu))
     return out
+
+
+@lru_cache(maxsize=None)
+def _fraction_pyramids(data: RootSystemData) -> dict:
+    """K -> ((K-j, c_{K,j}, column j of C_K^-1), ...) for every K inside 1..n, each
+    inverse by Gauss-Jordan and each c_{K,j} = [W_K : W_{K-j}] / |K| a Fraction."""
+    out = {}
+    for K in subsets(tuple(range(1, data.rank + 1))):
+        inv = matrix_inverse([[data.cartan[i - 1][k - 1] for k in K] for i in K])
+        rests = [K[:p] + K[p + 1:] for p in range(len(K))]
+        out[K] = tuple((rest, Fraction(weyl_order(data, K) // weyl_order(data, rest), len(K)),
+                        [row[p] for row in inv])
+                       for p, rest in enumerate(rests))
+    return out
+
+
+@lru_cache(maxsize=None)
+def _relative_volume_by_fractions(data: RootSystemData, K: tuple[int, ...], xK) -> Fraction:
+    if not K:
+        return Fraction(1)
+    return sum(c * sum(x * a for x, a in zip(xK, col) if x)
+               * _relative_volume_by_fractions(data, rest, xK[:p] + xK[p + 1:])
+               for p, (rest, c, col) in enumerate(_fraction_pyramids(data)[K]))
+
+
+def relative_volumes_by_fractions(data: RootSystemData, x) -> dict:
+    """r_K(x) for every K inside 1..n by the unscaled recursion, every step a Fraction:
+
+        r_K(x) = sum_j c_{K,j} (sum_{i in K} x_i (C_K^-1)_ij) r_{K-j}(x).
+
+    r_K reads only the x_i with i in K, so each r_K is kept by (K, those x_i) and
+    shared between the points asked for."""
+    return {K: _relative_volume_by_fractions(data, K, tuple(x[i - 1] for i in K))
+            for K in subsets(tuple(range(1, data.rank + 1)))}
 
 
 class InterpolationError(ValueError):

@@ -13,7 +13,7 @@ import pytest
 from alcoves.affine import (descents, interval_size_bruhat, lower_interval, sigma_reflection,
                             theta)
 from alcoves.errors import BudgetExceededError, WallPointError
-from alcoves.orbits import interval_size_lattice
+from alcoves.orbits import interval_size_lattice, lattice_count
 from alcoves.rootdata import _RANK_RULES, build_root_system
 
 from oracles import (AffineElement, alcove_point, element, element_from_point,
@@ -257,15 +257,51 @@ def test_theta_size_matches_lattice_formula_spot():
         assert len(lower_interval(d, w, word)) == interval_size_lattice(d, lam)
 
 
-@pytest.mark.parametrize("name,i,points", [
+E7_E8_SINGLES = [
     ("E7", 1, 127), ("E7", 2, 632), ("E7", 3, 2899), ("E7", 4, 24753), ("E7", 5, 6176),
-    ("E7", 6, 883), ("E7", 7, 56), ("E8", 1, 2401), ("E8", 2, 26401), ("E8", 8, 241)])
+    ("E7", 6, 883), ("E7", 7, 56), ("E8", 1, 2401), ("E8", 2, 26401), ("E8", 7, 9121),
+    ("E8", 8, 241)]
+
+
+@pytest.mark.parametrize("name,i,points", E7_E8_SINGLES)
 def test_bruhat_equals_lattice_on_e7_e8_fundamental_coweights(name, i, points):
     # the coset closure with a raised cap against the coroot walk; |P| pins the closure
     d = build_root_system(name)
     lam = tuple(int(j == i) for j in range(1, d.rank + 1))
     count = interval_size_bruhat(d, lam, cap=10 ** 20)
     assert count == interval_size_lattice(d, lam) == d.wf_order * points
+
+
+# every sum of two fundamental coweights of E7 and E8 with |P| <= 10^5
+E7_E8_PAIRS = [
+    ("E7", 1, 2, 10208), ("E7", 1, 3, 28785), ("E7", 1, 5, 57584), ("E7", 1, 6, 14673),
+    ("E7", 1, 7, 2144), ("E7", 2, 3, 69680), ("E7", 2, 6, 35912), ("E7", 2, 7, 6987),
+    ("E7", 3, 6, 98157), ("E7", 3, 7, 23816), ("E7", 5, 7, 38361), ("E7", 6, 7, 7688),
+    ("E8", 1, 8, 56881)]
+
+
+@pytest.mark.parametrize("name,i,j,points", E7_E8_PAIRS)
+def test_bruhat_equals_lattice_on_e7_e8_pairs_of_fundamental_coweights(name, i, j, points):
+    d = build_root_system(name)
+    lam = tuple(int(k in (i, j)) for k in range(1, d.rank + 1))
+    count = interval_size_bruhat(d, lam, cap=10 ** 20)
+    assert count == interval_size_lattice(d, lam) == d.wf_order * points
+
+
+def test_the_e7_e8_cross_checks_cover_every_coweight_of_at_most_two_ones_below_the_bound():
+    # the two tests above hold exactly the coweights of E7 and E8 with one or two 1s, the
+    # rest 0, and at most 10^5 coset points
+    covered = {(name, (i,)) for name, i, _ in E7_E8_SINGLES} | {
+        (name, (i, j)) for name, i, j, _ in E7_E8_PAIRS}
+    small = set()
+    for name in ("E7", "E8"):
+        d = build_root_system(name)
+        for size in (1, 2):
+            for S in itertools.combinations(range(1, d.rank + 1), size):
+                lam = tuple(int(k in S) for k in range(1, d.rank + 1))
+                if lattice_count(d, lam) <= 10 ** 5:
+                    small.add((name, S))
+    assert covered == small
 
 
 def test_parabolic_alcoves_are_translated_group_alcoves():

@@ -9,7 +9,9 @@
     coordinates, on a set of small systems.
 The digests were taken from the ambient reflection-closure root data, the
 `MPoly` pyramid recursion, the Dynkin-classification table of `|W_J|` and,
-for `faces`, dimensions by a Gauss-Jordan rank.
+for `faces`, dimensions by a Gauss-Jordan rank.  The fit digests of F4, D5
+and E6 were taken from a fit that walked each coweight's X_lambda afresh and
+ran the volume recursion in Fractions, before either was shared or scaled.
 The tests regenerate every output and compare, so any later change to these
 bytes has to be deliberate.  To print the digests of the code on the path:
 
@@ -36,7 +38,7 @@ ROOTDATA = (["A%d" % n for n in range(1, 9)] + ["B%d" % n for n in range(2, 9)]
             + ["C%d" % n for n in range(2, 9)] + ["D%d" % n for n in range(3, 9)]
             + ["E6", "E7", "E8", "F4", "G2"])
 VOLUMES = ["A2", "A3", "A4", "B2", "B3", "B4", "C3", "D4", "G2", "F4"]
-FITS = ["A1", "A2", "A3", "A4", "B2", "B3", "B4", "C3", "D4", "G2"]
+FITS = ["A1", "A2", "A3", "A4", "B2", "B3", "B4", "C3", "D4", "G2", "F4", "D5", "E6"]
 FACES = ["A2", "A3", "B2", "B3", "C3", "D4", "F4", "G2"]
 KINDS = ("rootdata", "weyl_order", "volumes", "fit", "faces")
 

@@ -6,9 +6,11 @@ from pathlib import Path
 
 import pytest
 
+import alcoves.coefficients as coefmod
+from alcoves.coefficients import fit_mu
 from alcoves.errors import BudgetExceededError
 from alcoves.linalg import QVector
-from alcoves.orbits import (MAX_FACE_VERTICES, _box_bounds, contains,
+from alcoves.orbits import (MAX_FACE_VERTICES, _box_bounds, _graph, contains,
                             enumerate_X, face, face_to_json, face_vertex_count,
                             interval_size_lattice, lattice_count, lattice_count_by_membership)
 from alcoves.rootdata import build_root_system, weyl_order
@@ -150,11 +152,15 @@ def test_box_budget():
         enumerate_X(a2, (5, 5), box_cap=10)
 
 
+def _level_cells(d, lam) -> int:
+    h = sum(e * c for e, c in zip(d.marks, lam))
+    return math.prod(h // e + 1 for e in d.marks)
+
+
 def _check_walk(d, lam) -> None:
     """|X| <= U <= box, with U = prod_j (floor(h / eta_j) + 1) exactly the walk's
     budget, and X equal to the box-scan oracle's list wherever the box is small."""
-    h = sum(e * c for e, c in zip(d.marks, lam))
-    U = math.prod(h // e + 1 for e in d.marks)
+    U = _level_cells(d, lam)
     box = math.prod(b + 1 for b in _box_bounds(d, lam, math.inf))
     with pytest.raises(BudgetExceededError):
         enumerate_X(d, lam, box_cap=U - 1)
@@ -180,6 +186,73 @@ def test_walk_matches_box_scan_on_sampled_coweights(name):
     lams |= {tuple(rng.randrange(4) for _ in range(d.rank)) for _ in range(12)}
     for lam in sorted(lams):
         _check_walk(d, lam)
+
+
+@pytest.mark.parametrize("name", ["A1", "A2", "A3", "A4", "A5", "B2", "B3", "B4", "B5", "C2",
+                                  "C3", "C4", "C5", "D3", "D4", "D5", "F4", "G2"])
+def test_shared_walk_matches_box_scan_in_either_order(name):
+    # every walk of a system shares one graph: each coweight is walked on a graph that
+    # the walks of the others have partly filled, from above or from below, and then on
+    # the full graph; lambda in {0,1,2}^n up to rank 3 and {0,1}^n above, where the box
+    # has at most 3 * ORACLE_CELLS cells (at least 7 coweights a system)
+    d = build_root_system(name)
+    lams = [lam for lam in itertools.product(range(3 if d.rank <= 3 else 2), repeat=d.rank)
+            if math.prod(b + 1 for b in _box_bounds(d, lam, math.inf)) <= 3 * ORACLE_CELLS]
+    assert len(lams) > d.rank
+    expected = {lam: enumerate_X_by_box(d, lam) for lam in lams}
+    for order in (lams, lams[::-1]):
+        _graph.cache_clear()
+        for lam in order:
+            assert enumerate_X(d, lam) == expected[lam], (order is lams, lam)
+        for lam in order:
+            assert enumerate_X(d, lam) == expected[lam], (order is lams, lam)
+
+
+def test_a_returned_list_is_the_callers_own():
+    d = build_root_system("B3")
+    X = enumerate_X(d, (1, 1, 1))
+    expected = list(X)
+    X.reverse()
+    X.append((9, 9, 9))
+    del X[0]
+    assert enumerate_X(d, (1, 1, 1)) == expected
+    assert lattice_count(d, (1, 1, 1)) == sum(d.wf_order // weyl_order(
+        d, [j + 1 for j, c in enumerate(mu) if c == 0]) for mu in expected)
+
+
+def test_the_budget_refuses_a_coweight_whose_nodes_are_all_cached():
+    d = build_root_system("D4")
+    lam = (1, 1, 1, 1)
+    enumerate_X(d, (2, 2, 2, 2))  # expands every node below (1, 1, 1, 1) too
+    U = _level_cells(d, lam)
+    for route in (enumerate_X, lattice_count, interval_size_lattice):
+        with pytest.raises(BudgetExceededError):
+            route(d, lam, box_cap=U - 1)
+    assert enumerate_X(d, lam, box_cap=U) == enumerate_X_by_box(d, lam)
+
+
+@pytest.mark.parametrize("name,nodes", [("B4", 987), ("D4", 668)])
+def test_a_fit_expands_exactly_the_union_of_its_walks(monkeypatch, name, nodes):
+    # fit_mu counts 52 coweights on B4 and on D4, whose X_lambda hold 3573 and 1657
+    # coweights counted with repeats; their union, 987 and 668 coweights by the box-scan
+    # oracle (24 s and 3 s, too slow to rerun here), is what the shared graph must hold,
+    # each coweight expanded
+    d = build_root_system(name)
+    real = coefmod.interval_size_lattice
+    asked = []
+
+    def record(data, lam, box_cap):
+        asked.append(lam)
+        return real(data, lam, box_cap)
+
+    monkeypatch.setattr(coefmod, "interval_size_lattice", record)
+    _graph.cache_clear()
+    fit_mu(d)
+    index, graph_nodes, children = _graph(d)
+    assert len(asked) == 52
+    assert len(graph_nodes) == len(index) == nodes
+    assert set(graph_nodes) == set().union(*(enumerate_X(d, lam) for lam in asked))
+    assert None not in children
 
 
 @pytest.mark.parametrize("workload,entry", [(w, e) for w, rows in REFERENCES.items() for e in rows],

@@ -192,7 +192,7 @@ def test_bordered_inverses_equal_the_oracle(name):
     d = build_root_system(name)
     table = _pyramid_table(d, tuple(range(1, d.rank + 1)))
     assert len(table) == 2 ** d.rank
-    for J, (_, _, inv, _) in table.items():
+    for J, (_, _, inv, _, _) in table.items():
         assert inv == matrix_inverse([[d.cartan[i - 1][k - 1] for k in J] for i in J]), J
     assert d._cartan_inv == matrix_inverse(d.cartan)
 
