@@ -313,10 +313,22 @@ def cmd_rootdata(ns) -> int:
     return EXIT_OK
 
 
-def _build_parser() -> _Parser:
+_COMMANDS = ("count", "fit", "verify", "ehrhart", "volumes", "faces", "rootdata")
+
+
+def _build_parser(command: str | None = None) -> _Parser:
+    """The parser, with only the subparser of `command` when that is one of _COMMANDS
+    (all seven took 3-4 ms to build); help, --version and usage errors see them all."""
     parser = _Parser(prog="alcoves", description=__doc__)
     parser.add_argument("--version", action="version", version="alcoves " + __version__)
     sub = parser.add_subparsers(dest="command", required=True)
+
+    def add(name, text, func):  # the subparser of name, or None when it is not built
+        if command in _COMMANDS and command != name:
+            return None
+        p = sub.add_parser(name, help=text)
+        p.set_defaults(func=func)
+        return p
 
     def add_system_args(p, need_lambda=False):
         p.add_argument("--type", required=True, dest="family",
@@ -331,50 +343,44 @@ def _build_parser() -> _Parser:
         p.add_argument("--box-cap", type=budget, default=DEFAULT_BOX_CAP)
         p.add_argument("--cache-dir", default=None)
 
-    p = sub.add_parser("count", help="count |<= theta(lambda)| one way")
-    add_system_args(p, need_lambda=True)
-    add_caps(p)
-    p.add_argument("--method", required=True, choices=["bruhat", "lattice", "geometric"])
-    p.add_argument("--coeffs", help="coefficient JSON for --method geometric")
-    p.set_defaults(func=cmd_count)
+    if p := add("count", "count |<= theta(lambda)| one way", cmd_count):
+        add_system_args(p, need_lambda=True)
+        add_caps(p)
+        p.add_argument("--method", required=True, choices=["bruhat", "lattice", "geometric"])
+        p.add_argument("--coeffs", help="coefficient JSON for --method geometric")
 
-    p = sub.add_parser("fit", help="fit geometric coefficients and write them to a file")
-    add_system_args(p)
-    p.add_argument("--box-cap", type=budget, default=DEFAULT_BOX_CAP)
-    p.add_argument("--out", required=True)
-    p.add_argument("--force", action="store_true")
-    p.set_defaults(func=cmd_fit)
+    if p := add("fit", "fit geometric coefficients and write them to a file", cmd_fit):
+        add_system_args(p)
+        p.add_argument("--box-cap", type=budget, default=DEFAULT_BOX_CAP)
+        p.add_argument("--out", required=True)
+        p.add_argument("--force", action="store_true")
 
-    p = sub.add_parser("verify", help="cross-check all three counting methods")
-    add_system_args(p)
-    add_caps(p)
-    p.add_argument("--max-coord", type=integer, default=2)
-    p.set_defaults(func=cmd_verify)
+    if p := add("verify", "cross-check all three counting methods", cmd_verify):
+        add_system_args(p)
+        add_caps(p)
+        p.add_argument("--max-coord", type=integer, default=2)
 
-    p = sub.add_parser("ehrhart", help="hypersimplex Ehrhart polynomial")
-    p.add_argument("--k", required=True, type=integer)
-    p.add_argument("--d", required=True, type=integer)
-    p.set_defaults(func=cmd_ehrhart)
+    if p := add("ehrhart", "hypersimplex Ehrhart polynomial", cmd_ehrhart):
+        p.add_argument("--k", required=True, type=integer)
+        p.add_argument("--d", required=True, type=integer)
 
-    p = sub.add_parser("volumes", help="face volume polynomial")
-    add_system_args(p)
-    p.add_argument("--J", required=True, help="comma-separated indices, or 'empty'")
-    p.set_defaults(func=cmd_volumes)
+    if p := add("volumes", "face volume polynomial", cmd_volumes):
+        add_system_args(p)
+        p.add_argument("--J", required=True, help="comma-separated indices, or 'empty'")
 
-    p = sub.add_parser("faces", help="vertex data of one face (JSON for external tools)")
-    add_system_args(p, need_lambda=True)
-    p.add_argument("--J", required=True, help="comma-separated indices, or 'empty'")
-    p.set_defaults(func=cmd_faces)
+    if p := add("faces", "vertex data of one face (JSON for external tools)", cmd_faces):
+        add_system_args(p, need_lambda=True)
+        p.add_argument("--J", required=True, help="comma-separated indices, or 'empty'")
 
-    p = sub.add_parser("rootdata", help="dump derived root system data")
-    add_system_args(p)
-    p.set_defaults(func=cmd_rootdata)
+    if p := add("rootdata", "dump derived root system data", cmd_rootdata):
+        add_system_args(p)
     return parser
 
 
 def main(argv=None) -> int:
     try:
-        ns = _build_parser().parse_args(argv)
+        argv = sys.argv[1:] if argv is None else list(argv)
+        ns = _build_parser(argv[0] if argv else None).parse_args(argv)
         if "family" in ns:
             ns.system = RootSystemId(ns.family, ns.rank)  # refuses a bad family or rank
             check_rank(ns.system)  # before any argument is read against the rank

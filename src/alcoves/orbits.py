@@ -6,14 +6,14 @@ coweights below lambda in dominance order, so
 
     |P(lambda) ^ (lambda + Z Phi^v)| = sum over mu in X_lambda of |W_f|/|W_Z(mu)|
 
-and |<= theta(lambda)| is |W_f| times that.  A geometric membership test
-(`contains`) over an exponent box gives an independent second route, which
-the benchmark's reference pins run; it reads the ambient view, the coroot
-walk does not.  Every walk of a system follows one shared graph of dominant
-coweights and their children, so a coweight that many walks reach (`fit`
-counts 52 coweights on a rank-4 system) is expanded once per process.  A
-face Conv(W_J . lambda) has |W_J| / |W_{J ^ Z(lambda)}| vertices, known
-before its walk, and dimension #{j in J the walk steps along}.
+and |<= theta(lambda)| is |W_f| times that.  X_lambda comes from a search
+over the integer matrix B = det C (C^T)^-1 that shares nothing between calls:
+a system keeps B, at most det C residue keys and at most 2^n orbit sizes.  A
+geometric membership test (`contains`) over an exponent box gives an
+independent second route, which the benchmark's reference pins run; it reads
+the ambient view, the search does not.  A face Conv(W_J . lambda) has
+|W_J| / |W_{J ^ Z(lambda)}| vertices, known before its walk, and dimension
+#{j in J the walk steps along}.
 Every entry point reads lambda by `rootdata.dominant_coweight` and J by
 `rootdata.simple_subset`, and works on plain coordinate tuples.
 """
@@ -25,7 +25,7 @@ from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
-from operator import sub
+from operator import mul, sub
 
 from .errors import BudgetExceededError
 from .linalg import QVector, rational_to_str
@@ -69,82 +69,60 @@ def check_level_budget(data: RootSystemData, lam, box_cap: int) -> None:
 
 
 @lru_cache(maxsize=None)
-def _steps(data: RootSystemData) -> tuple:
-    """Each positive coroot with the coordinates where it is positive: mu - c is
-    dominant iff mu_i >= c_i at those, since mu_i - c_i >= mu_i >= 0 elsewhere."""
-    return tuple((c, tuple((i, x) for i, x in enumerate(c) if x > 0))
-                 for c in data.positive_coroot_coords)
-
-
-@lru_cache(maxsize=None)
-def _graph(data: RootSystemData) -> tuple[dict, list, list]:
-    """The dominance graph walked so far, one per system: each coweight tuple once in
-    `nodes`, its index in `index`, and in `children` at that index the indices of its
-    dominant children mu - alpha^v, or None until it is expanded."""
-    return {}, [], []
+def _first_value(data: RootSystemData, residues: tuple[int, ...]) -> int | None:
+    """The least t >= 0 with t b = s mod D, b the last column of B, or None when no t
+    solves it.  It depends on s mod D alone, a class of P^v/Q^v: at most D keys a system."""
+    D, B = data._dual
+    return next((t for t in range(D) if all((x - t * row[-1]) % D == 0
+                                            for x, row in zip(residues, B))), None)
 
 
 def enumerate_X(data: RootSystemData, lam,
                 box_cap: int = DEFAULT_BOX_CAP) -> list[tuple[int, ...]]:
     """All dominant mu <= lam in dominance order, as sorted coordinate tuples.
 
-    A walk from lam that subtracts positive coroots and keeps the dominant
-    results reaches all of X_lambda: dominant mu < nu are joined by a chain
-    of dominant coweights, each a positive coroot below the last
-    (Stembridge, The partial order of dominant weights, 1998).  It first
-    refuses by `check_level_budget`.  Every walk of a system shares `_graph`,
-    so each coweight is tested against the coroots once per process, however
-    many walks reach it.
+    With D = det C and B = D (C^T)^-1, a positive integer matrix, mu <= lam iff
+    the slack s = B (lam - mu) is >= 0 and = 0 mod D.  The set of mu >= 0 with
+    s >= 0 is down-closed, so a search that fixes mu_1, mu_2, ... in turn, each
+    step taking one column of B off the slack, meets no dead end: every prefix it
+    visits is a point of the level simplex, and `check_level_budget`, run first,
+    bounds its work.  Only the last coordinate meets the condition mod D, and its
+    values are one arithmetic progression.  The list comes out sorted.
     """
     lam = dominant_coweight(data.rank, lam)
     check_level_budget(data, lam, box_cap)
-    index, nodes, children = _graph(data)
-    steps = _steps(data)
+    D, B = data._dual
+    *inner, last = zip(*B)  # the columns of B
+    g = D // math.gcd(D, *last)  # t b = 0 mod D for the last column b iff g divides t
+    out = []
 
-    start = index.setdefault(lam, len(nodes))
-    if start == len(nodes):
-        nodes.append(lam)
-        children.append(None)
-    seen, todo = {start}, [start]
-    while todo:
-        k = todo.pop()
-        kids = children[k]
-        if kids is None:
-            mu = nodes[k]
-            kids = children[k] = []
-            for c, mask in steps:
-                for i, x in mask:
-                    if mu[i] < x:
-                        break
-                else:
-                    nu = tuple(map(sub, mu, c))
-                    j = index.setdefault(nu, len(nodes))
-                    if j == len(nodes):
-                        nodes.append(nu)
-                        children.append(None)
-                    kids.append(j)
-        for j in kids:
-            if j not in seen:
-                seen.add(j)
-                todo.append(j)
-    return sorted(map(nodes.__getitem__, seen))
+    def search(prefix, s):
+        i = len(prefix)
+        if i < len(inner):
+            for t in range(min([x // c for x, c in zip(s, inner[i])]) + 1):
+                search(prefix + (t,), s)
+                s = list(map(sub, s, inner[i]))
+        elif (t0 := _first_value(data, tuple([x % D for x in s]))) is not None:
+            top = min([x // b for x, b in zip(s, last)])
+            out.extend([prefix + (t,) for t in range(t0, top + 1, g)])
+
+    search((), [sum(map(mul, row, lam)) for row in B])
+    return out
+
+
+@lru_cache(maxsize=None)
+def _orbit_size(data: RootSystemData, support: tuple[bool, ...]) -> int:
+    """|W_f| / |W_Z(mu)| for the mu of this support: at most 2^n keys per system."""
+    stab = weyl_order(data, [j + 1 for j, b in enumerate(support) if not b])
+    if data.wf_order % stab:
+        raise AssertionError("stabilizer order must divide |W_f|")
+    return data.wf_order // stab
 
 
 def lattice_count(data: RootSystemData, lam, box_cap: int = DEFAULT_BOX_CAP) -> int:
     """|P(lambda) ^ (lambda + Z Phi^v)| by orbit-size summation over X_lambda."""
-    total = 0
-    order = data.wf_order
-    sizes: dict[tuple, int] = {}  # |W_f| / |W_Z(mu)| by the support of mu: at most 2^n keys
-    for mu in enumerate_X(data, lam, box_cap=box_cap):
-        key = tuple(map(bool, mu))
-        size = sizes.get(key)
-        if size is None:
-            stab = weyl_order(data, [j + 1 for j, b in enumerate(key) if not b])
-            if order % stab:
-                raise AssertionError("stabilizer order must divide |W_f|")
-            size = sizes[key] = order // stab
-        total += size
-    return total
+    return sum(_orbit_size(data, tuple(map(bool, mu)))
+               for mu in enumerate_X(data, lam, box_cap=box_cap))
 
 
 def interval_size_lattice(data: RootSystemData, lam, box_cap: int = DEFAULT_BOX_CAP) -> int:

@@ -7,14 +7,15 @@ from the plates, doubled so that they are integer vectors; everything else is
 derived from them and invariant-checked at build time, which keeps
 transcription errors out of the downstream volume and coefficient work.  The
 count paths read integers only: the Cartan matrix, norms, positive roots and
-coroots (by root strings), marks, det C and |W_f|.  The ambient vectors,
-the inverse Cartan matrix and the lattice volumes that `rootdata`, `faces`
-and `verify` read are built on first read; the fundamental coweights are also
-kept as one integer matrix over a common denominator, so a point in coweight
-coordinates reaches the ambient space by one integer product.  Parabolic
-orders |W_J| come by a product over root heights.  The two validators,
-`dominant_coweight` and `simple_subset`, decide for every module what a
-valid lambda and a valid J are.
+coroots (by root strings), marks, det C, |W_f| and, built on first read, the
+positive integer matrix B = det C (C^T)^-1 of the lattice search and the
+coroot-lattice test.  The ambient vectors, C^-1 and the lattice volumes that
+`rootdata` and `faces` read are built on first read too; the fundamental
+coweights are also kept as one integer matrix over a common denominator, so a
+point in coweight coordinates reaches the ambient space by one integer
+product.  Parabolic orders |W_J| come by a product over root heights.  The two
+validators, `dominant_coweight` and `simple_subset`, decide for every module
+what a valid lambda and a valid J are.
 
 Conventions:
   * coroot       alpha^v = 2*alpha/(alpha,alpha)
@@ -28,7 +29,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from operator import index, mul
 
 from .errors import AlcovesError, BudgetExceededError
@@ -166,7 +167,7 @@ def _exact_quotient(a, b) -> int:
     return q
 
 
-# the ambient view: read by `rootdata`, `faces`, `verify`'s sigma lookup and the
+# the ambient view: read by `rootdata`, `faces`, the membership route and the
 # oracles, and built on the first read of any of these names
 _AMBIENT = frozenset({"simple_roots", "simple_coroots", "ambient_dim", "highest_root",
                       "fundamental_coweights", "fundamental_weights",
@@ -181,8 +182,8 @@ class RootSystemData:
     the Cartan matrix, the norms |alpha_i|^2, the positive roots and coroots in
     simple coordinates, the marks, det C and |W_f|.  det C = |P^v/Q^v| is the
     number of special nodes of the extended diagram: node 0 and the nodes of
-    mark 1.  The ambient view (the names in _AMBIENT) is built once, on its
-    first read.
+    mark 1.  The dual matrix `_dual` and the ambient view (the names in
+    _AMBIENT) are each built once, on their first read.
     """
 
     def __init__(self, id: RootSystemId):  # noqa: A002 - matches call sites
@@ -218,6 +219,21 @@ class RootSystemData:
         self.wf_order = math.factorial(n) * math.prod(self.marks) * self.index_of_connection
         self._check_invariants()
 
+    @cached_property
+    def _dual(self) -> tuple[int, tuple[tuple[int, ...], ...]]:
+        """(D, B) with D = det C and B = D (C^T)^-1, by bordering C along 1..n.  A point
+        x = C^T k in coweight coordinates has B x = D k, so x is in Q^v iff B x = 0 mod D.
+        Every entry of B is a positive integer (Lusztig-Tits, *The inverse of a Cartan
+        matrix*, 1992); both that and D = the number of special nodes are checked."""
+        inv, D = [], 1
+        for j in range(1, self.rank + 1):
+            inv, s = border(self.cartan, range(j), inv)
+            D *= s
+        B = [[D * x for x in col] for col in zip(*inv)]
+        if D != self.index_of_connection or any(x.denominator != 1 or x <= 0 for x in sum(B, [])):
+            raise AlcovesError("det C = %s, or det C (C^T)^-1 is not positive and integral" % D)
+        return D.numerator, tuple(tuple(x.numerator for x in row) for row in B)
+
     def _check_invariants(self):
         n = self.rank
         if any(m < 1 for m in self.marks):
@@ -251,12 +267,8 @@ class RootSystemData:
         coroots = [a * Fraction(2, l) for a, l in zip(roots, self.simple_root_norms)]
         if [[a.dot(av) for a in roots] for av in coroots] != [list(r) for r in self.cartan]:
             raise AlcovesError("ambient Cartan matrix differs from the integer one")
-        inv, det_c = [], 1
-        for j in range(1, n + 1):  # C^-1 bordered along 1..n; det C is the product of the s
-            inv, s = border(self.cartan, range(j), inv)
-            det_c *= s
-        if det_c != self.index_of_connection:
-            raise AlcovesError("det C differs from the number of special nodes")
+        D, B = self._dual
+        inv = [[Fraction(x, D) for x in col] for col in zip(*B)]  # C^-1 = B^T / D
         zero = QVector.zero(len(roots[0]))
         # w_i^v = sum_k (C^-1)_ik alpha_k^v and w_i = sum_k (C^-1)_ki alpha_k
         coweights = [sum((inv[i][k] * coroots[k] for k in range(n)), zero) for i in range(n)]
@@ -300,14 +312,14 @@ class RootSystemData:
         return QVector(Fraction(sum(map(mul, coords, row)), den) for row in matrix)
 
     def coroot_coords_from_coweight(self, coords) -> tuple[Fraction, ...]:
-        """Rewrite coweight-basis coordinates on the simple-coroot basis."""
-        # coords_i = sum_k c_k cartan[k][i], so c = (C^-1)^T coords
-        inv = self._cartan_inv
-        return tuple(sum((inv[i][k] * Fraction(x) for i, x in enumerate(coords)), Fraction(0))
-                     for k in range(self.rank))
+        """Rewrite coweight-basis coordinates on the simple-coroot basis: B coords / D."""
+        D, B = self._dual
+        return tuple(Fraction(sum(map(mul, row, coords)), D) for row in B)
 
     def in_coroot_lattice(self, coords) -> bool:
-        return all(c.denominator == 1 for c in self.coroot_coords_from_coweight(coords))
+        """coords lie in Q^v iff B coords = 0 mod D."""
+        D, B = self._dual
+        return all(sum(map(mul, row, coords)) % D == 0 for row in B)
 
     def to_json(self) -> dict:
         def vec(v):

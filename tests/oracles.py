@@ -6,7 +6,9 @@ simplicial decomposition, with no shared code path with the library's
 pyramid recursion.  Polynomial interpolation recovers a counting polynomial
 from its values by one dense solve, independently of the triangular fit.
 The exponent-box scan finds X_lambda by testing every cell of a box that
-contains it, independently of the library's coroot walk.  The volume
+contains it, and the coroot walk by following dominance steps down from
+lambda, each independently of the library's search over the dual matrix B;
+the walk reaches E7 and E8, where the box is too large to scan.  The volume
 recursion with a Fraction at every step, each C_K^-1 by Gauss-Jordan, checks
 the library's integer-scaled one.  The positive roots
 by reflection closure of the ambient simple roots, and the J-mixed dual
@@ -28,7 +30,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, product
 from math import factorial, gcd, lcm, prod
-from operator import mul
+from operator import mul, sub
 
 from alcoves.affine import DEFAULT_INTERVAL_CAP, _context as _alcove_context, _fold
 from alcoves.coefficients import GeometricCoefficients, _stirling1_row, hypersimplex_ehrhart
@@ -350,6 +352,27 @@ def enumerate_X_by_box(data, lam, box_cap=DEFAULT_BOX_CAP):
         if all(c >= 0 for c in mu):
             out.append(tuple(mu))
     return sorted(out)
+
+
+def enumerate_X_by_walk(data, lam):
+    """All dominant mu <= lam, sorted: a walk from lam that subtracts positive coroots
+    and keeps the dominant results reaches all of X_lambda, since dominant mu < nu are
+    joined by a chain of dominant coweights, each a positive coroot below the last
+    (Stembridge, The partial order of dominant weights, 1998).  mu - c is dominant iff
+    mu_i >= c_i wherever c_i > 0, since mu_i - c_i >= mu_i >= 0 elsewhere."""
+    lam = dominant_coweight(data.rank, lam)
+    steps = [(c, [(i, x) for i, x in enumerate(c) if x > 0])
+             for c in data.positive_coroot_coords]
+    seen, todo = {lam}, [lam]
+    while todo:
+        mu = todo.pop()
+        for c, mask in steps:
+            if all(mu[i] >= x for i, x in mask):
+                nu = tuple(map(sub, mu, c))
+                if nu not in seen:
+                    seen.add(nu)
+                    todo.append(nu)
+    return sorted(seen)
 
 
 def _dedupe(points):

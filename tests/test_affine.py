@@ -265,7 +265,7 @@ E7_E8_SINGLES = [
 
 @pytest.mark.parametrize("name,i,points", E7_E8_SINGLES)
 def test_bruhat_equals_lattice_on_e7_e8_fundamental_coweights(name, i, points):
-    # the coset closure with a raised cap against the coroot walk; |P| pins the closure
+    # the coset closure with a raised cap against the lattice search; |P| pins the closure
     d = build_root_system(name)
     lam = tuple(int(j == i) for j in range(1, d.rank + 1))
     count = interval_size_bruhat(d, lam, cap=10 ** 20)

@@ -590,7 +590,8 @@ def test_a_negative_first_coordinate_reaches_the_cli_check(capsys, argv, value, 
 
 
 def test_the_count_path_builds_no_ambient_view(capsys, tmp_path, monkeypatch):
-    # count by each method, fit, and a count from a coefficient file, on fresh root data
+    # count by each method, fit, a count from a coefficient file and verify, on fresh
+    # root data
     from functools import lru_cache
     from alcoves import rootdata
     real = rootdata.RootSystemData._build_ambient
@@ -611,6 +612,11 @@ def test_the_count_path_builds_no_ambient_view(capsys, tmp_path, monkeypatch):
     assert run_cli(capsys, "fit", "--type", "B", "--rank", "3", "--out", str(out))[0] == 0
     code, payload = run_cli(capsys, *count, "geometric", "--coeffs", str(out))
     assert code == 0 and payload["count"] == 6720
+    assert built == []
+    # verify tests coroot-lattice membership by the integer dual matrix, not the view
+    code, payload = run_cli(capsys, "verify", "--type", "B", "--rank", "3", "--max-coord", "1",
+                            "--cache-dir", str(tmp_path / "cache"))
+    assert code == 0 and payload["ok"] and len(payload["rows"]) == 8
     assert built == []
     # rootdata reads the view, and builds it once
     assert run_cli(capsys, "rootdata", "--type", "B", "--rank", "3")[0] == 0

@@ -1,3 +1,4 @@
+import gc
 import itertools
 import json
 import math
@@ -7,14 +8,16 @@ from pathlib import Path
 import pytest
 
 import alcoves.coefficients as coefmod
+from alcoves import orbits, rootdata
 from alcoves.coefficients import fit_mu
 from alcoves.errors import BudgetExceededError
 from alcoves.linalg import QVector
-from alcoves.orbits import (MAX_FACE_VERTICES, _box_bounds, _graph, contains,
+from alcoves.orbits import (MAX_FACE_VERTICES, _box_bounds, contains,
                             enumerate_X, face, face_to_json, face_vertex_count,
                             interval_size_lattice, lattice_count, lattice_count_by_membership)
-from alcoves.rootdata import build_root_system, weyl_order
-from oracles import enumerate_X_by_box, enumerate_weyl_group, matrix_rank
+from alcoves.rootdata import RootSystemData, RootSystemId, build_root_system, weyl_order
+from oracles import enumerate_X_by_box, enumerate_X_by_walk, enumerate_weyl_group, matrix_rank
+from test_affine import E7_E8_PAIRS, E7_E8_SINGLES
 
 # The box scan costs about 1.5 us a cell, and F4 (3,3,3,3) alone has 3.8e7
 # cells, so the oracle runs where the box has at most this many.
@@ -158,7 +161,7 @@ def _level_cells(d, lam) -> int:
 
 
 def _check_walk(d, lam) -> None:
-    """|X| <= U <= box, with U = prod_j (floor(h / eta_j) + 1) exactly the walk's
+    """|X| <= U <= box, with U = prod_j (floor(h / eta_j) + 1) exactly the search's
     budget, and X equal to the box-scan oracle's list wherever the box is small."""
     U = _level_cells(d, lam)
     box = math.prod(b + 1 for b in _box_bounds(d, lam, math.inf))
@@ -191,17 +194,16 @@ def test_walk_matches_box_scan_on_sampled_coweights(name):
 @pytest.mark.parametrize("name", ["A1", "A2", "A3", "A4", "A5", "B2", "B3", "B4", "B5", "C2",
                                   "C3", "C4", "C5", "D3", "D4", "D5", "F4", "G2"])
 def test_shared_walk_matches_box_scan_in_either_order(name):
-    # every walk of a system shares one graph: each coweight is walked on a graph that
-    # the walks of the others have partly filled, from above or from below, and then on
-    # the full graph; lambda in {0,1,2}^n up to rank 3 and {0,1}^n above, where the box
-    # has at most 3 * ORACLE_CELLS cells (at least 7 coweights a system)
+    # no count leans on an earlier one: each coweight is searched after the others of its
+    # system, from above or from below, and then again; lambda in {0,1,2}^n up to rank 3
+    # and {0,1}^n above, where the box has at most 3 * ORACLE_CELLS cells (at least 7
+    # coweights a system)
     d = build_root_system(name)
     lams = [lam for lam in itertools.product(range(3 if d.rank <= 3 else 2), repeat=d.rank)
             if math.prod(b + 1 for b in _box_bounds(d, lam, math.inf)) <= 3 * ORACLE_CELLS]
     assert len(lams) > d.rank
     expected = {lam: enumerate_X_by_box(d, lam) for lam in lams}
     for order in (lams, lams[::-1]):
-        _graph.cache_clear()
         for lam in order:
             assert enumerate_X(d, lam) == expected[lam], (order is lams, lam)
         for lam in order:
@@ -221,23 +223,50 @@ def test_a_returned_list_is_the_callers_own():
 
 
 def test_the_budget_refuses_a_coweight_whose_nodes_are_all_cached():
+    # after a larger coweight, and lambda itself at cap U, have filled whatever a route
+    # keeps, the budget still refuses U - 1 on every route
     d = build_root_system("D4")
     lam = (1, 1, 1, 1)
-    enumerate_X(d, (2, 2, 2, 2))  # expands every node below (1, 1, 1, 1) too
     U = _level_cells(d, lam)
     for route in (enumerate_X, lattice_count, interval_size_lattice):
+        route(d, (2, 2, 2, 2))
+        route(d, lam, box_cap=U)
         with pytest.raises(BudgetExceededError):
             route(d, lam, box_cap=U - 1)
     assert enumerate_X(d, lam, box_cap=U) == enumerate_X_by_box(d, lam)
 
 
-@pytest.mark.parametrize("name,nodes", [("B4", 987), ("D4", 668)])
-def test_a_fit_expands_exactly_the_union_of_its_walks(monkeypatch, name, nodes):
-    # fit_mu counts 52 coweights on B4 and on D4, whose X_lambda hold 3573 and 1657
-    # coweights counted with repeats; their union, 987 and 668 coweights by the box-scan
-    # oracle (24 s and 3 s, too slow to rerun here), is what the shared graph must hold,
-    # each coweight expanded
-    d = build_root_system(name)
+def _library_state(d) -> int:
+    """The objects that the module-level containers and caches of `orbits` and `rootdata`
+    hold, and that d holds, counted once each; only dicts, lists, tuples and sets are
+    looked into, so another system's data counts as one object."""
+    todo = [vars(d)]
+    for module in (orbits, rootdata):
+        for value in vars(module).values():
+            if hasattr(value, "cache_info"):  # an lru_cache: its cache dict is a referent
+                todo += [r for r in gc.get_referents(value) if type(r) is dict]
+            elif isinstance(value, (dict, list, set)):
+                todo.append(value)
+    seen = set()
+    while todo:
+        obj = todo.pop()
+        if id(obj) not in seen:
+            seen.add(id(obj))
+            if isinstance(obj, dict):
+                todo += [*obj.keys(), *obj.values()]
+            elif isinstance(obj, (list, tuple, set, frozenset)):
+                todo += obj
+    return len(seen)
+
+
+@pytest.mark.parametrize("name", ["B4", "D4"])
+def test_a_fit_leaves_no_per_coweight_state(monkeypatch, name):
+    # the 52 counts of a fit once left a graph of every coweight they reached, 987 on B4
+    # and 668 on D4; now a fit, and larger counts after it, may add per system only B
+    # (n + 1 tuples, n^2 entries) and at most D residue keys and 2^n orbit sizes, each
+    # cache entry allowed n + 2 objects, and a few objects for the caches themselves
+    d = RootSystemData(RootSystemId(name[0], 4))  # fresh, so no cache holds it yet
+    n, D = d.rank, d.index_of_connection
     real = coefmod.interval_size_lattice
     asked = []
 
@@ -246,13 +275,56 @@ def test_a_fit_expands_exactly_the_union_of_its_walks(monkeypatch, name, nodes):
         return real(data, lam, box_cap)
 
     monkeypatch.setattr(coefmod, "interval_size_lattice", record)
-    _graph.cache_clear()
+    before = _library_state(d)
     fit_mu(d)
-    index, graph_nodes, children = _graph(d)
     assert len(asked) == 52
-    assert len(graph_nodes) == len(index) == nodes
-    assert set(graph_nodes) == set().union(*(enumerate_X(d, lam) for lam in asked))
-    assert None not in children
+    for lam in [(3, 3, 3, 3), (4, 0, 2, 1), (0, 5, 0, 3)]:
+        assert lattice_count(d, lam) == lattice_count(build_root_system(name), lam)
+    bound = (n + 1 + n * n) + (D + 2 ** n) * (n + 2) + 12
+    assert _library_state(d) - before <= bound < {"B4": 987, "D4": 668}[name]
+
+
+@pytest.mark.parametrize("name", ["A1", "A2", "A3", "A4", "B2", "B3", "B4", "C2", "C3", "C4",
+                                  "D3", "D4", "F4", "G2"])
+def test_walk_oracle_equals_box_oracle_on_small_ranks(name):
+    # the two lattice oracles on lambda in {0,1,2}^n up to rank 3 and {0,1}^4 at rank 4,
+    # where the box has at most 3 * ORACLE_CELLS cells (more than n coweights a system)
+    d = build_root_system(name)
+    lams = [lam for lam in itertools.product(range(3 if d.rank <= 3 else 2), repeat=d.rank)
+            if math.prod(b + 1 for b in _box_bounds(d, lam, math.inf)) <= 3 * ORACLE_CELLS]
+    assert len(lams) > d.rank
+    for lam in lams:
+        assert enumerate_X_by_walk(d, lam) == enumerate_X_by_box(d, lam), lam
+
+
+@pytest.mark.parametrize("name", ["A1", "A2", "A3", "A4", "A5", "B2", "B3", "B4", "B5", "C2",
+                                  "C3", "C4", "C5", "D3", "D4", "D5", "F4", "G2"])
+def test_search_equals_walk_oracle_up_to_rank_5(name):
+    # on all of {0,1,2}^n, where the box is mostly too large to scan
+    d = build_root_system(name)
+    for lam in itertools.product(range(3), repeat=d.rank):
+        assert enumerate_X(d, lam) == enumerate_X_by_walk(d, lam), lam
+
+
+@pytest.mark.parametrize("name,lam,count", [("E7", (2,) * 7, 35212801051),
+                                            ("E8", (1,) * 8, 487274378641)])
+def test_search_equals_walk_oracle_on_e7_e8(name, lam, count):
+    # the box holds 1.5e14 cells at E7 (2^7) and 1.6e17 at E8 (1^8): only the walk
+    # reaches here
+    d = build_root_system(name)
+    X = enumerate_X(d, lam, box_cap=10 ** 9)
+    assert X == enumerate_X_by_walk(d, lam)
+    assert lattice_count(d, lam, box_cap=10 ** 9) == count
+
+
+def test_search_equals_walk_oracle_on_the_e7_e8_coweights_bruhat_closes():
+    # every coweight of E7 and E8 that tests/test_affine.py checks against bruhat
+    lams = [(name, (i,)) for name, i, _ in E7_E8_SINGLES]
+    lams += [(name, (i, j)) for name, i, j, _ in E7_E8_PAIRS]
+    for name, S in lams:
+        d = build_root_system(name)
+        lam = tuple(int(k in S) for k in range(1, d.rank + 1))
+        assert enumerate_X(d, lam) == enumerate_X_by_walk(d, lam), (name, S)
 
 
 @pytest.mark.parametrize("workload,entry", [(w, e) for w, rows in REFERENCES.items() for e in rows],

@@ -327,8 +327,9 @@ J_ROUTES = {
     "volume_polynomial": volume_polynomial,
     "relative_volumes": lambda d, J: relative_volumes(d, (1, 1), J),
 }
-# the coroot walk climbs without end from a coweight of the wrong length, so a regression
-# there would hang the suite: those cases run in a subprocess below, under a timeout
+# a lattice route can run without end on a coweight of the wrong length (the coroot walk
+# once did), so a regression there would hang the suite: those cases run in a subprocess
+# below, under a timeout
 WALKS = ("enumerate_X", "lattice_count", "interval_size_lattice")
 
 

@@ -42,8 +42,13 @@ def _modules_imported(*argv):
             if line.startswith("import time:")}
 
 
+COUNT = ["-m", "alcoves.cli", "count", "--type", "B", "--rank", "3", "--lambda", "1,0,2",
+         "--method"]
+
+
 @pytest.mark.parametrize("argv", [["-c", "import alcoves.cli"],
-                                  ["-m", "alcoves.cli", "--version"]])
+                                  ["-m", "alcoves.cli", "--version"],
+                                  COUNT + ["lattice"], COUNT + ["bruhat"]])
 def test_a_query_process_imports_no_heavy_stdlib_module(argv):
     # against a bare interpreter, so a module that site hooks load counts for neither
     baseline = _modules_imported("-c", "pass")
