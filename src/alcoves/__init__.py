@@ -7,19 +7,18 @@ Three independent routes to |<= theta(lambda)|:
   * a face-volume formula with system-dependent geometric coefficients,
 
 plus the exact machinery the routes call, and no more: integer root data
-with an ambient Euclidean view built on first read, rational vectors and one
-bordering step that inverts the Cartan blocks, radical scalars for the
-lattice volumes that `rootdata` reports, volume polynomials, and
-hypersimplex Ehrhart polynomials.  The oracles that check these, a general
-Gauss-Jordan elimination among them, live with the tests.
+with an ambient Euclidean view built on first read from integers alone (tuples
+of Fractions, and (coeff, radicand) pairs for the lattice volumes that
+`rootdata` reports), one bordering step that inverts the Cartan blocks, volume
+polynomials, and hypersimplex Ehrhart polynomials.  The oracles that check
+these, a general Gauss-Jordan elimination, rational vectors and radical scalars
+among them, live with the tests.
 """
 
 __version__ = "0.1.0"
 
 from .errors import (AlcovesError, BudgetExceededError, FitVerificationError,
                      FormulaConsistencyError, WallPointError)
-from .linalg import QVector
-from .radicals import RadScalar
 from .mpoly import MPoly
 from .rootdata import (RootSystemData, RootSystemId, build_root_system,
                        dominant_representative, weyl_order)
@@ -34,7 +33,7 @@ from .coefficients import (GeometricCoefficients, evaluate_formula, fit_mu,
 __all__ = [
     "AlcovesError", "BudgetExceededError", "FaceDescriptor",
     "FitVerificationError", "FormulaConsistencyError", "GeometricCoefficients",
-    "MPoly", "QVector", "RadScalar", "RootSystemData", "RootSystemId",
+    "MPoly", "RootSystemData", "RootSystemId",
     "VolumePolynomial", "WallPointError",
     "build_root_system", "contains", "descents", "dominant_representative",
     "enumerate_X", "evaluate_formula", "face", "fit_mu",

@@ -191,6 +191,8 @@ def cmd_count(ns) -> int:
 
 def cmd_fit(ns) -> int:
     out = Path(ns.out)
+    if out.is_dir():
+        raise UsageError("--out %s is a directory" % out)
     if out.exists() and not ns.force:
         raise UsageError("refusing to overwrite %s (use --force)" % out)
     check_subset_cap(ns.system, ns.rank)

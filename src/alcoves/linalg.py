@@ -1,75 +1,17 @@
-"""Exact rational vectors and the one matrix routine, a bordering step.
+"""The one matrix routine, a bordering step, and the one rational format.
 
 Everything is built on ``fractions.Fraction``; no floating point enters any
-computation.  Vectors are immutable (tuple-backed) so they can be shared
-freely and used as dictionary keys.  The library inverts only Cartan blocks
-of finite type, which are positive definite up to a diagonal scaling, so
-bordering one index at a time needs no pivoting.
+computation.  The library inverts only Cartan blocks of finite type, which are
+positive definite up to a diagonal scaling, so bordering one index at a time
+needs no pivoting.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from operator import mul
-from typing import Iterable
 
 from .errors import AlcovesError
-
-
-def _frac(x) -> Fraction:
-    return x if isinstance(x, Fraction) else Fraction(x)
-
-
-class QVector:
-    """Immutable vector with exact rational entries."""
-
-    __slots__ = ("entries",)
-
-    def __init__(self, entries: Iterable):
-        object.__setattr__(self, "entries", tuple(_frac(x) for x in entries))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("QVector is immutable")
-
-    def __len__(self):
-        return len(self.entries)
-
-    def __getitem__(self, i):
-        return self.entries[i]
-
-    def __iter__(self):
-        return iter(self.entries)
-
-    def __eq__(self, other):
-        return isinstance(other, QVector) and self.entries == other.entries
-
-    def __hash__(self):
-        return hash(self.entries)
-
-    def __add__(self, other: "QVector") -> "QVector":
-        return QVector(a + b for a, b in zip(self.entries, other.entries, strict=True))
-
-    def __sub__(self, other: "QVector") -> "QVector":
-        return QVector(a - b for a, b in zip(self.entries, other.entries, strict=True))
-
-    def __neg__(self) -> "QVector":
-        return QVector(-a for a in self.entries)
-
-    def __mul__(self, scalar) -> "QVector":
-        s = _frac(scalar)
-        return QVector(a * s for a in self.entries)
-
-    __rmul__ = __mul__
-
-    def dot(self, other: "QVector") -> Fraction:
-        return sum((a * b for a, b in zip(self.entries, other.entries, strict=True)), Fraction(0))
-
-    @staticmethod
-    def zero(n: int) -> "QVector":
-        return QVector([0] * n)
-
-    def __repr__(self):
-        return "QVector(%s)" % (", ".join(str(a) for a in self.entries))
 
 
 def border(m, J, inv) -> tuple[list[list[Fraction]], Fraction]:
@@ -97,6 +39,6 @@ def border(m, J, inv) -> tuple[list[list[Fraction]], Fraction]:
 
 def rational_to_str(q: Fraction) -> str:
     """Serialize p/q with no precision loss ("3", "-2/7", ...)."""
-    q = _frac(q)
+    q = Fraction(q)
     return str(q.numerator) if q.denominator == 1 else "%d/%d" % (q.numerator, q.denominator)
 

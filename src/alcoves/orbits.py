@@ -28,7 +28,7 @@ from itertools import product
 from operator import mul, sub
 
 from .errors import BudgetExceededError
-from .linalg import QVector, rational_to_str
+from .linalg import rational_to_str
 from .rootdata import (RootSystemData, dominant_coords, dominant_coweight, simple_subset,
                        weyl_order)
 
@@ -130,8 +130,9 @@ def interval_size_lattice(data: RootSystemData, lam, box_cap: int = DEFAULT_BOX_
     return data.wf_order * lattice_count(data, lam, box_cap=box_cap)
 
 
-def contains(data: RootSystemData, lam, p: QVector) -> bool:
-    """Geometric membership of an ambient point p in Conv(W_f . lambda).
+def contains(data: RootSystemData, lam, p) -> bool:
+    """Geometric membership of an ambient point p, a sequence of ambient_dim
+    rationals, in Conv(W_f . lambda).
 
     p belongs to the orbit polytope iff its dominant representative p+
     satisfies lambda - p+ in the non-negative rational cone on the simple

@@ -9,11 +9,14 @@ transcription errors out of the downstream volume and coefficient work.  The
 count paths read integers only: the Cartan matrix, norms, positive roots and
 coroots (by root strings), marks, det C, |W_f| and, built on first read, the
 positive integer matrix B = det C (C^T)^-1 of the lattice search and the
-coroot-lattice test.  The ambient vectors, C^-1 and the lattice volumes that
-`rootdata` and `faces` read are built on first read too; the fundamental
-coweights are also kept as one integer matrix over a common denominator, so a
-point in coweight coordinates reaches the ambient space by one integer
-product.  Parabolic orders |W_J| come by a product over root heights.  The two
+coroot-lattice test.  The ambient view that `rootdata`, `faces` and the
+membership route read is built on first read too, from integers alone: each
+vector is an integer combination of the doubled simple roots over one
+denominator, returned as a tuple of Fractions, and each lattice volume is a
+canonical (coeff, radicand) pair for coeff * sqrt(radicand).  The fundamental
+coweights are also kept as one integer matrix over that denominator, so a point
+in coweight coordinates reaches the ambient space by one integer product.
+Parabolic orders |W_J| come by a product over root heights.  The two
 validators, `dominant_coweight` and `simple_subset`, decide for every module
 what a valid lambda and a valid J are.
 
@@ -33,8 +36,7 @@ from functools import cached_property, lru_cache
 from operator import index, mul
 
 from .errors import AlcovesError, BudgetExceededError
-from .linalg import QVector, border, rational_to_str
-from .radicals import RadScalar
+from .linalg import border, rational_to_str
 
 _RANK_RULES = {
     "A": lambda n: n >= 1,
@@ -160,6 +162,18 @@ def simple_subset(rank: int, J) -> tuple[int, ...]:
     return J
 
 
+def squarefree_decompose(n: int) -> tuple[int, int]:
+    """Write n > 0 as s^2 * d with d squarefree; returns (s, d)."""
+    if n <= 0:
+        raise ValueError("positive integer required")
+    s, f = 1, 2
+    while f * f <= n:  # a square p^2 left in n has p^2 <= n, so f reaches p
+        while n % (f * f) == 0:
+            n, s = n // (f * f), s * f
+        f += 1
+    return s, n
+
+
 def _exact_quotient(a, b) -> int:
     q, r = divmod(a, b)
     if r:
@@ -171,8 +185,7 @@ def _exact_quotient(a, b) -> int:
 # oracles, and built on the first read of any of these names
 _AMBIENT = frozenset({"simple_roots", "simple_coroots", "ambient_dim", "highest_root",
                       "fundamental_coweights", "fundamental_weights",
-                      "det_coweight_lattice", "alcove_volume", "_cartan_inv",
-                      "_coweight_matrix"})
+                      "det_coweight_lattice", "alcove_volume", "_coweight_matrix"})
 
 
 class RootSystemData:
@@ -261,55 +274,65 @@ class RootSystemData:
         return self.__dict__[name]
 
     def _build_ambient(self) -> None:
-        """Set every name in _AMBIENT, after checking it against the integer core."""
-        n = self.rank
-        roots = [QVector(Fraction(x, 2) for x in a) for a in self._twice_roots]
-        coroots = [a * Fraction(2, l) for a, l in zip(roots, self.simple_root_norms)]
-        if [[a.dot(av) for a in roots] for av in coroots] != [list(r) for r in self.cartan]:
-            raise AlcovesError("ambient Cartan matrix differs from the integer one")
+        """Set every name in _AMBIENT from integer combinations of T_k = 2 alpha_k.
+
+        With l_k = |alpha_k|^2, (D, B) = _dual, C^-1 = B^T / D and L = lcm(l):
+        alpha_k^v = T_k / l_k, D L w_i^v = sum_k B_ki (L / l_k) T_k,
+        2 D w_i = sum_k B_ik T_k and the highest root is sum_k m_k T_k / 2.  The
+        dualities (w_i^v, alpha_j) = (w_i, alpha_j^v) = delta_ij are checked first,
+        as (D L w_i^v, T_j) = 2 D L delta_ij and (2 D w_i, T_j) = 2 D l_j delta_ij.
+        """
+        n, twice, norms = self.rank, self._twice_roots, self.simple_root_norms
         D, B = self._dual
-        inv = [[Fraction(x, D) for x in col] for col in zip(*B)]  # C^-1 = B^T / D
-        zero = QVector.zero(len(roots[0]))
-        # w_i^v = sum_k (C^-1)_ik alpha_k^v and w_i = sum_k (C^-1)_ki alpha_k
-        coweights = [sum((inv[i][k] * coroots[k] for k in range(n)), zero) for i in range(n)]
-        weights = [sum((inv[k][i] * roots[k] for k in range(n)), zero) for i in range(n)]
+        L = math.lcm(*norms)
+
+        def combine(coeffs):  # sum_k coeffs_k T_k, an integer vector
+            return [sum(map(mul, coeffs, col)) for col in zip(*twice)]
+
+        def over(den, v):
+            return tuple(Fraction(x, den) for x in v)
+
+        coweights = [combine([B[k][i] * (L // norms[k]) for k in range(n)]) for i in range(n)]
+        weights = [combine(row) for row in B]
         for i in range(n):
-            for j in range(n):
-                if coweights[i].dot(roots[j]) != (1 if i == j else 0):
-                    raise AlcovesError("coweight duality failed")
-                if weights[i].dot(coroots[j]) != (1 if i == j else 0):
-                    raise AlcovesError("weight duality failed")
-        # den and the integer matrix den * (w_i^v)_a, one row per ambient coordinate a
-        den = math.lcm(*(x.denominator for w in coweights for x in w))
-        matrix = [[x.numerator * (den // x.denominator) for x in row] for row in zip(*coweights)]
-        # the coweights are C^-1 times the coroots, whose Gram matrix is
-        # diag(2/|alpha_i|^2) C^T: det Gram(w^v) = prod_i (2/|alpha_i|^2) / det C
-        det = RadScalar.sqrt(math.prod(Fraction(2, l) for l in self.simple_root_norms)
-                             / self.index_of_connection)
+            for j, t in enumerate(twice):
+                if (sum(map(mul, coweights[i], t)) != (i == j) * 2 * D * L
+                        or sum(map(mul, weights[i], t)) != (i == j) * 2 * D * norms[j]):
+                    raise AlcovesError("coweight or weight duality failed")
+        # the coweights are C^-1 times the coroots, whose Gram matrix is diag(2 / l) C^T:
+        # det Gram(w^v) = 2^n / q with q = D prod(l), so its root is sqrt(2^n q) / q
+        q = D * math.prod(norms)
+        s, radicand = squarefree_decompose(2 ** n * q)
         vars(self).update(
-            simple_roots=roots, simple_coroots=coroots, ambient_dim=len(zero),
-            highest_root=sum((m * a for m, a in zip(self.marks, roots)), zero),
-            fundamental_coweights=coweights, fundamental_weights=weights,
-            det_coweight_lattice=det,
-            alcove_volume=det / (math.factorial(n) * math.prod(self.marks)),
-            _cartan_inv=inv, _coweight_matrix=(den, matrix))
+            simple_roots=[over(2, t) for t in twice],
+            simple_coroots=[over(l, t) for t, l in zip(twice, norms)],
+            ambient_dim=len(twice[0]), highest_root=over(2, combine(self.marks)),
+            fundamental_coweights=[over(D * L, w) for w in coweights],
+            fundamental_weights=[over(2 * D, w) for w in weights],
+            det_coweight_lattice=(Fraction(s, q), radicand),
+            alcove_volume=(Fraction(s, q * math.factorial(n) * math.prod(self.marks)), radicand),
+            _coweight_matrix=(D * L, [list(row) for row in zip(*coweights)]))
 
     # -- coordinates -----------------------------------------------------------
 
-    def coweight_coords(self, v: QVector) -> tuple[Fraction, ...]:
-        """Coordinates of v (in span Phi) on the fundamental coweight basis."""
-        coords = tuple(v.dot(a) for a in self.simple_roots)
+    def coweight_coords(self, v) -> tuple[Fraction, ...]:
+        """Coordinates (v, alpha_i) of an ambient vector v in span Phi, any sequence of
+        ambient_dim rationals, on the fundamental coweight basis."""
+        v = tuple(map(Fraction, v))
+        if len(v) != self.ambient_dim:
+            raise ValueError("expected %d ambient coordinates" % self.ambient_dim)
+        coords = tuple(sum(map(mul, v, t)) / 2 for t in self._twice_roots)
         if self.ambient_from_coweight(coords) != v:
             raise ValueError("vector is not in the span of the root system")
         return coords
 
-    def ambient_from_coweight(self, coords) -> QVector:
+    def ambient_from_coweight(self, coords) -> tuple[Fraction, ...]:
         """sum_i coords_i w_i^v: one integer (or, for Fraction coords, rational)
         product with the coweight matrix, then one division per entry."""
         den, matrix = self._coweight_matrix
         if len(coords) != self.rank:
             raise ValueError("expected %d coweight coordinates" % self.rank)
-        return QVector(Fraction(sum(map(mul, coords, row)), den) for row in matrix)
+        return tuple(Fraction(sum(map(mul, coords, row)), den) for row in matrix)
 
     def coroot_coords_from_coweight(self, coords) -> tuple[Fraction, ...]:
         """Rewrite coweight-basis coordinates on the simple-coroot basis: B coords / D."""
@@ -324,6 +347,9 @@ class RootSystemData:
     def to_json(self) -> dict:
         def vec(v):
             return [rational_to_str(x) for x in v]
+
+        def root(pair):  # coeff * sqrt(radicand)
+            return {"coeff": rational_to_str(pair[0]), "radicand": str(pair[1])}
         return {
             "schema": 1,
             "system": str(self.id),
@@ -339,8 +365,8 @@ class RootSystemData:
             "minuscule": sorted(self.minuscule_set),
             "index_of_connection": self.index_of_connection,
             "weyl_order": self.wf_order,
-            "det_coweight_lattice": self.det_coweight_lattice.to_json(),
-            "alcove_volume": self.alcove_volume.to_json(),
+            "det_coweight_lattice": root(self.det_coweight_lattice),
+            "alcove_volume": root(self.alcove_volume),
         }
 
     def __repr__(self):
@@ -411,8 +437,8 @@ def dominant_coords(data: RootSystemData, coords) -> tuple[tuple[Fraction, ...],
             return tuple(c), word
 
 
-def dominant_representative(data: RootSystemData, v: QVector) -> tuple[QVector, list[int]]:
-    """W_f-dominant representative of an ambient vector in span(Phi)."""
+def dominant_representative(data: RootSystemData, v) -> tuple[tuple[Fraction, ...], list[int]]:
+    """W_f-dominant representative of an ambient vector in span(Phi), plus the word."""
     coords = data.coweight_coords(v)
     plus, word = dominant_coords(data, coords)
     return data.ambient_from_coweight(plus), word

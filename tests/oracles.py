@@ -17,11 +17,15 @@ Cartan-matrix volume constants.  The element oracle keeps W_a as n x n
 integer matrices with translations, multiplies them out, and finds lengths,
 descents and lower intervals from them, against the library's alcove points.
 
-The rest are reference routes and values that no command reads: a general
-pivoting Gauss-Jordan elimination (det, rank, inverse and solve over row
-lists), against which the library's bordering step and face dimensions are
-checked, Gram determinants, radical reciprocals and squares,
-polynomial degree tests, Euclidean face volumes and coefficients, the type-A
+The ambient view by Fraction arithmetic, with C^-1 by Gauss-Jordan, checks
+the library's integer combinations of the doubled simple roots.
+
+The rest are reference routes and values that no command reads: two
+reference types, rational vectors (`QVector`) and exact scalars q * sqrt(d)
+(`RadScalar`), a general pivoting Gauss-Jordan elimination (det, rank,
+inverse and solve over row lists), against which the library's bordering step
+and face dimensions are checked, Gram determinants, radical reciprocals and
+squares, polynomial degree tests, Euclidean face volumes and coefficients, the type-A
 coefficient pipeline from hypersimplex Ehrhart polynomials, and the root data
 derived from the ambient vectors, against which the integer core is checked.
 """
@@ -35,13 +39,123 @@ from operator import mul, sub
 from alcoves.affine import DEFAULT_INTERVAL_CAP, _context as _alcove_context, _fold
 from alcoves.coefficients import GeometricCoefficients, _stirling1_row, hypersimplex_ehrhart
 from alcoves.errors import AlcovesError, BudgetExceededError, FormulaConsistencyError
-from alcoves.linalg import QVector
 from alcoves.mpoly import MPoly
 from alcoves.orbits import DEFAULT_BOX_CAP, _box_bounds, face
-from alcoves.radicals import RadScalar, squarefree_decompose
 from alcoves.rootdata import (RootSystemData, _exact_quotient, build_root_system,
-                              dominant_coords, dominant_coweight, simple_subset, weyl_order)
+                              dominant_coords, dominant_coweight, simple_subset,
+                              squarefree_decompose, weyl_order)
 from alcoves.volumes import face_gram, indicator, relative_volumes, subsets, support_difference
+
+
+# -- reference types: rational vectors and radical scalars ----------------------
+
+class QVector:
+    """Immutable vector with exact rational entries.  It equals, and hashes as, the
+    tuple of its entries, so it compares directly with the library's ambient tuples;
+    arithmetic takes any sequence of the same length on the right."""
+
+    __slots__ = ("entries",)
+
+    def __init__(self, entries):
+        object.__setattr__(self, "entries", tuple(Fraction(x) for x in entries))
+
+    def __setattr__(self, name, value):
+        raise AttributeError("QVector is immutable")
+
+    def __len__(self):
+        return len(self.entries)
+
+    def __getitem__(self, i):
+        return self.entries[i]
+
+    def __iter__(self):
+        return iter(self.entries)
+
+    def __eq__(self, other):
+        if isinstance(other, (QVector, tuple)):
+            return self.entries == tuple(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self.entries)
+
+    def __add__(self, other) -> "QVector":
+        return QVector(a + b for a, b in zip(self.entries, other, strict=True))
+
+    def __sub__(self, other) -> "QVector":
+        return QVector(a - b for a, b in zip(self.entries, other, strict=True))
+
+    def __neg__(self) -> "QVector":
+        return QVector(-a for a in self.entries)
+
+    def __mul__(self, scalar) -> "QVector":
+        s = Fraction(scalar)
+        return QVector(a * s for a in self.entries)
+
+    __rmul__ = __mul__
+
+    def dot(self, other) -> Fraction:
+        return sum((a * b for a, b in zip(self.entries, other, strict=True)), Fraction(0))
+
+    @staticmethod
+    def zero(n: int) -> "QVector":
+        return QVector([0] * n)
+
+    def __repr__(self):
+        return "QVector(%s)" % (", ".join(str(a) for a in self.entries))
+
+
+class RadScalar:
+    """Exact value coeff * sqrt(radicand) in canonical form: the radicand is a positive
+    squarefree integer (every square factor, the denominator's too, is absorbed into
+    the coefficient) and 0 is (0, 1), so two RadScalars are equal exactly when their
+    pairs are.  RadScalar(*pair) reads a library (coeff, radicand) pair."""
+
+    __slots__ = ("coeff", "radicand")
+
+    def __init__(self, coeff, radicand=1):
+        coeff = Fraction(coeff)
+        radicand = Fraction(radicand)
+        if radicand <= 0:
+            raise ValueError("radicand must be positive")
+        if coeff == 0:
+            rad = 1
+        else:  # sqrt(p/q) = sqrt(p q) / q
+            s, rad = squarefree_decompose(radicand.numerator * radicand.denominator)
+            coeff *= Fraction(s, radicand.denominator)
+        object.__setattr__(self, "coeff", coeff)
+        object.__setattr__(self, "radicand", rad)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("RadScalar is immutable")
+
+    @staticmethod
+    def sqrt(q) -> "RadScalar":
+        """Exact square root of a positive rational."""
+        return RadScalar(1, Fraction(q))
+
+    def __mul__(self, other) -> "RadScalar":
+        if isinstance(other, RadScalar):
+            return RadScalar(self.coeff * other.coeff, self.radicand * other.radicand)
+        return RadScalar(self.coeff * Fraction(other), self.radicand)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other) -> "RadScalar":
+        return RadScalar(self.coeff / Fraction(other), self.radicand)
+
+    def __eq__(self, other):
+        if isinstance(other, RadScalar):
+            return self.coeff == other.coeff and self.radicand == other.radicand
+        return self.radicand == 1 and self.coeff == other
+
+    def __hash__(self):
+        return hash((self.coeff, self.radicand))
+
+    def __repr__(self):
+        if self.radicand == 1:
+            return "RadScalar(%s)" % self.coeff
+        return "RadScalar(%s*sqrt(%d))" % (self.coeff, self.radicand)
 
 
 # -- exact linear algebra and radicals ----------------------------------------
@@ -123,7 +237,7 @@ def gram_det(vectors) -> Fraction:
     squared lattice determinant of a basis.  Linearly dependent input is rejected."""
     if not vectors:
         return Fraction(1)
-    d = matrix_det([[u.dot(v) for v in vectors] for u in vectors])
+    d = matrix_det([[QVector(u).dot(v) for v in vectors] for u in vectors])
     if d == 0:
         raise DegenerateBasisError("degenerate basis")
     return d
@@ -171,7 +285,7 @@ def variables_used(p: MPoly) -> frozenset:
 def ambient_core(data) -> dict:
     """The integer core as the ambient model derives it: Fraction dot products of
     the simple roots and coroots, and the positive roots by reflection closure."""
-    roots, coroots = data.simple_roots, data.simple_coroots
+    roots, coroots = [QVector(a) for a in data.simple_roots], data.simple_coroots
     cartan = tuple(tuple(a.dot(av) for a in roots) for av in coroots)
     closure = generate_positive_roots(data)
     marks = closure[-1][0]
@@ -190,6 +304,34 @@ def ambient_core(data) -> dict:
         "marks": marks,
         "det": det,
         "wf_order": factorial(data.rank) * prod(marks) * det,
+    }
+
+
+def ambient_by_fractions(data) -> dict:
+    """The ambient view by Fraction arithmetic on QVectors, keyed by the library's
+    names: alpha_k from the doubled simple roots, alpha_k^v = 2 alpha_k / (alpha_k,
+    alpha_k), C^-1 of the ambient Cartan matrix by Gauss-Jordan,
+    w_i^v = sum_k (C^-1)_ik alpha_k^v and w_i = sum_k (C^-1)_ki alpha_k, each duality
+    checked, and the lattice volumes as RadScalars: det Q^v-dual = sqrt(det Gram(w^v))
+    and vol(A_id) = that / (n! prod marks)."""
+    n = data.rank
+    roots = [QVector(Fraction(x, 2) for x in a) for a in data._twice_roots]
+    coroots = [a * (2 / a.dot(a)) for a in roots]
+    inv = matrix_inverse([[a.dot(av) for a in roots] for av in coroots])
+    zero = QVector.zero(len(roots[0]))
+    coweights = [sum((inv[i][k] * coroots[k] for k in range(n)), zero) for i in range(n)]
+    weights = [sum((inv[k][i] * roots[k] for k in range(n)), zero) for i in range(n)]
+    for i in range(n):
+        for j in range(n):
+            if coweights[i].dot(roots[j]) != (i == j) or weights[i].dot(coroots[j]) != (i == j):
+                raise AlcovesError("duality failed")
+    det = RadScalar.sqrt(gram_det(coweights))
+    return {
+        "simple_roots": roots, "simple_coroots": coroots, "ambient_dim": len(zero),
+        "highest_root": sum((m * a for m, a in zip(data.marks, roots)), zero),
+        "fundamental_coweights": coweights, "fundamental_weights": weights,
+        "det_coweight_lattice": det,
+        "alcove_volume": det / (factorial(n) * prod(data.marks)),
     }
 
 
@@ -257,7 +399,7 @@ def mixed_basis_nu(data: RootSystemData, J) -> dict[int, tuple[QVector, Fraction
     for pos, j in enumerate(J):
         nu = QVector.zero(data.ambient_dim)
         for row, k in zip(inv, J):
-            nu = nu + row[pos] * data.simple_roots[k - 1]
+            nu = nu + row[pos] * QVector(data.simple_roots[k - 1])
         out[j] = (nu, nu.dot(nu))
     return out
 
@@ -534,9 +676,10 @@ def orbit_face_euclidean_volume(data, J, lam) -> RadScalar:
     if k == 0:
         return RadScalar(1)
     vertices = face(data, lam, J).vertex_set  # the W_J-orbit of lambda
-    roots = [data.simple_roots[j - 1] for j in J]
+    roots = [QVector(data.simple_roots[j - 1]) for j in J]
     g = [[u.dot(v) for v in roots] for u in roots]
-    coords = [tuple(solve_linear(g, [(v - vertices[0]).dot(u) for u in roots])) for v in vertices]
+    coords = [tuple(solve_linear(g, [(QVector(v) - vertices[0]).dot(u) for u in roots]))
+              for v in vertices]
     if k == 1:
         xs = [c[0] for c in coords]
         rel = max(xs) - min(xs)
@@ -823,7 +966,7 @@ def squarefree_coefficient(data: RootSystemData, J) -> RadScalar:
 
 def mu_full(data: RootSystemData) -> RadScalar:
     """mu of the full polytope: 1 / vol(A_id), exact."""
-    return reciprocal(data.alcove_volume)
+    return reciprocal(RadScalar(*data.alcove_volume))
 
 
 def mu_euclidean(coeffs: GeometricCoefficients, data: RootSystemData, J) -> RadScalar:

@@ -18,13 +18,13 @@ from alcoves.coefficients import fit_mu, hypersimplex_dilation_count, hypersimpl
 from alcoves.errors import BudgetExceededError
 from alcoves.mpoly import MPoly
 from alcoves.orbits import interval_size_lattice, lattice_count
-from alcoves.radicals import RadScalar
 from alcoves.rootdata import build_root_system
 from alcoves.volumes import volume_polynomial
 
-from oracles import (diagram_components, element, element_from_point, enumerate_weyl_group,
-                     gram_det, is_homogeneous, is_rational, mu_full, reciprocal, square,
-                     squarefree_coefficient, stirling1, type_a_connected_mu, variables_used)
+from oracles import (RadScalar, diagram_components, element, element_from_point,
+                     enumerate_weyl_group, gram_det, is_homogeneous, is_rational, mu_full,
+                     reciprocal, square, squarefree_coefficient, stirling1, type_a_connected_mu,
+                     variables_used)
 
 OK = "ACCEPTANCE %s PASS: %s"
 
@@ -89,7 +89,7 @@ def test_criterion_3_longest_coefficient_closed_forms():
                  "E6", "E7", "E8", "F4", "G2"]:
         data = build_root_system(name)
         det_coroot = RadScalar.sqrt(gram_det(data.simple_coroots))
-        ratio = det_coroot * reciprocal(data.det_coweight_lattice)
+        ratio = det_coroot * reciprocal(RadScalar(*data.det_coweight_lattice))
         assert ratio == RadScalar(data.index_of_connection), name
     print(OK % (3, "1/vol(A_id) squares match the closed forms for A1-A4, B2, C3, "
                 "D4, E6, E7, E8, F4, G2, all derived from plate data"))

@@ -16,7 +16,7 @@ from alcoves.errors import BudgetExceededError, WallPointError
 from alcoves.orbits import interval_size_lattice, lattice_count
 from alcoves.rootdata import _RANK_RULES, build_root_system
 
-from oracles import (AffineElement, alcove_point, element, element_from_point,
+from oracles import (AffineElement, QVector, alcove_point, element, element_from_point,
                      enumerate_weyl_group, inverse, length, longest_finite_element,
                      lower_interval_elements, simple_reflection)
 from oracles import descents as oracle_descents
@@ -81,7 +81,7 @@ def test_element_from_point_identity_and_s1():
 def test_element_from_point_accepts_ambient_vector():
     d = build_root_system("A2")
     w, word = theta(d, (1, 1))
-    ambient = d.ambient_from_coweight(element(d, word).apply(_interior_point(d)))
+    ambient = QVector(d.ambient_from_coweight(element(d, word).apply(_interior_point(d))))
     w2, word2 = element_from_point(d, ambient)
     assert w2 == w and len(word2) == 7
 

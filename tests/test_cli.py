@@ -84,8 +84,7 @@ def test_fit_g2_values(capsys, tmp_path):
     assert obj["mu_prime"]["1,2"] == "12"
     # mu_{1,2} = mu' / sqrt(gram) = 12 / sqrt(1/3) = 12*sqrt(3); square check 432
     from fractions import Fraction
-    from alcoves.radicals import RadScalar
-    from oracles import reciprocal, square
+    from oracles import RadScalar, reciprocal, square
     mu = RadScalar(Fraction(obj["mu_prime"]["1,2"])) * \
         reciprocal(RadScalar.sqrt(Fraction(obj["gram"]["1,2"])))
     assert square(mu) == 432
@@ -107,6 +106,22 @@ def test_fit_refuses_overwrite(capsys, tmp_path):
     code, _ = run_cli(capsys, "fit", "--type", "A", "--rank", "1",
                       "--out", str(out), "--force")
     assert code == 0
+
+
+@pytest.mark.parametrize("force", [[], ["--force"]])
+def test_fit_refuses_a_directory_before_it_fits(capsys, tmp_path, monkeypatch, force):
+    import alcoves.cli as climod
+
+    def no_fit(*args, **kwargs):
+        raise AssertionError("fit_mu ran before --out was checked")
+
+    monkeypatch.setattr(climod, "fit_mu", no_fit)
+    out = tmp_path / "out"
+    out.mkdir()
+    code, payload = run_cli(capsys, "fit", "--type", "E", "--rank", "6", "--out", str(out), *force)
+    assert code == 1 and payload["error"] == {"type": "usage",
+                                              "message": "--out %s is a directory" % out}
+    assert list(tmp_path.rglob("*")) == [out]
 
 
 def test_verify_a2(capsys, tmp_path, monkeypatch):

@@ -9,12 +9,11 @@ from alcoves.coefficients import (GeometricCoefficients, check_coefficients, eva
 from alcoves.errors import (BudgetExceededError, FitVerificationError,
                             FormulaConsistencyError)
 from alcoves.orbits import interval_size_lattice
-from alcoves.radicals import RadScalar
 from alcoves.rootdata import _RANK_RULES, build_root_system
 from alcoves.mpoly import MPoly
 from alcoves.volumes import face_gram, volume_polynomial
-from oracles import (eulerian, homogeneous_part, is_rational, mpoly_interpolate, mu_euclidean,
-                     mu_full, square, stirling1, type_a_connected_mu)
+from oracles import (RadScalar, eulerian, homogeneous_part, is_rational, mpoly_interpolate,
+                     mu_euclidean, mu_full, square, stirling1, type_a_connected_mu)
 
 
 def test_stirling_numbers():

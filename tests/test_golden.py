@@ -7,11 +7,16 @@
   * `weyl_order(data, J)` for every J on every system of `rootdata`,
   * the stdout of `alcoves faces` for every J and four lambda, some with zero
     coordinates, on a set of small systems.
-The digests were taken from the ambient reflection-closure root data, the
-`MPoly` pyramid recursion, the Dynkin-classification table of `|W_J|` and,
-for `faces`, dimensions by a Gauss-Jordan rank.  The fit digests of F4, D5
-and E6 were taken from a fit that walked each coweight's X_lambda afresh and
-ran the volume recursion in Fractions, before either was shared or scaled.
+The digests were taken from the ambient reflection-closure root data, with
+QVector and RadScalar arithmetic in the library, the `MPoly` pyramid
+recursion, the Dynkin-classification table of `|W_J|` and, for `faces`,
+dimensions by a Gauss-Jordan rank.  The fit digests of F4, D5 and E6 were
+taken from a fit that walked each coweight's X_lambda afresh and ran the
+volume recursion in Fractions, before either was shared or scaled.
+The library now builds the `rootdata` and `faces` vectors as integer
+combinations of the doubled simple roots and the volumes as (coeff, radicand)
+pairs; beyond rank 8, `test_rootdata.py` checks that view against the Fraction
+derivation in `tests/oracles.py` up to rank 12.
 The tests regenerate every output and compare, so any later change to these
 bytes has to be deliberate.  To print the digests of the code on the path:
 

@@ -7,9 +7,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from alcoves.errors import AlcovesError
-from alcoves.linalg import QVector, border, rational_to_str
+from alcoves.linalg import border, rational_to_str
 
-from oracles import (DegenerateBasisError, SingularSystemError, gram_det, matrix_det,
+from oracles import (DegenerateBasisError, QVector, SingularSystemError, gram_det, matrix_det,
                      matrix_inverse, matrix_rank, matvec, solve_linear)
 
 rationals = st.fractions(min_value=-10**6, max_value=10**6, max_denominator=10**4)

@@ -2,9 +2,9 @@ from fractions import Fraction
 
 from hypothesis import given, strategies as st
 
-from alcoves.radicals import RadScalar, squarefree_decompose
+from alcoves.rootdata import squarefree_decompose
 
-from oracles import is_rational, reciprocal, sqrt_decompose, square
+from oracles import RadScalar, is_rational, reciprocal, sqrt_decompose, square
 
 
 def test_sqrt2_times_sqrt2():

@@ -16,20 +16,20 @@ from alcoves import (contains, enumerate_X, evaluate_formula, face, fit_mu,
                      lattice_count_by_membership, relative_volumes, sigma_reflection, theta,
                      volume_polynomial)
 from alcoves.errors import AlcovesError, BudgetExceededError
-from alcoves.linalg import QVector
 from alcoves.orbits import face_to_json
-from alcoves.radicals import RadScalar
 from alcoves.rootdata import (MAX_RANK, RootSystemData, RootSystemId, build_root_system,
                               dominant_representative, weyl_order)
 from alcoves.volumes import _pyramid_table, face_gram
 
-from oracles import (AffineElement, ambient_core, generate_positive_roots, gram_det, length,
-                     longest_finite_element, matrix_inverse, simple_reflection)
+from oracles import (AffineElement, QVector, RadScalar, ambient_by_fractions, ambient_core,
+                     generate_positive_roots, gram_det, length, longest_finite_element,
+                     matrix_inverse, simple_reflection)
 
 ALL_SMALL = ["A1", "A2", "A3", "A4", "B2", "B3", "B4", "C3", "D3", "D4", "G2", "F4", "E6"]
 UP_TO_RANK_8 = (["A%d" % n for n in range(1, 9)] + ["B%d" % n for n in range(2, 9)]
                 + ["C%d" % n for n in range(2, 9)] + ["D%d" % n for n in range(3, 9)]
                 + ["E6", "E7", "E8", "F4", "G2"])
+RANKS_9_TO_12 = ["%s%d" % (family, n) for family in "ABCD" for n in range(9, 13)]
 
 
 def test_id_validation():
@@ -75,15 +75,17 @@ def test_a2_constants():
 def test_g2_constants():
     d = build_root_system("G2")
     assert math.prod(d.marks) == 6
-    assert d.det_coweight_lattice == RadScalar(1, Fraction(1, 3))   # 1/sqrt(3)
-    assert d.alcove_volume == RadScalar(Fraction(1, 12), Fraction(1, 3))  # 1/(12 sqrt 3)
+    assert RadScalar(*d.det_coweight_lattice) == RadScalar(1, Fraction(1, 3))  # 1/sqrt(3)
+    # 1/(12 sqrt 3), as the canonical pair (1/36, 3)
+    assert RadScalar(*d.alcove_volume) == RadScalar(Fraction(1, 12), Fraction(1, 3))
+    assert d.alcove_volume == (Fraction(1, 36), 3)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_an_alcove_volume(n):
     d = build_root_system("A", n)
     expected = RadScalar.sqrt(n + 1) / math.factorial(n + 1)
-    assert d.alcove_volume == expected
+    assert RadScalar(*d.alcove_volume) == expected
 
 
 def test_weyl_order_examples():
@@ -168,7 +170,27 @@ def test_root_strings_equal_the_reflection_closure(name):
 @pytest.mark.parametrize("name", UP_TO_RANK_8)
 def test_det_coweight_lattice_equals_ambient_gram(name):
     d = build_root_system(name)
-    assert d.det_coweight_lattice == RadScalar.sqrt(gram_det(d.fundamental_coweights))
+    assert RadScalar(*d.det_coweight_lattice) == RadScalar.sqrt(gram_det(d.fundamental_coweights))
+
+
+@pytest.mark.parametrize("name", UP_TO_RANK_8 + RANKS_9_TO_12)
+def test_integer_ambient_view_equals_the_fraction_derivation(name):
+    # every ambient vector as a tuple of Fractions, and both lattice volumes as canonical
+    # (coeff, radicand) pairs, against QVector arithmetic with C^-1 by Gauss-Jordan
+    d = build_root_system(name)
+    oracle = ambient_by_fractions(d)
+    assert d.ambient_dim == oracle["ambient_dim"]
+    for key in ["simple_roots", "simple_coroots", "fundamental_coweights",
+                "fundamental_weights"]:
+        assert getattr(d, key) == oracle[key], key
+    assert d.highest_root == oracle["highest_root"]
+    vectors = [d.highest_root] + d.simple_roots + d.simple_coroots + d.fundamental_coweights
+    assert all(type(v) is tuple and len(v) == d.ambient_dim for v in vectors)
+    assert all(type(x) is Fraction for v in vectors + d.fundamental_weights for x in v)
+    for key in ["det_coweight_lattice", "alcove_volume"]:
+        pair = getattr(d, key)
+        assert RadScalar(*pair) == oracle[key], key
+        assert pair == (oracle[key].coeff, oracle[key].radicand) and type(pair[1]) is int, key
 
 
 @pytest.mark.parametrize("name", UP_TO_RANK_8 + ["A24", "B24", "D24"])
@@ -188,13 +210,14 @@ def test_integer_core_equals_the_ambient_derivation(name):
 
 @pytest.mark.parametrize("name", UP_TO_RANK_8)
 def test_bordered_inverses_equal_the_oracle(name):
-    # C_J^-1 of the pyramid table for every J, and the ambient C^-1, against Gauss-Jordan
+    # C_J^-1 of the pyramid table for every J, and C^-1 = B^T / D, against Gauss-Jordan
     d = build_root_system(name)
     table = _pyramid_table(d, tuple(range(1, d.rank + 1)))
     assert len(table) == 2 ** d.rank
     for J, (_, _, inv, _, _) in table.items():
         assert inv == matrix_inverse([[d.cartan[i - 1][k - 1] for k in J] for i in J]), J
-    assert d._cartan_inv == matrix_inverse(d.cartan)
+    D, B = d._dual
+    assert [[Fraction(x, D) for x in col] for col in zip(*B)] == matrix_inverse(d.cartan)
 
 
 def test_the_ambient_view_is_built_once_on_first_read(monkeypatch):
@@ -208,7 +231,7 @@ def test_the_ambient_view_is_built_once_on_first_read(monkeypatch):
 
     monkeypatch.setattr(RootSystemData, "_build_ambient", record)
     assert d.wf_order == 12 and calls == []
-    assert d.to_json()["ambient_dim"] == 3 and d.simple_roots and d._cartan_inv
+    assert d.to_json()["ambient_dim"] == 3 and d.simple_roots and d._coweight_matrix
     assert calls == [d]
     with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
         d.no_such_name
@@ -244,22 +267,22 @@ def test_cartan_shape(name):
 
 def test_dominant_representative_examples():
     a2 = build_root_system("A2")
-    rho = a2.fundamental_coweights[0] + a2.fundamental_coweights[1]
+    rho = QVector(a2.fundamental_coweights[0]) + a2.fundamental_coweights[1]
     v, word = dominant_representative(a2, rho)
     assert v == rho and word == []
     # s1(rho) comes back to rho with one reflection
-    s1rho = rho - rho.dot(a2.simple_roots[0]) * a2.simple_coroots[0]
+    s1rho = rho - rho.dot(a2.simple_roots[0]) * QVector(a2.simple_coroots[0])
     v, word = dominant_representative(a2, s1rho)
     assert v == rho and word == [1]
     a1 = build_root_system("A1")
-    w1 = a1.fundamental_coweights[0]
+    w1 = QVector(a1.fundamental_coweights[0])
     v, word = dominant_representative(a1, -1 * w1)
     assert v == w1 and word == [1]
 
 
 def test_dominant_representative_idempotent_and_invariant():
     a2 = build_root_system("A2")
-    v0 = 2 * a2.fundamental_coweights[0] + 1 * a2.fundamental_coweights[1]
+    v0 = 2 * QVector(a2.fundamental_coweights[0]) + 1 * QVector(a2.fundamental_coweights[1])
     plus, _ = dominant_representative(a2, v0)
     assert plus == v0
     # every W_f image maps to the same representative
@@ -268,7 +291,7 @@ def test_dominant_representative_idempotent_and_invariant():
         nxt = []
         for v in images:
             for a, av in zip(a2.simple_roots, a2.simple_coroots):
-                nxt.append(v - v.dot(a) * av)
+                nxt.append(v - v.dot(a) * QVector(av))
         images.extend(nxt)
     for v in images:
         got, _ = dominant_representative(a2, v)
@@ -277,10 +300,10 @@ def test_dominant_representative_idempotent_and_invariant():
 
 def test_stabilizer_matches_vanishing_set():
     a3 = build_root_system("A3")
-    lam = 2 * a3.fundamental_coweights[0] + 0 * a3.fundamental_coweights[1] \
-        + 1 * a3.fundamental_coweights[2]
+    w = [QVector(v) for v in a3.fundamental_coweights]
+    lam = 2 * w[0] + 0 * w[1] + 1 * w[2]
     for i in range(3):
-        s_lam = lam - lam.dot(a3.simple_roots[i]) * a3.simple_coroots[i]
+        s_lam = lam - lam.dot(a3.simple_roots[i]) * QVector(a3.simple_coroots[i])
         fixed = s_lam == lam
         assert fixed == (lam.dot(a3.simple_roots[i]) == 0)
 
@@ -289,6 +312,23 @@ def test_vector_outside_span_rejected():
     a2 = build_root_system("A2")
     with pytest.raises(ValueError):
         dominant_representative(a2, QVector([1, 0, 0]))  # nonzero coordinate sum
+
+
+@pytest.mark.parametrize("name", ["A2", "B3", "G2", "E6"])
+def test_ambient_entry_points_take_any_sequence_of_the_right_length(name):
+    d = build_root_system(name)
+    inside = d.ambient_from_coweight([(-1) ** i * (i + 1) for i in range(d.rank)])
+    outside = d.ambient_from_coweight([5 * d.rank] * d.rank)
+    lam = (2,) * d.rank
+    assert contains(d, lam, inside) and not contains(d, lam, outside)
+    for v in [inside, outside]:
+        for route in [d.coweight_coords, lambda p: dominant_representative(d, p),
+                      lambda p: contains(d, lam, p)]:
+            assert route(list(v)) == route(tuple(v)) == route(QVector(v))
+            for wrong in [v[:-1], v + (Fraction(0),)]:
+                for seq in [wrong, list(wrong)]:
+                    with pytest.raises(ValueError, match="expected %d ambient" % d.ambient_dim):
+                        route(seq)
 
 
 def test_rootdata_json():
@@ -375,7 +415,7 @@ def test_ambient_from_coweight_equals_the_sum_of_coweights(name):
     for coords in [(1,) * d.rank, tuple(range(d.rank)), tuple(Fraction(i, 3) for i in range(d.rank))]:
         expected = QVector.zero(d.ambient_dim)
         for c, w in zip(coords, d.fundamental_coweights):
-            expected = expected + c * w
+            expected = expected + c * QVector(w)
         assert d.ambient_from_coweight(coords) == expected
     with pytest.raises(ValueError):
         d.ambient_from_coweight((1,) * (d.rank + 1))
