@@ -9,10 +9,11 @@ Three independent routes to |<= theta(lambda)|:
 plus the exact machinery the routes call, and no more: integer root data
 with an ambient Euclidean view built on first read from integers alone (tuples
 of Fractions, and (coeff, radicand) pairs for the lattice volumes that
-`rootdata` reports), one bordering step that inverts the Cartan blocks, volume
-polynomials, and hypersimplex Ehrhart polynomials.  The oracles that check
-these, a general Gauss-Jordan elimination, rational vectors and radical scalars
-among them, live with the tests.
+`rootdata` reports), one integer bordering step that gives the adjugate and
+determinant of each Cartan block, volume polynomials, and hypersimplex Ehrhart
+polynomials.  The oracles that check these, a general Gauss-Jordan
+elimination, rational vectors and radical scalars among them, live with the
+tests.
 """
 
 __version__ = "0.1.0"

@@ -21,14 +21,13 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .errors import FitVerificationError, FormulaConsistencyError
-from .linalg import rational_to_str
 from .mpoly import MPoly
 from .rootdata import RootSystemData, RootSystemId, build_root_system, dominant_coweight
 from .orbits import DEFAULT_BOX_CAP, check_level_budget, interval_size_lattice
 from .volumes import (check_subset_cap, face_gram, indicator, relative_volumes, subsets,
                       support_difference)
 
-# what linalg.rational_to_str writes, and all that from_json reads: "p" or "p/q", q != 0
+# what str() writes of a Fraction, and all that from_json reads: "p" or "p/q", q != 0
 _RATIONAL = re.compile(r"-?[0-9]+(/0*[1-9][0-9]*)?")
 
 
@@ -127,10 +126,10 @@ class GeometricCoefficients:
             "schema": 1,
             "version": __version__,
             "system": str(self.system),
-            "mu_prime": {key(J): rational_to_str(v) for J, v in sorted(self.mu_prime.items())},
+            "mu_prime": {key(J): str(v) for J, v in sorted(self.mu_prime.items())},
             "provenance": {key(J): self.provenance.get(J, "fitted")
                            for J in sorted(self.mu_prime)},
-            "gram": {key(J): rational_to_str(face_gram(data, J))
+            "gram": {key(J): str(face_gram(data, J))
                      for J in sorted(self.mu_prime)},
         }
 

@@ -10,7 +10,6 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence
 
-from .linalg import rational_to_str
 
 
 class MPoly:
@@ -87,7 +86,7 @@ class MPoly:
         return total
 
     def to_json(self) -> dict:
-        return {",".join(map(str, e)): rational_to_str(c)
+        return {",".join(map(str, e)): str(c)
                 for e, c in sorted(self.terms.items())}
 
     def __repr__(self):

@@ -28,7 +28,6 @@ from itertools import product
 from operator import mul, sub
 
 from .errors import BudgetExceededError
-from .linalg import rational_to_str
 from .rootdata import (RootSystemData, dominant_coords, dominant_coweight, simple_subset,
                        weyl_order)
 
@@ -228,5 +227,5 @@ def face_to_json(data: RootSystemData, lam, J) -> dict:
         "J": list(f.J),
         "dim": f.dim,
         "orbit_face_count": f.orbit_face_count,
-        "vertices": [[rational_to_str(x) for x in v] for v in f.vertex_set],
+        "vertices": [[str(x) for x in v] for v in f.vertex_set],
     }

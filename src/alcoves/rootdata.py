@@ -8,7 +8,7 @@ derived from them and invariant-checked at build time, which keeps
 transcription errors out of the downstream volume and coefficient work.  The
 count paths read integers only: the Cartan matrix, norms, positive roots and
 coroots (by root strings), marks, det C, |W_f| and, built on first read, the
-positive integer matrix B = det C (C^T)^-1 of the lattice search and the
+positive integer matrix B = adj(C)^T = det C (C^T)^-1 of the lattice search and the
 coroot-lattice test.  The ambient view that `rootdata`, `faces` and the
 membership route read is built on first read too, from integers alone: each
 vector is an integer combination of the doubled simple roots over one
@@ -36,7 +36,7 @@ from functools import cached_property, lru_cache
 from operator import index, mul
 
 from .errors import AlcovesError, BudgetExceededError
-from .linalg import border, rational_to_str
+from .linalg import border
 
 _RANK_RULES = {
     "A": lambda n: n >= 1,
@@ -234,18 +234,18 @@ class RootSystemData:
 
     @cached_property
     def _dual(self) -> tuple[int, tuple[tuple[int, ...], ...]]:
-        """(D, B) with D = det C and B = D (C^T)^-1, by bordering C along 1..n.  A point
-        x = C^T k in coweight coordinates has B x = D k, so x is in Q^v iff B x = 0 mod D.
-        Every entry of B is a positive integer (Lusztig-Tits, *The inverse of a Cartan
-        matrix*, 1992); both that and D = the number of special nodes are checked."""
-        inv, D = [], 1
+        """(D, B) with D = det C and B = adj(C)^T = D (C^T)^-1, by bordering C along
+        1..n in integers.  A point x = C^T k in coweight coordinates has B x = D k, so x
+        is in Q^v iff B x = 0 mod D.  Every entry of B is positive (Lusztig-Tits, *The
+        inverse of a Cartan matrix*, 1992); both that and D = the number of special
+        nodes are checked."""
+        adj, D = [], 1
         for j in range(1, self.rank + 1):
-            inv, s = border(self.cartan, range(j), inv)
-            D *= s
-        B = [[D * x for x in col] for col in zip(*inv)]
-        if D != self.index_of_connection or any(x.denominator != 1 or x <= 0 for x in sum(B, [])):
-            raise AlcovesError("det C = %s, or det C (C^T)^-1 is not positive and integral" % D)
-        return D.numerator, tuple(tuple(x.numerator for x in row) for row in B)
+            adj, D = border(self.cartan, range(j), adj, D)
+        B = tuple(zip(*adj))
+        if D != self.index_of_connection or any(x <= 0 for row in B for x in row):
+            raise AlcovesError("det C = %d, or adj(C)^T is not positive" % D)
+        return D, B
 
     def _check_invariants(self):
         n = self.rank
@@ -346,10 +346,10 @@ class RootSystemData:
 
     def to_json(self) -> dict:
         def vec(v):
-            return [rational_to_str(x) for x in v]
+            return [str(x) for x in v]
 
         def root(pair):  # coeff * sqrt(radicand)
-            return {"coeff": rational_to_str(pair[0]), "radicand": str(pair[1])}
+            return {"coeff": str(pair[0]), "radicand": str(pair[1])}
         return {
             "schema": 1,
             "system": str(self.id),

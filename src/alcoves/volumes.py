@@ -2,9 +2,10 @@
 
 V_J(lambda), the |J|-dimensional Euclidean volume of Conv(W_J . lambda), is
 homogeneous of degree |J| in the coweight coordinates m_j, j in J.  It is
-r_J(lambda) sqrt(gram_J): gram_J = det Gram(alpha_j^v : j in J) = det C_J
-prod_{j in J} 2/|alpha_j|^2 holds the square class, and the polynomial r_J,
-the volume relative to the lattice the coroots in J generate, is rational.
+r_J(lambda) sqrt(gram_J).  gram_J = det Gram(alpha_j^v : j in J), in closed
+form det C_J prod_{j in J} 2/|alpha_j|^2, holds the square class, and the
+polynomial r_J, the volume relative to the lattice the coroots in J generate,
+is rational.
 The face splits into [W_J : W_{J-j}] congruent pyramids over each facet
 type, of height (lambda, nu_j)/|nu_j| for the J-mixed dual basis nu_j =
 sum_k (C_J^-1)_kj alpha_k, so (w_i^v, nu_j) = (C_J^-1)_ij, |nu_j|^2 =
@@ -14,20 +15,19 @@ sum_k (C_J^-1)_kj alpha_k, so (w_i^v, nu_j) = (C_J^-1)_ij, |nu_j|^2 =
     c_{J,j} = [W_J : W_{J-j}] / |J|.
 
 The pyramid's Euclidean factor sqrt(gram_{J-j}) / |nu_j| cancels against
-sqrt(gram_J): by Cramer's rule (C_J^-1)_jj = det C_{J-j} / det C_J, so
-gram_J = gram_{J-j} / |nu_j|^2, and gram_J follows from any one j in J.
-At j = max J, one bordering step from C_{J-j}^-1 gives both C_J^-1 and
-s = det C_J / det C_{J-j}, so gram_J = gram_{J-j} s / (|alpha_j|^2 / 2).
+sqrt(gram_J), since (C_J^-1)_jj = det C_{J-j} / det C_J (Cramer's rule), so
+gram_J = gram_{J-j} / |nu_j|^2, which the closed form for gram_J satisfies.
 
-The recursion runs on integers.  Write C_J^-1 = A_J / e_J, e_J the least
-common denominator of its entries, and keep with each J the integer
+The recursion runs on integers.  One integer bordering step from
+(adj C_{J-j}, det C_{J-j}) at j = max J gives (adj C_J, det C_J), and
+C_J^-1 = adj C_J / det C_J.  Keep with each J the integer
 
-    M_J = e_J lcm_j(M_{J-j} den c_{J,j}),  M_empty = 1,
+    M_J = det C_J lcm_j(M_{J-j} den c_{J,j}),  M_empty = 1,
 
 so that R_J = M_J r_J satisfies
 
-    R_J(x) = sum_j w_{J,j} (sum_{i in J} x_i (A_J)_ij) R_{J-j}(x),
-    w_{J,j} = M_J c_{J,j} / (e_J M_{J-j}), an integer,
+    R_J(x) = sum_j w_{J,j} (sum_{i in J} x_i (adj C_J)_ij) R_{J-j}(x),
+    w_{J,j} = M_J c_{J,j} / (det C_J M_{J-j}), an integer,
 
 and r_J = R_J / M_J is one division at the end.  The table holds only the
 subsets of the J asked for; the recursion runs on integer points (values) or
@@ -40,11 +40,11 @@ from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache, reduce
 from itertools import combinations
-from math import lcm
+from math import lcm, prod
 from operator import add
 
 from .errors import BudgetExceededError
-from .linalg import border, rational_to_str
+from .linalg import border
 from .mpoly import MPoly
 from .rootdata import RootSystemData, RootSystemId, simple_subset, weyl_order
 
@@ -58,7 +58,7 @@ class VolumePolynomial(namedtuple("VolumePolynomial", "J rel_poly gram")):
         return {
             "J": list(self.J),
             "rel_poly": self.rel_poly.to_json(),
-            "gram": rational_to_str(self.gram),
+            "gram": str(self.gram),
         }
 
 
@@ -81,34 +81,30 @@ def subsets(top: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
 
 @lru_cache(maxsize=None)
 def _table(data: RootSystemData) -> dict:
-    return {(): (1, Fraction(1), [], (), 1)}
+    return {(): (1, 1, [], (), 1)}
 
 
 def _pyramid_table(data: RootSystemData, top: tuple[int, ...]) -> dict:
-    """J -> (|W_J|, gram_J, C_J^-1, steps, M_J), one dict per system, holding every J
+    """J -> (|W_J|, det C_J, adj C_J, steps, M_J), one dict per system, holding every J
     inside each `top` asked for so far, and each J with its subsets.  steps holds
-    (J-j, c_{J,j}, w_{J,j}, A_J[:, j]) for j in J, the column as (i - 1, entry) pairs
-    over its nonzero entries."""
+    (J-j, c_{J,j}, w_{J,j}, (adj C_J)[:, j]) for j in J, the column as (i - 1, entry)
+    pairs over its nonzero entries."""
     table = _table(data)
     if top in table:
         return table
-    half = [Fraction(l, 2) for l in data.simple_root_norms]  # |alpha_j|^2 / 2
     for J in subsets(top):
         if J not in table:
             order = weyl_order(data, J)
-            _, gram, inv, _, _ = table[J[:-1]]
-            inv, s = border(data.cartan, [j - 1 for j in J], inv)
-            e = lcm(*(q.denominator for row in inv for q in row))
+            _, det, adj, _, _ = table[J[:-1]]
+            adj, det = border(data.cartan, [j - 1 for j in J], adj, det)
             rests = [J[:p] + J[p + 1:] for p in range(len(J))]
             cs = [Fraction(order // table[rest][0], len(J)) for rest in rests]
-            m = e * lcm(*(table[rest][4] * c.denominator for rest, c in zip(rests, cs)))
+            scale = lcm(*(table[rest][4] * c.denominator for rest, c in zip(rests, cs)))
             steps = tuple(
-                (rest, c, m // (e * table[rest][4] * c.denominator) * c.numerator,
-                 tuple((i - 1, row[p].numerator * (e // row[p].denominator))
-                       for i, row in zip(J, inv) if row[p]))
+                (rest, c, scale // (table[rest][4] * c.denominator) * c.numerator,
+                 tuple((i - 1, row[p]) for i, row in zip(J, adj) if row[p]))
                 for p, (rest, c) in enumerate(zip(rests, cs)))
-            # gram_J = gram_{J-j} / |nu_j|^2 at j = max J, and 1 / |nu_j|^2 = s / (|alpha_j|^2 / 2)
-            table[J] = (order, gram * s / half[J[-1] - 1], inv, steps, m)
+            table[J] = (order, det, adj, steps, det * scale)
     return table
 
 
@@ -133,9 +129,10 @@ def relative_volumes(data: RootSystemData, x, top=None) -> dict:
 
 
 def face_gram(data: RootSystemData, J) -> Fraction:
-    """gram_J = det Gram(alpha_j^v : j in J)."""
+    """gram_J = det Gram(alpha_j^v : j in J) = det C_J prod_{j in J} 2/|alpha_j|^2."""
     J = simple_subset(data.rank, J)
-    return _pyramid_table(data, J)[J][1]
+    return Fraction(2 ** len(J) * _pyramid_table(data, J)[J][1],
+                    prod(data.simple_root_norms[j - 1] for j in J))
 
 
 @lru_cache(maxsize=None)
@@ -148,8 +145,8 @@ def volume_polynomial(data: RootSystemData, J) -> VolumePolynomial:
     """Lattice-normalized volume polynomial of the face Conv(W_J . lambda)."""
     J = simple_subset(data.rank, J)
     x, scaled = _variables(data)
-    _, gram, _, _, m = _scaled_volumes(data, x, J, scaled)[J]
-    return VolumePolynomial(J, scaled[J] * Fraction(1, m), gram)
+    m = _scaled_volumes(data, x, J, scaled)[J][4]
+    return VolumePolynomial(J, scaled[J] * Fraction(1, m), face_gram(data, J))
 
 
 def indicator(n: int, S) -> tuple[int, ...]:

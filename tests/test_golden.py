@@ -12,7 +12,11 @@ QVector and RadScalar arithmetic in the library, the `MPoly` pyramid
 recursion, the Dynkin-classification table of `|W_J|` and, for `faces`,
 dimensions by a Gauss-Jordan rank.  The fit digests of F4, D5 and E6 were
 taken from a fit that walked each coweight's X_lambda afresh and ran the
-volume recursion in Fractions, before either was shared or scaled.
+volume recursion in Fractions, before either was shared or scaled.  The
+`volumes` digests of A5, B5, C5, D5, E6 and E7 were taken from the code that
+bordered C_J^-1 in Fractions and scaled the recursion by the common
+denominator e_J of C_J^-1, before the integer step that carries adj C_J and
+det C_J replaced it; they guard that rescaling of M_J.
 The library now builds the `rootdata` and `faces` vectors as integer
 combinations of the doubled simple roots and the volumes as (coeff, radicand)
 pairs; beyond rank 8, `test_rootdata.py` checks that view against the Fraction
@@ -42,7 +46,8 @@ FIXTURE = Path(__file__).resolve().parent / "golden_digests.json"
 ROOTDATA = (["A%d" % n for n in range(1, 9)] + ["B%d" % n for n in range(2, 9)]
             + ["C%d" % n for n in range(2, 9)] + ["D%d" % n for n in range(3, 9)]
             + ["E6", "E7", "E8", "F4", "G2"])
-VOLUMES = ["A2", "A3", "A4", "B2", "B3", "B4", "C3", "D4", "G2", "F4"]
+VOLUMES = ["A2", "A3", "A4", "B2", "B3", "B4", "C3", "D4", "G2", "F4",
+           "A5", "B5", "C5", "D5", "E6", "E7"]
 FITS = ["A1", "A2", "A3", "A4", "B2", "B3", "B4", "C3", "D4", "G2", "F4", "D5", "E6"]
 FACES = ["A2", "A3", "B2", "B3", "C3", "D4", "F4", "G2"]
 KINDS = ("rootdata", "weyl_order", "volumes", "fit", "faces")

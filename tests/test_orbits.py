@@ -10,6 +10,7 @@ import pytest
 
 import alcoves.coefficients as coefmod
 from alcoves import orbits, rootdata
+from alcoves.affine import interval_size_bruhat
 from alcoves.coefficients import fit_mu
 from alcoves.errors import BudgetExceededError
 from alcoves.orbits import (MAX_FACE_VERTICES, _box_bounds, contains,
@@ -369,3 +370,22 @@ def test_face_cap_admits_the_full_e6_face_and_refuses_e7():
     assert face_vertex_count(e6, (1,) * 6, range(1, 7)) == 51840 <= MAX_FACE_VERTICES
     with pytest.raises(BudgetExceededError, match="the face has 2903040 vertices"):
         face(e7, (1,) * 7, range(1, 8))
+
+
+@pytest.mark.parametrize("name,lam,count", [("E6", (0, 1, 0, 0, 0, 1), 675),
+                                            ("D4", (1, 1, 1, 1), 601)])
+def test_a_lattice_or_bruhat_count_builds_no_fraction(monkeypatch, name, lam, count):
+    # both routes read integers only: det C and adj(C)^T come by integer bordering
+    built = []
+    real = Fraction.__new__
+
+    def counting(cls, *args, **kwargs):
+        built.append(args)
+        return real(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(counting))
+    system = RootSystemId(name[0], int(name[1:]))
+    assert lattice_count(RootSystemData(system), lam) == count and built == []
+    d = RootSystemData(system)  # fresh, so neither route finds the other's _dual
+    assert interval_size_bruhat(d, lam, cap=10 ** 8) == d.wf_order * count and built == []
+    assert Fraction(1, 3) and len(built) == 1  # the wrapper does see a construction

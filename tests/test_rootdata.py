@@ -1,6 +1,7 @@
 import copy
 import itertools
 import math
+import operator
 import os
 import pickle
 import subprocess
@@ -23,7 +24,7 @@ from alcoves.volumes import _pyramid_table, face_gram
 
 from oracles import (AffineElement, QVector, RadScalar, ambient_by_fractions, ambient_core,
                      generate_positive_roots, gram_det, length, longest_finite_element,
-                     matrix_inverse, simple_reflection)
+                     matrix_det, matrix_inverse, simple_reflection)
 
 ALL_SMALL = ["A1", "A2", "A3", "A4", "B2", "B3", "B4", "C3", "D3", "D4", "G2", "F4", "E6"]
 UP_TO_RANK_8 = (["A%d" % n for n in range(1, 9)] + ["B%d" % n for n in range(2, 9)]
@@ -208,16 +209,38 @@ def test_integer_core_equals_the_ambient_derivation(name):
     assert all(type(x) is int for x in d.simple_root_norms + d.marks)
 
 
+def _product(a, b):
+    return [[sum(map(operator.mul, row, col)) for col in zip(*b)] for row in a]
+
+
 @pytest.mark.parametrize("name", UP_TO_RANK_8)
 def test_bordered_inverses_equal_the_oracle(name):
-    # C_J^-1 of the pyramid table for every J, and C^-1 = B^T / D, against Gauss-Jordan
+    # for every J of the pyramid table, adj C_J and det C_J are integers, adj C_J C_J =
+    # det C_J I exactly, det C_J is the Gauss-Jordan determinant and C_J^-1 = adj C_J /
+    # det C_J the Gauss-Jordan inverse; and C^-1 = B^T / D
     d = build_root_system(name)
     table = _pyramid_table(d, tuple(range(1, d.rank + 1)))
     assert len(table) == 2 ** d.rank
-    for J, (_, _, inv, _, _) in table.items():
-        assert inv == matrix_inverse([[d.cartan[i - 1][k - 1] for k in J] for i in J]), J
+    for J, (_, det, adj, _, _) in table.items():
+        block = [[d.cartan[i - 1][k - 1] for k in J] for i in J]
+        assert type(det) is int and all(type(x) is int for row in adj for x in row), J
+        assert _product(adj, block) == [[det * (i == k) for k in J] for i in J], J
+        assert det == matrix_det(block), J
+        inv = [[Fraction(x, det) for x in row] for row in adj]
+        assert inv == matrix_inverse(block), J
     D, B = d._dual
     assert [[Fraction(x, D) for x in col] for col in zip(*B)] == matrix_inverse(d.cartan)
+
+
+@pytest.mark.parametrize("name", ["A24", "B24", "C24", "D24", "E8"])
+def test_dual_is_the_transposed_adjugate(name):
+    d = RootSystemData(RootSystemId(name[0], int(name[1:])))  # fresh, so _dual is built here
+    D, B = d._dual
+    assert D == d.index_of_connection == matrix_det(d.cartan)
+    assert type(D) is int and all(type(x) is int for row in B for x in row)
+    # adj(C) C = det C I pins adj(C) once det C is nonzero
+    assert _product(list(zip(*B)), d.cartan) == [[D * (i == k) for k in range(d.rank)]
+                                                 for i in range(d.rank)]
 
 
 def test_the_ambient_view_is_built_once_on_first_read(monkeypatch):

@@ -7,6 +7,7 @@ import importlib.util
 import io
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -89,6 +90,18 @@ def test_bruhat_route_reproduces_every_pinned_sweep_count():
     assert len(refs) == 7
     for ref in refs:
         assert pins.count("bruhat", ref["system"], tuple(ref["lambda"])) == ref["count"], ref
+
+
+def test_benchmark_selftest_passes(tmp_path):
+    # the harness's self-test on a copy, so its work directory lands under tmp_path; a
+    # library change that breaks a workload's set-up fails here
+    shutil.copytree(ROOT / "benchmarks", tmp_path / "benchmarks",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    shutil.copy(ROOT / "BENCHMARK.json", tmp_path)
+    (tmp_path / "src").symlink_to(ROOT / "src", target_is_directory=True)
+    proc = subprocess.run([sys.executable, "benchmarks/selftest.py"], cwd=tmp_path,
+                          capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
 
 
 def test_public_names():

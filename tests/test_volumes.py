@@ -223,10 +223,10 @@ def test_cartan_constants_equal_the_ambient_derivation(name):
         assert face_gram(d, J) == gram == volume_polynomial(d, J).gram
         s_J, _ = sqrt_decompose(gram)
         nu = mixed_basis_nu(d, J)
-        _, _, inv, steps, _ = table[J]
+        _, det, adj, steps, _ = table[J]
         for p, (j, (rest, c, _, _)) in enumerate(zip(J, steps)):
             vec, normsq = nu[j]
-            col = {i: row[p] for i, row in zip(J, inv)}
+            col = {i: Fraction(row[p], det) for i, row in zip(J, adj)}
             assert col == {i: vec.dot(d.fundamental_coweights[i - 1]) for i in J}
             t_j, _ = sqrt_decompose(gram_det([d.simple_coroots[k - 1] for k in rest]) / normsq)
             index = weyl_order(d, J) // weyl_order(d, rest)
