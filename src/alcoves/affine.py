@@ -38,7 +38,7 @@ class _Context:
         self.pairings = data.positive_root_coords
         self.marks = data.marks
         # s_0: k = marks, c = 1, v = highest^v; s_i: k = e_i, c = 0, v = alpha_i^v (Cartan row i)
-        self.walls = [(self.marks, 1, data.positive_coroot_coords[-1])] + [
+        self.walls = [(self.marks, 1, data.highest_coroot)] + [
             (tuple(int(j == i) for j in range(n)), 0, row) for i, row in enumerate(data.cartan)]
         # barycenter of A_id: average of {0, -w_i^v / eta_i}
         self.scale = (n + 1) * math.lcm(*self.marks)

@@ -36,7 +36,8 @@ EXIT_FIT = 3
 EXIT_MISMATCH = 4
 
 
-# hypersimplex_ehrhart(k, d) takes about k*d^2 big-integer steps: seconds at this cap
+# hypersimplex_ehrhart(k, d) multiplies out k products of d-1 linear factors, about
+# k*d^2 big-integer steps: on a 2-core machine 2.2 s for k=1, d=1414 at this cap
 EHRHART_BUDGET = 2_000_000
 # r_J has up to C(2|J|-1, |J|) monomials, 92 378 at |J| = 10 and 352 716 at |J| = 11:
 # on a 2-core machine a full J took 8.6 s on D9 and 32 s on A10, but 238 s and 519 MB on A11

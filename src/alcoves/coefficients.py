@@ -9,8 +9,9 @@ Every mu'_J is fitted from exact lattice counts at 0/1 coweights, which
 uniqueness makes sound; closed forms pin the extremes (mu'_empty = |W_f|,
 mu_{I_n} = 1/vol(A_id)), and fits are verified on further coweights
 (degenerate ones included) and never returned silently.  Hypersimplex
-Ehrhart polynomials (coefficients per Ferroni's formula) give the type-A
-identity |<= theta(m w_k^v)| = (n+1)! E_{k,n+1}(m) that `verify` checks.
+Ehrhart polynomials (by Katzman's inclusion-exclusion, *The Hilbert series of
+algebras of the Veronese type*, 2005) give the type-A identity
+|<= theta(m w_k^v)| = (n+1)! E_{k,n+1}(m) that `verify` checks.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from __future__ import annotations
 import math
 import re
 from fractions import Fraction
-from functools import lru_cache
+from operator import index
 
 from .errors import FitVerificationError, FormulaConsistencyError
 from .mpoly import MPoly
@@ -31,29 +32,15 @@ from .volumes import (check_subset_cap, face_gram, indicator, relative_volumes, 
 _RATIONAL = re.compile(r"-?[0-9]+(/0*[1-9][0-9]*)?")
 
 
-# -- combinatorial number sequences ---------------------------------------------
-
-@lru_cache(maxsize=None)
-def _stirling1_row(a: int) -> tuple[int, ...]:
-    row = (1,)
-    for r in range(1, a + 1):
-        row = tuple((row[b - 1] if b >= 1 else 0) + (r - 1) * (row[b] if b < r else 0)
-                    for b in range(r + 1))
-    return row
-
-
-def _stirling1_or_zero(a: int, b: int) -> int:
-    if a < 0 or b < 0 or b > a:
-        return 0
-    return _stirling1_row(a)[b]
-
-
 # -- hypersimplex Ehrhart polynomials -------------------------------------------
 
 def hypersimplex_dilation_count(k: int, d: int, m: int) -> int:
     """|Z^d ^ m*Delta_{k,d}| by direct dynamic programming (the oracle)."""
+    k, d, m = index(k), index(d), index(m)
     if not 1 <= k <= d:
         raise ValueError("need 1 <= k <= d")
+    if m < 0:
+        raise ValueError("need a dilation m >= 0")
     target = m * k
     ways = [0] * (target + 1)
     ways[0] = 1
@@ -68,30 +55,27 @@ def hypersimplex_dilation_count(k: int, d: int, m: int) -> int:
     return ways[target]
 
 
-@lru_cache(maxsize=None)
 def hypersimplex_ehrhart(k: int, d: int) -> MPoly:
-    """Ehrhart polynomial E_{k,d}(t) of the hypersimplex, exact in one variable.
+    """Ehrhart polynomial E_{k,d}(m) of the hypersimplex, exact in one variable.
 
-    Coefficients by Ferroni's closed formula; the result is gated against
-    the direct dilation counter on small dilations before being returned.
+    E_{k,d}(m) counts x in {0..m}^d with sum km; inclusion-exclusion over the
+    j coordinates forced above m gives
+
+        (d-1)! E_{k,d}(m) = sum_{j<k} (-1)^j C(d,j) prod_{s=1}^{d-1} ((k-j) m - j + s),
+
+    a sum of products of integer linear factors, divided by (d-1)! once.  The
+    result is gated against the direct dilation counter on small dilations.
     """
     if not 1 <= k <= d:
         raise ValueError("need 1 <= k <= d")
-    if k == d:
-        poly = MPoly.constant(1, 1)  # a single point in every dilation
-    else:
-        terms = {}
-        fact = math.factorial(d - 1)
-        for m in range(d):
-            total = 0
-            for j in range(k):
-                for i in range(d - m):
-                    total += ((-1) ** (i + j) * math.comb(d, j) * (k - j) ** m
-                              * _stirling1_or_zero(d - j, m + 1 + i - j)
-                              * _stirling1_or_zero(j, j - i))
-            if total:
-                terms[(m,)] = Fraction(total, fact)
-        poly = MPoly(1, terms)
+    total = [0] * d  # (d-1)! E_{k,d}, coefficients by ascending power of m
+    for j in range(k):
+        coeffs = [(-1) ** j * math.comb(d, j)]
+        for s in range(1, d):  # times (k-j) m + (s-j)
+            coeffs = [(s - j) * c + (k - j) * p for c, p in zip(coeffs + [0], [0] + coeffs)]
+        total = [t + c for t, c in zip(total, coeffs)]
+    fact = math.factorial(d - 1)
+    poly = MPoly(1, {(e,): Fraction(c, fact) for e, c in enumerate(total)})
     for m in range(3):
         if poly.eval((m,)) != hypersimplex_dilation_count(k, d, m):
             raise FormulaConsistencyError(

@@ -8,8 +8,6 @@ polynomials always produce identical JSON.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Sequence
-
 
 
 class MPoly:
@@ -72,7 +70,7 @@ class MPoly:
 
     __rmul__ = __mul__
 
-    def eval(self, point: Sequence) -> Fraction:
+    def eval(self, point) -> Fraction:
         pt = [Fraction(x) for x in point]
         if len(pt) != self.nvars:
             raise ValueError("point dimension mismatch")

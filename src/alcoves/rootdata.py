@@ -192,10 +192,10 @@ class RootSystemData:
     """Derived data for one irreducible root system.
 
     The constructor computes only integer data, from the doubled simple roots:
-    the Cartan matrix, the norms |alpha_i|^2, the positive roots and coroots in
-    simple coordinates, the marks, det C and |W_f|.  det C = |P^v/Q^v| is the
-    number of special nodes of the extended diagram: node 0 and the nodes of
-    mark 1.  The dual matrix `_dual` and the ambient view (the names in
+    the Cartan matrix, the norms |alpha_i|^2, the positive roots in simple
+    coordinates, the marks, the highest coroot in coweight coordinates, det C and
+    |W_f|.  det C = |P^v/Q^v| is the number of special nodes of the extended
+    diagram: node 0 and the nodes of mark 1.  The dual matrix `_dual` and the ambient view (the names in
     _AMBIENT) are each built once, on their first read.
     """
 
@@ -217,16 +217,13 @@ class RootSystemData:
         self._root_heights = [(sum(1 << i for i, c in enumerate(b) if c), sum(b))
                               for b in self.positive_root_coords]  # (support bitmask, height)
 
-        # (alpha^v, alpha_i) = 2 (alpha, alpha_i) / (alpha, alpha) = 2 t_i / <c, t>
-        # for alpha = sum_k c_k alpha_k and t = g c, t_i = 4 (alpha, alpha_i)
-        self.positive_coroot_coords = []
-        for c in self.positive_root_coords:
-            t = [sum(map(mul, row, c)) for row in gram]
-            ct = sum(map(mul, c, t))
-            self.positive_coroot_coords.append(tuple(_exact_quotient(2 * x, ct) for x in t))
-
         # the highest root is the unique root of greatest height, sorted last
-        self.marks = self.positive_root_coords[-1]
+        self.marks = m = self.positive_root_coords[-1]
+        # its coroot in coweight coordinates: (theta^v, alpha_i) = 2 (theta, alpha_i) /
+        # (theta, theta) = 2 t_i / <m, t> for t = g m, t_i = 4 (theta, alpha_i)
+        t = [sum(map(mul, row, m)) for row in gram]
+        mt = sum(map(mul, m, t))
+        self.highest_coroot = tuple(_exact_quotient(2 * x, mt) for x in t)
         self.minuscule_set = frozenset(i + 1 for i in range(n) if self.marks[i] == 1)
         self.index_of_connection = 1 + len(self.minuscule_set)  # det C, by the special nodes
         self.wf_order = math.factorial(n) * math.prod(self.marks) * self.index_of_connection

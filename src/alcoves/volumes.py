@@ -46,7 +46,8 @@ from operator import add
 from .errors import BudgetExceededError
 from .linalg import border
 from .mpoly import MPoly
-from .rootdata import RootSystemData, RootSystemId, simple_subset, weyl_order
+from .rootdata import (RootSystemData, RootSystemId, dominant_coweight, simple_subset,
+                       weyl_order)
 
 
 class VolumePolynomial(namedtuple("VolumePolynomial", "J rel_poly gram")):
@@ -67,7 +68,8 @@ MAX_SUBSETS = 4096  # 2^n <= 4096 exactly when the rank is at most 12
 
 def check_subset_cap(system: RootSystemId, size: int) -> None:
     """Refuse, before any work, a pyramid table over `size` indices of more than
-    MAX_SUBSETS subsets."""
+    MAX_SUBSETS subsets.  `_pyramid_table` checks it before it builds, so every route
+    to the table is bounded."""
     if 2 ** size > MAX_SUBSETS:
         raise BudgetExceededError("the pyramid table of %s over %d indices needs %d subsets, "
                                   "exceeding cap %d" % (system, size, 2 ** size, MAX_SUBSETS))
@@ -92,6 +94,7 @@ def _pyramid_table(data: RootSystemData, top: tuple[int, ...]) -> dict:
     table = _table(data)
     if top in table:
         return table
+    check_subset_cap(data.id, len(top))
     for J in subsets(top):
         if J not in table:
             order = weyl_order(data, J)
@@ -119,12 +122,12 @@ def _scaled_volumes(data: RootSystemData, x, top: tuple[int, ...], R: dict) -> d
     return table
 
 
-def relative_volumes(data: RootSystemData, x, top=None) -> dict:
-    """r_K(x) for every K inside `top` (default: all of 1..n), in O(n^2 2^n) integer
-    steps at an integer point x, and one division for each K."""
-    top = tuple(range(1, data.rank + 1)) if top is None else simple_subset(data.rank, top)
+def relative_volumes(data: RootSystemData, lam) -> dict:
+    """r_K(lambda) for every K inside 1..n, in O(n^2 2^n) integer steps at the dominant
+    coweight lambda, and one division for each K."""
     R = {(): 1}
-    table = _scaled_volumes(data, x, top, R)
+    table = _scaled_volumes(data, dominant_coweight(data.rank, lam),
+                            tuple(range(1, data.rank + 1)), R)
     return {K: Fraction(v, table[K][4]) for K, v in R.items()}
 
 

@@ -37,7 +37,7 @@ from math import factorial, gcd, lcm, prod
 from operator import mul, sub
 
 from alcoves.affine import DEFAULT_INTERVAL_CAP, _context as _alcove_context, _fold
-from alcoves.coefficients import GeometricCoefficients, _stirling1_row, hypersimplex_ehrhart
+from alcoves.coefficients import GeometricCoefficients, hypersimplex_ehrhart
 from alcoves.errors import AlcovesError, BudgetExceededError, FormulaConsistencyError
 from alcoves.mpoly import MPoly
 from alcoves.orbits import DEFAULT_BOX_CAP, _box_bounds, face
@@ -496,6 +496,22 @@ def enumerate_X_by_box(data, lam, box_cap=DEFAULT_BOX_CAP):
     return sorted(out)
 
 
+@lru_cache(maxsize=None)
+def positive_coroot_coords(data: RootSystemData) -> list[tuple[int, ...]]:
+    """Each positive coroot in coweight coordinates, ((alpha^v, alpha_i))_i, in the
+    order of `positive_root_coords`, from the integer Gram matrix of the doubled simple
+    roots: (alpha^v, alpha_i) = 2 (alpha, alpha_i) / (alpha, alpha) = 2 t_i / <c, t>
+    for alpha = sum_k c_k alpha_k and t = g c, t_i = 4 (alpha, alpha_i)."""
+    roots = data._twice_roots
+    gram = [[sum(map(mul, a, b)) for b in roots] for a in roots]  # 4 (alpha_i, alpha_j)
+    out = []
+    for c in data.positive_root_coords:
+        t = [sum(map(mul, row, c)) for row in gram]
+        ct = sum(map(mul, c, t))
+        out.append(tuple(_exact_quotient(2 * x, ct) for x in t))
+    return out
+
+
 def enumerate_X_by_walk(data, lam):
     """All dominant mu <= lam, sorted: a walk from lam that subtracts positive coroots
     and keeps the dominant results reaches all of X_lambda, since dominant mu < nu are
@@ -504,7 +520,7 @@ def enumerate_X_by_walk(data, lam):
     mu_i >= c_i wherever c_i > 0, since mu_i - c_i >= mu_i >= 0 elsewhere."""
     lam = dominant_coweight(data.rank, lam)
     steps = [(c, [(i, x) for i, x in enumerate(c) if x > 0])
-             for c in data.positive_coroot_coords]
+             for c in positive_coroot_coords(data)]
     seen, todo = {lam}, [lam]
     while todo:
         mu = todo.pop()
@@ -762,7 +778,7 @@ class _Context:
         # pairing vectors: (x, alpha) = <coords(x), k(alpha)> for positive alpha
         self.pairings = data.positive_root_coords
         self.marks = tuple(int(m) for m in data.marks)
-        atilde_coroot = data.positive_coroot_coords[-1]  # of the highest root
+        atilde_coroot = positive_coroot_coords(data)[-1]  # of the highest root
 
         # s_i(x) = x - (<k, x> + c) * v: s_0 has k = marks, c = 1, v = highest^v;
         # s_i has k = e_i, c = 0 and v = alpha_i^v (row i of the Cartan matrix)
@@ -951,14 +967,14 @@ def element_from_point(data: RootSystemData, point):
 def euclidean_volume(data: RootSystemData, J, lam) -> RadScalar:
     """Exact Euclidean |J|-volume of Conv(W_J . lambda) as a RadScalar."""
     J = simple_subset(data.rank, J)
-    return RadScalar(relative_volumes(data, dominant_coweight(data.rank, lam), J)[J], face_gram(data, J))
+    return RadScalar(relative_volumes(data, lam)[J], face_gram(data, J))
 
 
 def squarefree_coefficient(data: RootSystemData, J) -> RadScalar:
     """Coefficient of prod_{j in J} m_j in the Euclidean V_J (positive).  r_J is
     homogeneous of degree |J| in the m_j, j in J, so that is Delta_J of r_J(1_S)."""
     J = simple_subset(data.rank, J)
-    c = support_difference(lambda S: relative_volumes(data, indicator(data.rank, S), J)[J], J)
+    c = support_difference(lambda S: relative_volumes(data, indicator(data.rank, S))[J], J)
     if c <= 0:
         raise FormulaConsistencyError("squarefree volume coefficient must be positive")
     return RadScalar(c, face_gram(data, J))
@@ -975,8 +991,17 @@ def mu_euclidean(coeffs: GeometricCoefficients, data: RootSystemData, J) -> RadS
     return RadScalar(mu) * reciprocal(RadScalar.sqrt(face_gram(data, J)))
 
 
+@lru_cache(maxsize=None)
+def _stirling1_row(a: int) -> tuple[int, ...]:
+    row = (1,)
+    for r in range(1, a + 1):
+        row = tuple((row[b - 1] if b >= 1 else 0) + (r - 1) * (row[b] if b < r else 0)
+                    for b in range(r + 1))
+    return row
+
+
 def stirling1(a: int, b: int) -> int:
-    """Unsigned Stirling number of the first kind [a, b], from the library's row."""
+    """Unsigned Stirling number of the first kind [a, b]: [a, b] = [a-1, b-1] + (a-1) [a-1, b]."""
     if a < 0 or b < 0 or b > a:
         raise ValueError("stirling1 needs 0 <= b <= a")
     return _stirling1_row(a)[b]

@@ -69,9 +69,21 @@ def test_dilation_counter_against_itertools():
                 assert hypersimplex_dilation_count(k, d, m) == direct
 
 
+@pytest.mark.parametrize("k, d, m, error", [
+    (1, 3, -1, ValueError),
+    (0, 3, 1, ValueError),
+    (4, 3, 1, ValueError),
+    (1, 3, 1.5, TypeError),
+    (1.0, 3, 1, TypeError),
+])
+def test_dilation_counter_refuses_bad_input(k, d, m, error):
+    with pytest.raises(error):
+        hypersimplex_dilation_count(k, d, m)
+
+
 def test_ehrhart_matches_dilation_counts():
-    for d in range(2, 7):
-        for k in range(1, d):
+    for d in range(2, 13):
+        for k in range(1, d + 1):
             poly = hypersimplex_ehrhart(k, d)
             for m in range(5):
                 assert poly.eval((m,)) == hypersimplex_dilation_count(k, d, m)

@@ -6,7 +6,8 @@
   * the file `alcoves fit --out` writes, on a set of small systems,
   * `weyl_order(data, J)` for every J on every system of `rootdata`,
   * the stdout of `alcoves faces` for every J and four lambda, some with zero
-    coordinates, on a set of small systems.
+    coordinates, on a set of small systems,
+  * the stdout of `alcoves ehrhart` for every 1 <= k <= d, one digest per d <= 40.
 The digests were taken from the ambient reflection-closure root data, with
 QVector and RadScalar arithmetic in the library, the `MPoly` pyramid
 recursion, the Dynkin-classification table of `|W_J|` and, for `faces`,
@@ -21,6 +22,9 @@ The library now builds the `rootdata` and `faces` vectors as integer
 combinations of the doubled simple roots and the volumes as (coeff, radicand)
 pairs; beyond rank 8, `test_rootdata.py` checks that view against the Fraction
 derivation in `tests/oracles.py` up to rank 12.
+The `ehrhart` digests were taken from the code that summed Ferroni's formula
+over Stirling numbers of the first kind, before the inclusion-exclusion over
+the coordinates above m replaced it; they guard every coefficient it prints.
 The tests regenerate every output and compare, so any later change to these
 bytes has to be deliberate.  To print the digests of the code on the path:
 
@@ -50,7 +54,8 @@ VOLUMES = ["A2", "A3", "A4", "B2", "B3", "B4", "C3", "D4", "G2", "F4",
            "A5", "B5", "C5", "D5", "E6", "E7"]
 FITS = ["A1", "A2", "A3", "A4", "B2", "B3", "B4", "C3", "D4", "G2", "F4", "D5", "E6"]
 FACES = ["A2", "A3", "B2", "B3", "C3", "D4", "F4", "G2"]
-KINDS = ("rootdata", "weyl_order", "volumes", "fit", "faces")
+EHRHART_MAX_D = 40
+KINDS = ("rootdata", "weyl_order", "volumes", "fit", "faces", "ehrhart")
 
 
 def _stdout(*argv) -> bytes:
@@ -100,6 +105,10 @@ def digests(kind: str) -> dict[str, str]:
                         key = ",".join(map(str, J)) or "empty"
                         out["%s lambda=%s J=%s" % (name, text, key)] = _sha(
                             _stdout("faces", *_system(name), "--lambda", text, "--J", key))
+    elif kind == "ehrhart":
+        for d in range(1, EHRHART_MAX_D + 1):
+            out["d=%d" % d] = _sha(b"".join(_stdout("ehrhart", "--k", str(k), "--d", str(d))
+                                            for k in range(1, d + 1)))
     else:
         with tempfile.TemporaryDirectory() as tmp:
             for name in FITS:

@@ -24,7 +24,7 @@ from alcoves.volumes import _pyramid_table, face_gram
 
 from oracles import (AffineElement, QVector, RadScalar, ambient_by_fractions, ambient_core,
                      generate_positive_roots, gram_det, length, longest_finite_element,
-                     matrix_det, matrix_inverse, simple_reflection)
+                     matrix_det, matrix_inverse, positive_coroot_coords, simple_reflection)
 
 ALL_SMALL = ["A1", "A2", "A3", "A4", "B2", "B3", "B4", "C3", "D3", "D4", "G2", "F4", "E6"]
 UP_TO_RANK_8 = (["A%d" % n for n in range(1, 9)] + ["B%d" % n for n in range(2, 9)]
@@ -153,8 +153,9 @@ def test_positive_coroot_coords(name):
     d = build_root_system(name)
     positive_roots = [r for _, r in generate_positive_roots(d)]
     ambient = [tuple(2 * r.dot(a) / r.dot(r) for a in d.simple_roots) for r in positive_roots]
-    assert d.positive_coroot_coords == ambient
-    assert set(d.cartan) <= set(d.positive_coroot_coords)
+    assert positive_coroot_coords(d) == ambient
+    assert set(d.cartan) <= set(ambient)
+    assert d.highest_coroot == ambient[-1]
 
 
 @pytest.mark.parametrize("name", UP_TO_RANK_8 + ["A10", "B10"])
@@ -202,7 +203,8 @@ def test_integer_core_equals_the_ambient_derivation(name):
     ambient = ambient_core(d)
     assert d.cartan == ambient["cartan"]
     assert d.simple_root_norms == ambient["norms"]
-    assert d.positive_coroot_coords == ambient["positive_coroot_coords"]
+    assert positive_coroot_coords(d) == ambient["positive_coroot_coords"]
+    assert d.highest_coroot == ambient["positive_coroot_coords"][-1]
     assert d.marks == ambient["marks"]
     assert d.index_of_connection == ambient["det"]
     assert d.wf_order == ambient["wf_order"]
@@ -381,6 +383,7 @@ LAMBDA_ROUTES = {
     "sigma_reflection": sigma_reflection,
     "face": lambda d, lam: face(d, lam, (1,)),
     "face_to_json": lambda d, lam: face_to_json(d, lam, (1,)),
+    "relative_volumes": relative_volumes,
 }
 J_ROUTES = {
     "weyl_order": weyl_order,
@@ -388,7 +391,6 @@ J_ROUTES = {
     "face_to_json": lambda d, J: face_to_json(d, (1, 1), J),
     "face_gram": face_gram,
     "volume_polynomial": volume_polynomial,
-    "relative_volumes": lambda d, J: relative_volumes(d, (1, 1), J),
 }
 # a lattice route can run without end on a coweight of the wrong length (the coroot walk
 # once did), so a regression there would hang the suite: those cases run in a subprocess

@@ -31,14 +31,16 @@ def test_traced_probe_runs_against_the_library(tmp_path):
 
 
 # stdlib modules whose import costs a query process milliseconds and that no route needs;
-# `dataclasses` alone pulls in the other four
-HEAVY_MODULES = {"dataclasses", "inspect", "ast", "dis", "tokenize"}
+# `dataclasses` alone pulls in the other four, and `typing` costs about 4 ms
+HEAVY_MODULES = {"dataclasses", "inspect", "ast", "dis", "tokenize", "typing"}
 
 
 def _modules_imported(*argv):
-    """The names of the modules a fresh interpreter imports, by -X importtime's report."""
+    """The names of the modules a fresh interpreter imports, by -X importtime's report.
+    It runs with -S, so a module that a site hook imports first cannot hide one that
+    the package pulls in."""
     path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-X", "importtime", *argv], capture_output=True,
+    proc = subprocess.run([sys.executable, "-S", "-X", "importtime", *argv], capture_output=True,
                           text=True, env=dict(os.environ, PYTHONPATH=path), timeout=60)
     assert proc.returncode == 0, proc.stderr
     return {line.rsplit("|", 1)[1].strip() for line in proc.stderr.splitlines()

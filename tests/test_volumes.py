@@ -4,6 +4,8 @@ from fractions import Fraction
 
 import pytest
 
+from alcoves import volumes
+from alcoves.errors import BudgetExceededError
 from alcoves.mpoly import MPoly
 from alcoves.rootdata import build_root_system, weyl_order
 from alcoves.volumes import (_pyramid_table, face_gram, indicator, relative_volumes,
@@ -247,3 +249,17 @@ def test_support_differences_equal_the_coefficient_sums(name):
         for J in _subsets(n):
             assert support_difference(lambda S: values[S][K], J) == sums.get(J, 0), (K, J)
         assert squarefree_coefficient(d, K) == RadScalar(sums[K], face_gram(d, K))
+
+
+def test_every_route_to_the_pyramid_table_refuses_a13_before_any_bordering(monkeypatch):
+    # A13 needs 8192 subsets, above MAX_SUBSETS; the refusal comes before the first
+    # bordering step, and leaves the system's table as it was
+    d = build_root_system("A13")
+    monkeypatch.setattr(volumes, "border", lambda *args: pytest.fail("bordered"))
+    top = tuple(range(1, 14))
+    routes = [lambda: relative_volumes(d, (1,) * 13), lambda: face_gram(d, top),
+              lambda: volume_polynomial(d, top)]
+    for route in routes:
+        with pytest.raises(BudgetExceededError, match="8192 subsets, exceeding cap 4096"):
+            route()
+    assert list(volumes._table(d)) == [()]
