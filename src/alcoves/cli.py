@@ -4,6 +4,14 @@ All output is JSON on stdout with sorted keys, so identical inputs yield
 identical bytes (the `elapsed_ms` field of `count` is the one run-dependent
 value).  Exit codes: 0 success, 1 usage or invalid input, 2 budget
 exceeded, 3 fit verification failure, 4 verification mismatch.
+
+`count --method geometric` and `verify` take the coefficients mu'_J from
+`--coeffs` (count only), else from the file the package ships in
+`alcoves/data` for each of the 23 systems that `fit` admits at the default
+`--box-cap`, else from the cache under `--cache-dir`, fitting and storing on
+a miss.  A shipped file passes the checks a `--coeffs` file does; one that
+fails them is an error, never refitted, so a shipped system neither fits nor
+writes.  `fit` always fits.
 """
 
 from __future__ import annotations
@@ -34,6 +42,11 @@ EXIT_USAGE = 1
 EXIT_BUDGET = 2
 EXIT_FIT = 3
 EXIT_MISMATCH = 4
+
+# `fit --out` of each system that fit_mu admits at the default box cap, as
+# "<system>.json"; found beside this module, since importlib.resources would
+# import typing, tempfile and zipfile into every query
+DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
 
 
 # hypersimplex_ehrhart(k, d) multiplies out k products of d-1 linear factors, about
@@ -164,6 +177,16 @@ def _cached_coefficients(ns, data) -> GeometricCoefficients:
     return coeffs
 
 
+def _coefficients(ns, data) -> GeometricCoefficients:
+    """The shipped coefficients of data's system, else its cached ones.  A shipped file
+    that fails a check raises ValueError: it is neither refitted nor summed."""
+    try:
+        return _read_coefficients(Path(DATA_DIR, "%s.json" % data.id), data)
+    except FileNotFoundError:
+        pass
+    return _cached_coefficients(ns, data)
+
+
 def cmd_count(ns) -> int:
     lam = _parse_lambda(ns.lam, ns.rank)
     if ns.method == "geometric":  # a --coeffs file too needs the 2^n-subset pyramid table
@@ -176,7 +199,7 @@ def cmd_count(ns) -> int:
         count = interval_size_lattice(data, lam, box_cap=ns.box_cap)
     else:
         coeffs = (_read_coefficients(Path(ns.coeffs), data) if ns.coeffs
-                  else _cached_coefficients(ns, data))
+                  else _coefficients(ns, data))
         count = evaluate_formula(data, coeffs, lam)
     elapsed = int((time.perf_counter() - start) * 1000)
     _emit({
@@ -217,7 +240,7 @@ def cmd_verify(ns) -> int:
     if (data.wf_order > ns.interval_cap
             or interval_size_lattice(data, top, box_cap=ns.box_cap) > ns.interval_cap):
         raise BudgetExceededError("lower interval exceeds cap of %d elements" % ns.interval_cap)
-    coeffs = _cached_coefficients(ns, data)
+    coeffs = _coefficients(ns, data)
     n = data.rank
     rows = []
     mismatches = []

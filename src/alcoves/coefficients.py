@@ -8,7 +8,10 @@ rational, and the master identity becomes the exact rational statement
 Every mu'_J is fitted from exact lattice counts at 0/1 coweights, which
 uniqueness makes sound; closed forms pin the extremes (mu'_empty = |W_f|,
 mu_{I_n} = 1/vol(A_id)), and fits are verified on further coweights
-(degenerate ones included) and never returned silently.  Hypersimplex
+(degenerate ones included) and never returned silently.  The fits of the 23
+systems that the default box cap admits ship with the package, as `fit --out`
+writes them, in `alcoves/data`; the CLI reads those instead of fitting, and
+the tests re-derive each one byte for byte.  Hypersimplex
 Ehrhart polynomials (by Katzman's inclusion-exclusion, *The Hilbert series of
 algebras of the Veronese type*, 2005) give the type-A identity
 |<= theta(m w_k^v)| = (n+1)! E_{k,n+1}(m) that `verify` checks.
@@ -75,12 +78,12 @@ def hypersimplex_ehrhart(k: int, d: int) -> MPoly:
             coeffs = [(s - j) * c + (k - j) * p for c, p in zip(coeffs + [0], [0] + coeffs)]
         total = [t + c for t, c in zip(total, coeffs)]
     fact = math.factorial(d - 1)
-    poly = MPoly(1, {(e,): Fraction(c, fact) for e, c in enumerate(total)})
-    for m in range(3):
-        if poly.eval((m,)) != hypersimplex_dilation_count(k, d, m):
+    for m in range(3):  # in integers, before the division by (d-1)!
+        scaled = sum(c * m ** e for e, c in enumerate(total))
+        if scaled != fact * hypersimplex_dilation_count(k, d, m):
             raise FormulaConsistencyError(
                 "Ehrhart coefficients disagree with dilation counts for k=%d d=%d" % (k, d))
-    return poly
+    return MPoly(1, {(e,): Fraction(c, fact) for e, c in enumerate(total)})
 
 
 # -- coefficient containers --------------------------------------------------------

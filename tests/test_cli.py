@@ -10,7 +10,9 @@ import pytest
 
 from alcoves import __version__, build_root_system
 from alcoves.cli import main
+from alcoves.orbits import interval_size_lattice
 from alcoves.volumes import _table
+from test_golden import FITS
 
 A2_MU_PRIME = {"": "6", "1": "9", "2": "9", "1,2": "6"}
 REFERENCES = json.loads(
@@ -21,6 +23,25 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr().out
     return code, json.loads(out)
+
+
+@pytest.fixture
+def unshipped(tmp_path, monkeypatch):
+    """An empty shipped-data directory, so that every system takes the cache-or-fit path."""
+    import alcoves.cli as climod
+    empty = tmp_path / "shipped"
+    empty.mkdir()
+    monkeypatch.setattr(climod, "DATA_DIR", str(empty))
+
+
+@pytest.fixture
+def no_fit(monkeypatch):
+    import alcoves.cli as climod
+
+    def never(*args, **kwargs):
+        raise AssertionError("fit_mu called")
+
+    monkeypatch.setattr(climod, "fit_mu", never)
 
 
 def test_count_lattice(capsys):
@@ -249,7 +270,7 @@ def test_budget_exit_code(capsys):
     assert payload["error"]["type"] == "budget"
 
 
-def test_cache_roundtrip(capsys, tmp_path):
+def test_cache_roundtrip(capsys, tmp_path, unshipped):
     cache = tmp_path / "cache"
     args = ["count", "--type", "A", "--rank", "2", "--lambda", "1,1",
             "--method", "geometric", "--cache-dir", str(cache)]
@@ -275,7 +296,7 @@ def test_console_script_entry_point():
     assert json.loads(proc.stdout)["count"] == 8
 
 
-def test_box_cap_bounds_the_fit(capsys, tmp_path):
+def test_box_cap_bounds_the_fit(capsys, tmp_path, unshipped):
     out = tmp_path / "a2.json"
     code, payload = run_cli(capsys, "fit", "--type", "A", "--rank", "2",
                             "--out", str(out), "--box-cap", "1")
@@ -378,7 +399,7 @@ def test_geometric_rejects_coefficients_of_another_system(capsys, tmp_path):
     assert code == 1 and "G2" in payload["error"]["message"]
 
 
-def test_geometric_rejects_incomplete_cache(capsys, tmp_path):
+def test_geometric_rejects_incomplete_cache(capsys, tmp_path, unshipped):
     # a defective cache is refitted and rewritten, not summed or refused
     cache = tmp_path / "cache"
     cache.mkdir()
@@ -421,7 +442,7 @@ def _with(**changes):
 ], ids=["mu-empty", "mu-top", "subset-missing", "version", "system", "truncated", "deep",
         "zero-denominator", "exponent", "key-twice"])
 def test_defective_cache_is_refitted_and_defective_coeffs_file_refused(
-        capsys, tmp_path, defect):
+        capsys, tmp_path, unshipped, defect):
     fresh = tmp_path / "fresh.json"
     code, _ = run_cli(capsys, "fit", "--type", "A", "--rank", "2", "--out", str(fresh))
     assert code == 0
@@ -445,7 +466,7 @@ def test_defective_cache_is_refitted_and_defective_coeffs_file_refused(
 
 @pytest.mark.parametrize("case", ["coeffs-missing", "coeffs-no-system", "coeffs-list",
                                   "cache-dir-is-file", "out-is-directory"])
-def test_file_errors_exit_1_with_json(capsys, tmp_path, case):
+def test_file_errors_exit_1_with_json(capsys, tmp_path, request, case):
     count = ["count", "--type", "A", "--rank", "2", "--lambda", "1,1",
              "--method", "geometric", "--cache-dir", str(tmp_path / "cache")]
     bad = tmp_path / "bad.json"
@@ -459,6 +480,7 @@ def test_file_errors_exit_1_with_json(capsys, tmp_path, case):
         bad.write_text("[1]")
         argv = count + ["--coeffs", str(bad)]
     elif case == "cache-dir-is-file":
+        request.getfixturevalue("unshipped")
         bad.write_text("{}")
         argv = count[:-1] + [str(bad)]
     else:
@@ -467,6 +489,68 @@ def test_file_errors_exit_1_with_json(capsys, tmp_path, case):
     code, payload = run_cli(capsys, *argv)
     assert code == 1 and payload["error"]["message"]
     assert not list(tmp_path.rglob("*.tmp"))
+
+
+@pytest.mark.parametrize("name", FITS)
+def test_a_geometric_count_on_a_shipped_system_neither_fits_nor_writes(capsys, tmp_path, no_fit,
+                                                                       name):
+    data = build_root_system(name)
+    lam = tuple(2 if i == 0 else i % 2 for i in range(data.rank))
+    cache = tmp_path / "cache"
+    cache.mkdir()
+    code, payload = run_cli(capsys, "count", "--type", name[0], "--rank", name[1:], "--lambda",
+                            ",".join(map(str, lam)), "--method", "geometric",
+                            "--cache-dir", str(cache))
+    assert code == 0 and payload["count"] == interval_size_lattice(data, lam)
+    assert list(cache.iterdir()) == []
+
+
+@pytest.mark.parametrize("family,rank", [("A", "2"), ("B", "3")])
+def test_verify_on_a_shipped_system_neither_fits_nor_writes(capsys, tmp_path, no_fit,
+                                                            family, rank):
+    cache = tmp_path / "cache"
+    cache.mkdir()
+    code, payload = run_cli(capsys, "verify", "--type", family, "--rank", rank,
+                            "--max-coord", "1", "--cache-dir", str(cache))
+    assert code == 0 and payload["ok"] and len(payload["rows"]) == 2 ** int(rank)
+    assert list(cache.iterdir()) == []
+
+
+@pytest.mark.parametrize("defect", [
+    _with(mu_prime=dict(A2_MU_PRIME, **{"": "7"})),      # mu'_empty != |W_f|
+    _with(mu_prime={"": "6", "1": "9", "1,2": "6"}),     # a subset missing
+    _with(version="0.0.0"),
+], ids=["mu-empty", "subset-missing", "version"])
+def test_a_defective_shipped_file_is_an_error_not_a_refit(capsys, tmp_path, monkeypatch, no_fit,
+                                                         defect):
+    import alcoves.cli as climod
+    shipped = tmp_path / "shipped"
+    shipped.mkdir()
+    path = shipped / "A2.json"
+    path.write_text(defect(Path(climod.DATA_DIR, "A2.json").read_text()))
+    text = path.read_text()
+    monkeypatch.setattr(climod, "DATA_DIR", str(shipped))
+    cache = tmp_path / "cache"
+    cache.mkdir()
+    for argv in (["count", "--lambda", "1,1", "--method", "geometric"], ["verify"]):
+        code, payload = run_cli(capsys, *argv, "--type", "A", "--rank", "2",
+                                "--cache-dir", str(cache))
+        assert code == 1 and payload["error"]["type"] == "invalid-input", argv
+        assert "count" not in payload
+    assert list(cache.iterdir()) == []
+    assert [p.name for p in shipped.iterdir()] == ["A2.json"] and path.read_text() == text
+
+
+def test_an_unshipped_system_is_fitted_into_the_cache_of_the_environment(
+        capsys, tmp_path, monkeypatch, unshipped):
+    cache = tmp_path / "env-cache"
+    monkeypatch.setenv("ALCOVES_CACHE_DIR", str(cache))
+    code, payload = run_cli(capsys, "count", "--type", "A", "--rank", "2", "--lambda", "1,1",
+                            "--method", "geometric")
+    assert code == 0 and payload["count"] == 42
+    path = cache / ("coeffs-A2-v%s.json" % __version__)
+    assert [p.name for p in cache.iterdir()] == [path.name]
+    assert json.loads(path.read_text())["mu_prime"] == A2_MU_PRIME
 
 
 def test_failed_write_keeps_the_old_file(capsys, tmp_path, monkeypatch):
@@ -620,7 +704,7 @@ def test_the_count_path_builds_no_ambient_view(capsys, tmp_path, monkeypatch):
     monkeypatch.setattr(rootdata, "_build_cached", lru_cache(maxsize=None)(rootdata.RootSystemData))
     count = ["count", "--type", "B", "--rank", "3", "--lambda", "1,0,2", "--cache-dir",
              str(tmp_path / "cache"), "--method"]
-    for method in ["bruhat", "lattice", "geometric", "geometric"]:  # fit and store, then load
+    for method in ["bruhat", "lattice", "geometric", "geometric"]:  # the shipped file, twice
         code, payload = run_cli(capsys, *count, method)
         assert code == 0 and payload["count"] == 6720, method
     out = tmp_path / "b3.json"

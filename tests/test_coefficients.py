@@ -1,6 +1,8 @@
 import itertools
+import json
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -14,6 +16,7 @@ from alcoves.mpoly import MPoly
 from alcoves.volumes import face_gram, volume_polynomial
 from oracles import (RadScalar, eulerian, homogeneous_part, is_rational, mpoly_interpolate,
                      mu_euclidean, mu_full, square, stirling1, type_a_connected_mu)
+from test_golden import FITS
 
 
 def test_stirling_numbers():
@@ -297,3 +300,17 @@ def test_fit_verification_failure_surfaces(monkeypatch):
         with pytest.raises(FitVerificationError):
             fit_mu(d)
         assert bad in seen
+
+
+# the subsets J with a negative mu'_J, by system; none of the shipped fits has one.
+# mu'_J = mu_J sqrt(gram_J) with gram_J > 0, so mu_J has the same sign
+NEGATIVE_MU = {}
+
+
+@pytest.mark.parametrize("name", FITS)
+def test_sign_pattern_of_each_shipped_fit(name):
+    from alcoves.cli import DATA_DIR
+    obj = json.loads(Path(DATA_DIR, "%s.json" % name).read_text())
+    mu = {J: Fraction(v) for J, v in obj["mu_prime"].items()}
+    assert {J for J, v in mu.items() if v < 0} == NEGATIVE_MU.get(name, set())
+    assert 0 not in mu.values()

@@ -3,7 +3,8 @@
 `golden_digests.json` holds the sha256 of
   * the stdout of `alcoves rootdata` on every supported system of rank <= 8,
   * the stdout of `alcoves volumes` for every J on a set of small systems,
-  * the file `alcoves fit --out` writes, on a set of small systems,
+  * the file `alcoves fit --out` writes, on each of the 23 systems that the
+    default box cap admits, which is also the file the package ships,
   * `weyl_order(data, J)` for every J on every system of `rootdata`,
   * the stdout of `alcoves faces` for every J and four lambda, some with zero
     coordinates, on a set of small systems,
@@ -13,7 +14,10 @@ QVector and RadScalar arithmetic in the library, the `MPoly` pyramid
 recursion, the Dynkin-classification table of `|W_J|` and, for `faces`,
 dimensions by a Gauss-Jordan rank.  The fit digests of F4, D5 and E6 were
 taken from a fit that walked each coweight's X_lambda afresh and ran the
-volume recursion in Fractions, before either was shared or scaled.  The
+volume recursion in Fractions, before either was shared or scaled.  The fit
+digests of A5, A6, B5, B6, C2, C4, C5, C6, D3 and D6 were taken from the code
+that fitted every geometric query on demand, before the package shipped
+the fitted files in `alcoves/data`.  The
 `volumes` digests of A5, B5, C5, D5, E6 and E7 were taken from the code that
 bordered C_J^-1 in Fractions and scaled the recursion by the common
 denominator e_J of C_J^-1, before the integer step that carries adj C_J and
@@ -42,7 +46,7 @@ from pathlib import Path
 
 import pytest
 
-from alcoves.cli import main
+from alcoves.cli import DATA_DIR, main
 from alcoves.rootdata import build_root_system, weyl_order
 
 FIXTURE = Path(__file__).resolve().parent / "golden_digests.json"
@@ -52,7 +56,10 @@ ROOTDATA = (["A%d" % n for n in range(1, 9)] + ["B%d" % n for n in range(2, 9)]
             + ["E6", "E7", "E8", "F4", "G2"])
 VOLUMES = ["A2", "A3", "A4", "B2", "B3", "B4", "C3", "D4", "G2", "F4",
            "A5", "B5", "C5", "D5", "E6", "E7"]
-FITS = ["A1", "A2", "A3", "A4", "B2", "B3", "B4", "C3", "D4", "G2", "F4", "D5", "E6"]
+# every system fit_mu admits at the default box cap: (3^n) refuses rank 7 and up
+FITS = (["A%d" % n for n in range(1, 7)] + ["B%d" % n for n in range(2, 7)]
+        + ["C%d" % n for n in range(2, 7)] + ["D%d" % n for n in range(3, 7)]
+        + ["E6", "F4", "G2"])
 FACES = ["A2", "A3", "B2", "B3", "C3", "D4", "F4", "G2"]
 EHRHART_MAX_D = 40
 KINDS = ("rootdata", "weyl_order", "volumes", "fit", "faces", "ehrhart")
@@ -124,6 +131,18 @@ def test_outputs_match_golden_digests(kind):
     got = digests(kind)
     assert got.keys() == expected.keys()
     assert [k for k in got if got[k] != expected[k]] == []
+
+
+def test_each_shipped_file_is_the_golden_fit_of_its_system():
+    # the fit test above re-derives these bytes, so a shipped file equals `fit --out`
+    # of the code on the path; a version bump fails here until the files are regenerated
+    expected = json.loads(FIXTURE.read_text())["fit"]
+    shipped = Path(DATA_DIR)
+    assert sorted(p.name for p in shipped.iterdir()) == sorted("%s.json" % n for n in FITS)
+    for name in FITS:
+        path = shipped / ("%s.json" % name)
+        assert _sha(path.read_bytes()) == expected[name], name
+        assert json.loads(path.read_text())["system"] == name
 
 
 if __name__ == "__main__":

@@ -3,6 +3,7 @@ library name it uses is gone, or when a query process imports more than it needs
 
 import ast
 import contextlib
+import fnmatch
 import importlib.util
 import io
 import json
@@ -31,8 +32,10 @@ def test_traced_probe_runs_against_the_library(tmp_path):
 
 
 # stdlib modules whose import costs a query process milliseconds and that no route needs;
-# `dataclasses` alone pulls in the other four, and `typing` costs about 4 ms
-HEAVY_MODULES = {"dataclasses", "inspect", "ast", "dis", "tokenize", "typing"}
+# `dataclasses` alone pulls in the other four, and `typing` costs about 4 ms.  Reading
+# the shipped coefficients through importlib.resources would bring tempfile and zipfile
+HEAVY_MODULES = {"dataclasses", "inspect", "ast", "dis", "tokenize", "typing", "tempfile",
+                 "zipfile"}
 
 
 def _modules_imported(*argv):
@@ -52,13 +55,16 @@ COUNT = ["-m", "alcoves.cli", "count", "--type", "B", "--rank", "3", "--lambda",
 # a count from a coefficient file, which the test first writes by an A2 fit
 GEOMETRIC = ["-m", "alcoves.cli", "count", "--type", "A", "--rank", "2", "--lambda", "1,1",
              "--method", "geometric", "--coeffs"]
+# a count from the file the package ships for B3, with an empty cache directory
+SHIPPED = COUNT + ["geometric", "--cache-dir"]
 # the command the benchmark's set-up runs once per system
 ROOTDATA = ["-m", "alcoves.cli", "rootdata", "--type", "B", "--rank", "3"]
 
 
 @pytest.mark.parametrize("argv", [["-c", "import alcoves.cli"],
                                   ["-m", "alcoves.cli", "--version"],
-                                  COUNT + ["lattice"], COUNT + ["bruhat"], GEOMETRIC, ROOTDATA])
+                                  COUNT + ["lattice"], COUNT + ["bruhat"], GEOMETRIC, SHIPPED,
+                                  ROOTDATA])
 def test_a_query_process_imports_no_heavy_stdlib_module(argv, tmp_path):
     if argv is GEOMETRIC:
         from alcoves.cli import main
@@ -66,11 +72,25 @@ def test_a_query_process_imports_no_heavy_stdlib_module(argv, tmp_path):
         with contextlib.redirect_stdout(io.StringIO()):
             assert main(["fit", "--type", "A", "--rank", "2", "--out", str(coeffs)]) == 0
         argv = argv + [str(coeffs)]
+    elif argv is SHIPPED:
+        argv = argv + [str(tmp_path / "cache")]
     # against a bare interpreter, so a module that site hooks load counts for neither
     baseline = _modules_imported("-c", "pass")
     imported = _modules_imported(*argv)
     assert {"alcoves.rootdata", "argparse"} <= imported - baseline
     assert (imported - baseline) & HEAVY_MODULES == set()
+    assert not (tmp_path / "cache").exists()
+
+
+def test_every_shipped_file_is_declared_package_data():
+    # a wheel or sdist carries only the files that pyproject.toml declares
+    tomllib = pytest.importorskip("tomllib")
+    from alcoves.cli import DATA_DIR
+    with open(ROOT / "pyproject.toml", "rb") as fh:
+        patterns = tomllib.load(fh)["tool"]["setuptools"]["package-data"]["alcoves"]
+    package = Path(DATA_DIR).parent
+    files = [p.relative_to(package).as_posix() for p in Path(DATA_DIR).iterdir()]
+    assert [f for f in files if not any(fnmatch.fnmatchcase(f, g) for g in patterns)] == []
 
 
 def _pin_references():
