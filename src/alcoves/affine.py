@@ -107,15 +107,23 @@ def theta(data: RootSystemData, lam) -> tuple[Point, list[int]]:
     return _fold(ctx, tuple(ctx.scale * m - b for m, b in zip(lam, ctx.bary)), ctx.scale)
 
 
-def _close(start: Point, walls, scale: int, cap: int, weight: int) -> set[Point]:
-    """P_0 = {start}; P_k = P_{k-1} united with s_{i_k}(P_{k-1}) along the walls
-    of a word, at the given scale.  Refuses once weight |P_k| exceeds the cap."""
-    points = {start}
-    for k, c, v in walls:
-        for p in list(points):
+def _close(start: Point, walls, word, scale: int, cap: int, weight: int) -> set[Point]:
+    """P_0 = {start}; P_k = P_{k-1} united with s_{i_k}(P_{k-1}) along the word, at
+    the given scale.  Refuses once weight |P_k| exceeds the cap.  A wall reflects only
+    the points found since its last step, whose images are not all in P_{k-1} yet, so
+    each point is reflected at most once per wall."""
+    points, found = {start}, [start]
+    done = [0] * len(walls)
+    for i in word:
+        k, c, v = walls[i]
+        for p in found[done[i]:]:
             m = sum(map(mul, k, p)) + c * scale
             if m:
-                points.add(tuple(a - m * b for a, b in zip(p, v)))
+                q = tuple(a - m * b for a, b in zip(p, v))
+                if q not in points:
+                    points.add(q)
+                    found.append(q)
+        done[i] = len(found)  # an image q reflects back to a point already found
         if weight * len(points) > cap:
             raise BudgetExceededError("lower interval exceeds cap of %d elements" % cap)
     return points
@@ -136,7 +144,7 @@ def lower_interval(data: RootSystemData, w, word,
         raise ValueError("word is not reduced for this element")
     if _act(ctx, reversed(word), ctx.bary, ctx.scale) != w:
         raise ValueError("word does not multiply to the element")
-    return _close(ctx.bary, [ctx.walls[i] for i in word], ctx.scale, cap, 1)
+    return _close(ctx.bary, ctx.walls, word, ctx.scale, cap, 1)
 
 
 def interval_size_bruhat(data: RootSystemData, lam, cap: int = DEFAULT_INTERVAL_CAP) -> int:
@@ -155,8 +163,7 @@ def interval_size_bruhat(data: RootSystemData, lam, cap: int = DEFAULT_INTERVAL_
     if data.wf_order > cap:  # |W_f| |P_0| already exceeds it; refuse before theta
         raise BudgetExceededError("lower interval exceeds cap of %d elements" % cap)
     _, word = theta(data, lam)
-    walls = _context(data).walls
-    points = _close((0,) * data.rank, [walls[i] for i in word], 1, cap, data.wf_order)
+    points = _close((0,) * data.rank, _context(data).walls, word, 1, cap, data.wf_order)
     return data.wf_order * len(points)
 
 

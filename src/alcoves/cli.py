@@ -128,12 +128,6 @@ def _parse_J(text: str, rank: int) -> tuple[int, ...]:
     return _validated(simple_subset, rank, J)
 
 
-def _cache_path(ns, system) -> Path:
-    root = ns.cache_dir or os.environ.get("ALCOVES_CACHE_DIR")
-    root = Path(root) if root else Path.home() / ".cache" / "alcoves"
-    return root / ("coeffs-%s-v%s.json" % (system, __version__))
-
-
 def _read_coefficients(path: Path, data) -> GeometricCoefficients:
     """Load a coefficient file; ValueError unless it is of this version and passes
     check_coefficients for data's system."""
@@ -165,9 +159,17 @@ def _write_coefficients(path: Path, coeffs: GeometricCoefficients) -> dict:
     return payload
 
 
-def _cached_coefficients(ns, data) -> GeometricCoefficients:
-    """The cached coefficients of data's system; a missing or defective cache is refitted."""
-    path = _cache_path(ns, data.id)
+def _coefficients(ns, data) -> GeometricCoefficients:
+    """The shipped coefficients of data's system, else its cached ones.  A shipped file
+    that fails a check raises ValueError: it is neither refitted nor summed.  A missing
+    or defective cache is refitted and stored."""
+    try:
+        return _read_coefficients(Path(DATA_DIR, "%s.json" % data.id), data)
+    except FileNotFoundError:
+        pass
+    root = ns.cache_dir or os.environ.get("ALCOVES_CACHE_DIR")
+    root = Path(root) if root else Path.home() / ".cache" / "alcoves"
+    path = root / ("coeffs-%s-v%s.json" % (data.id, __version__))
     try:
         return _read_coefficients(path, data)
     except (FileNotFoundError, ValueError):
@@ -175,16 +177,6 @@ def _cached_coefficients(ns, data) -> GeometricCoefficients:
     coeffs = fit_mu(data, box_cap=ns.box_cap)
     _write_coefficients(path, coeffs)
     return coeffs
-
-
-def _coefficients(ns, data) -> GeometricCoefficients:
-    """The shipped coefficients of data's system, else its cached ones.  A shipped file
-    that fails a check raises ValueError: it is neither refitted nor summed."""
-    try:
-        return _read_coefficients(Path(DATA_DIR, "%s.json" % data.id), data)
-    except FileNotFoundError:
-        pass
-    return _cached_coefficients(ns, data)
 
 
 def cmd_count(ns) -> int:

@@ -7,13 +7,14 @@ rational, and the master identity becomes the exact rational statement
 
 Every mu'_J is fitted from exact lattice counts at 0/1 coweights, which
 uniqueness makes sound; closed forms pin the extremes (mu'_empty = |W_f|,
-mu_{I_n} = 1/vol(A_id)), and fits are verified on further coweights
-(degenerate ones included) and never returned silently.  The fits of the 23
+mu_{I_n} = 1/vol(A_id)), and fits are verified on further coweights (degenerate
+ones included) and never returned silently.  So provenance is a function of J:
+`closed-form` on the empty set and 1..n, `fitted` elsewhere.  The fits of the 23
 systems that the default box cap admits ship with the package, as `fit --out`
-writes them, in `alcoves/data`; the CLI reads those instead of fitting, and
-the tests re-derive each one byte for byte.  Hypersimplex
-Ehrhart polynomials (by Katzman's inclusion-exclusion, *The Hilbert series of
-algebras of the Veronese type*, 2005) give the type-A identity
+writes them, in `alcoves/data`; the CLI reads those instead of fitting, and the
+tests re-derive each one byte for byte.  Hypersimplex Ehrhart polynomials (by
+Katzman's inclusion-exclusion, *The Hilbert series of algebras of the Veronese
+type*, 2005) give the type-A identity
 |<= theta(m w_k^v)| = (n+1)! E_{k,n+1}(m) that `verify` checks.
 """
 
@@ -88,22 +89,26 @@ def hypersimplex_ehrhart(k: int, d: int) -> MPoly:
 
 # -- coefficient containers --------------------------------------------------------
 
+def _provenance(system: RootSystemId, mu_prime) -> dict[str, str]:
+    """The provenance to_json writes: a closed form pins the empty set and 1..n."""
+    pinned = ((), tuple(range(1, system.rank + 1)))
+    return {",".join(map(str, J)): "closed-form" if J in pinned else "fitted"
+            for J in sorted(mu_prime)}
+
+
 class GeometricCoefficients:
     """The map J -> mu'_J (lattice-normalized, rational) for one system."""
 
-    __hash__ = None  # equal by value, and its maps may change
+    __hash__ = None  # equal by value, and its map may change
 
-    def __init__(self, system: RootSystemId, mu_prime: dict[tuple[int, ...], Fraction],
-                 provenance: dict[tuple[int, ...], str] | None = None):
+    def __init__(self, system: RootSystemId, mu_prime: dict[tuple[int, ...], Fraction]):
         self.system = system
         self.mu_prime = mu_prime
-        self.provenance = {} if provenance is None else provenance
 
     def __eq__(self, other):
         if not isinstance(other, GeometricCoefficients):
             return NotImplemented
-        return ((self.system, self.mu_prime, self.provenance)
-                == (other.system, other.mu_prime, other.provenance))
+        return (self.system, self.mu_prime) == (other.system, other.mu_prime)
 
     def to_json(self) -> dict:
         from . import __version__
@@ -114,32 +119,32 @@ class GeometricCoefficients:
             "version": __version__,
             "system": str(self.system),
             "mu_prime": {key(J): str(v) for J, v in sorted(self.mu_prime.items())},
-            "provenance": {key(J): self.provenance.get(J, "fitted")
-                           for J in sorted(self.mu_prime)},
-            "gram": {key(J): str(face_gram(data, J))
-                     for J in sorted(self.mu_prime)},
+            "provenance": _provenance(self.system, self.mu_prime),
+            "gram": {key(J): str(face_gram(data, J)) for J in sorted(self.mu_prime)},
         }
 
     @staticmethod
     def from_json(obj: dict) -> "GeometricCoefficients":
-        """Parse the output of to_json; a malformed object raises ValueError."""
+        """Parse the output of to_json; a malformed object, or a provenance other than
+        the one to_json derives, raises ValueError."""
         try:
             name = obj["system"]
             system = RootSystemId(name[0], int(name[1:]))
             if str(system) != name:
                 raise ValueError("system %r is not as to_json writes it" % (name,))
             mu = {}
-            prov = {}
             for key, val in obj["mu_prime"].items():
                 J = tuple(int(x) for x in key.split(",")) if key else ()
                 if key != ",".join(map(str, J)) or not _RATIONAL.fullmatch(val):
                     raise ValueError("mu_prime %r: %r is not as to_json writes it" % (key, val))
                 mu[J] = Fraction(*map(int, val.split("/")))
-                prov[J] = obj.get("provenance", {}).get(key, "unknown")
+            derived = _provenance(system, mu)
+            if obj.get("provenance", derived) != derived:
+                raise ValueError("provenance is not the one to_json derives from J")
         except (KeyError, IndexError, TypeError, AttributeError) as exc:
             raise ValueError("malformed coefficient object: %s %s"
                              % (type(exc).__name__, exc)) from None
-        return GeometricCoefficients(system, mu, prov)
+        return GeometricCoefficients(system, mu)
 
 
 def check_coefficients(data: RootSystemData, coeffs: GeometricCoefficients) -> None:
@@ -218,10 +223,7 @@ def fit_mu(data: RootSystemData, box_cap: int = DEFAULT_BOX_CAP) -> GeometricCoe
             if J != K:
                 diff[J] -= mu[K] * c
 
-    coeffs = GeometricCoefficients(
-        data.id, mu,
-        {J: ("closed-form" if J in ((), tuple(range(1, n + 1))) else "fitted")
-         for J in every})
+    coeffs = GeometricCoefficients(data.id, mu)
 
     try:
         check_coefficients(data, coeffs)  # the closed-form pins

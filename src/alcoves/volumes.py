@@ -29,9 +29,11 @@ so that R_J = M_J r_J satisfies
     R_J(x) = sum_j w_{J,j} (sum_{i in J} x_i (adj C_J)_ij) R_{J-j}(x),
     w_{J,j} = M_J c_{J,j} / (det C_J M_{J-j}), an integer,
 
-and r_J = R_J / M_J is one division at the end.  The table holds only the
-subsets of the J asked for; the recursion runs on integer points (values) or
-on MPoly variables (polynomials).
+and r_J = R_J / M_J is one division at the end.  One integer memo per
+(system, J) holds |W_J|, det C_J, adj C_J, M_J and the steps (J-j, w_{J,j},
+column j of adj C_J); it is reached only for the subsets of the J asked for.
+The recursion runs on integer points (values) or on MPoly variables
+(polynomials).
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache, reduce
 from itertools import combinations
-from math import lcm, prod
+from math import gcd, lcm, prod
 from operator import add
 
 from .errors import BudgetExceededError
@@ -67,9 +69,9 @@ MAX_SUBSETS = 4096  # 2^n <= 4096 exactly when the rank is at most 12
 
 
 def check_subset_cap(system: RootSystemId, size: int) -> None:
-    """Refuse, before any work, a pyramid table over `size` indices of more than
-    MAX_SUBSETS subsets.  `_pyramid_table` checks it before it builds, so every route
-    to the table is bounded."""
+    """Refuse, before any work, the pyramid constants of a J of `size` indices, which
+    need more than MAX_SUBSETS subsets.  `_pyramid` checks it on a miss, before it
+    borders, so every route to the constants is bounded."""
     if 2 ** size > MAX_SUBSETS:
         raise BudgetExceededError("the pyramid table of %s over %d indices needs %d subsets, "
                                   "exceeding cap %d" % (system, size, 2 ** size, MAX_SUBSETS))
@@ -82,74 +84,63 @@ def subsets(top: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
 
 
 @lru_cache(maxsize=None)
-def _table(data: RootSystemData) -> dict:
-    return {(): (1, 1, [], (), 1)}
+def _pyramid(data: RootSystemData, J: tuple[int, ...]) -> tuple:
+    """(|W_J|, det C_J, adj C_J, steps, M_J), J bordered from J[:-1] and each J-j read
+    from this memo.  steps holds (J-j, w_{J,j}, (adj C_J)[:, j]) for j in J, the column
+    as (i - 1, entry) pairs over its nonzero entries.  With [W_J : W_{J-j}] / |J| =
+    p_j / q_j in lowest terms, M_J = det C_J lcm_j(M_{J-j} q_j) and w_{J,j} =
+    M_J p_j / (det C_J M_{J-j} q_j)."""
+    if not J:
+        return 1, 1, (), (), 1
+    check_subset_cap(data.id, len(J))
+    order = weyl_order(data, J)
+    _, det, adj, _, _ = _pyramid(data, J[:-1])
+    adj, det = border(data.cartan, [j - 1 for j in J], adj, det)
+    terms = []  # (J-j, M_{J-j} q_j, p_j)
+    for k in range(len(J)):
+        rest = J[:k] + J[k + 1:]
+        rest_order, _, _, _, rest_scale = _pyramid(data, rest)
+        g = gcd(order // rest_order, len(J))
+        terms.append((rest, rest_scale * (len(J) // g), order // rest_order // g))
+    scale = lcm(*(mq for _, mq, _ in terms))
+    steps = tuple((rest, scale // mq * p,
+                   tuple((i - 1, row[k]) for i, row in zip(J, adj) if row[k]))
+                  for k, (rest, mq, p) in enumerate(terms))
+    return order, det, tuple(map(tuple, adj)), steps, det * scale
 
 
-def _pyramid_table(data: RootSystemData, top: tuple[int, ...]) -> dict:
-    """J -> (|W_J|, det C_J, adj C_J, steps, M_J), one dict per system, holding every J
-    inside each `top` asked for so far, and each J with its subsets.  steps holds
-    (J-j, c_{J,j}, w_{J,j}, (adj C_J)[:, j]) for j in J, the column as (i - 1, entry)
-    pairs over its nonzero entries."""
-    table = _table(data)
-    if top in table:
-        return table
-    check_subset_cap(data.id, len(top))
-    for J in subsets(top):
-        if J not in table:
-            order = weyl_order(data, J)
-            _, det, adj, _, _ = table[J[:-1]]
-            adj, det = border(data.cartan, [j - 1 for j in J], adj, det)
-            rests = [J[:p] + J[p + 1:] for p in range(len(J))]
-            cs = [Fraction(order // table[rest][0], len(J)) for rest in rests]
-            scale = lcm(*(table[rest][4] * c.denominator for rest, c in zip(rests, cs)))
-            steps = tuple(
-                (rest, c, scale // (table[rest][4] * c.denominator) * c.numerator,
-                 tuple((i - 1, row[p]) for i, row in zip(J, adj) if row[p]))
-                for p, (rest, c) in enumerate(zip(rests, cs)))
-            table[J] = (order, det, adj, steps, det * scale)
-    return table
-
-
-def _scaled_volumes(data: RootSystemData, x, top: tuple[int, ...], R: dict) -> dict:
+def _scaled_volumes(data: RootSystemData, x, top: tuple[int, ...], R: dict) -> None:
     """R_K = M_K r_K(x) for every K inside top, added to R, which holds R_K already
-    known (R_empty among them); returns the pyramid table."""
-    table = _pyramid_table(data, top)
+    known (R_empty among them)."""
+    _pyramid(data, top)  # refuses more than MAX_SUBSETS subsets before any bordering
     for K in subsets(top):
         if K not in R:
             R[K] = reduce(add, (w * reduce(add, (x[i] * a for i, a in col)) * R[rest]
-                                for rest, _, w, col in table[K][3]))
-    return table
+                                for rest, w, col in _pyramid(data, K)[3]))
 
 
 def relative_volumes(data: RootSystemData, lam) -> dict:
     """r_K(lambda) for every K inside 1..n, in O(n^2 2^n) integer steps at the dominant
     coweight lambda, and one division for each K."""
     R = {(): 1}
-    table = _scaled_volumes(data, dominant_coweight(data.rank, lam),
-                            tuple(range(1, data.rank + 1)), R)
-    return {K: Fraction(v, table[K][4]) for K, v in R.items()}
+    _scaled_volumes(data, dominant_coweight(data.rank, lam), tuple(range(1, data.rank + 1)), R)
+    return {K: Fraction(v, _pyramid(data, K)[4]) for K, v in R.items()}
 
 
 def face_gram(data: RootSystemData, J) -> Fraction:
     """gram_J = det Gram(alpha_j^v : j in J) = det C_J prod_{j in J} 2/|alpha_j|^2."""
     J = simple_subset(data.rank, J)
-    return Fraction(2 ** len(J) * _pyramid_table(data, J)[J][1],
+    return Fraction(2 ** len(J) * _pyramid(data, J)[1],
                     prod(data.simple_root_norms[j - 1] for j in J))
-
-
-@lru_cache(maxsize=None)
-def _variables(data: RootSystemData) -> tuple[list[MPoly], dict]:
-    n = data.rank
-    return [MPoly.variable(n, i) for i in range(n)], {(): MPoly.constant(n, 1)}
 
 
 def volume_polynomial(data: RootSystemData, J) -> VolumePolynomial:
     """Lattice-normalized volume polynomial of the face Conv(W_J . lambda)."""
     J = simple_subset(data.rank, J)
-    x, scaled = _variables(data)
-    m = _scaled_volumes(data, x, J, scaled)[J][4]
-    return VolumePolynomial(J, scaled[J] * Fraction(1, m), face_gram(data, J))
+    n = data.rank
+    scaled = {(): MPoly.constant(n, 1)}
+    _scaled_volumes(data, [MPoly.variable(n, i) for i in range(n)], J, scaled)
+    return VolumePolynomial(J, scaled[J] * Fraction(1, _pyramid(data, J)[4]), face_gram(data, J))
 
 
 def indicator(n: int, S) -> tuple[int, ...]:

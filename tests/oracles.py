@@ -919,6 +919,19 @@ def lower_interval_elements(data: RootSystemData, w: AffineElement, word,
     return {AffineElement(lin, tr) for lin, tr in elements}
 
 
+def subword_closure(start, walls, word, scale: int) -> set:
+    """P_0 = {start}; P_k = P_{k-1} united with s_{i_k}(P_{k-1}) along the word, with
+    every point of P_{k-1} reflected again at each step, so quadratic in |P|: the
+    reference for `affine._close`, which reflects each point at most once per wall."""
+    points = {start}
+    for i in word:
+        k, c, v = walls[i]
+        for p in list(points):
+            m = sum(map(mul, k, p)) + c * scale
+            points.add(tuple(a - m * b for a, b in zip(p, v)))
+    return points
+
+
 def enumerate_weyl_group(data: RootSystemData, cap: int = DEFAULT_GROUP_CAP) -> list[AffineElement]:
     """All of W_f by closure over the simple reflections.
 

@@ -185,16 +185,39 @@ def test_coefficients_are_equal_by_value_and_unhashable():
     d = build_root_system("A2")
     mu = {(): Fraction(6), (1,): Fraction(9), (2,): Fraction(9), (1, 2): Fraction(6)}
     coeffs = GeometricCoefficients(d.id, mu)
-    assert coeffs.provenance == {}
-    assert coeffs.provenance is not GeometricCoefficients(d.id, mu).provenance
-    assert coeffs == GeometricCoefficients(build_root_system("A2").id, dict(mu), {})
+    assert coeffs == GeometricCoefficients(build_root_system("A2").id, dict(mu))
     assert coeffs != GeometricCoefficients(d.id, {**mu, (): Fraction(7)})
-    assert coeffs != GeometricCoefficients(d.id, mu, {(): "fitted"})
     assert coeffs != mu
     with pytest.raises(TypeError, match="unhashable"):
         hash(coeffs)
     back = GeometricCoefficients.from_json(coeffs.to_json())
-    assert back == GeometricCoefficients(d.id, mu, {J: "fitted" for J in mu})
+    assert back == GeometricCoefficients(d.id, mu)
+
+
+def test_provenance_is_read_off_J():
+    d = build_root_system("A2")
+    mu = {(): Fraction(6), (1,): Fraction(9), (2,): Fraction(9), (1, 2): Fraction(6)}
+    derived = {"": "closed-form", "1": "fitted", "2": "fitted", "1,2": "closed-form"}
+    assert GeometricCoefficients(d.id, mu).to_json()["provenance"] == derived
+    assert fit_mu(d).to_json()["provenance"] == derived
+    obj = {"system": "A2", "mu_prime": {"": "6", "1": "9", "2": "9", "1,2": "6"}}
+    assert GeometricCoefficients.from_json(obj) == GeometricCoefficients(d.id, mu)
+    assert GeometricCoefficients.from_json({**obj, "provenance": derived}).mu_prime == mu
+
+
+@pytest.mark.parametrize("provenance", [
+    {"": "fitted", "1": "fitted", "2": "fitted", "1,2": "closed-form"},
+    {"": "closed-form", "1": "fitted", "2": "closed-form", "1,2": "closed-form"},
+    {"": "closed-form", "1": "fitted", "2": "fitted", "1,2": "unknown"},
+    {"": "closed-form", "1": "fitted", "2": "fitted"},
+    {"": "closed-form", "1": "fitted", "2": "fitted", "1,2": "closed-form", "3": "fitted"},
+    {}, [], None, "fitted",
+])
+def test_from_json_refuses_a_provenance_other_than_the_derived_one(provenance):
+    obj = {"system": "A2", "mu_prime": {"": "6", "1": "9", "2": "9", "1,2": "6"},
+           "provenance": provenance}
+    with pytest.raises(ValueError, match="provenance"):
+        GeometricCoefficients.from_json(obj)
 
 
 @pytest.mark.parametrize("obj", [

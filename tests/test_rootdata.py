@@ -20,7 +20,7 @@ from alcoves.errors import AlcovesError, BudgetExceededError
 from alcoves.orbits import face_to_json
 from alcoves.rootdata import (MAX_RANK, RootSystemData, RootSystemId, build_root_system,
                               dominant_representative, weyl_order)
-from alcoves.volumes import _pyramid_table, face_gram
+from alcoves.volumes import _pyramid, face_gram, subsets
 
 from oracles import (AffineElement, QVector, RadScalar, ambient_by_fractions, ambient_core,
                      generate_positive_roots, gram_det, length, longest_finite_element,
@@ -217,11 +217,11 @@ def _product(a, b):
 
 @pytest.mark.parametrize("name", UP_TO_RANK_8)
 def test_bordered_inverses_equal_the_oracle(name):
-    # for every J of the pyramid table, adj C_J and det C_J are integers, adj C_J C_J =
+    # for every J inside 1..n, the memo's adj C_J and det C_J are integers, adj C_J C_J =
     # det C_J I exactly, det C_J is the Gauss-Jordan determinant and C_J^-1 = adj C_J /
     # det C_J the Gauss-Jordan inverse; and C^-1 = B^T / D
     d = build_root_system(name)
-    table = _pyramid_table(d, tuple(range(1, d.rank + 1)))
+    table = {J: _pyramid(d, J) for J in subsets(tuple(range(1, d.rank + 1)))}
     assert len(table) == 2 ** d.rank
     for J, (_, det, adj, _, _) in table.items():
         block = [[d.cartan[i - 1][k - 1] for k in J] for i in J]

@@ -7,8 +7,8 @@ import pytest
 from alcoves import volumes
 from alcoves.errors import BudgetExceededError
 from alcoves.mpoly import MPoly
-from alcoves.rootdata import build_root_system, weyl_order
-from alcoves.volumes import (_pyramid_table, face_gram, indicator, relative_volumes,
+from alcoves.rootdata import RootSystemData, RootSystemId, build_root_system, weyl_order
+from alcoves.volumes import (_pyramid, face_gram, indicator, relative_volumes, subsets,
                              support_difference, volume_polynomial)
 
 from oracles import (QVector, RadScalar, diagram_components, euclidean_volume, eulerian,
@@ -216,23 +216,44 @@ def test_scaled_recursion_equals_the_fraction_oracle(name):
 
 @pytest.mark.parametrize("name", RANK_AT_MOST_4 + ["D5", "E6", "E7"])
 def test_cartan_constants_equal_the_ambient_derivation(name):
-    # gram_J and c_{J,j} as the ambient recursion derived them from the
-    # coroots and the mixed dual basis nu_j
+    # gram_J and c_{J,j} = w_{J,j} det C_J M_{J-j} / M_J as the ambient recursion
+    # derived them from the coroots and the mixed dual basis nu_j
     d = build_root_system(name)
-    table = _pyramid_table(d, tuple(range(1, d.rank + 1)))
     for J in _subsets(d.rank):
         gram = gram_det([d.simple_coroots[j - 1] for j in J])
         assert face_gram(d, J) == gram == volume_polynomial(d, J).gram
         s_J, _ = sqrt_decompose(gram)
         nu = mixed_basis_nu(d, J)
-        _, det, adj, steps, _ = table[J]
-        for p, (j, (rest, c, _, _)) in enumerate(zip(J, steps)):
+        _, det, adj, steps, scale = _pyramid(d, J)
+        for p, (j, (rest, w, _)) in enumerate(zip(J, steps)):
             vec, normsq = nu[j]
             col = {i: Fraction(row[p], det) for i, row in zip(J, adj)}
             assert col == {i: vec.dot(d.fundamental_coweights[i - 1]) for i in J}
             t_j, _ = sqrt_decompose(gram_det([d.simple_coroots[k - 1] for k in rest]) / normsq)
             index = weyl_order(d, J) // weyl_order(d, rest)
+            c = Fraction(w * det * _pyramid(d, rest)[4], scale)
             assert c == index * t_j / (len(J) * s_J)
+
+
+def test_the_pyramid_constants_are_built_without_a_fraction(monkeypatch):
+    # every entry of the 33 systems up to rank 8, each on a fresh RootSystemData so that
+    # the memo misses, comes from integers alone
+    made = []
+    new = Fraction.__new__
+
+    def counted(cls, *args, **kwargs):
+        made.append(args)
+        return new(cls, *args, **kwargs)
+
+    fresh = [RootSystemData(RootSystemId(name[0], int(name[1:]))) for name in UP_TO_RANK_8]
+    misses = _pyramid.cache_info().misses
+    monkeypatch.setattr(Fraction, "__new__", counted)
+    for d in fresh:
+        for J in subsets(tuple(range(1, d.rank + 1))):
+            _pyramid(d, J)
+    monkeypatch.undo()
+    assert made == []
+    assert _pyramid.cache_info().misses - misses == sum(2 ** d.rank for d in fresh)
 
 
 @pytest.mark.parametrize("name", ["A3", "B3", "C3", "G2", "A4", "D4", "F4"])
@@ -253,8 +274,9 @@ def test_support_differences_equal_the_coefficient_sums(name):
 
 def test_every_route_to_the_pyramid_table_refuses_a13_before_any_bordering(monkeypatch):
     # A13 needs 8192 subsets, above MAX_SUBSETS; the refusal comes before the first
-    # bordering step, and leaves the system's table as it was
+    # bordering step, and leaves the memo as it was
     d = build_root_system("A13")
+    entries = volumes._pyramid.cache_info().currsize
     monkeypatch.setattr(volumes, "border", lambda *args: pytest.fail("bordered"))
     top = tuple(range(1, 14))
     routes = [lambda: relative_volumes(d, (1,) * 13), lambda: face_gram(d, top),
@@ -262,4 +284,4 @@ def test_every_route_to_the_pyramid_table_refuses_a13_before_any_bordering(monke
     for route in routes:
         with pytest.raises(BudgetExceededError, match="8192 subsets, exceeding cap 4096"):
             route()
-    assert list(volumes._table(d)) == [()]
+    assert volumes._pyramid.cache_info().currsize == entries
