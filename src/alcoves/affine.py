@@ -95,6 +95,11 @@ def _fold(ctx: _Context, x, scale: int) -> tuple[Point, list[int]]:
     return _act(ctx, reversed(word), ctx.bary, ctx.scale), word
 
 
+def _theta_point(ctx: _Context, n: int, lam) -> Point:
+    """N (lambda - b), a point of the alcove A_{w0} + lambda."""
+    return tuple(ctx.scale * m - b for m, b in zip(dominant_coweight(n, lam), ctx.bary))
+
+
 def theta(data: RootSystemData, lam) -> tuple[Point, list[int]]:
     """The element whose alcove is A_{w0} + lambda, as (N theta(b), reduced word).
 
@@ -102,9 +107,8 @@ def theta(data: RootSystemData, lam) -> tuple[Point, list[int]]:
     coordinates.  w0 maps A_id to -A_id, so w0(b) = -b and that alcove holds
     lambda - b.
     """
-    lam = dominant_coweight(data.rank, lam)
     ctx = _context(data)
-    return _fold(ctx, tuple(ctx.scale * m - b for m, b in zip(lam, ctx.bary)), ctx.scale)
+    return _fold(ctx, _theta_point(ctx, data.rank, lam), ctx.scale)
 
 
 def _close(start: Point, walls, word, scale: int, cap: int, weight: int) -> set[Point]:
@@ -159,11 +163,16 @@ def interval_size_bruhat(data: RootSystemData, lam, cap: int = DEFAULT_INTERVAL_
 
     The cap counts elements, as in `lower_interval`: |S_k| <= |W_f| |P_k| <=
     |S|, so this refuses exactly when `lower_interval` does, with its message.
+    The interval holds W_f and a chain of each length up to l = l(theta(lambda)),
+    so it has at least max(|W_f|, l + 1) elements: that refuses before the fold
+    builds the word, in O(|Phi+| n) steps.
     """
-    if data.wf_order > cap:  # |W_f| |P_0| already exceeds it; refuse before theta
+    ctx = _context(data)
+    length = _length(ctx, _theta_point(ctx, data.rank, lam), ctx.scale)
+    if max(data.wf_order, length + 1) > cap:
         raise BudgetExceededError("lower interval exceeds cap of %d elements" % cap)
     _, word = theta(data, lam)
-    points = _close((0,) * data.rank, _context(data).walls, word, 1, cap, data.wf_order)
+    points = _close((0,) * data.rank, ctx.walls, word, 1, cap, data.wf_order)
     return data.wf_order * len(points)
 
 

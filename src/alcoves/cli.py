@@ -9,9 +9,10 @@ exceeded, 3 fit verification failure, 4 verification mismatch.
 `--coeffs` (count only), else from the file the package ships in
 `alcoves/data` for each of the 23 systems that `fit` admits at the default
 `--box-cap`, else from the cache under `--cache-dir`, fitting and storing on
-a miss.  A shipped file passes the checks a `--coeffs` file does; one that
-fails them is an error, never refitted, so a shipped system neither fits nor
-writes.  `fit` always fits.
+a miss.  Each file is read only as `fit --out` writes it: `from_json` checks
+every field.  A shipped file that fails is an error, never refitted, so a
+shipped system neither fits nor writes; a defective cache is refitted.  `fit`
+always fits.
 """
 
 from __future__ import annotations
@@ -30,8 +31,7 @@ from . import __version__
 from .errors import AlcovesError, BudgetExceededError, FitVerificationError
 from .affine import (DEFAULT_INTERVAL_CAP, descents, interval_size_bruhat, sigma_reflection,
                      theta)
-from .coefficients import (GeometricCoefficients, check_coefficients, evaluate_formula, fit_mu,
-                           hypersimplex_ehrhart)
+from .coefficients import GeometricCoefficients, evaluate_formula, fit_mu, hypersimplex_ehrhart
 from .orbits import DEFAULT_BOX_CAP, face_to_json, interval_size_lattice
 from .rootdata import (RootSystemId, build_root_system, check_rank, dominant_coweight,
                        simple_subset)
@@ -129,18 +129,15 @@ def _parse_J(text: str, rank: int) -> tuple[int, ...]:
 
 
 def _read_coefficients(path: Path, data) -> GeometricCoefficients:
-    """Load a coefficient file; ValueError unless it is of this version and passes
-    check_coefficients for data's system."""
+    """The coefficients in a file as `fit --out` writes it for data's system, else ValueError."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             obj = json.load(fh)
         except RecursionError:
             raise ValueError("%s is nested too deeply to be a coefficient file" % path) from None
     coeffs = GeometricCoefficients.from_json(obj)
-    if obj.get("version") != __version__:
-        raise ValueError("%s holds coefficients of version %r, not %s"
-                         % (path, obj.get("version"), __version__))
-    check_coefficients(data, coeffs)
+    if coeffs.system != data.id:
+        raise ValueError("%s holds coefficients for %s, not %s" % (path, coeffs.system, data.id))
     return coeffs
 
 

@@ -9,8 +9,10 @@ Every mu'_J is fitted from exact lattice counts at 0/1 coweights, which
 uniqueness makes sound; closed forms pin the extremes (mu'_empty = |W_f|,
 mu_{I_n} = 1/vol(A_id)), and fits are verified on further coweights (degenerate
 ones included) and never returned silently.  So provenance is a function of J:
-`closed-form` on the empty set and 1..n, `fitted` elsewhere.  The fits of the 23
-systems that the default box cap admits ship with the package, as `fit --out`
+`closed-form` on the empty set and 1..n, `fitted` elsewhere.  GeometricCoefficients
+is the one validator: no map that fails the pins is ever held, and `from_json`
+reads an object only if `to_json` writes it back field for field.  The fits of the
+23 systems that the default box cap admits ship with the package, as `fit --out`
 writes them, in `alcoves/data`; the CLI reads those instead of fitting, and the
 tests re-derive each one byte for byte.  Hypersimplex Ehrhart polynomials (by
 Katzman's inclusion-exclusion, *The Hilbert series of algebras of the Veronese
@@ -24,13 +26,14 @@ import math
 import re
 from fractions import Fraction
 from operator import index
+from types import MappingProxyType
 
 from .errors import FitVerificationError, FormulaConsistencyError
 from .mpoly import MPoly
 from .rootdata import RootSystemData, RootSystemId, build_root_system, dominant_coweight
 from .orbits import DEFAULT_BOX_CAP, check_level_budget, interval_size_lattice
-from .volumes import (check_subset_cap, face_gram, indicator, relative_volumes, subsets,
-                      support_difference)
+from .volumes import (MAX_SUBSETS, check_subset_cap, face_gram, indicator, relative_volumes,
+                      subsets, support_difference)
 
 # what str() writes of a Fraction, and all that from_json reads: "p" or "p/q", q != 0
 _RATIONAL = re.compile(r"-?[0-9]+(/0*[1-9][0-9]*)?")
@@ -89,21 +92,30 @@ def hypersimplex_ehrhart(k: int, d: int) -> MPoly:
 
 # -- coefficient containers --------------------------------------------------------
 
-def _provenance(system: RootSystemId, mu_prime) -> dict[str, str]:
-    """The provenance to_json writes: a closed form pins the empty set and 1..n."""
-    pinned = ((), tuple(range(1, system.rank + 1)))
-    return {",".join(map(str, J)): "closed-form" if J in pinned else "fitted"
-            for J in sorted(mu_prime)}
-
-
 class GeometricCoefficients:
-    """The map J -> mu'_J (lattice-normalized, rational) for one system."""
+    """The map J -> mu'_J (lattice-normalized, rational) for one system, valid by
+    construction: the constructor checks, cheapest first, a rank within the subset cap,
+    exactly the 2^n subsets of 1..n as keys, and the closed forms mu'_empty = |W_f| and
+    mu'_top = 1/vol(A_id) (lattice-normalized, |W_f| too, as sqrt(gram_top) = covol(Q^v)
+    = |W_f| vol(A_id)); it raises ValueError otherwise.  The map is stored read-only."""
 
-    __hash__ = None  # equal by value, and its map may change
+    __hash__ = None  # equal by value, and unhashable as the map it holds is
 
     def __init__(self, system: RootSystemId, mu_prime: dict[tuple[int, ...], Fraction]):
+        n = system.rank
+        if MAX_SUBSETS >> n == 0:  # 2^n > MAX_SUBSETS, without an n-bit power
+            raise ValueError("coefficients for %s would need 2^%d subsets, exceeding cap %d"
+                             % (system, n, MAX_SUBSETS))
+        if len(mu_prime) != 2 ** n or mu_prime.keys() != set(subsets(tuple(range(1, n + 1)))):
+            raise ValueError("coefficients for %s must cover exactly the %d subsets of 1..%d"
+                             % (system, 2 ** n, n))
+        wf_order = build_root_system(system).wf_order
+        if mu_prime[()] != wf_order:
+            raise ValueError("mu'_empty != |W_f|")
+        if mu_prime[tuple(range(1, n + 1))] != wf_order:
+            raise ValueError("mu'_top != 1/vol(A_id)")
         self.system = system
-        self.mu_prime = mu_prime
+        self.mu_prime = MappingProxyType(dict(mu_prime))
 
     def __eq__(self, other):
         if not isinstance(other, GeometricCoefficients):
@@ -111,70 +123,60 @@ class GeometricCoefficients:
         return (self.system, self.mu_prime) == (other.system, other.mu_prime)
 
     def to_json(self) -> dict:
+        """The file format; provenance is read off J, as closed forms pin () and 1..n."""
         from . import __version__
         key = lambda J: ",".join(map(str, J))
-        data = build_root_system(self.system.family, self.system.rank)
+        data = build_root_system(self.system)
+        every = sorted(self.mu_prime)
         return {
             "schema": 1,
             "version": __version__,
             "system": str(self.system),
-            "mu_prime": {key(J): str(v) for J, v in sorted(self.mu_prime.items())},
-            "provenance": _provenance(self.system, self.mu_prime),
-            "gram": {key(J): str(face_gram(data, J)) for J in sorted(self.mu_prime)},
+            "mu_prime": {key(J): str(self.mu_prime[J]) for J in every},
+            "provenance": {key(J): "closed-form" if len(J) in (0, data.rank) else "fitted"
+                           for J in every},
+            "gram": {key(J): str(face_gram(data, J)) for J in every},
         }
 
     @staticmethod
-    def from_json(obj: dict) -> "GeometricCoefficients":
-        """Parse the output of to_json; a malformed object, or a provenance other than
-        the one to_json derives, raises ValueError."""
+    def from_json(obj) -> "GeometricCoefficients":
+        """The coefficients of which obj is the to_json(), and nothing else: obj must equal
+        to_json() of the result field for field and type for type, no field missing or
+        extra.  Anything else raises ValueError, naming every field that differs."""
         try:
             name = obj["system"]
             system = RootSystemId(name[0], int(name[1:]))
-            if str(system) != name:
-                raise ValueError("system %r is not as to_json writes it" % (name,))
             mu = {}
             for key, val in obj["mu_prime"].items():
-                J = tuple(int(x) for x in key.split(",")) if key else ()
-                if key != ",".join(map(str, J)) or not _RATIONAL.fullmatch(val):
-                    raise ValueError("mu_prime %r: %r is not as to_json writes it" % (key, val))
-                mu[J] = Fraction(*map(int, val.split("/")))
-            derived = _provenance(system, mu)
-            if obj.get("provenance", derived) != derived:
-                raise ValueError("provenance is not the one to_json derives from J")
+                if not _RATIONAL.fullmatch(val):
+                    raise ValueError("mu_prime %r: %r is not a rational" % (key, val))
+                mu[tuple(map(int, key.split(","))) if key else ()] = Fraction(
+                    *map(int, val.split("/")))
         except (KeyError, IndexError, TypeError, AttributeError) as exc:
             raise ValueError("malformed coefficient object: %s %s"
                              % (type(exc).__name__, exc)) from None
-        return GeometricCoefficients(system, mu)
-
-
-def check_coefficients(data: RootSystemData, coeffs: GeometricCoefficients) -> None:
-    """Raise ValueError unless coeffs can be the coefficients of data's system.
-
-    They must name the system, hold one value for each of the 2^n subsets J,
-    and meet the closed forms mu'_empty = |W_f| and mu'_top = 1/vol(A_id)
-    (lattice-normalized).
-    """
-    if coeffs.system != data.id:
-        raise ValueError("coefficients are for %s, not %s" % (coeffs.system, data.id))
-    # the count first, so a file naming a large system is refused before 2^n subsets are built
-    if (len(coeffs.mu_prime) != 2 ** data.rank
-            or coeffs.mu_prime.keys() != set(subsets(tuple(range(1, data.rank + 1))))):
-        raise ValueError("coefficients for %s must cover exactly the %d subsets of 1..%d"
-                         % (data.id, 2 ** data.rank, data.rank))
-    if coeffs.mu_prime[()] != data.wf_order:
-        raise ValueError("mu'_empty != |W_f|")
-    # sqrt(gram_top) = covol(Q^v) = |W_f| vol(A_id), so mu'_top = |W_f| too
-    if coeffs.mu_prime[tuple(range(1, data.rank + 1))] != data.wf_order:
-        raise ValueError("mu'_top != 1/vol(A_id)")
+        coeffs = GeometricCoefficients(system, mu)
+        written = coeffs.to_json()
+        # the values to_json writes are ints, strings and maps of strings to strings, so
+        # the type of each field and == decide equality as JSON
+        differ = sorted((field for field in written.keys() | obj.keys()
+                         if field not in written or field not in obj
+                         or type(obj[field]) is not type(written[field])
+                         or obj[field] != written[field]), key=str)
+        if differ:
+            raise ValueError("coefficient object differs from what to_json writes in %s"
+                             % ", ".join(map(str, differ)))
+        return coeffs
 
 
 def evaluate_formula(data: RootSystemData, coeffs: GeometricCoefficients, lam) -> int:
     """sum_J mu'_J r_J(lambda); must land on a non-negative integer.
 
-    Coefficients that fail check_coefficients raise ValueError.
+    The coefficients are valid by construction; ones of another system raise ValueError.
     """
     lam = dominant_coweight(data.rank, lam)
-    check_coefficients(data, coeffs)
+    if coeffs.system != data.id:
+        raise ValueError("coefficients are for %s, not %s" % (coeffs.system, data.id))
     r = relative_volumes(data, lam)
     total = sum((mu * r[J] for J, mu in coeffs.mu_prime.items()), Fraction(0))
     if total.denominator != 1 or total < 0:
@@ -223,10 +225,8 @@ def fit_mu(data: RootSystemData, box_cap: int = DEFAULT_BOX_CAP) -> GeometricCoe
             if J != K:
                 diff[J] -= mu[K] * c
 
-    coeffs = GeometricCoefficients(data.id, mu)
-
     try:
-        check_coefficients(data, coeffs)  # the closed-form pins
+        coeffs = GeometricCoefficients(data.id, mu)  # the closed-form pins
     except ValueError as exc:
         raise FitVerificationError("fit failed verification: %s" % exc) from None
 

@@ -355,7 +355,14 @@ def test_count_bruhat_beyond_the_element_closure(capsys, system, lam):
     (["faces", "--type", "E", "--rank", "7", "--lambda", "1,1,1,1,1,1,1",
       "--J", "1,2,3,4,5,6,7"],
      "the face has 2903040 vertices, exceeding cap 100000"),
-], ids=["E8-bruhat", "E7-geometric", "E7-fit", "E7-verify", "A13-volumes", "E7-faces"])
+    # l(theta(lambda)) + 1 exceeds the cap: refused before the fold builds the word
+    (["count", "--type", "A", "--rank", "1", "--lambda", "4000000", "--method", "bruhat"],
+     "lower interval exceeds cap of 1000000 elements"),
+    (["count", "--type", "A", "--rank", "2", "--lambda", "1000000,1000000",
+      "--method", "bruhat"],
+     "lower interval exceeds cap of 1000000 elements"),
+], ids=["E8-bruhat", "E7-geometric", "E7-fit", "E7-verify", "A13-volumes", "E7-faces",
+        "A1-bruhat-length", "A2-bruhat-length"])
 def test_refusal_before_the_first_count_is_cheap(capsys, tmp_path, monkeypatch, argv, message):
     monkeypatch.chdir(tmp_path)  # the relative cache and out paths land here
     build_root_system("%s%s" % (argv[2], argv[4]))  # time the refusal, not the build
@@ -439,8 +446,15 @@ def _with(**changes):
     _with(mu_prime=dict(A2_MU_PRIME, **{"1": "1/0"})),   # a zero denominator
     _with(mu_prime=dict(A2_MU_PRIME, **{"1": "1e100000000"})),  # an exponent
     _with(mu_prime=dict(A2_MU_PRIME, **{" 1": "100"})),  # subset 1 named twice
+    _with(schema=2),
+    _with(gram={"": "999", "1": "999", "2": "999", "1,2": "999"}),
+    _with(extra=None),
+    _with(mu_prime=dict(A2_MU_PRIME, **{"1": "18/2"})),  # 9, but not as to_json writes it
+    lambda text: json.dumps({k: v for k, v in json.loads(text).items() if k != "provenance"}),
+    _with(system="A2000000"),
 ], ids=["mu-empty", "mu-top", "subset-missing", "version", "system", "truncated", "deep",
-        "zero-denominator", "exponent", "key-twice"])
+        "zero-denominator", "exponent", "key-twice", "schema", "gram", "extra-field",
+        "unreduced", "provenance-missing", "large-rank"])
 def test_defective_cache_is_refitted_and_defective_coeffs_file_refused(
         capsys, tmp_path, unshipped, defect):
     fresh = tmp_path / "fresh.json"
@@ -520,7 +534,8 @@ def test_verify_on_a_shipped_system_neither_fits_nor_writes(capsys, tmp_path, no
     _with(mu_prime=dict(A2_MU_PRIME, **{"": "7"})),      # mu'_empty != |W_f|
     _with(mu_prime={"": "6", "1": "9", "1,2": "6"}),     # a subset missing
     _with(version="0.0.0"),
-], ids=["mu-empty", "subset-missing", "version"])
+    _with(gram={"": "999", "1": "999", "2": "999", "1,2": "999"}),
+], ids=["mu-empty", "subset-missing", "version", "gram"])
 def test_a_defective_shipped_file_is_an_error_not_a_refit(capsys, tmp_path, monkeypatch, no_fit,
                                                          defect):
     import alcoves.cli as climod

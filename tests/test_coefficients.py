@@ -1,13 +1,15 @@
 import itertools
 import json
 import math
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from alcoves.coefficients import (GeometricCoefficients, check_coefficients, evaluate_formula,
-                                  fit_mu, hypersimplex_dilation_count, hypersimplex_ehrhart)
+from alcoves.affine import interval_size_bruhat
+from alcoves.coefficients import (GeometricCoefficients, evaluate_formula, fit_mu,
+                                  hypersimplex_dilation_count, hypersimplex_ehrhart)
 from alcoves.errors import (BudgetExceededError, FitVerificationError,
                             FormulaConsistencyError)
 from alcoves.orbits import interval_size_lattice
@@ -102,8 +104,8 @@ def test_mu_empty():
 @pytest.mark.parametrize("name", [f + str(n) for f, rule in _RANK_RULES.items()
                                   for n in range(1, 9) if rule(n)])
 def test_top_pin_is_the_weyl_group_order(name):
-    # check_coefficients pins mu'_top = 1/vol(A_id) as |W_f|: sqrt(gram_top) is the
-    # covolume of the coroot lattice, which is |W_f| vol(A_id)
+    # the GeometricCoefficients constructor pins mu'_top = 1/vol(A_id) as |W_f|: sqrt(gram_top)
+    # is the covolume of the coroot lattice, which is |W_f| vol(A_id)
     d = build_root_system(name)
     assert mu_full(d) * RadScalar.sqrt(face_gram(d, range(1, d.rank + 1))) == d.wf_order
 
@@ -186,7 +188,7 @@ def test_coefficients_are_equal_by_value_and_unhashable():
     mu = {(): Fraction(6), (1,): Fraction(9), (2,): Fraction(9), (1, 2): Fraction(6)}
     coeffs = GeometricCoefficients(d.id, mu)
     assert coeffs == GeometricCoefficients(build_root_system("A2").id, dict(mu))
-    assert coeffs != GeometricCoefficients(d.id, {**mu, (): Fraction(7)})
+    assert coeffs != GeometricCoefficients(d.id, {**mu, (1,): Fraction(10)})
     assert coeffs != mu
     with pytest.raises(TypeError, match="unhashable"):
         hash(coeffs)
@@ -200,9 +202,14 @@ def test_provenance_is_read_off_J():
     derived = {"": "closed-form", "1": "fitted", "2": "fitted", "1,2": "closed-form"}
     assert GeometricCoefficients(d.id, mu).to_json()["provenance"] == derived
     assert fit_mu(d).to_json()["provenance"] == derived
-    obj = {"system": "A2", "mu_prime": {"": "6", "1": "9", "2": "9", "1,2": "6"}}
+    obj = GeometricCoefficients(d.id, mu).to_json()
     assert GeometricCoefficients.from_json(obj) == GeometricCoefficients(d.id, mu)
-    assert GeometricCoefficients.from_json({**obj, "provenance": derived}).mu_prime == mu
+    # an object without the fields to_json derives is not what to_json writes
+    bare = {"system": "A2", "mu_prime": {"": "6", "1": "9", "2": "9", "1,2": "6"}}
+    with pytest.raises(ValueError, match="gram, provenance, schema, version$"):
+        GeometricCoefficients.from_json(bare)
+    with pytest.raises(ValueError, match="gram, schema, version$"):
+        GeometricCoefficients.from_json({**bare, "provenance": derived})
 
 
 @pytest.mark.parametrize("provenance", [
@@ -237,16 +244,42 @@ def test_from_json_rejects_malformed_objects(obj):
         GeometricCoefficients.from_json(obj)
 
 
-def test_check_coefficients_pins():
+def test_constructor_pins():
     d = build_root_system("A2")
     fitted = fit_mu(d).mu_prime
-    check_coefficients(d, GeometricCoefficients(d.id, fitted))
+    assert GeometricCoefficients(d.id, fitted).mu_prime == fitted
     for J in [(), (1, 2)]:  # mu'_empty and mu'_top
-        coeffs = GeometricCoefficients(d.id, {K: v + (K == J) for K, v in fitted.items()})
         with pytest.raises(ValueError, match="mu'_"):
-            check_coefficients(d, coeffs)
-        with pytest.raises(ValueError, match="mu'_"):
-            evaluate_formula(d, coeffs, (0, 0))
+            GeometricCoefficients(d.id, {K: v + (K == J) for K, v in fitted.items()})
+    for keys in [[(), (1,), (1, 2)], [(), (1,), (2,), (1, 2), (3,)], [(), (1,), (2, 1), (1, 2)]]:
+        with pytest.raises(ValueError, match="exactly the 4 subsets of 1..2"):
+            GeometricCoefficients(d.id, {K: Fraction(6) for K in keys})
+
+
+def test_the_map_is_read_only_and_a_copy():
+    d = build_root_system("A2")
+    mu = {(): Fraction(6), (1,): Fraction(9), (2,): Fraction(9), (1, 2): Fraction(6)}
+    coeffs = GeometricCoefficients(d.id, mu)
+    with pytest.raises(TypeError):
+        coeffs.mu_prime[()] = Fraction(7)
+    with pytest.raises(TypeError):
+        del coeffs.mu_prime[(1,)]
+    mu[(1,)] = Fraction(10)
+    assert coeffs.mu_prime[(1,)] == 9
+
+
+def test_from_json_refuses_a_large_rank_before_any_rank_sized_work():
+    # a short object naming A2000000: refused on the subset cap, before anything of
+    # the size of the rank (a tuple of 1..n, the power 2^n) is built
+    obj = {"system": "A2000000", "mu_prime": {"": "6"}}
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="subsets, exceeding cap 4096"):
+            GeometricCoefficients.from_json(obj)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
 
 
 def test_simplex_identity_rank2():
@@ -323,6 +356,32 @@ def test_fit_verification_failure_surfaces(monkeypatch):
         with pytest.raises(FitVerificationError):
             fit_mu(d)
         assert bad in seen
+
+
+@pytest.mark.parametrize("name", [name for name in FITS if int(name[1:]) <= 5])
+def test_coefficients_solved_from_bruhat_counts_equal_the_shipped_file(monkeypatch, name):
+    # the 2^n counts at 0/1 coweights come from subword closure, the validation counts
+    # from the lattice as before: the fit must land on the shipped file exactly
+    import alcoves.coefficients as coefmod
+    from alcoves.cli import DATA_DIR
+    lattice = coefmod.interval_size_lattice
+    closed = []
+
+    def count(data, lam, box_cap):
+        if set(lam) <= {0, 1}:
+            closed.append(lam)
+            return interval_size_bruhat(data, lam, cap=10 ** 9)  # B5 (1^5) has 194 204 160
+        return lattice(data, lam, box_cap)
+
+    monkeypatch.setattr(coefmod, "interval_size_lattice", count)
+    d = build_root_system(name)
+    shipped = GeometricCoefficients.from_json(
+        json.loads(Path(DATA_DIR, "%s.json" % name).read_text()))
+    fitted = fit_mu(d)
+    assert set(closed) == set(itertools.product((0, 1), repeat=d.rank))
+    for J, value in shipped.mu_prime.items():
+        assert fitted.mu_prime[J] == value, J
+    assert fitted == shipped
 
 
 # the subsets J with a negative mu'_J, by system; none of the shipped fits has one.

@@ -8,6 +8,7 @@ import importlib.util
 import io
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -80,6 +81,40 @@ def test_a_query_process_imports_no_heavy_stdlib_module(argv, tmp_path):
     assert {"alcoves.rootdata", "argparse"} <= imported - baseline
     assert (imported - baseline) & HEAVY_MODULES == set()
     assert not (tmp_path / "cache").exists()
+
+
+# what each interpreter runs: every count route, a shipped file read from the package and
+# through --coeffs, and verify's cross-check of all three
+ACROSS_VERSIONS = [COUNT[:-2] + ["1,1,1", "--method", method, "--cache-dir"]
+                   for method in ("bruhat", "lattice", "geometric")]
+ACROSS_VERSIONS += [COUNT[:-2] + ["1,1,1", "--method", "geometric", "--coeffs"],
+                    ["-m", "alcoves.cli", "verify", "--type", "A", "--rank", "2",
+                     "--max-coord", "1", "--cache-dir"]]
+
+
+@pytest.mark.parametrize("python", ["python3.10", "python3.13"])
+def test_the_cli_prints_the_same_on_each_declared_python(python, tmp_path):
+    # pyproject.toml declares requires-python >= 3.10: the oldest and the newest
+    # interpreter, when installed, must print what this one prints, elapsed_ms aside
+    try:
+        usable = subprocess.run([python, "-c", "pass"], capture_output=True,
+                                timeout=60).returncode == 0
+    except (OSError, subprocess.TimeoutExpired):
+        usable = False
+    if not usable:
+        pytest.skip("%s cannot run -c pass" % python)
+    from alcoves.cli import DATA_DIR
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    for argv in ACROSS_VERSIONS:
+        last = str(Path(DATA_DIR, "B3.json")) if argv[-1] == "--coeffs" else str(tmp_path)
+        outputs = []
+        for exe in (sys.executable, python):
+            proc = subprocess.run([exe, "-S", *argv, last], capture_output=True, text=True,
+                                  env=dict(os.environ, PYTHONPATH=path), timeout=300)
+            assert proc.returncode == 0, (exe, argv, proc.stdout + proc.stderr)
+            outputs.append(re.sub(r'"elapsed_ms": [0-9]+, ', "", proc.stdout))
+        assert outputs[0] == outputs[1], argv
+    assert list(tmp_path.iterdir()) == []  # every count read a shipped file
 
 
 def test_every_shipped_file_is_declared_package_data():
