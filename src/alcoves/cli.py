@@ -7,7 +7,7 @@ exceeded, 3 fit verification failure, 4 verification mismatch.
 
 `count --method geometric` and `verify` take the coefficients mu'_J from
 `--coeffs` (count only), else from the file the package ships in
-`alcoves/data` for each of the 23 systems that `fit` admits at the default
+`alcoves/data` for each of the 31 systems that `fit` admits at the default
 `--box-cap`, else from the cache under `--cache-dir`, fitting and storing on
 a miss.  Each file is read only as `fit --out` writes it: `from_json` checks
 every field.  A shipped file that fails is an error, never refitted, so a

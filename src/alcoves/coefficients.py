@@ -7,17 +7,16 @@ rational, and the master identity becomes the exact rational statement
 
 Every mu'_J is fitted from exact lattice counts at 0/1 coweights, which
 uniqueness makes sound; closed forms pin the extremes (mu'_empty = |W_f|,
-mu_{I_n} = 1/vol(A_id)), and fits are verified on further coweights (degenerate
-ones included) and never returned silently.  So provenance is a function of J:
-`closed-form` on the empty set and 1..n, `fitted` elsewhere.  GeometricCoefficients
-is the one validator: no map that fails the pins is ever held, and `from_json`
-reads an object only if `to_json` writes it back field for field.  The fits of the
-23 systems that the default box cap admits ship with the package, as `fit --out`
-writes them, in `alcoves/data`; the CLI reads those instead of fitting, and the
-tests re-derive each one byte for byte.  Hypersimplex Ehrhart polynomials (by
-Katzman's inclusion-exclusion, *The Hilbert series of algebras of the Veronese
-type*, 2005) give the type-A identity
-|<= theta(m w_k^v)| = (n+1)! E_{k,n+1}(m) that `verify` checks.
+mu_{I_n} = 1/vol(A_id)), and agreement on all of T_n proves each fit (`fit_mu`).
+So provenance is a function of J: `closed-form` on the empty set and 1..n,
+`fitted` elsewhere.  GeometricCoefficients is the one validator: no map that fails
+the pins is ever held, and `from_json` reads an object only if `to_json` writes it
+back field for field.  The fits of the 31 systems that the default box cap admits
+ship with the package, as `fit --out` writes them, in `alcoves/data`; the CLI reads
+those instead of fitting, and the tests re-derive each one byte for byte, by the
+solve alone at ranks 7 and 8.  Hypersimplex Ehrhart polynomials (by Katzman's
+inclusion-exclusion, *The Hilbert series of algebras of the Veronese type*, 2005)
+give the type-A identity |<= theta(m w_k^v)| = (n+1)! E_{k,n+1}(m) that `verify` checks.
 """
 
 from __future__ import annotations
@@ -25,6 +24,7 @@ from __future__ import annotations
 import math
 import re
 from fractions import Fraction
+from itertools import combinations
 from operator import index
 from types import MappingProxyType
 
@@ -186,8 +186,8 @@ def evaluate_formula(data: RootSystemData, coeffs: GeometricCoefficients, lam) -
 
 # -- fitting -------------------------------------------------------------------------
 
-def fit_mu(data: RootSystemData, box_cap: int = DEFAULT_BOX_CAP) -> GeometricCoefficients:
-    """Determine every mu'_J from exact interval counts at 0/1 coweights.
+def _solve(data: RootSystemData, counts) -> GeometricCoefficients:
+    """Every mu'_J from the interval counts that counts maps each 0/1 coweight to.
 
     Delta_J (`support_difference`) of the values at the points 1_S keeps the
     monomials with support J, and r_K only involves the variables in K, so
@@ -196,23 +196,11 @@ def fit_mu(data: RootSystemData, box_cap: int = DEFAULT_BOX_CAP) -> GeometricCoe
 
     The system is triangular in subset inclusion, and its diagonal a_{J,J} is
     the squarefree coefficient of r_J, which is positive; so mu' is solved
-    from the largest J down.  Every count runs through the lattice route
-    under `box_cap`.  The result must match the closed forms for the empty
-    and full subsets and reproduce the lattice counts on a validation set:
-    (2 on K, 1 off K) and (3 on K, 0 off K) for every K, and 2 w_i^v for
-    every i.  (3, ..., 3) is above every coweight counted, so its budget
-    check refuses before the first count whenever any count would.
+    from the largest J down, and checked against the closed-form pins.
     """
     n = data.rank
-    check_subset_cap(data.id, data.rank)
-    check_level_budget(data, (3,) * n, box_cap)
     every = subsets(tuple(range(1, n + 1)))
-
-    def count(lam) -> int:
-        return interval_size_lattice(data, lam, box_cap)
-
-    at_indicator = {S: count(indicator(n, S)) for S in every}
-    diff = {J: support_difference(at_indicator.__getitem__, J) for J in every}
+    diff = {J: support_difference(lambda S: counts[indicator(n, S)], J) for J in every}
     volumes = {S: relative_volumes(data, indicator(n, S)) for S in every}
     mu = {}
     for K in reversed(every):
@@ -224,17 +212,33 @@ def fit_mu(data: RootSystemData, box_cap: int = DEFAULT_BOX_CAP) -> GeometricCoe
         for J, c in a.items():
             if J != K:
                 diff[J] -= mu[K] * c
-
     try:
-        coeffs = GeometricCoefficients(data.id, mu)  # the closed-form pins
+        return GeometricCoefficients(data.id, mu)  # the closed-form pins
     except ValueError as exc:
         raise FitVerificationError("fit failed verification: %s" % exc) from None
 
-    # validation, degenerate coweights included
-    validation = {tuple(2 if i + 1 in K else 1 for i in range(n)) for K in every}
-    validation |= {tuple(3 if i + 1 in K else 0 for i in range(n)) for K in every}
-    validation |= {tuple(2 if j == i else 0 for j in range(n)) for i in range(n)}
-    for lam in sorted(validation):
-        if evaluate_formula(data, coeffs, lam) != count(lam):
+
+def fit_mu(data: RootSystemData, box_cap: int = DEFAULT_BOX_CAP) -> GeometricCoefficients:
+    """mu' solved from lattice counts at the 0/1 coweights, and proved on T_n.
+
+    Both sides of |<= theta(lambda)| = sum_J mu'_J r_J(lambda) have degree <= n on
+    dominant lambda: the count is McMullen's mixed lattice-point polynomial of
+    sum_i lambda_i (P(w_i^v) - w_i^v) (*Valuations and Euler-type relations on certain
+    classes of convex polytopes*, 1977).  T_n = {lambda >= 0 : sum_i lambda_i <= n}
+    holds every 0/1 coweight and is unisolvent for that degree (Chung and Yao, *On
+    lattices admitting unique Lagrange interpolations*, 1977).  So T_n's C(2n, n) points,
+    by stars and bars, are each counted once, `_solve` reads the 0/1 ones, and agreement
+    on all of them proves the formula, else FitVerificationError.  n w_i^v, i of largest
+    mark, tops T_n in level, so its budget check refuses before any count that would.
+    """
+    n = data.rank
+    check_subset_cap(data.id, n)
+    top = data.marks.index(max(data.marks))
+    check_level_budget(data, [n * (i == top) for i in range(n)], box_cap)
+    counts = {lam: interval_size_lattice(data, lam, box_cap) for lam in (
+        tuple(b - a - 1 for a, b in zip((-1,) + c, c)) for c in combinations(range(2 * n), n))}
+    coeffs = _solve(data, counts)
+    for lam, count in counts.items():
+        if evaluate_formula(data, coeffs, lam) != count:
             raise FitVerificationError("fit failed verification at lambda=%r" % (lam,))
     return coeffs

@@ -18,7 +18,7 @@ class BudgetExceededError(AlcovesError, RuntimeError):
 
 
 class FitVerificationError(AlcovesError, RuntimeError):
-    """Fitted coefficients failed exact verification on held-out points."""
+    """Fitted coefficients failed exact verification: a closed-form pin or a count on T_n."""
 
 
 class FormulaConsistencyError(AlcovesError, RuntimeError):

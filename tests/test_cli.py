@@ -12,7 +12,7 @@ from alcoves import __version__, build_root_system
 from alcoves.cli import main
 from alcoves.orbits import interval_size_lattice
 from alcoves.volumes import _pyramid
-from test_golden import FITS
+from test_golden import SHIPPED
 
 A2_MU_PRIME = {"": "6", "1": "9", "2": "9", "1,2": "6"}
 REFERENCES = json.loads(
@@ -343,11 +343,17 @@ def test_count_bruhat_beyond_the_element_closure(capsys, system, lam):
     (["count", "--type", "E", "--rank", "8", "--lambda", "1,1,1,1,1,1,1,1",
       "--method", "bruhat", "--cache-dir", "cache"],
      "lower interval exceeds cap of 1000000 elements"),
-    (["count", "--type", "E", "--rank", "7", "--lambda", "1,1,1,1,1,1,1",
+    # the fit's budget, checked at the top of T_n (8 w_4^v on E8, 8 w_2^v on D8)
+    (["count", "--type", "E", "--rank", "8", "--lambda", "1,1,1,1,1,1,1,1",
       "--method", "geometric", "--cache-dir", "cache"],
-     "level simplex has 3849565824 cells, exceeding cap 100000000"),
-    (["fit", "--type", "E", "--rank", "7", "--out", "e7.json"],
-     "level simplex has 3849565824 cells, exceeding cap 100000000"),
+     "level simplex has 2747306250 cells, exceeding cap 100000000"),
+    (["fit", "--type", "E", "--rank", "8", "--out", "e8.json"],
+     "level simplex has 2747306250 cells, exceeding cap 100000000"),
+    (["fit", "--type", "D", "--rank", "8", "--out", "d8.json"],
+     "level simplex has 290107737 cells, exceeding cap 100000000"),
+    (["count", "--type", "D", "--rank", "8", "--lambda", "2,1,0,1,0,1,0,1",
+      "--method", "geometric", "--cache-dir", "cache"],
+     "level simplex has 290107737 cells, exceeding cap 100000000"),
     (["verify", "--type", "E", "--rank", "7", "--cache-dir", "cache"],
      "lower interval exceeds cap of 1000000 elements"),
     (["volumes", "--type", "A", "--rank", "13", "--J", ",".join(map(str, range(1, 14)))],
@@ -361,7 +367,8 @@ def test_count_bruhat_beyond_the_element_closure(capsys, system, lam):
     (["count", "--type", "A", "--rank", "2", "--lambda", "1000000,1000000",
       "--method", "bruhat"],
      "lower interval exceeds cap of 1000000 elements"),
-], ids=["E8-bruhat", "E7-geometric", "E7-fit", "E7-verify", "A13-volumes", "E7-faces",
+], ids=["E8-bruhat", "E8-geometric", "E8-fit", "D8-fit", "D8-geometric", "E7-verify",
+        "A13-volumes", "E7-faces",
         "A1-bruhat-length", "A2-bruhat-length"])
 def test_refusal_before_the_first_count_is_cheap(capsys, tmp_path, monkeypatch, argv, message):
     monkeypatch.chdir(tmp_path)  # the relative cache and out paths land here
@@ -370,6 +377,16 @@ def test_refusal_before_the_first_count_is_cheap(capsys, tmp_path, monkeypatch, 
     code, payload = run_cli(capsys, *argv)
     assert time.perf_counter() - start < 1
     assert code == 2 and payload["error"] == {"type": "budget", "message": message}
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_the_e7_geometric_count_reads_its_shipped_file(capsys, tmp_path, monkeypatch, no_fit):
+    # E7 is admitted at the top of T_n, so its file ships: no fit and no cache write
+    monkeypatch.chdir(tmp_path)
+    code, payload = run_cli(capsys, "count", "--type", "E", "--rank", "7", "--lambda",
+                            "1,1,1,1,1,1,1", "--method", "geometric", "--cache-dir", "cache")
+    assert code == 0 and payload["count"] == interval_size_lattice(build_root_system("E7"),
+                                                                   (1,) * 7)
     assert list(tmp_path.iterdir()) == []
 
 
@@ -505,7 +522,7 @@ def test_file_errors_exit_1_with_json(capsys, tmp_path, request, case):
     assert not list(tmp_path.rglob("*.tmp"))
 
 
-@pytest.mark.parametrize("name", FITS)
+@pytest.mark.parametrize("name", SHIPPED)
 def test_a_geometric_count_on_a_shipped_system_neither_fits_nor_writes(capsys, tmp_path, no_fit,
                                                                        name):
     data = build_root_system(name)

@@ -8,7 +8,8 @@ from pathlib import Path
 import pytest
 
 from alcoves.affine import interval_size_bruhat
-from alcoves.coefficients import (GeometricCoefficients, evaluate_formula, fit_mu,
+from alcoves.cli import DATA_DIR, main
+from alcoves.coefficients import (GeometricCoefficients, _solve, evaluate_formula, fit_mu,
                                   hypersimplex_dilation_count, hypersimplex_ehrhart)
 from alcoves.errors import (BudgetExceededError, FitVerificationError,
                             FormulaConsistencyError)
@@ -18,7 +19,7 @@ from alcoves.mpoly import MPoly
 from alcoves.volumes import face_gram, volume_polynomial
 from oracles import (RadScalar, eulerian, homogeneous_part, is_rational, mpoly_interpolate,
                      mu_euclidean, mu_full, square, stirling1, type_a_connected_mu)
-from test_golden import FITS
+from test_golden import FITS, SHIPPED
 
 
 def test_stirling_numbers():
@@ -338,61 +339,105 @@ def test_fit_budget_refusal():
         fit_mu(build_root_system("A", 24))  # 2^24 subsets: desk-scale refusal
 
 
-def test_fit_verification_failure_surfaces(monkeypatch):
-    # corrupt one count, held out ((0, 3), (2, 1)) or used by the fit
-    # (1, 0): the fit must fail loudly, never silently
+def _T(n):
+    """The principal lattice T_n = {lambda >= 0 : sum lambda <= n}, by filtering a box."""
+    return {lam for lam in itertools.product(range(n + 1), repeat=n) if sum(lam) <= n}
+
+
+def _record_counts(monkeypatch, bad=None):
+    """Route the fit's lattice counts through a recorder that adds one at bad; the list
+    of the coweights counted, in order."""
     import alcoves.coefficients as coefmod
-    d = build_root_system("A2")
     real = coefmod.interval_size_lattice
-    for bad in [(0, 3), (1, 0), (2, 1)]:
-        seen = []
+    seen = []
 
-        def corrupted(data, lam, box_cap):
-            seen.append(tuple(lam))
-            value = real(data, lam, box_cap)
-            return value + 1 if tuple(lam) == bad else value
+    def count(data, lam, box_cap):
+        seen.append(lam)
+        return real(data, lam, box_cap) + (lam == bad)
 
-        monkeypatch.setattr(coefmod, "interval_size_lattice", corrupted)
+    monkeypatch.setattr(coefmod, "interval_size_lattice", count)
+    return seen
+
+
+def _shipped(name) -> GeometricCoefficients:
+    return GeometricCoefficients.from_json(
+        json.loads(Path(DATA_DIR, "%s.json" % name).read_text()))
+
+
+@pytest.mark.parametrize("name,size", [("A2", 6), ("B3", 20), ("F4", 70), ("D5", 252)])
+def test_the_fit_counts_each_point_of_T_n_once_and_nothing_else(monkeypatch, name, size):
+    d = build_root_system(name)
+    seen = _record_counts(monkeypatch)
+    fit_mu(d)
+    assert len(seen) == len(set(seen)) == size == math.comb(2 * d.rank, d.rank)
+    assert set(seen) == _T(d.rank)
+
+
+def test_fit_verification_failure_surfaces(capsys, tmp_path, monkeypatch):
+    # one count wrong at each point of T_2 in turn, a 0/1 point that the solve reads or
+    # one that only the check reads, and at a point of T_3 that is not 0/1: the fit must
+    # fail loudly, never silently, and `fit` exit 3 without writing
+    for name, bad in [("A2", lam) for lam in sorted(_T(2))] + [("B3", (2, 0, 1))]:
+        seen = _record_counts(monkeypatch, bad)
         with pytest.raises(FitVerificationError):
-            fit_mu(d)
+            fit_mu(build_root_system(name))
         assert bad in seen
+        out = tmp_path / "fit.json"
+        code = main(["fit", "--type", name[0], "--rank", name[1:], "--out", str(out)])
+        assert code == 3 and json.loads(capsys.readouterr().out)["error"]["type"] == "fit"
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("name", FITS)
+def test_each_shipped_file_of_rank_6_or_less_holds_on_the_sampled_validation_set(name):
+    # the three families fit_mu sampled before T_n proved each fit: (2 on K, 1 off K) and
+    # (3 on K, 0 off K) for every K, and 2 w_i^v for every i, degenerate coweights included
+    d = build_root_system(name)
+    masks = list(itertools.product((0, 1), repeat=d.rank))
+    points = {tuple(1 + b for b in m) for m in masks} | {tuple(3 * b for b in m) for m in masks}
+    points |= {tuple(2 * (j == i) for j in range(d.rank)) for i in range(d.rank)}
+    coeffs = _shipped(name)
+    for lam in sorted(points):
+        assert evaluate_formula(d, coeffs, lam) == interval_size_lattice(d, lam), lam
 
 
 @pytest.mark.parametrize("name", [name for name in FITS if int(name[1:]) <= 5])
-def test_coefficients_solved_from_bruhat_counts_equal_the_shipped_file(monkeypatch, name):
-    # the 2^n counts at 0/1 coweights come from subword closure, the validation counts
-    # from the lattice as before: the fit must land on the shipped file exactly
-    import alcoves.coefficients as coefmod
-    from alcoves.cli import DATA_DIR
-    lattice = coefmod.interval_size_lattice
-    closed = []
-
-    def count(data, lam, box_cap):
-        if set(lam) <= {0, 1}:
-            closed.append(lam)
-            return interval_size_bruhat(data, lam, cap=10 ** 9)  # B5 (1^5) has 194 204 160
-        return lattice(data, lam, box_cap)
-
-    monkeypatch.setattr(coefmod, "interval_size_lattice", count)
+def test_coefficients_solved_from_bruhat_counts_equal_the_shipped_file(name):
+    # the 2^n counts at 0/1 coweights come from subword closure alone: the solve must land
+    # on the shipped file exactly
     d = build_root_system(name)
-    shipped = GeometricCoefficients.from_json(
-        json.loads(Path(DATA_DIR, "%s.json" % name).read_text()))
-    fitted = fit_mu(d)
-    assert set(closed) == set(itertools.product((0, 1), repeat=d.rank))
+    counts = {lam: interval_size_bruhat(d, lam, cap=10 ** 9)  # B5 (1^5) has 194 204 160
+              for lam in itertools.product((0, 1), repeat=d.rank)}
+    fitted, shipped = _solve(d, counts), _shipped(name)
     for J, value in shipped.mu_prime.items():
         assert fitted.mu_prime[J] == value, J
     assert fitted == shipped
 
 
-# the subsets J with a negative mu'_J, by system; none of the shipped fits has one.
-# mu'_J = mu_J sqrt(gram_J) with gram_J > 0, so mu_J has the same sign
-NEGATIVE_MU = {}
+@pytest.mark.parametrize("name", [name for name in FITS if 2 <= int(name[1:]) <= 4] + ["A5"])
+def test_bruhat_equals_lattice_at_every_point_of_T_n(name):
+    # the one input the fit's check trusts, the lattice count on T_n, by a second route
+    d = build_root_system(name)
+    for lam in sorted(_T(d.rank)):
+        assert interval_size_bruhat(d, lam, cap=10 ** 9) == interval_size_lattice(d, lam), lam
 
 
-@pytest.mark.parametrize("name", FITS)
+# the subsets J with a negative mu'_J, and those with a zero one, by system; a system not
+# named has none.  mu'_J = mu_J sqrt(gram_J) with gram_J > 0, so mu_J has the same sign
+NEGATIVE_MU = {
+    "C7": {"4", "6", "1,6", "2,6", "5,6"},
+    "E7": {"4", "1,4", "1,6", "4,6", "2,3,5", "4,6,7", "2,3,5,6"},
+    "B8": {"2,6", "4,6", "4,8", "6,8", "1,6,8", "2,6,8", "5,6,8"},
+    "C8": {"5", "7", "1,5", "1,7", "2,5", "2,7", "3,5", "3,7", "4,5", "4,7", "4,8", "6,7",
+           "6,8", "1,2,7", "1,3,7", "1,4,7", "1,6,7", "1,6,8", "2,3,7", "2,4,7", "2,6,7",
+           "2,6,8", "3,4,7", "3,6,7", "5,6,7", "5,6,8", "1,2,3,7", "1,2,6,7"},
+}
+ZERO_MU = {"C7": {"3,6"}, "E7": {"1,2,3,5"}, "B8": {"3,6,8"}, "C8": {"3,6,8"}}
+
+
+@pytest.mark.parametrize("name", SHIPPED)
 def test_sign_pattern_of_each_shipped_fit(name):
-    from alcoves.cli import DATA_DIR
     obj = json.loads(Path(DATA_DIR, "%s.json" % name).read_text())
     mu = {J: Fraction(v) for J, v in obj["mu_prime"].items()}
     assert {J for J, v in mu.items() if v < 0} == NEGATIVE_MU.get(name, set())
-    assert 0 not in mu.values()
+    assert {J for J, v in mu.items() if v == 0} == ZERO_MU.get(name, set())

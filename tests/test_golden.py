@@ -3,8 +3,12 @@
 `golden_digests.json` holds the sha256 of
   * the stdout of `alcoves rootdata` on every supported system of rank <= 8,
   * the stdout of `alcoves volumes` for every J on a set of small systems,
-  * the file `alcoves fit --out` writes, on each of the 23 systems that the
-    default box cap admits, which is also the file the package ships,
+  * the file `alcoves fit --out` writes, on each of the 23 systems of rank <= 6,
+    which is also the file the package ships,
+  * the file the package ships for each of the 8 systems of rank 7 and 8 that the
+    default box cap admits, as the triangular solve alone derives it from the
+    lattice counts at the 0/1 coweights; `fit --out` wrote those files, its check
+    on all of T_n included, once, when they were shipped,
   * `weyl_order(data, J)` for every J on every system of `rootdata`,
   * the stdout of `alcoves faces` for every J and four lambda, some with zero
     coordinates, on a set of small systems,
@@ -17,7 +21,9 @@ taken from a fit that walked each coweight's X_lambda afresh and ran the
 volume recursion in Fractions, before either was shared or scaled.  The fit
 digests of A5, A6, B5, B6, C2, C4, C5, C6, D3 and D6 were taken from the code
 that fitted every geometric query on demand, before the package shipped
-the fitted files in `alcoves/data`.  The
+the fitted files in `alcoves/data`.  All 23 were taken while `fit`
+checked its fit on a sample of 2^(n+1) + n coweights, before the check on
+all of T_n replaced it; the solve is the same.  The
 `volumes` digests of A5, B5, C5, D5, E6 and E7 were taken from the code that
 bordered C_J^-1 in Fractions and scaled the recursion by the common
 denominator e_J of C_J^-1, before the integer step that carries adj C_J and
@@ -41,12 +47,14 @@ import io
 import json
 import sys
 import tempfile
-from itertools import combinations
+from itertools import combinations, product
 from pathlib import Path
 
 import pytest
 
-from alcoves.cli import DATA_DIR, main
+from alcoves.cli import DATA_DIR, _write_coefficients, main
+from alcoves.coefficients import _solve
+from alcoves.orbits import interval_size_lattice
 from alcoves.rootdata import build_root_system, weyl_order
 
 FIXTURE = Path(__file__).resolve().parent / "golden_digests.json"
@@ -56,13 +64,16 @@ ROOTDATA = (["A%d" % n for n in range(1, 9)] + ["B%d" % n for n in range(2, 9)]
             + ["E6", "E7", "E8", "F4", "G2"])
 VOLUMES = ["A2", "A3", "A4", "B2", "B3", "B4", "C3", "D4", "G2", "F4",
            "A5", "B5", "C5", "D5", "E6", "E7"]
-# every system fit_mu admits at the default box cap: (3^n) refuses rank 7 and up
+# every system fit_mu admits at the default box cap: FITS, of rank <= 6, are fitted
+# here in seconds, SOLVED, of rank 7 and 8, only solved (their T_n check takes minutes)
 FITS = (["A%d" % n for n in range(1, 7)] + ["B%d" % n for n in range(2, 7)]
         + ["C%d" % n for n in range(2, 7)] + ["D%d" % n for n in range(3, 7)]
         + ["E6", "F4", "G2"])
+SOLVED = ["A7", "B7", "C7", "D7", "E7", "A8", "B8", "C8"]
+SHIPPED = FITS + SOLVED
 FACES = ["A2", "A3", "B2", "B3", "C3", "D4", "F4", "G2"]
 EHRHART_MAX_D = 40
-KINDS = ("rootdata", "weyl_order", "volumes", "fit", "faces", "ehrhart")
+KINDS = ("rootdata", "weyl_order", "volumes", "fit", "solve", "faces", "ehrhart")
 
 
 def _stdout(*argv) -> bytes:
@@ -116,6 +127,15 @@ def digests(kind: str) -> dict[str, str]:
         for d in range(1, EHRHART_MAX_D + 1):
             out["d=%d" % d] = _sha(b"".join(_stdout("ehrhart", "--k", str(k), "--d", str(d))
                                             for k in range(1, d + 1)))
+    elif kind == "solve":
+        with tempfile.TemporaryDirectory() as tmp:
+            for name in SOLVED:
+                data = build_root_system(name)
+                counts = {lam: interval_size_lattice(data, lam)
+                          for lam in product((0, 1), repeat=data.rank)}
+                path = Path(tmp) / ("%s.json" % name)
+                _write_coefficients(path, _solve(data, counts))
+                out[name] = _sha(path.read_bytes())
     else:
         with tempfile.TemporaryDirectory() as tmp:
             for name in FITS:
@@ -134,12 +154,13 @@ def test_outputs_match_golden_digests(kind):
 
 
 def test_each_shipped_file_is_the_golden_fit_of_its_system():
-    # the fit test above re-derives these bytes, so a shipped file equals `fit --out`
-    # of the code on the path; a version bump fails here until the files are regenerated
-    expected = json.loads(FIXTURE.read_text())["fit"]
+    # the fit and solve tests above re-derive these bytes, so a shipped file is the one
+    # the code on the path writes; a version bump fails here until the files are regenerated
+    golden = json.loads(FIXTURE.read_text())
+    expected = {**golden["fit"], **golden["solve"]}
     shipped = Path(DATA_DIR)
-    assert sorted(p.name for p in shipped.iterdir()) == sorted("%s.json" % n for n in FITS)
-    for name in FITS:
+    assert sorted(p.name for p in shipped.iterdir()) == sorted("%s.json" % n for n in SHIPPED)
+    for name in SHIPPED:
         path = shipped / ("%s.json" % name)
         assert _sha(path.read_bytes()) == expected[name], name
         assert json.loads(path.read_text())["system"] == name

@@ -264,10 +264,11 @@ def _library_state(d) -> int:
 
 @pytest.mark.parametrize("name", ["B4", "D4"])
 def test_a_fit_leaves_no_per_coweight_state(monkeypatch, name):
-    # the 52 counts of a fit once left a graph of every coweight they reached, 987 on B4
-    # and 668 on D4; now a fit, and larger counts after it, may add per system only B
-    # (n + 1 tuples, n^2 entries) and at most D residue keys and 2^n orbit sizes, each
-    # cache entry allowed n + 2 objects, and a few objects for the caches themselves
+    # the counts of a fit once left a graph of every coweight they reached, 987 on B4
+    # and 668 on D4 after 52 counts; now a fit, one count at each of the 70 points of
+    # T_4, and larger counts after it, may add per system only B (n + 1 tuples, n^2
+    # entries) and at most D residue keys and 2^n orbit sizes, each cache entry allowed
+    # n + 2 objects, and a few objects for the caches themselves
     d = RootSystemData(RootSystemId(name[0], 4))  # fresh, so no cache holds it yet
     n, D = d.rank, d.index_of_connection
     real = coefmod.interval_size_lattice
@@ -280,7 +281,7 @@ def test_a_fit_leaves_no_per_coweight_state(monkeypatch, name):
     monkeypatch.setattr(coefmod, "interval_size_lattice", record)
     before = _library_state(d)
     fit_mu(d)
-    assert len(asked) == 52
+    assert len(asked) == math.comb(2 * n, n) == 70
     for lam in [(3, 3, 3, 3), (4, 0, 2, 1), (0, 5, 0, 3)]:
         assert lattice_count(d, lam) == lattice_count(build_root_system(name), lam)
     bound = (n + 1 + n * n) + (D + 2 ** n) * (n + 2) + 12

@@ -92,26 +92,44 @@ ACROSS_VERSIONS += [COUNT[:-2] + ["1,1,1", "--method", "geometric", "--coeffs"],
                      "--max-coord", "1", "--cache-dir"]]
 
 
+def _runs(exe) -> bool:
+    try:
+        return subprocess.run([exe, "-c", "pass"], capture_output=True, timeout=60).returncode == 0
+    except (OSError, subprocess.TimeoutExpired):
+        return False
+
+
+def _interpreter(python):
+    """A `python` (`python3.10`, say) that runs: the one on PATH, else one that pyenv
+    installed, as its shim refuses a version that is not selected; else None."""
+    if _runs(python):
+        return python
+    try:
+        root = subprocess.run(["pyenv", "root"], capture_output=True, text=True,
+                              timeout=60).stdout.strip()
+    except (OSError, subprocess.TimeoutExpired):
+        return None
+    version = python[len("python"):]
+    found = sorted(Path(root, "versions").glob("%s.*/bin/%s" % (version, python))) if root else []
+    return next((str(exe) for exe in reversed(found) if _runs(exe)), None)
+
+
 @pytest.mark.parametrize("python", ["python3.10", "python3.13"])
 def test_the_cli_prints_the_same_on_each_declared_python(python, tmp_path):
     # pyproject.toml declares requires-python >= 3.10: the oldest and the newest
     # interpreter, when installed, must print what this one prints, elapsed_ms aside
-    try:
-        usable = subprocess.run([python, "-c", "pass"], capture_output=True,
-                                timeout=60).returncode == 0
-    except (OSError, subprocess.TimeoutExpired):
-        usable = False
-    if not usable:
-        pytest.skip("%s cannot run -c pass" % python)
+    exe = _interpreter(python)
+    if exe is None:
+        pytest.skip("no %s runs -c pass" % python)
     from alcoves.cli import DATA_DIR
     path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
     for argv in ACROSS_VERSIONS:
         last = str(Path(DATA_DIR, "B3.json")) if argv[-1] == "--coeffs" else str(tmp_path)
         outputs = []
-        for exe in (sys.executable, python):
-            proc = subprocess.run([exe, "-S", *argv, last], capture_output=True, text=True,
+        for run in (sys.executable, exe):
+            proc = subprocess.run([run, "-S", *argv, last], capture_output=True, text=True,
                                   env=dict(os.environ, PYTHONPATH=path), timeout=300)
-            assert proc.returncode == 0, (exe, argv, proc.stdout + proc.stderr)
+            assert proc.returncode == 0, (run, argv, proc.stdout + proc.stderr)
             outputs.append(re.sub(r'"elapsed_ms": [0-9]+, ', "", proc.stdout))
         assert outputs[0] == outputs[1], argv
     assert list(tmp_path.iterdir()) == []  # every count read a shipped file
