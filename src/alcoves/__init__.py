@@ -14,32 +14,36 @@ determinant of each Cartan block, volume polynomials, and hypersimplex Ehrhart
 polynomials.  The oracles that check these, a general Gauss-Jordan
 elimination, rational vectors and radical scalars among them, live with the
 tests.
+
+Importing the package imports none of its modules: each public name is read
+from its module on first use (PEP 562), so a CLI process loads only the route
+it runs.
 """
 
 __version__ = "0.1.0"
 
-from .errors import (AlcovesError, BudgetExceededError, FitVerificationError,
-                     FormulaConsistencyError, WallPointError)
-from .mpoly import MPoly
-from .rootdata import (RootSystemData, RootSystemId, build_root_system,
-                       dominant_representative, weyl_order)
-from .affine import (descents, interval_size_bruhat, lower_interval, sigma_reflection,
-                     theta)
-from .orbits import (FaceDescriptor, contains, enumerate_X, face, interval_size_lattice,
-                     lattice_count, lattice_count_by_membership)
-from .volumes import VolumePolynomial, relative_volumes, volume_polynomial
-from .coefficients import (GeometricCoefficients, evaluate_formula, fit_mu,
-                           hypersimplex_dilation_count, hypersimplex_ehrhart)
+# each public name, by the module that defines it; __all__ lists them sorted
+_HOMES = {
+    "errors": ("AlcovesError", "BudgetExceededError", "FitVerificationError",
+               "FormulaConsistencyError", "WallPointError"),
+    "mpoly": ("MPoly",),
+    "rootdata": ("RootSystemData", "RootSystemId", "build_root_system",
+                 "dominant_representative", "weyl_order"),
+    "affine": ("descents", "interval_size_bruhat", "lower_interval", "sigma_reflection",
+               "theta"),
+    "orbits": ("FaceDescriptor", "contains", "enumerate_X", "face", "interval_size_lattice",
+               "lattice_count", "lattice_count_by_membership"),
+    "volumes": ("VolumePolynomial", "relative_volumes", "volume_polynomial"),
+    "coefficients": ("GeometricCoefficients", "evaluate_formula", "fit_mu",
+                     "hypersimplex_dilation_count", "hypersimplex_ehrhart"),
+}
+_HOME = {name: module for module, names in _HOMES.items() for name in names}
 
-__all__ = [
-    "AlcovesError", "BudgetExceededError", "FaceDescriptor",
-    "FitVerificationError", "FormulaConsistencyError", "GeometricCoefficients",
-    "MPoly", "RootSystemData", "RootSystemId",
-    "VolumePolynomial", "WallPointError",
-    "build_root_system", "contains", "descents", "dominant_representative",
-    "enumerate_X", "evaluate_formula", "face", "fit_mu",
-    "hypersimplex_dilation_count", "hypersimplex_ehrhart",
-    "interval_size_bruhat", "interval_size_lattice", "lattice_count",
-    "lattice_count_by_membership", "lower_interval", "relative_volumes",
-    "sigma_reflection", "theta", "volume_polynomial", "weyl_order",
-]
+__all__ = sorted(_HOME)
+
+
+def __getattr__(name):
+    if name not in _HOME:
+        raise AttributeError("module %r has no attribute %r" % (__name__, name))
+    from importlib import import_module
+    return getattr(import_module("." + _HOME[name], __name__), name)

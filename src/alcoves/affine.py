@@ -21,10 +21,8 @@ import math
 from functools import lru_cache
 from operator import mul
 
-from .errors import AlcovesError, BudgetExceededError, WallPointError
+from .errors import DEFAULT_INTERVAL_CAP, AlcovesError, BudgetExceededError, WallPointError
 from .rootdata import RootSystemData, dominant_coweight
-
-DEFAULT_INTERVAL_CAP = 10 ** 6
 
 Point = tuple[int, ...]
 

@@ -13,11 +13,17 @@ a miss.  Each file is read only as `fit --out` writes it: `from_json` checks
 every field.  A shipped file that fails is an error, never refitted, so a
 shipped system neither fits nor writes; a defective cache is refitted.  `fit`
 always fits.
+
+A process loads only what its command runs.  The argv reader is one pass over
+the table `_COMMANDS`, which gives argparse's namespaces and messages without
+importing argparse, gettext and locale (`-h` prints its own usage text).  This
+module imports `rootdata` alone of the library; each command imports its route's
+modules when it runs, so a lattice count loads `orbits`, a bruhat count `affine`,
+and a geometric count `volumes` and `coefficients`.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import math
 import os
@@ -26,16 +32,13 @@ import sys
 import time
 from itertools import product
 from pathlib import Path
+from types import SimpleNamespace
 
 from . import __version__
-from .errors import AlcovesError, BudgetExceededError, FitVerificationError
-from .affine import (DEFAULT_INTERVAL_CAP, descents, interval_size_bruhat, sigma_reflection,
-                     theta)
-from .coefficients import GeometricCoefficients, evaluate_formula, fit_mu, hypersimplex_ehrhart
-from .orbits import DEFAULT_BOX_CAP, face_to_json, interval_size_lattice
+from .errors import (DEFAULT_BOX_CAP, DEFAULT_INTERVAL_CAP, AlcovesError, BudgetExceededError,
+                     FitVerificationError)
 from .rootdata import (RootSystemId, build_root_system, check_rank, dominant_coweight,
                        simple_subset)
-from .volumes import check_subset_cap, volume_polynomial
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -57,18 +60,6 @@ EHRHART_BUDGET = 2_000_000
 MAX_VOLUME_INDICES = 10
 
 
-class _Parser(argparse.ArgumentParser):
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        # argparse reads '-1,1' as an option flag, as it matches only '-1' or '-1.5' as a
-        # negative number; no option here starts '-<digit>', so such an argument is a
-        # value, and --lambda -1,1 or --J -1,2 reaches this CLI's own check
-        self._negative_number_matcher = re.compile(r"-[0-9]")
-
-    def error(self, message):
-        raise UsageError(message)
-
-
 class UsageError(Exception):
     pass
 
@@ -85,8 +76,8 @@ def integer(text: str) -> int:
 
 
 def budget(text: str) -> int:
-    """argparse type of the caps.  It raises UsageError, which argparse does not
-    catch, so the message reaches the JSON error without an argparse prefix."""
+    """The type of the caps.  A non-positive value raises UsageError, whose message
+    reaches the JSON error without the "argument --X:" prefix of a bad integer."""
     value = integer(text)
     if value <= 0:
         raise UsageError("budgets must be positive")
@@ -130,6 +121,7 @@ def _parse_J(text: str, rank: int) -> tuple[int, ...]:
 
 def _read_coefficients(path: Path, data) -> GeometricCoefficients:
     """The coefficients in a file as `fit --out` writes it for data's system, else ValueError."""
+    from .coefficients import GeometricCoefficients
     with open(path, "r", encoding="utf-8") as fh:
         try:
             obj = json.load(fh)
@@ -160,6 +152,7 @@ def _coefficients(ns, data) -> GeometricCoefficients:
     """The shipped coefficients of data's system, else its cached ones.  A shipped file
     that fails a check raises ValueError: it is neither refitted nor summed.  A missing
     or defective cache is refitted and stored."""
+    from .coefficients import fit_mu
     try:
         return _read_coefficients(Path(DATA_DIR, "%s.json" % data.id), data)
     except FileNotFoundError:
@@ -178,18 +171,28 @@ def _coefficients(ns, data) -> GeometricCoefficients:
 
 def cmd_count(ns) -> int:
     lam = _parse_lambda(ns.lam, ns.rank)
-    if ns.method == "geometric":  # a --coeffs file too needs the 2^n-subset pyramid table
-        check_subset_cap(ns.system, ns.rank)
-    data = build_root_system(ns.system)
-    start = time.perf_counter()
     if ns.method == "bruhat":
-        count = interval_size_bruhat(data, lam, cap=ns.interval_cap)
+        from .affine import interval_size_bruhat
+
+        def route(data):
+            return interval_size_bruhat(data, lam, cap=ns.interval_cap)
     elif ns.method == "lattice":
-        count = interval_size_lattice(data, lam, box_cap=ns.box_cap)
+        from .orbits import interval_size_lattice
+
+        def route(data):
+            return interval_size_lattice(data, lam, box_cap=ns.box_cap)
     else:
-        coeffs = (_read_coefficients(Path(ns.coeffs), data) if ns.coeffs
-                  else _coefficients(ns, data))
-        count = evaluate_formula(data, coeffs, lam)
+        from .coefficients import evaluate_formula
+        from .volumes import check_subset_cap
+        check_subset_cap(ns.system, ns.rank)  # a --coeffs file too needs the 2^n-subset table
+
+        def route(data):
+            coeffs = (_read_coefficients(Path(ns.coeffs), data) if ns.coeffs
+                      else _coefficients(ns, data))
+            return evaluate_formula(data, coeffs, lam)
+    data = build_root_system(ns.system)
+    start = time.perf_counter()  # after the imports, so that it times the count alone
+    count = route(data)
     elapsed = int((time.perf_counter() - start) * 1000)
     _emit({
         "schema": 1,
@@ -203,6 +206,8 @@ def cmd_count(ns) -> int:
 
 
 def cmd_fit(ns) -> int:
+    from .coefficients import fit_mu
+    from .volumes import check_subset_cap
     out = Path(ns.out)
     if out.is_dir():
         raise UsageError("--out %s is a directory" % out)
@@ -218,6 +223,10 @@ def cmd_fit(ns) -> int:
 
 
 def cmd_verify(ns) -> int:
+    from .affine import descents, interval_size_bruhat, sigma_reflection, theta
+    from .coefficients import evaluate_formula, hypersimplex_ehrhart
+    from .orbits import interval_size_lattice
+    from .volumes import check_subset_cap
     if ns.max_coord < 0:
         raise UsageError("--max-coord must be non-negative")
     check_subset_cap(ns.system, ns.rank)
@@ -283,6 +292,7 @@ def cmd_verify(ns) -> int:
 
 
 def cmd_ehrhart(ns) -> int:
+    from .coefficients import hypersimplex_ehrhart
     k, d = ns.k, ns.d
     if not 1 <= k <= d:
         raise UsageError("need 1 <= k <= d")
@@ -300,6 +310,7 @@ def cmd_ehrhart(ns) -> int:
 
 
 def cmd_volumes(ns) -> int:
+    from .volumes import check_subset_cap, volume_polynomial
     J = _parse_J(ns.J, ns.rank)
     check_subset_cap(ns.system, len(J))
     if len(J) > MAX_VOLUME_INDICES:
@@ -315,6 +326,7 @@ def cmd_volumes(ns) -> int:
 
 
 def cmd_faces(ns) -> int:
+    from .orbits import face_to_json
     lam = _parse_lambda(ns.lam, ns.rank)
     J = _parse_J(ns.J, ns.rank)
     data = build_root_system(ns.system)
@@ -328,78 +340,152 @@ def cmd_rootdata(ns) -> int:
     return EXIT_OK
 
 
-_COMMANDS = ("count", "fit", "verify", "ehrhart", "volumes", "faces", "rootdata")
+_REQUIRED = object()  # the default of an option that must be given
+_SYSTEM = (("--type", "family", str, _REQUIRED), ("--rank", "rank", integer, _REQUIRED))
+_LAMBDA = (("--lambda", "lam", str, _REQUIRED),)
+_J = (("--J", "J", str, _REQUIRED),)
+_BOX_CAP = (("--box-cap", "box_cap", budget, DEFAULT_BOX_CAP),)
+_CAPS = ((("--interval-cap", "interval_cap", budget, DEFAULT_INTERVAL_CAP),) + _BOX_CAP
+         + (("--cache-dir", "cache_dir", str, None),))  # count and verify; fit reads --box-cap
+
+# each command's function, help and options in the order their usage lists them.  An
+# option is (flag, dest, type, default): type str, integer or budget reads one value, a
+# tuple of choices one of them, and bool makes a flag that stores True
+_COMMANDS = {
+    "count": (cmd_count, "count |<= theta(lambda)| one way", _SYSTEM + _LAMBDA + _CAPS + (
+        ("--method", "method", ("bruhat", "lattice", "geometric"), _REQUIRED),
+        ("--coeffs", "coeffs", str, None))),
+    "fit": (cmd_fit, "fit geometric coefficients and write them to a file", _SYSTEM + _BOX_CAP
+            + (("--out", "out", str, _REQUIRED), ("--force", "force", bool, False))),
+    "verify": (cmd_verify, "cross-check all three counting methods",
+               _SYSTEM + _CAPS + (("--max-coord", "max_coord", integer, 2),)),
+    "ehrhart": (cmd_ehrhart, "hypersimplex Ehrhart polynomial",
+                (("--k", "k", integer, _REQUIRED), ("--d", "d", integer, _REQUIRED))),
+    "volumes": (cmd_volumes, "face volume polynomial", _SYSTEM + _J),
+    "faces": (cmd_faces, "vertex data of one face (JSON for external tools)",
+              _SYSTEM + _LAMBDA + _J),
+    "rootdata": (cmd_rootdata, "dump derived root system data", _SYSTEM),
+}
+_HELP = ("-h/--help", "help", bool, False)  # named in messages as argparse names it
+_VERSION = ("--version", "version", bool, False)
 
 
-def _build_parser(command: str | None = None) -> _Parser:
-    """The parser, with only the subparser of `command` when that is one of _COMMANDS
-    (all seven took 3-4 ms to build); help, --version and usage errors see them all."""
-    parser = _Parser(prog="alcoves", description=__doc__)
-    parser.add_argument("--version", action="version", version="alcoves " + __version__)
-    sub = parser.add_subparsers(dest="command", required=True)
+def _usage(command: str | None) -> str:
+    """The text -h prints: of the top level, or of one command."""
+    if command is None:
+        return "usage: alcoves [-h] [--version] {%s} ...\n\n%s\ncommands:\n%s" % (
+            ",".join(_COMMANDS), __doc__, "".join("  %-9s %s\n" % (name, text)
+                                                 for name, (_, text, _) in _COMMANDS.items()))
+    _, text, options = _COMMANDS[command]
+    words = []
+    for flag, dest, kind, default in options:
+        word = flag if kind is bool else "%s %s" % (
+            flag, "{%s}" % ",".join(kind) if isinstance(kind, tuple) else dest.upper())
+        words.append(word if default is _REQUIRED else "[%s]" % word)
+    return "usage: alcoves %s [-h] %s\n\n%s\n" % (command, " ".join(words), text)
 
-    def add(name, text, func):  # the subparser of name, or None when it is not built
-        if command in _COMMANDS and command != name:
-            return None
-        p = sub.add_parser(name, help=text)
-        p.set_defaults(func=func)
-        return p
 
-    def add_system_args(p, need_lambda=False):
-        p.add_argument("--type", required=True, dest="family",
-                       help="root system family letter (A/B/C/D/E/F/G)")
-        p.add_argument("--rank", required=True, type=integer)
-        if need_lambda:
-            p.add_argument("--lambda", required=True, dest="lam",
-                           help="comma-separated coweight coordinates")
+def _option(arg: str, flags: dict):
+    """What argparse makes of arg among flags: None for a value, else (flag, the text after
+    "=" or None), flag "" for an unknown option.  A flag may be abbreviated to a unique
+    prefix; an arg that starts '-<digit>' or holds a space is a value, so --lambda -1,1
+    reaches the CLI's own check."""
+    if arg[:1] != "-" or arg == "-":
+        return None
+    if arg in flags:
+        return arg, None
+    head, eq, value = arg.partition("=")
+    if eq and head in flags:
+        return head, value
+    if arg[1] == "-":
+        found = [(flag, value if eq else None) for flag in flags if flag.startswith(head)]
+    else:  # a one-letter flag takes the rest of arg as its value
+        found = [(flag, arg[2:]) for flag in flags if flag == arg[:2]]
+    if len(found) > 1:
+        raise UsageError("ambiguous option: %s could match %s"
+                         % (arg, ", ".join(flag for flag, _ in found)))
+    if found:
+        return found[0]
+    return None if "0" <= arg[1] <= "9" or " " in arg else ("", None)
 
-    def add_caps(p):  # count and verify; fit reads --box-cap alone, the rest no cap
-        p.add_argument("--interval-cap", type=budget, default=DEFAULT_INTERVAL_CAP)
-        p.add_argument("--box-cap", type=budget, default=DEFAULT_BOX_CAP)
-        p.add_argument("--cache-dir", default=None)
 
-    if p := add("count", "count |<= theta(lambda)| one way", cmd_count):
-        add_system_args(p, need_lambda=True)
-        add_caps(p)
-        p.add_argument("--method", required=True, choices=["bruhat", "lattice", "geometric"])
-        p.add_argument("--coeffs", help="coefficient JSON for --method geometric")
+def _walk(args: list[str], command: str | None):
+    """argparse's pass over args for one command, or for the top level (command None),
+    which stops at the command name: (the values read by dest, the args no option
+    read, where the walk stopped).  Every arg is classified first, up to a "--" after
+    which each is a value.  Unlike argparse, --X=-- gives X the value "--"."""
+    options = _COMMANDS[command][2] if command else (_VERSION,)
+    flags = {"-h": _HELP, "--help": _HELP, **{option[0]: option for option in options}}
+    kinds = []
+    for i, arg in enumerate(args):
+        if arg == "--":
+            kinds += ["--"] + [None] * (len(args) - i - 1)
+            break
+        kinds.append(_option(arg, flags))
+    values, extras, i = {}, [], 0
+    while i < len(args):
+        kind = kinds[i]
+        if command is None and (kind is None or kind == "--" and i + 1 < len(args)):
+            break  # the command name, or "--" taken as one
+        i += 1
+        if not isinstance(kind, tuple) or not kind[0]:
+            extras.append(args[i - 1])
+            continue
+        (name, dest, convert, _), given = flags[kind[0]], kind[1]
+        if convert is bool:
+            if kind[0] == "-h" and given:  # -hh is -h twice
+                given = given.lstrip("h") or None
+            if given is not None:
+                raise UsageError("argument %s: ignored explicit argument %r" % (name, given))
+            if dest in ("help", "version"):
+                sys.stdout.write(_usage(command) if dest == "help"
+                                 else "alcoves %s\n" % __version__)
+                raise SystemExit(0)
+            values[dest] = True
+            continue
+        if given is None:
+            if i == len(args) or kinds[i] is not None:
+                raise UsageError("argument %s: expected one argument" % name)
+            given, i = args[i], i + 1
+        if isinstance(convert, tuple) and given not in convert:
+            raise UsageError("argument %s: invalid choice: %r (choose from %s)"
+                             % (name, given, ", ".join(map(repr, convert))))
+        try:
+            values[dest] = given if isinstance(convert, tuple) else convert(given)
+        except ValueError:
+            raise UsageError("argument %s: invalid %s value: %r"
+                             % (name, convert.__name__, given)) from None
+    return values, extras, i
 
-    if p := add("fit", "fit geometric coefficients and write them to a file", cmd_fit):
-        add_system_args(p)
-        p.add_argument("--box-cap", type=budget, default=DEFAULT_BOX_CAP)
-        p.add_argument("--out", required=True)
-        p.add_argument("--force", action="store_true")
 
-    if p := add("verify", "cross-check all three counting methods", cmd_verify):
-        add_system_args(p)
-        add_caps(p)
-        p.add_argument("--max-coord", type=integer, default=2)
-
-    if p := add("ehrhart", "hypersimplex Ehrhart polynomial", cmd_ehrhart):
-        p.add_argument("--k", required=True, type=integer)
-        p.add_argument("--d", required=True, type=integer)
-
-    if p := add("volumes", "face volume polynomial", cmd_volumes):
-        add_system_args(p)
-        p.add_argument("--J", required=True, help="comma-separated indices, or 'empty'")
-
-    if p := add("faces", "vertex data of one face (JSON for external tools)", cmd_faces):
-        add_system_args(p, need_lambda=True)
-        p.add_argument("--J", required=True, help="comma-separated indices, or 'empty'")
-
-    if p := add("rootdata", "dump derived root system data", cmd_rootdata):
-        add_system_args(p)
-    return parser
+def _read(argv: list[str]) -> SimpleNamespace:
+    """The namespace argparse gave for argv, with its usage messages as UsageError."""
+    _, extras, at = _walk(argv, None)
+    if at == len(argv):
+        raise UsageError("the following arguments are required: command")
+    command = argv[at]
+    if command not in _COMMANDS:
+        raise UsageError("argument command: invalid choice: %r (choose from %s)"
+                         % (command, ", ".join(map(repr, _COMMANDS))))
+    options = _COMMANDS[command][2]
+    values, more, _ = _walk(argv[at + 1:], command)
+    missing = [flag for flag, dest, _, default in options
+               if default is _REQUIRED and dest not in values]
+    if missing:
+        raise UsageError("the following arguments are required: %s" % ", ".join(missing))
+    if extras + more:
+        raise UsageError("unrecognized arguments: %s" % " ".join(extras + more))
+    return SimpleNamespace(command=command, **{dest: values.get(dest, default)
+                                               for _, dest, _, default in options})
 
 
 def main(argv=None) -> int:
     try:
-        argv = sys.argv[1:] if argv is None else list(argv)
-        ns = _build_parser(argv[0] if argv else None).parse_args(argv)
-        if "family" in ns:
+        ns = _read(sys.argv[1:] if argv is None else list(argv))
+        if hasattr(ns, "family"):
             ns.system = RootSystemId(ns.family, ns.rank)  # refuses a bad family or rank
             check_rank(ns.system)  # before any argument is read against the rank
-        return ns.func(ns)
+        return _COMMANDS[ns.command][0](ns)
     except UsageError as exc:
         return _fail(EXIT_USAGE, "usage", str(exc))
     except (ValueError,) as exc:

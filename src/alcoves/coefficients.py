@@ -17,26 +17,38 @@ those instead of fitting, and the tests re-derive each one byte for byte, by the
 solve alone at ranks 7 and 8.  Hypersimplex Ehrhart polynomials (by Katzman's
 inclusion-exclusion, *The Hilbert series of algebras of the Veronese type*, 2005)
 give the type-A identity |<= theta(m w_k^v)| = (n+1)! E_{k,n+1}(m) that `verify` checks.
+
+Each mu'_J is held as a reduced pair (p, q) of integers, and the formula is summed
+over one common denominator, so a count imports neither `fractions` nor `mpoly`
+nor `orbits`: only `hypersimplex_ehrhart`, the solve (through `relative_volumes`),
+the `mu_prime` view and `fit_mu` do.
 """
 
 from __future__ import annotations
 
 import math
 import re
-from fractions import Fraction
+from collections import namedtuple
+from functools import cached_property
 from itertools import combinations
 from operator import index
 from types import MappingProxyType
 
-from .errors import FitVerificationError, FormulaConsistencyError
-from .mpoly import MPoly
+from .errors import DEFAULT_BOX_CAP, FitVerificationError, FormulaConsistencyError
 from .rootdata import RootSystemData, RootSystemId, build_root_system, dominant_coweight
-from .orbits import DEFAULT_BOX_CAP, check_level_budget, interval_size_lattice
-from .volumes import (MAX_SUBSETS, check_subset_cap, face_gram, indicator, relative_volumes,
-                      subsets, support_difference)
+from .volumes import (MAX_SUBSETS, _gram, _pyramid, _scaled_volumes, check_subset_cap,
+                      indicator, relative_volumes, subsets, support_difference)
 
 # what str() writes of a Fraction, and all that from_json reads: "p" or "p/q", q != 0
 _RATIONAL = re.compile(r"-?[0-9]+(/0*[1-9][0-9]*)?")
+# a value from_json read, in lowest terms, held as the constructor reads a Fraction
+_Ratio = namedtuple("_Ratio", "numerator denominator")
+
+
+def _ratio_text(p: int, q: int) -> str:
+    """str(Fraction(p, q)) for q > 0, in integers: "p" or "p/q" in lowest terms."""
+    g = math.gcd(p, q)
+    return str(p // g) if q == g else "%d/%d" % (p // g, q // g)
 
 
 # -- hypersimplex Ehrhart polynomials -------------------------------------------
@@ -73,6 +85,8 @@ def hypersimplex_ehrhart(k: int, d: int) -> MPoly:
     a sum of products of integer linear factors, divided by (d-1)! once.  The
     result is gated against the direct dilation counter on small dilations.
     """
+    from fractions import Fraction
+    from .mpoly import MPoly
     if not 1 <= k <= d:
         raise ValueError("need 1 <= k <= d")
     total = [0] * d  # (d-1)! E_{k,d}, coefficients by ascending power of m
@@ -97,11 +111,13 @@ class GeometricCoefficients:
     construction: the constructor checks, cheapest first, a rank within the subset cap,
     exactly the 2^n subsets of 1..n as keys, and the closed forms mu'_empty = |W_f| and
     mu'_top = 1/vol(A_id) (lattice-normalized, |W_f| too, as sqrt(gram_top) = covol(Q^v)
-    = |W_f| vol(A_id)); it raises ValueError otherwise.  The map is stored read-only."""
+    = |W_f| vol(A_id)); it raises ValueError otherwise.  Each mu'_J is held as a reduced
+    pair (p, q), q > 0; `mu_prime` is the same map as read-only Fractions."""
 
     __hash__ = None  # equal by value, and unhashable as the map it holds is
 
     def __init__(self, system: RootSystemId, mu_prime: dict[tuple[int, ...], Fraction]):
+        """mu_prime maps each J to an int or a Fraction."""
         n = system.rank
         if MAX_SUBSETS >> n == 0:  # 2^n > MAX_SUBSETS, without an n-bit power
             raise ValueError("coefficients for %s would need 2^%d subsets, exceeding cap %d"
@@ -109,33 +125,39 @@ class GeometricCoefficients:
         if len(mu_prime) != 2 ** n or mu_prime.keys() != set(subsets(tuple(range(1, n + 1)))):
             raise ValueError("coefficients for %s must cover exactly the %d subsets of 1..%d"
                              % (system, 2 ** n, n))
-        wf_order = build_root_system(system).wf_order
-        if mu_prime[()] != wf_order:
+        pairs = {J: (v.numerator, v.denominator) for J, v in mu_prime.items()}
+        wf_order = (build_root_system(system).wf_order, 1)
+        if pairs[()] != wf_order:
             raise ValueError("mu'_empty != |W_f|")
-        if mu_prime[tuple(range(1, n + 1))] != wf_order:
+        if pairs[tuple(range(1, n + 1))] != wf_order:
             raise ValueError("mu'_top != 1/vol(A_id)")
         self.system = system
-        self.mu_prime = MappingProxyType(dict(mu_prime))
+        self._pairs = pairs
+
+    @cached_property
+    def mu_prime(self) -> MappingProxyType:
+        from fractions import Fraction
+        return MappingProxyType({J: Fraction(p, q) for J, (p, q) in self._pairs.items()})
 
     def __eq__(self, other):
         if not isinstance(other, GeometricCoefficients):
             return NotImplemented
-        return (self.system, self.mu_prime) == (other.system, other.mu_prime)
+        return (self.system, self._pairs) == (other.system, other._pairs)
 
     def to_json(self) -> dict:
         """The file format; provenance is read off J, as closed forms pin () and 1..n."""
         from . import __version__
         key = lambda J: ",".join(map(str, J))
         data = build_root_system(self.system)
-        every = sorted(self.mu_prime)
+        every = sorted(self._pairs)
         return {
             "schema": 1,
             "version": __version__,
             "system": str(self.system),
-            "mu_prime": {key(J): str(self.mu_prime[J]) for J in every},
+            "mu_prime": {key(J): _ratio_text(*self._pairs[J]) for J in every},
             "provenance": {key(J): "closed-form" if len(J) in (0, data.rank) else "fitted"
                            for J in every},
-            "gram": {key(J): str(face_gram(data, J)) for J in every},
+            "gram": {key(J): _ratio_text(*_gram(data, J)) for J in every},
         }
 
     @staticmethod
@@ -146,16 +168,18 @@ class GeometricCoefficients:
         try:
             name = obj["system"]
             system = RootSystemId(name[0], int(name[1:]))
-            mu = {}
+            pairs = {}
             for key, val in obj["mu_prime"].items():
                 if not _RATIONAL.fullmatch(val):
                     raise ValueError("mu_prime %r: %r is not a rational" % (key, val))
-                mu[tuple(map(int, key.split(","))) if key else ()] = Fraction(
-                    *map(int, val.split("/")))
+                p, _, q = val.partition("/")
+                p, q = int(p), int(q or 1)
+                g = math.gcd(p, q)
+                pairs[tuple(map(int, key.split(","))) if key else ()] = _Ratio(p // g, q // g)
         except (KeyError, IndexError, TypeError, AttributeError) as exc:
             raise ValueError("malformed coefficient object: %s %s"
                              % (type(exc).__name__, exc)) from None
-        coeffs = GeometricCoefficients(system, mu)
+        coeffs = GeometricCoefficients(system, pairs)
         written = coeffs.to_json()
         # the values to_json writes are ints, strings and maps of strings to strings, so
         # the type of each field and == decide equality as JSON
@@ -172,16 +196,22 @@ class GeometricCoefficients:
 def evaluate_formula(data: RootSystemData, coeffs: GeometricCoefficients, lam) -> int:
     """sum_J mu'_J r_J(lambda); must land on a non-negative integer.
 
-    The coefficients are valid by construction; ones of another system raise ValueError.
+    With mu'_J = p_J / q_J and R_J = M_J r_J(lambda) (`volumes`), the sum is
+    sum_J p_J R_J (L / (q_J M_J)) / L over L = lcm_J(q_J M_J), all in integers, and
+    one division by L.  The coefficients are valid by construction; ones of another
+    system raise ValueError.
     """
     lam = dominant_coweight(data.rank, lam)
     if coeffs.system != data.id:
         raise ValueError("coefficients are for %s, not %s" % (coeffs.system, data.id))
-    r = relative_volumes(data, lam)
-    total = sum((mu * r[J] for J, mu in coeffs.mu_prime.items()), Fraction(0))
-    if total.denominator != 1 or total < 0:
+    R = {(): 1}
+    _scaled_volumes(data, lam, tuple(range(1, data.rank + 1)), R)
+    den = {J: q * _pyramid(data, J)[4] for J, (_, q) in coeffs._pairs.items()}
+    L = math.lcm(*den.values())
+    total, rest = divmod(sum(p * R[J] * (L // den[J]) for J, (p, _) in coeffs._pairs.items()), L)
+    if rest or total < 0:
         raise FormulaConsistencyError("formula evaluation inconsistent at %r" % (lam,))
-    return int(total)
+    return total
 
 
 # -- fitting -------------------------------------------------------------------------
@@ -231,6 +261,7 @@ def fit_mu(data: RootSystemData, box_cap: int = DEFAULT_BOX_CAP) -> GeometricCoe
     on all of them proves the formula, else FitVerificationError.  n w_i^v, i of largest
     mark, tops T_n in level, so its budget check refuses before any count that would.
     """
+    from .orbits import check_level_budget, interval_size_lattice
     n = data.rank
     check_subset_cap(data.id, n)
     top = data.marks.index(max(data.marks))

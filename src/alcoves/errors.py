@@ -1,8 +1,12 @@
-"""Exception types shared across the library.
+"""Exception types shared across the library, and the default budgets.
 
 The CLI maps these onto process exit codes, so raising the right class
-matters more than the message wording.
+matters more than the message wording.  The default caps live here, beside
+BudgetExceededError, so that the CLI reads them without importing a route.
 """
+
+DEFAULT_INTERVAL_CAP = 10 ** 6  # elements of a lower Bruhat interval (`affine`)
+DEFAULT_BOX_CAP = 10 ** 8  # cells of the level simplex that bounds X_lambda (`orbits`)
 
 
 class AlcovesError(Exception):

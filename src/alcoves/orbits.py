@@ -11,7 +11,7 @@ over the integer matrix B = det C (C^T)^-1 that shares nothing between calls:
 a system keeps B, at most det C residue keys and at most 2^n orbit sizes.  A
 geometric membership test (`contains`) over an exponent box gives an
 independent second route, which the benchmark's reference pins run; it reads
-the ambient view, the search does not.  A face Conv(W_J . lambda) has
+the ambient view and imports `fractions`, the search does neither.  A face Conv(W_J . lambda) has
 |W_J| / |W_{J ^ Z(lambda)}| vertices, known before its walk, and dimension
 #{j in J the walk steps along}.
 Every entry point reads lambda by `rootdata.dominant_coweight` and J by
@@ -22,16 +22,13 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 from operator import mul, sub
 
-from .errors import BudgetExceededError
+from .errors import DEFAULT_BOX_CAP, BudgetExceededError
 from .rootdata import (RootSystemData, dominant_coords, dominant_coweight, simple_subset,
                        weyl_order)
-
-DEFAULT_BOX_CAP = 10 ** 8
 MAX_FACE_VERTICES = 100_000  # the full E6 face, 51 840 vertices, takes about 2 s and 82 MB
 
 
@@ -137,6 +134,7 @@ def contains(data: RootSystemData, lam, p) -> bool:
     satisfies lambda - p+ in the non-negative rational cone on the simple
     coroots.
     """
+    from fractions import Fraction
     lam = dominant_coweight(data.rank, lam)
     coords = data.coweight_coords(p)
     plus, _ = dominant_coords(data, coords)
@@ -151,6 +149,7 @@ def lattice_count_by_membership(data: RootSystemData, lam,
     Scans lambda - sum x_j alpha_j^v over the full bounding box without any
     dominance shortcut; infrastructure for cross-checking lattice_count.
     """
+    from fractions import Fraction
     lam = dominant_coweight(data.rank, lam)
     n = data.rank
     # every coset point lies in lambda - cone(alpha^v) and above w0.lambda

@@ -16,6 +16,8 @@ denominator, returned as a tuple of Fractions, and each lattice volume is a
 canonical (coeff, radicand) pair for coeff * sqrt(radicand).  The fundamental
 coweights are also kept as one integer matrix over that denominator, so a point
 in coweight coordinates reaches the ambient space by one integer product.
+Only the functions that build or print rationals, the ambient view and the
+coordinate converters, import `fractions`, so that a count loads none of it.
 Parabolic orders |W_J| come by a product over root heights.  The two
 validators, `dominant_coweight` and `simple_subset`, decide for every module
 what a valid lambda and a valid J are.
@@ -31,7 +33,6 @@ Conventions:
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from functools import cached_property, lru_cache
 from operator import index, mul
 
@@ -279,6 +280,7 @@ class RootSystemData:
         dualities (w_i^v, alpha_j) = (w_i, alpha_j^v) = delta_ij are checked first,
         as (D L w_i^v, T_j) = 2 D L delta_ij and (2 D w_i, T_j) = 2 D l_j delta_ij.
         """
+        from fractions import Fraction
         n, twice, norms = self.rank, self._twice_roots, self.simple_root_norms
         D, B = self._dual
         L = math.lcm(*norms)
@@ -315,6 +317,7 @@ class RootSystemData:
     def coweight_coords(self, v) -> tuple[Fraction, ...]:
         """Coordinates (v, alpha_i) of an ambient vector v in span Phi, any sequence of
         ambient_dim rationals, on the fundamental coweight basis."""
+        from fractions import Fraction
         v = tuple(map(Fraction, v))
         if len(v) != self.ambient_dim:
             raise ValueError("expected %d ambient coordinates" % self.ambient_dim)
@@ -326,6 +329,7 @@ class RootSystemData:
     def ambient_from_coweight(self, coords) -> tuple[Fraction, ...]:
         """sum_i coords_i w_i^v: one integer (or, for Fraction coords, rational)
         product with the coweight matrix, then one division per entry."""
+        from fractions import Fraction
         den, matrix = self._coweight_matrix
         if len(coords) != self.rank:
             raise ValueError("expected %d coweight coordinates" % self.rank)
@@ -333,6 +337,7 @@ class RootSystemData:
 
     def coroot_coords_from_coweight(self, coords) -> tuple[Fraction, ...]:
         """Rewrite coweight-basis coordinates on the simple-coroot basis: B coords / D."""
+        from fractions import Fraction
         D, B = self._dual
         return tuple(Fraction(sum(map(mul, row, coords)), D) for row in B)
 
@@ -418,6 +423,7 @@ def dominant_coords(data: RootSystemData, coords) -> tuple[tuple[Fraction, ...],
     word lists the reflections in application order, so
     v_plus = s_{word[-1]} ... s_{word[0]} v.
     """
+    from fractions import Fraction
     c = [Fraction(x) for x in coords]
     n = data.rank
     word: list[int] = []

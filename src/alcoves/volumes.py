@@ -33,13 +33,14 @@ and r_J = R_J / M_J is one division at the end.  One integer memo per
 (system, J) holds |W_J|, det C_J, adj C_J, M_J and the steps (J-j, w_{J,j},
 column j of adj C_J); it is reached only for the subsets of the J asked for.
 The recursion runs on integer points (values) or on MPoly variables
-(polynomials).
+(polynomials).  Only the functions that return Fractions or polynomials
+(`relative_volumes`, `face_gram`, `volume_polynomial`) import `fractions` and
+`mpoly`; a geometric count reads the integers R_J and M_J alone.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
-from fractions import Fraction
 from functools import lru_cache, reduce
 from itertools import combinations
 from math import gcd, lcm, prod
@@ -47,7 +48,6 @@ from operator import add
 
 from .errors import BudgetExceededError
 from .linalg import border
-from .mpoly import MPoly
 from .rootdata import (RootSystemData, RootSystemId, dominant_coweight, simple_subset,
                        weyl_order)
 
@@ -122,20 +122,28 @@ def _scaled_volumes(data: RootSystemData, x, top: tuple[int, ...], R: dict) -> N
 def relative_volumes(data: RootSystemData, lam) -> dict:
     """r_K(lambda) for every K inside 1..n, in O(n^2 2^n) integer steps at the dominant
     coweight lambda, and one division for each K."""
+    from fractions import Fraction
     R = {(): 1}
     _scaled_volumes(data, dominant_coweight(data.rank, lam), tuple(range(1, data.rank + 1)), R)
     return {K: Fraction(v, _pyramid(data, K)[4]) for K, v in R.items()}
 
 
+def _gram(data: RootSystemData, J: tuple[int, ...]) -> tuple[int, int]:
+    """gram_J = det Gram(alpha_j^v : j in J) = det C_J prod_{j in J} 2/|alpha_j|^2, as
+    (2^|J| det C_J, prod_{j in J} |alpha_j|^2), not reduced, for a J checked already."""
+    return 2 ** len(J) * _pyramid(data, J)[1], prod(data.simple_root_norms[j - 1] for j in J)
+
+
 def face_gram(data: RootSystemData, J) -> Fraction:
-    """gram_J = det Gram(alpha_j^v : j in J) = det C_J prod_{j in J} 2/|alpha_j|^2."""
-    J = simple_subset(data.rank, J)
-    return Fraction(2 ** len(J) * _pyramid(data, J)[1],
-                    prod(data.simple_root_norms[j - 1] for j in J))
+    """gram_J as a Fraction."""
+    from fractions import Fraction
+    return Fraction(*_gram(data, simple_subset(data.rank, J)))
 
 
 def volume_polynomial(data: RootSystemData, J) -> VolumePolynomial:
     """Lattice-normalized volume polynomial of the face Conv(W_J . lambda)."""
+    from fractions import Fraction
+    from .mpoly import MPoly
     J = simple_subset(data.rank, J)
     n = data.rank
     scaled = {(): MPoly.constant(n, 1)}

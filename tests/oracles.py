@@ -18,7 +18,11 @@ integer matrices with translations, multiplies them out, and finds lengths,
 descents and lower intervals from them, against the library's alcove points.
 
 The ambient view by Fraction arithmetic, with C^-1 by Gauss-Jordan, checks
-the library's integer combinations of the doubled simple roots.
+the library's integer combinations of the doubled simple roots.  The formula
+summed in Fractions (`evaluate_formula_by_fractions`) checks the library's sum
+over one common integer denominator.  The argparse parser that the CLI used
+before its own argv reader (`_build_parser`), kept verbatim, is the reference
+for every namespace and usage message that reader gives.
 
 The rest are reference routes and values that no command reads: two
 reference types, rational vectors (`QVector`) and exact scalars q * sqrt(d)
@@ -30,6 +34,8 @@ coefficient pipeline from hypersimplex Ehrhart polynomials, and the root data
 derived from the ambient vectors, against which the integer core is checked.
 """
 
+import argparse
+import re
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, product
@@ -37,6 +43,10 @@ from math import factorial, gcd, lcm, prod
 from operator import mul, sub
 
 from alcoves.affine import DEFAULT_INTERVAL_CAP, _context as _alcove_context, _fold
+from alcoves import __version__
+from alcoves.cli import (UsageError, budget, cmd_count, cmd_ehrhart, cmd_faces, cmd_fit,
+                         cmd_rootdata, cmd_verify, cmd_volumes, integer)
+from alcoves.cli import __doc__ as _CLI_DOC
 from alcoves.coefficients import GeometricCoefficients, hypersimplex_ehrhart
 from alcoves.errors import AlcovesError, BudgetExceededError, FormulaConsistencyError
 from alcoves.mpoly import MPoly
@@ -1087,3 +1097,99 @@ def type_a_connected_mu(n: int) -> dict[tuple[int, ...], Fraction]:
     if not is_rational(full) or full.coeff != out[tuple(range(1, n + 1))]:
         raise FormulaConsistencyError("type-A top coefficient disagrees with 1/vol(A_id)")
     return out
+
+
+# -- the formula in Fractions -------------------------------------------------------
+
+def evaluate_formula_by_fractions(data: RootSystemData, coeffs: GeometricCoefficients,
+                                  lam) -> int:
+    """sum_J mu'_J r_J(lambda); must land on a non-negative integer.
+
+    The coefficients are valid by construction; ones of another system raise ValueError.
+    """
+    lam = dominant_coweight(data.rank, lam)
+    if coeffs.system != data.id:
+        raise ValueError("coefficients are for %s, not %s" % (coeffs.system, data.id))
+    r = relative_volumes(data, lam)
+    total = sum((mu * r[J] for J, mu in coeffs.mu_prime.items()), Fraction(0))
+    if total.denominator != 1 or total < 0:
+        raise FormulaConsistencyError("formula evaluation inconsistent at %r" % (lam,))
+    return int(total)
+
+
+# -- the argparse parser of the CLI ---------------------------------------------------
+
+_COMMANDS = ("count", "fit", "verify", "ehrhart", "volumes", "faces", "rootdata")
+
+
+class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # argparse reads '-1,1' as an option flag, as it matches only '-1' or '-1.5' as a
+        # negative number; no option here starts '-<digit>', so such an argument is a
+        # value, and --lambda -1,1 or --J -1,2 reaches this CLI's own check
+        self._negative_number_matcher = re.compile(r"-[0-9]")
+
+    def error(self, message):
+        raise UsageError(message)
+
+
+def _build_parser(command: str | None = None) -> _Parser:
+    """The parser, with only the subparser of `command` when that is one of _COMMANDS
+    (all seven took 3-4 ms to build); help, --version and usage errors see them all."""
+    parser = _Parser(prog="alcoves", description=_CLI_DOC)
+    parser.add_argument("--version", action="version", version="alcoves " + __version__)
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    def add(name, text, func):  # the subparser of name, or None when it is not built
+        if command in _COMMANDS and command != name:
+            return None
+        p = sub.add_parser(name, help=text)
+        p.set_defaults(func=func)
+        return p
+
+    def add_system_args(p, need_lambda=False):
+        p.add_argument("--type", required=True, dest="family",
+                       help="root system family letter (A/B/C/D/E/F/G)")
+        p.add_argument("--rank", required=True, type=integer)
+        if need_lambda:
+            p.add_argument("--lambda", required=True, dest="lam",
+                           help="comma-separated coweight coordinates")
+
+    def add_caps(p):  # count and verify; fit reads --box-cap alone, the rest no cap
+        p.add_argument("--interval-cap", type=budget, default=DEFAULT_INTERVAL_CAP)
+        p.add_argument("--box-cap", type=budget, default=DEFAULT_BOX_CAP)
+        p.add_argument("--cache-dir", default=None)
+
+    if p := add("count", "count |<= theta(lambda)| one way", cmd_count):
+        add_system_args(p, need_lambda=True)
+        add_caps(p)
+        p.add_argument("--method", required=True, choices=["bruhat", "lattice", "geometric"])
+        p.add_argument("--coeffs", help="coefficient JSON for --method geometric")
+
+    if p := add("fit", "fit geometric coefficients and write them to a file", cmd_fit):
+        add_system_args(p)
+        p.add_argument("--box-cap", type=budget, default=DEFAULT_BOX_CAP)
+        p.add_argument("--out", required=True)
+        p.add_argument("--force", action="store_true")
+
+    if p := add("verify", "cross-check all three counting methods", cmd_verify):
+        add_system_args(p)
+        add_caps(p)
+        p.add_argument("--max-coord", type=integer, default=2)
+
+    if p := add("ehrhart", "hypersimplex Ehrhart polynomial", cmd_ehrhart):
+        p.add_argument("--k", required=True, type=integer)
+        p.add_argument("--d", required=True, type=integer)
+
+    if p := add("volumes", "face volume polynomial", cmd_volumes):
+        add_system_args(p)
+        p.add_argument("--J", required=True, help="comma-separated indices, or 'empty'")
+
+    if p := add("faces", "vertex data of one face (JSON for external tools)", cmd_faces):
+        add_system_args(p, need_lambda=True)
+        p.add_argument("--J", required=True, help="comma-separated indices, or 'empty'")
+
+    if p := add("rootdata", "dump derived root system data", cmd_rootdata):
+        add_system_args(p)
+    return parser

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import math
 import os
@@ -36,12 +38,12 @@ def unshipped(tmp_path, monkeypatch):
 
 @pytest.fixture
 def no_fit(monkeypatch):
-    import alcoves.cli as climod
+    import alcoves.coefficients as coefmod
 
     def never(*args, **kwargs):
         raise AssertionError("fit_mu called")
 
-    monkeypatch.setattr(climod, "fit_mu", never)
+    monkeypatch.setattr(coefmod, "fit_mu", never)
 
 
 def test_count_lattice(capsys):
@@ -131,12 +133,12 @@ def test_fit_refuses_overwrite(capsys, tmp_path):
 
 @pytest.mark.parametrize("force", [[], ["--force"]])
 def test_fit_refuses_a_directory_before_it_fits(capsys, tmp_path, monkeypatch, force):
-    import alcoves.cli as climod
+    import alcoves.coefficients as coefmod
 
     def no_fit(*args, **kwargs):
         raise AssertionError("fit_mu ran before --out was checked")
 
-    monkeypatch.setattr(climod, "fit_mu", no_fit)
+    monkeypatch.setattr(coefmod, "fit_mu", no_fit)
     out = tmp_path / "out"
     out.mkdir()
     code, payload = run_cli(capsys, "fit", "--type", "E", "--rank", "6", "--out", str(out), *force)
@@ -674,13 +676,14 @@ def test_geometric_count_with_a_coeffs_file_refuses_on_subsets_first(capsys, tmp
 def test_verify_refuses_before_the_fit_and_the_first_row(capsys, tmp_path, monkeypatch):
     # interval sizes grow with lambda, so the row (40, 40, 40), whose interval has
     # 25 157 784 elements, refuses the whole run before any row is counted
-    import alcoves.cli as climod
+    import alcoves.affine as affinemod
+    import alcoves.coefficients as coefmod
 
     def never(*args, **kwargs):
         raise AssertionError("called before the interval cap was checked")
 
-    monkeypatch.setattr(climod, "interval_size_bruhat", never)
-    monkeypatch.setattr(climod, "fit_mu", never)
+    monkeypatch.setattr(affinemod, "interval_size_bruhat", never)
+    monkeypatch.setattr(coefmod, "fit_mu", never)
     code, payload = run_cli(capsys, "verify", "--type", "A", "--rank", "3", "--max-coord", "40",
                             "--cache-dir", str(tmp_path))
     assert code == 2 and payload["error"] == {
@@ -756,12 +759,10 @@ def test_the_count_path_builds_no_ambient_view(capsys, tmp_path, monkeypatch):
 
 
 def test_no_new_options():
-    import argparse
-    from alcoves.cli import _build_parser
-    sub = next(a for a in _build_parser()._actions
-               if isinstance(a, argparse._SubParsersAction))
-    options = {name: sorted(o for a in p._actions for o in a.option_strings)
-               for name, p in sub.choices.items()}
+    # every command also reads -h and --help, which the reader adds to each table
+    from alcoves.cli import _COMMANDS
+    options = {name: sorted([flag for flag, *_ in table] + ["-h", "--help"])
+               for name, (_, _, table) in _COMMANDS.items()}
     system = ["--rank", "--type", "-h", "--help"]
     caps = ["--box-cap", "--cache-dir", "--interval-cap"]
     assert options == {
@@ -801,10 +802,155 @@ def test_verify_rejects_negative_max_coord(capsys, tmp_path):
 
 def test_verify_lists_a_lambda_once(capsys, tmp_path, monkeypatch):
     # both checks of every row fail: each lambda is still listed once
-    import alcoves.cli as climod
-    monkeypatch.setattr(climod, "evaluate_formula", lambda data, coeffs, lam: -1)
-    monkeypatch.setattr(climod, "descents", lambda data, w: (set(), set()))
+    import alcoves.affine as affinemod
+    import alcoves.coefficients as coefmod
+    monkeypatch.setattr(coefmod, "evaluate_formula", lambda data, coeffs, lam: -1)
+    monkeypatch.setattr(affinemod, "descents", lambda data, w: (set(), set()))
     code, payload = run_cli(capsys, "verify", "--type", "A", "--rank", "1",
                             "--max-coord", "2", "--cache-dir", str(tmp_path))
     assert code == 4
     assert payload["mismatches"] == [[0], [1], [2]]
+
+
+# -- the argv reader against the argparse parser it replaced --------------------------
+
+# a valid value of each option, and another for a repeat
+VALUES = {"--type": ("A", "B"), "--rank": ("2", "3"), "--lambda": ("1,1", "2,0"),
+          "--method": ("lattice", "bruhat"), "--interval-cap": ("100", "7"),
+          "--box-cap": ("100", "7"), "--cache-dir": ("c", "d"), "--coeffs": ("f.json", "g"),
+          "--out": ("o.json", "p"), "--max-coord": ("1", "0"), "--k": ("1", "2"),
+          "--d": ("3", "4"), "--J": ("1", "empty")}
+BAD_VALUES = ["x", "0", "-1", "", "-1,1", "-x", "1_0", " 1", "١", "1.0", "--", "-1 1"]
+UNKNOWN = [["--bogus"], ["--bogus", "1"], ["--bogus=1"], ["-x"], ["-x", "1"], ["--"],
+           ["--", "extra"], ["--", "--type", "A"], ["extra"], ["-"], ["-1"], ["-1 x"],
+           ["--=x"], ["---x"], ["-=x"], ["-h"], ["-hh"], ["-hx"], ["-h="], ["--help=1"],
+           ["--version"], ["--force=1"], ["--force="]]
+
+
+def _args(options, repeat=False):
+    """flag value ... for each option of a command's table; a flag alone for a bool."""
+    return [word for flag, _, kind, _ in options
+            for word in ([flag] if kind is bool else [flag, VALUES[flag][repeat]])]
+
+
+def _corpus(command, options):
+    from alcoves.cli import _REQUIRED
+    full = [command] + _args(options)
+    required = [command] + _args([o for o in options if o[3] is _REQUIRED])
+    yield full
+    yield required
+    yield [command]
+    for i, (flag, _, kind, default) in enumerate(options):
+        rest = options[:i] + options[i + 1:]
+        if default is _REQUIRED:
+            yield [command] + _args(rest)  # left out
+        yield full + _args([options[i]], repeat=True)  # repeated, the last one read
+        for end in range(1, len(flag) + 1):  # every prefix, in place and at the end
+            prefix = flag[:end]
+            yield [command] + _args(rest) + ([prefix] if kind is bool else
+                                             [prefix, VALUES[flag][0]])
+            yield required + [prefix]
+            if kind is not bool:
+                yield required + ["%s=%s" % (prefix, VALUES[flag][1])]
+        if kind is bool:
+            continue
+        yield [command] + _args(rest) + ["%s=%s" % (flag, VALUES[flag][0])]
+        for bad in BAD_VALUES + (["Lattice", "lat", "geometric "] if flag == "--method" else []):
+            yield [command] + _args(rest) + [flag, bad]
+            if bad != "--":  # --X=--: argparse stores [], the reader "--" (see below)
+                yield [command] + _args(rest) + ["%s=%s" % (flag, bad)]
+    for extra in UNKNOWN:
+        yield full + extra
+        yield required + extra
+        yield extra + full
+    for flag in ("-h", "--help"):
+        for end in range(1, len(flag) + 1):
+            yield [command, flag[:end]]
+
+
+TOP = [[], ["bogus"], ["count "], [""], ["-x"], ["--bogus"], ["--"], ["--version"], ["--v"],
+       ["--vers"], ["--version=1"], ["--version="], ["-h"], ["--h"], ["--help"], ["-hv"],
+       ["--=x"], ["--version", "bogus"], ["bogus", "--version"], ["--", "--version"],
+       ["-1,1"]]
+
+
+def _outcome(parse, argv):
+    """('ns', the namespace), ('usage', the message) or ('exit', the code, the text
+    printed) of one parse.  Help texts differ by design: only their first word counts."""
+    out = io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out):
+            ns = vars(parse(argv)).copy()
+    except Exception as exc:
+        if type(exc).__name__ != "UsageError":
+            raise
+        return "usage", str(exc)
+    except SystemExit as exc:
+        text = out.getvalue()
+        return "exit", exc.code, "usage:" if text.startswith("usage: alcoves") else text
+    return "ns", ns
+
+
+def test_the_reader_gives_the_namespace_or_message_of_the_argparse_parser():
+    import alcoves.cli as climod
+    from oracles import _build_parser
+
+    def oracle(argv):
+        ns = _build_parser(argv[0] if argv else None).parse_args(argv)
+        assert ns.func is climod._COMMANDS[ns.command][0]
+        del ns.func
+        return ns
+
+    corpus = list(TOP)
+    for command, (_, _, options) in climod._COMMANDS.items():
+        corpus += _corpus(command, options)
+    kinds = set()
+    for argv in corpus:
+        expected = _outcome(oracle, argv)
+        assert _outcome(climod._read, argv) == expected, argv
+        kinds.add(expected[0] if expected[0] != "usage" else expected[1].split(":")[0])
+    assert len(corpus) > 1900
+    # the corpus reaches every kind of outcome the reader reproduces
+    assert {"ns", "exit", "the following arguments are required", "argument command",
+            "ambiguous option", "unrecognized arguments", "budgets must be positive",
+            "argument --rank", "argument --method", "argument --force",
+            "argument -h/--help", "argument --version"} <= kinds
+
+
+@pytest.mark.parametrize("flag,message", [
+    ("--type", "invalid root system --2"),
+    ("--rank", "argument --rank: invalid integer value: '--'"),
+    ("--lambda", "lambda must be a comma-separated integer list"),
+    ("--method", "argument --method: invalid choice: '--' (choose from 'bruhat', 'lattice', "
+                 "'geometric')"),
+    ("--box-cap", "argument --box-cap: invalid budget value: '--'"),
+])
+def test_an_equals_separator_value_is_the_text_itself(capsys, flag, message):
+    # argparse dropped the "--" of --X=--, stored [] and so crashed or printed
+    # "method": []; the reader passes "--" to the option's own check
+    argv = dict(zip(COUNT_A2[1::2], COUNT_A2[2::2]))
+    argv[flag] = "--"
+    words = ["count"] + ["%s=%s" % item if item[0] == flag else item[0] + "\0" + item[1]
+                         for item in argv.items()]
+    code, payload = run_cli(capsys, *[w for word in words for w in word.split("\0")])
+    kind = "invalid-input" if flag == "--type" else "usage"
+    assert code == 1 and payload["error"] == {"type": kind, "message": message}
+
+
+def test_help_and_version_exit_0_with_their_text(capsys):
+    from alcoves.cli import _COMMANDS
+    for argv in [["--version"], ["--vers"]]:
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0 and capsys.readouterr().out == "alcoves %s\n" % __version__
+    with pytest.raises(SystemExit) as exc:
+        main(["--he"])
+    out = capsys.readouterr().out
+    assert exc.value.code == 0 and all("\n  %s " % command in out for command in _COMMANDS)
+    for command, (_, text, options) in _COMMANDS.items():
+        with pytest.raises(SystemExit) as exc:
+            main([command, "-h"])
+        usage, _, rest = capsys.readouterr().out.partition("\n")
+        assert exc.value.code == 0 and usage.startswith("usage: alcoves %s [-h] " % command)
+        assert [flag for flag, *_ in options if flag in usage] == [o[0] for o in options]
+        assert rest.startswith("\n%s\n" % text)

@@ -9,16 +9,17 @@ import pytest
 
 from alcoves.affine import interval_size_bruhat
 from alcoves.cli import DATA_DIR, main
-from alcoves.coefficients import (GeometricCoefficients, _solve, evaluate_formula, fit_mu,
-                                  hypersimplex_dilation_count, hypersimplex_ehrhart)
+from alcoves.coefficients import (GeometricCoefficients, _ratio_text, _solve, evaluate_formula,
+                                  fit_mu, hypersimplex_dilation_count, hypersimplex_ehrhart)
 from alcoves.errors import (BudgetExceededError, FitVerificationError,
                             FormulaConsistencyError)
 from alcoves.orbits import interval_size_lattice
 from alcoves.rootdata import _RANK_RULES, build_root_system
 from alcoves.mpoly import MPoly
-from alcoves.volumes import face_gram, volume_polynomial
-from oracles import (RadScalar, eulerian, homogeneous_part, is_rational, mpoly_interpolate,
-                     mu_euclidean, mu_full, square, stirling1, type_a_connected_mu)
+from alcoves.volumes import _gram, face_gram, volume_polynomial
+from oracles import (RadScalar, eulerian, evaluate_formula_by_fractions, homogeneous_part,
+                     is_rational, mpoly_interpolate, mu_euclidean, mu_full, square, stirling1,
+                     type_a_connected_mu)
 from test_golden import FITS, SHIPPED
 
 
@@ -347,15 +348,15 @@ def _T(n):
 def _record_counts(monkeypatch, bad=None):
     """Route the fit's lattice counts through a recorder that adds one at bad; the list
     of the coweights counted, in order."""
-    import alcoves.coefficients as coefmod
-    real = coefmod.interval_size_lattice
+    import alcoves.orbits as orbitsmod
+    real = orbitsmod.interval_size_lattice
     seen = []
 
     def count(data, lam, box_cap):
         seen.append(lam)
         return real(data, lam, box_cap) + (lam == bad)
 
-    monkeypatch.setattr(coefmod, "interval_size_lattice", count)
+    monkeypatch.setattr(orbitsmod, "interval_size_lattice", count)
     return seen
 
 
@@ -441,3 +442,55 @@ def test_sign_pattern_of_each_shipped_fit(name):
     mu = {J: Fraction(v) for J, v in obj["mu_prime"].items()}
     assert {J for J, v in mu.items() if v < 0} == NEGATIVE_MU.get(name, set())
     assert {J for J, v in mu.items() if v == 0} == ZERO_MU.get(name, set())
+
+
+# -- the formula in integers against the formula in Fractions -------------------------
+
+@pytest.mark.parametrize("name", [name for name in SHIPPED if int(name[1:]) <= 5])
+def test_the_integer_sum_equals_the_fraction_sum_at_every_point_of_T_n(name):
+    d = build_root_system(name)
+    coeffs = _shipped(name)
+    for lam in sorted(_T(d.rank)):
+        assert evaluate_formula(d, coeffs, lam) == evaluate_formula_by_fractions(d, coeffs, lam)
+
+
+def test_the_integer_sum_equals_the_fraction_sum_on_every_reference():
+    refs = json.loads((Path(__file__).resolve().parents[1] / "benchmarks"
+                       / "references.json").read_text())
+    entries = [ref for workload in refs.values() for ref in workload]
+    assert len(entries) == 22
+    for ref in entries:
+        d, lam = build_root_system(ref["system"]), tuple(ref["lambda"])
+        coeffs = _shipped(ref["system"])
+        assert (evaluate_formula(d, coeffs, lam) == evaluate_formula_by_fractions(d, coeffs, lam)
+                == ref["count"]), ref
+
+
+@pytest.mark.parametrize("delta", [Fraction(1, 2), Fraction(-1, 3), Fraction(1, 7), -100])
+def test_a_total_off_the_non_negative_integers_is_refused_by_both_sums(delta):
+    # A2 at (1, 1) sums to 42 + delta * r_{1}(1, 1), r_{1}(1, 1) = 1: not an integer, or
+    # below zero at -100
+    d = build_root_system("A2")
+    coeffs = _shipped("A2")
+    broken = GeometricCoefficients(
+        d.id, {J: v + delta if J == (1,) else v for J, v in coeffs.mu_prime.items()})
+    for evaluate in (evaluate_formula, evaluate_formula_by_fractions):
+        with pytest.raises(FormulaConsistencyError, match=r"inconsistent at \(1, 1\)"):
+            evaluate(d, broken, (1, 1))
+
+
+def test_the_integer_text_is_the_text_of_the_fraction():
+    for p in range(-30, 31):
+        for q in range(1, 31):
+            assert _ratio_text(p, q) == str(Fraction(p, q)), (p, q)
+    assert _ratio_text(-(10 ** 40), 6 * 10 ** 39) == str(Fraction(-(10 ** 40), 6 * 10 ** 39))
+
+
+@pytest.mark.parametrize("name", SHIPPED)
+def test_each_shipped_mu_prime_and_gram_prints_as_its_fraction(name):
+    d = build_root_system(name)
+    coeffs = _shipped(name)
+    assert len(coeffs._pairs) == 2 ** d.rank
+    for J, (p, q) in coeffs._pairs.items():
+        assert _ratio_text(p, q) == str(Fraction(p, q)) == str(coeffs.mu_prime[J]), J
+        assert _ratio_text(*_gram(d, J)) == str(Fraction(*_gram(d, J))) == str(face_gram(d, J))

@@ -8,7 +8,6 @@ from pathlib import Path
 
 import pytest
 
-import alcoves.coefficients as coefmod
 from alcoves import orbits, rootdata
 from alcoves.affine import interval_size_bruhat
 from alcoves.coefficients import fit_mu
@@ -271,14 +270,14 @@ def test_a_fit_leaves_no_per_coweight_state(monkeypatch, name):
     # n + 2 objects, and a few objects for the caches themselves
     d = RootSystemData(RootSystemId(name[0], 4))  # fresh, so no cache holds it yet
     n, D = d.rank, d.index_of_connection
-    real = coefmod.interval_size_lattice
+    real = orbits.interval_size_lattice
     asked = []
 
     def record(data, lam, box_cap):
         asked.append(lam)
         return real(data, lam, box_cap)
 
-    monkeypatch.setattr(coefmod, "interval_size_lattice", record)
+    monkeypatch.setattr(orbits, "interval_size_lattice", record)
     before = _library_state(d)
     fit_mu(d)
     assert len(asked) == math.comb(2 * n, n) == 70

@@ -37,6 +37,13 @@ def test_traced_probe_runs_against_the_library(tmp_path):
 # the shipped coefficients through importlib.resources would bring tempfile and zipfile
 HEAVY_MODULES = {"dataclasses", "inspect", "ast", "dis", "tokenize", "typing", "tempfile",
                  "zipfile"}
+# what a count does not run: argparse (with gettext and locale), as the CLI reads argv
+# itself, and rationals (fractions, with decimal and numbers) and polynomials, as mu' is
+# summed in integers.  `rootdata` prints rationals, so it may load fractions
+NOT_RUN = {"argparse", "gettext", "locale", "fractions", "decimal", "numbers", "alcoves.mpoly"}
+RATIONALS = {"fractions", "decimal", "numbers"}
+# the route modules; a process may load only those of the route it runs
+ROUTES = {"alcoves.affine", "alcoves.orbits", "alcoves.volumes", "alcoves.coefficients"}
 
 
 def _modules_imported(*argv):
@@ -67,6 +74,9 @@ ROOTDATA = ["-m", "alcoves.cli", "rootdata", "--type", "B", "--rank", "3"]
                                   COUNT + ["lattice"], COUNT + ["bruhat"], GEOMETRIC, SHIPPED,
                                   ROOTDATA])
 def test_a_query_process_imports_no_heavy_stdlib_module(argv, tmp_path):
+    method = argv[argv.index("--method") + 1] if "--method" in argv else None
+    routes = {"lattice": {"alcoves.orbits"}, "bruhat": {"alcoves.affine"},
+              "geometric": {"alcoves.volumes", "alcoves.coefficients"}}.get(method, set())
     if argv is GEOMETRIC:
         from alcoves.cli import main
         coeffs = tmp_path / "a2.json"
@@ -78,8 +88,10 @@ def test_a_query_process_imports_no_heavy_stdlib_module(argv, tmp_path):
     # against a bare interpreter, so a module that site hooks load counts for neither
     baseline = _modules_imported("-c", "pass")
     imported = _modules_imported(*argv)
-    assert {"alcoves.rootdata", "argparse"} <= imported - baseline
+    assert {"alcoves.rootdata", "json"} <= imported - baseline
     assert (imported - baseline) & HEAVY_MODULES == set()
+    assert (imported - baseline) & (NOT_RUN - (RATIONALS if argv is ROOTDATA else set())) == set()
+    assert imported & ROUTES == routes
     assert not (tmp_path / "cache").exists()
 
 
@@ -90,6 +102,13 @@ ACROSS_VERSIONS = [COUNT[:-2] + ["1,1,1", "--method", method, "--cache-dir"]
 ACROSS_VERSIONS += [COUNT[:-2] + ["1,1,1", "--method", "geometric", "--coeffs"],
                     ["-m", "alcoves.cli", "verify", "--type", "A", "--rank", "2",
                      "--max-coord", "1", "--cache-dir"]]
+# and the usage errors, which the CLI's own argv reader words the same on each
+USAGE_ERRORS = [COUNT[:-2] + ["1,1,1", "--method", "lattice", "--bogus", "1", "--cache-dir"],
+                COUNT[:-3] + ["--cache-dir"],  # --lambda and --method left out
+                COUNT[:-2] + ["1,1,1", "--method", "Lattice", "--cache-dir"],
+                COUNT[:6] + ["3x"] + COUNT[7:-2] + ["1,1,1", "--method", "lattice", "--cache-dir"],
+                COUNT[:-2] + ["1,1,1", "--method", "lattice", "--c", "--cache-dir"]]
+ACROSS_VERSIONS += USAGE_ERRORS
 
 
 def _runs(exe) -> bool:
@@ -129,7 +148,8 @@ def test_the_cli_prints_the_same_on_each_declared_python(python, tmp_path):
         for run in (sys.executable, exe):
             proc = subprocess.run([run, "-S", *argv, last], capture_output=True, text=True,
                                   env=dict(os.environ, PYTHONPATH=path), timeout=300)
-            assert proc.returncode == 0, (run, argv, proc.stdout + proc.stderr)
+            code = 1 if argv in USAGE_ERRORS else 0
+            assert proc.returncode == code, (run, argv, proc.stdout + proc.stderr)
             outputs.append(re.sub(r'"elapsed_ms": [0-9]+, ', "", proc.stdout))
         assert outputs[0] == outputs[1], argv
     assert list(tmp_path.iterdir()) == []  # every count read a shipped file
