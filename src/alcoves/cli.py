@@ -20,10 +20,21 @@ importing argparse, gettext and locale (`-h` prints its own usage text).  This
 module imports `rootdata` alone of the library; each command imports its route's
 modules when it runs, so a lattice count loads `orbits`, a bruhat count `affine`,
 and a geometric count `volumes` and `coefficients`.
+
+A process ends at its last write.  `run()`, the entry of `python -m alcoves.cli` and
+of the `alcoves` script, calls `main()`, flushes stdout and stderr and ends with
+`os._exit`, which skips the interpreter's teardown: about 6 ms of freeing modules,
+most of them loaded by site hooks.  Nothing is left for teardown to do, as the
+library registers no atexit handler, starts no thread and closes every file it
+writes before `main` returns.  `main()` itself returns its exit code, so library
+callers are unaffected, and an uncaught exception still prints its traceback.  A
+stdout that is closed or cannot be written or flushed ends with exit 1 and one JSON
+error of type "io" on stderr.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 import os
@@ -84,8 +95,24 @@ def budget(text: str) -> int:
     return value
 
 
+class _StdoutError(Exception):
+    """stdout is closed, or a write to it or its flush failed.  It is no OSError, so that
+    main's handlers, which print to stdout, let it pass to run()."""
+
+
+def _write(text: str, flush: bool = False) -> None:
+    if sys.stdout is None:  # the process started with fd 1 closed
+        raise _StdoutError("stdout is closed")
+    try:
+        sys.stdout.write(text)
+        if flush:
+            sys.stdout.flush()
+    except OSError as exc:
+        raise _StdoutError("stdout: %s" % exc) from None
+
+
 def _emit(payload) -> None:
-    sys.stdout.write(json.dumps(payload, sort_keys=True) + "\n")
+    _write(json.dumps(payload, sort_keys=True) + "\n")
 
 
 def _fail(code: int, kind: str, message: str) -> int:
@@ -438,8 +465,7 @@ def _walk(args: list[str], command: str | None):
             if given is not None:
                 raise UsageError("argument %s: ignored explicit argument %r" % (name, given))
             if dest in ("help", "version"):
-                sys.stdout.write(_usage(command) if dest == "help"
-                                 else "alcoves %s\n" % __version__)
+                _write(_usage(command) if dest == "help" else "alcoves %s\n" % __version__)
                 raise SystemExit(0)
             values[dest] = True
             continue
@@ -480,6 +506,8 @@ def _read(argv: list[str]) -> SimpleNamespace:
 
 
 def main(argv=None) -> int:
+    """Run one command: its exit code, or SystemExit(0) after -h or --version.  An
+    unwritable stdout raises _StdoutError."""
     try:
         ns = _read(sys.argv[1:] if argv is None else list(argv))
         if hasattr(ns, "family"):
@@ -500,5 +528,23 @@ def main(argv=None) -> int:
         return _fail(EXIT_USAGE, "io", str(exc))
 
 
+def run() -> None:
+    """The process entry: main(), then flush and os._exit(code), skipping teardown."""
+    error = None
+    try:
+        try:
+            code = main()
+        except SystemExit as exc:  # -h and --version, after their text
+            code = exc.code
+        _write("", flush=True)
+    except _StdoutError as exc:
+        code, error = EXIT_USAGE, {"schema": 1, "error": {"type": "io", "message": str(exc)}}
+    if sys.stderr is not None:  # fd 2 may be closed, or unwritable too
+        with contextlib.suppress(OSError):
+            if error:
+                sys.stderr.write(json.dumps(error, sort_keys=True) + "\n")
+            sys.stderr.flush()
+    os._exit(code)
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

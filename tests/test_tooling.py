@@ -108,7 +108,11 @@ USAGE_ERRORS = [COUNT[:-2] + ["1,1,1", "--method", "lattice", "--bogus", "1", "-
                 COUNT[:-2] + ["1,1,1", "--method", "Lattice", "--cache-dir"],
                 COUNT[:6] + ["3x"] + COUNT[7:-2] + ["1,1,1", "--method", "lattice", "--cache-dir"],
                 COUNT[:-2] + ["1,1,1", "--method", "lattice", "--c", "--cache-dir"]]
-ACROSS_VERSIONS += USAGE_ERRORS
+# and the other ways a process ends: --version and -h, which raise SystemExit(0) after
+# their text, and a budget refusal, exit 2
+BUDGET_REFUSALS = [COUNT[:-2] + ["1,1,1", "--method", "lattice", "--box-cap", "1", "--cache-dir"]]
+ACROSS_VERSIONS += USAGE_ERRORS + BUDGET_REFUSALS + [["-m", "alcoves.cli", "--version"],
+                                                     ["-m", "alcoves.cli", "-h"]]
 
 
 def _runs(exe) -> bool:
@@ -143,12 +147,13 @@ def test_the_cli_prints_the_same_on_each_declared_python(python, tmp_path):
     from alcoves.cli import DATA_DIR
     path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
     for argv in ACROSS_VERSIONS:
-        last = str(Path(DATA_DIR, "B3.json")) if argv[-1] == "--coeffs" else str(tmp_path)
+        last = {"--coeffs": [str(Path(DATA_DIR, "B3.json"))],
+                "--cache-dir": [str(tmp_path)]}.get(argv[-1], [])
         outputs = []
         for run in (sys.executable, exe):
-            proc = subprocess.run([run, "-S", *argv, last], capture_output=True, text=True,
+            proc = subprocess.run([run, "-S", *argv, *last], capture_output=True, text=True,
                                   env=dict(os.environ, PYTHONPATH=path), timeout=300)
-            code = 1 if argv in USAGE_ERRORS else 0
+            code = 1 if argv in USAGE_ERRORS else 2 if argv in BUDGET_REFUSALS else 0
             assert proc.returncode == code, (run, argv, proc.stdout + proc.stderr)
             outputs.append(re.sub(r'"elapsed_ms": [0-9]+, ', "", proc.stdout))
         assert outputs[0] == outputs[1], argv
