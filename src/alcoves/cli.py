@@ -1,18 +1,13 @@
-"""Command-line interface.
-
-All output is JSON on stdout with sorted keys, so identical inputs yield
-identical bytes (the `elapsed_ms` field of `count` is the one run-dependent
-value).  Exit codes: 0 success, 1 usage or invalid input, 2 budget
-exceeded, 3 fit verification failure, 4 verification mismatch.
+"""Command-line interface: the `alcoves` command.  `_ABOUT`, which top-level -h
+prints, gives its output format and exit codes.
 
 `count --method geometric` and `verify` take the coefficients mu'_J from
-`--coeffs` (count only), else from the file the package ships in
-`alcoves/data` for each of the 31 systems that `fit` admits at the default
-`--box-cap`, else from the cache under `--cache-dir`, fitting and storing on
-a miss.  Each file is read only as `fit --out` writes it: `from_json` checks
-every field.  A shipped file that fails is an error, never refitted, so a
-shipped system neither fits nor writes; a defective cache is refitted.  `fit`
-always fits.
+`--coeffs` (count only), else from `<system>.json` in `alcoves/data`, shipped for
+each of the 31 systems that `fit` admits at the default `--box-cap`, else from
+`<system>.json` under `--cache-dir`, else from a fit, stored there if `--cache-dir`
+is given.  Each file is read only as `fit --out` writes it: `from_json` checks every
+field.  A shipped file that fails is an error, never refitted, so a shipped system
+neither fits nor writes; a defective cache file is refitted.  `fit` always fits.
 
 A process loads only what its command runs.  The argv reader is one pass over
 the table `_COMMANDS`, which gives argparse's namespaces and messages without
@@ -56,6 +51,13 @@ EXIT_USAGE = 1
 EXIT_BUDGET = 2
 EXIT_FIT = 3
 EXIT_MISMATCH = 4
+# what top-level -h prints between its usage line and the command list
+_ABOUT = """\
+All output is JSON on stdout with sorted keys, so identical inputs yield
+identical bytes (the `elapsed_ms` field of `count` is the one run-dependent
+value).  Exit codes: 0 success, 1 usage or invalid input, 2 budget
+exceeded, 3 fit verification failure, 4 verification mismatch.
+"""
 
 # `fit --out` of each system that fit_mu admits at the default box cap, as
 # "<system>.json"; found beside this module, since importlib.resources would
@@ -148,12 +150,16 @@ def _parse_J(text: str, rank: int) -> tuple[int, ...]:
 
 def _read_coefficients(path: Path, data) -> GeometricCoefficients:
     """The coefficients in a file as `fit --out` writes it for data's system, else ValueError."""
-    from .coefficients import GeometricCoefficients
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            obj = json.load(fh)
-        except RecursionError:
-            raise ValueError("%s is nested too deeply to be a coefficient file" % path) from None
+    from .coefficients import MAX_FILE_BYTES, GeometricCoefficients
+    with open(path, "rb") as fh:
+        raw = fh.read(MAX_FILE_BYTES + 1)
+    if len(raw) > MAX_FILE_BYTES:
+        raise ValueError("%s exceeds %d bytes, the most a coefficient file may have"
+                         % (path, MAX_FILE_BYTES))
+    try:
+        obj = json.loads(raw.decode("utf-8"))
+    except RecursionError:
+        raise ValueError("%s is nested too deeply to be a coefficient file" % path) from None
     coeffs = GeometricCoefficients.from_json(obj)
     if coeffs.system != data.id:
         raise ValueError("%s holds coefficients for %s, not %s" % (path, coeffs.system, data.id))
@@ -176,21 +182,18 @@ def _write_coefficients(path: Path, coeffs: GeometricCoefficients) -> dict:
 
 
 def _coefficients(ns, data) -> GeometricCoefficients:
-    """The shipped coefficients of data's system, else its cached ones.  A shipped file
-    that fails a check raises ValueError: it is neither refitted nor summed.  A missing
-    or defective cache is refitted and stored."""
+    """The shipped coefficients of data's system, else those under --cache-dir, else a fit,
+    stored there if --cache-dir is given.  A shipped file that fails a check raises
+    ValueError: it is neither refitted nor summed.  A defective cache file is refitted."""
     from .coefficients import fit_mu
-    try:
-        return _read_coefficients(Path(DATA_DIR, "%s.json" % data.id), data)
-    except FileNotFoundError:
-        pass
-    root = ns.cache_dir or os.environ.get("ALCOVES_CACHE_DIR")
-    root = Path(root) if root else Path.home() / ".cache" / "alcoves"
-    path = root / ("coeffs-%s-v%s.json" % (data.id, __version__))
-    try:
+    shipped = Path(DATA_DIR, "%s.json" % data.id)
+    with contextlib.suppress(FileNotFoundError):
+        return _read_coefficients(shipped, data)
+    if not ns.cache_dir:
+        return fit_mu(data, box_cap=ns.box_cap)
+    path = Path(ns.cache_dir, shipped.name)
+    with contextlib.suppress(FileNotFoundError, ValueError):
         return _read_coefficients(path, data)
-    except (FileNotFoundError, ValueError):
-        pass
     coeffs = fit_mu(data, box_cap=ns.box_cap)
     _write_coefficients(path, coeffs)
     return coeffs
@@ -401,7 +404,7 @@ def _usage(command: str | None) -> str:
     """The text -h prints: of the top level, or of one command."""
     if command is None:
         return "usage: alcoves [-h] [--version] {%s} ...\n\n%s\ncommands:\n%s" % (
-            ",".join(_COMMANDS), __doc__, "".join("  %-9s %s\n" % (name, text)
+            ",".join(_COMMANDS), _ABOUT, "".join("  %-9s %s\n" % (name, text)
                                                  for name, (_, text, _) in _COMMANDS.items()))
     _, text, options = _COMMANDS[command]
     words = []

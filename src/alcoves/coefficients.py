@@ -43,6 +43,10 @@ from .volumes import (MAX_SUBSETS, _gram, _pyramid, _scaled_volumes, check_subse
 _RATIONAL = re.compile(r"-?[0-9]+(/0*[1-9][0-9]*)?")
 # a value from_json read, in lowest terms, held as the constructor reads a Fraction
 _Ratio = namedtuple("_Ratio", "numerator denominator")
+# the most bytes the CLI reads of a coefficient file.  B8, the largest shipped file, has
+# 16 122 bytes for 256 subsets, about 63 a subset: 1 KiB a subset at the cap of 2^12
+# subsets, 4 MiB, leaves a wide margin, and a larger file (/dev/zero) is refused unparsed
+MAX_FILE_BYTES = 1024 * MAX_SUBSETS
 
 
 def _ratio_text(p: int, q: int) -> str:

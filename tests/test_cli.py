@@ -3,6 +3,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import time
@@ -55,8 +56,7 @@ def test_count_lattice(capsys):
     assert payload["schema"] == 1
 
 
-def test_count_methods_agree(capsys, tmp_path, monkeypatch):
-    monkeypatch.setenv("ALCOVES_CACHE_DIR", str(tmp_path))
+def test_count_methods_agree(capsys):
     results = {}
     for method in ["bruhat", "lattice", "geometric"]:
         code, payload = run_cli(capsys, "count", "--type", "B", "--rank", "2",
@@ -89,8 +89,7 @@ def test_count_geometric_with_coeff_file(capsys, tmp_path):
     assert code == 0 and payload["count"] == 18
 
 
-def test_count_zero_coweight_all_methods(capsys, tmp_path, monkeypatch):
-    monkeypatch.setenv("ALCOVES_CACHE_DIR", str(tmp_path))
+def test_count_zero_coweight_all_methods(capsys):
     for method in ["bruhat", "lattice", "geometric"]:
         code, payload = run_cli(capsys, "count", "--type", "A", "--rank", "2",
                                 "--lambda", "0,0", "--method", method)
@@ -147,8 +146,7 @@ def test_fit_refuses_a_directory_before_it_fits(capsys, tmp_path, monkeypatch, f
     assert list(tmp_path.rglob("*")) == [out]
 
 
-def test_verify_a2(capsys, tmp_path, monkeypatch):
-    monkeypatch.setenv("ALCOVES_CACHE_DIR", str(tmp_path))
+def test_verify_a2(capsys):
     code, payload = run_cli(capsys, "verify", "--type", "A", "--rank", "2",
                             "--max-coord", "2")
     assert code == 0
@@ -159,8 +157,7 @@ def test_verify_a2(capsys, tmp_path, monkeypatch):
     assert counts[(1, 1)] == 42 and counts[(0, 0)] == 6
 
 
-def test_verify_g2(capsys, tmp_path, monkeypatch):
-    monkeypatch.setenv("ALCOVES_CACHE_DIR", str(tmp_path))
+def test_verify_g2(capsys):
     code, payload = run_cli(capsys, "verify", "--type", "G", "--rank", "2",
                             "--max-coord", "1")
     assert code == 0 and payload["ok"] is True
@@ -272,18 +269,22 @@ def test_budget_exit_code(capsys):
     assert payload["error"]["type"] == "budget"
 
 
-def test_cache_roundtrip(capsys, tmp_path, unshipped):
+def test_cache_roundtrip(capsys, tmp_path, request, unshipped):
+    # the cache file is named and written as `fit --out` names and writes it
     cache = tmp_path / "cache"
     args = ["count", "--type", "A", "--rank", "2", "--lambda", "1,1",
             "--method", "geometric", "--cache-dir", str(cache)]
     code, payload = run_cli(capsys, *args)
     assert code == 0 and payload["count"] == 42
-    files = list(cache.glob("coeffs-A2-*.json"))
-    assert len(files) == 1
-    stamp = files[0].read_bytes()
+    assert [p.name for p in cache.iterdir()] == ["A2.json"]
+    stamp = (cache / "A2.json").read_bytes()
+    out = tmp_path / "A2.json"
+    assert run_cli(capsys, "fit", "--type", "A", "--rank", "2", "--out", str(out))[0] == 0
+    assert out.read_bytes() == stamp
+    request.getfixturevalue("no_fit")
     code, payload = run_cli(capsys, *args)
     assert code == 0 and payload["count"] == 42
-    assert files[0].read_bytes() == stamp  # reused, not rewritten
+    assert (cache / "A2.json").read_bytes() == stamp  # reused, not rewritten
 
 
 def test_console_script_entry_point():
@@ -429,7 +430,7 @@ def test_geometric_rejects_incomplete_cache(capsys, tmp_path, unshipped):
     # a defective cache is refitted and rewritten, not summed or refused
     cache = tmp_path / "cache"
     cache.mkdir()
-    path = cache / ("coeffs-A2-v%s.json" % __version__)
+    path = cache / "A2.json"
     path.write_text(json.dumps(
         {"schema": 1, "version": __version__, "system": "A2", "mu_prime": {"": "6"}}))
     code, payload = run_cli(capsys, "count", "--type", "A", "--rank", "2",
@@ -482,7 +483,7 @@ def test_defective_cache_is_refitted_and_defective_coeffs_file_refused(
     text = defect(fresh.read_text())
     cache = tmp_path / "cache"
     cache.mkdir()
-    path = cache / ("coeffs-A2-v%s.json" % __version__)
+    path = cache / "A2.json"
     path.write_text(text)
     code, payload = run_cli(capsys, "count", "--type", "A", "--rank", "2",
                             "--lambda", "0,0", "--method", "geometric",
@@ -497,14 +498,26 @@ def test_defective_cache_is_refitted_and_defective_coeffs_file_refused(
     assert code == 1 and payload["error"]["type"] == "invalid-input"
 
 
+def _padded_a2_file(path, size):
+    """The shipped A2 file, padded with trailing spaces to size bytes: valid JSON of the
+    right coefficients, were it parsed."""
+    import alcoves.cli as climod
+    text = Path(climod.DATA_DIR, "A2.json").read_bytes()
+    path.write_bytes(text + b" " * (size - len(text)))
+
+
 @pytest.mark.parametrize("case", ["coeffs-missing", "coeffs-no-system", "coeffs-list",
-                                  "cache-dir-is-file", "out-is-directory"])
+                                  "cache-dir-is-file", "out-is-directory", "coeffs-over-budget",
+                                  "coeffs-dev-zero", "coeffs-directory", "coeffs-invalid-utf8"])
 def test_file_errors_exit_1_with_json(capsys, tmp_path, request, case):
+    from alcoves.coefficients import MAX_FILE_BYTES
     count = ["count", "--type", "A", "--rank", "2", "--lambda", "1,1",
              "--method", "geometric", "--cache-dir", str(tmp_path / "cache")]
     bad = tmp_path / "bad.json"
+    kind = "invalid-input"
     if case == "coeffs-missing":
         argv = count + ["--coeffs", str(bad)]
+        kind = "io"
     elif case == "coeffs-no-system":
         bad.write_text(json.dumps({"schema": 1, "version": __version__,
                                    "mu_prime": A2_MU_PRIME}))
@@ -516,12 +529,40 @@ def test_file_errors_exit_1_with_json(capsys, tmp_path, request, case):
         request.getfixturevalue("unshipped")
         bad.write_text("{}")
         argv = count[:-1] + [str(bad)]
-    else:
+        kind = "io"
+    elif case == "out-is-directory":
         (tmp_path / "out").mkdir()
         argv = ["fit", "--type", "A", "--rank", "2", "--out", str(tmp_path / "out"), "--force"]
-    code, payload = run_cli(capsys, *argv)
-    assert code == 1 and payload["error"]["message"]
+        kind = "usage"
+    elif case == "coeffs-over-budget":  # refused unparsed: parsed, it would be summed
+        _padded_a2_file(bad, MAX_FILE_BYTES + 1)
+        argv = count + ["--coeffs", str(bad)]
+    elif case == "coeffs-dev-zero":  # endless: read whole, it fills the memory
+        argv = count + ["--coeffs", "/dev/zero"]
+    elif case == "coeffs-directory":
+        argv = count + ["--coeffs", str(tmp_path)]
+        kind = "io"
+    else:
+        bad.write_bytes(b'{"system": "A2\xff"}')
+        argv = count + ["--coeffs", str(bad)]
+    code = main(argv)
+    out, err = capsys.readouterr()
+    assert code == 1 and err == "" and out.count("\n") == 1
+    error = json.loads(out)["error"]
+    assert error["type"] == kind and error["message"]
+    if case in ("coeffs-over-budget", "coeffs-dev-zero"):
+        assert error["message"].endswith("exceeds %d bytes, the most a coefficient file may have"
+                                         % MAX_FILE_BYTES)
     assert not list(tmp_path.rglob("*.tmp"))
+
+
+def test_a_coeffs_file_of_the_byte_budget_is_read(capsys, tmp_path):
+    from alcoves.coefficients import MAX_FILE_BYTES
+    coeffs = tmp_path / "a2.json"
+    _padded_a2_file(coeffs, MAX_FILE_BYTES)
+    code, payload = run_cli(capsys, "count", "--type", "A", "--rank", "2", "--lambda", "1,1",
+                            "--method", "geometric", "--coeffs", str(coeffs))
+    assert code == 0 and payload["count"] == 42
 
 
 @pytest.mark.parametrize("name", SHIPPED)
@@ -575,16 +616,25 @@ def test_a_defective_shipped_file_is_an_error_not_a_refit(capsys, tmp_path, monk
     assert [p.name for p in shipped.iterdir()] == ["A2.json"] and path.read_text() == text
 
 
-def test_an_unshipped_system_is_fitted_into_the_cache_of_the_environment(
-        capsys, tmp_path, monkeypatch, unshipped):
-    cache = tmp_path / "env-cache"
-    monkeypatch.setenv("ALCOVES_CACHE_DIR", str(cache))
-    code, payload = run_cli(capsys, "count", "--type", "A", "--rank", "2", "--lambda", "1,1",
-                            "--method", "geometric")
-    assert code == 0 and payload["count"] == 42
-    path = cache / ("coeffs-A2-v%s.json" % __version__)
-    assert [p.name for p in cache.iterdir()] == [path.name]
-    assert json.loads(path.read_text())["mu_prime"] == A2_MU_PRIME
+def test_without_cache_dir_an_unshipped_system_is_fitted_in_memory_and_nothing_written(
+        capsys, tmp_path, monkeypatch):
+    # neither the environment nor the home directory sets where a fit is stored
+    import alcoves.cli as climod
+    for name in ("home", "env-cache", "cwd", "shipped"):
+        (tmp_path / name).mkdir()
+    monkeypatch.setenv("HOME", str(tmp_path / "home"))
+    monkeypatch.setenv("ALCOVES_CACHE_DIR", str(tmp_path / "env-cache"))
+    monkeypatch.chdir(tmp_path / "cwd")
+    commands = [["count", "--lambda", "2,1", "--method", "geometric"], ["verify"]]
+    outputs = []
+    for shipped in (climod.DATA_DIR, str(tmp_path / "shipped")):
+        monkeypatch.setattr(climod, "DATA_DIR", shipped)
+        for argv in commands:
+            assert main([*argv, "--type", "A", "--rank", "2"]) == 0
+            outputs.append(re.sub(r'"elapsed_ms": [0-9]+, ', "", capsys.readouterr().out))
+    assert outputs[:2] == outputs[2:]
+    assert json.loads(outputs[0])["count"] == interval_size_lattice(build_root_system("A2"), (2, 1))
+    assert sorted(p.name for p in tmp_path.rglob("*")) == ["cwd", "env-cache", "home", "shipped"]
 
 
 def test_failed_write_keeps_the_old_file(capsys, tmp_path, monkeypatch):
@@ -954,3 +1004,24 @@ def test_help_and_version_exit_0_with_their_text(capsys):
         assert exc.value.code == 0 and usage.startswith("usage: alcoves %s [-h] " % command)
         assert [flag for flag, *_ in options if flag in usage] == [o[0] for o in options]
         assert rest.startswith("\n%s\n" % text)
+
+
+def test_top_level_help_prints_usage_output_and_commands_only(capsys, monkeypatch):
+    # the module docstring's notes on the implementation stay out of -h, and so does any
+    # later edit of them
+    import alcoves.cli as climod
+
+    def top_help():
+        with pytest.raises(SystemExit) as exc:
+            main(["-h"])
+        assert exc.value.code == 0
+        return capsys.readouterr().out
+
+    text = top_help()
+    assert text.startswith("usage: alcoves [-h] [--version] {count,")
+    assert "Exit codes: 0 success" in text and "\ncommands:\n  count " in text
+    assert re.findall(r"\b_\w+|\w+\._\w+|from_json|to_json", text) == []
+    assert [name for name in vars(climod) if "_" in name.strip("_") and name in text] == []
+    first, _, rest = climod.__doc__.partition("\n\n")
+    monkeypatch.setattr(climod, "__doc__", first + "\n\nA new paragraph.\n\n" + rest.upper())
+    assert top_help() == text

@@ -244,3 +244,24 @@ def test_every_public_name_is_used_by_the_library_or_the_benchmarks():
     files += sorted((ROOT / "benchmarks").glob("*.py"))
     used = set().union(*map(_names_used, files))
     assert [name for name in alcoves.__all__ if name not in used] == []
+
+
+# what would let the environment or the home directory steer the library: os.environ and
+# os.getenv (with their bytes forms), Path.home and expanduser
+OUTSIDE_INPUTS = {"environ", "environb", "getenv", "getenvb", "home", "expanduser"}
+
+
+def test_the_library_reads_no_environment_variable_and_no_home_directory():
+    # every input of the library is an argument; a new environment knob changes this on purpose
+    found = []
+    for path in sorted((ROOT / "src" / "alcoves").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Attribute):
+                names = [node.attr]
+            elif isinstance(node, ast.ImportFrom):
+                names = [alias.name for alias in node.names]
+            else:
+                continue
+            found += ["%s:%d %s" % (path.name, node.lineno, name) for name in names
+                      if name in OUTSIDE_INPUTS]
+    assert found == []
