@@ -33,7 +33,7 @@ _HOMES = {
                "theta"),
     "orbits": ("FaceDescriptor", "contains", "enumerate_X", "face", "interval_size_lattice",
                "lattice_count", "lattice_count_by_membership"),
-    "volumes": ("VolumePolynomial", "relative_volumes", "volume_polynomial"),
+    "volumes": ("VolumePolynomial", "volume_polynomial"),
     "coefficients": ("GeometricCoefficients", "evaluate_formula", "fit_mu",
                      "hypersimplex_dilation_count", "hypersimplex_ehrhart"),
 }

@@ -7,7 +7,8 @@ each of the 31 systems that `fit` admits at the default `--box-cap`, else from
 `<system>.json` under `--cache-dir`, else from a fit, stored there if `--cache-dir`
 is given.  Each file is read only as `fit --out` writes it: `from_json` checks every
 field.  A shipped file that fails is an error, never refitted, so a shipped system
-neither fits nor writes; a defective cache file is refitted.  `fit` always fits.
+neither fits nor writes; a defective cache file is refitted.  `fit` always fits.  A
+FIFO that no process writes reads as empty.
 
 A process loads only what its command runs.  The argv reader is one pass over
 the table `_COMMANDS`, which gives argparse's namespaces and messages without
@@ -151,7 +152,10 @@ def _parse_J(text: str, rank: int) -> tuple[int, ...]:
 def _read_coefficients(path: Path, data) -> GeometricCoefficients:
     """The coefficients in a file as `fit --out` writes it for data's system, else ValueError."""
     from .coefficients import MAX_FILE_BYTES, GeometricCoefficients
-    with open(path, "rb") as fh:
+    # opened without blocking, so a FIFO that no process writes reads as empty, not
+    # forever; then read blocking, so a pipe whose writer is slow is read whole
+    with open(path, "rb", opener=lambda name, flags: os.open(name, flags | os.O_NONBLOCK)) as fh:
+        os.set_blocking(fh.fileno(), True)
         raw = fh.read(MAX_FILE_BYTES + 1)
     if len(raw) > MAX_FILE_BYTES:
         raise ValueError("%s exceeds %d bytes, the most a coefficient file may have"

@@ -5,23 +5,24 @@ rational, and the master identity becomes the exact rational statement
 
     |<= theta(lambda)| = sum over J of mu'_J * r_J(lambda).
 
-Every mu'_J is fitted from exact lattice counts at 0/1 coweights, which
-uniqueness makes sound; closed forms pin the extremes (mu'_empty = |W_f|,
-mu_{I_n} = 1/vol(A_id)), and agreement on all of T_n proves each fit (`fit_mu`).
-So provenance is a function of J: `closed-form` on the empty set and 1..n,
-`fitted` elsewhere.  GeometricCoefficients is the one validator: no map that fails
-the pins is ever held, and `from_json` reads an object only if `to_json` writes it
-back field for field.  The fits of the 31 systems that the default box cap admits
-ship with the package, as `fit --out` writes them, in `alcoves/data`; the CLI reads
-those instead of fitting, and the tests re-derive each one byte for byte, by the
-solve alone at ranks 7 and 8.  Hypersimplex Ehrhart polynomials (by Katzman's
-inclusion-exclusion, *The Hilbert series of algebras of the Veronese type*, 2005)
-give the type-A identity |<= theta(m w_k^v)| = (n+1)! E_{k,n+1}(m) that `verify` checks.
+Every mu'_J is derived from the Cartan matrix alone, by the local Euler-Maclaurin
+formula of Berline and Vergne (`_berline_vergne`), which makes no lattice count;
+closed forms pin the extremes (mu'_empty = |W_f|, mu_{I_n} = 1/vol(A_id)), and
+agreement with the lattice counts on all of T_n proves each fit (`fit_mu`).  So
+provenance is a function of J: `closed-form` on the empty set and 1..n, `fitted`
+(derived by the fit) elsewhere.  GeometricCoefficients is the one validator: no map
+that fails the pins is ever held, and `from_json` reads an object only if `to_json`
+writes it back field for field.  The fits of the 31 systems that the default box cap
+admits ship with the package, as `fit --out` writes them, in `alcoves/data`; the CLI
+reads those instead of fitting, and the tests re-derive each one: by `fit` up to rank
+6, by a solve from lattice counts at ranks 7 and 8, by the recursion all.  Hypersimplex Ehrhart polynomials (by Katzman's inclusion-exclusion, *The
+Hilbert series of algebras of the Veronese type*, 2005) give the type-A identity
+|<= theta(m w_k^v)| = (n+1)! E_{k,n+1}(m) that `verify` checks.
 
 Each mu'_J is held as a reduced pair (p, q) of integers, and the formula is summed
 over one common denominator, so a count imports neither `fractions` nor `mpoly`
-nor `orbits`: only `hypersimplex_ehrhart`, the solve (through `relative_volumes`),
-the `mu_prime` view and `fit_mu` do.
+nor `orbits`: only `hypersimplex_ehrhart`, `_berline_vergne`, the `mu_prime` view
+and `fit_mu` do.
 """
 
 from __future__ import annotations
@@ -35,9 +36,9 @@ from operator import index
 from types import MappingProxyType
 
 from .errors import DEFAULT_BOX_CAP, FitVerificationError, FormulaConsistencyError
-from .rootdata import RootSystemData, RootSystemId, build_root_system, dominant_coweight
-from .volumes import (MAX_SUBSETS, _gram, _pyramid, _scaled_volumes, check_subset_cap,
-                      indicator, relative_volumes, subsets, support_difference)
+from .rootdata import (RootSystemData, RootSystemId, build_root_system, dominant_coweight,
+                       weyl_order)
+from .volumes import MAX_SUBSETS, _gram, _pyramid, _scaled_volumes, check_subset_cap, subsets
 
 # what str() writes of a Fraction, and all that from_json reads: "p" or "p/q", q != 0
 _RATIONAL = re.compile(r"-?[0-9]+(/0*[1-9][0-9]*)?")
@@ -115,8 +116,10 @@ class GeometricCoefficients:
     construction: the constructor checks, cheapest first, a rank within the subset cap,
     exactly the 2^n subsets of 1..n as keys, and the closed forms mu'_empty = |W_f| and
     mu'_top = 1/vol(A_id) (lattice-normalized, |W_f| too, as sqrt(gram_top) = covol(Q^v)
-    = |W_f| vol(A_id)); it raises ValueError otherwise.  Each mu'_J is held as a reduced
-    pair (p, q), q > 0; `mu_prime` is the same map as read-only Fractions."""
+    = |W_f| vol(A_id)), then mu'_{I-i} = |W_f|^2 / (2 |W_{I-i}|) in integers, as
+    `_berline_vergne` gives it in codimension 1; it raises ValueError otherwise.  Each
+    mu'_J is held as a reduced pair (p, q), q > 0; `mu_prime` is the same map as
+    read-only Fractions."""
 
     __hash__ = None  # equal by value, and unhashable as the map it holds is
 
@@ -130,11 +133,15 @@ class GeometricCoefficients:
             raise ValueError("coefficients for %s must cover exactly the %d subsets of 1..%d"
                              % (system, 2 ** n, n))
         pairs = {J: (v.numerator, v.denominator) for J, v in mu_prime.items()}
-        wf_order = (build_root_system(system).wf_order, 1)
-        if pairs[()] != wf_order:
+        data, top = build_root_system(system), tuple(range(1, n + 1))
+        if pairs[()] != (data.wf_order, 1):
             raise ValueError("mu'_empty != |W_f|")
-        if pairs[tuple(range(1, n + 1))] != wf_order:
+        if pairs[top] != (data.wf_order, 1):
             raise ValueError("mu'_top != 1/vol(A_id)")
+        for i in top:  # a transverse cone of codimension 1 is a ray, of mu 1/2
+            J = top[:i - 1] + top[i:]
+            if 2 * weyl_order(data, J) * pairs[J][0] != data.wf_order ** 2 * pairs[J][1]:
+                raise ValueError("mu'_{I-i} != |W_f|^2 / (2 |W_{I-i}|) at i=%d" % i)
         self.system = system
         self._pairs = pairs
 
@@ -220,49 +227,61 @@ def evaluate_formula(data: RootSystemData, coeffs: GeometricCoefficients, lam) -
 
 # -- fitting -------------------------------------------------------------------------
 
-def _solve(data: RootSystemData, counts) -> GeometricCoefficients:
-    """Every mu'_J from the interval counts that counts maps each 0/1 coweight to.
+def _berline_vergne(data: RootSystemData, f) -> dict:
+    """Every mu'_J by the local Euler-Maclaurin formula of Berline and Vergne (*Local
+    Euler-Maclaurin formula for polytopes*, Moscow Math. J. 7, 2007): no lattice count.
 
-    Delta_J (`support_difference`) of the values at the points 1_S keeps the
-    monomials with support J, and r_K only involves the variables in K, so
+    P(lambda) has [W_f : W_J] congruent faces of type J, of lattice volume r_J(lambda),
+    so mu'_J = |W_f|^2 mu(t_J) / |W_J|, t_J the unimodular cone on the projections v_k of
+    -alpha_k^v, k not in J, orthogonal to the alpha_j^v, j in J.  On the line t eta, with
+    f_a = |alpha_a|^2 <eta, alpha_a^v> > 0, <eta, v_k> is the negative number
+    c_k^A = -(f_k - sum_{a,b in A} f_a (adj C_A)_ab C_bk / det C_A) / |alpha_k|^2.  From
+    A = 1..n down, Q_A = t^{n-|A|} mu_A(t), truncated at t^n, is
 
-        Delta_J count = sum over K containing J of mu'_K a_{K,J},  a_{K,J} = Delta_J r_K.
+        prod_{k not in A} (-sum_m B_m (c_k^A)^{m-1} t^m / m!)
+        - sum_{B strictly containing A} Q_B prod_{b in B-A} (-1 / c_b^A),
 
-    The system is triangular in subset inclusion, and its diagonal a_{J,J} is
-    the squarefree coefficient of r_J, which is positive; so mu' is solved
-    from the largest J down, and checked against the closed-form pins.
+    nought below t^{n-|A|}, else FitVerificationError, and mu(t_A) at t^{n-|A|}.
     """
-    n = data.rank
-    every = subsets(tuple(range(1, n + 1)))
-    diff = {J: support_difference(lambda S: counts[indicator(n, S)], J) for J in every}
-    volumes = {S: relative_volumes(data, indicator(n, S)) for S in every}
-    mu = {}
-    for K in reversed(every):
-        a = {J: support_difference(lambda S: volumes[S][K], J)
-             for J in every if set(J) <= set(K)}
-        if a[K] <= 0:
-            raise FormulaConsistencyError("squarefree volume coefficient must be positive")
-        mu[K] = diff[K] / a[K]
-        for J, c in a.items():
-            if J != K:
-                diff[J] -= mu[K] * c
-    try:
-        return GeometricCoefficients(data.id, mu)  # the closed-form pins
-    except ValueError as exc:
-        raise FitVerificationError("fit failed verification: %s" % exc) from None
+    from fractions import Fraction
+    n, C, norms = data.rank, data.cartan, data.simple_root_norms
+    bernoulli = [Fraction(1)]
+    for m in range(1, n + 1):
+        bernoulli.append(-sum(math.comb(m + 1, j) * b for j, b in enumerate(bernoulli)) / (m + 1))
+    todd = [-b / math.factorial(m) for m, b in enumerate(bernoulli)]
+    Q, mu = {}, {}
+    for A in reversed(subsets(tuple(range(1, n + 1)))):
+        order, det, adj, _, _ = _pyramid(data, A)
+        rest = tuple(k for k in range(1, n + 1) if k not in A)
+        c = {k: Fraction(sum(f[a - 1] * x * C[b - 1][k - 1] for a, row in zip(A, adj)
+                             for b, x in zip(A, row)) - f[k - 1] * det, det * norms[k - 1])
+             for k in rest}
+        series = [Fraction(1)] + [Fraction(0)] * n
+        for k in rest:
+            factor = [t * c[k] ** (m - 1) for m, t in enumerate(todd)]
+            series = [sum(x * factor[m - i] for i, x in enumerate(series[:m + 1]) if x)
+                      for m in range(n + 1)]
+        for S in subsets(rest)[1:]:
+            factor = (-1) ** len(S) / math.prod(c[b] for b in S)
+            series = [x - factor * q if q else x for x, q in zip(series, Q[tuple(sorted(A + S))])]
+        if any(series[:n - len(A)]):
+            raise FitVerificationError("fit failed verification: a pole at J=%r" % (A,))
+        Q[A] = series
+        mu[A] = Fraction(data.wf_order ** 2, order) * series[n - len(A)]
+    return mu
 
 
 def fit_mu(data: RootSystemData, box_cap: int = DEFAULT_BOX_CAP) -> GeometricCoefficients:
-    """mu' solved from lattice counts at the 0/1 coweights, and proved on T_n.
+    """mu' by `_berline_vergne` at two directions, proved on T_n by lattice counts.
 
     Both sides of |<= theta(lambda)| = sum_J mu'_J r_J(lambda) have degree <= n on
     dominant lambda: the count is McMullen's mixed lattice-point polynomial of
     sum_i lambda_i (P(w_i^v) - w_i^v) (*Valuations and Euler-type relations on certain
-    classes of convex polytopes*, 1977).  T_n = {lambda >= 0 : sum_i lambda_i <= n}
-    holds every 0/1 coweight and is unisolvent for that degree (Chung and Yao, *On
-    lattices admitting unique Lagrange interpolations*, 1977).  So T_n's C(2n, n) points,
-    by stars and bars, are each counted once, `_solve` reads the 0/1 ones, and agreement
-    on all of them proves the formula, else FitVerificationError.  n w_i^v, i of largest
+    classes of convex polytopes*, 1977).  T_n = {lambda >= 0 : sum_i lambda_i <= n} is
+    unisolvent for that degree (Chung and Yao, *On lattices admitting unique Lagrange
+    interpolations*, 1977), so agreement on its C(2n, n) points, by stars and bars, each
+    counted once, proves the formula.  A disagreement, or a mu' that depends on the
+    direction or fails the pins, raises FitVerificationError.  n w_i^v, i of largest
     mark, tops T_n in level, so its budget check refuses before any count that would.
     """
     from .orbits import check_level_budget, interval_size_lattice
@@ -270,9 +289,15 @@ def fit_mu(data: RootSystemData, box_cap: int = DEFAULT_BOX_CAP) -> GeometricCoe
     check_subset_cap(data.id, n)
     top = data.marks.index(max(data.marks))
     check_level_budget(data, [n * (i == top) for i in range(n)], box_cap)
+    mu = _berline_vergne(data, (1,) * n)
+    if _berline_vergne(data, tuple(range(1, n + 1))) != mu:
+        raise FitVerificationError("fit failed verification: mu' depends on the direction")
+    try:
+        coeffs = GeometricCoefficients(data.id, mu)  # the closed-form pins
+    except ValueError as exc:
+        raise FitVerificationError("fit failed verification: %s" % exc) from None
     counts = {lam: interval_size_lattice(data, lam, box_cap) for lam in (
         tuple(b - a - 1 for a, b in zip((-1,) + c, c)) for c in combinations(range(2 * n), n))}
-    coeffs = _solve(data, counts)
     for lam, count in counts.items():
         if evaluate_formula(data, coeffs, lam) != count:
             raise FitVerificationError("fit failed verification at lambda=%r" % (lam,))

@@ -34,8 +34,8 @@ and r_J = R_J / M_J is one division at the end.  One integer memo per
 column j of adj C_J); it is reached only for the subsets of the J asked for.
 The recursion runs on integer points (values) or on MPoly variables
 (polynomials).  Only the functions that return Fractions or polynomials
-(`relative_volumes`, `face_gram`, `volume_polynomial`) import `fractions` and
-`mpoly`; a geometric count reads the integers R_J and M_J alone.
+(`face_gram`, `volume_polynomial`) import `fractions` and `mpoly`; a geometric
+count reads the integers R_J and M_J alone.
 """
 
 from __future__ import annotations
@@ -48,8 +48,7 @@ from operator import add
 
 from .errors import BudgetExceededError
 from .linalg import border
-from .rootdata import (RootSystemData, RootSystemId, dominant_coweight, simple_subset,
-                       weyl_order)
+from .rootdata import RootSystemData, RootSystemId, simple_subset, weyl_order
 
 
 class VolumePolynomial(namedtuple("VolumePolynomial", "J rel_poly gram")):
@@ -119,15 +118,6 @@ def _scaled_volumes(data: RootSystemData, x, top: tuple[int, ...], R: dict) -> N
                                 for rest, w, col in _pyramid(data, K)[3]))
 
 
-def relative_volumes(data: RootSystemData, lam) -> dict:
-    """r_K(lambda) for every K inside 1..n, in O(n^2 2^n) integer steps at the dominant
-    coweight lambda, and one division for each K."""
-    from fractions import Fraction
-    R = {(): 1}
-    _scaled_volumes(data, dominant_coweight(data.rank, lam), tuple(range(1, data.rank + 1)), R)
-    return {K: Fraction(v, _pyramid(data, K)[4]) for K, v in R.items()}
-
-
 def _gram(data: RootSystemData, J: tuple[int, ...]) -> tuple[int, int]:
     """gram_J = det Gram(alpha_j^v : j in J) = det C_J prod_{j in J} 2/|alpha_j|^2, as
     (2^|J| det C_J, prod_{j in J} |alpha_j|^2), not reduced, for a J checked already."""
@@ -149,14 +139,3 @@ def volume_polynomial(data: RootSystemData, J) -> VolumePolynomial:
     scaled = {(): MPoly.constant(n, 1)}
     _scaled_volumes(data, [MPoly.variable(n, i) for i in range(n)], J, scaled)
     return VolumePolynomial(J, scaled[J] * Fraction(1, _pyramid(data, J)[4]), face_gram(data, J))
-
-
-def indicator(n: int, S) -> tuple[int, ...]:
-    """The point 1_S of Z^n: 1 on the (1-based) indices in S, 0 elsewhere."""
-    return tuple(int(i + 1 in S) for i in range(n))
-
-
-def support_difference(f, J) -> Fraction:
-    """Delta_J f = sum over S in J of (-1)^{|J-S|} f(S).  For f(S) = p(1_S), this
-    sums the coefficients of the polynomial p over the monomials with support J."""
-    return sum((-1) ** (len(J) - k) * f(S) for k in range(len(J) + 1) for S in combinations(J, k))

@@ -4,7 +4,7 @@ The hull-volume routine computes the exact Euclidean volume of the convex
 hull of rational points in dimension <= 3 by explicit facet enumeration and
 simplicial decomposition, with no shared code path with the library's
 pyramid recursion.  Polynomial interpolation recovers a counting polynomial
-from its values by one dense solve, independently of the triangular fit.
+from its values by one dense solve, independently of the triangular solve.
 The exponent-box scan finds X_lambda by testing every cell of a box that
 contains it, and the coroot walk by following dominance steps down from
 lambda, each independently of the library's search over the dual matrix B;
@@ -16,6 +16,11 @@ basis nu_j as ambient vectors, check the library's integer root strings and
 Cartan-matrix volume constants.  The element oracle keeps W_a as n x n
 integer matrices with translations, multiplies them out, and finds lengths,
 descents and lower intervals from them, against the library's alcove points.
+
+The triangular solve from the counts at the 0/1 coweights (`solve_from_counts`),
+with the values `relative_volumes` and the support differences it reads, derives
+mu' from counts alone; the library derives it by the Berline-Vergne recursion,
+and tier-1 checks every shipped file against both.
 
 The ambient view by Fraction arithmetic, with C^-1 by Gauss-Jordan, checks
 the library's integer combinations of the doubled simple roots.  The formula
@@ -48,13 +53,14 @@ from alcoves.cli import (UsageError, budget, cmd_count, cmd_ehrhart, cmd_faces, 
                          cmd_rootdata, cmd_verify, cmd_volumes, integer)
 from alcoves.cli import __doc__ as _CLI_DOC
 from alcoves.coefficients import GeometricCoefficients, hypersimplex_ehrhart
-from alcoves.errors import AlcovesError, BudgetExceededError, FormulaConsistencyError
+from alcoves.errors import (AlcovesError, BudgetExceededError, FitVerificationError,
+                            FormulaConsistencyError)
 from alcoves.mpoly import MPoly
 from alcoves.orbits import DEFAULT_BOX_CAP, _box_bounds, face
 from alcoves.rootdata import (RootSystemData, _exact_quotient, build_root_system,
                               dominant_coords, dominant_coweight, simple_subset,
                               squarefree_decompose, weyl_order)
-from alcoves.volumes import face_gram, indicator, relative_volumes, subsets, support_difference
+from alcoves.volumes import _pyramid, _scaled_volumes, face_gram, subsets
 
 
 # -- reference types: rational vectors and radical scalars ----------------------
@@ -1097,6 +1103,60 @@ def type_a_connected_mu(n: int) -> dict[tuple[int, ...], Fraction]:
     if not is_rational(full) or full.coeff != out[tuple(range(1, n + 1))]:
         raise FormulaConsistencyError("type-A top coefficient disagrees with 1/vol(A_id)")
     return out
+
+
+# -- mu' solved from counts at the 0/1 coweights ---------------------------------------
+
+def relative_volumes(data: RootSystemData, lam) -> dict:
+    """r_K(lambda) for every K inside 1..n, by the library's integer recursion at the
+    dominant coweight lambda, and one division for each K."""
+    R = {(): 1}
+    _scaled_volumes(data, dominant_coweight(data.rank, lam), tuple(range(1, data.rank + 1)), R)
+    return {K: Fraction(v, _pyramid(data, K)[4]) for K, v in R.items()}
+
+
+def indicator(n: int, S) -> tuple[int, ...]:
+    """The point 1_S of Z^n: 1 on the (1-based) indices in S, 0 elsewhere."""
+    return tuple(int(i + 1 in S) for i in range(n))
+
+
+def support_difference(f, J) -> Fraction:
+    """Delta_J f = sum over S in J of (-1)^{|J-S|} f(S).  For f(S) = p(1_S), this
+    sums the coefficients of the polynomial p over the monomials with support J."""
+    return sum((-1) ** (len(J) - k) * f(S) for k in range(len(J) + 1) for S in combinations(J, k))
+
+
+def solve_from_counts(data: RootSystemData, counts) -> GeometricCoefficients:
+    """Every mu'_J from the interval counts that counts maps each 0/1 coweight to: the
+    count-based derivation, which shares no step with `_berline_vergne`.
+
+    Delta_J (`support_difference`) of the values at the points 1_S keeps the
+    monomials with support J, and r_K only involves the variables in K, so
+
+        Delta_J count = sum over K containing J of mu'_K a_{K,J},  a_{K,J} = Delta_J r_K.
+
+    The system is triangular in subset inclusion, and its diagonal a_{J,J} is
+    the squarefree coefficient of r_J, which is positive; so mu' is solved
+    from the largest J down, and checked against the closed-form pins.
+    """
+    n = data.rank
+    every = subsets(tuple(range(1, n + 1)))
+    diff = {J: support_difference(lambda S: counts[indicator(n, S)], J) for J in every}
+    volumes = {S: relative_volumes(data, indicator(n, S)) for S in every}
+    mu = {}
+    for K in reversed(every):
+        a = {J: support_difference(lambda S: volumes[S][K], J)
+             for J in every if set(J) <= set(K)}
+        if a[K] <= 0:
+            raise FormulaConsistencyError("squarefree volume coefficient must be positive")
+        mu[K] = diff[K] / a[K]
+        for J, c in a.items():
+            if J != K:
+                diff[J] -= mu[K] * c
+    try:
+        return GeometricCoefficients(data.id, mu)  # the closed-form pins
+    except ValueError as exc:
+        raise FitVerificationError("fit failed verification: %s" % exc) from None
 
 
 # -- the formula in Fractions -------------------------------------------------------

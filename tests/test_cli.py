@@ -4,15 +4,17 @@ import json
 import math
 import os
 import re
+import select
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from alcoves import __version__, build_root_system
-from alcoves.cli import main
+from alcoves.cli import DATA_DIR, main
 from alcoves.orbits import interval_size_lattice
 from alcoves.volumes import _pyramid
 from test_golden import SHIPPED
@@ -472,9 +474,10 @@ def _with(**changes):
     _with(mu_prime=dict(A2_MU_PRIME, **{"1": "18/2"})),  # 9, but not as to_json writes it
     lambda text: json.dumps({k: v for k, v in json.loads(text).items() if k != "provenance"}),
     _with(system="A2000000"),
+    _with(mu_prime=dict(A2_MU_PRIME, **{"2": "10"})),    # mu'_{I-i} != |W_f|^2 / (2 |W_{I-i}|)
 ], ids=["mu-empty", "mu-top", "subset-missing", "version", "system", "truncated", "deep",
         "zero-denominator", "exponent", "key-twice", "schema", "gram", "extra-field",
-        "unreduced", "provenance-missing", "large-rank"])
+        "unreduced", "provenance-missing", "large-rank", "mu-codim-1"])
 def test_defective_cache_is_refitted_and_defective_coeffs_file_refused(
         capsys, tmp_path, unshipped, defect):
     fresh = tmp_path / "fresh.json"
@@ -496,6 +499,21 @@ def test_defective_cache_is_refitted_and_defective_coeffs_file_refused(
     code, payload = run_cli(capsys, "count", "--type", "A", "--rank", "2",
                             "--lambda", "0,0", "--method", "geometric", "--coeffs", str(bad))
     assert code == 1 and payload["error"]["type"] == "invalid-input"
+
+
+@pytest.mark.parametrize("name", ["B3", "E6", "C8"])
+def test_a_shipped_file_with_one_codim_1_entry_moved_exits_1(capsys, tmp_path, name):
+    # mu'_{1..n-1} plus one, the rest of the shipped file as it is
+    n = int(name[1:])
+    obj = json.loads(Path(DATA_DIR, "%s.json" % name).read_text())
+    key = ",".join(map(str, range(1, n)))
+    obj["mu_prime"][key] = str(Fraction(obj["mu_prime"][key]) + 1)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(obj, sort_keys=True))
+    code, payload = run_cli(capsys, "count", "--type", name[0], "--rank", str(n), "--lambda",
+                            ",".join(["1"] * n), "--method", "geometric", "--coeffs", str(bad))
+    assert code == 1 and payload["error"] == {
+        "type": "invalid-input", "message": "mu'_{I-i} != |W_f|^2 / (2 |W_{I-i}|) at i=%d" % n}
 
 
 def _padded_a2_file(path, size):
@@ -554,6 +572,54 @@ def test_file_errors_exit_1_with_json(capsys, tmp_path, request, case):
         assert error["message"].endswith("exceeds %d bytes, the most a coefficient file may have"
                                          % MAX_FILE_BYTES)
     assert not list(tmp_path.rglob("*.tmp"))
+
+
+def _count_a2_from(coeffs):
+    """A subprocess: count --method geometric on A2 (1, 1), its coefficients from coeffs."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.Popen(
+        [sys.executable, "-m", "alcoves.cli", "count", "--type", "A", "--rank", "2", "--lambda",
+         "1,1", "--method", "geometric", "--coeffs", str(coeffs)], stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE, text=True, env=dict(os.environ, PYTHONPATH=path))
+
+
+def test_a_coeffs_fifo_that_no_process_writes_exits_1_at_once(tmp_path):
+    # open() of a FIFO waits for a writer: the count, run alone, would never end.  Opened
+    # without blocking, the FIFO reads as empty input
+    fifo = tmp_path / "coeffs"
+    os.mkfifo(fifo)
+    proc = _count_a2_from(fifo)
+    try:
+        out, err = proc.communicate(timeout=20)
+    finally:
+        proc.kill()
+        proc.wait()
+    assert proc.returncode == 1 and err == ""
+    assert json.loads(out)["error"]["type"] == "invalid-input"
+
+
+def test_a_coeffs_pipe_whose_writer_is_slow_is_read_whole(tmp_path):
+    # once open, the file is read blocking: data that comes after the read began is waited
+    # for, as from a shell's <(...) whose writer is slow
+    fifo = tmp_path / "coeffs"
+    os.mkfifo(fifo)
+    fd = os.open(fifo, os.O_RDWR)  # a writer before the count opens it, so it waits for data
+    proc = _count_a2_from(fifo)
+    try:
+        time.sleep(0.5)  # by then the count, started idle, waits in its read
+        os.write(fd, Path(DATA_DIR, "A2.json").read_bytes())
+        while select.select([fd], [], [], 0)[0] and proc.poll() is None:
+            time.sleep(0.01)  # fd reads as ready until the count has read every byte
+        os.close(fd)  # the last writer: the count reads EOF
+        fd = None
+        out, err = proc.communicate(timeout=20)
+    finally:
+        if fd is not None:
+            os.close(fd)
+        proc.kill()
+        proc.wait()
+    assert proc.returncode == 0 and err == "" and json.loads(out)["count"] == 42
 
 
 def test_a_coeffs_file_of_the_byte_budget_is_read(capsys, tmp_path):

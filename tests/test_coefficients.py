@@ -8,18 +8,20 @@ from pathlib import Path
 import pytest
 
 from alcoves.affine import interval_size_bruhat
-from alcoves.cli import DATA_DIR, main
-from alcoves.coefficients import (GeometricCoefficients, _ratio_text, _solve, evaluate_formula,
-                                  fit_mu, hypersimplex_dilation_count, hypersimplex_ehrhart)
+from alcoves.cli import DATA_DIR, _read_coefficients, main
+import alcoves.coefficients as coefmod
+from alcoves.coefficients import (GeometricCoefficients, _berline_vergne, _ratio_text,
+                                  evaluate_formula, fit_mu, hypersimplex_dilation_count,
+                                  hypersimplex_ehrhart)
 from alcoves.errors import (BudgetExceededError, FitVerificationError,
                             FormulaConsistencyError)
 from alcoves.orbits import interval_size_lattice
-from alcoves.rootdata import _RANK_RULES, build_root_system
+from alcoves.rootdata import _RANK_RULES, build_root_system, weyl_order
 from alcoves.mpoly import MPoly
 from alcoves.volumes import _gram, face_gram, volume_polynomial
 from oracles import (RadScalar, eulerian, evaluate_formula_by_fractions, homogeneous_part,
-                     is_rational, mpoly_interpolate, mu_euclidean, mu_full, square, stirling1,
-                     type_a_connected_mu)
+                     is_rational, mpoly_interpolate, mu_euclidean, mu_full, solve_from_counts,
+                     square, stirling1, type_a_connected_mu)
 from test_golden import FITS, SHIPPED
 
 
@@ -190,8 +192,10 @@ def test_coefficients_are_equal_by_value_and_unhashable():
     mu = {(): Fraction(6), (1,): Fraction(9), (2,): Fraction(9), (1, 2): Fraction(6)}
     coeffs = GeometricCoefficients(d.id, mu)
     assert coeffs == GeometricCoefficients(build_root_system("A2").id, dict(mu))
-    assert coeffs != GeometricCoefficients(d.id, {**mu, (1,): Fraction(10)})
     assert coeffs != mu
+    # the pins fix every mu' of rank 2, so two maps of one system that differ are of A3
+    a3 = _shipped("A3")
+    assert a3 != GeometricCoefficients(a3.system, {**a3.mu_prime, (1,): Fraction(45)})
     with pytest.raises(TypeError, match="unhashable"):
         hash(coeffs)
     back = GeometricCoefficients.from_json(coeffs.to_json())
@@ -253,6 +257,9 @@ def test_constructor_pins():
     for J in [(), (1, 2)]:  # mu'_empty and mu'_top
         with pytest.raises(ValueError, match="mu'_"):
             GeometricCoefficients(d.id, {K: v + (K == J) for K, v in fitted.items()})
+    for J, i in [((2,), 1), ((1,), 2)]:  # mu'_{I-i}
+        with pytest.raises(ValueError, match=r"mu'_\{I-i\} .* at i=%d$" % i):
+            GeometricCoefficients(d.id, {K: v + Fraction(K == J, 3) for K, v in fitted.items()})
     for keys in [[(), (1,), (1, 2)], [(), (1,), (2,), (1, 2), (3,)], [(), (1,), (2, 1), (1, 2)]]:
         with pytest.raises(ValueError, match="exactly the 4 subsets of 1..2"):
             GeometricCoefficients(d.id, {K: Fraction(6) for K in keys})
@@ -326,13 +333,14 @@ def test_formula_agrees_on_full_coordinate_box(name):
 
 
 def test_evaluate_formula_rejects_inconsistent():
-    d = build_root_system("A2")
+    # mu'_{1} is pinned on A2 (codimension 1), not on A3
+    d = build_root_system("A3")
     coeffs = fit_mu(d)
     broken = GeometricCoefficients(
         coeffs.system,
         {J: (v + Fraction(1, 2) if J == (1,) else v) for J, v in coeffs.mu_prime.items()})
     with pytest.raises(FormulaConsistencyError):
-        evaluate_formula(d, broken, (1, 1))
+        evaluate_formula(d, broken, (1, 1, 1))
 
 
 def test_fit_budget_refusal():
@@ -409,7 +417,7 @@ def test_coefficients_solved_from_bruhat_counts_equal_the_shipped_file(name):
     d = build_root_system(name)
     counts = {lam: interval_size_bruhat(d, lam, cap=10 ** 9)  # B5 (1^5) has 194 204 160
               for lam in itertools.product((0, 1), repeat=d.rank)}
-    fitted, shipped = _solve(d, counts), _shipped(name)
+    fitted, shipped = solve_from_counts(d, counts), _shipped(name)
     for J, value in shipped.mu_prime.items():
         assert fitted.mu_prime[J] == value, J
     assert fitted == shipped
@@ -444,6 +452,94 @@ def test_sign_pattern_of_each_shipped_fit(name):
     assert {J for J, v in mu.items() if v == 0} == ZERO_MU.get(name, set())
 
 
+# -- mu' by the Berline-Vergne recursion ---------------------------------------------
+
+@pytest.mark.parametrize("name", SHIPPED)
+def test_berline_vergne_equals_each_shipped_file_at_both_directions(name):
+    # a count-free derivation of every mu' of the 31 files (1986 values), against files
+    # that the solve from lattice counts re-derives (test_golden.py)
+    d = build_root_system(name)
+    shipped = _shipped(name).mu_prime
+    for f in [(1,) * d.rank, tuple(range(1, d.rank + 1))]:
+        assert _berline_vergne(d, f) == shipped, f
+
+
+@pytest.mark.parametrize("name", SHIPPED)
+def test_each_shipped_file_loads_and_holds_the_codim_1_closed_form(name):
+    # mu(t_J) = 1/2 for the ray t_J of each J = 1..n minus i, as a Fraction against the
+    # constructor's integers
+    d = build_root_system(name)
+    top = tuple(range(1, d.rank + 1))
+    mu = _read_coefficients(Path(DATA_DIR, "%s.json" % name), d).mu_prime
+    for i in top:
+        J = top[:i - 1] + top[i:]
+        assert mu[J] == Fraction(d.wf_order ** 2, 2 * weyl_order(d, J)), J
+
+
+# regression pins, not proofs: D8 and E8 ship no file, as no T_8 check has run in tier-1.
+# (negative, zero, positive) counts of mu'_J, and the J with a zero one
+UNSHIPPED_SIGNS = {"D8": ((2, 0, 254), set()),
+                   "E8": ((70, 2, 184), {(1, 2, 4, 5, 6), (1, 4, 6, 7, 8)})}
+
+
+@pytest.mark.parametrize("name", sorted(UNSHIPPED_SIGNS))
+def test_berline_vergne_sign_pattern_of_d8_and_e8(name):
+    d = build_root_system(name)
+    mu = _berline_vergne(d, (1,) * d.rank)
+    counts = tuple(sum(1 for v in mu.values() if sign(v)) for sign in (
+        lambda v: v < 0, lambda v: v == 0, lambda v: v > 0))
+    assert (counts, {J for J, v in mu.items() if v == 0}) == UNSHIPPED_SIGNS[name]
+    assert mu[()] == mu[tuple(range(1, d.rank + 1))] == d.wf_order
+
+
+def _bent_pyramid(J):
+    """coefficients._pyramid with det C_J doubled, and adj C_J kept: the projections
+    c_k^J of the series of J are then of no inner product."""
+    real = coefmod._pyramid
+
+    def bent(data, A):
+        order, det, adj, steps, scale = real(data, A)
+        return order, det * (1 + (A == J)), adj, steps, scale
+    return bent
+
+
+def test_the_pole_check_fires_on_a_series_broken_by_a_wrong_projection(monkeypatch, capsys,
+                                                                      tmp_path):
+    # on A3 a wrong det C_{2} leaves a pole in the series of the empty set
+    monkeypatch.setattr(coefmod, "_pyramid", _bent_pyramid((2,)))
+    with pytest.raises(FitVerificationError, match=r"a pole at J=\(\)"):
+        fit_mu(build_root_system("A3"))
+    out = tmp_path / "fit.json"
+    assert main(["fit", "--type", "A", "--rank", "3", "--out", str(out)]) == 3
+    assert json.loads(capsys.readouterr().out)["error"]["type"] == "fit"
+    assert not out.exists()
+
+
+def test_the_direction_check_fires_on_a_series_broken_at_one_direction(monkeypatch, capsys,
+                                                                       tmp_path):
+    # on A2 a wrong det C_{1} leaves no pole, and moves mu'_empty from 6 to 27/4 at the
+    # direction (1, 2) alone; the pins would catch that too, but the direction check
+    # comes first
+    d = build_root_system("A2")
+    real = coefmod._berline_vergne
+
+    def broken_at_the_second(data, f):
+        if f == (1, 1):
+            return real(data, f)
+        with monkeypatch.context() as m:
+            m.setattr(coefmod, "_pyramid", _bent_pyramid((1,)))
+            return real(data, f)
+
+    assert broken_at_the_second(d, (1, 2))[()] == Fraction(27, 4)  # past the pole check
+    monkeypatch.setattr(coefmod, "_berline_vergne", broken_at_the_second)
+    with pytest.raises(FitVerificationError, match="depends on the direction"):
+        fit_mu(d)
+    out = tmp_path / "fit.json"
+    assert main(["fit", "--type", "A", "--rank", "2", "--out", str(out)]) == 3
+    assert json.loads(capsys.readouterr().out)["error"]["type"] == "fit"
+    assert not out.exists()
+
+
 # -- the formula in integers against the formula in Fractions -------------------------
 
 @pytest.mark.parametrize("name", [name for name in SHIPPED if int(name[1:]) <= 5])
@@ -468,15 +564,15 @@ def test_the_integer_sum_equals_the_fraction_sum_on_every_reference():
 
 @pytest.mark.parametrize("delta", [Fraction(1, 2), Fraction(-1, 3), Fraction(1, 7), -100])
 def test_a_total_off_the_non_negative_integers_is_refused_by_both_sums(delta):
-    # A2 at (1, 1) sums to 42 + delta * r_{1}(1, 1), r_{1}(1, 1) = 1: not an integer, or
-    # below zero at -100
-    d = build_root_system("A2")
-    coeffs = _shipped("A2")
+    # A3 at (1, 0, 0) sums to 96 + delta * r_{1}(1, 0, 0), r_{1}(1, 0, 0) = 1: not an
+    # integer, or below zero at -100 (mu'_{1} is pinned on A2, not on A3)
+    d = build_root_system("A3")
+    coeffs = _shipped("A3")
     broken = GeometricCoefficients(
         d.id, {J: v + delta if J == (1,) else v for J, v in coeffs.mu_prime.items()})
     for evaluate in (evaluate_formula, evaluate_formula_by_fractions):
-        with pytest.raises(FormulaConsistencyError, match=r"inconsistent at \(1, 1\)"):
-            evaluate(d, broken, (1, 1))
+        with pytest.raises(FormulaConsistencyError, match=r"inconsistent at \(1, 0, 0\)"):
+            evaluate(d, broken, (1, 0, 0))
 
 
 def test_the_integer_text_is_the_text_of_the_fraction():

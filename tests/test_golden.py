@@ -23,7 +23,9 @@ digests of A5, A6, B5, B6, C2, C4, C5, C6, D3 and D6 were taken from the code
 that fitted every geometric query on demand, before the package shipped
 the fitted files in `alcoves/data`.  All 23 were taken while `fit`
 checked its fit on a sample of 2^(n+1) + n coweights, before the check on
-all of T_n replaced it; the solve is the same.  The
+all of T_n replaced it; the solve is the same.  They stayed the same when
+the Berline-Vergne recursion, which makes no count, replaced the solve in
+`fit`, which moved to `tests/oracles.py` (`solve_from_counts`).  The
 `volumes` digests of A5, B5, C5, D5, E6 and E7 were taken from the code that
 bordered C_J^-1 in Fractions and scaled the recursion by the common
 denominator e_J of C_J^-1, before the integer step that carries adj C_J and
@@ -53,9 +55,9 @@ from pathlib import Path
 import pytest
 
 from alcoves.cli import DATA_DIR, _write_coefficients, main
-from alcoves.coefficients import _solve
 from alcoves.orbits import interval_size_lattice
 from alcoves.rootdata import build_root_system, weyl_order
+from oracles import solve_from_counts
 
 FIXTURE = Path(__file__).resolve().parent / "golden_digests.json"
 
@@ -134,7 +136,7 @@ def digests(kind: str) -> dict[str, str]:
                 counts = {lam: interval_size_lattice(data, lam)
                           for lam in product((0, 1), repeat=data.rank)}
                 path = Path(tmp) / ("%s.json" % name)
-                _write_coefficients(path, _solve(data, counts))
+                _write_coefficients(path, solve_from_counts(data, counts))
                 out[name] = _sha(path.read_bytes())
     else:
         with tempfile.TemporaryDirectory() as tmp:

@@ -14,8 +14,7 @@ import pytest
 
 from alcoves import (contains, enumerate_X, evaluate_formula, face, fit_mu,
                      interval_size_bruhat, interval_size_lattice, lattice_count,
-                     lattice_count_by_membership, relative_volumes, sigma_reflection, theta,
-                     volume_polynomial)
+                     lattice_count_by_membership, sigma_reflection, theta, volume_polynomial)
 from alcoves.errors import AlcovesError, BudgetExceededError
 from alcoves.orbits import face_to_json
 from alcoves.rootdata import (MAX_RANK, RootSystemData, RootSystemId, build_root_system,
@@ -24,7 +23,8 @@ from alcoves.volumes import _pyramid, face_gram, subsets
 
 from oracles import (AffineElement, QVector, RadScalar, ambient_by_fractions, ambient_core,
                      generate_positive_roots, gram_det, length, longest_finite_element,
-                     matrix_det, matrix_inverse, positive_coroot_coords, simple_reflection)
+                     matrix_det, matrix_inverse, positive_coroot_coords, relative_volumes,
+                     simple_reflection)
 
 ALL_SMALL = ["A1", "A2", "A3", "A4", "B2", "B3", "B4", "C3", "D3", "D4", "G2", "F4", "E6"]
 UP_TO_RANK_8 = (["A%d" % n for n in range(1, 9)] + ["B%d" % n for n in range(2, 9)]

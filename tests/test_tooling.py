@@ -95,6 +95,21 @@ def test_a_query_process_imports_no_heavy_stdlib_module(argv, tmp_path):
     assert not (tmp_path / "cache").exists()
 
 
+# the package modules that each count method loads, beside alcoves.cli, which runs as
+# __main__: the package, its errors, the bordering step, the root data and the route's
+# modules.  A count loads neither fractions nor alcoves.mpoly, as mu' is summed in integers
+CORE = {"alcoves", "alcoves.errors", "alcoves.linalg", "alcoves.rootdata"}
+COUNT_LOADS = {"geometric": CORE | {"alcoves.volumes", "alcoves.coefficients"},
+               "lattice": CORE | {"alcoves.orbits"}, "bruhat": CORE | {"alcoves.affine"}}
+
+
+@pytest.mark.parametrize("method", sorted(COUNT_LOADS))
+def test_each_count_method_loads_its_route_and_no_rationals(method):
+    imported = _modules_imported(*COUNT, method)
+    assert {name for name in imported if name.split(".")[0] == "alcoves"} == COUNT_LOADS[method]
+    assert imported & {"fractions", "alcoves.mpoly"} == set()
+
+
 # what each interpreter runs: every count route, a shipped file read from the package and
 # through --coeffs, and verify's cross-check of all three
 ACROSS_VERSIONS = [COUNT[:-2] + ["1,1,1", "--method", method, "--cache-dir"]
@@ -216,7 +231,7 @@ def test_public_names():
         "enumerate_X", "evaluate_formula", "face", "fit_mu",
         "hypersimplex_dilation_count", "hypersimplex_ehrhart",
         "interval_size_bruhat", "interval_size_lattice", "lattice_count",
-        "lattice_count_by_membership", "lower_interval", "relative_volumes",
+        "lattice_count_by_membership", "lower_interval",
         "sigma_reflection", "theta", "volume_polynomial", "weyl_order",
     ]
     for name in alcoves.__all__:

@@ -8,13 +8,12 @@ from alcoves import volumes
 from alcoves.errors import BudgetExceededError
 from alcoves.mpoly import MPoly
 from alcoves.rootdata import RootSystemData, RootSystemId, build_root_system, weyl_order
-from alcoves.volumes import (_pyramid, face_gram, indicator, relative_volumes, subsets,
-                             support_difference, volume_polynomial)
+from alcoves.volumes import _pyramid, face_gram, subsets, volume_polynomial
 
 from oracles import (QVector, RadScalar, diagram_components, euclidean_volume, eulerian,
-                     gram_det, is_homogeneous, matrix_det, mixed_basis_nu,
-                     orbit_face_euclidean_volume, relative_volumes_by_fractions, sqrt_decompose,
-                     squarefree_coefficient, variables_used)
+                     gram_det, indicator, is_homogeneous, matrix_det, mixed_basis_nu,
+                     orbit_face_euclidean_volume, relative_volumes, relative_volumes_by_fractions,
+                     sqrt_decompose, squarefree_coefficient, support_difference, variables_used)
 
 RANK4 = ["A4", "B4", "D4", "F4"]
 SMALL = ["A1", "A2", "A3", "B2", "B3", "C3", "G2"]
