@@ -270,48 +270,45 @@ def cmd_verify(ns) -> int:
     # |W_f|, the size at 0, refuses E7 and E8 before any count
     top = (ns.max_coord,) * data.rank
     if (data.wf_order > ns.interval_cap
-            or interval_size_lattice(data, top, box_cap=ns.box_cap) > ns.interval_cap):
+            or (size := interval_size_lattice(data, top, box_cap=ns.box_cap)) > ns.interval_cap):
         raise BudgetExceededError("lower interval exceeds cap of %d elements" % ns.interval_cap)
     coeffs = _coefficients(ns, data)
     n = data.rank
     rows = []
-    mismatches = []
-
-    def mismatch(lam):
-        if list(lam) not in mismatches:
-            mismatches.append(list(lam))
+    lattice = {top: size}  # each row counted once, the last row by the cap check
+    mismatches = {}  # the lambdas of failed checks, each once, in order
 
     for lam in product(range(ns.max_coord + 1), repeat=n):
         bruhat = interval_size_bruhat(data, lam, cap=ns.interval_cap)
-        lattice = interval_size_lattice(data, lam, box_cap=ns.box_cap)
+        if lam not in lattice:
+            lattice[lam] = interval_size_lattice(data, lam, box_cap=ns.box_cap)
         geometric = evaluate_formula(data, coeffs, lam)
-        ok = bruhat == lattice == geometric
+        ok = bruhat == lattice[lam] == geometric
         # descent structure of theta(lambda)
         left, right = descents(data, theta(data, lam)[0])
         sigma = sigma_reflection(data, lam)
         expected_right = set(range(n + 1)) - {sigma}
         descent_ok = set(range(1, n + 1)) <= left and expected_right <= right
         if not (ok and descent_ok):
-            mismatch(lam)
+            mismatches[lam] = None
         rows.append({
             "lambda": list(lam),
             "bruhat": bruhat,
-            "lattice": lattice,
+            "lattice": lattice[lam],
             "geometric": geometric,
             "descents_ok": descent_ok,
             "ok": ok and descent_ok,
         })
 
     hypersimplex_ok = True
-    if data.family == "A":
+    if data.family == "A":  # each m w_k^v, m <= max_coord, is a row
         for k in range(1, n + 1):
             poly = hypersimplex_ehrhart(k, n + 1)
             for m in range(ns.max_coord + 1):
                 lam = tuple(m if i + 1 == k else 0 for i in range(n))
-                expected = math.factorial(n + 1) * poly.eval((m,))
-                if interval_size_lattice(data, lam, box_cap=ns.box_cap) != expected:
+                if lattice[lam] != math.factorial(n + 1) * poly.eval((m,)):
                     hypersimplex_ok = False
-                    mismatch(lam)
+                    mismatches[lam] = None
 
     _emit({
         "schema": 1,
@@ -319,7 +316,7 @@ def cmd_verify(ns) -> int:
         "max_coord": ns.max_coord,
         "rows": rows,
         "hypersimplex_ok": hypersimplex_ok,
-        "mismatches": mismatches,
+        "mismatches": [list(lam) for lam in mismatches],
         "ok": not mismatches,
     })
     return EXIT_OK if not mismatches else EXIT_MISMATCH

@@ -7,17 +7,19 @@ rational, and the master identity becomes the exact rational statement
 
 Every mu'_J is derived from the Cartan matrix alone, by the local Euler-Maclaurin
 formula of Berline and Vergne (`_berline_vergne`), which makes no lattice count;
-closed forms pin the extremes (mu'_empty = |W_f|, mu_{I_n} = 1/vol(A_id)), and
-agreement with the lattice counts on all of T_n proves each fit (`fit_mu`).  So
-provenance is a function of J: `closed-form` on the empty set and 1..n, `fitted`
-(derived by the fit) elsewhere.  GeometricCoefficients is the one validator: no map
-that fails the pins is ever held, and `from_json` reads an object only if `to_json`
-writes it back field for field.  The fits of the 31 systems that the default box cap
-admits ship with the package, as `fit --out` writes them, in `alcoves/data`; the CLI
-reads those instead of fitting, and the tests re-derive each one: by `fit` up to rank
-6, by a solve from lattice counts at ranks 7 and 8, by the recursion all.  Hypersimplex Ehrhart polynomials (by Katzman's inclusion-exclusion, *The
-Hilbert series of algebras of the Veronese type*, 2005) give the type-A identity
-|<= theta(m w_k^v)| = (n+1)! E_{k,n+1}(m) that `verify` checks.
+closed forms pin the extremes (mu'_empty = |W_f|, mu_{I_n} = 1/vol(A_id)) and every
+mu'_J of codimension 1 and 2, and agreement with the lattice count at each point of
+T_n, checked as it is counted, proves each fit (`fit_mu`).  So provenance is a
+function of J: `closed-form` on the empty set and 1..n, `fitted` (derived by the fit)
+elsewhere.  GeometricCoefficients is the one validator: no map that fails the pins is
+ever held, and `from_json` reads an object only if `to_json` writes it back field for
+field.  The fits of the 31 systems that the default box cap admits ship with the
+package, as `fit --out` writes them, in `alcoves/data`; the CLI reads those instead
+of fitting, and the tests re-derive each one: by `fit` up to rank 6, by a solve from
+lattice counts at ranks 7 and 8, by the recursion all.  Hypersimplex Ehrhart
+polynomials (by Katzman's inclusion-exclusion, *The Hilbert series of algebras of the
+Veronese type*, 2005) give the type-A identity |<= theta(m w_k^v)| = (n+1)! E_{k,n+1}(m)
+that `verify` checks.
 
 Each mu'_J is held as a reduced pair (p, q) of integers, and the formula is summed
 over one common denominator, so a count imports neither `fractions` nor `mpoly`
@@ -116,9 +118,17 @@ class GeometricCoefficients:
     construction: the constructor checks, cheapest first, a rank within the subset cap,
     exactly the 2^n subsets of 1..n as keys, and the closed forms mu'_empty = |W_f| and
     mu'_top = 1/vol(A_id) (lattice-normalized, |W_f| too, as sqrt(gram_top) = covol(Q^v)
-    = |W_f| vol(A_id)), then mu'_{I-i} = |W_f|^2 / (2 |W_{I-i}|) in integers, as
-    `_berline_vergne` gives it in codimension 1; it raises ValueError otherwise.  Each
-    mu'_J is held as a reduced pair (p, q), q > 0; `mu_prime` is the same map as
+    = |W_f| vol(A_id)), then the closed forms that `_berline_vergne` gives in codimension
+    1 and 2, in integers: mu'_{I-i} = |W_f|^2 / (2 |W_{I-i}|), and with J = I-k-l,
+
+        mu'_J = (|W_f|^2 / |W_J|) (1/4 + (g_kl/g_kk + g_kl/g_ll) / 12),
+
+    g the Gram matrix of alpha_k^v and alpha_l^v projected orthogonally to the alpha_j^v,
+    j in J.  As det C_J times the Schur complement of C_J in C, T_ab = det C_J C_ab -
+    sum_{i,j in J} C_ai (adj C_J)_ij C_jb is g_ab |alpha_b|^2 det C_J / 2, so with
+    mu'_J = p/q and n_x = |alpha_x|^2 the pin reads 12 p |W_J| T_kk T_ll n_l = |W_f|^2 q
+    (3 T_kk T_ll n_l + T_kl n_k T_ll + T_kl T_kk n_l).  It raises ValueError otherwise.
+    Each mu'_J is held as a reduced pair (p, q), q > 0; `mu_prime` is the same map as
     read-only Fractions."""
 
     __hash__ = None  # equal by value, and unhashable as the map it holds is
@@ -142,6 +152,19 @@ class GeometricCoefficients:
             J = top[:i - 1] + top[i:]
             if 2 * weyl_order(data, J) * pairs[J][0] != data.wf_order ** 2 * pairs[J][1]:
                 raise ValueError("mu'_{I-i} != |W_f|^2 / (2 |W_{I-i}|) at i=%d" % i)
+        C, norms = data.cartan, data.simple_root_norms
+        for k, l in combinations(top, 2):  # of codimension 2, a wedge: T_kk, T_ll, T_kl
+            J = tuple(j for j in top if j not in (k, l))
+            order, det, adj = _pyramid(data, J)[:3]
+            kk, ll, kl = (det * C[a - 1][b - 1] - sum(C[a - 1][i - 1] * x * C[j - 1][b - 1]
+                                                      for i, row in zip(J, adj)
+                                                      for j, x in zip(J, row))
+                          for a, b in ((k, k), (l, l), (k, l)))
+            (p, q), nk, nl = pairs[J], norms[k - 1], norms[l - 1]
+            if (12 * p * order * kk * ll * nl
+                    != data.wf_order ** 2 * q * (3 * kk * ll * nl + kl * nk * ll + kl * kk * nl)):
+                raise ValueError("mu'_{I-k-l} != |W_f|^2 (1/4 + (g_kl/g_kk + g_kl/g_ll)/12)"
+                                 " / |W_{I-k-l}| at k=%d l=%d" % (k, l))
         self.system = system
         self._pairs = pairs
 
@@ -279,10 +302,13 @@ def fit_mu(data: RootSystemData, box_cap: int = DEFAULT_BOX_CAP) -> GeometricCoe
     sum_i lambda_i (P(w_i^v) - w_i^v) (*Valuations and Euler-type relations on certain
     classes of convex polytopes*, 1977).  T_n = {lambda >= 0 : sum_i lambda_i <= n} is
     unisolvent for that degree (Chung and Yao, *On lattices admitting unique Lagrange
-    interpolations*, 1977), so agreement on its C(2n, n) points, by stars and bars, each
-    counted once, proves the formula.  A disagreement, or a mu' that depends on the
-    direction or fails the pins, raises FitVerificationError.  n w_i^v, i of largest
-    mark, tops T_n in level, so its budget check refuses before any count that would.
+    interpolations*, 1977), so agreement on its C(2n, n) points proves the formula.  The
+    points come by stars and bars, lambda = 0 first; each is counted once and checked at
+    once, and none is kept, so the first point where the formula differs from the count
+    or leaves the non-negative integers raises FitVerificationError, naming it, before
+    any later point is counted.  A mu' that depends on the direction or fails the pins
+    raises it too.  n w_i^v, i of largest mark, tops T_n in level, so its budget check
+    refuses before any count that would.
     """
     from .orbits import check_level_budget, interval_size_lattice
     n = data.rank
@@ -296,9 +322,13 @@ def fit_mu(data: RootSystemData, box_cap: int = DEFAULT_BOX_CAP) -> GeometricCoe
         coeffs = GeometricCoefficients(data.id, mu)  # the closed-form pins
     except ValueError as exc:
         raise FitVerificationError("fit failed verification: %s" % exc) from None
-    counts = {lam: interval_size_lattice(data, lam, box_cap) for lam in (
-        tuple(b - a - 1 for a, b in zip((-1,) + c, c)) for c in combinations(range(2 * n), n))}
-    for lam, count in counts.items():
-        if evaluate_formula(data, coeffs, lam) != count:
+    for c in combinations(range(2 * n), n):
+        lam = tuple(b - a - 1 for a, b in zip((-1,) + c, c))
+        count = interval_size_lattice(data, lam, box_cap)
+        try:
+            wrong = evaluate_formula(data, coeffs, lam) != count
+        except FormulaConsistencyError:  # the formula left the non-negative integers here
+            wrong = True
+        if wrong:
             raise FitVerificationError("fit failed verification at lambda=%r" % (lam,))
     return coeffs

@@ -516,6 +516,25 @@ def test_a_shipped_file_with_one_codim_1_entry_moved_exits_1(capsys, tmp_path, n
         "type": "invalid-input", "message": "mu'_{I-i} != |W_f|^2 / (2 |W_{I-i}|) at i=%d" % n}
 
 
+@pytest.mark.parametrize("name", ["B3", "E6", "C8"])
+def test_a_shipped_file_with_one_codim_2_entry_moved_exits_1(capsys, tmp_path, name):
+    # mu'_{I-k-l} plus one for three pairs k < l in turn, the rest of the shipped file as
+    # it is
+    n = int(name[1:])
+    for k, l in [(1, 2), (1, n), (n - 1, n)]:
+        obj = json.loads(Path(DATA_DIR, "%s.json" % name).read_text())
+        key = ",".join(str(j) for j in range(1, n + 1) if j not in (k, l))
+        obj["mu_prime"][key] = str(Fraction(obj["mu_prime"][key]) + 1)
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(obj, sort_keys=True))
+        code, payload = run_cli(capsys, "count", "--type", name[0], "--rank", str(n),
+                                "--lambda", ",".join(["1"] * n), "--method", "geometric",
+                                "--coeffs", str(bad))
+        assert code == 1 and payload["error"] == {
+            "type": "invalid-input", "message": "mu'_{I-k-l} != |W_f|^2 (1/4 + (g_kl/g_kk + "
+            "g_kl/g_ll)/12) / |W_{I-k-l}| at k=%d l=%d" % (k, l)}, key
+
+
 def _padded_a2_file(path, size):
     """The shipped A2 file, padded with trailing spaces to size bytes: valid JSON of the
     right coefficients, were it parsed."""
@@ -926,6 +945,25 @@ def test_verify_lists_a_lambda_once(capsys, tmp_path, monkeypatch):
                             "--max-coord", "2", "--cache-dir", str(tmp_path))
     assert code == 4
     assert payload["mismatches"] == [[0], [1], [2]]
+
+
+@pytest.mark.parametrize("name", ["A3", "B3"])
+def test_verify_counts_each_row_once_by_the_lattice(capsys, tmp_path, monkeypatch, name):
+    # the cap check counts the last row, which reuses it, and the type-A identity reads
+    # its rows: (m+1)^n counts in all, each of one row
+    import alcoves.orbits as orbitsmod
+    seen = []
+
+    def count(data, lam, box_cap):
+        seen.append(lam)
+        return interval_size_lattice(data, lam, box_cap)
+
+    monkeypatch.setattr(orbitsmod, "interval_size_lattice", count)
+    code, payload = run_cli(capsys, "verify", "--type", name[0], "--rank", name[1:],
+                            "--max-coord", "2", "--cache-dir", str(tmp_path))
+    assert code == 0 and payload["ok"] and payload["hypersimplex_ok"]
+    assert seen[0] == (2, 2, 2) and len(seen) == 27
+    assert sorted(seen) == sorted(tuple(row["lambda"]) for row in payload["rows"])
 
 
 # -- the argv reader against the argparse parser it replaced --------------------------

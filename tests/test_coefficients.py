@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+import re
 import tracemalloc
 from fractions import Fraction
 from pathlib import Path
@@ -20,8 +21,8 @@ from alcoves.rootdata import _RANK_RULES, build_root_system, weyl_order
 from alcoves.mpoly import MPoly
 from alcoves.volumes import _gram, face_gram, volume_polynomial
 from oracles import (RadScalar, eulerian, evaluate_formula_by_fractions, homogeneous_part,
-                     is_rational, mpoly_interpolate, mu_euclidean, mu_full, solve_from_counts,
-                     square, stirling1, type_a_connected_mu)
+                     is_rational, matrix_inverse, mpoly_interpolate, mu_euclidean, mu_full,
+                     solve_from_counts, square, stirling1, type_a_connected_mu)
 from test_golden import FITS, SHIPPED
 
 
@@ -193,9 +194,10 @@ def test_coefficients_are_equal_by_value_and_unhashable():
     coeffs = GeometricCoefficients(d.id, mu)
     assert coeffs == GeometricCoefficients(build_root_system("A2").id, dict(mu))
     assert coeffs != mu
-    # the pins fix every mu' of rank 2, so two maps of one system that differ are of A3
-    a3 = _shipped("A3")
-    assert a3 != GeometricCoefficients(a3.system, {**a3.mu_prime, (1,): Fraction(45)})
+    # the pins fix every mu' of rank 3 or less (codimension 0 to 2), so two maps of one
+    # system that differ are of A4
+    a4 = _shipped("A4")
+    assert a4 != GeometricCoefficients(a4.system, {**a4.mu_prime, (1,): Fraction(251)})
     with pytest.raises(TypeError, match="unhashable"):
         hash(coeffs)
     back = GeometricCoefficients.from_json(coeffs.to_json())
@@ -263,6 +265,14 @@ def test_constructor_pins():
     for keys in [[(), (1,), (1, 2)], [(), (1,), (2,), (1, 2), (3,)], [(), (1,), (2, 1), (1, 2)]]:
         with pytest.raises(ValueError, match="exactly the 4 subsets of 1..2"):
             GeometricCoefficients(d.id, {K: Fraction(6) for K in keys})
+    # mu'_{I-k-l}: on A3 and B3 each singleton is of codimension 2, and the empty set is
+    # of A2, where the mu'_empty pin comes first
+    for name in ["A3", "B3"]:
+        shipped = _shipped(name).mu_prime
+        for J, (k, l) in [((3,), (1, 2)), ((2,), (1, 3)), ((1,), (2, 3))]:
+            with pytest.raises(ValueError, match=r"mu'_\{I-k-l\} .* at k=%d l=%d$" % (k, l)):
+                GeometricCoefficients(build_root_system(name).id,
+                                      {K: v + Fraction(K == J, 3) for K, v in shipped.items()})
 
 
 def test_the_map_is_read_only_and_a_copy():
@@ -333,14 +343,14 @@ def test_formula_agrees_on_full_coordinate_box(name):
 
 
 def test_evaluate_formula_rejects_inconsistent():
-    # mu'_{1} is pinned on A2 (codimension 1), not on A3
-    d = build_root_system("A3")
+    # mu'_{1} is pinned up to A3 (codimension 2 there), not on A4
+    d = build_root_system("A4")
     coeffs = fit_mu(d)
     broken = GeometricCoefficients(
         coeffs.system,
         {J: (v + Fraction(1, 2) if J == (1,) else v) for J, v in coeffs.mu_prime.items()})
     with pytest.raises(FormulaConsistencyError):
-        evaluate_formula(d, broken, (1, 1, 1))
+        evaluate_formula(d, broken, (1, 1, 1, 1))
 
 
 def test_fit_budget_refusal():
@@ -357,12 +367,11 @@ def _record_counts(monkeypatch, bad=None):
     """Route the fit's lattice counts through a recorder that adds one at bad; the list
     of the coweights counted, in order."""
     import alcoves.orbits as orbitsmod
-    real = orbitsmod.interval_size_lattice
     seen = []
 
-    def count(data, lam, box_cap):
+    def count(data, lam, box_cap):  # the unpatched count, imported above, not a wrapper
         seen.append(lam)
-        return real(data, lam, box_cap) + (lam == bad)
+        return interval_size_lattice(data, lam, box_cap) + (lam == bad)
 
     monkeypatch.setattr(orbitsmod, "interval_size_lattice", count)
     return seen
@@ -383,18 +392,55 @@ def test_the_fit_counts_each_point_of_T_n_once_and_nothing_else(monkeypatch, nam
 
 
 def test_fit_verification_failure_surfaces(capsys, tmp_path, monkeypatch):
-    # one count wrong at each point of T_2 in turn, a 0/1 point that the solve reads or
-    # one that only the check reads, and at a point of T_3 that is not 0/1: the fit must
-    # fail loudly, never silently, and `fit` exit 3 without writing
+    # one count wrong at each point of T_2 in turn, and at a point of T_3 that is not 0/1:
+    # the fit must fail loudly, never silently, name that point, and `fit` exit 3 without
+    # writing
     for name, bad in [("A2", lam) for lam in sorted(_T(2))] + [("B3", (2, 0, 1))]:
         seen = _record_counts(monkeypatch, bad)
-        with pytest.raises(FitVerificationError):
+        with pytest.raises(FitVerificationError, match=r"at lambda=%s$" % re.escape(str(bad))):
             fit_mu(build_root_system(name))
-        assert bad in seen
+        assert seen[-1] == bad and len(seen) == len(set(seen))
         out = tmp_path / "fit.json"
         code = main(["fit", "--type", name[0], "--rank", name[1:], "--out", str(out)])
         assert code == 3 and json.loads(capsys.readouterr().out)["error"]["type"] == "fit"
         assert not out.exists()
+
+
+def test_a_wrong_count_at_lambda_0_stops_the_fit_at_its_first_count(capsys, tmp_path,
+                                                                    monkeypatch):
+    # stars and bars lists lambda = 0 first: a wrong count there is the only one made
+    for name in ["A2", "B3", "D5"]:
+        d = build_root_system(name)
+        zero = (0,) * d.rank
+        seen = _record_counts(monkeypatch, zero)
+        with pytest.raises(FitVerificationError, match=r"at lambda=%s$" % re.escape(str(zero))):
+            fit_mu(d)
+        assert seen == [zero]
+        out = tmp_path / "fit.json"
+        assert main(["fit", "--type", name[0], "--rank", name[1:], "--out", str(out)]) == 3
+        assert json.loads(capsys.readouterr().out)["error"] == {
+            "type": "fit", "message": "fit failed verification at lambda=%r" % (zero,)}
+        assert seen == [zero, zero] and not out.exists()
+
+
+def test_a_fitted_formula_off_the_integers_on_T_n_exits_3(capsys, tmp_path, monkeypatch):
+    # mu'_{1} of A4 (codimension 3) moved by 1/7 after the recursion passes every pin, and
+    # r_{1}(1, 0, 0, 0) = 1: the formula leaves the integers there, a point of T_4, and the
+    # fit fails naming it, as a wrong count would
+    real = coefmod._berline_vergne
+
+    def moved(data, f):
+        return {J: v + Fraction(J == (1,), 7) for J, v in real(data, f).items()}
+
+    monkeypatch.setattr(coefmod, "_berline_vergne", moved)
+    d = build_root_system("A4")
+    with pytest.raises(FitVerificationError, match=r"at lambda=\(1, 0, 0, 0\)$"):
+        fit_mu(d)
+    out = tmp_path / "fit.json"
+    assert main(["fit", "--type", "A", "--rank", "4", "--out", str(out)]) == 3
+    assert json.loads(capsys.readouterr().out)["error"] == {
+        "type": "fit", "message": "fit failed verification at lambda=(1, 0, 0, 0)"}
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("name", FITS)
@@ -465,15 +511,30 @@ def test_berline_vergne_equals_each_shipped_file_at_both_directions(name):
 
 
 @pytest.mark.parametrize("name", SHIPPED)
-def test_each_shipped_file_loads_and_holds_the_codim_1_closed_form(name):
-    # mu(t_J) = 1/2 for the ray t_J of each J = 1..n minus i, as a Fraction against the
-    # constructor's integers
+def test_each_shipped_file_loads_and_holds_the_codim_1_and_2_closed_forms(name):
+    # mu(t_J) = 1/2 for the ray t_J of each J = 1..n minus i, and 1/4 + (g_kl/g_kk +
+    # g_kl/g_ll) / 12 for the wedge of each J = 1..n minus {k, l}, g the Gram matrix of
+    # the coroots k and l projected off those of J: as Fractions, by a matrix inverse,
+    # against the constructor's integers and its adjugates
     d = build_root_system(name)
     top = tuple(range(1, d.rank + 1))
     mu = _read_coefficients(Path(DATA_DIR, "%s.json" % name), d).mu_prime
     for i in top:
         J = top[:i - 1] + top[i:]
         assert mu[J] == Fraction(d.wf_order ** 2, 2 * weyl_order(d, J)), J
+    # (alpha_a^v, alpha_b^v) = 2 C_ab / |alpha_b|^2, with C_ab = (alpha_b, alpha_a^v)
+    G = [[Fraction(2 * c, d.simple_root_norms[b]) for b, c in enumerate(row)]
+         for row in d.cartan]
+    for k, l in itertools.combinations(top, 2):
+        J = tuple(j for j in top if j not in (k, l))
+        inv = matrix_inverse([[G[i - 1][j - 1] for j in J] for i in J]) if J else []
+
+        def g(a, b):
+            return G[a - 1][b - 1] - sum(G[a - 1][i - 1] * x * G[j - 1][b - 1]
+                                         for i, row in zip(J, inv) for j, x in zip(J, row))
+
+        wedge = Fraction(1, 4) + (g(k, l) / g(k, k) + g(k, l) / g(l, l)) / 12
+        assert mu[J] == Fraction(d.wf_order ** 2, weyl_order(d, J)) * wedge, J
 
 
 # regression pins, not proofs: D8 and E8 ship no file, as no T_8 check has run in tier-1.
@@ -562,17 +623,17 @@ def test_the_integer_sum_equals_the_fraction_sum_on_every_reference():
                 == ref["count"]), ref
 
 
-@pytest.mark.parametrize("delta", [Fraction(1, 2), Fraction(-1, 3), Fraction(1, 7), -100])
+@pytest.mark.parametrize("delta", [Fraction(1, 2), Fraction(-1, 3), Fraction(1, 7), -1000])
 def test_a_total_off_the_non_negative_integers_is_refused_by_both_sums(delta):
-    # A3 at (1, 0, 0) sums to 96 + delta * r_{1}(1, 0, 0), r_{1}(1, 0, 0) = 1: not an
-    # integer, or below zero at -100 (mu'_{1} is pinned on A2, not on A3)
-    d = build_root_system("A3")
-    coeffs = _shipped("A3")
+    # A4 at (1, 0, 0, 0) sums to 600 + delta * r_{1}(1, 0, 0, 0), r_{1}(1, 0, 0, 0) = 1:
+    # not an integer, or below zero at -1000 (mu'_{1} is pinned up to A3, not on A4)
+    d = build_root_system("A4")
+    coeffs = _shipped("A4")
     broken = GeometricCoefficients(
         d.id, {J: v + delta if J == (1,) else v for J, v in coeffs.mu_prime.items()})
     for evaluate in (evaluate_formula, evaluate_formula_by_fractions):
-        with pytest.raises(FormulaConsistencyError, match=r"inconsistent at \(1, 0, 0\)"):
-            evaluate(d, broken, (1, 0, 0))
+        with pytest.raises(FormulaConsistencyError, match=r"inconsistent at \(1, 0, 0, 0\)"):
+            evaluate(d, broken, (1, 0, 0, 0))
 
 
 def test_the_integer_text_is_the_text_of_the_fraction():
