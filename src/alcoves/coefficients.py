@@ -113,6 +113,14 @@ def hypersimplex_ehrhart(k: int, d: int) -> MPoly:
 
 # -- coefficient containers --------------------------------------------------------
 
+def _wedge(data: RootSystemData, k: int, l: int) -> tuple[int, int, int]:
+    """(T_kk, T_ll, T_kl) for k < l and J = 1..n minus {k, l}: T = det C_J S, S the Schur
+    complement of C_J in C.  The {k, l} block of adj C is det C_J adj S, so T_kk =
+    (adj C)_ll, T_ll = (adj C)_kk and T_kl = -(adj C)_kl, read off B = adj(C)^T."""
+    B = data._dual[1]
+    return B[l - 1][l - 1], B[k - 1][k - 1], -B[l - 1][k - 1]
+
+
 class GeometricCoefficients:
     """The map J -> mu'_J (lattice-normalized, rational) for one system, valid by
     construction: the constructor checks, cheapest first, a rank within the subset cap,
@@ -124,9 +132,9 @@ class GeometricCoefficients:
         mu'_J = (|W_f|^2 / |W_J|) (1/4 + (g_kl/g_kk + g_kl/g_ll) / 12),
 
     g the Gram matrix of alpha_k^v and alpha_l^v projected orthogonally to the alpha_j^v,
-    j in J.  As det C_J times the Schur complement of C_J in C, T_ab = det C_J C_ab -
-    sum_{i,j in J} C_ai (adj C_J)_ij C_jb is g_ab |alpha_b|^2 det C_J / 2, so with
-    mu'_J = p/q and n_x = |alpha_x|^2 the pin reads 12 p |W_J| T_kk T_ll n_l = |W_f|^2 q
+    j in J.  T = det C_J S, S the Schur complement of C_J in C, is g_ab |alpha_b|^2
+    det C_J / 2, and it is read off adj C (`_wedge`), so with mu'_J = p/q and
+    n_x = |alpha_x|^2 the pin reads 12 p |W_J| T_kk T_ll n_l = |W_f|^2 q
     (3 T_kk T_ll n_l + T_kl n_k T_ll + T_kl T_kk n_l).  It raises ValueError otherwise.
     Each mu'_J is held as a reduced pair (p, q), q > 0; `mu_prime` is the same map as
     read-only Fractions."""
@@ -152,16 +160,12 @@ class GeometricCoefficients:
             J = top[:i - 1] + top[i:]
             if 2 * weyl_order(data, J) * pairs[J][0] != data.wf_order ** 2 * pairs[J][1]:
                 raise ValueError("mu'_{I-i} != |W_f|^2 / (2 |W_{I-i}|) at i=%d" % i)
-        C, norms = data.cartan, data.simple_root_norms
-        for k, l in combinations(top, 2):  # of codimension 2, a wedge: T_kk, T_ll, T_kl
+        norms = data.simple_root_norms
+        for k, l in combinations(top, 2):  # of codimension 2, a wedge
             J = tuple(j for j in top if j not in (k, l))
-            order, det, adj = _pyramid(data, J)[:3]
-            kk, ll, kl = (det * C[a - 1][b - 1] - sum(C[a - 1][i - 1] * x * C[j - 1][b - 1]
-                                                      for i, row in zip(J, adj)
-                                                      for j, x in zip(J, row))
-                          for a, b in ((k, k), (l, l), (k, l)))
+            kk, ll, kl = _wedge(data, k, l)
             (p, q), nk, nl = pairs[J], norms[k - 1], norms[l - 1]
-            if (12 * p * order * kk * ll * nl
+            if (12 * p * weyl_order(data, J) * kk * ll * nl
                     != data.wf_order ** 2 * q * (3 * kk * ll * nl + kl * nk * ll + kl * kk * nl)):
                 raise ValueError("mu'_{I-k-l} != |W_f|^2 (1/4 + (g_kl/g_kk + g_kl/g_ll)/12)"
                                  " / |W_{I-k-l}| at k=%d l=%d" % (k, l))
@@ -230,19 +234,22 @@ class GeometricCoefficients:
 def evaluate_formula(data: RootSystemData, coeffs: GeometricCoefficients, lam) -> int:
     """sum_J mu'_J r_J(lambda); must land on a non-negative integer.
 
-    With mu'_J = p_J / q_J and R_J = M_J r_J(lambda) (`volumes`), the sum is
-    sum_J p_J R_J (L / (q_J M_J)) / L over L = lcm_J(q_J M_J), all in integers, and
-    one division by L.  The coefficients are valid by construction; ones of another
-    system raise ValueError.
+    With mu'_J = p_J / q_J and r_J(lambda) = |W_J| R_J / (|J|! Delta_J) (`volumes`),
+    the sum is sum_J p_J |W_J| R_J (L / d_J) / L over d_J = q_J |J|! Delta_J and
+    L = lcm_J d_J, all in integers, and one division by L.  The coefficients are valid
+    by construction; ones of another system raise ValueError.
     """
     lam = dominant_coweight(data.rank, lam)
     if coeffs.system != data.id:
         raise ValueError("coefficients are for %s, not %s" % (coeffs.system, data.id))
     R = {(): 1}
     _scaled_volumes(data, lam, tuple(range(1, data.rank + 1)), R)
-    den = {J: q * _pyramid(data, J)[4] for J, (_, q) in coeffs._pairs.items()}
-    L = math.lcm(*den.values())
-    total, rest = divmod(sum(p * R[J] * (L // den[J]) for J, (p, _) in coeffs._pairs.items()), L)
+    terms = []  # (p_J |W_J| R_J, d_J)
+    for J, (p, q) in coeffs._pairs.items():
+        order, _, _, _, scale = _pyramid(data, J)
+        terms.append((p * order * R[J], q * math.factorial(len(J)) * scale))
+    L = math.lcm(*(d for _, d in terms))
+    total, rest = divmod(sum(a * (L // d) for a, d in terms), L)
     if rest or total < 0:
         raise FormulaConsistencyError("formula evaluation inconsistent at %r" % (lam,))
     return total

@@ -9,7 +9,8 @@ transcription errors out of the downstream volume and coefficient work.  The
 count paths read integers only: the Cartan matrix, norms, positive roots and
 coroots (by root strings), marks, det C, |W_f| and, built on first read, the
 positive integer matrix B = adj(C)^T = det C (C^T)^-1 of the lattice search and the
-coroot-lattice test.  The ambient view that `rootdata`, `faces` and the
+coroot-lattice test, by the one integer bordering step (`border`), which also gives
+`volumes` its Cartan blocks.  The ambient view that `rootdata`, `faces` and the
 membership route read is built on first read too, from integers alone: each
 vector is an integer combination of the doubled simple roots over one
 denominator, returned as a tuple of Fractions, and each lattice volume is a
@@ -37,7 +38,6 @@ from functools import cached_property, lru_cache
 from operator import index, mul
 
 from .errors import AlcovesError, BudgetExceededError
-from .linalg import border
 
 _RANK_RULES = {
     "A": lambda n: n >= 1,
@@ -180,6 +180,33 @@ def _exact_quotient(a, b) -> int:
     if r:
         raise AlcovesError("%s / %s is not an integer" % (a, b))
     return q
+
+
+def border(m, J, adj, det) -> tuple[list[list[int]], int]:
+    """One bordering step on an integer matrix m: from the adjugate and determinant of
+    the principal block m_{J'} on J' = J[:-1], those of m_J.  With j = J[-1], u the
+    new column and v the new row, d = det m_J = det m_jj - v adj u and
+
+        adj m_J = [[(d adj + (adj u)(v adj)) / det, -adj u], [-v adj, det]].
+
+    The division is exact: by Sylvester's identity each entry of the quotient is a
+    cofactor of m_J.  Start from ([], 1).  Refuses unless d > 0, which holds when the
+    leading principal minors of m are positive, as those of a Cartan matrix of finite
+    type are: such a block is positive definite up to a diagonal scaling, so bordering
+    one index at a time needs no pivoting and forms no denominator, m_J^-1 = adj m_J /
+    det m_J.  It borders C for `_dual` and each Cartan block for `volumes`.
+    """
+    *rest, j = J
+    u = [m[i][j] for i in rest]
+    v = [m[j][k] for k in rest]
+    au = [sum(map(mul, row, u)) for row in adj]  # adj u
+    va = [sum(map(mul, v, col)) for col in zip(*adj)]  # v adj
+    d = det * m[j][j] - sum(map(mul, v, au))
+    if d <= 0:
+        raise AlcovesError("a leading minor is not positive: not a Cartan matrix of finite type")
+    out = [[(d * x + p * q) // det for x, q in zip(row, va)] + [-p] for row, p in zip(adj, au)]
+    out.append([-q for q in va] + [det])
+    return out, d
 
 
 # the ambient view: read by `rootdata`, `faces`, the membership route and the

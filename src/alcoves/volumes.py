@@ -18,24 +18,30 @@ The pyramid's Euclidean factor sqrt(gram_{J-j}) / |nu_j| cancels against
 sqrt(gram_J), since (C_J^-1)_jj = det C_{J-j} / det C_J (Cramer's rule), so
 gram_J = gram_{J-j} / |nu_j|^2, which the closed form for gram_J satisfies.
 
-The recursion runs on integers.  One integer bordering step from
-(adj C_{J-j}, det C_{J-j}) at j = max J gives (adj C_J, det C_J), and
-C_J^-1 = adj C_J / det C_J.  Keep with each J the integer
+Every group order cancels: with r_J = |W_J| s_J / |J|!, c_{J,j} |W_{J-j}| /
+(|J| - 1)! = |W_J| / |J|!, so
 
-    M_J = det C_J lcm_j(M_{J-j} den c_{J,j}),  M_empty = 1,
+    s_J(x) = sum_j (sum_{i in J} x_i (adj C_J)_ij) s_{J-j}(x) / det C_J,  s_empty = 1,
 
-so that R_J = M_J r_J satisfies
+which reads only the Cartan blocks.  One integer bordering step from
+(adj C_{J-j}, det C_{J-j}) at j = max J gives (adj C_J, det C_J).  Keep with
+each J the integer scale
+
+    Delta_J = det C_J lcm_j Delta_{J-j},  Delta_empty = 1,
+
+so that R_J = Delta_J s_J satisfies
 
     R_J(x) = sum_j w_{J,j} (sum_{i in J} x_i (adj C_J)_ij) R_{J-j}(x),
-    w_{J,j} = M_J c_{J,j} / (det C_J M_{J-j}), an integer,
+    w_{J,j} = Delta_J / (det C_J Delta_{J-j}), an integer,
 
-and r_J = R_J / M_J is one division at the end.  One integer memo per
-(system, J) holds |W_J|, det C_J, adj C_J, M_J and the steps (J-j, w_{J,j},
-column j of adj C_J); it is reached only for the subsets of the J asked for.
-The recursion runs on integer points (values) or on MPoly variables
-(polynomials).  Only the functions that return Fractions or polynomials
-(`face_gram`, `volume_polynomial`) import `fractions` and `mpoly`; a geometric
-count reads the integers R_J and M_J alone.
+and |W_J| / |J|! enters once, where r_J = |W_J| R_J / (|J|! Delta_J) is formed: in
+`volume_polynomial` and in `coefficients.evaluate_formula`.  One integer memo
+per (system, J) holds |W_J| for those two, det C_J, adj C_J, Delta_J and the steps
+(J-j, w_{J,j}, column j of adj C_J); it is reached only for the subsets of the
+J asked for.  The recursion runs on integer points (values) or on MPoly
+variables (polynomials).  Only the functions that return Fractions or
+polynomials (`face_gram`, `volume_polynomial`) import `fractions` and `mpoly`;
+a geometric count reads the integers alone.
 """
 
 from __future__ import annotations
@@ -43,12 +49,11 @@ from __future__ import annotations
 from collections import namedtuple
 from functools import lru_cache, reduce
 from itertools import combinations
-from math import gcd, lcm, prod
+from math import factorial, lcm, prod
 from operator import add
 
 from .errors import BudgetExceededError
-from .linalg import border
-from .rootdata import RootSystemData, RootSystemId, simple_subset, weyl_order
+from .rootdata import RootSystemData, RootSystemId, border, simple_subset, weyl_order
 
 
 class VolumePolynomial(namedtuple("VolumePolynomial", "J rel_poly gram")):
@@ -84,32 +89,25 @@ def subsets(top: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
 
 @lru_cache(maxsize=None)
 def _pyramid(data: RootSystemData, J: tuple[int, ...]) -> tuple:
-    """(|W_J|, det C_J, adj C_J, steps, M_J), J bordered from J[:-1] and each J-j read
-    from this memo.  steps holds (J-j, w_{J,j}, (adj C_J)[:, j]) for j in J, the column
-    as (i - 1, entry) pairs over its nonzero entries.  With [W_J : W_{J-j}] / |J| =
-    p_j / q_j in lowest terms, M_J = det C_J lcm_j(M_{J-j} q_j) and w_{J,j} =
-    M_J p_j / (det C_J M_{J-j} q_j)."""
+    """(|W_J|, det C_J, adj C_J, steps, Delta_J), J bordered from J[:-1] and each J-j
+    read from this memo.  steps holds (J-j, w_{J,j}, (adj C_J)[:, j]) for j in J, the
+    column as (i - 1, entry) pairs over its nonzero entries.  Delta_J = det C_J lcm_j
+    Delta_{J-j} and w_{J,j} = Delta_J / (det C_J Delta_{J-j}) read no group order."""
     if not J:
         return 1, 1, (), (), 1
     check_subset_cap(data.id, len(J))
-    order = weyl_order(data, J)
     _, det, adj, _, _ = _pyramid(data, J[:-1])
     adj, det = border(data.cartan, [j - 1 for j in J], adj, det)
-    terms = []  # (J-j, M_{J-j} q_j, p_j)
-    for k in range(len(J)):
-        rest = J[:k] + J[k + 1:]
-        rest_order, _, _, _, rest_scale = _pyramid(data, rest)
-        g = gcd(order // rest_order, len(J))
-        terms.append((rest, rest_scale * (len(J) // g), order // rest_order // g))
-    scale = lcm(*(mq for _, mq, _ in terms))
-    steps = tuple((rest, scale // mq * p,
-                   tuple((i - 1, row[k]) for i, row in zip(J, adj) if row[k]))
-                  for k, (rest, mq, p) in enumerate(terms))
-    return order, det, tuple(map(tuple, adj)), steps, det * scale
+    rests = [J[:k] + J[k + 1:] for k in range(len(J))]
+    scales = [_pyramid(data, rest)[4] for rest in rests]
+    scale = lcm(*scales)
+    steps = tuple((rest, scale // s, tuple((i - 1, row[k]) for i, row in zip(J, adj) if row[k]))
+                  for k, (rest, s) in enumerate(zip(rests, scales)))
+    return weyl_order(data, J), det, tuple(map(tuple, adj)), steps, det * scale
 
 
 def _scaled_volumes(data: RootSystemData, x, top: tuple[int, ...], R: dict) -> None:
-    """R_K = M_K r_K(x) for every K inside top, added to R, which holds R_K already
+    """R_K = Delta_K s_K(x) for every K inside top, added to R, which holds R_K already
     known (R_empty among them)."""
     _pyramid(data, top)  # refuses more than MAX_SUBSETS subsets before any bordering
     for K in subsets(top):
@@ -138,4 +136,6 @@ def volume_polynomial(data: RootSystemData, J) -> VolumePolynomial:
     n = data.rank
     scaled = {(): MPoly.constant(n, 1)}
     _scaled_volumes(data, [MPoly.variable(n, i) for i in range(n)], J, scaled)
-    return VolumePolynomial(J, scaled[J] * Fraction(1, _pyramid(data, J)[4]), face_gram(data, J))
+    order, _, _, _, scale = _pyramid(data, J)
+    return VolumePolynomial(J, scaled[J] * Fraction(order, factorial(len(J)) * scale),
+                            face_gram(data, J))

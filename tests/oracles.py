@@ -9,8 +9,11 @@ The exponent-box scan finds X_lambda by testing every cell of a box that
 contains it, and the coroot walk by following dominance steps down from
 lambda, each independently of the library's search over the dual matrix B;
 the walk reaches E7 and E8, where the box is too large to scan.  The volume
-recursion with a Fraction at every step, each C_K^-1 by Gauss-Jordan, checks
-the library's integer-scaled one.  The positive roots
+recursion with a Fraction at every step, each C_K^-1 by Gauss-Jordan and each
+c_{K,j} = [W_K : W_{K-j}] / |K| from the group orders, checks the library's
+integer-scaled one, which reads no group order.  The codimension-2 Schur
+complements by double sums (`wedge_by_schur_complement`) check the library's
+reading of them off adj C.  The positive roots
 by reflection closure of the ambient simple roots, and the J-mixed dual
 basis nu_j as ambient vectors, check the library's integer root strings and
 Cartan-matrix volume constants.  The element oracle keeps W_a as n x n
@@ -452,6 +455,20 @@ def relative_volumes_by_fractions(data: RootSystemData, x) -> dict:
     shared between the points asked for."""
     return {K: _relative_volume_by_fractions(data, K, tuple(x[i - 1] for i in K))
             for K in subsets(tuple(range(1, data.rank + 1)))}
+
+
+def wedge_by_schur_complement(data: RootSystemData, k: int, l: int) -> tuple:
+    """(T_kk, T_ll, T_kl) for J = 1..n minus {k, l}, T_ab = det C_J C_ab - sum_{i,j in J}
+    C_ai (adj C_J)_ij C_jb, det C_J times the Schur complement of C_J in C, with det C_J
+    and adj C_J = det C_J C_J^-1 by Gauss-Jordan."""
+    C = data.cartan
+    J = tuple(j for j in range(1, data.rank + 1) if j not in (k, l))
+    block = [[C[i - 1][j - 1] for j in J] for i in J]
+    det = matrix_det(block)
+    adj = [[det * x for x in row] for row in matrix_inverse(block)]
+    return tuple(det * C[a - 1][b - 1] - sum(C[a - 1][i - 1] * x * C[j - 1][b - 1]
+                                             for i, row in zip(J, adj) for j, x in zip(J, row))
+                 for a, b in ((k, k), (l, l), (k, l)))
 
 
 class InterpolationError(ValueError):
@@ -1108,11 +1125,12 @@ def type_a_connected_mu(n: int) -> dict[tuple[int, ...], Fraction]:
 # -- mu' solved from counts at the 0/1 coweights ---------------------------------------
 
 def relative_volumes(data: RootSystemData, lam) -> dict:
-    """r_K(lambda) for every K inside 1..n, by the library's integer recursion at the
-    dominant coweight lambda, and one division for each K."""
+    """r_K(lambda) = |W_K| R_K / (|K|! Delta_K) for every K inside 1..n, by the library's
+    integer recursion at the dominant coweight lambda, and one division for each K."""
     R = {(): 1}
     _scaled_volumes(data, dominant_coweight(data.rank, lam), tuple(range(1, data.rank + 1)), R)
-    return {K: Fraction(v, _pyramid(data, K)[4]) for K, v in R.items()}
+    return {K: Fraction(v * _pyramid(data, K)[0], factorial(len(K)) * _pyramid(data, K)[4])
+            for K, v in R.items()}
 
 
 def indicator(n: int, S) -> tuple[int, ...]:

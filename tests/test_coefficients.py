@@ -11,7 +11,7 @@ import pytest
 from alcoves.affine import interval_size_bruhat
 from alcoves.cli import DATA_DIR, _read_coefficients, main
 import alcoves.coefficients as coefmod
-from alcoves.coefficients import (GeometricCoefficients, _berline_vergne, _ratio_text,
+from alcoves.coefficients import (GeometricCoefficients, _berline_vergne, _ratio_text, _wedge,
                                   evaluate_formula, fit_mu, hypersimplex_dilation_count,
                                   hypersimplex_ehrhart)
 from alcoves.errors import (BudgetExceededError, FitVerificationError,
@@ -19,10 +19,11 @@ from alcoves.errors import (BudgetExceededError, FitVerificationError,
 from alcoves.orbits import interval_size_lattice
 from alcoves.rootdata import _RANK_RULES, build_root_system, weyl_order
 from alcoves.mpoly import MPoly
-from alcoves.volumes import _gram, face_gram, volume_polynomial
+from alcoves.volumes import _gram, _pyramid, face_gram, volume_polynomial
 from oracles import (RadScalar, eulerian, evaluate_formula_by_fractions, homogeneous_part,
                      is_rational, matrix_inverse, mpoly_interpolate, mu_euclidean, mu_full,
-                     solve_from_counts, square, stirling1, type_a_connected_mu)
+                     solve_from_counts, square, stirling1, type_a_connected_mu,
+                     wedge_by_schur_complement)
 from test_golden import FITS, SHIPPED
 
 
@@ -535,6 +536,26 @@ def test_each_shipped_file_loads_and_holds_the_codim_1_and_2_closed_forms(name):
 
         wedge = Fraction(1, 4) + (g(k, l) / g(k, k) + g(k, l) / g(l, l)) / 12
         assert mu[J] == Fraction(d.wf_order ** 2, weyl_order(d, J)) * wedge, J
+
+
+@pytest.mark.parametrize("name", SHIPPED + ["D8", "E8"])
+def test_the_wedge_read_off_adj_c_is_the_schur_complement(name):
+    # T_ab = det C_J C_ab - sum C_ai (adj C_J)_ij C_jb by double sums and Gauss-Jordan,
+    # against the pin's reading of the {k, l} block of adj C, on every pair k < l
+    d = build_root_system(name)
+    for k, l in itertools.combinations(range(1, d.rank + 1), 2):
+        assert _wedge(d, k, l) == wedge_by_schur_complement(d, k, l), (k, l)
+
+
+@pytest.mark.parametrize("name", ["A2", "B3", "G2", "E6", "B8"])
+def test_the_constructor_reads_no_pyramid(name):
+    # every pin reads the Cartan matrix, adj C and |W_J|: building the coefficients
+    # neither hits nor misses the pyramid memo
+    coeffs = _shipped(name)
+    before = _pyramid.cache_info()
+    GeometricCoefficients(coeffs.system, coeffs.mu_prime)
+    after = _pyramid.cache_info()
+    assert (after.hits, after.misses) == (before.hits, before.misses)
 
 
 # regression pins, not proofs: D8 and E8 ship no file, as no T_8 check has run in tier-1.

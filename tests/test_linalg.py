@@ -8,7 +8,7 @@ from hypothesis import given, strategies as st
 
 from alcoves.errors import AlcovesError
 from alcoves.coefficients import _RATIONAL
-from alcoves.linalg import border
+from alcoves.rootdata import border
 
 from oracles import (DegenerateBasisError, QVector, SingularSystemError, gram_det, matrix_det,
                      matrix_inverse, matrix_rank, matvec, solve_linear)

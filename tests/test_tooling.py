@@ -96,9 +96,9 @@ def test_a_query_process_imports_no_heavy_stdlib_module(argv, tmp_path):
 
 
 # the package modules that each count method loads, beside alcoves.cli, which runs as
-# __main__: the package, its errors, the bordering step, the root data and the route's
+# __main__: the package, its errors, the root data (with the bordering step) and the route's
 # modules.  A count loads neither fractions nor alcoves.mpoly, as mu' is summed in integers
-CORE = {"alcoves", "alcoves.errors", "alcoves.linalg", "alcoves.rootdata"}
+CORE = {"alcoves", "alcoves.errors", "alcoves.rootdata"}
 COUNT_LOADS = {"geometric": CORE | {"alcoves.volumes", "alcoves.coefficients"},
                "lattice": CORE | {"alcoves.orbits"}, "bruhat": CORE | {"alcoves.affine"}}
 

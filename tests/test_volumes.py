@@ -202,9 +202,10 @@ UP_TO_RANK_8 = (["A%d" % n for n in range(1, 9)] + ["B%d" % n for n in range(2, 
 
 @pytest.mark.parametrize("name", UP_TO_RANK_8 + ["B12"])
 def test_scaled_recursion_equals_the_fraction_oracle(name):
-    # the integer recursion, divided by M_K once, against r_K with a Fraction at every
-    # step and C_K^-1 by Gauss-Jordan: up to rank 8 at every 0/1 point, (1, 2, ..., n)
-    # and (3, ..., 3), and at one point on B12, whose 4096 subsets take the oracle 6 s
+    # the order-free integer recursion, times |W_K| / (|K|! Delta_K) once, against r_K
+    # with a Fraction at every step, C_K^-1 by Gauss-Jordan and c_{K,j} from the group
+    # orders: up to rank 8 at every 0/1 point, (1, 2, ..., n) and (3, ..., 3), and at
+    # one point on B12, whose 4096 subsets take the oracle 6 s
     d = build_root_system(name)
     n = d.rank
     lams = [(1, 0, 2, 1, 3, 0, 1, 1, 2, 0, 1, 1)] if n > 8 else (
@@ -215,23 +216,30 @@ def test_scaled_recursion_equals_the_fraction_oracle(name):
 
 @pytest.mark.parametrize("name", RANK_AT_MOST_4 + ["D5", "E6", "E7"])
 def test_cartan_constants_equal_the_ambient_derivation(name):
-    # gram_J and c_{J,j} = w_{J,j} det C_J M_{J-j} / M_J as the ambient recursion
-    # derived them from the coroots and the mixed dual basis nu_j
+    # gram_J, each column of adj C_J / det C_J as the pairings (w_i^v, nu_j) with the
+    # mixed dual basis nu_j, and the scale, w_{J,j} det C_J Delta_{J-j} = Delta_J.  The
+    # pyramid's Euclidean factor t_j = sqrt(gram_{J-j}) / |nu_j| is sqrt(gram_J), so the
+    # c_{J,j} that the order-free constants imply through r_J = |W_J| R_J / (|J|! Delta_J)
+    # is the ambient one, [W_J : W_{J-j}] t_j / (|J| sqrt(gram_J))
     d = build_root_system(name)
     for J in _subsets(d.rank):
         gram = gram_det([d.simple_coroots[j - 1] for j in J])
         assert face_gram(d, J) == gram == volume_polynomial(d, J).gram
-        s_J, _ = sqrt_decompose(gram)
+        s_J = sqrt_decompose(gram)
         nu = mixed_basis_nu(d, J)
-        _, det, adj, steps, scale = _pyramid(d, J)
+        order, det, adj, steps, scale = _pyramid(d, J)
+        assert order == weyl_order(d, J)
         for p, (j, (rest, w, _)) in enumerate(zip(J, steps)):
             vec, normsq = nu[j]
             col = {i: Fraction(row[p], det) for i, row in zip(J, adj)}
             assert col == {i: vec.dot(d.fundamental_coweights[i - 1]) for i in J}
-            t_j, _ = sqrt_decompose(gram_det([d.simple_coroots[k - 1] for k in rest]) / normsq)
+            rest_order, _, _, _, rest_scale = _pyramid(d, rest)
+            assert w * det * rest_scale == scale
+            t_j = sqrt_decompose(gram_det([d.simple_coroots[k - 1] for k in rest]) / normsq)
+            assert t_j == s_J
             index = weyl_order(d, J) // weyl_order(d, rest)
-            c = Fraction(w * det * _pyramid(d, rest)[4], scale)
-            assert c == index * t_j / (len(J) * s_J)
+            implied = Fraction(order * w * det * rest_scale, len(J) * rest_order * scale)
+            assert implied == index * t_j[0] / (len(J) * s_J[0])
 
 
 def test_the_pyramid_constants_are_built_without_a_fraction(monkeypatch):
