@@ -1,14 +1,13 @@
 """Command-line interface: the `alcoves` command.  `_ABOUT`, which top-level -h
 prints, gives its output format and exit codes.
 
-`count --method geometric` and `verify` take the coefficients mu'_J from
-`--coeffs` (count only), else from `<system>.json` in `alcoves/data`, shipped for
-each of the 31 systems that `fit` admits at the default `--box-cap`, else from
-`<system>.json` under `--cache-dir`, else from a fit, stored there if `--cache-dir`
-is given.  Each file is read only as `fit --out` writes it: `from_json` checks every
-field.  A shipped file that fails is an error, never refitted, so a shipped system
-neither fits nor writes; a defective cache file is refitted.  `fit` always fits.  A
-FIFO that no process writes reads as empty.
+`count --method geometric` and `verify` read the coefficients mu'_J from the first
+file that exists of `--coeffs` (count only), `<system>.json` in `alcoves/data`,
+shipped for each of the 31 systems that `fit` admits at the default `--box-cap`,
+and `<system>.json` under `--cache-dir`.  Each file is read only as `fit --out`
+writes it: `from_json` checks every field, and a file that fails exits 1.  With no
+file, `count` exits 1 at once and `verify` before its first row.  Only `fit` fits and
+only `fit` writes.  A FIFO that no process writes reads as empty.
 
 A process loads only what its command runs.  The argv reader is one pass over
 the table `_COMMANDS`, which gives argparse's namespaces and messages without
@@ -69,6 +68,9 @@ DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
 # hypersimplex_ehrhart(k, d) multiplies out k products of d-1 linear factors, about
 # k*d^2 big-integer steps: on a 2-core machine 2.2 s for k=1, d=1414 at this cap
 EHRHART_BUDGET = 2_000_000
+# verify's rows times its last row's interval size.  A1 costs the most per unit, a fold and
+# a closure of length 2m in each of m+1 rows: on a 2-core machine 3.0 s at this cap, m=999
+VERIFY_BUDGET = 2_000_000
 # r_J has up to C(2|J|-1, |J|) monomials, 92 378 at |J| = 10 and 352 716 at |J| = 11:
 # on a 2-core machine a full J took 8.6 s on D9 and 32 s on A10, but 238 s and 519 MB on A11
 MAX_VOLUME_INDICES = 10
@@ -186,21 +188,20 @@ def _write_coefficients(path: Path, coeffs: GeometricCoefficients) -> dict:
 
 
 def _coefficients(ns, data) -> GeometricCoefficients:
-    """The shipped coefficients of data's system, else those under --cache-dir, else a fit,
-    stored there if --cache-dir is given.  A shipped file that fails a check raises
-    ValueError: it is neither refitted nor summed.  A defective cache file is refitted."""
-    from .coefficients import fit_mu
-    shipped = Path(DATA_DIR, "%s.json" % data.id)
-    with contextlib.suppress(FileNotFoundError):
-        return _read_coefficients(shipped, data)
-    if not ns.cache_dir:
-        return fit_mu(data, box_cap=ns.box_cap)
-    path = Path(ns.cache_dir, shipped.name)
-    with contextlib.suppress(FileNotFoundError, ValueError):
-        return _read_coefficients(path, data)
-    coeffs = fit_mu(data, box_cap=ns.box_cap)
-    _write_coefficients(path, coeffs)
-    return coeffs
+    """The coefficients in --coeffs (count only), else in the shipped <system>.json, else
+    in <system>.json under --cache-dir.  A file that fails a check raises ValueError; with
+    no file, UsageError names the `fit --out` that writes one and the option that reads it."""
+    if ns.command == "count" and ns.coeffs:
+        return _read_coefficients(Path(ns.coeffs), data)
+    name = "%s.json" % data.id
+    for folder in filter(None, (DATA_DIR, ns.cache_dir)):
+        with contextlib.suppress(FileNotFoundError):
+            return _read_coefficients(Path(folder, name), data)
+    out, option = (("FILE", "--coeffs FILE") if ns.command == "count"
+                   else ("DIR/" + name, "--cache-dir DIR"))
+    raise UsageError("%s ships no coefficient file: write one with `alcoves fit --type %s "
+                     "--rank %d --out %s` and pass %s"
+                     % (data.id, data.id.family, data.id.rank, out, option))
 
 
 def cmd_count(ns) -> int:
@@ -221,21 +222,13 @@ def cmd_count(ns) -> int:
         check_subset_cap(ns.system, ns.rank)  # a --coeffs file too needs the 2^n-subset table
 
         def route(data):
-            coeffs = (_read_coefficients(Path(ns.coeffs), data) if ns.coeffs
-                      else _coefficients(ns, data))
-            return evaluate_formula(data, coeffs, lam)
+            return evaluate_formula(data, _coefficients(ns, data), lam)
     data = build_root_system(ns.system)
     start = time.perf_counter()  # after the imports, so that it times the count alone
     count = route(data)
     elapsed = int((time.perf_counter() - start) * 1000)
-    _emit({
-        "schema": 1,
-        "system": str(data.id),
-        "lambda": list(lam),
-        "method": ns.method,
-        "count": count,
-        "elapsed_ms": elapsed,
-    })
+    _emit({"schema": 1, "system": str(data.id), "lambda": list(lam), "method": ns.method,
+           "count": count, "elapsed_ms": elapsed})
     return EXIT_OK
 
 
@@ -243,8 +236,9 @@ def cmd_fit(ns) -> int:
     from .coefficients import fit_mu
     from .volumes import check_subset_cap
     out = Path(ns.out)
-    if out.is_dir():
-        raise UsageError("--out %s is a directory" % out)
+    if out.exists() and not out.is_file():  # os.replace would put a file in its place
+        raise UsageError("--out %s is %s" % (out, "a directory" if out.is_dir()
+                                             else "not a regular file"))
     if out.exists() and not ns.force:
         raise UsageError("refusing to overwrite %s (use --force)" % out)
     check_subset_cap(ns.system, ns.rank)
@@ -272,8 +266,12 @@ def cmd_verify(ns) -> int:
     if (data.wf_order > ns.interval_cap
             or (size := interval_size_lattice(data, top, box_cap=ns.box_cap)) > ns.interval_cap):
         raise BudgetExceededError("lower interval exceeds cap of %d elements" % ns.interval_cap)
-    coeffs = _coefficients(ns, data)
     n = data.rank
+    runs = (ns.max_coord + 1) ** n
+    if runs * size > VERIFY_BUDGET:
+        raise BudgetExceededError("verify of %d rows, the last of %d elements, needs %d, "
+                                  "exceeding %d" % (runs, size, runs * size, VERIFY_BUDGET))
+    coeffs = _coefficients(ns, data)
     rows = []
     lattice = {top: size}  # each row counted once, the last row by the cap check
     mismatches = {}  # the lambdas of failed checks, each once, in order
@@ -310,15 +308,9 @@ def cmd_verify(ns) -> int:
                     hypersimplex_ok = False
                     mismatches[lam] = None
 
-    _emit({
-        "schema": 1,
-        "system": str(data.id),
-        "max_coord": ns.max_coord,
-        "rows": rows,
-        "hypersimplex_ok": hypersimplex_ok,
-        "mismatches": [list(lam) for lam in mismatches],
-        "ok": not mismatches,
-    })
+    _emit({"schema": 1, "system": str(data.id), "max_coord": ns.max_coord, "rows": rows,
+           "hypersimplex_ok": hypersimplex_ok, "mismatches": [list(lam) for lam in mismatches],
+           "ok": not mismatches})
     return EXIT_OK if not mismatches else EXIT_MISMATCH
 
 

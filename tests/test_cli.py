@@ -32,7 +32,7 @@ def run_cli(capsys, *argv):
 
 @pytest.fixture
 def unshipped(tmp_path, monkeypatch):
-    """An empty shipped-data directory, so that every system takes the cache-or-fit path."""
+    """An empty shipped-data directory, so that every system looks past the shipped files."""
     import alcoves.cli as climod
     empty = tmp_path / "shipped"
     empty.mkdir()
@@ -133,7 +133,11 @@ def test_fit_refuses_overwrite(capsys, tmp_path):
 
 
 @pytest.mark.parametrize("force", [[], ["--force"]])
-def test_fit_refuses_a_directory_before_it_fits(capsys, tmp_path, monkeypatch, force):
+@pytest.mark.parametrize("kind", ["directory", "fifo"])
+def test_fit_refuses_a_directory_or_another_non_regular_file_before_it_fits(
+        capsys, tmp_path, monkeypatch, force, kind):
+    # os.replace would put a regular file in place of a FIFO or a device node
+    import stat
     import alcoves.coefficients as coefmod
 
     def no_fit(*args, **kwargs):
@@ -141,11 +145,14 @@ def test_fit_refuses_a_directory_before_it_fits(capsys, tmp_path, monkeypatch, f
 
     monkeypatch.setattr(coefmod, "fit_mu", no_fit)
     out = tmp_path / "out"
-    out.mkdir()
+    out.mkdir() if kind == "directory" else os.mkfifo(out)
+    mode = out.stat().st_mode
     code, payload = run_cli(capsys, "fit", "--type", "E", "--rank", "6", "--out", str(out), *force)
+    message = "is a directory" if kind == "directory" else "is not a regular file"
     assert code == 1 and payload["error"] == {"type": "usage",
-                                              "message": "--out %s is a directory" % out}
-    assert list(tmp_path.rglob("*")) == [out]
+                                              "message": "--out %s %s" % (out, message)}
+    assert list(tmp_path.rglob("*")) == [out] and out.stat().st_mode == mode
+    assert stat.S_ISDIR(mode) if kind == "directory" else stat.S_ISFIFO(mode)
 
 
 def test_verify_a2(capsys):
@@ -272,21 +279,18 @@ def test_budget_exit_code(capsys):
 
 
 def test_cache_roundtrip(capsys, tmp_path, request, unshipped):
-    # the cache file is named and written as `fit --out` names and writes it
+    # --cache-dir reads the file that `fit --out DIR/<system>.json` writes, and only reads it
     cache = tmp_path / "cache"
-    args = ["count", "--type", "A", "--rank", "2", "--lambda", "1,1",
-            "--method", "geometric", "--cache-dir", str(cache)]
-    code, payload = run_cli(capsys, *args)
-    assert code == 0 and payload["count"] == 42
-    assert [p.name for p in cache.iterdir()] == ["A2.json"]
-    stamp = (cache / "A2.json").read_bytes()
-    out = tmp_path / "A2.json"
+    out = cache / "A2.json"
     assert run_cli(capsys, "fit", "--type", "A", "--rank", "2", "--out", str(out))[0] == 0
-    assert out.read_bytes() == stamp
+    stamp = out.read_bytes()
     request.getfixturevalue("no_fit")
-    code, payload = run_cli(capsys, *args)
-    assert code == 0 and payload["count"] == 42
-    assert (cache / "A2.json").read_bytes() == stamp  # reused, not rewritten
+    for argv in (["count", "--lambda", "1,1", "--method", "geometric"], ["verify"]):
+        code, payload = run_cli(capsys, *argv, "--type", "A", "--rank", "2",
+                                "--cache-dir", str(cache))
+        assert code == 0, argv
+        assert payload["count"] == 42 if argv[0] == "count" else payload["ok"]
+    assert [p.name for p in cache.iterdir()] == ["A2.json"] and out.read_bytes() == stamp
 
 
 def test_console_script_entry_point():
@@ -307,11 +311,9 @@ def test_box_cap_bounds_the_fit(capsys, tmp_path, unshipped):
                             "--out", str(out), "--box-cap", "1")
     assert code == 2 and payload["error"]["type"] == "budget"
     assert not out.exists()
-    for method in ["lattice", "geometric"]:
-        code, payload = run_cli(capsys, "count", "--type", "A", "--rank", "2",
-                                "--lambda", "1,1", "--method", method, "--box-cap", "1",
-                                "--cache-dir", str(tmp_path / "cache"))
-        assert code == 2 and payload["error"]["type"] == "budget"
+    code, payload = run_cli(capsys, "count", "--type", "A", "--rank", "2",
+                            "--lambda", "1,1", "--method", "lattice", "--box-cap", "1")
+    assert code == 2 and payload["error"]["type"] == "budget"
 
 
 def test_count_lattice_e6(capsys):
@@ -344,21 +346,25 @@ def test_count_bruhat_beyond_the_element_closure(capsys, system, lam):
         "type": "budget", "message": "lower interval exceeds cap of 1000000 elements"}
 
 
+# the refusal of a geometric count on a system with no coefficient file
+UNSHIPPED = ("%s ships no coefficient file: write one with `alcoves fit --type %s --rank %d "
+             "--out FILE` and pass --coeffs FILE")
+
+
 @pytest.mark.parametrize("argv,message", [
     (["count", "--type", "E", "--rank", "8", "--lambda", "1,1,1,1,1,1,1,1",
       "--method", "bruhat", "--cache-dir", "cache"],
      "lower interval exceeds cap of 1000000 elements"),
-    # the fit's budget, checked at the top of T_n (8 w_4^v on E8, 8 w_2^v on D8)
+    # no file ships, and the cache holds none: exit 1 before any count
     (["count", "--type", "E", "--rank", "8", "--lambda", "1,1,1,1,1,1,1,1",
-      "--method", "geometric", "--cache-dir", "cache"],
-     "level simplex has 2747306250 cells, exceeding cap 100000000"),
+      "--method", "geometric", "--cache-dir", "cache"], UNSHIPPED % ("E8", "E", 8)),
+    # the fit's budget, checked at the top of T_n (8 w_4^v on E8, 8 w_2^v on D8)
     (["fit", "--type", "E", "--rank", "8", "--out", "e8.json"],
      "level simplex has 2747306250 cells, exceeding cap 100000000"),
     (["fit", "--type", "D", "--rank", "8", "--out", "d8.json"],
      "level simplex has 290107737 cells, exceeding cap 100000000"),
     (["count", "--type", "D", "--rank", "8", "--lambda", "2,1,0,1,0,1,0,1",
-      "--method", "geometric", "--cache-dir", "cache"],
-     "level simplex has 290107737 cells, exceeding cap 100000000"),
+      "--method", "geometric", "--cache-dir", "cache"], UNSHIPPED % ("D8", "D", 8)),
     (["verify", "--type", "E", "--rank", "7", "--cache-dir", "cache"],
      "lower interval exceeds cap of 1000000 elements"),
     (["volumes", "--type", "A", "--rank", "13", "--J", ",".join(map(str, range(1, 14)))],
@@ -381,7 +387,9 @@ def test_refusal_before_the_first_count_is_cheap(capsys, tmp_path, monkeypatch, 
     start = time.perf_counter()
     code, payload = run_cli(capsys, *argv)
     assert time.perf_counter() - start < 1
-    assert code == 2 and payload["error"] == {"type": "budget", "message": message}
+    unshipped = "ships no coefficient file" in message
+    assert code == (1 if unshipped else 2) and payload["error"] == {
+        "type": "usage" if unshipped else "budget", "message": message}
     assert list(tmp_path.iterdir()) == []
 
 
@@ -428,18 +436,19 @@ def test_geometric_rejects_coefficients_of_another_system(capsys, tmp_path):
     assert code == 1 and "G2" in payload["error"]["message"]
 
 
-def test_geometric_rejects_incomplete_cache(capsys, tmp_path, unshipped):
-    # a defective cache is refitted and rewritten, not summed or refused
+def test_geometric_rejects_incomplete_cache(capsys, tmp_path, unshipped, no_fit):
+    # a defective cache file is refused, as a --coeffs file is: neither refitted nor summed
     cache = tmp_path / "cache"
     cache.mkdir()
     path = cache / "A2.json"
     path.write_text(json.dumps(
         {"schema": 1, "version": __version__, "system": "A2", "mu_prime": {"": "6"}}))
+    text = path.read_text()
     code, payload = run_cli(capsys, "count", "--type", "A", "--rank", "2",
                             "--lambda", "3,3", "--method", "geometric",
                             "--cache-dir", str(cache))
-    assert code == 0 and payload["count"] == 222
-    assert json.loads(path.read_text())["mu_prime"] == A2_MU_PRIME
+    assert code == 1 and "subsets" in payload["error"]["message"]
+    assert [p.name for p in cache.iterdir()] == ["A2.json"] and path.read_text() == text
 
 
 def test_geometric_rejects_incomplete_coeffs_file(capsys, tmp_path):
@@ -478,27 +487,25 @@ def _with(**changes):
 ], ids=["mu-empty", "mu-top", "subset-missing", "version", "system", "truncated", "deep",
         "zero-denominator", "exponent", "key-twice", "schema", "gram", "extra-field",
         "unreduced", "provenance-missing", "large-rank", "mu-codim-1"])
-def test_defective_cache_is_refitted_and_defective_coeffs_file_refused(
-        capsys, tmp_path, unshipped, defect):
+def test_a_defective_cache_or_coeffs_file_is_refused_and_left_as_it_is(
+        capsys, tmp_path, request, unshipped, defect):
     fresh = tmp_path / "fresh.json"
     code, _ = run_cli(capsys, "fit", "--type", "A", "--rank", "2", "--out", str(fresh))
     assert code == 0
+    request.getfixturevalue("no_fit")
     text = defect(fresh.read_text())
     cache = tmp_path / "cache"
     cache.mkdir()
     path = cache / "A2.json"
     path.write_text(text)
-    code, payload = run_cli(capsys, "count", "--type", "A", "--rank", "2",
-                            "--lambda", "0,0", "--method", "geometric",
-                            "--cache-dir", str(cache))
-    assert code == 0 and payload["count"] == 6
-    assert path.read_bytes() == fresh.read_bytes()
-    assert [p.name for p in cache.iterdir()] == [path.name]  # no temp file left
     bad = tmp_path / "bad.json"
     bad.write_text(text)
-    code, payload = run_cli(capsys, "count", "--type", "A", "--rank", "2",
-                            "--lambda", "0,0", "--method", "geometric", "--coeffs", str(bad))
-    assert code == 1 and payload["error"]["type"] == "invalid-input"
+    count = ["count", "--type", "A", "--rank", "2", "--lambda", "0,0", "--method", "geometric"]
+    for source in (["--cache-dir", str(cache)], ["--coeffs", str(bad)]):
+        code, payload = run_cli(capsys, *count, *source)
+        assert code == 1 and payload["error"]["type"] == "invalid-input", source
+    assert [p.name for p in cache.iterdir()] == [path.name]
+    assert path.read_text() == text and bad.read_text() == text
 
 
 @pytest.mark.parametrize("name", ["B3", "E6", "C8"])
@@ -664,15 +671,32 @@ def test_a_geometric_count_on_a_shipped_system_neither_fits_nor_writes(capsys, t
     assert list(cache.iterdir()) == []
 
 
-@pytest.mark.parametrize("family,rank", [("A", "2"), ("B", "3")])
-def test_verify_on_a_shipped_system_neither_fits_nor_writes(capsys, tmp_path, no_fit,
-                                                            family, rank):
-    cache = tmp_path / "cache"
+@pytest.mark.parametrize("name", ["A2", "B3", "E7", "unshipped", "D8", "E8"])
+def test_count_and_verify_never_fit_nor_write(capsys, tmp_path, monkeypatch, request, no_fit,
+                                              name):
+    # a shipped file is read; with none, the command exits 1 at once, also at a box cap
+    # that admits the fit of D8 and E8.  verify of E7, D8 and E8 stops at |W_f|
+    import alcoves.cli as climod
+    if name == "unshipped":
+        request.getfixturevalue("unshipped")
+        name = "A2"
+    shipped = Path(climod.DATA_DIR, "%s.json" % name).exists()
+    n = int(name[1:])
+    cache, cwd = tmp_path / "cache", tmp_path / "cwd"
     cache.mkdir()
-    code, payload = run_cli(capsys, "verify", "--type", family, "--rank", rank,
-                            "--max-coord", "1", "--cache-dir", str(cache))
-    assert code == 0 and payload["ok"] and len(payload["rows"]) == 2 ** int(rank)
-    assert list(cache.iterdir()) == []
+    cwd.mkdir()
+    monkeypatch.chdir(cwd)
+    system = ["--type", name[0], "--rank", str(n), "--box-cap", str(10 ** 12),
+              "--cache-dir", str(cache)]
+    data = build_root_system(name)
+    code, payload = run_cli(capsys, "count", *system, "--lambda", ",".join(["1"] * n),
+                            "--method", "geometric")
+    assert code == (0 if shipped else 1), payload
+    assert not shipped or payload["count"] == interval_size_lattice(data, (1,) * n)
+    code, payload = run_cli(capsys, "verify", *system, "--max-coord", "1")
+    assert code == (2 if data.wf_order > 10 ** 6 else 0 if shipped else 1), payload
+    assert code or payload["ok"] and len(payload["rows"]) == 2 ** n
+    assert list(cache.iterdir()) == [] and list(cwd.iterdir()) == []
 
 
 @pytest.mark.parametrize("defect", [
@@ -701,25 +725,26 @@ def test_a_defective_shipped_file_is_an_error_not_a_refit(capsys, tmp_path, monk
     assert [p.name for p in shipped.iterdir()] == ["A2.json"] and path.read_text() == text
 
 
-def test_without_cache_dir_an_unshipped_system_is_fitted_in_memory_and_nothing_written(
-        capsys, tmp_path, monkeypatch):
-    # neither the environment nor the home directory sets where a fit is stored
-    import alcoves.cli as climod
-    for name in ("home", "env-cache", "cwd", "shipped"):
-        (tmp_path / name).mkdir()
+def test_an_unshipped_system_is_refused_at_once_and_nothing_written(capsys, tmp_path,
+                                                                    monkeypatch, unshipped):
+    # neither the environment nor the home directory is read, though each holds the file
+    for name in ("home", "home/.cache/alcoves", "env-cache", "cwd"):
+        (tmp_path / name).mkdir(parents=True, exist_ok=True)
+        (tmp_path / name / "A2.json").write_bytes(Path(DATA_DIR, "A2.json").read_bytes())
     monkeypatch.setenv("HOME", str(tmp_path / "home"))
     monkeypatch.setenv("ALCOVES_CACHE_DIR", str(tmp_path / "env-cache"))
     monkeypatch.chdir(tmp_path / "cwd")
-    commands = [["count", "--lambda", "2,1", "--method", "geometric"], ["verify"]]
-    outputs = []
-    for shipped in (climod.DATA_DIR, str(tmp_path / "shipped")):
-        monkeypatch.setattr(climod, "DATA_DIR", shipped)
-        for argv in commands:
-            assert main([*argv, "--type", "A", "--rank", "2"]) == 0
-            outputs.append(re.sub(r'"elapsed_ms": [0-9]+, ', "", capsys.readouterr().out))
-    assert outputs[:2] == outputs[2:]
-    assert json.loads(outputs[0])["count"] == interval_size_lattice(build_root_system("A2"), (2, 1))
-    assert sorted(p.name for p in tmp_path.rglob("*")) == ["cwd", "env-cache", "home", "shipped"]
+    before = sorted(tmp_path.rglob("*"))
+    fit = "write one with `alcoves fit --type A --rank 2 --out %s` and pass %s"
+    for argv, tail in ((["count", "--lambda", "2,1", "--method", "geometric"],
+                        fit % ("FILE", "--coeffs FILE")),
+                       (["verify"], fit % ("DIR/A2.json", "--cache-dir DIR"))):
+        start = time.perf_counter()
+        code, payload = run_cli(capsys, *argv, "--type", "A", "--rank", "2")
+        assert time.perf_counter() - start < 1
+        assert code == 1 and payload["error"] == {
+            "type": "usage", "message": "A2 ships no coefficient file: " + tail}
+    assert sorted(tmp_path.rglob("*")) == before
 
 
 def test_failed_write_keeps_the_old_file(capsys, tmp_path, monkeypatch):
@@ -829,6 +854,42 @@ def test_verify_refuses_before_the_fit_and_the_first_row(capsys, tmp_path, monke
                             str(tmp_path))
     assert code == 2 and payload["error"] == {
         "type": "budget", "message": "level simplex has 1771561 cells, exceeding cap 10"}
+
+
+class _FirstRow(Exception):
+    pass
+
+
+@pytest.mark.parametrize("max_coord", [999, 1000, 4000])
+def test_verify_run_budget_is_exact_and_refuses_before_the_lookup(capsys, monkeypatch,
+                                                                  max_coord):
+    # A1 at --max-coord m makes m+1 rows, the last of 2m+2 elements: 2 (m+1)^2 is 2 000 000,
+    # the budget, at m = 999, which reaches the first row, and m = 1000 refuses at once
+    import alcoves.affine as affinemod
+    import alcoves.cli as climod
+    from alcoves.cli import VERIFY_BUDGET
+
+    def first_row(*args, **kwargs):
+        raise _FirstRow
+
+    def never(*args, **kwargs):
+        raise AssertionError("the coefficients looked up before the run budget was checked")
+
+    monkeypatch.setattr(affinemod, "interval_size_bruhat", first_row)
+    argv = ["verify", "--type", "A", "--rank", "1", "--max-coord", str(max_coord)]
+    assert VERIFY_BUDGET == 2 * 1000 ** 2
+    if max_coord == 999:
+        with pytest.raises(_FirstRow):
+            main(argv)
+        return
+    monkeypatch.setattr(climod, "_coefficients", never)
+    start = time.perf_counter()
+    code, payload = run_cli(capsys, *argv)
+    assert time.perf_counter() - start < 1
+    assert code == 2 and payload["error"] == {
+        "type": "budget", "message": "verify of %d rows, the last of %d elements, needs %d, "
+                                     "exceeding 2000000" % (max_coord + 1, 2 * max_coord + 2,
+                                                            2 * (max_coord + 1) ** 2)}
 
 
 def test_verify_interval_cap_is_exact(capsys, tmp_path):

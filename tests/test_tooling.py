@@ -280,3 +280,22 @@ def test_the_library_reads_no_environment_variable_and_no_home_directory():
             found += ["%s:%d %s" % (path.name, node.lineno, name) for name in names
                       if name in OUTSIDE_INPUTS]
     assert found == []
+
+
+def test_only_fit_fits_or_writes_coefficients():
+    # count and verify read coefficient files; fit alone derives them and writes them
+    tree = ast.parse((ROOT / "src" / "alcoves" / "cli.py").read_text(encoding="utf-8"))
+    found = set()
+    for stmt in tree.body:
+        for node in ast.walk(stmt):
+            if isinstance(node, ast.Name):
+                names = [node.id]
+            elif isinstance(node, ast.Attribute):
+                names = [node.attr]
+            elif isinstance(node, ast.ImportFrom):
+                names = [alias.name for alias in node.names]
+            else:
+                continue
+            found |= {(name, getattr(stmt, "name", None)) for name in names
+                      if name in ("fit_mu", "_write_coefficients")}
+    assert found == {("fit_mu", "cmd_fit"), ("_write_coefficients", "cmd_fit")}
