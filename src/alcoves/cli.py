@@ -2,12 +2,12 @@
 prints, gives its output format and exit codes.
 
 `count --method geometric` and `verify` read the coefficients mu'_J from the first
-file that exists of `--coeffs` (count only), `<system>.json` in `alcoves/data`,
-shipped for each of the 31 systems that `fit` admits at the default `--box-cap`,
-and `<system>.json` under `--cache-dir`.  Each file is read only as `fit --out`
-writes it: `from_json` checks every field, and a file that fails exits 1.  With no
-file, `count` exits 1 at once and `verify` before its first row.  Only `fit` fits and
-only `fit` writes.  A FIFO that no process writes reads as empty.
+file that exists of `<system>.json` in `alcoves/data`, shipped for each of the 31
+systems that `fit` admits at the default `--box-cap`, and `<system>.json` under
+`--cache-dir`, which must hold the mu' that `_berline_vergne` derives.  Each file is
+read only as `fit --out` writes it: `from_json` checks every field, and a file that
+fails exits 1.  With no file, `count` exits 1 at once and `verify` before its first
+row.  Only `fit` fits and writes.  A FIFO that no process writes reads as empty.
 
 A process loads only what its command runs.  The argv reader is one pass over
 the table `_COMMANDS`, which gives argparse's namespaces and messages without
@@ -68,9 +68,9 @@ DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
 # hypersimplex_ehrhart(k, d) multiplies out k products of d-1 linear factors, about
 # k*d^2 big-integer steps: on a 2-core machine 2.2 s for k=1, d=1414 at this cap
 EHRHART_BUDGET = 2_000_000
-# verify's rows times its last row's interval size.  A1 costs the most per unit, a fold and
-# a closure of length 2m in each of m+1 rows: on a 2-core machine 3.0 s at this cap, m=999
-VERIFY_BUDGET = 2_000_000
+# verify's rows times its last row's coset points, size / |W_f|.  A1 costs the most per unit,
+# a fold and a closure of length 2m in each of m+1 rows: on a 2-core machine 3.0 s at m=999
+VERIFY_BUDGET = 1_000_000
 # r_J has up to C(2|J|-1, |J|) monomials, 92 378 at |J| = 10 and 352 716 at |J| = 11:
 # on a 2-core machine a full J took 8.6 s on D9 and 32 s on A10, but 238 s and 519 MB on A11
 MAX_VOLUME_INDICES = 10
@@ -188,20 +188,24 @@ def _write_coefficients(path: Path, coeffs: GeometricCoefficients) -> dict:
 
 
 def _coefficients(ns, data) -> GeometricCoefficients:
-    """The coefficients in --coeffs (count only), else in the shipped <system>.json, else
-    in <system>.json under --cache-dir.  A file that fails a check raises ValueError; with
-    no file, UsageError names the `fit --out` that writes one and the option that reads it."""
-    if ns.command == "count" and ns.coeffs:
-        return _read_coefficients(Path(ns.coeffs), data)
+    """The coefficients in the shipped <system>.json, else in <system>.json under
+    --cache-dir, which must equal `_berline_vergne`'s.  A file that fails a check raises
+    ValueError; with no file, UsageError names the `fit --out` that writes one."""
     name = "%s.json" % data.id
     for folder in filter(None, (DATA_DIR, ns.cache_dir)):
         with contextlib.suppress(FileNotFoundError):
-            return _read_coefficients(Path(folder, name), data)
-    out, option = (("FILE", "--coeffs FILE") if ns.command == "count"
-                   else ("DIR/" + name, "--cache-dir DIR"))
+            coeffs = _read_coefficients(Path(folder, name), data)
+            if folder != DATA_DIR:  # after the cheap checks: the first J that differs, if any
+                from .coefficients import _berline_vergne
+                mu = _berline_vergne(data, (1,) * data.rank)
+                for J in sorted(mu, key=lambda J: (len(J), J)):  # in `subsets` order
+                    if coeffs.mu_prime[J] != mu[J]:
+                        raise ValueError("%s: mu'_{%s} is %s, not %s by Berline-Vergne" % (
+                            Path(folder, name), ",".join(map(str, J)), coeffs.mu_prime[J], mu[J]))
+            return coeffs
     raise UsageError("%s ships no coefficient file: write one with `alcoves fit --type %s "
-                     "--rank %d --out %s` and pass %s"
-                     % (data.id, data.id.family, data.id.rank, out, option))
+                     "--rank %d --out DIR/%s` and pass --cache-dir DIR"
+                     % (data.id, data.id.family, data.id.rank, name))
 
 
 def cmd_count(ns) -> int:
@@ -219,7 +223,7 @@ def cmd_count(ns) -> int:
     else:
         from .coefficients import evaluate_formula
         from .volumes import check_subset_cap
-        check_subset_cap(ns.system, ns.rank)  # a --coeffs file too needs the 2^n-subset table
+        check_subset_cap(ns.system, ns.rank)  # before the build and any file read
 
         def route(data):
             return evaluate_formula(data, _coefficients(ns, data), lam)
@@ -267,10 +271,10 @@ def cmd_verify(ns) -> int:
             or (size := interval_size_lattice(data, top, box_cap=ns.box_cap)) > ns.interval_cap):
         raise BudgetExceededError("lower interval exceeds cap of %d elements" % ns.interval_cap)
     n = data.rank
-    runs = (ns.max_coord + 1) ** n
-    if runs * size > VERIFY_BUDGET:
-        raise BudgetExceededError("verify of %d rows, the last of %d elements, needs %d, "
-                                  "exceeding %d" % (runs, size, runs * size, VERIFY_BUDGET))
+    runs, points = (ns.max_coord + 1) ** n, size // data.wf_order
+    if runs * points > VERIFY_BUDGET:
+        raise BudgetExceededError("verify of %d rows, the last of %d coset points, needs %d, "
+                                  "exceeding %d" % (runs, points, runs * points, VERIFY_BUDGET))
     coeffs = _coefficients(ns, data)
     rows = []
     lattice = {top: size}  # each row counted once, the last row by the cap check
@@ -375,9 +379,8 @@ _CAPS = ((("--interval-cap", "interval_cap", budget, DEFAULT_INTERVAL_CAP),) + _
 # option is (flag, dest, type, default): type str, integer or budget reads one value, a
 # tuple of choices one of them, and bool makes a flag that stores True
 _COMMANDS = {
-    "count": (cmd_count, "count |<= theta(lambda)| one way", _SYSTEM + _LAMBDA + _CAPS + (
-        ("--method", "method", ("bruhat", "lattice", "geometric"), _REQUIRED),
-        ("--coeffs", "coeffs", str, None))),
+    "count": (cmd_count, "count |<= theta(lambda)| one way", _SYSTEM + _LAMBDA + _CAPS
+              + (("--method", "method", ("bruhat", "lattice", "geometric"), _REQUIRED),)),
     "fit": (cmd_fit, "fit geometric coefficients and write them to a file", _SYSTEM + _BOX_CAP
             + (("--out", "out", str, _REQUIRED), ("--force", "force", bool, False))),
     "verify": (cmd_verify, "cross-check all three counting methods",

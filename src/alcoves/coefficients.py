@@ -13,13 +13,13 @@ T_n, checked as it is counted, proves each fit (`fit_mu`).  So provenance is a
 function of J: `closed-form` on the empty set and 1..n, `fitted` (derived by the fit)
 elsewhere.  GeometricCoefficients is the one validator: no map that fails the pins is
 ever held, and `from_json` reads an object only if `to_json` writes it back field for
-field.  The fits of the 31 systems that the default box cap admits ship with the
-package, as `fit --out` writes them, in `alcoves/data`; the CLI reads those instead
-of fitting, and the tests re-derive each one: by `fit` up to rank 6, by a solve from
-lattice counts at ranks 7 and 8, by the recursion all.  Hypersimplex Ehrhart
-polynomials (by Katzman's inclusion-exclusion, *The Hilbert series of algebras of the
-Veronese type*, 2005) give the type-A identity |<= theta(m w_k^v)| = (n+1)! E_{k,n+1}(m)
-that `verify` checks.
+field.  The fits of the 31 systems that the default box cap admits ship in
+`alcoves/data`, as `fit --out` writes them; the CLI reads those, or a `--cache-dir` file
+equal to the recursion's, and the tests re-derive each shipped one: by `fit` up to rank
+6, by a solve from lattice counts at ranks 7 and 8, by the recursion all.  Hypersimplex
+Ehrhart polynomials (by Katzman's inclusion-exclusion, *The Hilbert series of algebras
+of the Veronese type*, 2005) give the type-A identity |<= theta(m w_k^v)| = (n+1)!
+E_{k,n+1}(m) that `verify` checks.
 
 Each mu'_J is held as a reduced pair (p, q) of integers, and the formula is summed
 over one common denominator, so a count imports neither `fractions` nor `mpoly`

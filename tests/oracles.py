@@ -1243,7 +1243,6 @@ def _build_parser(command: str | None = None) -> _Parser:
         add_system_args(p, need_lambda=True)
         add_caps(p)
         p.add_argument("--method", required=True, choices=["bruhat", "lattice", "geometric"])
-        p.add_argument("--coeffs", help="coefficient JSON for --method geometric")
 
     if p := add("fit", "fit geometric coefficients and write them to a file", cmd_fit):
         add_system_args(p)

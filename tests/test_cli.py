@@ -78,8 +78,8 @@ def test_count_deterministic_modulo_elapsed(capsys):
     assert payloads[0] == payloads[1]
 
 
-def test_count_geometric_with_coeff_file(capsys, tmp_path):
-    coeff_file = tmp_path / "a2.json"
+def test_count_geometric_with_a_cache_file(capsys, tmp_path, unshipped):
+    coeff_file = tmp_path / "cache" / "A2.json"
     code, _ = run_cli(capsys, "fit", "--type", "A", "--rank", "2",
                       "--out", str(coeff_file))
     assert code == 0 and coeff_file.exists()
@@ -87,7 +87,7 @@ def test_count_geometric_with_coeff_file(capsys, tmp_path):
     assert obj["mu_prime"] == {"": "6", "1": "9", "2": "9", "1,2": "6"}
     code, payload = run_cli(capsys, "count", "--type", "A", "--rank", "2",
                             "--lambda", "1,0", "--method", "geometric",
-                            "--coeffs", str(coeff_file))
+                            "--cache-dir", str(coeff_file.parent))
     assert code == 0 and payload["count"] == 18
 
 
@@ -348,7 +348,7 @@ def test_count_bruhat_beyond_the_element_closure(capsys, system, lam):
 
 # the refusal of a geometric count on a system with no coefficient file
 UNSHIPPED = ("%s ships no coefficient file: write one with `alcoves fit --type %s --rank %d "
-             "--out FILE` and pass --coeffs FILE")
+             "--out DIR/%s.json` and pass --cache-dir DIR")
 
 
 @pytest.mark.parametrize("argv,message", [
@@ -357,14 +357,14 @@ UNSHIPPED = ("%s ships no coefficient file: write one with `alcoves fit --type %
      "lower interval exceeds cap of 1000000 elements"),
     # no file ships, and the cache holds none: exit 1 before any count
     (["count", "--type", "E", "--rank", "8", "--lambda", "1,1,1,1,1,1,1,1",
-      "--method", "geometric", "--cache-dir", "cache"], UNSHIPPED % ("E8", "E", 8)),
+      "--method", "geometric", "--cache-dir", "cache"], UNSHIPPED % ("E8", "E", 8, "E8")),
     # the fit's budget, checked at the top of T_n (8 w_4^v on E8, 8 w_2^v on D8)
     (["fit", "--type", "E", "--rank", "8", "--out", "e8.json"],
      "level simplex has 2747306250 cells, exceeding cap 100000000"),
     (["fit", "--type", "D", "--rank", "8", "--out", "d8.json"],
      "level simplex has 290107737 cells, exceeding cap 100000000"),
     (["count", "--type", "D", "--rank", "8", "--lambda", "2,1,0,1,0,1,0,1",
-      "--method", "geometric", "--cache-dir", "cache"], UNSHIPPED % ("D8", "D", 8)),
+      "--method", "geometric", "--cache-dir", "cache"], UNSHIPPED % ("D8", "D", 8, "D8")),
     (["verify", "--type", "E", "--rank", "7", "--cache-dir", "cache"],
      "lower interval exceeds cap of 1000000 elements"),
     (["volumes", "--type", "A", "--rank", "13", "--J", ",".join(map(str, range(1, 14)))],
@@ -427,17 +427,19 @@ def test_fit_at_the_rank_cap_refuses_on_subsets_first(capsys, tmp_path):
     assert list(tmp_path.iterdir()) == []
 
 
-def test_geometric_rejects_coefficients_of_another_system(capsys, tmp_path):
-    g2 = tmp_path / "g2.json"
+def test_geometric_rejects_coefficients_of_another_system(capsys, tmp_path, unshipped):
+    # the G2 fit, under A2's name
+    g2 = tmp_path / "cache" / "A2.json"
     code, _ = run_cli(capsys, "fit", "--type", "G", "--rank", "2", "--out", str(g2))
     assert code == 0
-    code, payload = run_cli(capsys, "count", "--type", "A", "--rank", "2",
-                            "--lambda", "1,1", "--method", "geometric", "--coeffs", str(g2))
-    assert code == 1 and "G2" in payload["error"]["message"]
+    code, payload = run_cli(capsys, "count", "--type", "A", "--rank", "2", "--lambda", "1,1",
+                            "--method", "geometric", "--cache-dir", str(g2.parent))
+    assert code == 1 and payload["error"] == {
+        "type": "invalid-input", "message": "%s holds coefficients for G2, not A2" % g2}
 
 
 def test_geometric_rejects_incomplete_cache(capsys, tmp_path, unshipped, no_fit):
-    # a defective cache file is refused, as a --coeffs file is: neither refitted nor summed
+    # a defective cache file is refused: neither refitted nor summed
     cache = tmp_path / "cache"
     cache.mkdir()
     path = cache / "A2.json"
@@ -449,16 +451,6 @@ def test_geometric_rejects_incomplete_cache(capsys, tmp_path, unshipped, no_fit)
                             "--cache-dir", str(cache))
     assert code == 1 and "subsets" in payload["error"]["message"]
     assert [p.name for p in cache.iterdir()] == ["A2.json"] and path.read_text() == text
-
-
-def test_geometric_rejects_incomplete_coeffs_file(capsys, tmp_path):
-    coeffs = tmp_path / "a2.json"
-    coeffs.write_text(json.dumps(
-        {"schema": 1, "version": __version__, "system": "A2", "mu_prime": {"": "6"}}))
-    code, payload = run_cli(capsys, "count", "--type", "A", "--rank", "2",
-                            "--lambda", "3,3", "--method", "geometric",
-                            "--coeffs", str(coeffs))
-    assert code == 1 and "subsets" in payload["error"]["message"]
 
 
 def _with(**changes):
@@ -487,7 +479,7 @@ def _with(**changes):
 ], ids=["mu-empty", "mu-top", "subset-missing", "version", "system", "truncated", "deep",
         "zero-denominator", "exponent", "key-twice", "schema", "gram", "extra-field",
         "unreduced", "provenance-missing", "large-rank", "mu-codim-1"])
-def test_a_defective_cache_or_coeffs_file_is_refused_and_left_as_it_is(
+def test_a_defective_cache_file_is_refused_and_left_as_it_is(
         capsys, tmp_path, request, unshipped, defect):
     fresh = tmp_path / "fresh.json"
     code, _ = run_cli(capsys, "fit", "--type", "A", "--rank", "2", "--out", str(fresh))
@@ -498,124 +490,186 @@ def test_a_defective_cache_or_coeffs_file_is_refused_and_left_as_it_is(
     cache.mkdir()
     path = cache / "A2.json"
     path.write_text(text)
-    bad = tmp_path / "bad.json"
-    bad.write_text(text)
-    count = ["count", "--type", "A", "--rank", "2", "--lambda", "0,0", "--method", "geometric"]
-    for source in (["--cache-dir", str(cache)], ["--coeffs", str(bad)]):
-        code, payload = run_cli(capsys, *count, *source)
-        assert code == 1 and payload["error"]["type"] == "invalid-input", source
-    assert [p.name for p in cache.iterdir()] == [path.name]
-    assert path.read_text() == text and bad.read_text() == text
+    code, payload = run_cli(capsys, "count", "--type", "A", "--rank", "2", "--lambda", "0,0",
+                            "--method", "geometric", "--cache-dir", str(cache))
+    assert code == 1 and payload["error"]["type"] == "invalid-input"
+    assert [p.name for p in cache.iterdir()] == [path.name] and path.read_text() == text
+
+
+def _cache_file(tmp_path, name, edit):
+    """DIR/<name>.json holding the shipped file of name with edit applied to its mu_prime
+    map: the path, and its text."""
+    obj = json.loads(Path(DATA_DIR, "%s.json" % name).read_text())
+    edit(obj["mu_prime"])
+    path = tmp_path / "cache" / ("%s.json" % name)
+    path.parent.mkdir(exist_ok=True)
+    path.write_text(json.dumps(obj, sort_keys=True))
+    return path, path.read_text()
+
+
+def _plus_one(key):
+    return lambda mu: mu.update({key: str(Fraction(mu[key]) + 1)})
 
 
 @pytest.mark.parametrize("name", ["B3", "E6", "C8"])
-def test_a_shipped_file_with_one_codim_1_entry_moved_exits_1(capsys, tmp_path, name):
-    # mu'_{1..n-1} plus one, the rest of the shipped file as it is
+def test_a_shipped_file_with_mu_empty_or_top_moved_exits_1(capsys, tmp_path, unshipped, name):
+    # from rank 3 up no other pin reads mu'_empty: at rank 2 it is of codimension 2 too
     n = int(name[1:])
-    obj = json.loads(Path(DATA_DIR, "%s.json" % name).read_text())
-    key = ",".join(map(str, range(1, n)))
-    obj["mu_prime"][key] = str(Fraction(obj["mu_prime"][key]) + 1)
-    bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps(obj, sort_keys=True))
+    for key, message in (("", "mu'_empty != |W_f|"),
+                         (",".join(map(str, range(1, n + 1))), "mu'_top != 1/vol(A_id)")):
+        path, _ = _cache_file(tmp_path, name, _plus_one(key))
+        code, payload = run_cli(capsys, "count", "--type", name[0], "--rank", str(n), "--lambda",
+                                ",".join(["1"] * n), "--method", "geometric",
+                                "--cache-dir", str(path.parent))
+        assert code == 1 and payload["error"] == {"type": "invalid-input", "message": message}
+
+
+@pytest.mark.parametrize("name", ["B3", "E6", "C8"])
+def test_a_shipped_file_with_one_codim_1_entry_moved_exits_1(capsys, tmp_path, unshipped, name):
+    # mu'_{1..n-1} plus one, the rest of the shipped file as it is, read from --cache-dir
+    n = int(name[1:])
+    path, _ = _cache_file(tmp_path, name, _plus_one(",".join(map(str, range(1, n)))))
     code, payload = run_cli(capsys, "count", "--type", name[0], "--rank", str(n), "--lambda",
-                            ",".join(["1"] * n), "--method", "geometric", "--coeffs", str(bad))
+                            ",".join(["1"] * n), "--method", "geometric",
+                            "--cache-dir", str(path.parent))
     assert code == 1 and payload["error"] == {
         "type": "invalid-input", "message": "mu'_{I-i} != |W_f|^2 / (2 |W_{I-i}|) at i=%d" % n}
 
 
 @pytest.mark.parametrize("name", ["B3", "E6", "C8"])
-def test_a_shipped_file_with_one_codim_2_entry_moved_exits_1(capsys, tmp_path, name):
+def test_a_shipped_file_with_one_codim_2_entry_moved_exits_1(capsys, tmp_path, unshipped, name):
     # mu'_{I-k-l} plus one for three pairs k < l in turn, the rest of the shipped file as
-    # it is
+    # it is, read from --cache-dir
     n = int(name[1:])
     for k, l in [(1, 2), (1, n), (n - 1, n)]:
-        obj = json.loads(Path(DATA_DIR, "%s.json" % name).read_text())
         key = ",".join(str(j) for j in range(1, n + 1) if j not in (k, l))
-        obj["mu_prime"][key] = str(Fraction(obj["mu_prime"][key]) + 1)
-        bad = tmp_path / "bad.json"
-        bad.write_text(json.dumps(obj, sort_keys=True))
+        path, _ = _cache_file(tmp_path, name, _plus_one(key))
         code, payload = run_cli(capsys, "count", "--type", name[0], "--rank", str(n),
                                 "--lambda", ",".join(["1"] * n), "--method", "geometric",
-                                "--coeffs", str(bad))
+                                "--cache-dir", str(path.parent))
         assert code == 1 and payload["error"] == {
             "type": "invalid-input", "message": "mu'_{I-k-l} != |W_f|^2 (1/4 + (g_kl/g_kk + "
             "g_kl/g_ll)/12) / |W_{I-k-l}| at k=%d l=%d" % (k, l)}, key
 
 
+def _unpinned(n):
+    """The first J of each codimension 3 to n-1 in `subsets` order: each J != () that no
+    closed form pins."""
+    return [tuple(range(1, size + 1)) for size in range(1, n - 2)]
+
+
+@pytest.mark.parametrize("name", ["A4", "B4", "E6"])
+def test_a_cache_file_with_one_unpinned_entry_moved_exits_1(capsys, tmp_path, monkeypatch,
+                                                            unshipped, no_fit, name):
+    # mu'_J plus |J|! Delta_J / |W_J|, which adds R_J(lambda), an integer, to every count:
+    # the pins pass, and only the comparison with Berline-Vergne refuses the file
+    data, n = build_root_system(name), int(name[1:])
+    monkeypatch.chdir(tmp_path)
+    assert len(_unpinned(n)) == n - 3
+    for J in _unpinned(n):
+        order, *_, scale = _pyramid(data, J)
+        key = ",".join(map(str, J))
+        was = Fraction(json.loads(Path(DATA_DIR, "%s.json" % name).read_text())["mu_prime"][key])
+        moved = was + Fraction(math.factorial(len(J)) * scale, order)
+        path, text = _cache_file(tmp_path, name, lambda mu: mu.update({key: str(moved)}))
+        system = ["--type", name[0], "--rank", str(n), "--cache-dir", "cache"]
+        for argv in (["count", "--lambda", ",".join(["1"] * n), "--method", "geometric"],
+                     ["verify", "--max-coord", "0"]):
+            code, payload = run_cli(capsys, *argv, *system)
+            assert code == 1 and payload["error"] == {
+                "type": "invalid-input", "message": "cache/%s.json: mu'_{%s} is %s, not %s by "
+                                                    "Berline-Vergne" % (name, key, moved, was)}
+        assert sorted(tmp_path.rglob("*")) == sorted([tmp_path / "shipped", path.parent, path])
+        assert path.read_text() == text
+
+
+@pytest.mark.parametrize("name", ["A2", "B3", "E6"])
+def test_a_cache_file_equal_to_berline_vergne_prints_what_the_shipped_file_prints(
+        capsys, tmp_path, request, name):
+    # the shipped file is what `fit --out` writes of the Berline-Vergne mu'
+    n = int(name[1:])
+    argv = ["count", "--type", name[0], "--rank", str(n), "--lambda",
+            ",".join(map(str, range(n))), "--method", "geometric"]
+    path, _ = _cache_file(tmp_path, name, lambda mu: None)
+    outputs = []
+    for source in ([], ["--cache-dir", str(path.parent)]):
+        if source:
+            request.getfixturevalue("unshipped")
+        assert main(argv + source) == 0
+        outputs.append(re.sub(r'"elapsed_ms": [0-9]+, ', "", capsys.readouterr().out))
+    assert outputs[0] == outputs[1]
+
+
 def _padded_a2_file(path, size):
     """The shipped A2 file, padded with trailing spaces to size bytes: valid JSON of the
     right coefficients, were it parsed."""
-    import alcoves.cli as climod
-    text = Path(climod.DATA_DIR, "A2.json").read_bytes()
+    text = Path(DATA_DIR, "A2.json").read_bytes()
     path.write_bytes(text + b" " * (size - len(text)))
 
 
-@pytest.mark.parametrize("case", ["coeffs-missing", "coeffs-no-system", "coeffs-list",
-                                  "cache-dir-is-file", "out-is-directory", "coeffs-over-budget",
-                                  "coeffs-dev-zero", "coeffs-directory", "coeffs-invalid-utf8"])
-def test_file_errors_exit_1_with_json(capsys, tmp_path, request, case):
+@pytest.mark.parametrize("case", ["cache-no-system", "cache-list", "cache-dir-is-file",
+                                  "out-is-directory", "cache-over-budget", "cache-dev-zero",
+                                  "cache-directory", "cache-invalid-utf8"])
+def test_file_errors_exit_1_with_json(capsys, tmp_path, unshipped, case):
     from alcoves.coefficients import MAX_FILE_BYTES
     count = ["count", "--type", "A", "--rank", "2", "--lambda", "1,1",
              "--method", "geometric", "--cache-dir", str(tmp_path / "cache")]
-    bad = tmp_path / "bad.json"
-    kind = "invalid-input"
-    if case == "coeffs-missing":
-        argv = count + ["--coeffs", str(bad)]
-        kind = "io"
-    elif case == "coeffs-no-system":
+    bad = tmp_path / "cache" / "A2.json"
+    bad.parent.mkdir()
+    argv, kind = count, "invalid-input"
+    if case == "cache-no-system":
         bad.write_text(json.dumps({"schema": 1, "version": __version__,
                                    "mu_prime": A2_MU_PRIME}))
-        argv = count + ["--coeffs", str(bad)]
-    elif case == "coeffs-list":
+    elif case == "cache-list":
         bad.write_text("[1]")
-        argv = count + ["--coeffs", str(bad)]
     elif case == "cache-dir-is-file":
-        request.getfixturevalue("unshipped")
-        bad.write_text("{}")
-        argv = count[:-1] + [str(bad)]
-        kind = "io"
+        argv, kind = count[:-1] + [str(tmp_path / "bad.json")], "io"
+        Path(argv[-1]).write_text("{}")
     elif case == "out-is-directory":
         (tmp_path / "out").mkdir()
         argv = ["fit", "--type", "A", "--rank", "2", "--out", str(tmp_path / "out"), "--force"]
         kind = "usage"
-    elif case == "coeffs-over-budget":  # refused unparsed: parsed, it would be summed
+    elif case == "cache-over-budget":  # refused unparsed: parsed, it would be summed
         _padded_a2_file(bad, MAX_FILE_BYTES + 1)
-        argv = count + ["--coeffs", str(bad)]
-    elif case == "coeffs-dev-zero":  # endless: read whole, it fills the memory
-        argv = count + ["--coeffs", "/dev/zero"]
-    elif case == "coeffs-directory":
-        argv = count + ["--coeffs", str(tmp_path)]
+    elif case == "cache-dev-zero":  # endless: read whole, it fills the memory
+        bad.symlink_to("/dev/zero")
+    elif case == "cache-directory":
+        bad.mkdir()
         kind = "io"
     else:
         bad.write_bytes(b'{"system": "A2\xff"}')
-        argv = count + ["--coeffs", str(bad)]
     code = main(argv)
     out, err = capsys.readouterr()
     assert code == 1 and err == "" and out.count("\n") == 1
     error = json.loads(out)["error"]
     assert error["type"] == kind and error["message"]
-    if case in ("coeffs-over-budget", "coeffs-dev-zero"):
+    if case in ("cache-over-budget", "cache-dev-zero"):
         assert error["message"].endswith("exceeds %d bytes, the most a coefficient file may have"
                                          % MAX_FILE_BYTES)
     assert not list(tmp_path.rglob("*.tmp"))
 
 
-def _count_a2_from(coeffs):
-    """A subprocess: count --method geometric on A2 (1, 1), its coefficients from coeffs."""
+def _count_a2_from(cache):
+    """A subprocess: count --method geometric on A2 (1, 1), its coefficients from
+    cache/A2.json, with an empty directory in place of the shipped files."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    empty = cache.parent / "shipped"
+    empty.mkdir()
+    code = "import alcoves.cli as cli\ncli.DATA_DIR = %r\ncli.run()" % str(empty)
     return subprocess.Popen(
-        [sys.executable, "-m", "alcoves.cli", "count", "--type", "A", "--rank", "2", "--lambda",
-         "1,1", "--method", "geometric", "--coeffs", str(coeffs)], stdout=subprocess.PIPE,
+        [sys.executable, "-c", code, "count", "--type", "A", "--rank", "2", "--lambda", "1,1",
+         "--method", "geometric", "--cache-dir", str(cache)], stdout=subprocess.PIPE,
         stderr=subprocess.PIPE, text=True, env=dict(os.environ, PYTHONPATH=path))
 
 
-def test_a_coeffs_fifo_that_no_process_writes_exits_1_at_once(tmp_path):
+def test_a_cache_fifo_that_no_process_writes_exits_1_at_once(tmp_path):
     # open() of a FIFO waits for a writer: the count, run alone, would never end.  Opened
     # without blocking, the FIFO reads as empty input
-    fifo = tmp_path / "coeffs"
+    fifo = tmp_path / "cache" / "A2.json"
+    fifo.parent.mkdir()
     os.mkfifo(fifo)
-    proc = _count_a2_from(fifo)
+    proc = _count_a2_from(fifo.parent)
     try:
         out, err = proc.communicate(timeout=20)
     finally:
@@ -625,13 +679,14 @@ def test_a_coeffs_fifo_that_no_process_writes_exits_1_at_once(tmp_path):
     assert json.loads(out)["error"]["type"] == "invalid-input"
 
 
-def test_a_coeffs_pipe_whose_writer_is_slow_is_read_whole(tmp_path):
+def test_a_cache_pipe_whose_writer_is_slow_is_read_whole(tmp_path):
     # once open, the file is read blocking: data that comes after the read began is waited
     # for, as from a shell's <(...) whose writer is slow
-    fifo = tmp_path / "coeffs"
+    fifo = tmp_path / "cache" / "A2.json"
+    fifo.parent.mkdir()
     os.mkfifo(fifo)
     fd = os.open(fifo, os.O_RDWR)  # a writer before the count opens it, so it waits for data
-    proc = _count_a2_from(fifo)
+    proc = _count_a2_from(fifo.parent)
     try:
         time.sleep(0.5)  # by then the count, started idle, waits in its read
         os.write(fd, Path(DATA_DIR, "A2.json").read_bytes())
@@ -648,18 +703,26 @@ def test_a_coeffs_pipe_whose_writer_is_slow_is_read_whole(tmp_path):
     assert proc.returncode == 0 and err == "" and json.loads(out)["count"] == 42
 
 
-def test_a_coeffs_file_of_the_byte_budget_is_read(capsys, tmp_path):
+def test_a_cache_file_of_the_byte_budget_is_read(capsys, tmp_path, unshipped):
     from alcoves.coefficients import MAX_FILE_BYTES
-    coeffs = tmp_path / "a2.json"
+    coeffs = tmp_path / "cache" / "A2.json"
+    coeffs.parent.mkdir()
     _padded_a2_file(coeffs, MAX_FILE_BYTES)
     code, payload = run_cli(capsys, "count", "--type", "A", "--rank", "2", "--lambda", "1,1",
-                            "--method", "geometric", "--coeffs", str(coeffs))
+                            "--method", "geometric", "--cache-dir", str(coeffs.parent))
     assert code == 0 and payload["count"] == 42
 
 
 @pytest.mark.parametrize("name", SHIPPED)
-def test_a_geometric_count_on_a_shipped_system_neither_fits_nor_writes(capsys, tmp_path, no_fit,
-                                                                       name):
+def test_a_geometric_count_on_a_shipped_system_neither_fits_nor_writes(capsys, tmp_path,
+                                                                       monkeypatch, no_fit, name):
+    # nor does it derive mu' by Berline-Vergne: the tests do that for each shipped file
+    import alcoves.coefficients as coefmod
+
+    def never(*args, **kwargs):
+        raise AssertionError("_berline_vergne called on a shipped system")
+
+    monkeypatch.setattr(coefmod, "_berline_vergne", never)
     data = build_root_system(name)
     lam = tuple(2 if i == 0 else i % 2 for i in range(data.rank))
     cache = tmp_path / "cache"
@@ -735,15 +798,12 @@ def test_an_unshipped_system_is_refused_at_once_and_nothing_written(capsys, tmp_
     monkeypatch.setenv("ALCOVES_CACHE_DIR", str(tmp_path / "env-cache"))
     monkeypatch.chdir(tmp_path / "cwd")
     before = sorted(tmp_path.rglob("*"))
-    fit = "write one with `alcoves fit --type A --rank 2 --out %s` and pass %s"
-    for argv, tail in ((["count", "--lambda", "2,1", "--method", "geometric"],
-                        fit % ("FILE", "--coeffs FILE")),
-                       (["verify"], fit % ("DIR/A2.json", "--cache-dir DIR"))):
+    for argv in (["count", "--lambda", "2,1", "--method", "geometric"], ["verify"]):
         start = time.perf_counter()
         code, payload = run_cli(capsys, *argv, "--type", "A", "--rank", "2")
         assert time.perf_counter() - start < 1
         assert code == 1 and payload["error"] == {
-            "type": "usage", "message": "A2 ships no coefficient file: " + tail}
+            "type": "usage", "message": UNSHIPPED % ("A2", "A", 2, "A2")}
     assert sorted(tmp_path.rglob("*")) == before
 
 
@@ -814,7 +874,7 @@ def test_volumes_refuses_a_full_J_above_ten_indices_before_building(capsys, monk
     assert payload["error"]["message"].startswith("J has %d indices, exceeding cap 10" % rank)
 
 
-def test_geometric_count_with_a_coeffs_file_refuses_on_subsets_first(capsys, tmp_path,
+def test_geometric_count_with_a_cache_file_refuses_on_subsets_first(capsys, tmp_path,
                                                                     monkeypatch):
     # the file is neither read nor checked: A13's 8192 subsets refuse before the build
     import alcoves.cli as climod
@@ -824,10 +884,10 @@ def test_geometric_count_with_a_coeffs_file_refuses_on_subsets_first(capsys, tmp
 
     monkeypatch.setattr(climod, "build_root_system", never)
     monkeypatch.setattr(climod, "_read_coefficients", never)
-    coeffs = tmp_path / "a13.json"
-    coeffs.write_text('{"system": "A13", "mu_prime": {"": "1"}}')
+    (tmp_path / "A13.json").write_text('{"system": "A13", "mu_prime": {"": "1"}}')
     code, payload = run_cli(capsys, "count", "--type", "A", "--rank", "13", "--lambda",
-                            ",".join(["1"] * 13), "--method", "geometric", "--coeffs", str(coeffs))
+                            ",".join(["1"] * 13), "--method", "geometric",
+                            "--cache-dir", str(tmp_path))
     assert code == 2 and payload["error"] == {
         "type": "budget", "message": "the pyramid table of A13 over 13 indices needs 8192 "
                                      "subsets, exceeding cap 4096"}
@@ -863,8 +923,9 @@ class _FirstRow(Exception):
 @pytest.mark.parametrize("max_coord", [999, 1000, 4000])
 def test_verify_run_budget_is_exact_and_refuses_before_the_lookup(capsys, monkeypatch,
                                                                   max_coord):
-    # A1 at --max-coord m makes m+1 rows, the last of 2m+2 elements: 2 (m+1)^2 is 2 000 000,
-    # the budget, at m = 999, which reaches the first row, and m = 1000 refuses at once
+    # A1 at --max-coord m makes m+1 rows, the last of 2m+2 elements, m+1 coset points of
+    # |W_f| = 2: (m+1)^2 is 1 000 000, the budget, at m = 999, which reaches the first row,
+    # and m = 1000 refuses at once
     import alcoves.affine as affinemod
     import alcoves.cli as climod
     from alcoves.cli import VERIFY_BUDGET
@@ -877,7 +938,7 @@ def test_verify_run_budget_is_exact_and_refuses_before_the_lookup(capsys, monkey
 
     monkeypatch.setattr(affinemod, "interval_size_bruhat", first_row)
     argv = ["verify", "--type", "A", "--rank", "1", "--max-coord", str(max_coord)]
-    assert VERIFY_BUDGET == 2 * 1000 ** 2
+    assert VERIFY_BUDGET == 1000 ** 2
     if max_coord == 999:
         with pytest.raises(_FirstRow):
             main(argv)
@@ -887,9 +948,19 @@ def test_verify_run_budget_is_exact_and_refuses_before_the_lookup(capsys, monkey
     code, payload = run_cli(capsys, *argv)
     assert time.perf_counter() - start < 1
     assert code == 2 and payload["error"] == {
-        "type": "budget", "message": "verify of %d rows, the last of %d elements, needs %d, "
-                                     "exceeding 2000000" % (max_coord + 1, 2 * max_coord + 2,
-                                                            2 * (max_coord + 1) ** 2)}
+        "type": "budget", "message": "verify of %d rows, the last of %d coset points, needs %d, "
+                                     "exceeding 1000000" % (max_coord + 1, max_coord + 1,
+                                                            (max_coord + 1) ** 2)}
+
+
+@pytest.mark.parametrize("name,max_coord", [("B4", 1), ("A4", 2), ("B3", 3)])
+def test_verify_budget_admits_what_costs_few_coset_points(capsys, name, max_coord):
+    # refused when the budget counted elements: B4 at 1 has 16 rows, the last of 869 760
+    # elements but 2265 coset points
+    n = int(name[1:])
+    code, payload = run_cli(capsys, "verify", "--type", name[0], "--rank", str(n),
+                            "--max-coord", str(max_coord))
+    assert code == 0 and payload["ok"] and len(payload["rows"]) == (max_coord + 1) ** n
 
 
 def test_verify_interval_cap_is_exact(capsys, tmp_path):
@@ -924,6 +995,7 @@ def test_the_count_path_builds_no_ambient_view(capsys, tmp_path, monkeypatch):
     # count by each method, fit, a count from a coefficient file and verify, on fresh
     # root data
     from functools import lru_cache
+    import alcoves.cli as climod
     from alcoves import rootdata
     real = rootdata.RootSystemData._build_ambient
     built = []
@@ -939,9 +1011,11 @@ def test_the_count_path_builds_no_ambient_view(capsys, tmp_path, monkeypatch):
     for method in ["bruhat", "lattice", "geometric", "geometric"]:  # the shipped file, twice
         code, payload = run_cli(capsys, *count, method)
         assert code == 0 and payload["count"] == 6720, method
-    out = tmp_path / "b3.json"
+    # and from a --cache-dir file, checked against Berline-Vergne, with no file shipped
+    out = tmp_path / "cache" / "B3.json"
     assert run_cli(capsys, "fit", "--type", "B", "--rank", "3", "--out", str(out))[0] == 0
-    code, payload = run_cli(capsys, *count, "geometric", "--coeffs", str(out))
+    monkeypatch.setattr(climod, "DATA_DIR", str(tmp_path))
+    code, payload = run_cli(capsys, *count, "geometric")
     assert code == 0 and payload["count"] == 6720
     assert built == []
     # verify tests coroot-lattice membership by the integer dual matrix, not the view
@@ -962,7 +1036,7 @@ def test_no_new_options():
     system = ["--rank", "--type", "-h", "--help"]
     caps = ["--box-cap", "--cache-dir", "--interval-cap"]
     assert options == {
-        "count": sorted(system + caps + ["--lambda", "--method", "--coeffs"]),
+        "count": sorted(system + caps + ["--lambda", "--method"]),
         "fit": sorted(system + ["--box-cap", "--out", "--force"]),
         "verify": sorted(system + caps + ["--max-coord"]),
         "ehrhart": sorted(["-h", "--help", "--k", "--d"]),
@@ -975,7 +1049,7 @@ def test_no_new_options():
 REMOVED_FLAGS = [(command, flag) for command in ("rootdata", "volumes", "faces")
                  for flag in ("--interval-cap", "--box-cap", "--subset-cap", "--cache-dir")]
 REMOVED_FLAGS += [("fit", "--interval-cap"), ("fit", "--subset-cap"), ("fit", "--cache-dir"),
-                  ("count", "--subset-cap"), ("verify", "--subset-cap")]
+                  ("count", "--subset-cap"), ("verify", "--subset-cap"), ("count", "--coeffs")]
 
 
 @pytest.mark.parametrize("command,flag", REMOVED_FLAGS, ids=["%s%s" % c for c in REMOVED_FLAGS])
@@ -1032,7 +1106,7 @@ def test_verify_counts_each_row_once_by_the_lattice(capsys, tmp_path, monkeypatc
 # a valid value of each option, and another for a repeat
 VALUES = {"--type": ("A", "B"), "--rank": ("2", "3"), "--lambda": ("1,1", "2,0"),
           "--method": ("lattice", "bruhat"), "--interval-cap": ("100", "7"),
-          "--box-cap": ("100", "7"), "--cache-dir": ("c", "d"), "--coeffs": ("f.json", "g"),
+          "--box-cap": ("100", "7"), "--cache-dir": ("c", "d"),
           "--out": ("o.json", "p"), "--max-coord": ("1", "0"), "--k": ("1", "2"),
           "--d": ("3", "4"), "--J": ("1", "empty")}
 BAD_VALUES = ["x", "0", "-1", "", "-1,1", "-x", "1_0", " 1", "١", "1.0", "--", "-1 1"]

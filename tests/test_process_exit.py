@@ -127,16 +127,18 @@ def test_a_bug_keeps_its_traceback():
 def test_main_leaves_nothing_for_teardown(tmp_path):
     # os._exit runs no atexit handler, waits for no thread and closes no file for Python,
     # so main must leave none of them behind.  Under -S, so that site hooks add none
-    out = str(tmp_path / "a2.json")
+    # the last two read the fit's file from --cache-dir, with no file shipped
+    cache = str(tmp_path / "cache")
     runs = [COUNT + [method] for method in ("bruhat", "lattice", "geometric")] + [
-        ["fit", "--type", "A", "--rank", "2", "--out", out],
+        ["fit", "--type", "A", "--rank", "2", "--out", str(tmp_path / "cache" / "A2.json")],
         ["count", "--type", "A", "--rank", "2", "--lambda", "1,1", "--method", "geometric",
-         "--coeffs", out],
-        ["verify", "--type", "A", "--rank", "2", "--max-coord", "1"]]
-    code = ("import atexit, os, sys, threading\nfrom alcoves.cli import main\n"
-            "fds = os.listdir('/proc/self/fd')\ncodes = [main(argv) for argv in %r]\n"
+         "--cache-dir", cache],
+        ["verify", "--type", "A", "--rank", "2", "--max-coord", "1", "--cache-dir", cache]]
+    code = ("import atexit, os, sys, threading\nimport alcoves.cli as cli\n"
+            "fds = os.listdir('/proc/self/fd')\ncodes = [cli.main(argv) for argv in %r]\n"
+            "cli.DATA_DIR = %r\ncodes += [cli.main(argv) for argv in %r]\n"
             "print(codes, atexit._ncallbacks(), threading.active_count(),\n"
-            "      os.listdir('/proc/self/fd') == fds)" % runs)
+            "      os.listdir('/proc/self/fd') == fds)" % (runs[:4], str(tmp_path), runs[4:]))
     proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
                           env=_env(), timeout=300)
     assert proc.stdout.splitlines()[-1] == "[0, 0, 0, 0, 0, 0] 0 1 True", proc.stderr

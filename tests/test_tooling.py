@@ -2,10 +2,9 @@
 library name it uses is gone, or when a query process imports more than it needs."""
 
 import ast
-import contextlib
 import fnmatch
+import functools
 import importlib.util
-import io
 import json
 import os
 import re
@@ -60,13 +59,30 @@ def _modules_imported(*argv):
 
 COUNT = ["-m", "alcoves.cli", "count", "--type", "B", "--rank", "3", "--lambda", "1,0,2",
          "--method"]
-# a count from a coefficient file, which the test first writes by an A2 fit
-GEOMETRIC = ["-m", "alcoves.cli", "count", "--type", "A", "--rank", "2", "--lambda", "1,1",
-             "--method", "geometric", "--coeffs"]
+# a count from A9.json under --cache-dir, as A9 ships no file: the test first writes it
+# from the Berline-Vergne mu', which the count derives again to check the file
+GEOMETRIC = ["-m", "alcoves.cli", "count", "--type", "A", "--rank", "9", "--lambda",
+             "1,0,0,1,0,0,0,0,1", "--method", "geometric", "--cache-dir"]
 # a count from the file the package ships for B3, with an empty cache directory
 SHIPPED = COUNT + ["geometric", "--cache-dir"]
 # the command the benchmark's set-up runs once per system
 ROOTDATA = ["-m", "alcoves.cli", "rootdata", "--type", "B", "--rank", "3"]
+
+
+@functools.cache
+def _a9_text() -> str:
+    """What `fit --out` would write for A9, from the Berline-Vergne mu' alone."""
+    from alcoves import GeometricCoefficients, build_root_system
+    from alcoves.coefficients import _berline_vergne
+    data = build_root_system("A9")
+    coeffs = GeometricCoefficients(data.id, _berline_vergne(data, (1,) * 9))
+    return json.dumps(coeffs.to_json(), sort_keys=True) + "\n"
+
+
+def _a9_cache(folder: Path) -> Path:
+    folder.mkdir()
+    (folder / "A9.json").write_text(_a9_text())
+    return folder
 
 
 @pytest.mark.parametrize("argv", [["-c", "import alcoves.cli"],
@@ -77,12 +93,10 @@ def test_a_query_process_imports_no_heavy_stdlib_module(argv, tmp_path):
     method = argv[argv.index("--method") + 1] if "--method" in argv else None
     routes = {"lattice": {"alcoves.orbits"}, "bruhat": {"alcoves.affine"},
               "geometric": {"alcoves.volumes", "alcoves.coefficients"}}.get(method, set())
+    # `rootdata` prints rationals, and Berline-Vergne checks a --cache-dir file in them
+    not_run = NOT_RUN - (RATIONALS if argv is ROOTDATA or argv is GEOMETRIC else set())
     if argv is GEOMETRIC:
-        from alcoves.cli import main
-        coeffs = tmp_path / "a2.json"
-        with contextlib.redirect_stdout(io.StringIO()):
-            assert main(["fit", "--type", "A", "--rank", "2", "--out", str(coeffs)]) == 0
-        argv = argv + [str(coeffs)]
+        argv = argv + [str(_a9_cache(tmp_path / "a9"))]
     elif argv is SHIPPED:
         argv = argv + [str(tmp_path / "cache")]
     # against a bare interpreter, so a module that site hooks load counts for neither
@@ -90,9 +104,12 @@ def test_a_query_process_imports_no_heavy_stdlib_module(argv, tmp_path):
     imported = _modules_imported(*argv)
     assert {"alcoves.rootdata", "json"} <= imported - baseline
     assert (imported - baseline) & HEAVY_MODULES == set()
-    assert (imported - baseline) & (NOT_RUN - (RATIONALS if argv is ROOTDATA else set())) == set()
+    assert (imported - baseline) & not_run == set()
     assert imported & ROUTES == routes
     assert not (tmp_path / "cache").exists()
+    a9 = tmp_path / "a9"
+    if a9.exists():  # the count read its file and left it as it was
+        assert list(a9.iterdir()) == [a9 / "A9.json"] and (a9 / "A9.json").read_text() == _a9_text()
 
 
 # the package modules that each count method loads, beside alcoves.cli, which runs as
@@ -110,13 +127,13 @@ def test_each_count_method_loads_its_route_and_no_rationals(method):
     assert imported & {"fractions", "alcoves.mpoly"} == set()
 
 
-# what each interpreter runs: every count route, a shipped file read from the package and
-# through --coeffs, and verify's cross-check of all three
+# what each interpreter runs: every count route, a shipped file read from the package, an
+# A9 file read from --cache-dir and checked by Berline-Vergne, and verify's cross-check of
+# all three
 ACROSS_VERSIONS = [COUNT[:-2] + ["1,1,1", "--method", method, "--cache-dir"]
                    for method in ("bruhat", "lattice", "geometric")]
-ACROSS_VERSIONS += [COUNT[:-2] + ["1,1,1", "--method", "geometric", "--coeffs"],
-                    ["-m", "alcoves.cli", "verify", "--type", "A", "--rank", "2",
-                     "--max-coord", "1", "--cache-dir"]]
+ACROSS_VERSIONS += [GEOMETRIC, ["-m", "alcoves.cli", "verify", "--type", "A", "--rank", "2",
+                                "--max-coord", "1", "--cache-dir"]]
 # and the usage errors, which the CLI's own argv reader words the same on each
 USAGE_ERRORS = [COUNT[:-2] + ["1,1,1", "--method", "lattice", "--bogus", "1", "--cache-dir"],
                 COUNT[:-3] + ["--cache-dir"],  # --lambda and --method left out
@@ -159,11 +176,11 @@ def test_the_cli_prints_the_same_on_each_declared_python(python, tmp_path):
     exe = _interpreter(python)
     if exe is None:
         pytest.skip("no %s runs -c pass" % python)
-    from alcoves.cli import DATA_DIR
     path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    cache, a9 = tmp_path / "cache", _a9_cache(tmp_path / "a9")
+    cache.mkdir()
     for argv in ACROSS_VERSIONS:
-        last = {"--coeffs": [str(Path(DATA_DIR, "B3.json"))],
-                "--cache-dir": [str(tmp_path)]}.get(argv[-1], [])
+        last = [str(a9 if argv is GEOMETRIC else cache)] if argv[-1] == "--cache-dir" else []
         outputs = []
         for run in (sys.executable, exe):
             proc = subprocess.run([run, "-S", *argv, *last], capture_output=True, text=True,
@@ -172,7 +189,8 @@ def test_the_cli_prints_the_same_on_each_declared_python(python, tmp_path):
             assert proc.returncode == code, (run, argv, proc.stdout + proc.stderr)
             outputs.append(re.sub(r'"elapsed_ms": [0-9]+, ', "", proc.stdout))
         assert outputs[0] == outputs[1], argv
-    assert list(tmp_path.iterdir()) == []  # every count read a shipped file
+    assert list(cache.iterdir()) == []  # every other count read a shipped file
+    assert list(a9.iterdir()) == [a9 / "A9.json"] and (a9 / "A9.json").read_text() == _a9_text()
 
 
 def test_every_shipped_file_is_declared_package_data():
@@ -299,3 +317,29 @@ def test_only_fit_fits_or_writes_coefficients():
             found |= {(name, getattr(stmt, "name", None)) for name in names
                       if name in ("fit_mu", "_write_coefficients")}
     assert found == {("fit_mu", "cmd_fit"), ("_write_coefficients", "cmd_fit")}
+
+
+# the flags README.md may name that no command's table lists: the reader's own and pip's
+README_OTHER_FLAGS = {"--help", "--version", "--no-build-isolation"}
+
+
+def test_the_readme_names_only_flags_the_cli_reads():
+    # a README that still teaches a removed option fails here
+    from alcoves.cli import _COMMANDS
+    flags = {option[0] for _, _, options in _COMMANDS.values() for option in options}
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    named = set(re.findall(r"(?<![\w-])--[A-Za-z][\w-]*", text))
+    assert "--type" in named and sorted(named - flags - README_OTHER_FLAGS) == []
+
+
+def test_each_mutant_changes_one_place_in_the_library():
+    # tests/mutants.py lists one-line faults by their text; a refactor that moves or
+    # rewords a line fails here instead of leaving a mutant that applies nowhere
+    from mutants import MUTANTS
+    sources = {path: path.read_text(encoding="utf-8")
+               for path in sorted((ROOT / "src" / "alcoves").glob("*.py"))}
+    assert len({name for name, *_ in MUTANTS}) == len(MUTANTS)
+    for name, file, old, new in MUTANTS:
+        assert "\n" not in old + new and old != new, name
+        assert [path for path, text in sources.items()
+                for _ in range(text.count(old))] == [ROOT / file], name
