@@ -1,13 +1,12 @@
 """Command-line interface: the `alcoves` command.  `_ABOUT`, which top-level -h
 prints, gives its output format and exit codes.
 
-`count --method geometric` and `verify` read the coefficients mu'_J from the first
-file that exists of `<system>.json` in `alcoves/data`, shipped for each of the 31
-systems that `fit` admits at the default `--box-cap`, and `<system>.json` under
-`--cache-dir`, which must hold the mu' that `_berline_vergne` derives.  Each file is
-read only as `fit --out` writes it: `from_json` checks every field, and a file that
-fails exits 1.  With no file, `count` exits 1 at once and `verify` before its first
-row.  Only `fit` fits and writes.  A FIFO that no process writes reads as empty.
+`count --method geometric` and `verify` read the coefficients mu'_J from one place,
+`<system>.json` in `alcoves/data`, shipped for each of the 33 systems whose fit `fit`
+has proved on T_n.  Each file is read only as `fit --out` writes it: `from_json`
+checks every field, and a file that fails exits 1.  A system without a file exits 1
+at once in `count` and before its first row in `verify`.  Only `fit` fits and writes.
+`--cache-dir` is accepted and never read.
 
 A process loads only what its command runs.  The argv reader is one pass over
 the table `_COMMANDS`, which gives argparse's namespaces and messages without
@@ -151,27 +150,6 @@ def _parse_J(text: str, rank: int) -> tuple[int, ...]:
     return _validated(simple_subset, rank, J)
 
 
-def _read_coefficients(path: Path, data) -> GeometricCoefficients:
-    """The coefficients in a file as `fit --out` writes it for data's system, else ValueError."""
-    from .coefficients import MAX_FILE_BYTES, GeometricCoefficients
-    # opened without blocking, so a FIFO that no process writes reads as empty, not
-    # forever; then read blocking, so a pipe whose writer is slow is read whole
-    with open(path, "rb", opener=lambda name, flags: os.open(name, flags | os.O_NONBLOCK)) as fh:
-        os.set_blocking(fh.fileno(), True)
-        raw = fh.read(MAX_FILE_BYTES + 1)
-    if len(raw) > MAX_FILE_BYTES:
-        raise ValueError("%s exceeds %d bytes, the most a coefficient file may have"
-                         % (path, MAX_FILE_BYTES))
-    try:
-        obj = json.loads(raw.decode("utf-8"))
-    except RecursionError:
-        raise ValueError("%s is nested too deeply to be a coefficient file" % path) from None
-    coeffs = GeometricCoefficients.from_json(obj)
-    if coeffs.system != data.id:
-        raise ValueError("%s holds coefficients for %s, not %s" % (path, coeffs.system, data.id))
-    return coeffs
-
-
 def _write_coefficients(path: Path, coeffs: GeometricCoefficients) -> dict:
     """Write coeffs to path atomically: a temp file beside it, then os.replace."""
     payload = coeffs.to_json()
@@ -187,25 +165,22 @@ def _write_coefficients(path: Path, coeffs: GeometricCoefficients) -> dict:
     return payload
 
 
-def _coefficients(ns, data) -> GeometricCoefficients:
-    """The coefficients in the shipped <system>.json, else in <system>.json under
-    --cache-dir, which must equal `_berline_vergne`'s.  A file that fails a check raises
-    ValueError; with no file, UsageError names the `fit --out` that writes one."""
-    name = "%s.json" % data.id
-    for folder in filter(None, (DATA_DIR, ns.cache_dir)):
-        with contextlib.suppress(FileNotFoundError):
-            coeffs = _read_coefficients(Path(folder, name), data)
-            if folder != DATA_DIR:  # after the cheap checks: the first J that differs, if any
-                from .coefficients import _berline_vergne
-                mu = _berline_vergne(data, (1,) * data.rank)
-                for J in sorted(mu, key=lambda J: (len(J), J)):  # in `subsets` order
-                    if coeffs.mu_prime[J] != mu[J]:
-                        raise ValueError("%s: mu'_{%s} is %s, not %s by Berline-Vergne" % (
-                            Path(folder, name), ",".join(map(str, J)), coeffs.mu_prime[J], mu[J]))
-            return coeffs
-    raise UsageError("%s ships no coefficient file: write one with `alcoves fit --type %s "
-                     "--rank %d --out DIR/%s` and pass --cache-dir DIR"
-                     % (data.id, data.id.family, data.id.rank, name))
+def _coefficients(data) -> GeometricCoefficients:
+    """The coefficients in the shipped <system>.json.  A file that fails a check raises
+    ValueError; with no file, UsageError names `fit` and the lattice count."""
+    from .coefficients import GeometricCoefficients
+    path = os.path.join(DATA_DIR, "%s.json" % data.id)
+    try:
+        with open(path, encoding="utf-8") as fh:
+            obj = json.load(fh)
+    except FileNotFoundError:
+        raise UsageError("%s ships no coefficient file: `alcoves fit --type %s --rank %d --out "
+                         "FILE` proves a fit, and --method lattice counts without one"
+                         % (data.id, data.id.family, data.id.rank)) from None
+    coeffs = GeometricCoefficients.from_json(obj)
+    if coeffs.system != data.id:
+        raise ValueError("%s holds coefficients for %s, not %s" % (path, coeffs.system, data.id))
+    return coeffs
 
 
 def cmd_count(ns) -> int:
@@ -226,7 +201,7 @@ def cmd_count(ns) -> int:
         check_subset_cap(ns.system, ns.rank)  # before the build and any file read
 
         def route(data):
-            return evaluate_formula(data, _coefficients(ns, data), lam)
+            return evaluate_formula(data, _coefficients(data), lam)
     data = build_root_system(ns.system)
     start = time.perf_counter()  # after the imports, so that it times the count alone
     count = route(data)
@@ -275,7 +250,7 @@ def cmd_verify(ns) -> int:
     if runs * points > VERIFY_BUDGET:
         raise BudgetExceededError("verify of %d rows, the last of %d coset points, needs %d, "
                                   "exceeding %d" % (runs, points, runs * points, VERIFY_BUDGET))
-    coeffs = _coefficients(ns, data)
+    coeffs = _coefficients(data)
     rows = []
     lattice = {top: size}  # each row counted once, the last row by the cap check
     mismatches = {}  # the lambdas of failed checks, each once, in order
@@ -372,8 +347,10 @@ _SYSTEM = (("--type", "family", str, _REQUIRED), ("--rank", "rank", integer, _RE
 _LAMBDA = (("--lambda", "lam", str, _REQUIRED),)
 _J = (("--J", "J", str, _REQUIRED),)
 _BOX_CAP = (("--box-cap", "box_cap", budget, DEFAULT_BOX_CAP),)
+# count and verify; fit reads --box-cap.  --cache-dir is accepted and never read: it stays
+# only because benchmarks/run.py passes it on every geometric query
 _CAPS = ((("--interval-cap", "interval_cap", budget, DEFAULT_INTERVAL_CAP),) + _BOX_CAP
-         + (("--cache-dir", "cache_dir", str, None),))  # count and verify; fit reads --box-cap
+         + (("--cache-dir", "cache_dir", str, None),))
 
 # each command's function, help and options in the order their usage lists them.  An
 # option is (flag, dest, type, default): type str, integer or budget reads one value, a

@@ -13,13 +13,12 @@ T_n, checked as it is counted, proves each fit (`fit_mu`).  So provenance is a
 function of J: `closed-form` on the empty set and 1..n, `fitted` (derived by the fit)
 elsewhere.  GeometricCoefficients is the one validator: no map that fails the pins is
 ever held, and `from_json` reads an object only if `to_json` writes it back field for
-field.  The fits of the 31 systems that the default box cap admits ship in
-`alcoves/data`, as `fit --out` writes them; the CLI reads those, or a `--cache-dir` file
-equal to the recursion's, and the tests re-derive each shipped one: by `fit` up to rank
-6, by a solve from lattice counts at ranks 7 and 8, by the recursion all.  Hypersimplex
-Ehrhart polynomials (by Katzman's inclusion-exclusion, *The Hilbert series of algebras
-of the Veronese type*, 2005) give the type-A identity |<= theta(m w_k^v)| = (n+1)!
-E_{k,n+1}(m) that `verify` checks.
+field.  The proved fits of 33 systems, every one up to rank 8, ship in `alcoves/data`, as
+`fit --out` writes them; the CLI reads those alone, and the tests re-derive each: by
+`fit` up to rank 6, by a solve from lattice counts at ranks 7 and 8 but D8 and E8, by
+the recursion all.  Hypersimplex Ehrhart polynomials (by Katzman's inclusion-exclusion,
+*The Hilbert series of algebras of the Veronese type*, 2005) give the type-A identity
+|<= theta(m w_k^v)| = (n+1)! E_{k,n+1}(m) that `verify` checks.
 
 Each mu'_J is held as a reduced pair (p, q) of integers, and the formula is summed
 over one common denominator, so a count imports neither `fractions` nor `mpoly`
@@ -46,10 +45,6 @@ from .volumes import MAX_SUBSETS, _gram, _pyramid, _scaled_volumes, check_subset
 _RATIONAL = re.compile(r"-?[0-9]+(/0*[1-9][0-9]*)?")
 # a value from_json read, in lowest terms, held as the constructor reads a Fraction
 _Ratio = namedtuple("_Ratio", "numerator denominator")
-# the most bytes the CLI reads of a coefficient file.  B8, the largest shipped file, has
-# 16 122 bytes for 256 subsets, about 63 a subset: 1 KiB a subset at the cap of 2^12
-# subsets, 4 MiB, leaves a wide margin, and a larger file (/dev/zero) is refused unparsed
-MAX_FILE_BYTES = 1024 * MAX_SUBSETS
 
 
 def _ratio_text(p: int, q: int) -> str:

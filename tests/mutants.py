@@ -39,13 +39,10 @@ MUTANTS = [
      "if False and (12 * p * weyl_order(data, J) * kk * ll * nl"),
     # from_json reads an object only if to_json writes it back
     ("from-json-fields", COEFFICIENTS, "if differ:", "if False:"),
-    # the loader: the queried system, the byte cap and its boundary, and Berline-Vergne
+    # the loader checks that the file is of the queried system
     ("system-check", CLI,
      'raise ValueError("%s holds coefficients for %s, not %s" % (path, coeffs.system, data.id))',
      "pass"),
-    ("byte-cap", CLI, "if len(raw) > MAX_FILE_BYTES:", "if len(raw) > MAX_FILE_BYTES + 1:"),
-    ("byte-cap-boundary", CLI, "if len(raw) > MAX_FILE_BYTES:", "if len(raw) >= MAX_FILE_BYTES:"),
-    ("berline-vergne", CLI, "if coeffs.mu_prime[J] != mu[J]:", "if False:"),
 ]
 
 

@@ -4,7 +4,6 @@ import json
 import math
 import os
 import re
-import select
 import subprocess
 import sys
 import time
@@ -32,11 +31,13 @@ def run_cli(capsys, *argv):
 
 @pytest.fixture
 def unshipped(tmp_path, monkeypatch):
-    """An empty shipped-data directory, so that every system looks past the shipped files."""
+    """An empty directory in place of the shipped files, so that no system ships one until
+    a test writes it there: the directory."""
     import alcoves.cli as climod
     empty = tmp_path / "shipped"
     empty.mkdir()
     monkeypatch.setattr(climod, "DATA_DIR", str(empty))
+    return empty
 
 
 @pytest.fixture
@@ -78,16 +79,15 @@ def test_count_deterministic_modulo_elapsed(capsys):
     assert payloads[0] == payloads[1]
 
 
-def test_count_geometric_with_a_cache_file(capsys, tmp_path, unshipped):
-    coeff_file = tmp_path / "cache" / "A2.json"
+def test_count_geometric_reads_the_file_fit_writes(capsys, unshipped):
+    coeff_file = unshipped / "A2.json"
     code, _ = run_cli(capsys, "fit", "--type", "A", "--rank", "2",
                       "--out", str(coeff_file))
     assert code == 0 and coeff_file.exists()
     obj = json.loads(coeff_file.read_text())
     assert obj["mu_prime"] == {"": "6", "1": "9", "2": "9", "1,2": "6"}
     code, payload = run_cli(capsys, "count", "--type", "A", "--rank", "2",
-                            "--lambda", "1,0", "--method", "geometric",
-                            "--cache-dir", str(coeff_file.parent))
+                            "--lambda", "1,0", "--method", "geometric")
     assert code == 0 and payload["count"] == 18
 
 
@@ -278,19 +278,18 @@ def test_budget_exit_code(capsys):
     assert payload["error"]["type"] == "budget"
 
 
-def test_cache_roundtrip(capsys, tmp_path, request, unshipped):
-    # --cache-dir reads the file that `fit --out DIR/<system>.json` writes, and only reads it
-    cache = tmp_path / "cache"
-    out = cache / "A2.json"
+def test_count_and_verify_only_read_the_file_fit_writes(capsys, request, unshipped):
+    # count and verify read the file that `fit --out DATA_DIR/<system>.json` writes, and
+    # only read it
+    out = unshipped / "A2.json"
     assert run_cli(capsys, "fit", "--type", "A", "--rank", "2", "--out", str(out))[0] == 0
     stamp = out.read_bytes()
     request.getfixturevalue("no_fit")
     for argv in (["count", "--lambda", "1,1", "--method", "geometric"], ["verify"]):
-        code, payload = run_cli(capsys, *argv, "--type", "A", "--rank", "2",
-                                "--cache-dir", str(cache))
+        code, payload = run_cli(capsys, *argv, "--type", "A", "--rank", "2")
         assert code == 0, argv
         assert payload["count"] == 42 if argv[0] == "count" else payload["ok"]
-    assert [p.name for p in cache.iterdir()] == ["A2.json"] and out.read_bytes() == stamp
+    assert [p.name for p in unshipped.iterdir()] == ["A2.json"] and out.read_bytes() == stamp
 
 
 def test_console_script_entry_point():
@@ -347,24 +346,24 @@ def test_count_bruhat_beyond_the_element_closure(capsys, system, lam):
 
 
 # the refusal of a geometric count on a system with no coefficient file
-UNSHIPPED = ("%s ships no coefficient file: write one with `alcoves fit --type %s --rank %d "
-             "--out DIR/%s.json` and pass --cache-dir DIR")
+UNSHIPPED = ("%s ships no coefficient file: `alcoves fit --type %s --rank %d --out FILE` "
+             "proves a fit, and --method lattice counts without one")
 
 
 @pytest.mark.parametrize("argv,message", [
     (["count", "--type", "E", "--rank", "8", "--lambda", "1,1,1,1,1,1,1,1",
       "--method", "bruhat", "--cache-dir", "cache"],
      "lower interval exceeds cap of 1000000 elements"),
-    # no file ships, and the cache holds none: exit 1 before any count
-    (["count", "--type", "E", "--rank", "8", "--lambda", "1,1,1,1,1,1,1,1",
-      "--method", "geometric", "--cache-dir", "cache"], UNSHIPPED % ("E8", "E", 8, "E8")),
+    # no file ships: exit 1 before any count
+    (["count", "--type", "A", "--rank", "9", "--lambda", "1,1,1,1,1,1,1,1,1",
+      "--method", "geometric", "--cache-dir", "cache"], UNSHIPPED % ("A9", "A", 9)),
     # the fit's budget, checked at the top of T_n (8 w_4^v on E8, 8 w_2^v on D8)
     (["fit", "--type", "E", "--rank", "8", "--out", "e8.json"],
      "level simplex has 2747306250 cells, exceeding cap 100000000"),
     (["fit", "--type", "D", "--rank", "8", "--out", "d8.json"],
      "level simplex has 290107737 cells, exceeding cap 100000000"),
-    (["count", "--type", "D", "--rank", "8", "--lambda", "2,1,0,1,0,1,0,1",
-      "--method", "geometric", "--cache-dir", "cache"], UNSHIPPED % ("D8", "D", 8, "D8")),
+    (["count", "--type", "A", "--rank", "9", "--lambda", "2,1,0,1,0,1,0,1,0",
+      "--method", "geometric", "--cache-dir", "cache"], UNSHIPPED % ("A9", "A", 9)),
     (["verify", "--type", "E", "--rank", "7", "--cache-dir", "cache"],
      "lower interval exceeds cap of 1000000 elements"),
     (["volumes", "--type", "A", "--rank", "13", "--J", ",".join(map(str, range(1, 14)))],
@@ -378,7 +377,7 @@ UNSHIPPED = ("%s ships no coefficient file: write one with `alcoves fit --type %
     (["count", "--type", "A", "--rank", "2", "--lambda", "1000000,1000000",
       "--method", "bruhat"],
      "lower interval exceeds cap of 1000000 elements"),
-], ids=["E8-bruhat", "E8-geometric", "E8-fit", "D8-fit", "D8-geometric", "E7-verify",
+], ids=["E8-bruhat", "A9-geometric", "E8-fit", "D8-fit", "A9-geometric-2101", "E7-verify",
         "A13-volumes", "E7-faces",
         "A1-bruhat-length", "A2-bruhat-length"])
 def test_refusal_before_the_first_count_is_cheap(capsys, tmp_path, monkeypatch, argv, message):
@@ -427,30 +426,27 @@ def test_fit_at_the_rank_cap_refuses_on_subsets_first(capsys, tmp_path):
     assert list(tmp_path.iterdir()) == []
 
 
-def test_geometric_rejects_coefficients_of_another_system(capsys, tmp_path, unshipped):
+def test_geometric_rejects_coefficients_of_another_system(capsys, unshipped):
     # the G2 fit, under A2's name
-    g2 = tmp_path / "cache" / "A2.json"
+    g2 = unshipped / "A2.json"
     code, _ = run_cli(capsys, "fit", "--type", "G", "--rank", "2", "--out", str(g2))
     assert code == 0
     code, payload = run_cli(capsys, "count", "--type", "A", "--rank", "2", "--lambda", "1,1",
-                            "--method", "geometric", "--cache-dir", str(g2.parent))
+                            "--method", "geometric")
     assert code == 1 and payload["error"] == {
         "type": "invalid-input", "message": "%s holds coefficients for G2, not A2" % g2}
 
 
-def test_geometric_rejects_incomplete_cache(capsys, tmp_path, unshipped, no_fit):
-    # a defective cache file is refused: neither refitted nor summed
-    cache = tmp_path / "cache"
-    cache.mkdir()
-    path = cache / "A2.json"
+def test_geometric_rejects_an_incomplete_file(capsys, unshipped, no_fit):
+    # a defective file is refused: neither refitted nor summed
+    path = unshipped / "A2.json"
     path.write_text(json.dumps(
         {"schema": 1, "version": __version__, "system": "A2", "mu_prime": {"": "6"}}))
     text = path.read_text()
     code, payload = run_cli(capsys, "count", "--type", "A", "--rank", "2",
-                            "--lambda", "3,3", "--method", "geometric",
-                            "--cache-dir", str(cache))
+                            "--lambda", "3,3", "--method", "geometric")
     assert code == 1 and "subsets" in payload["error"]["message"]
-    assert [p.name for p in cache.iterdir()] == ["A2.json"] and path.read_text() == text
+    assert [p.name for p in unshipped.iterdir()] == ["A2.json"] and path.read_text() == text
 
 
 def _with(**changes):
@@ -465,7 +461,6 @@ def _with(**changes):
     _with(version="0.0.0"),
     _with(system="G2"),
     lambda text: text[:40],                              # truncated JSON
-    lambda text: "[" * 200_000,                          # deeper than the recursion limit
     _with(mu_prime=dict(A2_MU_PRIME, **{"1": "1/0"})),   # a zero denominator
     _with(mu_prime=dict(A2_MU_PRIME, **{"1": "1e100000000"})),  # an exponent
     _with(mu_prime=dict(A2_MU_PRIME, **{" 1": "100"})),  # subset 1 named twice
@@ -476,35 +471,30 @@ def _with(**changes):
     lambda text: json.dumps({k: v for k, v in json.loads(text).items() if k != "provenance"}),
     _with(system="A2000000"),
     _with(mu_prime=dict(A2_MU_PRIME, **{"2": "10"})),    # mu'_{I-i} != |W_f|^2 / (2 |W_{I-i}|)
-], ids=["mu-empty", "mu-top", "subset-missing", "version", "system", "truncated", "deep",
+], ids=["mu-empty", "mu-top", "subset-missing", "version", "system", "truncated",
         "zero-denominator", "exponent", "key-twice", "schema", "gram", "extra-field",
         "unreduced", "provenance-missing", "large-rank", "mu-codim-1"])
-def test_a_defective_cache_file_is_refused_and_left_as_it_is(
+def test_a_defective_file_is_refused_and_left_as_it_is(
         capsys, tmp_path, request, unshipped, defect):
     fresh = tmp_path / "fresh.json"
     code, _ = run_cli(capsys, "fit", "--type", "A", "--rank", "2", "--out", str(fresh))
     assert code == 0
     request.getfixturevalue("no_fit")
     text = defect(fresh.read_text())
-    cache = tmp_path / "cache"
-    cache.mkdir()
-    path = cache / "A2.json"
+    path = unshipped / "A2.json"
     path.write_text(text)
     code, payload = run_cli(capsys, "count", "--type", "A", "--rank", "2", "--lambda", "0,0",
-                            "--method", "geometric", "--cache-dir", str(cache))
+                            "--method", "geometric")
     assert code == 1 and payload["error"]["type"] == "invalid-input"
-    assert [p.name for p in cache.iterdir()] == [path.name] and path.read_text() == text
+    assert [p.name for p in unshipped.iterdir()] == [path.name] and path.read_text() == text
 
 
-def _cache_file(tmp_path, name, edit):
-    """DIR/<name>.json holding the shipped file of name with edit applied to its mu_prime
-    map: the path, and its text."""
+def _edited_file(folder, name, edit):
+    """folder/<name>.json holding the shipped file of name with edit applied to its
+    mu_prime map."""
     obj = json.loads(Path(DATA_DIR, "%s.json" % name).read_text())
     edit(obj["mu_prime"])
-    path = tmp_path / "cache" / ("%s.json" % name)
-    path.parent.mkdir(exist_ok=True)
-    path.write_text(json.dumps(obj, sort_keys=True))
-    return path, path.read_text()
+    (folder / ("%s.json" % name)).write_text(json.dumps(obj, sort_keys=True))
 
 
 def _plus_one(key):
@@ -512,128 +502,59 @@ def _plus_one(key):
 
 
 @pytest.mark.parametrize("name", ["B3", "E6", "C8"])
-def test_a_shipped_file_with_mu_empty_or_top_moved_exits_1(capsys, tmp_path, unshipped, name):
+def test_a_shipped_file_with_mu_empty_or_top_moved_exits_1(capsys, unshipped, name):
     # from rank 3 up no other pin reads mu'_empty: at rank 2 it is of codimension 2 too
     n = int(name[1:])
     for key, message in (("", "mu'_empty != |W_f|"),
                          (",".join(map(str, range(1, n + 1))), "mu'_top != 1/vol(A_id)")):
-        path, _ = _cache_file(tmp_path, name, _plus_one(key))
+        _edited_file(unshipped, name, _plus_one(key))
         code, payload = run_cli(capsys, "count", "--type", name[0], "--rank", str(n), "--lambda",
-                                ",".join(["1"] * n), "--method", "geometric",
-                                "--cache-dir", str(path.parent))
+                                ",".join(["1"] * n), "--method", "geometric")
         assert code == 1 and payload["error"] == {"type": "invalid-input", "message": message}
 
 
 @pytest.mark.parametrize("name", ["B3", "E6", "C8"])
-def test_a_shipped_file_with_one_codim_1_entry_moved_exits_1(capsys, tmp_path, unshipped, name):
-    # mu'_{1..n-1} plus one, the rest of the shipped file as it is, read from --cache-dir
+def test_a_shipped_file_with_one_codim_1_entry_moved_exits_1(capsys, unshipped, name):
+    # mu'_{1..n-1} plus one, the rest of the shipped file as it is
     n = int(name[1:])
-    path, _ = _cache_file(tmp_path, name, _plus_one(",".join(map(str, range(1, n)))))
+    _edited_file(unshipped, name, _plus_one(",".join(map(str, range(1, n)))))
     code, payload = run_cli(capsys, "count", "--type", name[0], "--rank", str(n), "--lambda",
-                            ",".join(["1"] * n), "--method", "geometric",
-                            "--cache-dir", str(path.parent))
+                            ",".join(["1"] * n), "--method", "geometric")
     assert code == 1 and payload["error"] == {
         "type": "invalid-input", "message": "mu'_{I-i} != |W_f|^2 / (2 |W_{I-i}|) at i=%d" % n}
 
 
 @pytest.mark.parametrize("name", ["B3", "E6", "C8"])
-def test_a_shipped_file_with_one_codim_2_entry_moved_exits_1(capsys, tmp_path, unshipped, name):
+def test_a_shipped_file_with_one_codim_2_entry_moved_exits_1(capsys, unshipped, name):
     # mu'_{I-k-l} plus one for three pairs k < l in turn, the rest of the shipped file as
-    # it is, read from --cache-dir
+    # it is
     n = int(name[1:])
     for k, l in [(1, 2), (1, n), (n - 1, n)]:
         key = ",".join(str(j) for j in range(1, n + 1) if j not in (k, l))
-        path, _ = _cache_file(tmp_path, name, _plus_one(key))
+        _edited_file(unshipped, name, _plus_one(key))
         code, payload = run_cli(capsys, "count", "--type", name[0], "--rank", str(n),
-                                "--lambda", ",".join(["1"] * n), "--method", "geometric",
-                                "--cache-dir", str(path.parent))
+                                "--lambda", ",".join(["1"] * n), "--method", "geometric")
         assert code == 1 and payload["error"] == {
             "type": "invalid-input", "message": "mu'_{I-k-l} != |W_f|^2 (1/4 + (g_kl/g_kk + "
             "g_kl/g_ll)/12) / |W_{I-k-l}| at k=%d l=%d" % (k, l)}, key
 
 
-def _unpinned(n):
-    """The first J of each codimension 3 to n-1 in `subsets` order: each J != () that no
-    closed form pins."""
-    return [tuple(range(1, size + 1)) for size in range(1, n - 2)]
-
-
-@pytest.mark.parametrize("name", ["A4", "B4", "E6"])
-def test_a_cache_file_with_one_unpinned_entry_moved_exits_1(capsys, tmp_path, monkeypatch,
-                                                            unshipped, no_fit, name):
-    # mu'_J plus |J|! Delta_J / |W_J|, which adds R_J(lambda), an integer, to every count:
-    # the pins pass, and only the comparison with Berline-Vergne refuses the file
-    data, n = build_root_system(name), int(name[1:])
-    monkeypatch.chdir(tmp_path)
-    assert len(_unpinned(n)) == n - 3
-    for J in _unpinned(n):
-        order, *_, scale = _pyramid(data, J)
-        key = ",".join(map(str, J))
-        was = Fraction(json.loads(Path(DATA_DIR, "%s.json" % name).read_text())["mu_prime"][key])
-        moved = was + Fraction(math.factorial(len(J)) * scale, order)
-        path, text = _cache_file(tmp_path, name, lambda mu: mu.update({key: str(moved)}))
-        system = ["--type", name[0], "--rank", str(n), "--cache-dir", "cache"]
-        for argv in (["count", "--lambda", ",".join(["1"] * n), "--method", "geometric"],
-                     ["verify", "--max-coord", "0"]):
-            code, payload = run_cli(capsys, *argv, *system)
-            assert code == 1 and payload["error"] == {
-                "type": "invalid-input", "message": "cache/%s.json: mu'_{%s} is %s, not %s by "
-                                                    "Berline-Vergne" % (name, key, moved, was)}
-        assert sorted(tmp_path.rglob("*")) == sorted([tmp_path / "shipped", path.parent, path])
-        assert path.read_text() == text
-
-
-@pytest.mark.parametrize("name", ["A2", "B3", "E6"])
-def test_a_cache_file_equal_to_berline_vergne_prints_what_the_shipped_file_prints(
-        capsys, tmp_path, request, name):
-    # the shipped file is what `fit --out` writes of the Berline-Vergne mu'
-    n = int(name[1:])
-    argv = ["count", "--type", name[0], "--rank", str(n), "--lambda",
-            ",".join(map(str, range(n))), "--method", "geometric"]
-    path, _ = _cache_file(tmp_path, name, lambda mu: None)
-    outputs = []
-    for source in ([], ["--cache-dir", str(path.parent)]):
-        if source:
-            request.getfixturevalue("unshipped")
-        assert main(argv + source) == 0
-        outputs.append(re.sub(r'"elapsed_ms": [0-9]+, ', "", capsys.readouterr().out))
-    assert outputs[0] == outputs[1]
-
-
-def _padded_a2_file(path, size):
-    """The shipped A2 file, padded with trailing spaces to size bytes: valid JSON of the
-    right coefficients, were it parsed."""
-    text = Path(DATA_DIR, "A2.json").read_bytes()
-    path.write_bytes(text + b" " * (size - len(text)))
-
-
-@pytest.mark.parametrize("case", ["cache-no-system", "cache-list", "cache-dir-is-file",
-                                  "out-is-directory", "cache-over-budget", "cache-dev-zero",
-                                  "cache-directory", "cache-invalid-utf8"])
+@pytest.mark.parametrize("case", ["file-no-system", "file-list", "out-is-directory",
+                                  "file-directory", "file-invalid-utf8"])
 def test_file_errors_exit_1_with_json(capsys, tmp_path, unshipped, case):
-    from alcoves.coefficients import MAX_FILE_BYTES
-    count = ["count", "--type", "A", "--rank", "2", "--lambda", "1,1",
-             "--method", "geometric", "--cache-dir", str(tmp_path / "cache")]
-    bad = tmp_path / "cache" / "A2.json"
-    bad.parent.mkdir()
-    argv, kind = count, "invalid-input"
-    if case == "cache-no-system":
+    argv = ["count", "--type", "A", "--rank", "2", "--lambda", "1,1", "--method", "geometric"]
+    bad = unshipped / "A2.json"
+    kind = "invalid-input"
+    if case == "file-no-system":
         bad.write_text(json.dumps({"schema": 1, "version": __version__,
                                    "mu_prime": A2_MU_PRIME}))
-    elif case == "cache-list":
+    elif case == "file-list":
         bad.write_text("[1]")
-    elif case == "cache-dir-is-file":
-        argv, kind = count[:-1] + [str(tmp_path / "bad.json")], "io"
-        Path(argv[-1]).write_text("{}")
     elif case == "out-is-directory":
         (tmp_path / "out").mkdir()
         argv = ["fit", "--type", "A", "--rank", "2", "--out", str(tmp_path / "out"), "--force"]
         kind = "usage"
-    elif case == "cache-over-budget":  # refused unparsed: parsed, it would be summed
-        _padded_a2_file(bad, MAX_FILE_BYTES + 1)
-    elif case == "cache-dev-zero":  # endless: read whole, it fills the memory
-        bad.symlink_to("/dev/zero")
-    elif case == "cache-directory":
+    elif case == "file-directory":
         bad.mkdir()
         kind = "io"
     else:
@@ -643,74 +564,86 @@ def test_file_errors_exit_1_with_json(capsys, tmp_path, unshipped, case):
     assert code == 1 and err == "" and out.count("\n") == 1
     error = json.loads(out)["error"]
     assert error["type"] == kind and error["message"]
-    if case in ("cache-over-budget", "cache-dev-zero"):
-        assert error["message"].endswith("exceeds %d bytes, the most a coefficient file may have"
-                                         % MAX_FILE_BYTES)
     assert not list(tmp_path.rglob("*.tmp"))
 
 
-def _count_a2_from(cache):
-    """A subprocess: count --method geometric on A2 (1, 1), its coefficients from
-    cache/A2.json, with an empty directory in place of the shipped files."""
+def _process(*argv):
+    """A subprocess of the CLI on argv: its exit code, and its stdout without elapsed_ms."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    empty = cache.parent / "shipped"
-    empty.mkdir()
-    code = "import alcoves.cli as cli\ncli.DATA_DIR = %r\ncli.run()" % str(empty)
-    return subprocess.Popen(
-        [sys.executable, "-c", code, "count", "--type", "A", "--rank", "2", "--lambda", "1,1",
-         "--method", "geometric", "--cache-dir", str(cache)], stdout=subprocess.PIPE,
-        stderr=subprocess.PIPE, text=True, env=dict(os.environ, PYTHONPATH=path))
+    proc = subprocess.run([sys.executable, "-m", "alcoves.cli", *argv], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=path), timeout=60)
+    assert proc.stderr == ""
+    return proc.returncode, re.sub(r'"elapsed_ms": [0-9]+, ', "", proc.stdout)
 
 
-def test_a_cache_fifo_that_no_process_writes_exits_1_at_once(tmp_path):
-    # open() of a FIFO waits for a writer: the count, run alone, would never end.  Opened
-    # without blocking, the FIFO reads as empty input
-    fifo = tmp_path / "cache" / "A2.json"
-    fifo.parent.mkdir()
-    os.mkfifo(fifo)
-    proc = _count_a2_from(fifo.parent)
-    try:
-        out, err = proc.communicate(timeout=20)
-    finally:
-        proc.kill()
-        proc.wait()
-    assert proc.returncode == 1 and err == ""
-    assert json.loads(out)["error"]["type"] == "invalid-input"
+@pytest.mark.parametrize("kind", ["malformed", "fifo"])
+def test_a_file_under_the_cache_dir_is_never_read(tmp_path, kind):
+    # --cache-dir is accepted and not read: a malformed B3.json under it, or a FIFO that
+    # no process writes, which an open() would wait on for ever, changes no byte
+    cache = tmp_path / "cache"
+    cache.mkdir()
+    if kind == "fifo":
+        os.mkfifo(cache / "B3.json")
+    else:
+        (cache / "B3.json").write_text('{"system": "B3", "mu_prime": {"": "1"}}')
+    for argv in (["count", "--lambda", "1,0,2", "--method", "geometric"],
+                 ["verify", "--max-coord", "1"]):
+        argv += ["--type", "B", "--rank", "3"]
+        expected = _process(*argv)
+        assert expected[0] == 0 and _process(*argv, "--cache-dir", str(cache)) == expected
 
 
-def test_a_cache_pipe_whose_writer_is_slow_is_read_whole(tmp_path):
-    # once open, the file is read blocking: data that comes after the read began is waited
-    # for, as from a shell's <(...) whose writer is slow
-    fifo = tmp_path / "cache" / "A2.json"
-    fifo.parent.mkdir()
-    os.mkfifo(fifo)
-    fd = os.open(fifo, os.O_RDWR)  # a writer before the count opens it, so it waits for data
-    proc = _count_a2_from(fifo.parent)
-    try:
-        time.sleep(0.5)  # by then the count, started idle, waits in its read
-        os.write(fd, Path(DATA_DIR, "A2.json").read_bytes())
-        while select.select([fd], [], [], 0)[0] and proc.poll() is None:
-            time.sleep(0.01)  # fd reads as ready until the count has read every byte
-        os.close(fd)  # the last writer: the count reads EOF
-        fd = None
-        out, err = proc.communicate(timeout=20)
-    finally:
-        if fd is not None:
-            os.close(fd)
-        proc.kill()
-        proc.wait()
-    assert proc.returncode == 0 and err == "" and json.loads(out)["count"] == 42
+def test_a_berline_vergne_file_under_the_cache_dir_counts_nothing(tmp_path):
+    # A10 ships no file, as no T_n proof covers it: a file under --cache-dir that equals
+    # Berline-Vergne is still refused at once, with no recursion run and no rationals loaded
+    from alcoves import GeometricCoefficients
+    from alcoves.coefficients import _berline_vergne
+    data = build_root_system("A10")
+    cache = tmp_path / "cache"
+    cache.mkdir()
+    coeffs = GeometricCoefficients(data.id, _berline_vergne(data, (1,) * 10))
+    (cache / "A10.json").write_text(json.dumps(coeffs.to_json(), sort_keys=True) + "\n")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    script = ("import sys\nimport alcoves.cli as cli\ncode = cli.main(sys.argv[1:])\n"
+              "loaded = {'fractions', 'alcoves.mpoly'} & set(sys.modules)\n"
+              "sys.stderr.write(' '.join(sorted(loaded)))\nsys.exit(code)")
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", script, "count", "--type", "A", "--rank", "10", "--lambda",
+         "1,0,0,0,0,0,0,0,0,0", "--method", "geometric", "--cache-dir", str(cache)],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path), timeout=60)
+    assert (proc.returncode, proc.stderr) == (1, "")
+    assert json.loads(proc.stdout)["error"] == {
+        "type": "usage", "message": UNSHIPPED % ("A10", "A", 10)}
 
 
-def test_a_cache_file_of_the_byte_budget_is_read(capsys, tmp_path, unshipped):
-    from alcoves.coefficients import MAX_FILE_BYTES
-    coeffs = tmp_path / "cache" / "A2.json"
-    coeffs.parent.mkdir()
-    _padded_a2_file(coeffs, MAX_FILE_BYTES)
-    code, payload = run_cli(capsys, "count", "--type", "A", "--rank", "2", "--lambda", "1,1",
-                            "--method", "geometric", "--cache-dir", str(coeffs.parent))
-    assert code == 0 and payload["count"] == 42
+def test_count_and_verify_open_no_path_under_the_cache_dir(capsys, tmp_path, monkeypatch):
+    # every open, by builtins.open, io.open or os.open, is recorded: only the shipped file
+    import builtins
+    cache = tmp_path / "cache"
+    cache.mkdir()
+    for name in ("B3", "A9"):
+        (cache / ("%s.json" % name)).write_text("{}")
+    opened = []
+
+    def recorder(real):
+        def record(file, *args, **kwargs):
+            opened.append(str(file))
+            return real(file, *args, **kwargs)
+        return record
+
+    monkeypatch.setattr(builtins, "open", recorder(builtins.open))
+    monkeypatch.setattr(io, "open", recorder(io.open))
+    monkeypatch.setattr(os, "open", recorder(os.open))
+    system = ["--type", "B", "--rank", "3", "--cache-dir", str(cache)]
+    assert main(["count", *system, "--lambda", "1,0,2", "--method", "geometric"]) == 0
+    assert main(["verify", *system, "--max-coord", "1"]) == 0
+    assert main(["count", "--type", "A", "--rank", "9", "--lambda", ",".join(["1"] * 9),
+                 "--method", "geometric", "--cache-dir", str(cache)]) == 1
+    capsys.readouterr()
+    assert os.path.join(DATA_DIR, "B3.json") in opened
+    assert [name for name in opened if name.startswith(str(cache))] == []
 
 
 @pytest.mark.parametrize("name", SHIPPED)
@@ -734,11 +667,11 @@ def test_a_geometric_count_on_a_shipped_system_neither_fits_nor_writes(capsys, t
     assert list(cache.iterdir()) == []
 
 
-@pytest.mark.parametrize("name", ["A2", "B3", "E7", "unshipped", "D8", "E8"])
+@pytest.mark.parametrize("name", ["A2", "B3", "E7", "unshipped", "A9"])
 def test_count_and_verify_never_fit_nor_write(capsys, tmp_path, monkeypatch, request, no_fit,
                                               name):
     # a shipped file is read; with none, the command exits 1 at once, also at a box cap
-    # that admits the fit of D8 and E8.  verify of E7, D8 and E8 stops at |W_f|
+    # that admits the fit of A9.  verify of E7 and A9 stops at |W_f|
     import alcoves.cli as climod
     if name == "unshipped":
         request.getfixturevalue("unshipped")
@@ -803,7 +736,7 @@ def test_an_unshipped_system_is_refused_at_once_and_nothing_written(capsys, tmp_
         code, payload = run_cli(capsys, *argv, "--type", "A", "--rank", "2")
         assert time.perf_counter() - start < 1
         assert code == 1 and payload["error"] == {
-            "type": "usage", "message": UNSHIPPED % ("A2", "A", 2, "A2")}
+            "type": "usage", "message": UNSHIPPED % ("A2", "A", 2)}
     assert sorted(tmp_path.rglob("*")) == before
 
 
@@ -876,14 +809,14 @@ def test_volumes_refuses_a_full_J_above_ten_indices_before_building(capsys, monk
 
 def test_geometric_count_with_a_cache_file_refuses_on_subsets_first(capsys, tmp_path,
                                                                     monkeypatch):
-    # the file is neither read nor checked: A13's 8192 subsets refuse before the build
+    # no file is looked up: A13's 8192 subsets refuse before the build
     import alcoves.cli as climod
 
     def never(*args, **kwargs):
         raise AssertionError("called before the subset cap")
 
     monkeypatch.setattr(climod, "build_root_system", never)
-    monkeypatch.setattr(climod, "_read_coefficients", never)
+    monkeypatch.setattr(climod, "_coefficients", never)
     (tmp_path / "A13.json").write_text('{"system": "A13", "mu_prime": {"": "1"}}')
     code, payload = run_cli(capsys, "count", "--type", "A", "--rank", "13", "--lambda",
                             ",".join(["1"] * 13), "--method", "geometric",
@@ -1011,10 +944,10 @@ def test_the_count_path_builds_no_ambient_view(capsys, tmp_path, monkeypatch):
     for method in ["bruhat", "lattice", "geometric", "geometric"]:  # the shipped file, twice
         code, payload = run_cli(capsys, *count, method)
         assert code == 0 and payload["count"] == 6720, method
-    # and from a --cache-dir file, checked against Berline-Vergne, with no file shipped
+    # and from the file fit writes, in place of the shipped one
     out = tmp_path / "cache" / "B3.json"
     assert run_cli(capsys, "fit", "--type", "B", "--rank", "3", "--out", str(out))[0] == 0
-    monkeypatch.setattr(climod, "DATA_DIR", str(tmp_path))
+    monkeypatch.setattr(climod, "DATA_DIR", str(out.parent))
     code, payload = run_cli(capsys, *count, "geometric")
     assert code == 0 and payload["count"] == 6720
     assert built == []

@@ -9,6 +9,9 @@
     default box cap admits, as the triangular solve alone derives it from the
     lattice counts at the 0/1 coweights; `fit --out` wrote those files, its check
     on all of T_n included, once, when they were shipped,
+  * the file the package ships for D8 and E8, as `_write_coefficients` writes the
+    Berline-Vergne mu' alone; `fit --out` wrote those files at `--box-cap
+    1000000000000`, its check on all of T_8 included, once, when they were shipped,
   * `weyl_order(data, J)` for every J on every system of `rootdata`,
   * the stdout of `alcoves faces` for every J and four lambda, some with zero
     coordinates, on a set of small systems,
@@ -55,6 +58,7 @@ from pathlib import Path
 import pytest
 
 from alcoves.cli import DATA_DIR, _write_coefficients, main
+from alcoves.coefficients import GeometricCoefficients, _berline_vergne
 from alcoves.orbits import interval_size_lattice
 from alcoves.rootdata import build_root_system, weyl_order
 from oracles import solve_from_counts
@@ -66,16 +70,19 @@ ROOTDATA = (["A%d" % n for n in range(1, 9)] + ["B%d" % n for n in range(2, 9)]
             + ["E6", "E7", "E8", "F4", "G2"])
 VOLUMES = ["A2", "A3", "A4", "B2", "B3", "B4", "C3", "D4", "G2", "F4",
            "A5", "B5", "C5", "D5", "E6", "E7"]
-# every system fit_mu admits at the default box cap: FITS, of rank <= 6, are fitted
-# here in seconds, SOLVED, of rank 7 and 8, only solved (their T_n check takes minutes)
+# every system up to rank 8: FITS, of rank <= 6, are fitted here in seconds, SOLVED, of
+# rank 7 and 8, only solved (their T_n check takes minutes), and DERIVED, whose fit and
+# 0/1 counts need a raised box cap, derived by Berline-Vergne alone
 FITS = (["A%d" % n for n in range(1, 7)] + ["B%d" % n for n in range(2, 7)]
         + ["C%d" % n for n in range(2, 7)] + ["D%d" % n for n in range(3, 7)]
         + ["E6", "F4", "G2"])
 SOLVED = ["A7", "B7", "C7", "D7", "E7", "A8", "B8", "C8"]
-SHIPPED = FITS + SOLVED
+DERIVED = ["D8", "E8"]
+SHIPPED = FITS + SOLVED + DERIVED
 FACES = ["A2", "A3", "B2", "B3", "C3", "D4", "F4", "G2"]
 EHRHART_MAX_D = 40
-KINDS = ("rootdata", "weyl_order", "volumes", "fit", "solve", "faces", "ehrhart")
+KINDS = ("rootdata", "weyl_order", "volumes", "fit", "solve", "berline_vergne", "faces",
+         "ehrhart")
 
 
 def _stdout(*argv) -> bytes:
@@ -138,6 +145,14 @@ def digests(kind: str) -> dict[str, str]:
                 path = Path(tmp) / ("%s.json" % name)
                 _write_coefficients(path, solve_from_counts(data, counts))
                 out[name] = _sha(path.read_bytes())
+    elif kind == "berline_vergne":
+        with tempfile.TemporaryDirectory() as tmp:
+            for name in DERIVED:
+                data = build_root_system(name)
+                path = Path(tmp) / ("%s.json" % name)
+                mu = _berline_vergne(data, (1,) * data.rank)
+                _write_coefficients(path, GeometricCoefficients(data.id, mu))
+                out[name] = _sha(path.read_bytes())
     else:
         with tempfile.TemporaryDirectory() as tmp:
             for name in FITS:
@@ -159,7 +174,7 @@ def test_each_shipped_file_is_the_golden_fit_of_its_system():
     # the fit and solve tests above re-derive these bytes, so a shipped file is the one
     # the code on the path writes; a version bump fails here until the files are regenerated
     golden = json.loads(FIXTURE.read_text())
-    expected = {**golden["fit"], **golden["solve"]}
+    expected = {**golden["fit"], **golden["solve"], **golden["berline_vergne"]}
     shipped = Path(DATA_DIR)
     assert sorted(p.name for p in shipped.iterdir()) == sorted("%s.json" % n for n in SHIPPED)
     for name in SHIPPED:

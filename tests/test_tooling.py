@@ -3,7 +3,6 @@ library name it uses is gone, or when a query process imports more than it needs
 
 import ast
 import fnmatch
-import functools
 import importlib.util
 import json
 import os
@@ -45,44 +44,27 @@ RATIONALS = {"fractions", "decimal", "numbers"}
 ROUTES = {"alcoves.affine", "alcoves.orbits", "alcoves.volumes", "alcoves.coefficients"}
 
 
-def _modules_imported(*argv):
-    """The names of the modules a fresh interpreter imports, by -X importtime's report.
-    It runs with -S, so a module that a site hook imports first cannot hide one that
-    the package pulls in."""
+def _modules_imported(*argv, code=0):
+    """The names of the modules a fresh interpreter imports, by -X importtime's report,
+    once it exits with code.  It runs with -S, so a module that a site hook imports first
+    cannot hide one that the package pulls in."""
     path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, "-S", "-X", "importtime", *argv], capture_output=True,
                           text=True, env=dict(os.environ, PYTHONPATH=path), timeout=60)
-    assert proc.returncode == 0, proc.stderr
+    assert proc.returncode == code, proc.stderr
     return {line.rsplit("|", 1)[1].strip() for line in proc.stderr.splitlines()
             if line.startswith("import time:")}
 
 
 COUNT = ["-m", "alcoves.cli", "count", "--type", "B", "--rank", "3", "--lambda", "1,0,2",
          "--method"]
-# a count from A9.json under --cache-dir, as A9 ships no file: the test first writes it
-# from the Berline-Vergne mu', which the count derives again to check the file
+# a geometric count on A9, which ships no file: refused at once, exit 1
 GEOMETRIC = ["-m", "alcoves.cli", "count", "--type", "A", "--rank", "9", "--lambda",
              "1,0,0,1,0,0,0,0,1", "--method", "geometric", "--cache-dir"]
 # a count from the file the package ships for B3, with an empty cache directory
 SHIPPED = COUNT + ["geometric", "--cache-dir"]
 # the command the benchmark's set-up runs once per system
 ROOTDATA = ["-m", "alcoves.cli", "rootdata", "--type", "B", "--rank", "3"]
-
-
-@functools.cache
-def _a9_text() -> str:
-    """What `fit --out` would write for A9, from the Berline-Vergne mu' alone."""
-    from alcoves import GeometricCoefficients, build_root_system
-    from alcoves.coefficients import _berline_vergne
-    data = build_root_system("A9")
-    coeffs = GeometricCoefficients(data.id, _berline_vergne(data, (1,) * 9))
-    return json.dumps(coeffs.to_json(), sort_keys=True) + "\n"
-
-
-def _a9_cache(folder: Path) -> Path:
-    folder.mkdir()
-    (folder / "A9.json").write_text(_a9_text())
-    return folder
 
 
 @pytest.mark.parametrize("argv", [["-c", "import alcoves.cli"],
@@ -93,23 +75,19 @@ def test_a_query_process_imports_no_heavy_stdlib_module(argv, tmp_path):
     method = argv[argv.index("--method") + 1] if "--method" in argv else None
     routes = {"lattice": {"alcoves.orbits"}, "bruhat": {"alcoves.affine"},
               "geometric": {"alcoves.volumes", "alcoves.coefficients"}}.get(method, set())
-    # `rootdata` prints rationals, and Berline-Vergne checks a --cache-dir file in them
-    not_run = NOT_RUN - (RATIONALS if argv is ROOTDATA or argv is GEOMETRIC else set())
-    if argv is GEOMETRIC:
-        argv = argv + [str(_a9_cache(tmp_path / "a9"))]
-    elif argv is SHIPPED:
+    # `rootdata` prints rationals
+    not_run = NOT_RUN - (RATIONALS if argv is ROOTDATA else set())
+    code = 1 if argv is GEOMETRIC else 0
+    if argv[-1] == "--cache-dir":
         argv = argv + [str(tmp_path / "cache")]
     # against a bare interpreter, so a module that site hooks load counts for neither
     baseline = _modules_imported("-c", "pass")
-    imported = _modules_imported(*argv)
+    imported = _modules_imported(*argv, code=code)
     assert {"alcoves.rootdata", "json"} <= imported - baseline
     assert (imported - baseline) & HEAVY_MODULES == set()
     assert (imported - baseline) & not_run == set()
     assert imported & ROUTES == routes
     assert not (tmp_path / "cache").exists()
-    a9 = tmp_path / "a9"
-    if a9.exists():  # the count read its file and left it as it was
-        assert list(a9.iterdir()) == [a9 / "A9.json"] and (a9 / "A9.json").read_text() == _a9_text()
 
 
 # the package modules that each count method loads, beside alcoves.cli, which runs as
@@ -127,9 +105,8 @@ def test_each_count_method_loads_its_route_and_no_rationals(method):
     assert imported & {"fractions", "alcoves.mpoly"} == set()
 
 
-# what each interpreter runs: every count route, a shipped file read from the package, an
-# A9 file read from --cache-dir and checked by Berline-Vergne, and verify's cross-check of
-# all three
+# what each interpreter runs: every count route, a shipped file read from the package, the
+# refusal of A9, which ships no file, and verify's cross-check of all three
 ACROSS_VERSIONS = [COUNT[:-2] + ["1,1,1", "--method", method, "--cache-dir"]
                    for method in ("bruhat", "lattice", "geometric")]
 ACROSS_VERSIONS += [GEOMETRIC, ["-m", "alcoves.cli", "verify", "--type", "A", "--rank", "2",
@@ -177,20 +154,20 @@ def test_the_cli_prints_the_same_on_each_declared_python(python, tmp_path):
     if exe is None:
         pytest.skip("no %s runs -c pass" % python)
     path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
-    cache, a9 = tmp_path / "cache", _a9_cache(tmp_path / "a9")
+    cache = tmp_path / "cache"
     cache.mkdir()
     for argv in ACROSS_VERSIONS:
-        last = [str(a9 if argv is GEOMETRIC else cache)] if argv[-1] == "--cache-dir" else []
+        last = [str(cache)] if argv[-1] == "--cache-dir" else []
         outputs = []
         for run in (sys.executable, exe):
             proc = subprocess.run([run, "-S", *argv, *last], capture_output=True, text=True,
                                   env=dict(os.environ, PYTHONPATH=path), timeout=300)
-            code = 1 if argv in USAGE_ERRORS else 2 if argv in BUDGET_REFUSALS else 0
+            code = (1 if argv in USAGE_ERRORS or argv is GEOMETRIC
+                    else 2 if argv in BUDGET_REFUSALS else 0)
             assert proc.returncode == code, (run, argv, proc.stdout + proc.stderr)
             outputs.append(re.sub(r'"elapsed_ms": [0-9]+, ', "", proc.stdout))
         assert outputs[0] == outputs[1], argv
-    assert list(cache.iterdir()) == []  # every other count read a shipped file
-    assert list(a9.iterdir()) == [a9 / "A9.json"] and (a9 / "A9.json").read_text() == _a9_text()
+    assert list(cache.iterdir()) == []  # nothing is written there
 
 
 def test_every_shipped_file_is_declared_package_data():
