@@ -577,15 +577,21 @@ def _process(*argv):
     return proc.returncode, re.sub(r'"elapsed_ms": [0-9]+, ', "", proc.stdout)
 
 
-@pytest.mark.parametrize("kind", ["malformed", "fifo"])
+@pytest.mark.parametrize("kind", ["malformed", "moved", "fifo", "dir-is-file"])
 def test_a_file_under_the_cache_dir_is_never_read(tmp_path, kind):
-    # --cache-dir is accepted and not read: a malformed B3.json under it, or a FIFO that
-    # no process writes, which an open() would wait on for ever, changes no byte
+    # --cache-dir is accepted and not read: a malformed B3.json under it, the shipped one
+    # with mu'_{1} moved, a FIFO that no process writes, which an open() would wait on for
+    # ever, or a --cache-dir that is a regular file, not a directory, changes no byte
     cache = tmp_path / "cache"
-    cache.mkdir()
+    if kind == "dir-is-file":
+        cache.write_text("")
+    else:
+        cache.mkdir()
     if kind == "fifo":
         os.mkfifo(cache / "B3.json")
-    else:
+    elif kind == "moved":
+        _edited_file(cache, "B3", _plus_one("1"))
+    elif kind == "malformed":
         (cache / "B3.json").write_text('{"system": "B3", "mu_prime": {"": "1"}}')
     for argv in (["count", "--lambda", "1,0,2", "--method", "geometric"],
                  ["verify", "--max-coord", "1"]):
